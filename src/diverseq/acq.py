@@ -9,16 +9,25 @@ subtree realizes. Extensions merge bottom-up with the inclusion-exclusion rule
 
 and provenance links let a concrete witness be rebuilt afterwards.
 
+Every table is closed under permuting the k slots, so each one stores only
+its entries at sorted (non-decreasing) slot tuples: the full table is the
+stored one with every slot permutation applied. A merge lines a sorted child
+tuple up with a sorted parent tuple through a slot map sigma (parent slot i
+reads child slot sigma[i]), reads the child's per-pair values through it, and
+records sigma in the provenance link.
+
 Two specialized sum-aggregator paths exist: one keeps, per partial-solution
 tuple and per vector of "this pair differs somewhere" flags, only the maximum
-achievable sum; the other additionally allows duplicate answers, which lets
-tables shrink to sorted partial-solution tuples.
+achievable sum; the other additionally allows duplicate answers, which drops
+the flags and keeps one entry per sorted tuple.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,6 +42,57 @@ DEFAULT_TABLE_CAP = 10_000_000
 def _pairs(k: int) -> list[tuple[int, int]]:
     # Ordered so extending a tuple by one slot appends distances at the end.
     return [(i, j) for j in range(k) for i in range(j)]
+
+
+@functools.lru_cache(maxsize=4096)
+def _pair_map(sigma: tuple[int, ...]) -> tuple[int, ...]:
+    """Position in a child's pair vector of each parent pair under sigma."""
+    pairs = _pairs(len(sigma))
+    pos = {p: n for n, p in enumerate(pairs)}
+    return tuple(
+        pos[(a, b) if a < b else (b, a)]
+        for a, b in ((sigma[i], sigma[j]) for i, j in pairs)
+    )
+
+
+@functools.lru_cache(maxsize=4096)
+def _arrangements(projs: tuple, repeats: tuple, target: tuple) -> tuple[tuple[int, ...], ...]:
+    """Slot maps sigma giving parent slot i a child slot sigma[i] whose
+    projection is target[i], for a sorted child tuple whose slots project to
+    `projs` and where repeats[s] says slot s + 1 holds slot s's value.
+
+    One sigma per distinct rearranged child tuple, in ascending order of that
+    tuple. Maps that rearrange the tuple alike differ by a permutation of
+    equal slots, under which the stored child entries are already closed.
+    Projections come relabeled by first appearance in the target, so the
+    arguments range over a few patterns per k and the cache stays small.
+    """
+    k = len(projs)
+    slots: dict[int, list[int]] = {}  # first slot of a value -> its slots
+    proj_of: dict[int, int] = {}
+    group = 0
+    for s in range(k):
+        if s and not repeats[s - 1]:
+            group = s
+        slots.setdefault(group, []).append(s)
+        proj_of[group] = projs[s]
+    used = dict.fromkeys(slots, 0)
+    sigma = [0] * k
+    found: list[tuple[int, ...]] = []
+
+    def place(i: int) -> None:
+        if i == k:
+            found.append(tuple(sigma))
+            return
+        for group, free in slots.items():
+            if used[group] < len(free) and proj_of[group] == target[i]:
+                sigma[i] = free[used[group]]
+                used[group] += 1
+                place(i + 1)
+                used[group] -= 1
+
+    place(0)
+    return tuple(found)
 
 
 def _sorted_sols(atom: Atom, db: Database) -> list[Assignment]:
@@ -54,12 +114,19 @@ def _distance_matrix(sols: Sequence[Assignment], variables: frozenset[str]) -> l
     return matrix
 
 
+def _check_init(node: int, n: int, k: int, table_cap: int) -> None:
+    if n ** k > table_cap:
+        raise TableGuardExceeded(
+            f"initial table at node {node}: atom has {n} rows, {n ** k} slot tuples"
+        )
+
+
 @dataclass
 class DPTable:
     """DP table at one join-tree node.
 
-    entries maps (partial-index tuple, distance vector) to provenance: one
-    (child node, child entry key) link per already-merged child.
+    entries maps (sorted partial-index tuple, distance vector) to provenance:
+    one (child node, child entry key, sigma) link per already-merged child.
     """
 
     node: int
@@ -67,6 +134,12 @@ class DPTable:
     sols: list[Assignment]
     k: int
     entries: dict[tuple, tuple] = field(default_factory=dict)
+
+    def partials(self, key: tuple) -> tuple[int, ...]:
+        return key[0]
+
+    def links(self, key: tuple) -> tuple:
+        return self.entries[key]
 
     def check_bound(self, db: Database, free_count: int) -> None:
         k, npairs = self.k, len(_pairs(self.k))
@@ -76,44 +149,89 @@ class DPTable:
             f"bound is {bound}"
         )
 
-    def is_permutation_closed(self) -> bool:
-        pairs = _pairs(self.k)
-        pos = {p: n for n, p in enumerate(pairs)}
-        for (ptuple, dvec) in self.entries:
-            for perm in itertools.permutations(range(self.k)):
-                permuted = tuple(ptuple[perm[i]] for i in range(self.k))
-                pdvec = []
-                for (i, j) in pairs:
-                    a, b = perm[i], perm[j]
-                    pdvec.append(dvec[pos[(a, b) if a < b else (b, a)]])
-                if (permuted, tuple(pdvec)) not in self.entries:
-                    return False
-        return True
-
 
 def dp_init(node: int, atom: Atom, db: Database, k: int,
             free_vars: Sequence[str], *, table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
-    """Initial table: every k-tuple of the atom's solutions with its distances."""
+    """Initial table: every sorted k-tuple of the atom's solutions with its distances."""
     sols = _sorted_sols(atom, db)
     n = len(sols)
-    if n ** k > table_cap:
-        raise TableGuardExceeded(f"initial table would hold {n ** k} entries")
+    _check_init(node, n, k, table_cap)
     dist = _distance_matrix(sols, frozenset(free_vars) & atom.variables)
+    pairs = _pairs(k)
     table = DPTable(node=node, atom=atom, sols=sols, k=k)
-    keys: list[tuple[tuple, tuple]] = [((), ())]
-    for _ in range(k):
-        keys = [
-            (ptuple + (idx,), dvec + tuple([dist[idx][p] for p in ptuple]))
-            for ptuple, dvec in keys
-            for idx in range(n)
-        ]
-    table.entries = {key: () for key in keys}
+    table.entries = {
+        (ptuple, tuple([dist[ptuple[i]][ptuple[j]] for i, j in pairs])): ()
+        for ptuple in itertools.combinations_with_replacement(range(n), k)
+    }
     table.check_bound(db, len(free_vars))
     return table
 
 
-def _shared_projection(table: DPTable, shared: Sequence[str]) -> list[tuple]:
+def _shared_projection(table, shared: Sequence[str]) -> list[tuple]:
     return [tuple(a[v].index for v in shared) for a in table.sols]
+
+
+class _Join:
+    """Lines up the sorted tuples of a child table with those of its parent.
+
+    Child tuples are bucketed by their sorted projection onto the shared
+    variables; a parent tuple meets every child tuple of its bucket under
+    each slot map from `_arrangements`. Lookups are cached per projection
+    sequence, which many parent tuples share.
+    """
+
+    def __init__(self, parent, child, free_vars: Sequence[str]) -> None:
+        shared = sorted(parent.atom.variables & child.atom.variables)
+        self.proj_p = _shared_projection(parent, shared)
+        proj_c = self.proj_c = _shared_projection(child, shared)
+        self.corr = _distance_matrix(parent.sols, frozenset(free_vars) & frozenset(shared))
+        self.pairs = _pairs(parent.k)
+        # Child entry keys per sorted child tuple; a duplicates-mode key is
+        # its tuple.
+        self.child_keys: dict[tuple, list[tuple]] = {}
+        if isinstance(child, DupSumTable):
+            ctuples = child.entries
+        else:
+            for key in child.entries:
+                self.child_keys.setdefault(key[0], []).append(key)
+            ctuples = self.child_keys
+        self.buckets: dict[tuple, list[tuple]] = {}
+        for ctuple in ctuples:
+            bucket_key = tuple(sorted([proj_c[c] for c in ctuple]))
+            self.buckets.setdefault(bucket_key, []).append(ctuple)
+        self._aligned: dict[tuple, list] = {}
+
+    def slot_maps(self, ctuple: tuple[int, ...], target: tuple) -> tuple[tuple[int, ...], ...]:
+        """The slot maps of a child tuple of `target`'s bucket onto it."""
+        labels: dict[tuple, int] = {}
+        relabeled = tuple([labels.setdefault(t, len(labels)) for t in target])
+        projs = tuple([labels[self.proj_c[c]] for c in ctuple])
+        repeats = tuple([a == b for a, b in zip(ctuple, ctuple[1:])])
+        return _arrangements(projs, repeats, relabeled)
+
+    def aligned(self, ptuple: tuple[int, ...]) -> list[tuple[tuple, tuple, tuple]]:
+        """(child key, sigma, child pair vector read through sigma) for every
+        child entry joining ptuple; the vector is key[1] of the child key.
+        Not for duplicates-mode children, whose keys hold no vector."""
+        target = tuple([self.proj_p[p] for p in ptuple])
+        found = self._aligned.get(target)
+        if found is None:
+            found = []
+            for ctuple in self.buckets.get(tuple(sorted(target)), ()):
+                keys = self.child_keys[ctuple]
+                for sigma in self.slot_maps(ctuple, target):
+                    pmap = _pair_map(sigma)
+                    found.extend(
+                        (ckey, sigma, tuple([ckey[1][m] for m in pmap])) for ckey in keys
+                    )
+            self._aligned[target] = found
+        return found
+
+    def corr_vector(self, ptuple: tuple[int, ...]) -> list[int]:
+        """Per pair, the distance on the shared free variables, which the
+        parent and the child both count."""
+        corr = self.corr
+        return [corr[ptuple[i]][ptuple[j]] for i, j in self.pairs]
 
 
 def dp_merge(parent: DPTable, child: DPTable, db: Database,
@@ -124,41 +242,21 @@ def dp_merge(parent: DPTable, child: DPTable, db: Database,
     distance already counted on the shared variables. When several pairs
     produce the same entry, the first in iteration order donates provenance.
     """
-    shared = sorted(parent.atom.variables & child.atom.variables)
-    x_shared = frozenset(free_vars) & frozenset(shared)
-    proj_p = _shared_projection(parent, shared)
-    proj_c = _shared_projection(child, shared)
-    corr = _distance_matrix(parent.sols, x_shared)
-    pairs = _pairs(parent.k)
-
-    buckets: dict[tuple, list[tuple]] = {}
-    for key in child.entries:
-        ctuple = key[0]
-        bucket_key = tuple([proj_c[c] for c in ctuple])
-        buckets.setdefault(bucket_key, []).append(key)
-
+    join = _Join(parent, child, free_vars)
     merged = DPTable(node=parent.node, atom=parent.atom, sols=parent.sols, k=parent.k)
     out = merged.entries
-    tuple_cache: dict[tuple, tuple] = {}
+    add = operator.add
+    last = None  # entries of one slot tuple are adjacent
     for (ptuple, dvec), refs in parent.entries.items():
-        cached = tuple_cache.get(ptuple)
-        if cached is None:
-            cached = (
-                tuple([proj_p[p] for p in ptuple]),
-                tuple([corr[ptuple[i]][ptuple[j]] for i, j in pairs]),
-            )
-            tuple_cache[ptuple] = cached
-        bucket_key, corrvec = cached
-        matches = buckets.get(bucket_key)
-        if not matches:
+        if ptuple != last:
+            last, aligned, corrvec = ptuple, join.aligned(ptuple), join.corr_vector(ptuple)
+        if not aligned:
             continue
-        for ckey in matches:
-            combined = tuple(
-                [a + b - c for a, b, c in zip(dvec, ckey[1], corrvec)]
-            )
-            new_key = (ptuple, combined)
+        base = [a - c for a, c in zip(dvec, corrvec)]
+        for ckey, sigma, cvec in aligned:
+            new_key = (ptuple, tuple(map(add, base, cvec)))
             if new_key not in out:
-                out[new_key] = refs + ((child.node, ckey),)
+                out[new_key] = refs + ((child.node, ckey, sigma),)
                 if len(out) > table_cap:
                     raise TableGuardExceeded(
                         f"merge at node {parent.node} exceeded {table_cap} entries"
@@ -191,32 +289,41 @@ def dp_finalize(root: DPTable, aggregator: Aggregator, threshold: float | None,
     return best_val >= threshold, best_key, best_val
 
 
-def extract_witness(tables: dict[int, DPTable], root_key: tuple, jt: JoinTree,
-                    free_vars: Sequence[str]) -> tuple[Assignment, ...]:
-    """Rebuild k full answers realizing a kept root entry, via provenance."""
-    k = tables[jt.root].k
-    collected: list[dict] = [dict() for _ in range(k)]
+def _walk_provenance(tables: dict, root: int, root_key: tuple, k: int,
+                     free_vars: Sequence[str]) -> tuple[Assignment, ...]:
+    """The k answers that a root entry's provenance links spell out.
 
-    def absorb(node: int, key: tuple) -> None:
+    Each visit carries `slots`: slots[i] is the position of the node's tuple
+    that feeds witness slot i; a link's sigma maps it into the child's tuple.
+    """
+    collected: list[dict] = [dict() for _ in range(k)]
+    stack = [(root, root_key, tuple(range(k)))]
+    while stack:
+        node, key, slots = stack.pop()
         table = tables[node]
-        ptuple = key[0]
+        ptuple = table.partials(key)
         for i in range(k):
-            for v, value in table.sols[ptuple[i]].items():
+            for v, value in table.sols[ptuple[slots[i]]].items():
                 prior = collected[i].get(v)
                 if prior is not None and prior != value:
                     raise CorruptProvenance(
                         f"conflicting bindings for {v} while extending entry"
                     )
                 collected[i][v] = value
-        for child_node, child_key in table.entries[key]:
-            absorb(child_node, child_key)
-
-    absorb(jt.root, root_key)
+        for child_node, child_key, sigma in table.links(key):
+            stack.append((child_node, child_key, tuple([sigma[s] for s in slots])))
     xs = list(free_vars)
-    witness = tuple(Assignment(b).restrict(xs) for b in collected)
+    return tuple(Assignment(b).restrict(xs) for b in collected)
+
+
+def extract_witness(tables: dict[int, DPTable], root_key: tuple, jt: JoinTree,
+                    free_vars: Sequence[str]) -> tuple[Assignment, ...]:
+    """Rebuild k full answers realizing a kept root entry, via provenance."""
+    k = tables[jt.root].k
+    witness = _walk_provenance(tables, jt.root, root_key, k, free_vars)
     dvec = root_key[1]
-    pairs = _pairs(k)
-    for n, (i, j) in enumerate(pairs):
+    xs = list(free_vars)
+    for n, (i, j) in enumerate(_pairs(k)):
         if hamming_distance(witness[i], witness[j], xs) != dvec[n]:
             raise CorruptProvenance("witness distances disagree with the kept entry")
     return witness
@@ -270,9 +377,9 @@ def solve_acq(query: Query, db: Database, k: int, d: float | None,
 class SumTable:
     """Sum-aggregator table: (partials, distinctness flags) -> best sum.
 
-    entries maps (partial-index tuple, flag vector) to (value, provenance).
-    A flag of 1 for pair (i, j) means the recorded extensions differ on at
-    least one free variable.
+    entries maps (sorted partial-index tuple, flag vector) to (value,
+    provenance). A flag of 1 for pair (i, j) means the recorded extensions
+    differ on at least one free variable.
     """
 
     node: int
@@ -281,53 +388,48 @@ class SumTable:
     k: int
     entries: dict[tuple, tuple] = field(default_factory=dict)
 
+    def partials(self, key: tuple) -> tuple[int, ...]:
+        return key[0]
+
+    def links(self, key: tuple) -> tuple:
+        return self.entries[key][1]
+
 
 def sum_init(node: int, atom: Atom, db: Database, k: int,
              free_vars: Sequence[str], *, table_cap: int = DEFAULT_TABLE_CAP) -> SumTable:
     sols = _sorted_sols(atom, db)
     n = len(sols)
-    if n ** k > table_cap:
-        raise TableGuardExceeded(f"initial table would hold {n ** k} entries")
+    _check_init(node, n, k, table_cap)
     dist = _distance_matrix(sols, frozenset(free_vars) & atom.variables)
     pairs = _pairs(k)
     table = SumTable(node=node, atom=atom, sols=sols, k=k)
-    for ptuple in itertools.product(range(n), repeat=k):
+    for ptuple in itertools.combinations_with_replacement(range(n), k):
         ds = [dist[ptuple[i]][ptuple[j]] for i, j in pairs]
-        flags = tuple(1 if x > 0 else 0 for x in ds)
+        flags = tuple([1 if x > 0 else 0 for x in ds])
         table.entries[(ptuple, flags)] = (sum(ds), ())
     return table
 
 
 def sum_merge(parent: SumTable, child: SumTable, db: Database,
               free_vars: Sequence[str], *, table_cap: int = DEFAULT_TABLE_CAP) -> SumTable:
-    shared = sorted(parent.atom.variables & child.atom.variables)
-    x_shared = frozenset(free_vars) & frozenset(shared)
-    proj_p = _shared_projection(parent, shared)
-    proj_c = _shared_projection(child, shared)
-    corr = _distance_matrix(parent.sols, x_shared)
-    pairs = _pairs(parent.k)
-
-    buckets: dict[tuple, list[tuple]] = {}
-    for key in child.entries:
-        bucket_key = tuple(proj_c[c] for c in key[0])
-        buckets.setdefault(bucket_key, []).append(key)
-
+    join = _Join(parent, child, free_vars)
     merged = SumTable(node=parent.node, atom=parent.atom, sols=parent.sols, k=parent.k)
     out = merged.entries
+    child_entries = child.entries
+    or_ = operator.or_
+    last = None  # entries of one slot tuple are adjacent
     for (ptuple, flags), (value, refs) in parent.entries.items():
-        matches = buckets.get(tuple(proj_p[p] for p in ptuple))
-        if not matches:
+        if ptuple != last:
+            last, aligned, corr_sum = ptuple, join.aligned(ptuple), sum(join.corr_vector(ptuple))
+        if not aligned:
             continue
-        corr_sum = sum(corr[ptuple[i]][ptuple[j]] for i, j in pairs)
-        for ckey in matches:
-            cvalue, _ = child.entries[ckey]
-            cflags = ckey[1]
-            combined_flags = tuple(a | b for a, b in zip(flags, cflags))
-            combined_value = value + cvalue - corr_sum
-            new_key = (ptuple, combined_flags)
+        base = value - corr_sum
+        for ckey, sigma, cflags in aligned:
+            combined_value = base + child_entries[ckey][0]
+            new_key = (ptuple, tuple(map(or_, flags, cflags)))
             prior = out.get(new_key)
             if prior is None or combined_value > prior[0]:
-                out[new_key] = (combined_value, refs + ((child.node, ckey),))
+                out[new_key] = (combined_value, refs + ((child.node, ckey, sigma),))
                 if len(out) > table_cap:
                     raise TableGuardExceeded(
                         f"merge at node {parent.node} exceeded {table_cap} entries"
@@ -362,32 +464,22 @@ def solve_acq_sum(query: Query, db: Database, k: int, d: float | None, *,
     return Outcome(decision, best, solution, routing="acq-sum", stats=stats)
 
 
-def _extract_sum_witness(tables: dict[int, SumTable], root_key: tuple, jt: JoinTree,
-                         free_vars: Sequence[str], expect: int) -> tuple[Assignment, ...]:
-    k = tables[jt.root].k
-    collected: list[dict] = [dict() for _ in range(k)]
-
-    def absorb(node: int, key: tuple) -> None:
-        table = tables[node]
-        for i in range(k):
-            for v, value in table.sols[key[0][i]].items():
-                prior = collected[i].get(v)
-                if prior is not None and prior != value:
-                    raise CorruptProvenance(f"conflicting bindings for {v}")
-                collected[i][v] = value
-        for child_node, child_key in table.entries[key][1]:
-            absorb(child_node, child_key)
-
-    absorb(jt.root, root_key)
+def _check_sum(witness: tuple[Assignment, ...], free_vars: Sequence[str],
+               expect: int) -> tuple[Assignment, ...]:
     xs = list(free_vars)
-    witness = tuple(Assignment(b).restrict(xs) for b in collected)
     total = sum(
-        hamming_distance(witness[i], witness[j], xs)
-        for i, j in _pairs(k)
+        hamming_distance(witness[i], witness[j], xs) for i, j in _pairs(len(witness))
     )
     if total != expect:
         raise CorruptProvenance("witness sum-diversity disagrees with the table value")
     return witness
+
+
+def _extract_sum_witness(tables: dict[int, SumTable], root_key: tuple, jt: JoinTree,
+                         free_vars: Sequence[str], expect: int) -> tuple[Assignment, ...]:
+    k = tables[jt.root].k
+    return _check_sum(_walk_provenance(tables, jt.root, root_key, k, free_vars),
+                      free_vars, expect)
 
 
 # --- sum aggregator with duplicates allowed ------------------------------------
@@ -398,7 +490,7 @@ class DupSumTable:
     """Duplicates-allowed sum tables: sorted partial tuples -> best sum.
 
     Partial-solution tuples are kept sorted under the node's solution order;
-    provenance records, per merged child, the entry and the index permutation
+    provenance records, per merged child, the entry and the slot map sigma
     aligning parent slots with the child's sorted tuple.
     """
 
@@ -407,6 +499,12 @@ class DupSumTable:
     sols: list[Assignment]
     k: int
     entries: dict[tuple, tuple] = field(default_factory=dict)
+
+    def partials(self, key: tuple) -> tuple[int, ...]:
+        return key
+
+    def links(self, key: tuple) -> tuple:
+        return self.entries[key][1]
 
     def check_bound(self) -> None:
         bound = math.comb(len(self.sols) + self.k - 1, self.k)
@@ -435,41 +533,32 @@ def dup_init(node: int, atom: Atom, db: Database, k: int,
 
 def dup_merge(parent: DupSumTable, child: DupSumTable, db: Database,
               free_vars: Sequence[str], *, table_cap: int = DEFAULT_TABLE_CAP) -> DupSumTable:
-    shared = sorted(parent.atom.variables & child.atom.variables)
-    x_shared = frozenset(free_vars) & frozenset(shared)
-    proj_p = _shared_projection(parent, shared)
-    proj_c = _shared_projection(child, shared)
-    corr = _distance_matrix(parent.sols, x_shared)
-    pairs = _pairs(parent.k)
-    k = parent.k
-
-    # Sorted child keys bucketed by their sorted projection multiset; the
-    # per-index alignment is recovered by trying index permutations.
-    buckets: dict[tuple, list[tuple]] = {}
-    for ckey in child.entries:
-        bucket_key = tuple(sorted(proj_c[c] for c in ckey))
-        buckets.setdefault(bucket_key, []).append(ckey)
-
-    perms = list(itertools.permutations(range(k)))
-    merged = DupSumTable(node=parent.node, atom=parent.atom, sols=parent.sols, k=k)
+    join = _Join(parent, child, free_vars)
+    child_entries = child.entries
+    merged = DupSumTable(node=parent.node, atom=parent.atom, sols=parent.sols, k=parent.k)
     out = merged.entries
+    proj_p, proj_c, buckets = join.proj_p, join.proj_c, join.buckets
+    corr, pairs = join.corr, join.pairs
+    identity = tuple(range(parent.k))
+
+    def child_value(ckey: tuple) -> int:
+        return child_entries[ckey][0]
+
     for ptuple, (value, refs) in parent.entries.items():
-        projections = [proj_p[p] for p in ptuple]
-        matches = buckets.get(tuple(sorted(projections)))
+        target = tuple([proj_p[p] for p in ptuple])
+        matches = buckets.get(tuple(sorted(target)))
         if not matches:
             continue
-        corr_sum = sum(corr[ptuple[i]][ptuple[j]] for i, j in pairs)
-        best = None
-        for ckey in matches:
-            cvalue = child.entries[ckey][0]
-            for perm in perms:
-                if all(proj_c[ckey[perm[i]]] == projections[i] for i in range(k)):
-                    combined = value + cvalue - corr_sum
-                    if best is None or combined > best[0]:
-                        best = (combined, refs + ((child.node, ckey, perm),))
-                    break  # the child value is permutation-invariant
-        if best is not None:
-            out[ptuple] = best
+        best_key = max(matches, key=child_value)
+        # The child value is invariant under slot maps, so the least map
+        # will do: the identity when the projections already line up.
+        if tuple([proj_c[c] for c in best_key]) == target:
+            sigma = identity
+        else:
+            sigma = join.slot_maps(best_key, target)[0]
+        corr_sum = sum([corr[ptuple[i]][ptuple[j]] for i, j in pairs])
+        combined = value + child_entries[best_key][0] - corr_sum
+        out[ptuple] = (combined, refs + ((child.node, best_key, sigma),))
     merged.check_bound()
     return merged
 
@@ -499,26 +588,5 @@ def solve_acq_sum_dup(query: Query, db: Database, k: int, d: float | None, *,
 def _extract_dup_witness(tables: dict[int, DupSumTable], root_key: tuple, jt: JoinTree,
                          free_vars: Sequence[str], expect: int) -> tuple[Assignment, ...]:
     k = tables[jt.root].k
-    collected: list[dict] = [dict() for _ in range(k)]
-
-    def absorb(node: int, key: tuple, slots: Sequence[int]) -> None:
-        # slots[i]: which position of `key` feeds witness slot i.
-        table = tables[node]
-        for i in range(k):
-            for v, value in table.sols[key[slots[i]]].items():
-                prior = collected[i].get(v)
-                if prior is not None and prior != value:
-                    raise CorruptProvenance(f"conflicting bindings for {v}")
-                collected[i][v] = value
-        for child_node, child_key, perm in table.entries[key][1]:
-            absorb(child_node, child_key, [perm[slots[i]] for i in range(k)])
-
-    absorb(jt.root, root_key, list(range(k)))
-    xs = list(free_vars)
-    witness = tuple(Assignment(b).restrict(xs) for b in collected)
-    total = sum(
-        hamming_distance(witness[i], witness[j], xs) for i, j in _pairs(k)
-    )
-    if total != expect:
-        raise CorruptProvenance("witness sum-diversity disagrees with the table value")
-    return witness
+    return _check_sum(_walk_provenance(tables, jt.root, root_key, k, free_vars),
+                      free_vars, expect)

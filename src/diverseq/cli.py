@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 
 from . import acq, cqneg, kernel
@@ -166,6 +167,12 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         return 2, {"error": {"code": err.code, "message": str(err)}}
     except (OSError, ValueError) as err:
         return 2, {"error": {"code": type(err).__name__, "message": str(err)}}
+    except Exception as err:  # a defect, not an answer: never exit 1 ("no")
+        return 2, {"error": {
+            "code": "InternalError",
+            "message": f"{type(err).__name__}: {err}",
+            "traceback": traceback.format_exc(),
+        }}
 
 
 def _emit(report: dict, output: str) -> None:

@@ -20,6 +20,18 @@ from .queries import Query, parse_query, render_query
 
 _FACT_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*\.\s*$")
 _VALUE_RE = re.compile(r'\s*(?:(-?\d+)|"((?:[^"\\]|\\.)*)")\s*(?:,|$)')
+# Longest prefix made of whole quoted strings and characters other than `"`
+# and `#`: what precedes a comment.
+_BEFORE_COMMENT_RE = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*')
+
+
+def _strip_quoted_comment(line: str) -> str:
+    """A line holding a quoted string and a `#` without its comment; a `#`
+    inside a string stays."""
+    end = _BEFORE_COMMENT_RE.match(line).end()
+    if line.startswith('"', end):
+        return line  # unterminated string: the fact parser reports it whole
+    return line[:end]
 
 
 def _parse_fact_values(body: str, lineno: int) -> list[Payload]:
@@ -48,7 +60,10 @@ def load_database(path: str) -> Database:
     arity: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            stripped = line.split("#", 1)[0].strip()
+            if '"' in line and "#" in line:
+                stripped = _strip_quoted_comment(line).strip()
+            else:
+                stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
             m = _FACT_RE.match(stripped)

@@ -16,6 +16,19 @@ from .errors import ExactSearchBudgetExceeded, QuerySyntaxError
 from .queries import Conjunct, Query
 
 
+def _postorder(root: int, children: dict[int, tuple[int, ...]]) -> list[int]:
+    """Children before parents, siblings in order; no recursion, so a tree
+    of any depth works."""
+    order: list[int] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(children.get(node, ()))
+    order.reverse()
+    return order
+
+
 @dataclass
 class JoinTree:
     """A rooted tree whose nodes are bijectively labeled by atom indices."""
@@ -28,15 +41,7 @@ class JoinTree:
         return tuple(self.label)
 
     def postorder(self) -> list[int]:
-        order: list[int] = []
-
-        def walk(node: int) -> None:
-            for child in self.children.get(node, ()):
-                walk(child)
-            order.append(node)
-
-        walk(self.root)
-        return order
+        return _postorder(self.root, self.children)
 
 
 @dataclass
@@ -55,15 +60,7 @@ class TreeDecomposition:
         return tuple(self.bags)
 
     def postorder(self) -> list[int]:
-        order: list[int] = []
-
-        def walk(node: int) -> None:
-            for child in self.children.get(node, ()):
-                walk(child)
-            order.append(node)
-
-        walk(self.root)
-        return order
+        return _postorder(self.root, self.children)
 
 
 @dataclass

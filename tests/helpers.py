@@ -210,3 +210,43 @@ def small_answer_instances(rng: random.Random, count: int, *, max_answers: int =
         if len(enumerate_answers(query, db)) <= max_answers:
             out.append((query, db))
     return out
+
+
+def _permute_key(ptuple: tuple, vec: tuple, perm: Sequence[int]) -> tuple[tuple, tuple]:
+    """Slot tuple and pair vector (in `acq._pairs` order) with slot i taking
+    what slot perm[i] held."""
+    k = len(ptuple)
+    pairs = [(i, j) for j in range(k) for i in range(j)]
+    pos = {p: n for n, p in enumerate(pairs)}
+    permuted = tuple(ptuple[perm[i]] for i in range(k))
+    pvec = []
+    for i, j in pairs:
+        a, b = perm[i], perm[j]
+        pvec.append(vec[pos[(a, b) if a < b else (b, a)]])
+    return permuted, tuple(pvec)
+
+
+def slot_closure(items, k: int) -> dict:
+    """Expand {(slot tuple, pair vector): value} under every slot permutation.
+
+    A join-tree table stores only sorted slot tuples; this rebuilds the full
+    table they stand for. Two stored entries that expand to the same full key
+    must agree on its value.
+    """
+    full: dict = {}
+    for (ptuple, vec), value in items:
+        for perm in itertools.permutations(range(k)):
+            key = _permute_key(ptuple, vec, perm)
+            assert full.setdefault(key, value) == value, f"conflicting values at {key}"
+    return full
+
+
+def is_permutation_closed(keys, k: int) -> bool:
+    """Whether a set of (slot tuple, pair vector) keys is closed under
+    permuting the k slots."""
+    keys = set(keys)
+    return all(
+        _permute_key(ptuple, vec, perm) in keys
+        for ptuple, vec in keys
+        for perm in itertools.permutations(range(k))
+    )

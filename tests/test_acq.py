@@ -22,7 +22,12 @@ from diverseq.oracle import (
 )
 from diverseq.queries import parse_query
 from diverseq.structure import gyo_join_tree
-from helpers import conjunction_solutions, small_answer_instances
+from helpers import (
+    conjunction_solutions,
+    is_permutation_closed,
+    slot_closure,
+    small_answer_instances,
+)
 
 
 def k2_instance():
@@ -40,10 +45,13 @@ def test_dp_init_k2_atom():
     fx = k2_instance()
     atom = fx.query.conjuncts[0].positive_atoms[1]  # R1(v, x1)
     table = dp_init(1, atom, fx.db, 2, fx.query.free_vars)
-    assert len(table.entries) == 4
+    # two rows: slot tuples (0, 0), (0, 1), (1, 1) are stored, (1, 0) is not
+    assert [key[0] for key in table.entries] == [(0, 0), (0, 1), (1, 1)]
+    full = slot_closure(((key, None) for key in table.entries), 2)
+    assert len(full) == 4
     # the mixed pair carries distance 1 (answers differ on v only)
-    mixed = [key for key in table.entries if key[0] == (0, 1)]
-    assert mixed and mixed[0][1] == (1,)
+    assert ((0, 1), (1,)) in table.entries
+    assert ((1, 0), (1,)) in full
 
 
 def test_dp_init_empty_relation():
@@ -181,8 +189,8 @@ def test_witness_contract_random():
 
 
 def test_table_semantics_against_subtree_enumeration():
-    # An entry is in the table iff some subtree solution tuple realizes its
-    # partials and distances.
+    # Expanded under slot permutations, the stored (sorted) entries are
+    # exactly the partials and distances that subtree solution tuples realize.
     rng = random.Random(31)
     checked = 0
     while checked < 12:
@@ -191,7 +199,7 @@ def test_table_semantics_against_subtree_enumeration():
         )[0]
         jt = gyo_join_tree(query)
         atoms = query.conjuncts[0].positive_atoms
-        k = 2
+        k = 2 if checked % 2 == 0 else 3
         free = query.free_vars
 
         tables = {}
@@ -220,11 +228,17 @@ def test_table_semantics_against_subtree_enumeration():
                     for i in range(k) for j in range(i + 1, k)
                 )
                 expected.add((ptuple, dvec))
-            assert set(table.entries) == expected
+            assert is_permutation_closed(expected, k)
+            assert all(list(key[0]) == sorted(key[0]) for key in table.entries)
+            full = slot_closure(((key, None) for key in table.entries), k)
+            assert set(full) == expected
         checked += 1
 
 
 def test_permutation_closure():
+    # Every table stores exactly the sorted slot tuples of a table closed
+    # under slot permutations: expanding it and keeping the sorted tuples
+    # gives the stored entries back.
     rng = random.Random(37)
     for trial, (query, db) in enumerate(
         small_answer_instances(rng, 8, max_atoms=3, max_rows=6)
@@ -238,7 +252,11 @@ def test_permutation_closure():
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], db, query.free_vars)
             tables[node] = table
-            assert table.is_permutation_closed()
+            stored = set(table.entries)
+            assert all(list(key[0]) == sorted(key[0]) for key in stored)
+            full = slot_closure(((key, None) for key in stored), k)
+            assert is_permutation_closed(full, k)
+            assert {key for key in full if list(key[0]) == sorted(key[0])} == stored
 
 
 def test_dp_merge_shared_existential_adds_distances_exactly():
@@ -311,9 +329,9 @@ def test_sum_path_witnesses_are_distinct_answers():
 
 
 def test_sum_table_semantics_against_subtree_enumeration():
-    # A sum-table entry (partials, flags) must hold the maximum subtree-local
-    # sum diversity over extensions whose pairwise difference pattern equals
-    # the flags.
+    # A sum-table entry (partials, flags), stored sorted and expanded under
+    # slot permutations, must hold the maximum subtree-local sum diversity
+    # over extensions whose pairwise difference pattern equals the flags.
     from diverseq.acq import _pairs, sum_init, sum_merge
 
     rng = random.Random(67)
@@ -357,7 +375,11 @@ def test_sum_table_semantics_against_subtree_enumeration():
                 value = sum(ds)
                 if key not in expected or value > expected[key]:
                     expected[key] = value
-            got = {key: value for key, (value, _) in table.entries.items()}
+            assert is_permutation_closed(expected, k)
+            assert all(list(key[0]) == sorted(key[0]) for key in table.entries)
+            got = slot_closure(
+                ((key, value) for key, (value, _) in table.entries.items()), k
+            )
             assert got == expected
         checked += 1
 
@@ -467,3 +489,28 @@ def test_oracle_equivalence_small():
                 assert got.decision is False
             else:
                 assert got.diversity == expected
+
+
+# --- deep join trees ------------------------------------------------------------
+
+
+def test_deep_path_query_needs_no_recursion():
+    # A 2000-atom path has a 2000-level join tree; every walk over it
+    # (postorder, provenance) must be iterative.
+    n = 2000
+    body = ", ".join(f"R(x{i}, x{i + 1})" for i in range(n))
+    q = parse_query(f"Q(x0, x{n}) :- {body}.")
+    db = Database.from_rows({"R": [(1, 1), (1, 2), (2, 1), (2, 2)]})
+    for k, best in ((1, 0), (2, 2)):
+        outcomes = [
+            solve_acq(q, db, k, None, SUM, witness=True),
+            solve_acq_sum(q, db, k, None, witness=True),
+            solve_acq_sum_dup(q, db, k, None, witness=True),
+        ]
+        for out in outcomes:
+            assert out.decision is True and out.diversity == best
+            assert out.stats["nodes"] == n
+            assert len(out.witness) == k == len(set(out.witness))
+            assert diversity_of_set(SUM, out.witness, q.free_vars) == best
+            for a in out.witness:
+                assert set(a.as_payload_dict()) == {"x0", f"x{n}"}

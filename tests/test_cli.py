@@ -51,6 +51,25 @@ def test_error_reports_are_machine_readable(tmp_path):
     assert report["error"]["code"] == "NotAcyclic"
 
 
+def test_internal_error_exits_2(tmp_path, monkeypatch):
+    from diverseq import acq
+
+    db_path, query_path = write_fixture(
+        tmp_path, {"R": [(1,), (2,)]}, "Q(v) :- R(v)."
+    )
+
+    def broken(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(acq, "solve_acq_sum", broken)
+    code, report = run(base_config(db_path, query_path))
+    assert code == 2
+    error = report["error"]
+    assert error["code"] == "InternalError"
+    assert error["message"] == "RecursionError: maximum recursion depth exceeded"
+    assert "in broken" in error["traceback"]
+
+
 def test_table_cap_guard_surfaces(tmp_path):
     db_path, query_path = write_fixture(
         tmp_path, {"R": [(i,) for i in range(1, 9)]}, "Q(v) :- R(v)."

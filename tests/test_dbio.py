@@ -1,4 +1,9 @@
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverseq.dbio import dump_database, dump_query, load_database, load_query
 from diverseq.errors import QuerySyntaxError
@@ -22,6 +27,47 @@ def test_fact_file_comments_and_blanks(tmp_path):
     db = load_database(str(path))
     rows = {tuple(v.payload for v in r) for r in db.relations["R"].rows}
     assert rows == {(1, 2), (3, 4)}
+
+
+def test_fact_file_hash_inside_strings(tmp_path):
+    path = tmp_path / "db.facts"
+    path.write_text('R("a#b", 1).  # comment with "quotes"\nR("#", 2). # x\n')
+    rows = {tuple(v.payload for v in r) for r in load_database(str(path)).relations["R"].rows}
+    assert rows == {("a#b", 1), ("#", 2)}
+
+
+def test_fact_file_unterminated_string_rejected(tmp_path):
+    path = tmp_path / "db.facts"
+    path.write_text('R("a#b, 1).\n')
+    with pytest.raises(QuerySyntaxError, match="a#b"):
+        load_database(str(path))
+
+
+# Adversarial payloads: comment and quote characters, backslashes, and
+# strings that look like integers. Line breaks are left out, since a fact
+# file holds one fact per line.
+_PAYLOADS = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.text(alphabet=st.sampled_from('#"\\ ,().07a-'), max_size=8),
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"),
+            max_size=6),
+    st.integers(min_value=0, max_value=999).map(lambda i: f"{i:03d}"),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(
+    st.sampled_from(["R", "S_1", "t"]),
+    st.integers(1, 3).flatmap(lambda arity: st.lists(
+        st.tuples(*[_PAYLOADS] * arity), min_size=1, max_size=4)),
+    min_size=1,
+))
+def test_fact_file_round_trip_adversarial_strings(rows):
+    db = Database.from_rows(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "db.facts")
+        dump_database(db, path)
+        assert load_database(path) == db
 
 
 def test_fact_file_rejects_garbage(tmp_path):
