@@ -7,7 +7,11 @@ subtree realizes. Extensions merge bottom-up with the inclusion-exclusion rule
 
     combined = d_parent + d_child - distance(shared parts)
 
-and provenance links let a concrete witness be rebuilt afterwards.
+and provenance links let a concrete witness be rebuilt afterwards. Before
+the tables are built, a full reducer (Yannakakis, VLDB 1981) drops every
+atom solution that lies in no full join result: no such solution is on the
+provenance chain of a root entry, so the root entries, their order and the
+witnesses stay as they were, and only the intermediate tables shrink.
 
 Every table is closed under permuting the k slots, so each one stores only
 its entries at sorted (non-decreasing) slot tuples: the full table is the
@@ -151,9 +155,12 @@ class DPTable:
 
 
 def dp_init(node: int, atom: Atom, db: Database, k: int,
-            free_vars: Sequence[str], *, table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
-    """Initial table: every sorted k-tuple of the atom's solutions with its distances."""
-    sols = _sorted_sols(atom, db)
+            free_vars: Sequence[str], *, sols: list[Assignment] | None = None,
+            table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
+    """Initial table: every sorted k-tuple of the atom's solutions with its
+    distances. `sols` defaults to all of them, in `_sorted_sols` order."""
+    if sols is None:
+        sols = _sorted_sols(atom, db)
     n = len(sols)
     _check_init(node, n, k, table_cap)
     dist = _distance_matrix(sols, frozenset(free_vars) & atom.variables)
@@ -329,16 +336,38 @@ def extract_witness(tables: dict[int, DPTable], root_key: tuple, jt: JoinTree,
     return witness
 
 
+def _full_reduce(jt: JoinTree, atoms: Sequence[Atom],
+                 sols: dict[int, list[Assignment]]) -> None:
+    """Keep in sols[node] only the solutions that lie in some full join
+    result: semi-joins up the join tree, then down it. Order is kept."""
+
+    def semijoin(target: int, source: int) -> None:
+        shared = sorted(atoms[jt.label[target]].variables & atoms[jt.label[source]].variables)
+        seen = {tuple([a[v] for v in shared]) for a in sols[source]}
+        sols[target] = [a for a in sols[target] if tuple([a[v] for v in shared]) in seen]
+
+    edges = [(node, child) for node in jt.postorder() for child in jt.children.get(node, ())]
+    for parent, child in edges:
+        semijoin(parent, child)
+    for parent, child in reversed(edges):
+        semijoin(child, parent)
+
+
 def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
               init, merge, table_cap: int):
+    """Build every node's table over its fully reduced solutions, children
+    first; init is called as init(node, atom, sols)."""
     jt = gyo_join_tree(query)
     if jt is None:
         raise NotAcyclic(f"query {query.head} admits no join tree")
     atoms = query.conjuncts[0].positive_atoms
+    order = jt.postorder()
+    sols = {node: _sorted_sols(atoms[jt.label[node]], db) for node in order}
+    _full_reduce(jt, atoms, sols)
     tables: dict[int, object] = {}
     max_table = 0
-    for node in jt.postorder():
-        table = init(node, atoms[jt.label[node]])
+    for node in order:
+        table = init(node, atoms[jt.label[node]], sols[node])
         for child in jt.children.get(node, ()):
             table = merge(table, tables[child])
         tables[node] = table
@@ -359,7 +388,8 @@ def solve_acq(query: Query, db: Database, k: int, d: float | None,
     free_vars = query.free_vars
     jt, tables, stats = _traverse(
         query, db, k, free_vars,
-        init=lambda node, atom: dp_init(node, atom, db, k, free_vars, table_cap=table_cap),
+        init=lambda node, atom, sols: dp_init(node, atom, db, k, free_vars, sols=sols,
+                                              table_cap=table_cap),
         merge=lambda parent, child: dp_merge(parent, child, db, free_vars, table_cap=table_cap),
         table_cap=table_cap,
     )
@@ -396,8 +426,10 @@ class SumTable:
 
 
 def sum_init(node: int, atom: Atom, db: Database, k: int,
-             free_vars: Sequence[str], *, table_cap: int = DEFAULT_TABLE_CAP) -> SumTable:
-    sols = _sorted_sols(atom, db)
+             free_vars: Sequence[str], *, sols: list[Assignment] | None = None,
+             table_cap: int = DEFAULT_TABLE_CAP) -> SumTable:
+    if sols is None:
+        sols = _sorted_sols(atom, db)
     n = len(sols)
     _check_init(node, n, k, table_cap)
     dist = _distance_matrix(sols, frozenset(free_vars) & atom.variables)
@@ -447,7 +479,8 @@ def solve_acq_sum(query: Query, db: Database, k: int, d: float | None, *,
     free_vars = query.free_vars
     jt, tables, stats = _traverse(
         query, db, k, free_vars,
-        init=lambda node, atom: sum_init(node, atom, db, k, free_vars, table_cap=table_cap),
+        init=lambda node, atom, sols: sum_init(node, atom, db, k, free_vars, sols=sols,
+                                               table_cap=table_cap),
         merge=lambda parent, child: sum_merge(parent, child, db, free_vars, table_cap=table_cap),
         table_cap=table_cap,
     )
@@ -516,8 +549,10 @@ class DupSumTable:
 
 
 def dup_init(node: int, atom: Atom, db: Database, k: int,
-             free_vars: Sequence[str], *, table_cap: int = DEFAULT_TABLE_CAP) -> DupSumTable:
-    sols = _sorted_sols(atom, db)
+             free_vars: Sequence[str], *, sols: list[Assignment] | None = None,
+             table_cap: int = DEFAULT_TABLE_CAP) -> DupSumTable:
+    if sols is None:
+        sols = _sorted_sols(atom, db)
     n = len(sols)
     dist = _distance_matrix(sols, frozenset(free_vars) & atom.variables)
     pairs = _pairs(k)
@@ -570,7 +605,8 @@ def solve_acq_sum_dup(query: Query, db: Database, k: int, d: float | None, *,
     free_vars = query.free_vars
     jt, tables, stats = _traverse(
         query, db, k, free_vars,
-        init=lambda node, atom: dup_init(node, atom, db, k, free_vars, table_cap=table_cap),
+        init=lambda node, atom, sols: dup_init(node, atom, db, k, free_vars, sols=sols,
+                                               table_cap=table_cap),
         merge=lambda parent, child: dup_merge(parent, child, db, free_vars, table_cap=table_cap),
         table_cap=table_cap,
     )

@@ -5,9 +5,16 @@ k-tuple of bag assignments with the pairwise free-variable distances their
 extensions below the node realize:
 
     leaf       enumerate all bag assignments satisfying the covered literals
-    introduce  cross with all values of the new variable, re-check coverage
+    introduce  cross with the candidate values of the new variable, re-check
+               coverage
     forget     project the forgotten variable away, coalescing duplicates
     join       match identical bag tuples, add distances, subtract the overlap
+
+A variable ranges only over its candidate values: those in its column of
+every positive atom that mentions it. That loses no answer, and no node
+table loses an entry that can reach the root: the query is safe, and every
+positive atom mentioning a variable is covered below the node that forgets
+it, so an assignment outside the candidates fails there at the latest.
 
 Provenance mirrors the join-tree solver, so witnesses reconstruct the same way.
 """
@@ -15,12 +22,13 @@ Provenance mirrors the join-tree solver, so witnesses reconstruct the same way.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import CorruptProvenance, TableGuardExceeded
 from .model import Aggregator, Assignment, Database, Outcome, Value
-from .queries import Literal, Query, satisfies_literal
+from .queries import Literal, Query, Variable, relation_of, satisfies_literal
 from .structure import (
     NiceTreeDecomposition,
     TreeDecomposition,
@@ -67,25 +75,53 @@ class BagSolver:
         self.tables: dict[int, BagTable] = {}
         self.width = ntd.width
         self.max_table = 0
+        self.candidates = self._candidate_values()
+        # Literal positions per variable, so a bag's covered literals are
+        # found without scanning the whole query; a ground literal is
+        # covered by every bag.
+        self.ground = [n for n, lit in enumerate(self.literals) if not lit.variables]
+        self.literals_of: dict[str, list[int]] = {}
+        for n, lit in enumerate(self.literals):
+            for v in lit.variables:
+                self.literals_of.setdefault(v, []).append(n)
 
     # -- helpers ------------------------------------------------------------
+
+    def _candidate_values(self) -> dict[str, list[int]]:
+        """Per variable, the sorted domain indices found in its column of
+        every positive atom that mentions it."""
+        found: dict[str, set[int]] = {}
+        for lit in self.literals:
+            if not lit.positive:
+                continue
+            rows = relation_of(lit.atom, self.db).rows
+            for pos, term in enumerate(lit.atom.terms):
+                if isinstance(term, Variable):
+                    column = {row[pos].index for row in rows}
+                    prior = found.get(term.name)
+                    found[term.name] = column if prior is None else prior & column
+        return {v: sorted(found[v]) for v in found}
 
     def bag_order(self, node: int) -> tuple[str, ...]:
         return tuple(sorted(self.ntd.bags[node]))
 
     def covered_literals(self, bag: frozenset[str]) -> list[Literal]:
-        return [lit for lit in self.literals if lit.variables <= bag]
+        """The literals whose variables all lie in the bag, in query order."""
+        near = sorted({n for v in bag for n in self.literals_of.get(v, ())}.union(self.ground))
+        return [self.literals[n] for n in near if self.literals[n].variables <= bag]
 
     def satisfying_tuples(self, node: int) -> list[tuple[int, ...]]:
-        """All value-index tuples over the bag that satisfy covered literals."""
+        """All candidate-value index tuples over the bag that satisfy the
+        covered literals."""
         order = self.bag_order(node)
         lits = self.covered_literals(self.ntd.bags[node])
-        if len(self.domain) ** len(order) > self.table_cap:
+        options = [self.candidates[v] for v in order]
+        if math.prod(len(o) for o in options) > self.table_cap:
             raise TableGuardExceeded(
                 f"bag enumeration at node {node} exceeds {self.table_cap}"
             )
         out = []
-        for combo in itertools.product(range(len(self.domain)), repeat=len(order)):
+        for combo in itertools.product(*options):
             assignment = Assignment(
                 {v: self.domain[idx] for v, idx in zip(order, combo)}
             )
@@ -139,7 +175,7 @@ class BagSolver:
         zpos = order.index(z)
         z_free = z in self.free
         lits = self.covered_literals(self.ntd.bags[node])
-        ndom = len(self.domain)
+        z_values = self.candidates[z]
 
         # Per distinct child assignment: the satisfying extensions with z.
         extension_cache: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
@@ -149,7 +185,7 @@ class BagSolver:
             if cached is not None:
                 return cached
             found = []
-            for idx in range(ndom):
+            for idx in z_values:
                 extended = cpart[:zpos] + (idx,) + cpart[zpos:]
                 assignment = Assignment(
                     {v: self.domain[i] for v, i in zip(order, extended)}
@@ -244,8 +280,9 @@ class BagSolver:
 
     def witness(self, root_key: tuple) -> tuple[Assignment, ...]:
         collected: list[dict] = [dict() for _ in range(self.k)]
-
-        def absorb(node: int, key: tuple) -> None:
+        stack = [(self.ntd.root, root_key)]
+        while stack:
+            node, key = stack.pop()
             table = self.tables[node]
             for i in range(self.k):
                 for v, idx in zip(table.bag, key[0][i]):
@@ -254,10 +291,7 @@ class BagSolver:
                     if prior is not None and prior != value:
                         raise CorruptProvenance(f"conflicting bindings for {v}")
                     collected[i][v] = value
-            for child_node, child_key in table.entries[key]:
-                absorb(child_node, child_key)
-
-        absorb(self.ntd.root, root_key)
+            stack.extend(table.entries[key])
         xs = list(self.query.free_vars)
         out = tuple(Assignment(b).restrict(xs) for b in collected)
         dvec = root_key[1]

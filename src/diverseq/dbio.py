@@ -16,7 +16,7 @@ import re
 
 from .errors import QuerySyntaxError
 from .model import Database, Payload
-from .queries import Query, parse_query, render_query
+from .queries import Query, parse_query, quote, render_query, unescape
 
 _FACT_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*\.\s*$")
 _VALUE_RE = re.compile(r'\s*(?:(-?\d+)|"((?:[^"\\]|\\.)*)")\s*(?:,|$)')
@@ -46,7 +46,7 @@ def _parse_fact_values(body: str, lineno: int) -> list[Payload]:
         if m.group(1) is not None:
             values.append(int(m.group(1)))
         else:
-            values.append(m.group(2).replace('\\"', '"').replace("\\\\", "\\"))
+            values.append(unescape(m.group(2)))
         pos = m.end()
     return values
 
@@ -95,24 +95,27 @@ def _load_csv_dir(path: str) -> Database:
             for record in csv.reader(handle):
                 if not record:
                     continue
-                rows.append(tuple(_parse_csv_value(field) for field in record))
+                rows.append(tuple(parse_csv_value(field) for field in record))
         if not rows:
             continue
         db.add_relation(name, len(rows[0]), rows)
     return db
 
 
-def _parse_csv_value(field: str) -> Payload:
-    text = field.strip()
-    if text and (text.isdigit() or (text[0] == "-" and text[1:].isdigit())):
-        return int(text)
-    return text
+def parse_csv_value(field: str) -> Payload:
+    """A CSV field's payload: canonical integer text (`str(int(t)) == t`,
+    so `7` and `-7` but not `007`, `+7` or ` 7`) is an int, any other field
+    the string as written. A string that is canonical integer text therefore
+    reads back as an int."""
+    try:
+        number = int(field)
+    except ValueError:
+        return field
+    return number if str(number) == field else field
 
 
 def _render_value(payload: Payload) -> str:
-    if isinstance(payload, int):
-        return str(payload)
-    return '"' + payload.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return str(payload) if isinstance(payload, int) else quote(payload)
 
 
 def dump_database(db: Database, path: str) -> None:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .dbio import parse_csv_value
 from .errors import (
     CombinatorialBudgetExceeded,
     NotMonotone,
@@ -253,7 +254,8 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
 def read_answer_csv(path: str) -> AnswerRelation:
     """Read an answer relation; the header row names the columns in order.
 
-    Unquoted integer-looking fields become integers, everything else strings.
+    Fields are read by `dbio.parse_csv_value`: canonical integer text becomes
+    an int, every other field the string as written.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -265,7 +267,7 @@ def read_answer_csv(path: str) -> AnswerRelation:
         for record in reader:
             if not record:
                 continue
-            rows.append(tuple(_parse_payload(field) for field in record))
+            rows.append(tuple(parse_csv_value(field) for field in record))
     return AnswerRelation.from_payload_rows(tuple(columns), rows)
 
 
@@ -275,10 +277,3 @@ def write_answer_csv(answers: AnswerRelation, path: str) -> None:
         writer.writerow(answers.columns)
         for row in answers.sorted_rows():
             writer.writerow([v.payload for v in row])
-
-
-def _parse_payload(field: str) -> Payload:
-    text = field.strip()
-    if text and (text.isdigit() or (text[0] == "-" and text[1:].isdigit())):
-        return int(text)
-    return text

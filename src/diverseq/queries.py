@@ -24,7 +24,7 @@ from .errors import (
     UnknownRelation,
     UnsafeQuery,
 )
-from .model import Assignment, Database, Payload
+from .model import Assignment, Database, Payload, Relation
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ class _RuleParser:
             return Constant(int(text))
         if kind == "string":
             self.i += 1
-            return Constant(_unquote(text))
+            return Constant(unescape(text[1:-1]))
         if kind == "ident":
             if not text[0].islower():
                 raise self.error(
@@ -257,13 +257,25 @@ class _RuleParser:
         raise self.error(f"unexpected token {text!r} in term position")
 
 
-def _unquote(text: str) -> str:
-    body = text[1:-1]
-    return body.replace('\\"', '"').replace("\\\\", "\\")
+# In a quoted literal a backslash escapes the next character: `\n` and `\r`
+# stand for line breaks, `\\` and `\"` for themselves, and an escape of any
+# other character keeps its backslash.
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_UNESCAPED = {"n": "\n", "r": "\r", "\\": "\\", '"': '"'}
+_ESCAPED = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
 
 
-def _quote(payload: str) -> str:
-    return '"' + payload.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def unescape(body: str) -> str:
+    """The string a quoted literal's body (the text between the quotes)
+    stands for, decoded in one pass."""
+    if "\\" not in body:
+        return body
+    return _ESCAPE_RE.sub(lambda m: _UNESCAPED.get(m.group(1), m.group(0)), body)
+
+
+def quote(payload: str) -> str:
+    """A string payload as a quoted literal that fits on one line."""
+    return '"' + payload.translate(_ESCAPED) + '"'
 
 
 def parse_query(text: str) -> Query:
@@ -296,7 +308,7 @@ def render_term(term: Term) -> str:
         return term.name
     if isinstance(term.payload, int):
         return str(term.payload)
-    return _quote(term.payload)
+    return quote(term.payload)
 
 
 def render_query(query: Query) -> str:
@@ -316,12 +328,8 @@ def render_query(query: Query) -> str:
 # --- single-atom evaluation --------------------------------------------------
 
 
-def sols_atom(atom: Atom, db: Database) -> set[Assignment]:
-    """All assignments of the atom's variables that send it into the database.
-
-    Repeated variables impose equality between positions; constants act as
-    selections.
-    """
+def relation_of(atom: Atom, db: Database) -> Relation:
+    """The relation an atom names; it must exist with the atom's arity."""
     relation = db.relations.get(atom.relation)
     if relation is None:
         raise UnknownRelation(f"relation {atom.relation} not in database")
@@ -329,6 +337,16 @@ def sols_atom(atom: Atom, db: Database) -> set[Assignment]:
         raise ArityMismatch(
             f"atom {atom.relation}/{len(atom.terms)} vs relation arity {relation.arity}"
         )
+    return relation
+
+
+def sols_atom(atom: Atom, db: Database) -> set[Assignment]:
+    """All assignments of the atom's variables that send it into the database.
+
+    Repeated variables impose equality between positions; constants act as
+    selections.
+    """
+    relation = relation_of(atom, db)
     out: set[Assignment] = set()
     for row in relation.rows:
         bindings: dict[str, object] = {}
@@ -357,14 +375,7 @@ def satisfies_literal(literal: Literal, assignment: Assignment, db: Database) ->
     A constant outside the active domain makes a positive literal false and a
     negative literal true.
     """
-    relation = db.relations.get(literal.atom.relation)
-    if relation is None:
-        raise UnknownRelation(f"relation {literal.atom.relation} not in database")
-    if relation.arity != len(literal.atom.terms):
-        raise ArityMismatch(
-            f"atom {literal.atom.relation}/{len(literal.atom.terms)} vs relation "
-            f"arity {relation.arity}"
-        )
+    relation = relation_of(literal.atom, db)
     row = []
     for term in literal.atom.terms:
         if isinstance(term, Constant):

@@ -8,6 +8,7 @@ assigned in creation order, so identical inputs give identical structures.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -170,28 +171,37 @@ def _decomposition_from_order(adj: dict[str, set[str]], order: list[str]) -> Tre
 
 
 def _min_fill_order(adj: dict[str, set[str]]) -> list[str]:
+    """Eliminate, each time, the vertex whose neighbours lack the fewest
+    edges, the least name first among ties. Fill counts live in a heap and
+    are recounted only around the eliminated vertex, where they can change."""
     work = {v: set(ns) for v, ns in adj.items()}
+
+    def fill(v: str) -> int:
+        return sum(1 for a, b in itertools.combinations(work[v], 2) if b not in work[a])
+
+    current = {v: fill(v) for v in work}
+    heap = [(f, v) for v, f in current.items()]
+    heapq.heapify(heap)
     order: list[str] = []
     while work:
-        best = None
-        best_fill = None
-        for v in sorted(work):
-            ns = sorted(work[v])
-            fill = sum(
-                1
-                for a, b in itertools.combinations(ns, 2)
-                if b not in work[a]
-            )
-            if best_fill is None or fill < best_fill:
-                best, best_fill = v, fill
+        f, best = heapq.heappop(heap)
+        if best not in work or current[best] != f:
+            continue  # a stale count
         order.append(best)
-        neighbors = work[best]
+        neighbors = work.pop(best)
         for a, b in itertools.combinations(sorted(neighbors), 2):
             work[a].add(b)
             work[b].add(a)
         for n in neighbors:
             work[n].discard(best)
-        del work[best]
+        # A count changes only where a neighbourhood or an edge inside one
+        # changed: at the neighbours and at their neighbours.
+        touched = set(neighbors).union(*(work[n] for n in neighbors))
+        for v in touched:
+            f = fill(v)
+            if f != current[v]:
+                current[v] = f
+                heapq.heappush(heap, (f, v))
     return order
 
 
@@ -338,20 +348,23 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
             node = new_node(bag, ("introduce", z), [node])
         return node
 
-    def build(old: int) -> int:
-        kids = [build(c) for c in td.children.get(old, ())]
+    # Old nodes children first, so node ids come out as a recursive build
+    # would number them.
+    built: dict[int, int] = {}  # old node -> top of its nice subtree
+    for old in _postorder(td.root, td.children):
+        kids = [built.pop(c) for c in td.children.get(old, ())]
         bag = td.bags[old]
         if not kids:
-            return new_node(bag, "leaf", [])
+            built[old] = new_node(bag, "leaf", [])
+            continue
         tops = [chain_to(bag, kid) for kid in kids]
         node = tops[0]
         for other in tops[1:]:
             node = new_node(bag, "join", [node, other])
-        return node
+        built[old] = node
 
-    root = build(td.root)
     return NiceTreeDecomposition(
-        root=root,
+        root=built[td.root],
         children={n: tuple(cs) for n, cs in children.items()},
         bags=bags,
         kinds=kinds,
@@ -383,16 +396,10 @@ def _tree_shape_violation(root: int, children: dict[int, tuple[int, ...]],
     return None
 
 
-def _connected(nodes_with: set[int], children: dict[int, tuple[int, ...]],
-               root: int) -> bool:
+def _connected(nodes_with: set[int], adj: dict[int, set[int]]) -> bool:
     """Do the given nodes induce a connected subtree?"""
     if not nodes_with:
         return True
-    adj: dict[int, set[int]] = {}
-    for parent, kids in children.items():
-        for kid in kids:
-            adj.setdefault(parent, set()).add(kid)
-            adj.setdefault(kid, set()).add(parent)
     start = next(iter(nodes_with))
     seen = {start}
     stack = [start]
@@ -403,6 +410,30 @@ def _connected(nodes_with: set[int], children: dict[int, tuple[int, ...]],
                 seen.add(other)
                 stack.append(other)
     return seen == nodes_with
+
+
+def _nodes_with(labels: dict[int, frozenset[str]]) -> dict[str, set[int]]:
+    """Per variable, the nodes whose label holds it."""
+    out: dict[str, set[int]] = {}
+    for node, variables in labels.items():
+        for v in variables:
+            out.setdefault(v, set()).add(node)
+    return out
+
+
+def _disconnected(conjunct: Conjunct, children: dict[int, tuple[int, ...]],
+                  nodes_with: dict[str, set[int]]) -> list[str]:
+    """A violation for each variable whose nodes induce no connected subtree."""
+    adj: dict[int, set[int]] = {}
+    for parent, kids in children.items():
+        for kid in kids:
+            adj.setdefault(parent, set()).add(kid)
+            adj.setdefault(kid, set()).add(parent)
+    return [
+        f"occurrences of variable {v} are disconnected"
+        for v in sorted(conjunct.variables)
+        if not _connected(nodes_with.get(v, set()), adj)
+    ]
 
 
 def validate_decomposition(structure: JoinTree | TreeDecomposition,
@@ -420,23 +451,20 @@ def validate_decomposition(structure: JoinTree | TreeDecomposition,
         if labels != list(range(len(atoms))):
             violations.append(f"labeling is not a bijection onto atoms: {labels}")
             return violations
-        for v in sorted(conjunct.variables):
-            nodes_with = {n for n, a in structure.label.items()
-                          if v in atoms[a].variables}
-            if not _connected(nodes_with, structure.children, structure.root):
-                violations.append(f"occurrences of variable {v} are disconnected")
-        return violations
+        return violations + _disconnected(conjunct, structure.children, _nodes_with(
+            {n: atoms[a].variables for n, a in structure.label.items()}))
 
     shape = _tree_shape_violation(structure.root, structure.children, structure.bags)
     if shape:
         return [shape]
+    nodes_with = _nodes_with(structure.bags)
     for i, literal in enumerate(conjunct.literals):
-        if not any(literal.variables <= bag for bag in structure.bags.values()):
+        variables = literal.variables
+        # the bags holding some variable of the literal, or all of them
+        near = nodes_with.get(min(variables), ()) if variables else structure.bags
+        if not any(variables <= structure.bags[n] for n in near):
             violations.append(f"literal #{i} ({literal.atom.relation}) covered by no bag")
-    for v in sorted(conjunct.variables):
-        nodes_with = {n for n, bag in structure.bags.items() if v in bag}
-        if not _connected(nodes_with, structure.children, structure.root):
-            violations.append(f"occurrences of variable {v} are disconnected")
+    violations += _disconnected(conjunct, structure.children, nodes_with)
     if isinstance(structure, NiceTreeDecomposition):
         for node in structure.bags:
             kind = structure.kinds.get(node)

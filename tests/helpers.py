@@ -188,6 +188,20 @@ def literal_solutions(literals: Sequence[Literal], variables: Sequence[str],
     return out
 
 
+def column_candidates(query: Query, db: Database) -> dict[str, set]:
+    """Per variable, the values in its column of every positive atom of the
+    (single-disjunct) query that mentions it."""
+    found: dict[str, set] = {}
+    for lit in query.conjuncts[0].literals:
+        if not lit.positive:
+            continue
+        for pos, term in enumerate(lit.atom.terms):
+            if isinstance(term, Variable):
+                column = {row[pos] for row in db.relations[lit.atom.relation].rows}
+                found[term.name] = found.get(term.name, column) & column
+    return found
+
+
 def all_graphs(max_n: int):
     """Every labeled simple graph on 1..max_n vertices."""
     from diverseq.oracle import Graph

@@ -4,13 +4,19 @@ import random
 import pytest
 
 from diverseq.acq import (
+    _traverse,
+    _walk_provenance,
     dp_finalize,
     dp_init,
     dp_merge,
+    dup_init,
+    dup_merge,
     extract_witness,
     solve_acq,
     solve_acq_sum,
     solve_acq_sum_dup,
+    sum_init,
+    sum_merge,
 )
 from diverseq.errors import NotAcyclic, TableGuardExceeded
 from diverseq.model import MIN, SUM, Database, diversity_of_set
@@ -472,6 +478,97 @@ def test_dup_entry_count_within_multiset_bound():
     rng = random.Random(59)
     for query, db in small_answer_instances(rng, 10):
         solve_acq_sum_dup(query, db, 3, None)
+
+
+# --- full reducer ----------------------------------------------------------------
+
+
+def _with_dangling(db, rng):
+    """db with a few more rows per relation, each a copy of a row with one
+    value replaced by a fresh one (100, 101 or 102), so most join nothing."""
+    out = Database()
+    for name, rel in db.relations.items():
+        rows = [tuple(v.payload for v in r) for r in rel.sorted_rows()]
+        for _ in range(rng.randint(1, 3)):
+            row = list(rng.choice(rows))
+            row[rng.randrange(rel.arity)] = 100 + rng.randrange(3)
+            rows.append(tuple(row))
+        out.add_relation(name, rel.arity, list(dict.fromkeys(rows)))
+    return out
+
+
+def _root_entries(tables, root, k, free):
+    """The root's entries in order, each spelled as its slots' solutions,
+    its vector or flags, its value and the answers its provenance gives."""
+    table = tables[root]
+    out = []
+    for key, entry in table.entries.items():
+        ptuple = table.partials(key)
+        out.append((
+            tuple(table.sols[p] for p in ptuple),
+            key[1] if key != ptuple else None,
+            None if table.links(key) is entry else entry[0],
+            _walk_provenance(tables, root, key, k, free),
+        ))
+    return out
+
+
+def _pairwise_consistent(jt, atoms, sols):
+    """Semi-join along every join-tree edge, both ways, until nothing
+    changes; on an acyclic query this leaves each atom exactly the
+    solutions in some full join result."""
+    sols = dict(sols)
+    changed = True
+    while changed:
+        changed = False
+        for node in jt.postorder():
+            for child in jt.children.get(node, ()):
+                for a, b in ((node, child), (child, node)):
+                    shared = sorted(atoms[jt.label[a]].variables & atoms[jt.label[b]].variables)
+                    seen = {tuple(s[v] for v in shared) for s in sols[b]}
+                    kept = [s for s in sols[a] if tuple(s[v] for v in shared) in seen]
+                    changed |= len(kept) < len(sols[a])
+                    sols[a] = kept
+    return sols
+
+
+def test_full_reducer_keeps_root_entries():
+    # The reducer leaves exactly the pairwise-consistent solutions, in order.
+    # Reduced and unreduced traversals agree on the root table (slots,
+    # vectors, values, order, provenance); the reduced tables are no larger.
+    rng = random.Random(67)
+    families = ((dp_init, dp_merge), (sum_init, sum_merge), (dup_init, dup_merge))
+    rows_dropped = shrunk = 0
+    for trial, (query, plain_db) in enumerate(
+        small_answer_instances(rng, 24, max_atoms=4, max_rows=6)
+    ):
+        db = _with_dangling(plain_db, rng)
+        k = 2 if trial % 2 == 0 else 3
+        free = query.free_vars
+        atoms = query.conjuncts[0].positive_atoms
+        for init, merge in families:
+            jt, reduced, stats = _traverse(
+                query, db, k, free,
+                init=lambda node, atom, sols: init(node, atom, db, k, free, sols=sols),
+                merge=lambda parent, child: merge(parent, child, db, free),
+                table_cap=10 ** 7,
+            )
+            full, max_full = {}, 0
+            for node in jt.postorder():
+                table = init(node, atoms[jt.label[node]], db, k, free)
+                for child in jt.children.get(node, ()):
+                    table = merge(table, full[child], db, free)
+                full[node] = table
+                max_full = max(max_full, len(table.entries))
+                rows_dropped += len(table.sols) - len(reduced[node].sols)
+            consistent = _pairwise_consistent(
+                jt, atoms, {node: full[node].sols for node in full})
+            assert all(reduced[node].sols == consistent[node] for node in full)
+            assert _root_entries(reduced, jt.root, k, free) == \
+                _root_entries(full, jt.root, k, free)
+            assert stats["max_table"] <= max_full
+            shrunk += stats["max_table"] < max_full
+    assert rows_dropped > 0 and shrunk > 0
 
 
 # --- oracle equivalence (small smoke version of the acceptance sweep) -----------

@@ -5,12 +5,17 @@ import pytest
 
 from diverseq.acq import solve_acq
 from diverseq.cqneg import BagSolver, solve_cqneg
-from diverseq.errors import TableGuardExceeded
+from diverseq.errors import ArityMismatch, TableGuardExceeded, UnknownRelation
 from diverseq.model import MIN, SUM, Database, diversity_of_set
 from diverseq.oracle import bruteforce_diversity, enumerate_answers
 from diverseq.queries import parse_query
 from diverseq.structure import make_nice, tree_decompose
-from helpers import literal_solutions, random_cqneg_query, small_answer_instances
+from helpers import (
+    column_candidates,
+    literal_solutions,
+    random_cqneg_query,
+    small_answer_instances,
+)
 
 
 def grid_instance():
@@ -52,17 +57,21 @@ def test_leaf_rule_k2_pairs_with_distances():
         assert dvec == (expected,)
 
 
-def test_leaf_rule_uncovered_bag_admits_everything():
-    db = Database.from_rows({"R": [(1, 2)], "T": [(1,), (2,)]})
+def test_leaf_rule_uncovered_bag_admits_every_candidate():
+    db = Database.from_rows({"R": [(1, 2), (3, 4)], "T": [(1,), (2,), (4,)]})
     q = parse_query("Q(x, y) :- R(x, y), T(x).")
     ntd = make_nice(tree_decompose(q, "exact"))
     solver = BagSolver(q, db, 1, ntd, table_cap=10 ** 7)
-    # fabricate a node covering only y: no literal fits inside {y}
+    # fabricate a node covering only y: no literal fits inside {y}, so every
+    # candidate of y (its column of R, the one atom naming it) survives
     ntd.bags[max(ntd.bags) + 1] = frozenset({"y"})
     node = max(ntd.bags)
     ntd.kinds[node] = "leaf"
     table = solver.leaf(node)
-    assert len(table.entries) == len(db.domain)
+    candidates = column_candidates(q, db)
+    assert {v.payload for v in candidates["y"]} == {2, 4}
+    assert {v.payload for v in candidates["x"]} == {1}
+    assert set(table.entries) == {(((v.index,),), ()) for v in candidates["y"]}
 
 
 def test_introduce_existential_keeps_distances():
@@ -171,10 +180,15 @@ def test_witness_contract_random_cqneg():
 
 
 def test_node_tables_match_witness_semantics():
-    # e in D_t iff solutions of the subtree's covered literals extend e.
+    # e in D_t iff solutions of the subtree's covered literals extend e,
+    # every variable taking one of its candidate values.
     rng = random.Random(79)
-    for _ in range(8):
+    for n in range(16):
         query, db = random_cqneg_query(rng, max_vars=4, dom_size=2)
+        if n % 2:
+            # values no positive atom holds are nobody's candidates
+            db.add_relation("U", 1, [(7,), (8,)])
+        candidates = column_candidates(query, db)
         k = 2
         ntd = make_nice(tree_decompose(query, "exact"))
         solver = BagSolver(query, db, k, ntd, table_cap=10 ** 7)
@@ -191,7 +205,10 @@ def test_node_tables_match_witness_semantics():
             cone = frozenset().union(*subtree_bags)
             covered = [lit for lit in literals if lit.variables <= cone]
             cone_vars = sorted(cone)
-            witnesses = literal_solutions(covered, cone_vars, db)
+            witnesses = [
+                g for g in literal_solutions(covered, cone_vars, db)
+                if all(g[v] in candidates[v] for v in cone_vars)
+            ]
             order = solver.bag_order(node)
             local_free = [x for x in free if x in cone]
             expected = set()
@@ -217,3 +234,49 @@ def test_negation_free_matches_acq():
             b = solve_cqneg(query, db, k, None, aggregator)
             assert a.decision == b.decision
             assert a.diversity == b.diversity
+
+
+def test_unrelated_domain_values_cost_nothing():
+    # 3200 values the query never mentions: the same answer as without them
+    q, db = grid_instance()
+    padded = Database.from_rows({
+        "R": [(1, 1), (1, 2), (2, 1), (2, 2)], "S": [(1, 1)],
+        "U": [(1000 + i,) for i in range(3200)],
+    })
+    assert len(padded.domain) == 3202
+    for k, aggregator in ((2, MIN), (2, SUM), (3, SUM), (3, MIN)):
+        plain = solve_cqneg(q, db, k, None, aggregator, witness=True)
+        out = solve_cqneg(q, padded, k, None, aggregator, witness=True)
+        assert out.decision is plain.decision is True
+        assert out.diversity == plain.diversity
+        assert [a.as_payload_dict() for a in out.witness] == \
+            [a.as_payload_dict() for a in plain.witness]
+        assert out.stats["max_table"] == plain.stats["max_table"]
+
+
+def test_candidates_check_positive_atoms():
+    db = Database.from_rows({"R": [(1, 2)], "S": [(1,)]})
+    nice = make_nice(tree_decompose(parse_query("Q(x) :- R(x, y), !S(x)."), "exact"))
+    for text, error in (("Q(x) :- R(x, y), T(x), !S(x).", UnknownRelation),
+                        ("Q(x) :- R(x, y), S(x, y).", ArityMismatch)):
+        q = parse_query(text)
+        with pytest.raises(error):
+            solve_cqneg(q, db, 1, None, SUM)
+    with pytest.raises(UnknownRelation):
+        BagSolver(parse_query("Q(x) :- R(x, y), T(y), !S(x)."), db, 1, nice, 10 ** 7)
+
+
+def test_deep_path_query_needs_no_recursion():
+    # A 2000-atom path gives a tree decomposition 2000 levels deep; building
+    # its nice form and walking the witness provenance must be iterative.
+    n = 2000
+    body = ", ".join(f"R(x{i}, x{i + 1})" for i in range(n))
+    q = parse_query(f"Q(x0, x{n}) :- {body}, !S(x0).")
+    db = Database.from_rows({"R": [(1, 1), (1, 2), (2, 1), (2, 2)], "S": [(3,)]})
+    for k, best in ((1, 0), (2, 2)):
+        out = solve_cqneg(q, db, k, None, SUM, witness=True)
+        assert out.decision is True and out.diversity == best
+        assert len(out.witness) == k == len(set(out.witness))
+        assert diversity_of_set(SUM, out.witness, q.free_vars) == best
+        for a in out.witness:
+            assert set(a.as_payload_dict()) == {"x0", f"x{n}"}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from diverseq.dbio import dump_database, dump_query, load_database, load_query
 from diverseq.errors import QuerySyntaxError
+from diverseq.kernel import AnswerRelation, read_answer_csv, write_answer_csv
 from diverseq.model import Database
 from diverseq.queries import Constant, parse_query, render_query
 
@@ -43,14 +44,13 @@ def test_fact_file_unterminated_string_rejected(tmp_path):
         load_database(str(path))
 
 
-# Adversarial payloads: comment and quote characters, backslashes, and
-# strings that look like integers. Line breaks are left out, since a fact
-# file holds one fact per line.
+# Adversarial payloads: comment and quote characters, backslashes, line
+# breaks (written as escapes, since a fact file holds one fact per line),
+# and strings that look like integers.
 _PAYLOADS = st.one_of(
     st.integers(min_value=-10**6, max_value=10**6),
-    st.text(alphabet=st.sampled_from('#"\\ ,().07a-'), max_size=8),
-    st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"),
-            max_size=6),
+    st.text(alphabet=st.sampled_from('#"\\ ,().07a-\r\nrn'), max_size=8),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=6),
     st.integers(min_value=0, max_value=999).map(lambda i: f"{i:03d}"),
 )
 
@@ -68,6 +68,14 @@ def test_fact_file_round_trip_adversarial_strings(rows):
         path = os.path.join(tmp, "db.facts")
         dump_database(db, path)
         assert load_database(path) == db
+
+
+def test_fact_file_line_breaks_in_strings(tmp_path):
+    db = Database.from_rows({"R": [("a\nb",), ("c\r\nd",), ("e\\nf",), ("\\",)]})
+    path = tmp_path / "db.facts"
+    dump_database(db, str(path))
+    assert len(path.read_text().splitlines()) == 4
+    assert load_database(str(path)) == db
 
 
 def test_fact_file_rejects_garbage(tmp_path):
@@ -91,6 +99,46 @@ def test_csv_values_parse_types(tmp_path):
     db = load_database(str(d))
     rows = {tuple(v.payload for v in r) for r in db.relations["R"].rows}
     assert rows == {(-1, "free_1"), (2, "taken_9")}
+
+
+def test_csv_values_keep_non_canonical_integer_text(tmp_path):
+    # only canonical integer text is an int: 007 and 7 are two rows
+    d = tmp_path / "db"
+    d.mkdir()
+    (d / "R.csv").write_text("007\n7\n-0\n+7\n 8\n-12\n")
+    db = load_database(str(d))
+    rows = {v.payload for (v,) in db.relations["R"].rows}
+    assert rows == {"007", 7, "-0", "+7", " 8", -12}
+
+
+def _is_canonical_int(text: str) -> bool:
+    try:
+        return str(int(text)) == text
+    except ValueError:
+        return False
+
+
+_CSV_PAYLOADS = st.one_of(
+    st.integers(min_value=-10**9, max_value=10**9),
+    st.text(alphabet=st.sampled_from('0123456789-+ ,"\'\r\na#'), max_size=6)
+    .filter(lambda t: not _is_canonical_int(t)),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+    .filter(lambda t: not _is_canonical_int(t)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda width: st.lists(st.tuples(*[_CSV_PAYLOADS] * width), max_size=5)))
+def test_answer_csv_round_trip(rows):
+    width = len(rows[0]) if rows else 2
+    answers = AnswerRelation.from_payload_rows([f"c{i}" for i in range(width)], rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "answers.csv")
+        write_answer_csv(answers, path)
+        again = read_answer_csv(path)
+    assert again.columns == answers.columns
+    assert again.payload_rows() == answers.payload_rows()
 
 
 def test_negative_integer_constants_in_queries():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from diverseq.errors import ExactSearchBudgetExceeded
 from diverseq.oracle import exhaustive_join_tree
 from diverseq.queries import parse_query
 from diverseq.structure import (
+    _min_fill_order,
     JoinTree,
     format_decomposition,
     gyo_join_tree,
@@ -182,3 +184,46 @@ def test_decomposition_semicolon_format():
     td = parse_decomposition("node 0 bag x,y ; node 1 bag y,z ; edge 0 1 ; root 0")
     assert td.bags[0] == {"x", "y"}
     assert td.children[0] == (1,)
+
+
+def _min_fill_by_rescan(adj):
+    """Reference min-fill order: recount every vertex before each step."""
+    work = {v: set(ns) for v, ns in adj.items()}
+    order = []
+    while work:
+        best = min(
+            work,
+            key=lambda v: (sum(1 for a, b in itertools.combinations(work[v], 2)
+                               if b not in work[a]), v),
+        )
+        order.append(best)
+        neighbors = work.pop(best)
+        for a, b in itertools.combinations(neighbors, 2):
+            work[a].add(b)
+            work[b].add(a)
+        for n in neighbors:
+            work[n].discard(best)
+    return order
+
+
+def test_min_fill_order_matches_full_rescan():
+    rng = random.Random(97)
+    for _ in range(300):
+        names = [f"v{i}" for i in range(rng.randint(1, 9))]
+        adj = {v: set() for v in names}
+        for a, b in itertools.combinations(names, 2):
+            if rng.random() < rng.choice([0.2, 0.4, 0.7]):
+                adj[a].add(b)
+                adj[b].add(a)
+        assert _min_fill_order(adj) == _min_fill_by_rescan(adj)
+
+
+def test_deep_decomposition_needs_no_recursion():
+    n = 2000
+    body = ", ".join(f"R(x{i}, x{i + 1})" for i in range(n))
+    q = parse_query(f"Q(x0) :- {body}.")
+    td = tree_decompose(q, "minfill")
+    assert td.width == 1
+    nice = make_nice(td)
+    assert nice.width == 1
+    assert validate_decomposition(nice, q) == []
