@@ -27,7 +27,15 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import CorruptProvenance, TableGuardExceeded
-from .model import Aggregator, Assignment, Database, Outcome, Value
+from .model import (
+    Aggregator,
+    Assignment,
+    Database,
+    Outcome,
+    Value,
+    pair_order,
+    pairwise_distances,
+)
 from .queries import Literal, Query, Variable, relation_of, satisfies_literal
 from .structure import (
     NiceTreeDecomposition,
@@ -38,10 +46,6 @@ from .structure import (
 )
 
 DEFAULT_TABLE_CAP = 10_000_000
-
-
-def _pairs(k: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(k) for j in range(i + 1, k)]
 
 
 @dataclass
@@ -70,7 +74,7 @@ class BagSolver:
         self.table_cap = table_cap
         self.domain: list[Value] = list(db.domain)
         self.free = frozenset(query.free_vars)
-        self.pairs = _pairs(k)
+        self.pairs = pair_order(k)
         self.literals: tuple[Literal, ...] = query.conjuncts[0].literals
         self.tables: dict[int, BagTable] = {}
         self.width = ntd.width
@@ -294,11 +298,8 @@ class BagSolver:
             stack.extend(table.entries[key])
         xs = list(self.query.free_vars)
         out = tuple(Assignment(b).restrict(xs) for b in collected)
-        dvec = root_key[1]
-        for n, (i, j) in enumerate(self.pairs):
-            differing = sum(1 for x in xs if out[i][x] != out[j][x])
-            if differing != dvec[n]:
-                raise CorruptProvenance("witness distances disagree with the kept entry")
+        if tuple(pairwise_distances(out, xs)) != root_key[1]:
+            raise CorruptProvenance("witness distances disagree with the kept entry")
         return out
 
 

@@ -276,15 +276,16 @@ def custom_aggregator(fn: Callable[[tuple[int, ...]], float], *, monotone: bool,
     return Aggregator("custom", fn=fn, monotone=monotone, name=name)
 
 
+def pair_order(k: int) -> tuple[tuple[int, int], ...]:
+    """The k(k-1)/2 slot pairs (i, j) with i < j, row-major: the order of
+    every pair-distance vector."""
+    return tuple((i, j) for i in range(k) for j in range(i + 1, k))
+
+
 def pairwise_distances(answers: Sequence[Assignment], variables: Iterable[str]) -> list[int]:
-    """All k(k-1)/2 pairwise Hamming distances, in (i, j) index order."""
+    """All k(k-1)/2 pairwise Hamming distances, in `pair_order`."""
     xs = tuple(variables)
-    k = len(answers)
-    return [
-        hamming_distance(answers[i], answers[j], xs)
-        for i in range(k)
-        for j in range(i + 1, k)
-    ]
+    return [hamming_distance(answers[i], answers[j], xs) for i, j in pair_order(len(answers))]
 
 
 def diversity_of_set(aggregator: Aggregator, answers: Sequence[Assignment],

@@ -278,6 +278,11 @@ def quote(payload: str) -> str:
     return '"' + payload.translate(_ESCAPED) + '"'
 
 
+# Rules end only at \r\n, \r or \n. str.splitlines would also break at
+# characters such as \x0b, \x85 or \u2028, which a string constant may hold.
+_LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
+
+
 def parse_query(text: str) -> Query:
     """Parse rule text into a query AST.
 
@@ -285,7 +290,7 @@ def parse_query(text: str) -> Query:
     (cq / ucq / cqneg) follows from the parsed shape.
     """
     rules: list[tuple[str, tuple[str, ...], Conjunct]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_LINE_BREAK_RE.split(text), start=1):
         tokens = _tokenize_line(line, lineno)
         if not tokens:
             continue

@@ -9,7 +9,7 @@ import itertools
 import random
 from typing import Sequence
 
-from diverseq.model import Assignment, Database
+from diverseq.model import Assignment, Database, hamming_distance, pair_order
 from diverseq.queries import Atom, Conjunct, Literal, Query, Variable
 from diverseq.structure import tree_decompose
 
@@ -227,10 +227,10 @@ def small_answer_instances(rng: random.Random, count: int, *, max_answers: int =
 
 
 def _permute_key(ptuple: tuple, vec: tuple, perm: Sequence[int]) -> tuple[tuple, tuple]:
-    """Slot tuple and pair vector (in `acq._pairs` order) with slot i taking
+    """Slot tuple and pair vector (in `model.pair_order`) with slot i taking
     what slot perm[i] held."""
     k = len(ptuple)
-    pairs = [(i, j) for j in range(k) for i in range(j)]
+    pairs = pair_order(k)
     pos = {p: n for n, p in enumerate(pairs)}
     permuted = tuple(ptuple[perm[i]] for i in range(k))
     pvec = []
@@ -264,3 +264,52 @@ def is_permutation_closed(keys, k: int) -> bool:
         for ptuple, vec in keys
         for perm in itertools.permutations(range(k))
     )
+
+
+def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
+    """The entries `acq.dp_merge(parent, child, ...)` must produce, built
+    naively: every (parent entry, child entry, slot map) triple is tried,
+    and per new key the first candidate with the highest sum is kept.
+
+    Candidates come per parent entry, then per child slot tuple in order of
+    first appearance, then per slot map, then per child entry of that
+    tuple. A slot map sigma (parent slot i reads child slot sigma[i]) must
+    agree with the parent on the shared variables; of the maps that
+    rearrange the child tuple alike only the lexicographically first is
+    tried, in ascending order of the rearranged tuple.
+    """
+    k, rule = parent.k, parent.rule.name
+    pairs = pair_order(k)
+    pos = {p: n for n, p in enumerate(pairs)}
+    shared = sorted(parent.atom.variables & child.atom.variables)
+    shared_free = [v for v in shared if v in free_vars]
+    by_tuple: dict[tuple, list[tuple]] = {}
+    for ckey in child.entries:
+        by_tuple.setdefault(ckey[0], []).append(ckey)
+    out: dict = {}
+    for (ptuple, state), (value, refs) in parent.entries.items():
+        psols = [parent.sols[p] for p in ptuple]
+        overlap = [hamming_distance(psols[i], psols[j], shared_free) for i, j in pairs]
+        for ctuple, ckeys in by_tuple.items():
+            csols = [child.sols[c] for c in ctuple]
+            maps: dict[tuple, tuple] = {}
+            for sigma in itertools.permutations(range(k)):
+                if all(csols[sigma[i]].restrict(shared) == psols[i].restrict(shared)
+                       for i in range(k)):
+                    maps.setdefault(tuple(ctuple[s] for s in sigma), sigma)
+            for _, sigma in sorted(maps.items()):
+                for ckey in ckeys:
+                    if rule == "none":
+                        new_state = ()
+                    else:
+                        read = [ckey[1][pos[tuple(sorted((sigma[i], sigma[j])))]]
+                                for i, j in pairs]
+                        if rule == "exact":
+                            new_state = tuple(p - o + c for p, o, c in zip(state, overlap, read))
+                        else:
+                            new_state = tuple(p | c for p, c in zip(state, read))
+                    total = value - sum(overlap) + child.entries[ckey][0]
+                    prior = out.get((ptuple, new_state))
+                    if prior is None or total > prior[0]:
+                        out[(ptuple, new_state)] = (total, refs + ((child.node, ckey, sigma),))
+    return out

@@ -4,22 +4,20 @@ import random
 import pytest
 
 from diverseq.acq import (
+    EXACT,
+    FLAGS,
+    NONE,
     _traverse,
-    _walk_provenance,
     dp_finalize,
     dp_init,
     dp_merge,
-    dup_init,
-    dup_merge,
     extract_witness,
     solve_acq,
     solve_acq_sum,
     solve_acq_sum_dup,
-    sum_init,
-    sum_merge,
 )
 from diverseq.errors import NotAcyclic, TableGuardExceeded
-from diverseq.model import MIN, SUM, Database, diversity_of_set
+from diverseq.model import MIN, SUM, Database, diversity_of_set, pair_order
 from diverseq.oracle import (
     Graph,
     bruteforce_diversity,
@@ -31,6 +29,7 @@ from diverseq.structure import gyo_join_tree
 from helpers import (
     conjunction_solutions,
     is_permutation_closed,
+    reference_merge,
     slot_closure,
     small_answer_instances,
 )
@@ -338,8 +337,6 @@ def test_sum_table_semantics_against_subtree_enumeration():
     # A sum-table entry (partials, flags), stored sorted and expanded under
     # slot permutations, must hold the maximum subtree-local sum diversity
     # over extensions whose pairwise difference pattern equals the flags.
-    from diverseq.acq import _pairs, sum_init, sum_merge
-
     rng = random.Random(67)
     checked = 0
     while checked < 10:
@@ -350,13 +347,13 @@ def test_sum_table_semantics_against_subtree_enumeration():
         jt = gyo_join_tree(query)
         atoms = query.conjuncts[0].positive_atoms
         free = query.free_vars
-        pairs = _pairs(k)
+        pairs = pair_order(k)
 
         tables = {}
         for node in jt.postorder():
-            table = sum_init(node, atoms[jt.label[node]], db, k, free)
+            table = dp_init(node, atoms[jt.label[node]], db, k, free, rule=FLAGS)
             for child in jt.children.get(node, ()):
-                table = sum_merge(table, tables[child], db, free)
+                table = dp_merge(table, tables[child], db, free)
             tables[node] = table
 
             subtree_atoms = []
@@ -393,8 +390,6 @@ def test_sum_table_semantics_against_subtree_enumeration():
 def test_dup_table_semantics_against_subtree_enumeration():
     # A duplicates-mode entry holds, per sorted partial tuple, the maximum
     # subtree-local sum diversity over all index-aligned extension tuples.
-    from diverseq.acq import _pairs, dup_init, dup_merge
-
     rng = random.Random(71)
     checked = 0
     while checked < 10:
@@ -405,13 +400,13 @@ def test_dup_table_semantics_against_subtree_enumeration():
         jt = gyo_join_tree(query)
         atoms = query.conjuncts[0].positive_atoms
         free = query.free_vars
-        pairs = _pairs(k)
+        pairs = pair_order(k)
 
         tables = {}
         for node in jt.postorder():
-            table = dup_init(node, atoms[jt.label[node]], db, k, free)
+            table = dp_init(node, atoms[jt.label[node]], db, k, free, rule=NONE)
             for child in jt.children.get(node, ()):
-                table = dup_merge(table, tables[child], db, free)
+                table = dp_merge(table, tables[child], db, free)
             tables[node] = table
 
             subtree_atoms = []
@@ -436,7 +431,7 @@ def test_dup_table_semantics_against_subtree_enumeration():
                 )
                 if ptuple not in expected or value > expected[ptuple]:
                     expected[ptuple] = value
-            got = {key: value for key, (value, _) in table.entries.items()}
+            got = {key[0]: value for key, (value, _) in table.entries.items()}
             assert got == expected
         checked += 1
 
@@ -497,20 +492,15 @@ def _with_dangling(db, rng):
     return out
 
 
-def _root_entries(tables, root, k, free):
+def _root_entries(tables, jt, free):
     """The root's entries in order, each spelled as its slots' solutions,
-    its vector or flags, its value and the answers its provenance gives."""
-    table = tables[root]
-    out = []
-    for key, entry in table.entries.items():
-        ptuple = table.partials(key)
-        out.append((
-            tuple(table.sols[p] for p in ptuple),
-            key[1] if key != ptuple else None,
-            None if table.links(key) is entry else entry[0],
-            _walk_provenance(tables, root, key, k, free),
-        ))
-    return out
+    its state, its sum and the answers its provenance gives."""
+    table = tables[jt.root]
+    return [
+        (tuple(table.sols[p] for p in key[0]), key[1], entry[0],
+         extract_witness(tables, key, jt, free))
+        for key, entry in table.entries.items()
+    ]
 
 
 def _pairwise_consistent(jt, atoms, sols):
@@ -537,7 +527,6 @@ def test_full_reducer_keeps_root_entries():
     # Reduced and unreduced traversals agree on the root table (slots,
     # vectors, values, order, provenance); the reduced tables are no larger.
     rng = random.Random(67)
-    families = ((dp_init, dp_merge), (sum_init, sum_merge), (dup_init, dup_merge))
     rows_dropped = shrunk = 0
     for trial, (query, plain_db) in enumerate(
         small_answer_instances(rng, 24, max_atoms=4, max_rows=6)
@@ -546,29 +535,58 @@ def test_full_reducer_keeps_root_entries():
         k = 2 if trial % 2 == 0 else 3
         free = query.free_vars
         atoms = query.conjuncts[0].positive_atoms
-        for init, merge in families:
-            jt, reduced, stats = _traverse(
-                query, db, k, free,
-                init=lambda node, atom, sols: init(node, atom, db, k, free, sols=sols),
-                merge=lambda parent, child: merge(parent, child, db, free),
-                table_cap=10 ** 7,
-            )
+        for rule in (EXACT, FLAGS, NONE):
+            jt, reduced, stats = _traverse(query, db, k, free, rule, 10 ** 7)
             full, max_full = {}, 0
             for node in jt.postorder():
-                table = init(node, atoms[jt.label[node]], db, k, free)
+                table = dp_init(node, atoms[jt.label[node]], db, k, free, rule=rule)
                 for child in jt.children.get(node, ()):
-                    table = merge(table, full[child], db, free)
+                    table = dp_merge(table, full[child], db, free)
                 full[node] = table
                 max_full = max(max_full, len(table.entries))
                 rows_dropped += len(table.sols) - len(reduced[node].sols)
             consistent = _pairwise_consistent(
                 jt, atoms, {node: full[node].sols for node in full})
             assert all(reduced[node].sols == consistent[node] for node in full)
-            assert _root_entries(reduced, jt.root, k, free) == \
-                _root_entries(full, jt.root, k, free)
+            assert _root_entries(reduced, jt, free) == _root_entries(full, jt, free)
             assert stats["max_table"] <= max_full
             shrunk += stats["max_table"] < max_full
     assert rows_dropped > 0 and shrunk > 0
+
+
+def test_dp_merge_matches_reference_merge():
+    # Every merge equals the naive one (every parent entry, child entry and
+    # slot map; first candidate with the highest sum) in keys, order, sums
+    # and provenance links, under each state rule, dangling rows included.
+    rng = random.Random(73)
+    cases = [
+        (query, _with_dangling(db, rng), 2 if trial % 2 == 0 else 3)
+        for trial, (query, db) in enumerate(
+            small_answer_instances(rng, 16, max_atoms=4, max_rows=6))
+    ]
+    # The parent's slots project onto y out of the child's sorted order and
+    # with a repeat, so a k = 3 merge has several slot maps, none the identity.
+    cases.append((
+        parse_query("Q(x, z) :- R(x, y), S(y, z)."),
+        Database.from_rows({"S": [(10, 5), (10, 6), (20, 7)], "R": [(1, 20), (2, 10), (3, 10)]}),
+        3,
+    ))
+    merges = 0
+    for query, db, k in cases:
+        free = query.free_vars
+        jt = gyo_join_tree(query)
+        atoms = query.conjuncts[0].positive_atoms
+        for rule in (EXACT, FLAGS, NONE):
+            tables = {}
+            for node in jt.postorder():
+                table = dp_init(node, atoms[jt.label[node]], db, k, free, rule=rule)
+                for child in jt.children.get(node, ()):
+                    expected = reference_merge(table, tables[child], free)
+                    table = dp_merge(table, tables[child], db, free)
+                    assert list(table.entries.items()) == list(expected.items())
+                    merges += 1
+                tables[node] = table
+    assert merges > 0
 
 
 # --- oracle equivalence (small smoke version of the acceptance sweep) -----------

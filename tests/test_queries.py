@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverseq.errors import (
     ArityMismatch,
@@ -13,7 +15,10 @@ from diverseq.errors import (
 from diverseq.model import Database
 from diverseq.queries import (
     Atom,
+    Conjunct,
     Constant,
+    Literal,
+    Query,
     Variable,
     parse_query,
     render_query,
@@ -98,6 +103,29 @@ def test_round_trip_random_queries():
     for _ in range(25):
         query, _ = random_acyclic_query(rng)
         assert parse_query(render_query(query)) == query
+
+
+# Characters str.splitlines breaks at besides \n and \r.
+_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_CONSTANTS = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.text(alphabet=st.sampled_from(_OTHER_BREAKS + '#"\\\r\n ,().07-an'), max_size=8),
+    st.integers(min_value=0, max_value=999).map(lambda i: f"{i:03d}"),
+    st.integers(min_value=-999, max_value=999).map(str),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_CONSTANTS, max_size=3), min_size=1, max_size=3))
+def test_round_trip_adversarial_constants(rules):
+    # One rule per list of constants, each a union member Q(x) :- R(x, ...).
+    conjuncts = tuple(
+        Conjunct((Literal(Atom("R", (Variable("x"),) + tuple(Constant(c) for c in cs))),))
+        for cs in rules
+    )
+    query = Query("Q", ("x",), conjuncts)
+    assert parse_query(render_query(query)) == query
 
 
 def test_sols_atom_basic():
