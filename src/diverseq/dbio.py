@@ -19,7 +19,7 @@ from .model import Database, Payload
 from .queries import Query, parse_query, quote, render_query, unescape
 
 _FACT_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*\.\s*$")
-_VALUE_RE = re.compile(r'\s*(?:(-?\d+)|"((?:[^"\\]|\\.)*)")\s*(?:,|$)')
+_VALUE_RE = re.compile(r'\s*(?:(-?[0-9]+)|"((?:[^"\\]|\\.)*)")\s*(?:,|$)')
 # Longest prefix made of whole quoted strings and characters other than `"`
 # and `#`: what precedes a comment.
 _BEFORE_COMMENT_RE = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*')

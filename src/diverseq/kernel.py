@@ -1,20 +1,27 @@
-"""Materialized answer relations, the group-capping reduction, and the
-exhaustive search that together solve diversity in the data-complexity regime.
+"""Materialized answer relations, the group-capping reduction, and the exact
+kernel search that together solve diversity in the data-complexity regime.
 
 Any query fragment can be routed here: answers are materialized into a single
 deduplicated relation, the relation is shrunk by capping rules that preserve
 the optimal diversity of every monotone aggregator exactly, and the (now
-parameter-bounded) remainder is searched exhaustively. Unions and cyclic
-queries, whose structure the join-tree solver cannot exploit, take this path.
+parameter-bounded) remainder is searched exactly. Unions and cyclic queries,
+whose structure the join-tree solver cannot exploit, take this path.
+
+Capping skips the levels that cannot act and works in linear passes: one
+dict grouping per fixed column set over rows of value indices, sorted once.
+The search is a depth-first branch and bound over a matrix of pairwise
+distances; its budget counts every candidate set before it starts.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dbio import parse_csv_value
 from .errors import (
@@ -121,6 +128,13 @@ def _group_threshold(t: int, k: int) -> int:
     return math.factorial(t) ** 2 * k ** t
 
 
+def _key_of(columns: Sequence[int]):
+    """The group key of an index row: its entries at `columns`."""
+    if not columns:
+        return lambda row: ()
+    return operator.itemgetter(*columns)
+
+
 def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelation:
     """One level of the reduction: cap groups that fix all but t columns.
 
@@ -129,112 +143,174 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
     all unfixed columns (greedy, first fit in lexicographic order) and delete
     the rest. Assumes the levels below t are already exhausted; violations of
     that precondition raise PreconditionViolated.
+
+    Rows are handled as tuples of value indices, sorted once. One dict pass
+    per fixed column set groups them; a group keeps the sorted order, which
+    within the group is the order of its free columns. The groups of one
+    column set are disjoint, so their deletions are applied together. Since
+    a group is a subset of the rows, the precondition scan is skipped when
+    there are at most (t-1)!^2 * k^(t-1) rows, and capping stops once fewer
+    than t!^2 * k^t rows are left.
     """
     m = len(answers.columns)
     if not 1 <= t <= m:
         raise ValueError(f"level {t} out of range for {m} columns")
 
-    rows = answers.sorted_rows()
+    by_index = {tuple(v.index for v in row): row for row in answers.rows}
+    rows = sorted(by_index)
     # Precondition: every group fixing m-(t-1) columns is already small.
     prior_threshold = _group_threshold(t - 1, k)
-    for fixed in itertools.combinations(range(m), m - (t - 1)):
-        counts: dict[tuple, int] = {}
-        for row in rows:
-            key = tuple(row[i].index for i in fixed)
-            counts[key] = counts.get(key, 0) + 1
-        oversized = max(counts.values(), default=0)
-        if oversized > prior_threshold:
-            raise PreconditionViolated(
-                f"a group fixing {m - (t - 1)} columns holds {oversized} rows; "
-                f"level {t - 1} allows {prior_threshold}"
-            )
+    if len(rows) > prior_threshold:
+        for fixed in itertools.combinations(range(m), m - (t - 1)):
+            oversized = max(collections.Counter(map(_key_of(fixed), rows)).values())
+            if oversized > prior_threshold:
+                raise PreconditionViolated(
+                    f"a group fixing {m - (t - 1)} columns holds {oversized} rows; "
+                    f"level {t - 1} allows {prior_threshold}"
+                )
 
     threshold = _group_threshold(t, k)
+    keep = t * k
     for fixed in itertools.combinations(range(m), m - t):
+        if len(rows) < threshold:
+            break
         free = [i for i in range(m) if i not in fixed]
-        ordered = sorted(
-            rows,
-            key=lambda r: tuple(r[i].index for i in fixed) + tuple(r[i].index for i in free),
-        )
-        for _, group_iter in itertools.groupby(
-            ordered, key=lambda r: tuple(r[i].index for i in fixed)
-        ):
-            group = list(group_iter)
+        key = _key_of(fixed)
+        groups: dict[object, list[tuple[int, ...]]] = {}
+        for row in rows:
+            groups.setdefault(key(row), []).append(row)
+        dropped: set[tuple[int, ...]] = set()
+        for group in groups.values():
             if len(group) < threshold:
                 continue
-            chosen: list[tuple[Value, ...]] = []
+            taken = [set() for _ in free]
+            chosen: list[tuple[int, ...]] = []
             for row in group:
-                if all(
-                    all(row[i] != prior[i] for i in free) for prior in chosen
-                ):
+                if all(row[i] not in seen for i, seen in zip(free, taken)):
                     chosen.append(row)
-                    if len(chosen) == t * k:
+                    for i, seen in zip(free, taken):
+                        seen.add(row[i])
+                    if len(chosen) == keep:
                         break
-            if len(chosen) < t * k:
+            if len(chosen) < keep:
                 raise PreconditionViolated(
-                    f"greedy selection found only {len(chosen)} of {t * k} rows"
+                    f"greedy selection found only {len(chosen)} of {keep} rows"
                 )
-            dropped = set(group) - set(chosen)
-            rows = [r for r in rows if r not in dropped]
-    return AnswerRelation(answers.columns, frozenset(rows))
+            dropped.update(group)
+            dropped.difference_update(chosen)
+        if dropped:
+            rows = [row for row in rows if row not in dropped]
+    if len(rows) == len(by_index):
+        return answers
+    return AnswerRelation(answers.columns, frozenset(by_index[row] for row in rows))
 
 
 def kernelize(answers: AnswerRelation, k: int) -> AnswerRelation:
-    """Apply every capping level in order, each to a fixpoint.
+    """Apply every capping level in order.
 
     The result has at most m!^2 * k^m rows and preserves, for every monotone
     aggregator, the exact optimal diversity of k pairwise-distinct answers.
+
+    One pass reaches each level's fixpoint: a capped group keeps t*k rows
+    that pairwise differ on its free columns, which a second pass would keep
+    whole. A level is skipped when neither its capping (no group reaches
+    t!^2 * k^t rows) nor its precondition scan (no group exceeds
+    (t-1)!^2 * k^(t-1) rows) can fire on the rows left.
     """
     current = answers
-    for t in range(1, len(answers.columns) + 1):
-        while True:
-            reduced = apply_capping_rule(current, t, k)
-            if reduced.rows == current.rows:
-                break
-            current = reduced
     m = len(answers.columns)
+    for t in range(1, m + 1):
+        n = len(current.rows)
+        if n < _group_threshold(t, k) and n <= _group_threshold(t - 1, k):
+            continue
+        current = apply_capping_rule(current, t, k)
     if m:
         assert len(current.rows) <= _group_threshold(m, k), "kernel size bound violated"
     return current
 
 
-# --- exhaustive search over the kernel ------------------------------------------
+# --- search over the kernel -----------------------------------------------------
+
+
+def _distance_rows(rows: Sequence[tuple[Value, ...]]) -> Iterator[list[int]]:
+    """The Hamming distances of row i to rows 0..i, for i = 0, 1, ... Each
+    column's values get dense ids under Value equality, so a distance counts
+    the columns where `!=` holds."""
+    columns = []
+    for column in zip(*rows):
+        ids: dict[Value, int] = {}
+        columns.append([ids.setdefault(v, len(ids)) for v in column])
+    coded = list(zip(*columns)) if columns else [()] * len(rows)
+    for i, a in enumerate(coded):
+        yield [sum(map(operator.ne, a, b)) for b in coded[:i + 1]]
 
 
 def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
                      aggregator: Aggregator, *, allow_duplicates: bool = False,
                      witness: bool = False,
                      budget: int = 10_000_000) -> Outcome:
-    """Kernelize, then exhaustively search k-subsets (or multisets) of answers.
+    """Kernelize, then search k-subsets (or multisets) of answers.
 
     Only monotone aggregators are admitted: capping is justified by exchanging
     a deleted answer for a kept one that is at least as far from every other.
+
+    The search is a depth-first branch and bound over index combinations in
+    `itertools` order. A branch is cut when even the largest distance m on
+    every pair still open cannot beat the best value found; monotonicity
+    makes that bound sound for every admitted aggregator. The search stops
+    at the ceiling, every pair at distance m. The best value is replaced
+    only by a greater one, so the witness is the lexicographically first
+    optimum, as in plain enumeration. The budget counts every candidate set
+    before the search starts.
     """
     if not aggregator.monotone:
         raise NotMonotone(f"aggregator {aggregator.label} is not flagged monotone")
     kernel = kernelize(answers, k)
-    pool = kernel.assignments()
-    n = len(pool)
+    rows = kernel.sorted_rows()
+    n = len(rows)
     count = math.comb(n + k - 1, k) if allow_duplicates else math.comb(n, k)
     if count > budget:
         raise CombinatorialBudgetExceeded(
             f"{count} candidate sets exceed the budget of {budget}"
         )
-    xs = list(answers.columns)
-    combos = (
-        itertools.combinations_with_replacement(range(n), k)
-        if allow_duplicates
-        else itertools.combinations(range(n), k)
-    )
     best = None
     best_combo = None
-    for combo in combos:
-        value = aggregator.aggregate(
-            sum(1 for x in xs if pool[i][x] != pool[j][x])
-            for i, j in itertools.combinations(combo, 2)
-        )
-        if best is None or value > best:
-            best, best_combo = value, combo
+    if count:
+        aggregate = aggregator.aggregate
+        # Row i of the distance matrix is made when the search first reaches
+        # row i; it only ever moves one row past the rows made so far.
+        distance_rows = _distance_rows(rows)
+        matrix: list[list[int]] = []
+        m = len(answers.columns)
+        pairs = k * (k - 1) // 2
+        ceiling = aggregate([m] * pairs)
+        step = 0 if allow_duplicates else 1
+        if not k:
+            best, best_combo = aggregate(()), ()
+        # One frame per chosen prefix: the rows that may extend it, the
+        # prefix, and the distances among its rows.
+        frames = [(iter(range(n - (k - 1) * step)), (), [])] if k else []
+        while frames:
+            options, chosen, dists = frames[-1]
+            i = next(options, None)
+            if i is None:
+                frames.pop()
+                continue
+            if i == len(matrix):
+                matrix.append(next(distance_rows))
+            row = matrix[i]
+            grown = dists + [row[j] for j in chosen]
+            picked = chosen + (i,)
+            if len(picked) == k:
+                value = aggregate(grown)
+                if best is None or value > best:
+                    best, best_combo = value, picked
+                    if best == ceiling:
+                        break
+            elif best is None or aggregate(grown + [m] * (pairs - len(grown))) > best:
+                depth = len(picked)
+                frames.append((iter(range(i + step, n - (k - 1 - depth) * step)),
+                               picked, grown))
     stats = {
         "answers": len(answers.rows),
         "kernel": n,
@@ -244,7 +320,10 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
     if best is None:
         return Outcome(False, None, None, routing="fo-kernel", stats=stats)
     decision = d is None or best >= d
-    solution = tuple(pool[i] for i in best_combo) if (decision and witness) else None
+    solution = None
+    if decision and witness:
+        pool = kernel.assignments()
+        solution = tuple(pool[i] for i in best_combo)
     return Outcome(decision, best, solution, routing="fo-kernel", stats=stats)
 
 

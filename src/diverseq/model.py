@@ -221,9 +221,6 @@ class Assignment(Mapping):
         return {v: x.payload for v, x in self._bindings.items()}
 
 
-EMPTY_ASSIGNMENT = Assignment()
-
-
 def hamming_distance(a: Assignment, b: Assignment, variables: Iterable[str]) -> int:
     """Number of the given variables on which the two assignments differ.
 

@@ -146,7 +146,7 @@ _TOKEN_RE = re.compile(
   | (?P<comment>\#.*)
   | (?P<implies>:-)
   | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<int>-?\d+)
+  | (?P<int>-?[0-9]+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<sym>[(),.!])
     """,

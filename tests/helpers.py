@@ -313,3 +313,95 @@ def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
                     if prior is None or total > prior[0]:
                         out[(ptuple, new_state)] = (total, refs + ((child.node, ckey, sigma),))
     return out
+
+
+# --- reference kernel: the capping rules and the search as plain loops ----------
+
+
+def reference_capping_rule(answers, t: int, k: int):
+    """One capping level as first written: re-sort every row per fixed
+    column set, cap groups in sorted order, and filter the rows after every
+    capped group. `kernel.apply_capping_rule` must return the same rows and
+    raise PreconditionViolated in the same cases."""
+    import math
+
+    from diverseq.errors import PreconditionViolated
+    from diverseq.kernel import AnswerRelation
+
+    def threshold_of(level: int) -> int:
+        return math.factorial(level) ** 2 * k ** level
+
+    m = len(answers.columns)
+    if not 1 <= t <= m:
+        raise ValueError(f"level {t} out of range for {m} columns")
+    rows = answers.sorted_rows()
+    prior_threshold = threshold_of(t - 1)
+    for fixed in itertools.combinations(range(m), m - (t - 1)):
+        counts: dict[tuple, int] = {}
+        for row in rows:
+            key = tuple(row[i].index for i in fixed)
+            counts[key] = counts.get(key, 0) + 1
+        oversized = max(counts.values(), default=0)
+        if oversized > prior_threshold:
+            raise PreconditionViolated(f"{oversized} > {prior_threshold}")
+    threshold = threshold_of(t)
+    for fixed in itertools.combinations(range(m), m - t):
+        free = [i for i in range(m) if i not in fixed]
+        ordered = sorted(
+            rows,
+            key=lambda r: tuple(r[i].index for i in fixed) + tuple(r[i].index for i in free),
+        )
+        for _, group_iter in itertools.groupby(
+            ordered, key=lambda r: tuple(r[i].index for i in fixed)
+        ):
+            group = list(group_iter)
+            if len(group) < threshold:
+                continue
+            chosen: list = []
+            for row in group:
+                if all(all(row[i] != prior[i] for i in free) for prior in chosen):
+                    chosen.append(row)
+                    if len(chosen) == t * k:
+                        break
+            if len(chosen) < t * k:
+                raise PreconditionViolated(f"greedy found {len(chosen)} of {t * k}")
+            dropped = set(group) - set(chosen)
+            rows = [r for r in rows if r not in dropped]
+    return AnswerRelation(answers.columns, frozenset(rows))
+
+
+def reference_kernelize(answers, k: int):
+    """Every capping level in order, each run to a fixpoint, none skipped."""
+    current = answers
+    for t in range(1, len(answers.columns) + 1):
+        while True:
+            reduced = reference_capping_rule(current, t, k)
+            if reduced.rows == current.rows:
+                break
+            current = reduced
+    return current
+
+
+def reference_fo_search(kernel, k: int, aggregator, *, allow_duplicates: bool = False):
+    """Plain enumeration of every k-subset (or k-multiset) of the kernel's
+    rows in `itertools` order. Returns (best value, best index combination,
+    the rows in sorted order); the first combination reaching the best value
+    wins, as in `kernel.solve_fo_diverse`."""
+    pool = kernel.assignments()
+    n = len(pool)
+    xs = list(kernel.columns)
+    combos = (
+        itertools.combinations_with_replacement(range(n), k)
+        if allow_duplicates
+        else itertools.combinations(range(n), k)
+    )
+    best = None
+    best_combo = None
+    for combo in combos:
+        value = aggregator.aggregate(
+            sum(1 for x in xs if pool[i][x] != pool[j][x])
+            for i, j in itertools.combinations(combo, 2)
+        )
+        if best is None or value > best:
+            best, best_combo = value, combo
+    return best, best_combo, pool

@@ -152,3 +152,14 @@ def test_query_file_round_trip(tmp_path):
     path = tmp_path / "q.dq"
     dump_query(q, str(path))
     assert load_query(str(path)) == q
+
+
+def test_fact_file_non_ascii_digit_is_not_an_integer(tmp_path):
+    # Unquoted U+0663 would read as 3 and merge the two facts into one row.
+    path = tmp_path / "db.facts"
+    path.write_text("R(\u0663).\nR(3).\n", encoding="utf-8")
+    with pytest.raises(QuerySyntaxError):
+        load_database(str(path))
+    path.write_text('R("\u0663").\nR(3).\n', encoding="utf-8")
+    rows = {r[0].payload for r in load_database(str(path)).relations["R"].rows}
+    assert rows == {"\u0663", 3}

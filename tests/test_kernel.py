@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverseq.errors import (
     CombinatorialBudgetExceeded,
     NotMonotone,
     PreconditionViolated,
 )
+from diverseq import kernel as kernel_module
 from diverseq.kernel import (
     AnswerRelation,
     apply_capping_rule,
@@ -17,15 +20,22 @@ from diverseq.kernel import (
     solve_fo_diverse,
     write_answer_csv,
 )
-from diverseq.model import MIN, SUM, Database, custom_aggregator
+from diverseq.model import MIN, SUM, Database, custom_aggregator, diversity_of_set
 from diverseq.oracle import (
     Graph,
     bruteforce_diversity,
     enumerate_answers,
     independent_set_to_diverse_query,
+    list_coloring_to_union_query,
 )
 from diverseq.queries import parse_query
-from helpers import random_acyclic_query, random_cqneg_query
+from helpers import (
+    random_acyclic_query,
+    random_cqneg_query,
+    reference_capping_rule,
+    reference_fo_search,
+    reference_kernelize,
+)
 
 
 def relation(columns, rows):
@@ -201,3 +211,187 @@ def test_csv_round_trip(tmp_path):
     again = read_answer_csv(str(path))
     assert again.columns == answers.columns
     assert again.payload_rows() == answers.payload_rows()
+
+
+# --- the kernel against its plain-loop reference --------------------------------
+
+MAX = custom_aggregator(lambda ds: max(ds) if ds else 0, monotone=True, name="max")
+SUM_OF_SQUARES = custom_aggregator(lambda ds: sum(x * x for x in ds), monotone=True,
+                                   name="sum-of-squares")
+AGGREGATORS = (SUM, MIN, MAX, SUM_OF_SQUARES)
+
+
+@st.composite
+def capped_relations(draw):
+    """A relation with m = 1..5 columns, k = 1..4, and up to 60 rows. Up to
+    three columns are wide (20 values), the others narrow (1 to 3 values).
+    With two wide columns, a group fixing the narrow ones holds 16 rows and
+    more whose level-1 subgroups are small, so level-2 capping fires for
+    k = 2 as well."""
+    m = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    wide = min(m, rng.choice((0, 1, 2, 2, 2, 3)))
+    domains = [20] * wide + [rng.randint(1, 3) for _ in range(m - wide)]
+    rng.shuffle(domains)
+    rows = {tuple(rng.randint(1, size) for size in domains)
+            for _ in range(rng.randint(0, 60))}
+    return relation(tuple(f"x{i}" for i in range(m)), sorted(rows)), k
+
+
+def outcome_or_error(call):
+    try:
+        return call()
+    except PreconditionViolated:
+        return PreconditionViolated
+
+
+@settings(max_examples=150, deadline=None)
+@given(capped_relations(), st.integers(1, 5))
+def test_capping_rule_matches_reference(case, t):
+    answers, k = case
+    t = min(t, len(answers.columns))
+    got = outcome_or_error(lambda: apply_capping_rule(answers, t, k).rows)
+    want = outcome_or_error(lambda: reference_capping_rule(answers, t, k).rows)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(capped_relations())
+def test_kernelize_and_search_match_reference(case):
+    answers, k = case
+    kernel = kernelize(answers, k)
+    reference = reference_kernelize(answers, k)
+    assert kernel.rows == reference.rows
+    n = len(kernel.rows)
+    for allow_duplicates in (False, True):
+        if math.comb(n + k - 1 if allow_duplicates else n, k) > 3000:
+            continue
+        for aggregator in AGGREGATORS:
+            best, combo, pool = reference_fo_search(
+                reference, k, aggregator, allow_duplicates=allow_duplicates)
+            for d in (None, 2):
+                out = solve_fo_diverse(answers, k, d, aggregator,
+                                       allow_duplicates=allow_duplicates, witness=True)
+                decision = best is not None and (d is None or best >= d)
+                assert (out.decision, out.diversity) == (decision, best)
+                want = tuple(pool[i] for i in combo) if decision else None
+                assert out.witness == want
+
+
+def test_level_two_capping_matches_reference():
+    # Distinct values in both wide columns: level 1 finds no group of two,
+    # and the group fixing the narrow column (or nothing) holds 20 rows.
+    diagonal = [(i, (7 * i) % 20) for i in range(20)]
+    for columns, rows in ((("x", "y"), diagonal),
+                          (("w", "x", "y"), [(1, x, y) for x, y in diagonal])):
+        answers = relation(columns, rows)
+        kernel = kernelize(answers, 2)
+        assert len(kernel.rows) == 4
+        assert kernel.rows == reference_kernelize(answers, 2).rows
+
+
+def k33_lists_union():
+    k33 = Graph.from_edges(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
+    lists = {1: {1, 2}, 2: {2, 3}, 3: {1, 3}, 4: {1, 2}, 5: {2, 3}, 6: {1, 3}}
+    fx = list_coloring_to_union_query(k33, {v: frozenset(c) for v, c in lists.items()})
+    return materialize_answers(fx.query, fx.db), fx.k
+
+
+def test_kernelize_enters_only_levels_that_can_fire(monkeypatch):
+    answers, k = k33_lists_union()
+    entered = []
+    original = kernel_module.apply_capping_rule
+
+    def counting(current, t, k):
+        entered.append((t, len(current.rows)))
+        return original(current, t, k)
+
+    monkeypatch.setattr(kernel_module, "apply_capping_rule", counting)
+    kernel = kernelize(answers, k)
+    m = len(answers.columns)
+    assert m == 10 and len(answers.rows) == 16
+    for t, rows in entered:
+        idle = (rows < math.factorial(t) ** 2 * k ** t
+                and rows <= math.factorial(t - 1) ** 2 * k ** (t - 1))
+        assert not idle, f"level {t} entered with {rows} rows"
+    assert [t for t, _ in entered] == [1, 2]
+    assert kernel.rows == reference_kernelize(answers, k).rows
+
+
+# --- the search against brute force ---------------------------------------------
+
+
+def assert_search_matches_bruteforce(answers, k, aggregator, *, allow_duplicates=False):
+    out = solve_fo_diverse(answers, k, None, aggregator,
+                           allow_duplicates=allow_duplicates, witness=True)
+    pool = kernelize(answers, k).assignments()
+    best, witness = bruteforce_diversity(pool, k, aggregator,
+                                         allow_duplicates=allow_duplicates)
+    assert out.diversity == best
+    assert out.decision is (best is not None)
+    assert out.witness == witness
+    if witness is not None:
+        assert len(witness) == k and set(witness) <= set(pool)
+        if not allow_duplicates:
+            assert len(set(witness)) == k
+        assert diversity_of_set(aggregator, witness, answers.columns) == best
+
+
+def test_search_matches_bruteforce_random():
+    rng = random.Random(109)
+    solves = 0
+    for _ in range(60):
+        m = rng.randint(1, 4)
+        k = rng.randint(1, 4)
+        rows = {tuple(rng.randint(1, rng.randint(2, 6)) for _ in range(m))
+                for _ in range(rng.randint(0, 14))}
+        answers = relation(tuple(f"x{i}" for i in range(m)), sorted(rows))
+        for aggregator in AGGREGATORS:
+            for allow_duplicates in (False, True):
+                assert_search_matches_bruteforce(answers, k, aggregator,
+                                                 allow_duplicates=allow_duplicates)
+                solves += 1
+    assert solves == 480
+
+
+def test_search_fewer_answers_than_k():
+    answers = relation(("x", "y"), [(1, 1), (2, 2)])
+    for aggregator in AGGREGATORS:
+        assert_search_matches_bruteforce(answers, 3, aggregator)
+        out = solve_fo_diverse(answers, 3, None, aggregator)
+        assert (out.decision, out.diversity, out.stats["candidates"]) == (False, None, 0)
+        assert_search_matches_bruteforce(answers, 3, aggregator, allow_duplicates=True)
+
+
+def test_search_fewer_answers_than_k_never_calls_custom_aggregator():
+    def refuse(ds):
+        raise AssertionError("no candidate set, so nothing to aggregate")
+
+    answers = relation(("x",), [(1,), (2,)])
+    out = solve_fo_diverse(answers, 3, 0, custom_aggregator(refuse, monotone=True))
+    assert out.decision is False and out.diversity is None
+
+
+def test_search_single_answer_sets():
+    answers = relation(("x", "y"), [(3, 1), (1, 2), (2, 2)])
+    for aggregator in AGGREGATORS:
+        for allow_duplicates in (False, True):
+            assert_search_matches_bruteforce(answers, 1, aggregator,
+                                             allow_duplicates=allow_duplicates)
+    assert solve_fo_diverse(answers, 1, None, MIN).diversity == math.inf
+
+
+def test_search_min_optimum_late_in_lexicographic_order():
+    # The near rows share x, and each shares a value with two of the far
+    # rows, so the only triple whose rows pairwise differ in all three
+    # columns is the far one, the last in lexicographic order. Every
+    # earlier prefix with a close pair is cut once min 2 is found.
+    near = [(1, 7, 8), (1, 8, 9), (1, 7, 9), (1, 9, 8)]
+    far = [(2, 7, 7), (3, 8, 8), (4, 9, 9)]
+    answers = relation(("x", "y", "z"), near + far)
+    out = solve_fo_diverse(answers, 3, None, MIN, witness=True)
+    assert out.diversity == 3
+    assert [tuple(a[x].payload for x in ("x", "y", "z")) for a in out.witness] == far
+    for aggregator in AGGREGATORS:
+        assert_search_matches_bruteforce(answers, 3, aggregator)

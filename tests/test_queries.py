@@ -166,3 +166,11 @@ def test_sols_atom_bounded_by_relation_size():
         query, db = random_acyclic_query(rng)
         for atom in query.conjuncts[0].positive_atoms:
             assert len(sols_atom(atom, db)) <= len(db.relations[atom.relation].rows)
+
+
+def test_non_ascii_digits_are_not_integers():
+    # U+0663 is a decimal digit to `\d`, but not an integer literal.
+    with pytest.raises(QuerySyntaxError):
+        parse_query("Q(x) :- R(x, \u0663).")
+    q = parse_query('Q(x) :- R(x, "\u0663").')
+    assert q.conjuncts[0].literals[0].atom.terms[1] == Constant("\u0663")
