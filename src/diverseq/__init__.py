@@ -40,7 +40,6 @@ from .oracle import (
 )
 from .queries import Atom, Constant, Literal, Query, Variable, parse_query, render_query, sols_atom
 from .structure import (
-    JoinTree,
     NiceTreeDecomposition,
     TreeDecomposition,
     gyo_join_tree,
@@ -61,7 +60,6 @@ __all__ = [
     "DiverseInstance",
     "DiverseQError",
     "Graph",
-    "JoinTree",
     "Literal",
     "MIN",
     "NiceTreeDecomposition",

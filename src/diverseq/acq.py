@@ -57,7 +57,7 @@ from .model import (
     pairwise_distances,
 )
 from .queries import Atom, Query, sols_atom
-from .structure import JoinTree, gyo_join_tree
+from .structure import TreeDecomposition, gyo_join_tree
 
 DEFAULT_TABLE_CAP = 10_000_000
 
@@ -354,7 +354,7 @@ def dp_finalize(root: DPTable, aggregator: Aggregator, threshold: float | None,
     return decision, best_key, best_val
 
 
-def extract_witness(tables: dict[int, DPTable], root_key: tuple, jt: JoinTree,
+def extract_witness(tables: dict[int, DPTable], root_key: tuple, jt: TreeDecomposition,
                     free_vars: Sequence[str]) -> tuple[Assignment, ...]:
     """Rebuild k full answers realizing a kept root entry, via provenance.
 
@@ -397,13 +397,12 @@ sum_merge = dup_merge = dp_merge
 _extract_sum_witness = _extract_dup_witness = extract_witness
 
 
-def _full_reduce(jt: JoinTree, atoms: Sequence[Atom],
-                 sols: dict[int, list[Assignment]]) -> None:
+def _full_reduce(jt: TreeDecomposition, sols: dict[int, list[Assignment]]) -> None:
     """Keep in sols[node] only the solutions that lie in some full join
     result: semi-joins up the join tree, then down it. Order is kept."""
 
     def semijoin(target: int, source: int) -> None:
-        shared = sorted(atoms[jt.label[target]].variables & atoms[jt.label[source]].variables)
+        shared = sorted(jt.bags[target] & jt.bags[source])
         seen = {tuple([a[v] for v in shared]) for a in sols[source]}
         sols[target] = [a for a in sols[target] if tuple([a[v] for v in shared]) in seen]
 
@@ -424,12 +423,12 @@ def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
         raise NotAcyclic(f"query {query.head} admits no join tree")
     atoms = query.conjuncts[0].positive_atoms
     order = jt.postorder()
-    sols = {node: _sorted_sols(atoms[jt.label[node]], db) for node in order}
-    _full_reduce(jt, atoms, sols)
+    sols = {node: _sorted_sols(atoms[node], db) for node in order}
+    _full_reduce(jt, sols)
     tables: dict[int, DPTable] = {}
     max_table = 0
     for node in order:
-        table = dp_init(node, atoms[jt.label[node]], db, k, free_vars, rule=rule,
+        table = dp_init(node, atoms[node], db, k, free_vars, rule=rule,
                         sols=sols[node], table_cap=table_cap)
         for child in jt.children.get(node, ()):
             table = dp_merge(table, tables[child], db, free_vars, table_cap=table_cap)
@@ -440,13 +439,13 @@ def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
 
 
 def _solve(query: Query, db: Database, k: int, d: float | None, aggregator: Aggregator,
-           rule: StateRule, routing: str, witness: bool, allow_duplicates: bool,
+           rule: StateRule, witness: bool, allow_duplicates: bool,
            table_cap: int) -> Outcome:
     free_vars = query.free_vars
     jt, tables, stats = _traverse(query, db, k, free_vars, rule, table_cap)
     decision, best_key, best = dp_finalize(tables[jt.root], aggregator, d, allow_duplicates)
     solution = extract_witness(tables, best_key, jt, free_vars) if decision and witness else None
-    return Outcome(decision, best, solution, routing=routing, stats=stats)
+    return Outcome(decision, best, solution, stats=stats)
 
 
 def solve_acq(query: Query, db: Database, k: int, d: float | None,
@@ -458,8 +457,8 @@ def solve_acq(query: Query, db: Database, k: int, d: float | None,
     Needs an acyclic positive query; d = None reports the maximum achievable
     diversity instead of deciding against a threshold.
     """
-    return _solve(query, db, k, d, aggregator, EXACT, "acq", witness,
-                  allow_duplicates, table_cap)
+    return _solve(query, db, k, d, aggregator, EXACT, witness, allow_duplicates,
+                  table_cap)
 
 
 def solve_acq_sum(query: Query, db: Database, k: int, d: float | None, *,
@@ -469,11 +468,11 @@ def solve_acq_sum(query: Query, db: Database, k: int, d: float | None, *,
 
     Matches solve_acq with the sum aggregator on decisions and values.
     """
-    return _solve(query, db, k, d, SUM, FLAGS, "acq-sum", witness, False, table_cap)
+    return _solve(query, db, k, d, SUM, FLAGS, witness, False, table_cap)
 
 
 def solve_acq_sum_dup(query: Query, db: Database, k: int, d: float | None, *,
                       witness: bool = False,
                       table_cap: int = DEFAULT_TABLE_CAP) -> Outcome:
     """Sum-diversity over multisets of answers (duplicates permitted)."""
-    return _solve(query, db, k, d, SUM, NONE, "acq-sum-dup", witness, True, table_cap)
+    return _solve(query, db, k, d, SUM, NONE, witness, True, table_cap)

@@ -42,7 +42,7 @@ class RunConfig:
     witness: bool = False
     decomposition_path: str | None = None
     table_cap: int = acq.DEFAULT_TABLE_CAP
-    budget: int = 10_000_000
+    budget: int = kernel.DEFAULT_BUDGET
     output: str = "text"
 
     def __post_init__(self) -> None:
@@ -106,12 +106,10 @@ def _solve(cfg: RunConfig, mode: str, query, db) -> Outcome:
         allow_duplicates=cfg.allow_duplicates, budget=cfg.budget,
     )
     if best is None:
-        return Outcome(False, None, None, routing="bruteforce",
-                       stats={"answers": len(answers), "k": cfg.k})
+        return Outcome(False, None, None, stats={"answers": len(answers), "k": cfg.k})
     decision = cfg.d is None or best >= cfg.d
     witness = combo if (decision and cfg.witness) else None
-    return Outcome(decision, best, witness, routing="bruteforce",
-                   stats={"answers": len(answers), "k": cfg.k})
+    return Outcome(decision, best, witness, stats={"answers": len(answers), "k": cfg.k})
 
 
 def _diversity_json(value: float | None):
@@ -217,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--table-cap", type=int, default=None,
                         help=f"DP table guard (default {acq.DEFAULT_TABLE_CAP}, "
                              f"env {TABLE_CAP_ENV})")
-    parser.add_argument("--budget", type=int, default=10_000_000,
+    parser.add_argument("--budget", type=int, default=kernel.DEFAULT_BUDGET,
                         help="candidate-set budget for exhaustive searches")
     parser.add_argument("--output", choices=("text", "json"), default="text")
     return parser

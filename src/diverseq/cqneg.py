@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .acq import DEFAULT_TABLE_CAP
 from .errors import CorruptProvenance, TableGuardExceeded
 from .model import (
     Aggregator,
@@ -44,8 +45,6 @@ from .structure import (
     tree_decompose,
     validate_decomposition,
 )
-
-DEFAULT_TABLE_CAP = 10_000_000
 
 
 @dataclass
@@ -343,4 +342,4 @@ def solve_cqneg(query: Query, db: Database, k: int, d: float | None,
         "max_table": solver.max_table,
         "k": k,
     }
-    return Outcome(decision, best, solution, routing="cqneg", stats=stats)
+    return Outcome(decision, best, solution, stats=stats)

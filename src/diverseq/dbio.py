@@ -16,13 +16,14 @@ import re
 
 from .errors import QuerySyntaxError
 from .model import Database, Payload
-from .queries import Query, parse_query, quote, render_query, unescape
+from .queries import (INT_LITERAL, STRING_LITERAL, Constant, Query, parse_query,
+                      render_query, render_term, unescape)
 
 _FACT_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*\.\s*$")
-_VALUE_RE = re.compile(r'\s*(?:(-?[0-9]+)|"((?:[^"\\]|\\.)*)")\s*(?:,|$)')
+_VALUE_RE = re.compile(rf"\s*(?:({INT_LITERAL})|({STRING_LITERAL}))\s*(?:,|$)")
 # Longest prefix made of whole quoted strings and characters other than `"`
 # and `#`: what precedes a comment.
-_BEFORE_COMMENT_RE = re.compile(r'(?:[^"#]|"(?:[^"\\]|\\.)*")*')
+_BEFORE_COMMENT_RE = re.compile(rf'(?:[^"#]|{STRING_LITERAL})*')
 
 
 def _strip_quoted_comment(line: str) -> str:
@@ -46,7 +47,7 @@ def _parse_fact_values(body: str, lineno: int) -> list[Payload]:
         if m.group(1) is not None:
             values.append(int(m.group(1)))
         else:
-            values.append(unescape(m.group(2)))
+            values.append(unescape(m.group(2)[1:-1]))
         pos = m.end()
     return values
 
@@ -114,16 +115,13 @@ def parse_csv_value(field: str) -> Payload:
     return number if str(number) == field else field
 
 
-def _render_value(payload: Payload) -> str:
-    return str(payload) if isinstance(payload, int) else quote(payload)
-
-
 def dump_database(db: Database, path: str) -> None:
     """Write a database as a fact file, sorted for stable output."""
     lines = []
     for name in sorted(db.relations):
         for row in db.relations[name].sorted_rows():
-            lines.append(f"{name}({', '.join(_render_value(v.payload) for v in row)}).")
+            values = ", ".join(render_term(Constant(v.payload)) for v in row)
+            lines.append(f"{name}({values}).")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + ("\n" if lines else ""))
 

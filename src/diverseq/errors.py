@@ -17,10 +17,6 @@ class UnboundVariable(DiverseQError):
     """A distance or diversity computation touched an unbound variable."""
 
 
-class IncompatibleAssignments(DiverseQError):
-    """merge() was called on assignments that disagree on a shared variable."""
-
-
 class QuerySyntaxError(DiverseQError):
     """Malformed query or fact text; carries the offending position."""
 

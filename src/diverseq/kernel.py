@@ -40,6 +40,8 @@ from .model import (
 )
 from .queries import Conjunct, Query, satisfies_literal, sols_atom
 
+DEFAULT_BUDGET = 10_000_000
+
 
 @dataclass(frozen=True)
 class AnswerRelation:
@@ -77,23 +79,25 @@ class AnswerRelation:
 # --- materialization ---------------------------------------------------------
 
 
-def _join(acc: list[Assignment], sols: Iterable[Assignment]) -> list[Assignment]:
+def _join(acc: list[dict[str, Value]], sols: Iterable[Assignment]) -> list[dict[str, Value]]:
+    """Each binding in acc extended by each solution it agrees with. The
+    solutions are bucketed on the shared variables, so a union joins them."""
     sols = list(sols)
     if not acc:
         return []
-    shared = sorted(acc[0].variables & (sols[0].variables if sols else frozenset()))
+    shared = sorted(acc[0].keys() & (sols[0].keys() if sols else ()))
     buckets: dict[tuple, list[Assignment]] = {}
     for s in sols:
         buckets.setdefault(tuple(s[v] for v in shared), []).append(s)
     out = []
     for a in acc:
         for s in buckets.get(tuple(a[v] for v in shared), ()):
-            out.append(a.merge(s))
+            out.append({**a, **s})
     return out
 
 
 def _evaluate_conjunct(query: Query, conjunct: Conjunct, db: Database) -> set[tuple[Value, ...]]:
-    acc: list[Assignment] = [Assignment()]
+    acc: list[dict[str, Value]] = [{}]
     for atom in conjunct.positive_atoms:
         acc = _join(acc, sols_atom(atom, db))
         if not acc:
@@ -248,7 +252,7 @@ def _distance_rows(rows: Sequence[tuple[Value, ...]]) -> Iterator[list[int]]:
 def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
                      aggregator: Aggregator, *, allow_duplicates: bool = False,
                      witness: bool = False,
-                     budget: int = 10_000_000) -> Outcome:
+                     budget: int = DEFAULT_BUDGET) -> Outcome:
     """Kernelize, then search k-subsets (or multisets) of answers.
 
     Only monotone aggregators are admitted: capping is justified by exchanging
@@ -318,13 +322,13 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
         "k": k,
     }
     if best is None:
-        return Outcome(False, None, None, routing="fo-kernel", stats=stats)
+        return Outcome(False, None, None, stats=stats)
     decision = d is None or best >= d
     solution = None
     if decision and witness:
         pool = kernel.assignments()
         solution = tuple(pool[i] for i in best_combo)
-    return Outcome(decision, best, solution, routing="fo-kernel", stats=stats)
+    return Outcome(decision, best, solution, stats=stats)
 
 
 # --- CSV import/export ------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import IncompatibleAssignments, UnboundVariable
+from .errors import UnboundVariable
 
 Payload = Union[int, str]
 
@@ -196,27 +196,6 @@ class Assignment(Mapping):
                 out[v] = bindings[v]
         return Assignment(out)
 
-    def compatible(self, other: "Assignment") -> bool:
-        """True iff the two mappings agree on every shared variable."""
-        a, b = self._bindings, other._bindings
-        if len(b) < len(a):
-            a, b = b, a
-        return all(v not in b or b[v] == x for v, x in a.items())
-
-    def merge(self, other: "Assignment") -> "Assignment":
-        """Union of the two mappings; self wins on shared variables."""
-        if not self.compatible(other):
-            raise IncompatibleAssignments(f"cannot merge {self} with {other}")
-        merged = dict(other._bindings)
-        merged.update(self._bindings)
-        return Assignment(merged)
-
-    def intersect(self, other: "Assignment") -> "Assignment":
-        """self restricted to the variables the two mappings share."""
-        return Assignment(
-            {v: x for v, x in self._bindings.items() if v in other._bindings}
-        )
-
     def as_payload_dict(self) -> dict[str, Payload]:
         return {v: x.payload for v, x in self._bindings.items()}
 
@@ -298,5 +277,4 @@ class Outcome:
     decision: bool
     diversity: float | None
     witness: tuple[Assignment, ...] | None = None
-    routing: str = ""
     stats: dict = field(default_factory=dict)

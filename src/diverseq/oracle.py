@@ -366,12 +366,13 @@ def exhaustive_join_tree(query: Query):
     Trees are generated from Prüfer sequences; validity does not depend on
     the choice of root. Intended for small queries only.
     """
-    from .structure import JoinTree, validate_decomposition
+    from .structure import TreeDecomposition, validate_decomposition
 
     atoms = query.conjuncts[0].positive_atoms
     n = len(atoms)
+    bags = {i: atom.variables for i, atom in enumerate(atoms)}
     if n == 1:
-        return JoinTree(root=0, children={0: ()}, label={0: 0})
+        return TreeDecomposition(root=0, children={0: ()}, bags=bags)
     for seq in itertools.product(range(n), repeat=max(0, n - 2)):
         edges = _pruefer_to_edges(list(seq), n)
         children: dict[int, list[int]] = {i: [] for i in range(n)}
@@ -388,10 +389,10 @@ def exhaustive_join_tree(query: Query):
                     seen.add(other)
                     children[node].append(other)
                     queue.append(other)
-        candidate = JoinTree(
+        candidate = TreeDecomposition(
             root=0,
             children={i: tuple(cs) for i, cs in children.items()},
-            label={i: i for i in range(n)},
+            bags=bags,
         )
         if not validate_decomposition(candidate, query):
             return candidate

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Mapping, Union
 
 from .errors import (
     ArityMismatch,
@@ -24,7 +24,7 @@ from .errors import (
     UnknownRelation,
     UnsafeQuery,
 )
-from .model import Assignment, Database, Payload, Relation
+from .model import Assignment, Database, Payload, Relation, Value
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,6 @@ class Atom:
     @property
     def variables(self) -> frozenset[str]:
         return frozenset(t.name for t in self.terms if isinstance(t, Variable))
-
-    def variable_list(self) -> tuple[str, ...]:
-        """Variable names in first-occurrence order."""
-        seen: dict[str, None] = {}
-        for t in self.terms:
-            if isinstance(t, Variable):
-                seen.setdefault(t.name, None)
-        return tuple(seen)
 
 
 @dataclass(frozen=True)
@@ -130,23 +122,22 @@ class Query:
             return "cqneg"
         return "cq" if len(self.conjuncts) == 1 else "ucq"
 
-    def existential_vars(self, conjunct: Conjunct) -> frozenset[str]:
-        return conjunct.variables - frozenset(self.free_vars)
-
-    @property
-    def is_single_positive(self) -> bool:
-        return self.kind == "cq"
-
 
 # --- parsing ---------------------------------------------------------------
 
+# The constant literals of query text and of fact files (dbio): an integer
+# is ASCII digits after an optional minus sign, a string is double-quoted
+# with backslash escapes.
+INT_LITERAL = r"-?[0-9]+"
+STRING_LITERAL = r'"(?:[^"\\]|\\.)*"'
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+)
   | (?P<comment>\#.*)
   | (?P<implies>:-)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<int>-?[0-9]+)
+  | (?P<string>{STRING_LITERAL})
+  | (?P<int>{INT_LITERAL})
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<sym>[(),.!])
     """,
@@ -374,7 +365,8 @@ def sols_atom(atom: Atom, db: Database) -> set[Assignment]:
     return out
 
 
-def satisfies_literal(literal: Literal, assignment: Assignment, db: Database) -> bool:
+def satisfies_literal(literal: Literal, assignment: Mapping[str, Value],
+                      db: Database) -> bool:
     """Check one fully-bound literal against the database.
 
     A constant outside the active domain makes a positive literal false and a

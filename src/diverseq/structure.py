@@ -31,21 +31,6 @@ def _postorder(root: int, children: dict[int, tuple[int, ...]]) -> list[int]:
 
 
 @dataclass
-class JoinTree:
-    """A rooted tree whose nodes are bijectively labeled by atom indices."""
-
-    root: int
-    children: dict[int, tuple[int, ...]]
-    label: dict[int, int]  # node id -> atom index
-
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(self.label)
-
-    def postorder(self) -> list[int]:
-        return _postorder(self.root, self.children)
-
-
-@dataclass
 class TreeDecomposition:
     """A rooted tree of variable bags covering every literal."""
 
@@ -56,9 +41,6 @@ class TreeDecomposition:
     @property
     def width(self) -> int:
         return max(len(bag) for bag in self.bags.values()) - 1
-
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(self.bags)
 
     def postorder(self) -> list[int]:
         return _postorder(self.root, self.children)
@@ -78,14 +60,16 @@ class NiceTreeDecomposition(TreeDecomposition):
 # --- GYO join-tree construction ----------------------------------------------
 
 
-def gyo_join_tree(query: Query) -> JoinTree | None:
+def gyo_join_tree(query: Query) -> TreeDecomposition | None:
     """Join tree of a positive single-disjunct query, or None if cyclic.
 
-    Ear removal: repeatedly drop the lowest-index atom whose shared variables
-    are covered by a single other atom (the lowest-index such witness becomes
-    its parent). The last remaining atom is the root.
+    Node i stands for atom i and has its variables as bag, so the join tree
+    is a tree decomposition. Ear removal: repeatedly drop the lowest-index
+    atom whose shared variables are covered by a single other atom (the
+    lowest-index such witness becomes its parent). The last remaining atom
+    is the root.
     """
-    if not query.is_single_positive:
+    if query.kind != "cq":
         raise ValueError("join trees are defined for positive single-disjunct queries")
     atoms = query.conjuncts[0].positive_atoms
     atom_vars = [a.variables for a in atoms]
@@ -109,10 +93,10 @@ def gyo_join_tree(query: Query) -> JoinTree | None:
     children: dict[int, list[int]] = {i: [] for i in range(len(atoms))}
     for child, par in sorted(parent.items()):
         children[par].append(child)
-    return JoinTree(
+    return TreeDecomposition(
         root=root,
         children={n: tuple(cs) for n, cs in children.items()},
-        label={i: i for i in range(len(atoms))},
+        bags=dict(enumerate(atom_vars)),
     )
 
 
@@ -412,59 +396,36 @@ def _connected(nodes_with: set[int], adj: dict[int, set[int]]) -> bool:
     return seen == nodes_with
 
 
-def _nodes_with(labels: dict[int, frozenset[str]]) -> dict[str, set[int]]:
-    """Per variable, the nodes whose label holds it."""
-    out: dict[str, set[int]] = {}
-    for node, variables in labels.items():
-        for v in variables:
-            out.setdefault(v, set()).add(node)
-    return out
+def validate_decomposition(structure: TreeDecomposition, query: Query) -> list[str]:
+    """All violated structural conditions, first one first; empty means valid.
 
-
-def _disconnected(conjunct: Conjunct, children: dict[int, tuple[int, ...]],
-                  nodes_with: dict[str, set[int]]) -> list[str]:
-    """A violation for each variable whose nodes induce no connected subtree."""
-    adj: dict[int, set[int]] = {}
-    for parent, kids in children.items():
-        for kid in kids:
-            adj.setdefault(parent, set()).add(kid)
-            adj.setdefault(kid, set()).add(parent)
-    return [
-        f"occurrences of variable {v} are disconnected"
-        for v in sorted(conjunct.variables)
-        if not _connected(nodes_with.get(v, set()), adj)
-    ]
-
-
-def validate_decomposition(structure: JoinTree | TreeDecomposition,
-                           query: Query) -> list[str]:
-    """All violated structural conditions, first one first; empty means valid."""
+    A join tree is checked as the tree decomposition it is.
+    """
     conjunct = query.conjuncts[0]
     violations: list[str] = []
-    if isinstance(structure, JoinTree):
-        atoms = conjunct.positive_atoms
-        shape = _tree_shape_violation(structure.root, structure.children,
-                                      structure.label)
-        if shape:
-            return [shape]
-        labels = sorted(structure.label.values())
-        if labels != list(range(len(atoms))):
-            violations.append(f"labeling is not a bijection onto atoms: {labels}")
-            return violations
-        return violations + _disconnected(conjunct, structure.children, _nodes_with(
-            {n: atoms[a].variables for n, a in structure.label.items()}))
-
     shape = _tree_shape_violation(structure.root, structure.children, structure.bags)
     if shape:
         return [shape]
-    nodes_with = _nodes_with(structure.bags)
+    nodes_with: dict[str, set[int]] = {}  # per variable, the nodes whose bag holds it
+    for node, bag in structure.bags.items():
+        for v in bag:
+            nodes_with.setdefault(v, set()).add(node)
     for i, literal in enumerate(conjunct.literals):
         variables = literal.variables
         # the bags holding some variable of the literal, or all of them
         near = nodes_with.get(min(variables), ()) if variables else structure.bags
         if not any(variables <= structure.bags[n] for n in near):
             violations.append(f"literal #{i} ({literal.atom.relation}) covered by no bag")
-    violations += _disconnected(conjunct, structure.children, nodes_with)
+    adj: dict[int, set[int]] = {}
+    for parent, kids in structure.children.items():
+        for kid in kids:
+            adj.setdefault(parent, set()).add(kid)
+            adj.setdefault(kid, set()).add(parent)
+    violations += [
+        f"occurrences of variable {v} are disconnected"
+        for v in sorted(conjunct.variables)
+        if not _connected(nodes_with.get(v, set()), adj)
+    ]
     if isinstance(structure, NiceTreeDecomposition):
         for node in structure.bags:
             kind = structure.kinds.get(node)

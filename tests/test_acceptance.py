@@ -61,7 +61,7 @@ class AcqRecord:
         atoms = query.conjuncts[0].positive_atoms
         self.tables = {}
         for node in self.jt.postorder():
-            table = dp_init(node, atoms[self.jt.label[node]], db, k, query.free_vars)
+            table = dp_init(node, atoms[node], db, k, query.free_vars)
             for child in self.jt.children.get(node, ()):
                 table = dp_merge(table, self.tables[child], db, query.free_vars)
             self.tables[node] = table

@@ -80,9 +80,9 @@ def test_dp_merge_disjoint_free_vars_adds_distances():
     q = parse_query("Q(x, y) :- R(x), S(x, y).")
     jt = gyo_join_tree(q)
     atoms = q.conjuncts[0].positive_atoms
-    root_atom = atoms[jt.label[jt.root]]
+    root_atom = atoms[jt.root]
     child_node = jt.children[jt.root][0]
-    child_atom = atoms[jt.label[child_node]]
+    child_atom = atoms[child_node]
     parent = dp_init(jt.root, root_atom, db, 2, q.free_vars)
     child = dp_init(child_node, child_atom, db, 2, q.free_vars)
     merged = dp_merge(parent, child, db, q.free_vars)
@@ -99,8 +99,8 @@ def test_dp_merge_drops_incompatible_pairs():
     jt = gyo_join_tree(q)
     atoms = q.conjuncts[0].positive_atoms
     child_node = jt.children[jt.root][0]
-    parent = dp_init(jt.root, atoms[jt.label[jt.root]], db, 1, q.free_vars)
-    child = dp_init(child_node, atoms[jt.label[child_node]], db, 1, q.free_vars)
+    parent = dp_init(jt.root, atoms[jt.root], db, 1, q.free_vars)
+    child = dp_init(child_node, atoms[child_node], db, 1, q.free_vars)
     merged = dp_merge(parent, child, db, q.free_vars)
     assert merged.entries == {}
 
@@ -209,7 +209,7 @@ def test_table_semantics_against_subtree_enumeration():
 
         tables = {}
         for node in jt.postorder():
-            table = dp_init(node, atoms[jt.label[node]], db, k, free)
+            table = dp_init(node, atoms[node], db, k, free)
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], db, free)
             tables[node] = table
@@ -218,12 +218,12 @@ def test_table_semantics_against_subtree_enumeration():
             stack = [node]
             while stack:
                 current = stack.pop()
-                subtree_atoms.append(atoms[jt.label[current]])
+                subtree_atoms.append(atoms[current])
                 stack.extend(jt.children.get(current, ()))
             subsols = conjunction_solutions(subtree_atoms, db)
             expected = set()
             index_of = {sol: i for i, sol in enumerate(table.sols)}
-            node_vars = atoms[jt.label[node]].variables
+            node_vars = atoms[node].variables
             subtree_vars = {v for a in subtree_atoms for v in a.variables}
             local_free = [x for x in free if x in subtree_vars]
             for combo in itertools.product(subsols, repeat=k):
@@ -253,7 +253,7 @@ def test_permutation_closure():
         atoms = query.conjuncts[0].positive_atoms
         tables = {}
         for node in jt.postorder():
-            table = dp_init(node, atoms[jt.label[node]], db, k, query.free_vars)
+            table = dp_init(node, atoms[node], db, k, query.free_vars)
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], db, query.free_vars)
             tables[node] = table
@@ -351,7 +351,7 @@ def test_sum_table_semantics_against_subtree_enumeration():
 
         tables = {}
         for node in jt.postorder():
-            table = dp_init(node, atoms[jt.label[node]], db, k, free, rule=FLAGS)
+            table = dp_init(node, atoms[node], db, k, free, rule=FLAGS)
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], db, free)
             tables[node] = table
@@ -360,11 +360,11 @@ def test_sum_table_semantics_against_subtree_enumeration():
             stack = [node]
             while stack:
                 current = stack.pop()
-                subtree_atoms.append(atoms[jt.label[current]])
+                subtree_atoms.append(atoms[current])
                 stack.extend(jt.children.get(current, ()))
             subsols = conjunction_solutions(subtree_atoms, db)
             index_of = {sol: i for i, sol in enumerate(table.sols)}
-            node_vars = atoms[jt.label[node]].variables
+            node_vars = atoms[node].variables
             subtree_vars = {v for a in subtree_atoms for v in a.variables}
             local_free = [x for x in free if x in subtree_vars]
             expected: dict = {}
@@ -404,7 +404,7 @@ def test_dup_table_semantics_against_subtree_enumeration():
 
         tables = {}
         for node in jt.postorder():
-            table = dp_init(node, atoms[jt.label[node]], db, k, free, rule=NONE)
+            table = dp_init(node, atoms[node], db, k, free, rule=NONE)
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], db, free)
             tables[node] = table
@@ -413,11 +413,11 @@ def test_dup_table_semantics_against_subtree_enumeration():
             stack = [node]
             while stack:
                 current = stack.pop()
-                subtree_atoms.append(atoms[jt.label[current]])
+                subtree_atoms.append(atoms[current])
                 stack.extend(jt.children.get(current, ()))
             subsols = conjunction_solutions(subtree_atoms, db)
             index_of = {sol: i for i, sol in enumerate(table.sols)}
-            node_vars = atoms[jt.label[node]].variables
+            node_vars = atoms[node].variables
             subtree_vars = {v for a in subtree_atoms for v in a.variables}
             local_free = [x for x in free if x in subtree_vars]
             expected: dict = {}
@@ -514,7 +514,7 @@ def _pairwise_consistent(jt, atoms, sols):
         for node in jt.postorder():
             for child in jt.children.get(node, ()):
                 for a, b in ((node, child), (child, node)):
-                    shared = sorted(atoms[jt.label[a]].variables & atoms[jt.label[b]].variables)
+                    shared = sorted(atoms[a].variables & atoms[b].variables)
                     seen = {tuple(s[v] for v in shared) for s in sols[b]}
                     kept = [s for s in sols[a] if tuple(s[v] for v in shared) in seen]
                     changed |= len(kept) < len(sols[a])
@@ -539,7 +539,7 @@ def test_full_reducer_keeps_root_entries():
             jt, reduced, stats = _traverse(query, db, k, free, rule, 10 ** 7)
             full, max_full = {}, 0
             for node in jt.postorder():
-                table = dp_init(node, atoms[jt.label[node]], db, k, free, rule=rule)
+                table = dp_init(node, atoms[node], db, k, free, rule=rule)
                 for child in jt.children.get(node, ()):
                     table = dp_merge(table, full[child], db, free)
                 full[node] = table
@@ -579,7 +579,7 @@ def test_dp_merge_matches_reference_merge():
         for rule in (EXACT, FLAGS, NONE):
             tables = {}
             for node in jt.postorder():
-                table = dp_init(node, atoms[jt.label[node]], db, k, free, rule=rule)
+                table = dp_init(node, atoms[node], db, k, free, rule=rule)
                 for child in jt.children.get(node, ()):
                     expected = reference_merge(table, tables[child], free)
                     table = dp_merge(table, tables[child], db, free)

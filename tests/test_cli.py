@@ -1,6 +1,7 @@
 import json
 import os
 
+import diverseq
 from diverseq.cli import RunConfig, canonical_json, main, run
 from diverseq.dbio import dump_database, dump_query, load_database
 from diverseq.model import SUM, Database, diversity_of_set
@@ -210,3 +211,9 @@ def test_golden_corpus_bit_exact():
         with open(os.path.join(case_dir, "expected.json"), encoding="utf-8") as fh:
             expected = fh.read()
         assert canonical_json(report, drop_volatile=True) == expected, case.name
+
+
+def test_every_export_resolves():
+    missing = [name for name in diverseq.__all__ if not hasattr(diverseq, name)]
+    assert missing == []
+    assert len(set(diverseq.__all__)) == len(diverseq.__all__)

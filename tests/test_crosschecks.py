@@ -12,11 +12,13 @@ import pytest
 
 from diverseq.acq import solve_acq, solve_acq_sum_dup
 from diverseq.cqneg import solve_cqneg
+from diverseq.errors import DiverseQError
 from diverseq.kernel import materialize_answers, solve_fo_diverse
 from diverseq.model import MIN, SUM, Database, custom_aggregator, diversity_of_set
 from diverseq.oracle import bruteforce_diversity, enumerate_answers
-from diverseq.queries import parse_query
-from helpers import random_cqneg_query, small_answer_instances
+from diverseq.queries import Atom, Conjunct, Constant, Literal, Query, Variable, parse_query
+from diverseq.structure import gyo_join_tree
+from helpers import random_cqneg_query, random_general_query, small_answer_instances
 
 
 def oracle_max(query, db, k, aggregator, **kw):
@@ -140,6 +142,64 @@ def test_constants_and_repeated_variables_across_engines():
         )
         achieved = routed.diversity if routed.decision else None
         assert achieved == oracle_best, text
+
+
+def _vary(rng, literals):
+    """The literals with some terms turned into constants (9 and "a" lie
+    outside every generated domain) or into a repeat of a variable of the
+    same atom."""
+    out = []
+    for lit in literals:
+        names = sorted(lit.variables)
+        terms = []
+        for term in lit.atom.terms:
+            roll = rng.random()
+            if roll < 0.2:
+                term = Constant(rng.choice([1, 2, 3, 9, "a"]))
+            elif roll < 0.4:
+                term = Variable(rng.choice(names))
+            terms.append(term)
+        out.append(Literal(Atom(lit.atom.relation, tuple(terms)), lit.positive))
+    return tuple(out)
+
+
+def test_materialize_matches_enumerate_randomized():
+    # Unions, cyclic queries and negation, with constants, repeated variables
+    # and an empty relation: the materialized answers are the oracle's.
+    rng = random.Random(1063)
+    checked, kinds, cyclic = 0, set(), 0
+    for i in range(240):
+        if i % 2:
+            query, db = random_general_query(rng)
+            while i % 4 == 1 and gyo_join_tree(query) is not None:
+                query, db = random_general_query(rng)  # every other one cyclic
+        else:
+            query, db = random_cqneg_query(rng, max_vars=4)
+        db.add_relation("Empty", 1, [])
+        literals = query.conjuncts[0].literals
+        disjuncts = [literals if i % 4 == 1 else _vary(rng, literals)]
+        if query.kind == "cq" and rng.random() < 0.5:
+            disjuncts.append(_vary(rng, literals))
+        if rng.random() < 0.25:
+            v = rng.choice(sorted(query.conjuncts[0].variables))
+            empty = Literal(Atom("Empty", (Variable(v),)), rng.random() < 0.5)
+            disjuncts[-1] += (empty,)
+        try:
+            varied = Query("Q", query.free_vars, tuple(Conjunct(c) for c in disjuncts))
+        except DiverseQError:
+            continue  # a constant took a variable's only positive occurrence
+        expected = {
+            tuple(a[v].payload for v in varied.free_vars)
+            for a in enumerate_answers(varied, db)
+        }
+        assert materialize_answers(varied, db).payload_rows() == expected, varied
+        checked += 1
+        kinds.add(varied.kind)
+        cyclic += varied.kind != "cqneg" and any(
+            gyo_join_tree(Query("Q", varied.free_vars, (c,))) is None
+            for c in varied.conjuncts
+        )
+    assert checked >= 150 and kinds == {"cq", "ucq", "cqneg"} and cyclic >= 40
 
 
 def test_all_engines_agree_on_acyclic_corpus():

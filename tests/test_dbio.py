@@ -163,3 +163,26 @@ def test_fact_file_non_ascii_digit_is_not_an_integer(tmp_path):
     path.write_text('R("\u0663").\nR(3).\n', encoding="utf-8")
     rows = {r[0].payload for r in load_database(str(path)).relations["R"].rows}
     assert rows == {"\u0663", 3}
+
+
+@pytest.mark.parametrize("text", [
+    "7", "\u0663", "007", "-0", "+7", "-", '"a#b"', '"\\\\"', '"\\n"', '"a\\"b"',
+    '"\\q"', '"abc', '"ab\\"',
+])
+def test_fact_and_query_constants_share_one_grammar(tmp_path, text):
+    # A constant reads the same in a fact file and in query text: both
+    # reject it, or both give the same payload.
+    path = tmp_path / "db.facts"
+    path.write_text(f"R({text}).\n", encoding="utf-8")
+    try:
+        [[fact]] = load_database(str(path)).relations["R"].rows
+        from_facts = fact.payload
+    except QuerySyntaxError:
+        from_facts = QuerySyntaxError
+    try:
+        [term] = parse_query(f"Q() :- R({text}).").conjuncts[0].literals[0].atom.terms
+        from_query = term.payload
+    except QuerySyntaxError:
+        from_query = QuerySyntaxError
+    assert from_facts == from_query
+    assert type(from_facts) is type(from_query)

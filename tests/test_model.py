@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diverseq.errors import IncompatibleAssignments, UnboundVariable
+from diverseq.errors import UnboundVariable
 from diverseq.model import (
     MIN,
     SUM,
@@ -77,21 +77,6 @@ def test_hamming_distance_unbound_raises():
     b = asg(y=2)
     with pytest.raises(UnboundVariable):
         hamming_distance(a, b, ["x"])
-
-
-def test_compatible_examples():
-    assert asg(x=1, y=2).compatible(asg(y=2, z=3))
-    assert not asg(x=1).compatible(asg(x=2))
-    assert asg(x=1).compatible(asg(z=9))
-
-
-def test_merge_and_intersect_examples():
-    merged = asg(x=1, y=2).merge(asg(y=2, z=3))
-    assert merged == asg(x=1, y=2, z=3)
-    assert asg(x=1, y=2).intersect(asg(y=5, z=3)) == asg(y=2)
-    assert Assignment().merge(asg(x=1)) == asg(x=1)
-    with pytest.raises(IncompatibleAssignments):
-        asg(x=1).merge(asg(x=2))
 
 
 def test_aggregate_examples():
@@ -211,12 +196,12 @@ def test_merge_distance_identity_randomized():
         g, gprime = Assignment(base_g), Assignment(gp)
         m, mprime = Assignment(base_m), Assignment(mp)
 
-        lhs = hamming_distance(g.merge(gprime), m.merge(mprime),
+        lhs = hamming_distance(Assignment({**g, **gprime}), Assignment({**m, **mprime}),
                                [v for v in xs if v in vars_a | vars_b])
         rhs = (
             hamming_distance(g, m, [v for v in xs if v in vars_a])
             + hamming_distance(gprime, mprime, [v for v in xs if v in vars_b])
-            - hamming_distance(g.intersect(gprime), m.intersect(mprime),
+            - hamming_distance(g.restrict(shared), m.restrict(shared),
                                [v for v in xs if v in shared])
         )
         assert lhs == rhs

@@ -35,14 +35,16 @@ def test_parse_plain_cq():
     q = parse_query("Q(v, x1) :- R(v), R1(v, x1).")
     assert q.kind == "cq"
     assert q.free_vars == ("v", "x1")
-    assert q.existential_vars(q.conjuncts[0]) == frozenset()
+    c = q.conjuncts[0]
+    assert c.variables - set(q.free_vars) == frozenset()
 
 
 def test_parse_cq_with_negation_and_existential():
     q = parse_query("Q(x) :- R(x, y), !S(x).")
     assert q.kind == "cqneg"
     assert q.free_vars == ("x",)
-    assert q.existential_vars(q.conjuncts[0]) == {"y"}
+    c = q.conjuncts[0]
+    assert c.variables - set(q.free_vars) == {"y"}
     assert q.conjuncts[0].literals[1].positive is False
 
 

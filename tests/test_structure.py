@@ -8,7 +8,7 @@ from diverseq.oracle import exhaustive_join_tree
 from diverseq.queries import parse_query
 from diverseq.structure import (
     _min_fill_order,
-    JoinTree,
+    TreeDecomposition,
     format_decomposition,
     gyo_join_tree,
     make_nice,
@@ -36,7 +36,7 @@ def test_single_atom_tree():
     q = parse_query("Q(x) :- R(x, y).")
     jt = gyo_join_tree(q)
     assert jt is not None
-    assert len(jt.label) == 1 and jt.root in jt.label
+    assert len(jt.bags) == 1 and jt.root in jt.bags
 
 
 def test_gyo_deterministic():
@@ -140,16 +140,7 @@ def test_make_nice_two_bag_path():
     assert validate_decomposition(nice, q) == []
 
 
-def test_validator_catches_duplicate_label():
-    q = parse_query("Q(x, y) :- R(x), S(x, y).")
-    bad = JoinTree(root=0, children={0: (1,), 1: ()}, label={0: 0, 1: 0})
-    report = validate_decomposition(bad, q)
-    assert report and "bijection" in report[0]
-
-
 def test_validator_catches_uncovered_literal():
-    from diverseq.structure import TreeDecomposition
-
     q = parse_query("Q(x, y) :- R(x, y), S(y).")
     bad = TreeDecomposition(root=0, children={0: ()}, bags={0: frozenset({"y"})})
     report = validate_decomposition(bad, q)
@@ -159,11 +150,12 @@ def test_validator_catches_uncovered_literal():
 def test_validator_catches_disconnected_variable():
     q = parse_query("Q(x, y, z) :- R(x, y), S(y, z), T(x).")
     # Put the two x-atoms at opposite ends of a path with S in between,
-    # then relabel so the shared variable's occurrences are split.
-    bad = JoinTree(
+    # so the shared variable's occurrences are split.
+    bad = TreeDecomposition(
         root=1,
         children={1: (0,), 0: (2,), 2: ()},
-        label={0: 1, 1: 0, 2: 2},  # R - S - T with S as root child chain
+        bags={0: frozenset({"y", "z"}), 1: frozenset({"x", "y"}),
+              2: frozenset({"x"})},  # R - S - T with S as root child chain
     )
     report = validate_decomposition(bad, q)
     assert any("disconnected" in line for line in report)
