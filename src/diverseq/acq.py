@@ -43,7 +43,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import CorruptProvenance, NotAcyclic, TableGuardExceeded
 from .model import (
@@ -52,6 +52,7 @@ from .model import (
     Assignment,
     Database,
     Outcome,
+    Value,
     hamming_distance,
     pair_order,
     pairwise_distances,
@@ -134,6 +135,17 @@ def _arrangements(projs: tuple, repeats: tuple, target: tuple) -> tuple[tuple[in
     return tuple(found)
 
 
+def _slot_maps(ctuple: tuple[int, ...], proj: Sequence, target: tuple) -> tuple[tuple[int, ...], ...]:
+    """`_arrangements` of a sorted child tuple whose slot s projects to
+    proj[ctuple[s]] onto `target`, a sorted rearrangement of those
+    projections."""
+    labels: dict = {}
+    relabeled = tuple([labels.setdefault(t, len(labels)) for t in target])
+    projs = tuple([labels[proj[c]] for c in ctuple])
+    repeats = tuple([a == b for a, b in zip(ctuple, ctuple[1:])])
+    return _arrangements(projs, repeats, relabeled)
+
+
 def _sorted_sols(atom: Atom, db: Database) -> list[Assignment]:
     var_order = sorted(atom.variables)
     return sorted(
@@ -155,62 +167,74 @@ def _distance_matrix(sols: Sequence[Assignment], variables: frozenset[str]) -> l
 
 @dataclass
 class DPTable:
-    """DP table at one join-tree node.
+    """DP table at one tree node: a join-tree atom or a decomposition bag.
 
-    entries maps (sorted partial-index tuple, state) to (best sum,
-    provenance): one (child node, child entry key, sigma) link per
-    already-merged child.
+    sols are the node's partial solutions over `variables`, sorted by their
+    value-index tuple over the sorted variables. entries maps (sorted tuple
+    of sol indices, state) to (best sum, provenance): one (child node, child
+    entry key, sigma) link per child merged in.
     """
 
     node: int
-    atom: Atom
-    sols: list[Assignment]
+    variables: frozenset[str]
+    sols: list[Mapping[str, Value]]
     k: int
     rule: StateRule = EXACT
     entries: dict[tuple, tuple] = field(default_factory=dict)
 
-    def check_bound(self, db: Database, free_count: int) -> None:
-        k = self.k
+    def guard(self, table_cap: int) -> None:
+        if len(self.entries) > table_cap:
+            raise TableGuardExceeded(
+                f"table at node {self.node} exceeded {table_cap} entries"
+            )
+
+    def check_bound(self, free_count: int) -> None:
+        k, n = self.k, len(self.sols)
         if self.rule is NONE:
-            bound = math.comb(len(self.sols) + k - 1, k)
+            bound = math.comb(n + k - 1, k)
             assert all(tuple(sorted(key[0])) == key[0] for key in self.entries), \
                 "unsorted entry key"
         else:
-            bound = db.max_relation_size() ** k * (free_count + 1) ** len(pair_order(k))
+            bound = n ** k * (free_count + 1) ** len(pair_order(k))
         assert len(self.entries) <= bound, (
             f"table at node {self.node} holds {len(self.entries)} entries, "
             f"bound is {bound}"
         )
 
 
-def dp_init(node: int, atom: Atom, db: Database, k: int,
+def dp_init(node: int, atom: Atom | frozenset[str], db: Database, k: int,
             free_vars: Sequence[str], *, rule: StateRule = EXACT,
-            sols: list[Assignment] | None = None,
+            sols: list[Mapping[str, Value]] | None = None,
             table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
-    """Initial table: every sorted k-tuple of the atom's solutions with the
-    state and the sum of its distances. `sols` defaults to all of them, in
-    `_sorted_sols` order.
+    """Initial table: every sorted k-tuple of the node's sols with the state
+    and the sum of its distances. The node is an atom, whose sols default to
+    all its solutions in `_sorted_sols` order, or the variables of a bag
+    whose sols are given.
 
     The guard counts the n^k slot tuples a stateful table stands for, and
     the C(n + k - 1, k) sorted ones a stateless table stores.
     """
-    if sols is None:
-        sols = _sorted_sols(atom, db)
+    if isinstance(atom, Atom):
+        variables = atom.variables
+        if sols is None:
+            sols = _sorted_sols(atom, db)
+    else:
+        variables = atom
     n = len(sols)
     size = math.comb(n + k - 1, k) if rule is NONE else n ** k
     if size > table_cap:
         raise TableGuardExceeded(
-            f"initial table at node {node}: atom has {n} rows, {size} slot tuples"
+            f"initial table at node {node}: {n} partial solutions, {size} slot tuples"
         )
-    dist = _distance_matrix(sols, frozenset(free_vars) & atom.variables)
+    dist = _distance_matrix(sols, frozenset(free_vars) & variables)
     pairs = pair_order(k)
     state = rule.state
-    table = DPTable(node=node, atom=atom, sols=sols, k=k, rule=rule)
+    table = DPTable(node=node, variables=variables, sols=sols, k=k, rule=rule)
     entries = table.entries
     for ptuple in itertools.combinations_with_replacement(range(n), k):
         vec = tuple([dist[ptuple[i]][ptuple[j]] for i, j in pairs])
         entries[(ptuple, state(vec))] = (sum(vec), ())
-    table.check_bound(db, len(free_vars))
+    table.check_bound(len(free_vars))
     return table
 
 
@@ -224,7 +248,7 @@ class _Join:
     """
 
     def __init__(self, parent: DPTable, child: DPTable, free_vars: Sequence[str]) -> None:
-        shared = sorted(parent.atom.variables & child.atom.variables)
+        shared = sorted(parent.variables & child.variables)
         self.proj_p = [tuple(a[v].index for v in shared) for a in parent.sols]
         proj_c = self.proj_c = [tuple(a[v].index for v in shared) for a in child.sols]
         # Distances on the shared free variables, which both sides count.
@@ -244,14 +268,6 @@ class _Join:
             bucket_key = tuple(sorted([proj_c[c] for c in ctuple]))
             self.buckets.setdefault(bucket_key, []).append(ctuple)
         self._aligned: dict[tuple, list] = {}
-
-    def slot_maps(self, ctuple: tuple[int, ...], target: tuple) -> tuple[tuple[int, ...], ...]:
-        """The slot maps of a child tuple of `target`'s bucket onto it."""
-        labels: dict[tuple, int] = {}
-        relabeled = tuple([labels.setdefault(t, len(labels)) for t in target])
-        projs = tuple([labels[self.proj_c[c]] for c in ctuple])
-        repeats = tuple([a == b for a, b in zip(ctuple, ctuple[1:])])
-        return _arrangements(projs, repeats, relabeled)
 
     def aligned(self, ptuple: tuple[int, ...]) -> list[tuple[tuple, tuple, tuple, int]]:
         """(child key, sigma, child state read through sigma, child sum) for
@@ -274,13 +290,13 @@ class _Join:
                     if tuple([self.proj_c[c] for c in ctuple]) == target:
                         sigma = self.identity
                     else:
-                        sigma = self.slot_maps(ctuple, target)[0]
+                        sigma = _slot_maps(ctuple, self.proj_c, target)[0]
                     found.append(((ctuple, ()), sigma, (), sums[ctuple]))
             else:
                 entries = self.child.entries
                 for ctuple in ctuples:
                     keys = self.child_keys[ctuple]
-                    for sigma in self.slot_maps(ctuple, target):
+                    for sigma in _slot_maps(ctuple, self.proj_c, target):
                         pmap = _pair_map(sigma)
                         found.extend(
                             (ckey, sigma, tuple([ckey[1][m] for m in pmap]), entries[ckey][0])
@@ -297,12 +313,13 @@ def dp_merge(parent: DPTable, child: DPTable, db: Database,
     Compatible entry pairs combine their states and add their sums, less
     the distance already counted on the shared variables (which exact
     states subtract too). Per new key, the first candidate with the highest
-    sum donates provenance.
+    sum donates provenance. `db` is not read: the size bound counts the
+    parent's own sols.
     """
     rule = parent.rule
     join = _Join(parent, child, free_vars)
-    merged = DPTable(node=parent.node, atom=parent.atom, sols=parent.sols, k=parent.k,
-                     rule=rule)
+    merged = DPTable(node=parent.node, variables=parent.variables, sols=parent.sols,
+                     k=parent.k, rule=rule)
     out = merged.entries
     combine, exact = rule.combine, rule.exact
     corr, pairs = join.corr, pair_order(parent.k)
@@ -323,11 +340,8 @@ def dp_merge(parent: DPTable, child: DPTable, db: Database,
             prior = out.get(new_key)
             if prior is None or total > prior[0]:
                 out[new_key] = (total, refs + ((child.node, ckey, sigma),))
-                if len(out) > table_cap:
-                    raise TableGuardExceeded(
-                        f"merge at node {parent.node} exceeded {table_cap} entries"
-                    )
-    merged.check_bound(db, len(free_vars))
+        merged.guard(table_cap)
+    merged.check_bound(len(free_vars))
     return merged
 
 

@@ -1,33 +1,45 @@
 """Diversity solver for conjunctive queries with negation, bounded treewidth.
 
-The dynamic program walks a nice tree decomposition bottom-up. Entries pair a
-k-tuple of bag assignments with the pairwise free-variable distances their
+The dynamic program walks a nice tree decomposition bottom-up. Each node's
+table is an `acq.DPTable` whose sols are bag assignments; an entry pairs a
+sorted k-tuple of them with the pairwise free-variable distances their
 extensions below the node realize:
 
-    leaf       enumerate all bag assignments satisfying the covered literals
-    introduce  cross with the candidate values of the new variable, re-check
-               coverage
-    forget     project the forgotten variable away, coalescing duplicates
-    join       match identical bag tuples, add distances, subtract the overlap
+    leaf       all sorted k-tuples of the bag assignments satisfying the
+               covered literals (`dp_init`)
+    introduce  extend each slot by the new variable's candidate values that
+               keep the covered literals true, re-sort, add their distances
+    forget     project the variable away and re-sort, one entry per
+               arrangement of the slots that become equal
+    join       match equal tuples, add distances, subtract the overlap
+
+A rule that re-sorts records its slot map in the provenance link, so the
+root is decided by `dp_finalize` and the witness rebuilt by `extract_witness`
+exactly as in the join-tree solver.
 
 A variable ranges only over its candidate values: those in its column of
 every positive atom that mentions it. That loses no answer, and no node
 table loses an entry that can reach the root: the query is safe, and every
 positive atom mentioning a variable is covered below the node that forgets
 it, so an assignment outside the candidates fails there at the latest.
-
-Provenance mirrors the join-tree solver, so witnesses reconstruct the same way.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
 
-from .acq import DEFAULT_TABLE_CAP
-from .errors import CorruptProvenance, TableGuardExceeded
+from .acq import (
+    DEFAULT_TABLE_CAP,
+    DPTable,
+    _distance_matrix,
+    _pair_map,
+    _slot_maps,
+    dp_finalize,
+    dp_init,
+    extract_witness,
+)
+from .errors import TableGuardExceeded
 from .model import (
     Aggregator,
     Assignment,
@@ -35,7 +47,6 @@ from .model import (
     Outcome,
     Value,
     pair_order,
-    pairwise_distances,
 )
 from .queries import Literal, Query, Variable, relation_of, satisfies_literal
 from .structure import (
@@ -45,20 +56,6 @@ from .structure import (
     tree_decompose,
     validate_decomposition,
 )
-
-
-@dataclass
-class BagTable:
-    """Table at one decomposition node: (bag tuples, distance vector) -> refs.
-
-    Bag assignments are value-index tuples over the sorted bag variables;
-    refs holds one (child node, child entry key) provenance link per child.
-    """
-
-    node: int
-    bag: tuple[str, ...]
-    k: int
-    entries: dict[tuple, tuple] = field(default_factory=dict)
 
 
 class BagSolver:
@@ -75,9 +72,7 @@ class BagSolver:
         self.free = frozenset(query.free_vars)
         self.pairs = pair_order(k)
         self.literals: tuple[Literal, ...] = query.conjuncts[0].literals
-        self.tables: dict[int, BagTable] = {}
-        self.width = ntd.width
-        self.max_table = 0
+        self.tables: dict[int, DPTable] = {}
         self.candidates = self._candidate_values()
         # Literal positions per variable, so a bag's covered literals are
         # found without scanning the whole query; a ground literal is
@@ -123,146 +118,138 @@ class BagSolver:
             raise TableGuardExceeded(
                 f"bag enumeration at node {node} exceeds {self.table_cap}"
             )
-        out = []
-        for combo in itertools.product(*options):
-            assignment = Assignment(
-                {v: self.domain[idx] for v, idx in zip(order, combo)}
-            )
-            if all(satisfies_literal(lit, assignment, self.db) for lit in lits):
-                out.append(combo)
-        return out
+        return [combo for combo in itertools.product(*options)
+                if self.satisfies(order, combo, lits)]
 
-    def x_positions(self, order: Sequence[str]) -> list[int]:
-        return [i for i, v in enumerate(order) if v in self.free]
+    def satisfies(self, order: tuple[str, ...], part: tuple[int, ...],
+                  lits: list[Literal]) -> bool:
+        """Whether the bag assignment with index tuple `part` satisfies lits."""
+        assignment = {v: self.domain[i] for v, i in zip(order, part)}
+        return all(satisfies_literal(lit, assignment, self.db) for lit in lits)
 
-    def check_bound(self, table: BagTable) -> None:
-        bound = (
-            len(self.domain) ** (self.k * (self.width + 1))
-            * (len(self.free) + 1) ** len(self.pairs)
-        )
-        assert len(table.entries) <= bound, (
-            f"bag table at node {table.node} holds {len(table.entries)} entries, "
-            f"bound is {bound}"
-        )
-        self.max_table = max(self.max_table, len(table.entries))
+    def parts(self, node: int) -> list[tuple[int, ...]]:
+        """Value-index tuples, over the sorted bag, of a built node's sols."""
+        order = self.bag_order(node)
+        return [tuple([a[v].index for v in order]) for a in self.tables[node].sols]
 
-    def guard(self, table: BagTable) -> None:
-        if len(table.entries) > self.table_cap:
-            raise TableGuardExceeded(
-                f"table at node {table.node} exceeded {self.table_cap} entries"
-            )
+    def new_table(self, node: int, parts: list[tuple[int, ...]]) -> tuple[DPTable, dict]:
+        """An empty table whose sols are the bag assignments with the index
+        tuples `parts`, sorted, and each tuple's position among them."""
+        parts = sorted(parts)
+        order = self.bag_order(node)
+        sols = [{v: self.domain[i] for v, i in zip(order, p)} for p in parts]
+        table = DPTable(node=node, variables=self.ntd.bags[node], sols=sols, k=self.k)
+        return table, {p: n for n, p in enumerate(parts)}
 
     # -- node rules ----------------------------------------------------------
 
-    def leaf(self, node: int) -> BagTable:
-        order = self.bag_order(node)
-        sat = self.satisfying_tuples(node)
-        if len(sat) ** self.k > self.table_cap:
-            raise TableGuardExceeded(
-                f"leaf table at node {node} would hold {len(sat) ** self.k} entries"
-            )
-        xpos = self.x_positions(order)
-        table = BagTable(node=node, bag=order, k=self.k)
-        for ptuple in itertools.product(sat, repeat=self.k):
-            dvec = tuple(
-                sum(1 for p in xpos if ptuple[i][p] != ptuple[j][p])
-                for i, j in self.pairs
-            )
-            table.entries[(ptuple, dvec)] = ()
-        self.check_bound(table)
-        return table
+    def leaf(self, node: int) -> DPTable:
+        bag, _ = self.new_table(node, self.satisfying_tuples(node))
+        return dp_init(node, bag.variables, self.db, self.k, self.query.free_vars,
+                       sols=bag.sols, table_cap=self.table_cap)
 
-    def introduce(self, node: int, child: int, z: str) -> BagTable:
+    def introduce(self, node: int, child: int, z: str) -> DPTable:
         child_table = self.tables[child]
         order = self.bag_order(node)
         zpos = order.index(z)
-        z_free = z in self.free
         lits = self.covered_literals(self.ntd.bags[node])
-        z_values = self.candidates[z]
+        # Per child sol: the (z value, extended part) pairs that keep the
+        # covered literals true.
+        extensions = []
+        for part in self.parts(child):
+            ext = [(idx, part[:zpos] + (idx,) + part[zpos:]) for idx in self.candidates[z]]
+            extensions.append([(idx, e) for idx, e in ext if self.satisfies(order, e, lits)])
+        table, index = self.new_table(node, [e for ext in extensions for _, e in ext])
+        options = [[(idx, index[e]) for idx, e in ext] for ext in extensions]
 
-        # Per distinct child assignment: the satisfying extensions with z.
-        extension_cache: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
-
-        def extensions(cpart: tuple) -> list[tuple[int, tuple[int, ...]]]:
-            cached = extension_cache.get(cpart)
-            if cached is not None:
-                return cached
-            found = []
-            for idx in z_values:
-                extended = cpart[:zpos] + (idx,) + cpart[zpos:]
-                assignment = Assignment(
-                    {v: self.domain[i] for v, i in zip(order, extended)}
-                )
-                if all(satisfies_literal(lit, assignment, self.db) for lit in lits):
-                    found.append((idx, extended))
-            extension_cache[cpart] = found
-            return found
-
-        table = BagTable(node=node, bag=order, k=self.k)
+        k, pairs, z_free = self.k, self.pairs, z in self.free
         out = table.entries
-        for (ptuple, dvec), _ in child_table.entries.items():
-            slot_options = [extensions(part) for part in ptuple]
-            if any(not opts for opts in slot_options):
-                continue
-            for chosen in itertools.product(*slot_options):
-                new_parts = tuple(ext for _, ext in chosen)
-                if z_free:
-                    new_dvec = tuple(
-                        dvec[n] + (1 if chosen[i][0] != chosen[j][0] else 0)
-                        for n, (i, j) in enumerate(self.pairs)
-                    )
-                else:
-                    new_dvec = dvec
-                key = (new_parts, new_dvec)
+        # One slot map per product: slots that become equal came from equal
+        # child slots, whose other order the product also yields.
+        moves: dict[tuple, list] = {}  # child tuple -> (tuple, sigma, pair map, z distances)
+        for ckey in child_table.entries:
+            ctuple, cvec = ckey
+            found = moves.get(ctuple)
+            if found is None:
+                found = moves[ctuple] = []
+                for chosen in itertools.product(*[options[c] for c in ctuple]):
+                    new = [n for _, n in chosen]
+                    sigma = tuple(sorted(range(k), key=new.__getitem__))
+                    zs = [chosen[s][0] for s in sigma]
+                    zdist = [int(z_free and zs[i] != zs[j]) for i, j in pairs]
+                    found.append((tuple([new[s] for s in sigma]), sigma, _pair_map(sigma), zdist))
+            for ntuple, sigma, pmap, zdist in found:
+                vec = tuple([cvec[m] + d for m, d in zip(pmap, zdist)])
+                key = (ntuple, vec)
                 if key not in out:
-                    out[key] = ((child, (ptuple, dvec)),)
-            self.guard(table)
-        self.check_bound(table)
+                    out[key] = (sum(vec), ((child, ckey, sigma),))
+            table.guard(self.table_cap)
+        table.check_bound(len(self.free))
         return table
 
-    def forget(self, node: int, child: int, z: str) -> BagTable:
+    def forget(self, node: int, child: int, z: str) -> DPTable:
         child_table = self.tables[child]
-        child_order = self.bag_order(child)
-        zpos = child_order.index(z)
-        order = self.bag_order(node)
-        table = BagTable(node=node, bag=order, k=self.k)
-        out = table.entries
-        for (ptuple, dvec) in child_table.entries:
-            projected = tuple(p[:zpos] + p[zpos + 1:] for p in ptuple)
-            key = (projected, dvec)
-            if key not in out:
-                out[key] = ((child, (ptuple, dvec)),)
-        self.check_bound(table)
+        zpos = self.bag_order(child).index(z)
+        projected = [p[:zpos] + p[zpos + 1:] for p in self.parts(child)]
+        table, index = self.new_table(node, list(set(projected)))
+        proj = [index[p] for p in projected]  # child sol -> node sol
+        k, out = self.k, table.entries
+        moves: dict[tuple, list] = {}  # child tuple -> (tuple, sigma, pair map)
+        for ckey, (value, _) in child_table.entries.items():
+            ctuple, cvec = ckey
+            found = moves.get(ctuple)
+            if found is None:
+                projs = [proj[c] for c in ctuple]
+                target = tuple(sorted(projs))
+                if len(set(target)) < k:  # slots project alike: every arrangement
+                    sigmas = _slot_maps(ctuple, proj, target)
+                else:
+                    sigmas = (tuple(sorted(range(k), key=projs.__getitem__)),)
+                found = moves[ctuple] = [(target, s, _pair_map(s)) for s in sigmas]
+            for target, sigma, pmap in found:
+                key = (target, tuple([cvec[m] for m in pmap]))
+                if key not in out:
+                    out[key] = (value, ((child, ckey, sigma),))
+        table.guard(self.table_cap)
+        table.check_bound(len(self.free))
         return table
 
-    def join(self, node: int, left: int, right: int) -> BagTable:
+    def join(self, node: int, left: int, right: int) -> DPTable:
         left_table = self.tables[left]
         right_table = self.tables[right]
-        order = self.bag_order(node)
-        xpos = self.x_positions(order)
+        lparts = self.parts(left)
+        rindex = {p: n for n, p in enumerate(self.parts(right))}
+        # The node's sols are the bag assignments both sides hold; both sides
+        # sort them alike, so a sorted tuple maps to a sorted tuple.
+        kept = [n for n, p in enumerate(lparts) if p in rindex]
+        to_node = {l: n for n, l in enumerate(kept)}
+        table = DPTable(node=node, variables=self.ntd.bags[node],
+                        sols=[left_table.sols[l] for l in kept], k=self.k)
+        overlap = _distance_matrix(table.sols, self.free & table.variables)
         buckets: dict[tuple, list[tuple]] = {}
-        for (ptuple, dvec) in right_table.entries:
-            buckets.setdefault(ptuple, []).append((ptuple, dvec))
-        table = BagTable(node=node, bag=order, k=self.k)
+        for rkey in right_table.entries:
+            buckets.setdefault(rkey[0], []).append(rkey)
+        pairs, identity = self.pairs, tuple(range(self.k))
         out = table.entries
-        for (ptuple, dvec) in left_table.entries:
-            matches = buckets.get(ptuple)
-            if not matches:
-                continue
-            overlap = tuple(
-                sum(1 for p in xpos if ptuple[i][p] != ptuple[j][p])
-                for i, j in self.pairs
-            )
-            for rkey in matches:
-                rdvec = rkey[1]
-                combined = tuple(
-                    dvec[n] + rdvec[n] - overlap[n] for n in range(len(self.pairs))
-                )
-                key = (ptuple, combined)
+        matched: dict[tuple, tuple] = {}  # left tuple -> (tuple, overlap, right keys)
+        for lkey in left_table.entries:
+            ltuple, lvec = lkey
+            found = matched.get(ltuple)
+            if found is None:
+                found = (None, None, ())
+                if all(l in to_node for l in ltuple):
+                    ntuple = tuple([to_node[l] for l in ltuple])
+                    rkeys = buckets.get(tuple([rindex[lparts[l]] for l in ltuple]), ())
+                    found = (ntuple, [overlap[ntuple[i]][ntuple[j]] for i, j in pairs], rkeys)
+                matched[ltuple] = found
+            ntuple, ovec, rkeys = found
+            for rkey in rkeys:
+                vec = tuple([a + b - o for a, b, o in zip(lvec, rkey[1], ovec)])
+                key = (ntuple, vec)
                 if key not in out:
-                    out[key] = ((left, (ptuple, dvec)), (right, rkey))
-            self.guard(table)
-        self.check_bound(table)
+                    out[key] = (sum(vec), ((left, lkey, identity), (right, rkey, identity)))
+            table.guard(self.table_cap)
+        table.check_bound(len(self.free))
         return table
 
     # -- driver ----------------------------------------------------------------
@@ -282,24 +269,7 @@ class BagSolver:
             self.tables[node] = table
 
     def witness(self, root_key: tuple) -> tuple[Assignment, ...]:
-        collected: list[dict] = [dict() for _ in range(self.k)]
-        stack = [(self.ntd.root, root_key)]
-        while stack:
-            node, key = stack.pop()
-            table = self.tables[node]
-            for i in range(self.k):
-                for v, idx in zip(table.bag, key[0][i]):
-                    value = self.domain[idx]
-                    prior = collected[i].get(v)
-                    if prior is not None and prior != value:
-                        raise CorruptProvenance(f"conflicting bindings for {v}")
-                    collected[i][v] = value
-            stack.extend(table.entries[key])
-        xs = list(self.query.free_vars)
-        out = tuple(Assignment(b).restrict(xs) for b in collected)
-        if tuple(pairwise_distances(out, xs)) != root_key[1]:
-            raise CorruptProvenance("witness distances disagree with the kept entry")
-        return out
+        return extract_witness(self.tables, root_key, self.ntd, self.query.free_vars)
 
 
 def solve_cqneg(query: Query, db: Database, k: int, d: float | None,
@@ -323,23 +293,13 @@ def solve_cqneg(query: Query, db: Database, k: int, d: float | None,
         else make_nice(decomposition)
     solver = BagSolver(query, db, k, ntd, table_cap)
     solver.run()
-
-    best_key, best = None, None
-    for key in solver.tables[ntd.root].entries:
-        dvec = key[1]
-        if not allow_duplicates and any(x == 0 for x in dvec):
-            continue
-        value = aggregator.aggregate(dvec)
-        if best is None or value > best:
-            best_key, best = key, value
-    decision = best is not None and (d is None or best >= d)
-    solution = None
-    if decision and witness and best_key is not None:
-        solution = solver.witness(best_key)
+    decision, best_key, best = dp_finalize(solver.tables[ntd.root], aggregator, d,
+                                           allow_duplicates)
+    solution = solver.witness(best_key) if decision and witness else None
     stats = {
         "nodes": len(ntd.bags),
         "width": ntd.width,
-        "max_table": solver.max_table,
+        "max_table": max(len(table.entries) for table in solver.tables.values()),
         "k": k,
     }
     return Outcome(decision, best, solution, stats=stats)

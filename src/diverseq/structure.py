@@ -410,6 +410,10 @@ def validate_decomposition(structure: TreeDecomposition, query: Query) -> list[s
     for node, bag in structure.bags.items():
         for v in bag:
             nodes_with.setdefault(v, set()).add(node)
+    violations += [
+        f"bag variable {v} is not a variable of the query"
+        for v in sorted(nodes_with.keys() - conjunct.variables)
+    ]
     for i, literal in enumerate(conjunct.literals):
         variables = literal.variables
         # the bags holding some variable of the literal, or all of them
@@ -491,13 +495,15 @@ def parse_decomposition(text: str) -> TreeDecomposition:
             elif parts[0] == "edge" and len(parts) == 3:
                 edges.append((int(parts[1]), int(parts[2])))
             elif parts[0] == "root" and len(parts) == 2:
-                root = int(parts[1])
+                root, root_line = int(parts[1]), lineno
             else:
                 raise ValueError(item)
         except ValueError:
             raise QuerySyntaxError(f"bad decomposition item {item!r}", lineno, 1) from None
     if root is None:
         raise QuerySyntaxError("decomposition lacks a root line", len(items), 1)
+    if root not in bags:
+        raise QuerySyntaxError(f"root {root} is not a declared node", root_line, 1)
     adj: dict[int, set[int]] = {n: set() for n in bags}
     for a, b in edges:
         if a not in bags or b not in bags:

@@ -281,7 +281,7 @@ def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
     k, rule = parent.k, parent.rule.name
     pairs = pair_order(k)
     pos = {p: n for n, p in enumerate(pairs)}
-    shared = sorted(parent.atom.variables & child.atom.variables)
+    shared = sorted(parent.variables & child.variables)
     shared_free = [v for v in shared if v in free_vars]
     by_tuple: dict[tuple, list[tuple]] = {}
     for ckey in child.entries:

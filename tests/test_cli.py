@@ -1,7 +1,10 @@
 import json
 import os
 
+import pytest
+
 import diverseq
+import make_goldens
 from diverseq.cli import RunConfig, canonical_json, main, run
 from diverseq.dbio import dump_database, dump_query, load_database
 from diverseq.model import SUM, Database, diversity_of_set
@@ -149,6 +152,25 @@ def test_decomposition_flag(tmp_path):
     assert code == 0 and report["decision"] == "yes"
 
 
+@pytest.mark.parametrize("text, code", [
+    ("node 0 bag x,y\nroot 5\n", "QuerySyntaxError"),  # the root is no node
+    ("root 0\n", "QuerySyntaxError"),  # no node at all
+    ("node 0 bag x,y,w\nroot 0\n", "ValueError"),  # w is not in the query
+])
+def test_bad_decomposition_file_is_a_typed_error(tmp_path, text, code):
+    db_path, query_path = write_fixture(
+        tmp_path, {"R": [(1, 1), (1, 2)], "S": [(1,)]}, "Q(x, y) :- R(x, y), !S(x).",
+    )
+    td_path = tmp_path / "dec.txt"
+    td_path.write_text(text)
+    exit_code, report = run(base_config(
+        db_path, query_path, decomposition_path=str(td_path), mode="cqneg",
+    ))
+    assert exit_code == 2
+    assert report["error"]["code"] == code
+    assert "traceback" not in report["error"]
+
+
 def test_csv_directory_matches_fact_file(tmp_path):
     rows = {"R": [(1,), (2,)], "R1": [(1, 0), (2, 0)]}
     db_path, query_path = write_fixture(
@@ -211,6 +233,11 @@ def test_golden_corpus_bit_exact():
         with open(os.path.join(case_dir, "expected.json"), encoding="utf-8") as fh:
             expected = fh.read()
         assert canonical_json(report, drop_volatile=True) == expected, case.name
+
+
+def test_golden_files_match_their_generator():
+    # db.facts, query.dq and config.json as well as expected.json
+    assert make_goldens.drift() == []
 
 
 def test_every_export_resolves():

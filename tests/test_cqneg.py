@@ -39,9 +39,8 @@ def test_leaf_rule_counts_survivors():
     table = solver.leaf(leaf)
     # of the 4 grid assignments, (1,1) violates the negated literal
     assert len(table.entries) == 3
-    values = {
-        tuple(db.domain[i].payload for i in key[0][0]) for key in table.entries
-    }
+    sols = [table.sols[key[0][0]] for key in table.entries]
+    values = {(a["x"].payload, a["y"].payload) for a in sols}
     assert values == {(1, 2), (2, 1), (2, 2)}
 
 
@@ -50,10 +49,12 @@ def test_leaf_rule_k2_pairs_with_distances():
     solver, ntd = solver_for(q, db, 2)
     leaf = next(n for n, kind in ntd.kinds.items() if kind == "leaf")
     table = solver.leaf(leaf)
-    assert len(table.entries) == 9
+    # the sorted pairs of the 3 survivors: 3 distinct, 3 repeated
+    assert len(table.entries) == 6
     for (ptuple, dvec) in table.entries:
-        a, b = ptuple
-        expected = sum(1 for p, r in zip(a, b) if p != r)
+        a, b = (table.sols[i] for i in ptuple)
+        assert ptuple == tuple(sorted(ptuple))
+        expected = sum(1 for v in ("x", "y") if a[v] != b[v])
         assert dvec == (expected,)
 
 
@@ -71,7 +72,8 @@ def test_leaf_rule_uncovered_bag_admits_every_candidate():
     candidates = column_candidates(q, db)
     assert {v.payload for v in candidates["y"]} == {2, 4}
     assert {v.payload for v in candidates["x"]} == {1}
-    assert set(table.entries) == {(((v.index,),), ()) for v in candidates["y"]}
+    assert {(table.sols[key[0][0]]["y"], key[1]) for key in table.entries} == \
+        {(v, ()) for v in candidates["y"]}
 
 
 def test_introduce_existential_keeps_distances():
@@ -181,21 +183,24 @@ def test_witness_contract_random_cqneg():
 
 def test_node_tables_match_witness_semantics():
     # e in D_t iff solutions of the subtree's covered literals extend e,
-    # every variable taking one of its candidate values.
+    # every variable taking one of its candidate values. A table stores the
+    # entries of D_t at sorted tuples of its sols.
     rng = random.Random(79)
-    for n in range(16):
+    joins = {2: 0, 3: 0}
+    for n in range(100):
         query, db = random_cqneg_query(rng, max_vars=4, dom_size=2)
         if n % 2:
             # values no positive atom holds are nobody's candidates
             db.add_relation("U", 1, [(7,), (8,)])
         candidates = column_candidates(query, db)
-        k = 2
+        k = 2 if n < 16 else 3
         ntd = make_nice(tree_decompose(query, "exact"))
         solver = BagSolver(query, db, k, ntd, table_cap=10 ** 7)
         solver.run()
         literals = query.conjuncts[0].literals
         free = query.free_vars
         for node in ntd.postorder():
+            joins[k] += ntd.kinds[node] == "join"
             subtree_bags = [ntd.bags[node]]
             stack = list(ntd.children.get(node, ()))
             while stack:
@@ -216,12 +221,20 @@ def test_node_tables_match_witness_semantics():
                 ptuple = tuple(
                     tuple(g[v].index for v in order) for g in combo
                 )
+                if ptuple != tuple(sorted(ptuple)):
+                    continue
                 dvec = tuple(
                     sum(1 for x in local_free if combo[i][x] != combo[j][x])
                     for i in range(k) for j in range(i + 1, k)
                 )
                 expected.add((ptuple, dvec))
-            assert set(solver.tables[node].entries) == expected
+            parts = solver.parts(node)
+            stored = {
+                (tuple(parts[i] for i in ptuple), dvec)
+                for ptuple, dvec in solver.tables[node].entries
+            }
+            assert stored == expected
+    assert joins[3] >= 10, joins
 
 
 def test_negation_free_matches_acq():

@@ -54,14 +54,22 @@ def test_gyo_handles_disconnected_queries():
 
 
 def test_gyo_matches_exhaustive_search():
+    # Few random queries are cyclic, so every third one is redrawn until the
+    # exhaustive search finds no join tree.
     rng = random.Random(23)
-    for _ in range(150):
+    cyclic = 0
+    for n in range(150):
         query, _ = random_general_query(rng, max_atoms=4)
-        ours = gyo_join_tree(query)
         exhaustive = exhaustive_join_tree(query)
+        while n % 3 == 0 and exhaustive is not None:
+            query, _ = random_general_query(rng, max_atoms=4)
+            exhaustive = exhaustive_join_tree(query)
+        ours = gyo_join_tree(query)
         assert (ours is None) == (exhaustive is None)
+        cyclic += exhaustive is None
         if ours is not None:
             assert validate_decomposition(ours, query) == []
+    assert cyclic >= 40, cyclic
 
 
 def test_tree_decompose_single_edge():
