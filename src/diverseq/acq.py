@@ -34,6 +34,14 @@ stored one with every slot permutation applied. A merge lines a sorted child
 tuple up with a sorted parent tuple through a slot map sigma (parent slot i
 reads child slot sigma[i]), reads the child's per-pair values through it, and
 records sigma in the provenance link.
+
+Joins are mostly functional: the shared variables of a parent sol pick
+exactly one child sol, its partner. A parent tuple whose slots all have
+partners meets just one child tuple, the partners sorted, under the inverse
+of their stable argsort, so the merge reads it directly. Only other tuples
+search: child tuples are bucketed by their sorted projection onto the shared
+variables (built on the first tuple that needs it), and `_arrangements`
+gives every slot map that lines a bucket's tuple up with the parent tuple.
 """
 
 from __future__ import annotations
@@ -241,16 +249,23 @@ def dp_init(node: int, atom: Atom | frozenset[str], db: Database, k: int,
 class _Join:
     """Lines up the sorted tuples of a child table with those of its parent.
 
-    Child tuples are bucketed by their sorted projection onto the shared
-    variables; a parent tuple meets every child tuple of its bucket under
-    each slot map from `_arrangements`. Lookups are cached per projection
+    single[p] is parent sol p's partner, the one child sol sharing its
+    projection onto the shared variables, or None when zero or several do.
+    A parent tuple whose slots all have partners meets one child tuple, the
+    partners sorted, under the one map `_arrangements` would give. Any other
+    parent tuple meets every child tuple of its bucket under each slot map
+    from `_arrangements`. Lookups are cached per partner or projection
     sequence, which many parent tuples share.
     """
 
     def __init__(self, parent: DPTable, child: DPTable, free_vars: Sequence[str]) -> None:
         shared = sorted(parent.variables & child.variables)
         self.proj_p = [tuple(a[v].index for v in shared) for a in parent.sols]
-        proj_c = self.proj_c = [tuple(a[v].index for v in shared) for a in child.sols]
+        self.proj_c = [tuple(a[v].index for v in shared) for a in child.sols]
+        partner: dict[tuple, int | None] = {}
+        for c, proj in enumerate(self.proj_c):
+            partner[proj] = None if proj in partner else c
+        self.single = [partner.get(proj) for proj in self.proj_p]
         # Distances on the shared free variables, which both sides count.
         self.corr = _distance_matrix(parent.sols, frozenset(free_vars) & frozenset(shared))
         self.child = child
@@ -263,10 +278,8 @@ class _Join:
         else:
             for key in child.entries:
                 self.child_keys.setdefault(key[0], []).append(key)
-        self.buckets: dict[tuple, list[tuple]] = {}
-        for ctuple in self.sums or self.child_keys:
-            bucket_key = tuple(sorted([proj_c[c] for c in ctuple]))
-            self.buckets.setdefault(bucket_key, []).append(ctuple)
+        self.buckets: dict[tuple, list[tuple]] | None = None
+        self._direct: dict[tuple, list] = {}
         self._aligned: dict[tuple, list] = {}
 
     def aligned(self, ptuple: tuple[int, ...]) -> list[tuple[tuple, tuple, tuple, int]]:
@@ -278,10 +291,22 @@ class _Join:
         that entry, under the least slot map (the identity when the
         projections already line up).
         """
+        single = self.single
+        partners = tuple([single[p] for p in ptuple])
+        if None not in partners:
+            found = self._direct.get(partners)
+            if found is None:
+                found = self._direct[partners] = self._one_partner(partners)
+            return found
         target = tuple([self.proj_p[p] for p in ptuple])
         found = self._aligned.get(target)
         if found is None:
             found = []
+            if self.buckets is None:
+                self.buckets = {}
+                for ctuple in self.sums or self.child_keys:
+                    bucket_key = tuple(sorted([self.proj_c[c] for c in ctuple]))
+                    self.buckets.setdefault(bucket_key, []).append(ctuple)
             ctuples = self.buckets.get(tuple(sorted(target)), ())
             sums = self.sums
             if sums is not None:
@@ -305,16 +330,39 @@ class _Join:
             self._aligned[target] = found
         return found
 
+    def _one_partner(self, partners: tuple[int, ...]) -> list[tuple[tuple, tuple, tuple, int]]:
+        """`aligned` for a parent tuple whose slot i joins only the child sol
+        partners[i]: the child tuple is the partners sorted, and parent slot
+        i reads the child slot that sorting moved partners[i] to."""
+        ctuple = tuple(sorted(partners))
+        if ctuple == partners:
+            sigma = self.identity
+        else:
+            order = sorted(range(len(partners)), key=partners.__getitem__)
+            inverse = [0] * len(order)
+            for s, i in enumerate(order):
+                inverse[i] = s
+            sigma = tuple(inverse)
+        if self.sums is not None:
+            total = self.sums.get(ctuple)
+            return [] if total is None else [((ctuple, ()), sigma, (), total)]
+        entries = self.child.entries
+        keys = self.child_keys.get(ctuple, ())
+        if sigma is self.identity:
+            return [(ckey, sigma, ckey[1], entries[ckey][0]) for ckey in keys]
+        pmap = _pair_map(sigma)
+        return [(ckey, sigma, tuple([ckey[1][m] for m in pmap]), entries[ckey][0])
+                for ckey in keys]
 
-def dp_merge(parent: DPTable, child: DPTable, db: Database,
-             free_vars: Sequence[str], *, table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
+
+def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
+             table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
     """Merge a completed child table into its parent's table.
 
     Compatible entry pairs combine their states and add their sums, less
     the distance already counted on the shared variables (which exact
     states subtract too). Per new key, the first candidate with the highest
-    sum donates provenance. `db` is not read: the size bound counts the
-    parent's own sols.
+    sum donates provenance.
     """
     rule = parent.rule
     join = _Join(parent, child, free_vars)
@@ -445,7 +493,7 @@ def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
         table = dp_init(node, atoms[node], db, k, free_vars, rule=rule,
                         sols=sols[node], table_cap=table_cap)
         for child in jt.children.get(node, ()):
-            table = dp_merge(table, tables[child], db, free_vars, table_cap=table_cap)
+            table = dp_merge(table, tables[child], free_vars, table_cap=table_cap)
         tables[node] = table
         max_table = max(max_table, len(table.entries))
     stats = {"nodes": len(atoms), "max_table": max_table, "k": k}

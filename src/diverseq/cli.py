@@ -216,7 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"DP table guard (default {acq.DEFAULT_TABLE_CAP}, "
                              f"env {TABLE_CAP_ENV})")
     parser.add_argument("--budget", type=int, default=kernel.DEFAULT_BUDGET,
-                        help="candidate-set budget for exhaustive searches")
+                        help="search guard: nodes the fo-kernel search may visit, "
+                             "candidate sets bruteforce may enumerate")
     parser.add_argument("--output", choices=("text", "json"), default="text")
     return parser
 

@@ -264,8 +264,9 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
     makes that bound sound for every admitted aggregator. The search stops
     at the ceiling, every pair at distance m. The best value is replaced
     only by a greater one, so the witness is the lexicographically first
-    optimum, as in plain enumeration. The budget counts every candidate set
-    before the search starts.
+    optimum, as in plain enumeration. The budget caps the search nodes
+    visited: every prefix the search extends or scores, complete sets
+    included.
     """
     if not aggregator.monotone:
         raise NotMonotone(f"aggregator {aggregator.label} is not flagged monotone")
@@ -273,10 +274,6 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
     rows = kernel.sorted_rows()
     n = len(rows)
     count = math.comb(n + k - 1, k) if allow_duplicates else math.comb(n, k)
-    if count > budget:
-        raise CombinatorialBudgetExceeded(
-            f"{count} candidate sets exceed the budget of {budget}"
-        )
     best = None
     best_combo = None
     if count:
@@ -294,12 +291,19 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
         # One frame per chosen prefix: the rows that may extend it, the
         # prefix, and the distances among its rows.
         frames = [(iter(range(n - (k - 1) * step)), (), [])] if k else []
+        visited = 0
         while frames:
             options, chosen, dists = frames[-1]
             i = next(options, None)
             if i is None:
                 frames.pop()
                 continue
+            visited += 1
+            if visited > budget:
+                raise CombinatorialBudgetExceeded(
+                    f"the search over {n} kernel answers visited more than "
+                    f"{budget} nodes"
+                )
             if i == len(matrix):
                 matrix.append(next(distance_rows))
             row = matrix[i]

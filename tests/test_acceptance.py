@@ -63,7 +63,7 @@ class AcqRecord:
         for node in self.jt.postorder():
             table = dp_init(node, atoms[node], db, k, query.free_vars)
             for child in self.jt.children.get(node, ()):
-                table = dp_merge(table, self.tables[child], db, query.free_vars)
+                table = dp_merge(table, self.tables[child], query.free_vars)
             self.tables[node] = table
         root = self.tables[self.jt.root]
         self.best = {}

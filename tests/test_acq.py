@@ -85,7 +85,7 @@ def test_dp_merge_disjoint_free_vars_adds_distances():
     child_atom = atoms[child_node]
     parent = dp_init(jt.root, root_atom, db, 2, q.free_vars)
     child = dp_init(child_node, child_atom, db, 2, q.free_vars)
-    merged = dp_merge(parent, child, db, q.free_vars)
+    merged = dp_merge(parent, child, q.free_vars)
     # x = 1 for both S rows; distances on x (0) and y add with no overlap
     for (ptuple, dvec) in merged.entries:
         sols = merged.sols
@@ -101,7 +101,7 @@ def test_dp_merge_drops_incompatible_pairs():
     child_node = jt.children[jt.root][0]
     parent = dp_init(jt.root, atoms[jt.root], db, 1, q.free_vars)
     child = dp_init(child_node, atoms[child_node], db, 1, q.free_vars)
-    merged = dp_merge(parent, child, db, q.free_vars)
+    merged = dp_merge(parent, child, q.free_vars)
     assert merged.entries == {}
 
 
@@ -211,7 +211,7 @@ def test_table_semantics_against_subtree_enumeration():
         for node in jt.postorder():
             table = dp_init(node, atoms[node], db, k, free)
             for child in jt.children.get(node, ()):
-                table = dp_merge(table, tables[child], db, free)
+                table = dp_merge(table, tables[child], free)
             tables[node] = table
 
             subtree_atoms = []
@@ -255,7 +255,7 @@ def test_permutation_closure():
         for node in jt.postorder():
             table = dp_init(node, atoms[node], db, k, query.free_vars)
             for child in jt.children.get(node, ()):
-                table = dp_merge(table, tables[child], db, query.free_vars)
+                table = dp_merge(table, tables[child], query.free_vars)
             tables[node] = table
             stored = set(table.entries)
             assert all(list(key[0]) == sorted(key[0]) for key in stored)
@@ -353,7 +353,7 @@ def test_sum_table_semantics_against_subtree_enumeration():
         for node in jt.postorder():
             table = dp_init(node, atoms[node], db, k, free, rule=FLAGS)
             for child in jt.children.get(node, ()):
-                table = dp_merge(table, tables[child], db, free)
+                table = dp_merge(table, tables[child], free)
             tables[node] = table
 
             subtree_atoms = []
@@ -406,7 +406,7 @@ def test_dup_table_semantics_against_subtree_enumeration():
         for node in jt.postorder():
             table = dp_init(node, atoms[node], db, k, free, rule=NONE)
             for child in jt.children.get(node, ()):
-                table = dp_merge(table, tables[child], db, free)
+                table = dp_merge(table, tables[child], free)
             tables[node] = table
 
             subtree_atoms = []
@@ -541,7 +541,7 @@ def test_full_reducer_keeps_root_entries():
             for node in jt.postorder():
                 table = dp_init(node, atoms[node], db, k, free, rule=rule)
                 for child in jt.children.get(node, ()):
-                    table = dp_merge(table, full[child], db, free)
+                    table = dp_merge(table, full[child], free)
                 full[node] = table
                 max_full = max(max_full, len(table.entries))
                 rows_dropped += len(table.sols) - len(reduced[node].sols)
@@ -571,7 +571,23 @@ def test_dp_merge_matches_reference_merge():
         Database.from_rows({"S": [(10, 5), (10, 6), (20, 7)], "R": [(1, 20), (2, 10), (3, 10)]}),
         3,
     ))
+    # One partner per parent sol, child sols in the parent's order: every
+    # slot map is the identity.
+    star = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
+    for k in (3, 4):
+        fx = independent_set_to_diverse_query(star, k)
+        cases.append((fx.query, fx.db, k))
+    # One partner per parent sol (the root C1) in a rotated order, so slot
+    # maps include 3-cycles, which differ from their inverses; then the
+    # same with x1 = 40 joining two C0 rows, which mixes both paths.
+    chain = parse_query("Q(x0, x2) :- C0(x0, x1), C1(x1, x2).")
+    c1 = [(10, 5), (20, 6), (30, 7)]
+    c0 = [(1, 30), (2, 10), (3, 20)]
+    cases.append((chain, Database.from_rows({"C1": c1, "C0": c0}), 3))
+    cases.append((chain, Database.from_rows({"C1": c1 + [(40, 8)],
+                                             "C0": c0 + [(4, 40), (5, 40)]}), 3))
     merges = 0
+    cycles = set()
     for query, db, k in cases:
         free = query.free_vars
         jt = gyo_join_tree(query)
@@ -582,11 +598,16 @@ def test_dp_merge_matches_reference_merge():
                 table = dp_init(node, atoms[node], db, k, free, rule=rule)
                 for child in jt.children.get(node, ()):
                     expected = reference_merge(table, tables[child], free)
-                    table = dp_merge(table, tables[child], db, free)
+                    table = dp_merge(table, tables[child], free)
                     assert list(table.entries.items()) == list(expected.items())
                     merges += 1
+                    cycles.update(
+                        (rule.name, sigma)
+                        for _, refs in table.entries.values() for _, _, sigma in refs
+                        if any(sigma[sigma[i]] != i for i in range(k)))
                 tables[node] = table
     assert merges > 0
+    assert {name for name, _ in cycles} == {"exact", "flags", "none"}
 
 
 # --- oracle equivalence (small smoke version of the acceptance sweep) -----------

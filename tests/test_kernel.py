@@ -198,10 +198,15 @@ def test_solve_fo_diverse_accepts_monotone_custom():
 
 
 def test_solve_fo_diverse_budget():
-    # diagonal rows survive kernelization (every group stays below threshold)
-    answers = relation(("x", "y", "z"), [(i, i, i) for i in range(30)])
+    # The budget counts search nodes. The rows survive kernelization (every
+    # group stays below threshold), and no three of them reach the ceiling
+    # (z never differs), so the branch and bound passes 10 nodes.
+    answers = relation(("x", "y", "z"), [(i, i, 0) for i in range(30)])
     with pytest.raises(CombinatorialBudgetExceeded):
         solve_fo_diverse(answers, 3, 0, SUM, budget=10)
+    out = solve_fo_diverse(answers, 3, 0, SUM)
+    assert out.stats["kernel"] == 30 and out.stats["candidates"] == math.comb(30, 3)
+    assert out.diversity == 6
 
 
 def test_csv_round_trip(tmp_path):

@@ -1,0 +1,29 @@
+import ast
+import os
+import sys
+
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "diverseq")
+
+
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares `dependencies = []`: every absolute import in
+    # the package must name a standard-library module. Relative imports stay
+    # inside the package.
+    stray = []
+    for name in sorted(os.listdir(SRC_DIR)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC_DIR, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            stray.extend(
+                f"{name}:{node.lineno}: {module}" for module in modules
+                if module.split(".")[0] not in sys.stdlib_module_names
+            )
+    assert stray == []
