@@ -21,11 +21,16 @@ for a in sorted(enumerate_answers(cq, db), key=str):
     print("  answer:", a)
 
 # Single-atom evaluation. Repeated variables select the diagonal and
-# constants act as filters.
-loop = parse_query("Loop(x) :- Route(x, x).")
-print("self loops:", sols_atom(loop.conjuncts[0].positive_atoms[0], db))
-to_three = parse_query("T(x) :- Route(x, 3).")
-print("edges into 3:", sorted(str(a) for a in sols_atom(to_three.conjuncts[0].positive_atoms[0], db)))
+# constants act as filters. Each solution is a tuple of value indices over
+# the atom's sorted variables; the domain maps them back to payloads.
+def payloads(query):
+    sols = sols_atom(query.conjuncts[0].positive_atoms[0], db)
+    return sorted(tuple(db.domain[i].payload for i in row) for row in sols)
+
+
+print("self loops:", payloads(parse_query("Loop(x) :- Route(x, x).")))
+print("edges into 3:", payloads(parse_query("T(x) :- Route(x, 3).")))
+print("hops as (dst, src):", payloads(parse_query("H(src, dst) :- Route(src, dst).")))
 
 # Negation: hops that do not end at a closed station.
 cqneg = parse_query("Open(src, dst) :- Route(src, dst), !Closed(dst).")

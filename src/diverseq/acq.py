@@ -155,11 +155,12 @@ def _slot_maps(ctuple: tuple[int, ...], proj: Sequence, target: tuple) -> tuple[
 
 
 def _sorted_sols(atom: Atom, db: Database) -> list[Assignment]:
+    """The atom's sols as assignments, sorted by their index tuples over the
+    sorted variables."""
     var_order = sorted(atom.variables)
-    return sorted(
-        sols_atom(atom, db),
-        key=lambda a: tuple(a[v].index for v in var_order),
-    )
+    domain = db.domain
+    return [Assignment(zip(var_order, [domain[i] for i in row]))
+            for row in sorted(sols_atom(atom, db))]
 
 
 def _distance_matrix(sols: Sequence[Assignment], variables: frozenset[str]) -> list[list[int]]:
@@ -210,24 +211,15 @@ class DPTable:
         )
 
 
-def dp_init(node: int, atom: Atom | frozenset[str], db: Database, k: int,
-            free_vars: Sequence[str], *, rule: StateRule = EXACT,
-            sols: list[Mapping[str, Value]] | None = None,
+def dp_init(node: int, variables: frozenset[str], sols: list[Mapping[str, Value]],
+            k: int, free_vars: Sequence[str], *, rule: StateRule = EXACT,
             table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
-    """Initial table: every sorted k-tuple of the node's sols with the state
-    and the sum of its distances. The node is an atom, whose sols default to
-    all its solutions in `_sorted_sols` order, or the variables of a bag
-    whose sols are given.
+    """Initial table: every sorted k-tuple of the node's sols, assignments
+    of its variables, with the state and the sum of its distances.
 
     The guard counts the n^k slot tuples a stateful table stands for, and
     the C(n + k - 1, k) sorted ones a stateless table stores.
     """
-    if isinstance(atom, Atom):
-        variables = atom.variables
-        if sols is None:
-            sols = _sorted_sols(atom, db)
-    else:
-        variables = atom
     n = len(sols)
     size = math.comb(n + k - 1, k) if rule is NONE else n ** k
     if size > table_cap:
@@ -490,8 +482,8 @@ def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
     tables: dict[int, DPTable] = {}
     max_table = 0
     for node in order:
-        table = dp_init(node, atoms[node], db, k, free_vars, rule=rule,
-                        sols=sols[node], table_cap=table_cap)
+        table = dp_init(node, atoms[node].variables, sols[node], k, free_vars,
+                        rule=rule, table_cap=table_cap)
         for child in jt.children.get(node, ()):
             table = dp_merge(table, tables[child], free_vars, table_cap=table_cap)
         tables[node] = table

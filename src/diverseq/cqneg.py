@@ -95,7 +95,7 @@ class BagSolver:
             rows = relation_of(lit.atom, self.db).rows
             for pos, term in enumerate(lit.atom.terms):
                 if isinstance(term, Variable):
-                    column = {row[pos].index for row in rows}
+                    column = {row[pos] for row in rows}
                     prior = found.get(term.name)
                     found[term.name] = column if prior is None else prior & column
         return {v: sorted(found[v]) for v in found}
@@ -145,8 +145,8 @@ class BagSolver:
 
     def leaf(self, node: int) -> DPTable:
         bag, _ = self.new_table(node, self.satisfying_tuples(node))
-        return dp_init(node, bag.variables, self.db, self.k, self.query.free_vars,
-                       sols=bag.sols, table_cap=self.table_cap)
+        return dp_init(node, bag.variables, bag.sols, self.k, self.query.free_vars,
+                       table_cap=self.table_cap)
 
     def introduce(self, node: int, child: int, z: str) -> DPTable:
         child_table = self.tables[child]

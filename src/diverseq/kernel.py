@@ -7,10 +7,13 @@ the optimal diversity of every monotone aggregator exactly, and the (now
 parameter-bounded) remainder is searched exactly. Unions and cyclic queries,
 whose structure the join-tree solver cannot exploit, take this path.
 
-Capping skips the levels that cannot act and works in linear passes: one
-dict grouping per fixed column set over rows of value indices, sorted once.
-The search is a depth-first branch and bound over a matrix of pairwise
-distances; its budget counts every candidate set before it starts.
+Rows are tuples of value indices from the database load to the search:
+the conjunct join, capping and the distance matrix compare integers, and
+`Value` objects are built only for the witness and for output. Capping
+skips the levels that cannot act and works in linear passes: one dict
+grouping per fixed column set over the rows, sorted once. The search is a
+depth-first branch and bound over a matrix of pairwise distances; its
+budget caps the search nodes it visits.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import csv
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .dbio import parse_csv_value
@@ -36,19 +39,26 @@ from .model import (
     Outcome,
     Payload,
     Value,
+    _IndexRows,
     _Interner,
 )
-from .queries import Conjunct, Query, satisfies_literal, sols_atom
+from .queries import Conjunct, Query, sols_atom
 
 DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
-class AnswerRelation:
-    """A deduplicated relation of answer tuples over a fixed column order."""
+class AnswerRelation(_IndexRows):
+    """A deduplicated relation of answer tuples over a fixed column order.
+
+    Each row is a tuple of indices into `values`: the value table of the
+    database the answers come from, or the relation's own when it is read
+    from payloads.
+    """
 
     columns: tuple[str, ...]
-    rows: frozenset[tuple[Value, ...]]
+    rows: frozenset[tuple[int, ...]]
+    values: tuple[Value, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
         for row in self.rows:
@@ -59,58 +69,47 @@ class AnswerRelation:
     def from_payload_rows(cls, columns: Sequence[str],
                           rows: Iterable[Sequence[Payload]]) -> "AnswerRelation":
         interner = _Interner()
-        interned = frozenset(
-            tuple(interner.intern(p) for p in row) for row in rows
-        )
-        return cls(tuple(columns), interned)
-
-    def sorted_rows(self) -> list[tuple[Value, ...]]:
-        return sorted(self.rows, key=lambda r: tuple(v.index for v in r))
+        indexed = frozenset(tuple([interner.intern(p) for p in row]) for row in rows)
+        return cls(tuple(columns), indexed, tuple(interner.values))
 
     def assignments(self) -> list[Assignment]:
-        return [
-            Assignment(dict(zip(self.columns, row))) for row in self.sorted_rows()
-        ]
-
-    def payload_rows(self) -> set[tuple[Payload, ...]]:
-        return {tuple(v.payload for v in row) for row in self.rows}
+        return [Assignment(zip(self.columns, row)) for row in self.sorted_rows()]
 
 
 # --- materialization ---------------------------------------------------------
 
 
-def _join(acc: list[dict[str, Value]], sols: Iterable[Assignment]) -> list[dict[str, Value]]:
-    """Each binding in acc extended by each solution it agrees with. The
-    solutions are bucketed on the shared variables, so a union joins them."""
-    sols = list(sols)
-    if not acc:
-        return []
-    shared = sorted(acc[0].keys() & (sols[0].keys() if sols else ()))
-    buckets: dict[tuple, list[Assignment]] = {}
-    for s in sols:
-        buckets.setdefault(tuple(s[v] for v in shared), []).append(s)
-    out = []
-    for a in acc:
-        for s in buckets.get(tuple(a[v] for v in shared), ()):
-            out.append({**a, **s})
-    return out
+def _evaluate_conjunct(query: Query, conjunct: Conjunct, db: Database) -> set[tuple[int, ...]]:
+    """The conjunct's answers as index tuples over the head.
 
-
-def _evaluate_conjunct(query: Query, conjunct: Conjunct, db: Database) -> set[tuple[Value, ...]]:
-    acc: list[dict[str, Value]] = [{}]
+    A binding is an index tuple over the variables bound so far, at the
+    positions `slot` gives them. Each positive atom's sols are bucketed on
+    the variables it shares with the binding and hash-joined; a negative
+    literal then drops the bindings whose projection is among its atom's
+    sols.
+    """
+    slot: dict[str, int] = {}
+    acc: list[tuple[int, ...]] = [()]
     for atom in conjunct.positive_atoms:
-        acc = _join(acc, sols_atom(atom, db))
+        variables = sorted(atom.variables)
+        shared = [j for j, v in enumerate(variables) if v in slot]
+        new = [j for j, v in enumerate(variables) if v not in slot]
+        buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for s in sols_atom(atom, db):
+            buckets.setdefault(tuple([s[j] for j in shared]), []).append(
+                tuple([s[j] for j in new]))
+        probe = [slot[variables[j]] for j in shared]
+        acc = [a + b for a in acc for b in buckets.get(tuple([a[i] for i in probe]), ())]
         if not acc:
             return set()
-    negatives = conjunct.negative_literals
-    out: set[tuple[Value, ...]] = set()
-    for assignment in acc:
-        if negatives and not all(
-            satisfies_literal(lit, assignment, db) for lit in negatives
-        ):
-            continue
-        out.add(tuple(assignment[v] for v in query.free_vars))
-    return out
+        for j in new:
+            slot[variables[j]] = len(slot)
+    for lit in conjunct.negative_literals:
+        held = set(sols_atom(lit.atom, db))
+        probe = [slot[v] for v in sorted(lit.variables)]
+        acc = [a for a in acc if tuple([a[i] for i in probe]) not in held]
+    head = [slot[v] for v in query.free_vars]
+    return {tuple([a[i] for i in head]) for a in acc}
 
 
 def materialize_answers(query: Query, db: Database) -> AnswerRelation:
@@ -119,10 +118,10 @@ def materialize_answers(query: Query, db: Database) -> AnswerRelation:
     Unions contribute the union of their disjuncts' answers; negated literals
     filter after the positive join. Rows are deduplicated.
     """
-    rows: set[tuple[Value, ...]] = set()
+    rows: set[tuple[int, ...]] = set()
     for conjunct in query.conjuncts:
         rows |= _evaluate_conjunct(query, conjunct, db)
-    return AnswerRelation(query.free_vars, frozenset(rows))
+    return AnswerRelation(query.free_vars, frozenset(rows), db.domain)
 
 
 # --- capping rules -------------------------------------------------------------
@@ -148,20 +147,19 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
     the rest. Assumes the levels below t are already exhausted; violations of
     that precondition raise PreconditionViolated.
 
-    Rows are handled as tuples of value indices, sorted once. One dict pass
-    per fixed column set groups them; a group keeps the sorted order, which
-    within the group is the order of its free columns. The groups of one
-    column set are disjoint, so their deletions are applied together. Since
-    a group is a subset of the rows, the precondition scan is skipped when
-    there are at most (t-1)!^2 * k^(t-1) rows, and capping stops once fewer
-    than t!^2 * k^t rows are left.
+    The index rows are sorted once. One dict pass per fixed column set
+    groups them; a group keeps the sorted order, which within the group is
+    the order of its free columns. The groups of one column set are
+    disjoint, so their deletions are applied together. Since a group is a
+    subset of the rows, the precondition scan is skipped when there are at
+    most (t-1)!^2 * k^(t-1) rows, and capping stops once fewer than
+    t!^2 * k^t rows are left.
     """
     m = len(answers.columns)
     if not 1 <= t <= m:
         raise ValueError(f"level {t} out of range for {m} columns")
 
-    by_index = {tuple(v.index for v in row): row for row in answers.rows}
-    rows = sorted(by_index)
+    rows = sorted(answers.rows)
     # Precondition: every group fixing m-(t-1) columns is already small.
     prior_threshold = _group_threshold(t - 1, k)
     if len(rows) > prior_threshold:
@@ -204,9 +202,9 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
             dropped.difference_update(chosen)
         if dropped:
             rows = [row for row in rows if row not in dropped]
-    if len(rows) == len(by_index):
+    if len(rows) == len(answers.rows):
         return answers
-    return AnswerRelation(answers.columns, frozenset(by_index[row] for row in rows))
+    return AnswerRelation(answers.columns, frozenset(rows), answers.values)
 
 
 def kernelize(answers: AnswerRelation, k: int) -> AnswerRelation:
@@ -236,17 +234,12 @@ def kernelize(answers: AnswerRelation, k: int) -> AnswerRelation:
 # --- search over the kernel -----------------------------------------------------
 
 
-def _distance_rows(rows: Sequence[tuple[Value, ...]]) -> Iterator[list[int]]:
-    """The Hamming distances of row i to rows 0..i, for i = 0, 1, ... Each
-    column's values get dense ids under Value equality, so a distance counts
-    the columns where `!=` holds."""
-    columns = []
-    for column in zip(*rows):
-        ids: dict[Value, int] = {}
-        columns.append([ids.setdefault(v, len(ids)) for v in column])
-    coded = list(zip(*columns)) if columns else [()] * len(rows)
-    for i, a in enumerate(coded):
-        yield [sum(map(operator.ne, a, b)) for b in coded[:i + 1]]
+def _distance_rows(rows: Sequence[tuple[int, ...]]) -> Iterator[list[int]]:
+    """The Hamming distances of index row i to rows 0..i, for i = 0, 1, ...
+    The rows index one value table, so a distance counts the columns whose
+    indices differ."""
+    for i, a in enumerate(rows):
+        yield [sum(map(operator.ne, a, b)) for b in rows[:i + 1]]
 
 
 def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
@@ -271,7 +264,7 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
     if not aggregator.monotone:
         raise NotMonotone(f"aggregator {aggregator.label} is not flagged monotone")
     kernel = kernelize(answers, k)
-    rows = kernel.sorted_rows()
+    rows = sorted(kernel.rows)
     n = len(rows)
     count = math.comb(n + k - 1, k) if allow_duplicates else math.comb(n, k)
     best = None

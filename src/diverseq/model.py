@@ -48,33 +48,52 @@ class Value:
 
 
 class _Interner:
-    """Assigns dense indices to payloads in first-appearance order."""
+    """Assigns dense indices to payloads in first-appearance order and keeps
+    the values in index order."""
 
     def __init__(self) -> None:
-        self._by_key: dict[tuple[type, Payload], Value] = {}
+        self._index: dict[tuple[type, Payload], int] = {}
+        self.values: list[Value] = []
 
-    def intern(self, payload: Payload) -> Value:
+    def intern(self, payload: Payload) -> int:
         key = (type(payload), payload)
-        value = self._by_key.get(key)
-        if value is None:
-            value = Value(payload, len(self._by_key))
-            self._by_key[key] = value
-        return value
+        index = self._index.get(key)
+        if index is None:
+            index = self._index[key] = len(self.values)
+            self.values.append(Value(payload, index))
+        return index
 
     def lookup(self, payload: Payload) -> Value | None:
-        return self._by_key.get((type(payload), payload))
+        index = self._index.get((type(payload), payload))
+        return None if index is None else self.values[index]
 
-    def values(self) -> tuple[Value, ...]:
-        return tuple(self._by_key.values())
+
+class _IndexRows:
+    """Rows stored as tuples of indices into `values`, a table of interned
+    values. Within one table index equality is value equality, and sorting
+    index tuples orders rows by their values' load order."""
+
+    rows: frozenset[tuple[int, ...]]
+    values: tuple[Value, ...]
+
+    def sorted_rows(self) -> list[tuple[Value, ...]]:
+        values = self.values
+        return [tuple([values[i] for i in row]) for row in sorted(self.rows)]
+
+    def payload_rows(self) -> set[tuple[Payload, ...]]:
+        values = self.values
+        return {tuple([values[i].payload for i in row]) for row in self.rows}
 
 
 @dataclass(frozen=True)
-class Relation:
-    """A named relation: a duplicate-free set of equal-length value tuples."""
+class Relation(_IndexRows):
+    """A named relation: a duplicate-free set of equal-length rows, each a
+    tuple of indices into the database's value table `values`."""
 
     name: str
     arity: int
-    rows: frozenset[tuple[Value, ...]]
+    rows: frozenset[tuple[int, ...]]
+    values: tuple[Value, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
         for row in self.rows:
@@ -83,16 +102,14 @@ class Relation:
                     f"relation {self.name}: row of length {len(row)}, arity is {self.arity}"
                 )
 
-    def sorted_rows(self) -> list[tuple[Value, ...]]:
-        return sorted(self.rows, key=lambda r: tuple(v.index for v in r))
-
 
 class Database:
     """A database instance under active-domain semantics.
 
     The domain is exactly the set of values appearing in some row, in load
-    order. Values are interned per database, so equality checks inside the
-    solvers reduce to integer comparisons.
+    order. Values are interned per database and rows hold their indices, so
+    the solvers join and compare integers; `Value` objects are built only
+    for answers handed out.
     """
 
     def __init__(self, relations: Mapping[str, tuple[int, Iterable[Sequence[Payload]]]] | None = None):
@@ -119,32 +136,29 @@ class Database:
     def add_relation(self, name: str, arity: int, rows: Iterable[Sequence[Payload]]) -> Relation:
         if name in self.relations:
             raise ValueError(f"relation {name} already defined")
+        intern = self._interner.intern
         interned = []
         for row in rows:
             if len(row) != arity:
                 raise ValueError(f"relation {name}: row {row!r} does not match arity {arity}")
-            interned.append(tuple(self._interner.intern(p) for p in row))
-        relation = Relation(name, arity, frozenset(interned))
+            interned.append(tuple([intern(p) for p in row]))
+        relation = Relation(name, arity, frozenset(interned), self.domain)
         self.relations[name] = relation
         return relation
 
     @property
     def domain(self) -> tuple[Value, ...]:
-        return self._interner.values()
+        return tuple(self._interner.values)
 
     def value(self, payload: Payload) -> Value | None:
         """The interned value for a payload, or None if it is not in the domain."""
         return self._interner.lookup(payload)
 
-    def max_relation_size(self) -> int:
-        return max((len(r.rows) for r in self.relations.values()), default=0)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Database):
             return NotImplemented
-        mine = {n: {tuple(v.payload for v in row) for row in r.rows} for n, r in self.relations.items()}
-        theirs = {n: {tuple(v.payload for v in row) for row in r.rows} for n, r in other.relations.items()}
-        return mine == theirs
+        mine = {n: r.payload_rows() for n, r in self.relations.items()}
+        return mine == {n: r.payload_rows() for n, r in other.relations.items()}
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{n}/{r.arity}:{len(r.rows)}" for n, r in sorted(self.relations.items()))

@@ -24,7 +24,7 @@ from .errors import (
     UnknownRelation,
     UnsafeQuery,
 )
-from .model import Assignment, Database, Payload, Relation, Value
+from .model import Database, Payload, Relation, Value
 
 
 @dataclass(frozen=True)
@@ -336,41 +336,45 @@ def relation_of(atom: Atom, db: Database) -> Relation:
     return relation
 
 
-def sols_atom(atom: Atom, db: Database) -> set[Assignment]:
-    """All assignments of the atom's variables that send it into the database.
+def sols_atom(atom: Atom, db: Database) -> list[tuple[int, ...]]:
+    """The distinct assignments of the atom's variables that send it into the
+    database, as value-index tuples over the sorted variables.
 
     Repeated variables impose equality between positions; constants act as
-    selections.
+    selections, and a constant outside the domain selects nothing. Distinct
+    rows that pass these checks bind distinct tuples.
     """
     relation = relation_of(atom, db)
-    out: set[Assignment] = set()
-    for row in relation.rows:
-        bindings: dict[str, object] = {}
-        ok = True
-        for term, value in zip(atom.terms, row):
-            if isinstance(term, Constant):
-                interned = db.value(term.payload)
-                if interned is None or interned != value:
-                    ok = False
-                    break
-            else:
-                bound = bindings.get(term.name)
-                if bound is None:
-                    bindings[term.name] = value
-                elif bound != value:
-                    ok = False
-                    break
-        if ok:
-            out.add(Assignment(bindings))
-    return out
+    first: dict[str, int] = {}  # variable -> its first position
+    fixed: list[tuple[int, int]] = []  # (position, the constant's index)
+    repeats: list[tuple[int, int]] = []  # (position, its variable's first position)
+    for pos, term in enumerate(atom.terms):
+        if isinstance(term, Constant):
+            value = db.value(term.payload)
+            if value is None:
+                return []
+            fixed.append((pos, value.index))
+        elif term.name in first:
+            repeats.append((pos, first[term.name]))
+        else:
+            first[term.name] = pos
+    rows = relation.rows
+    if fixed or repeats:
+        rows = [row for row in rows if all(row[p] == i for p, i in fixed)
+                and all(row[p] == row[q] for p, q in repeats)]
+    take = [first[v] for v in sorted(first)]
+    if take == list(range(len(atom.terms))):
+        return list(rows)
+    return [tuple([row[p] for p in take]) for row in rows]
 
 
 def satisfies_literal(literal: Literal, assignment: Mapping[str, Value],
                       db: Database) -> bool:
     """Check one fully-bound literal against the database.
 
-    A constant outside the active domain makes a positive literal false and a
-    negative literal true.
+    The assignment binds values of this database, whose indices form the
+    row looked up. A constant outside the active domain makes a positive
+    literal false and a negative literal true.
     """
     relation = relation_of(literal.atom, db)
     row = []
@@ -381,6 +385,6 @@ def satisfies_literal(literal: Literal, assignment: Mapping[str, Value],
                 return not literal.positive
         else:
             value = assignment[term.name]
-        row.append(value)
+        row.append(value.index)
     present = tuple(row) in relation.rows
     return present if literal.positive else not present

@@ -165,7 +165,7 @@ def conjunction_solutions(atoms: Sequence[Atom], db: Database) -> list[Assignmen
         assignment = Assignment(dict(zip(variables, combo)))
         ok = True
         for atom in atoms:
-            row = tuple(assignment[t.name] for t in atom.terms)
+            row = tuple(assignment[t.name].index for t in atom.terms)
             if row not in db.relations[atom.relation].rows:
                 ok = False
                 break
@@ -197,7 +197,7 @@ def column_candidates(query: Query, db: Database) -> dict[str, set]:
             continue
         for pos, term in enumerate(lit.atom.terms):
             if isinstance(term, Variable):
-                column = {row[pos] for row in db.relations[lit.atom.relation].rows}
+                column = {row[pos] for row in db.relations[lit.atom.relation].sorted_rows()}
                 found[term.name] = found.get(term.name, column) & column
     return found
 
@@ -334,12 +334,12 @@ def reference_capping_rule(answers, t: int, k: int):
     m = len(answers.columns)
     if not 1 <= t <= m:
         raise ValueError(f"level {t} out of range for {m} columns")
-    rows = answers.sorted_rows()
+    rows = sorted(answers.rows)
     prior_threshold = threshold_of(t - 1)
     for fixed in itertools.combinations(range(m), m - (t - 1)):
         counts: dict[tuple, int] = {}
         for row in rows:
-            key = tuple(row[i].index for i in fixed)
+            key = tuple(row[i] for i in fixed)
             counts[key] = counts.get(key, 0) + 1
         oversized = max(counts.values(), default=0)
         if oversized > prior_threshold:
@@ -349,10 +349,10 @@ def reference_capping_rule(answers, t: int, k: int):
         free = [i for i in range(m) if i not in fixed]
         ordered = sorted(
             rows,
-            key=lambda r: tuple(r[i].index for i in fixed) + tuple(r[i].index for i in free),
+            key=lambda r: tuple(r[i] for i in fixed) + tuple(r[i] for i in free),
         )
         for _, group_iter in itertools.groupby(
-            ordered, key=lambda r: tuple(r[i].index for i in fixed)
+            ordered, key=lambda r: tuple(r[i] for i in fixed)
         ):
             group = list(group_iter)
             if len(group) < threshold:
@@ -367,7 +367,7 @@ def reference_capping_rule(answers, t: int, k: int):
                 raise PreconditionViolated(f"greedy found {len(chosen)} of {t * k}")
             dropped = set(group) - set(chosen)
             rows = [r for r in rows if r not in dropped]
-    return AnswerRelation(answers.columns, frozenset(rows))
+    return AnswerRelation(answers.columns, frozenset(rows), answers.values)
 
 
 def reference_kernelize(answers, k: int):

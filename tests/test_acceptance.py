@@ -14,6 +14,7 @@ import time
 import pytest
 
 from diverseq.acq import (
+    _sorted_sols,
     dp_finalize,
     dp_init,
     dp_merge,
@@ -61,7 +62,8 @@ class AcqRecord:
         atoms = query.conjuncts[0].positive_atoms
         self.tables = {}
         for node in self.jt.postorder():
-            table = dp_init(node, atoms[node], db, k, query.free_vars)
+            table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
+                            k, query.free_vars)
             for child in self.jt.children.get(node, ()):
                 table = dp_merge(table, self.tables[child], query.free_vars)
             self.tables[node] = table
@@ -141,7 +143,7 @@ def test_criterion_3_table_size_bound(acq_corpus):
     for record in records:
         npairs = record.k * (record.k - 1) // 2
         bound = (
-            record.db.max_relation_size() ** record.k
+            max((len(r.rows) for r in record.db.relations.values()), default=0) ** record.k
             * (len(record.query.free_vars) + 1) ** npairs
         )
         for table in record.tables.values():

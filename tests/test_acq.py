@@ -7,6 +7,7 @@ from diverseq.acq import (
     EXACT,
     FLAGS,
     NONE,
+    _sorted_sols,
     _traverse,
     dp_finalize,
     dp_init,
@@ -49,7 +50,7 @@ def k3_instance():
 def test_dp_init_k2_atom():
     fx = k2_instance()
     atom = fx.query.conjuncts[0].positive_atoms[1]  # R1(v, x1)
-    table = dp_init(1, atom, fx.db, 2, fx.query.free_vars)
+    table = dp_init(1, atom.variables, _sorted_sols(atom, fx.db), 2, fx.query.free_vars)
     # two rows: slot tuples (0, 0), (0, 1), (1, 1) are stored, (1, 0) is not
     assert [key[0] for key in table.entries] == [(0, 0), (0, 1), (1, 1)]
     full = slot_closure(((key, None) for key in table.entries), 2)
@@ -63,14 +64,15 @@ def test_dp_init_empty_relation():
     db = Database()
     db.add_relation("R", 1, [])
     q = parse_query("Q(x) :- R(x).")
-    table = dp_init(0, q.conjuncts[0].positive_atoms[0], db, 2, q.free_vars)
+    atom = q.conjuncts[0].positive_atoms[0]
+    table = dp_init(0, atom.variables, _sorted_sols(atom, db), 2, q.free_vars)
     assert table.entries == {}
 
 
 def test_dp_init_k1_has_empty_distance_vector():
     fx = k2_instance()
     atom = fx.query.conjuncts[0].positive_atoms[0]
-    table = dp_init(0, atom, fx.db, 1, fx.query.free_vars)
+    table = dp_init(0, atom.variables, _sorted_sols(atom, fx.db), 1, fx.query.free_vars)
     assert len(table.entries) == 2
     assert all(key[1] == () for key in table.entries)
 
@@ -83,8 +85,8 @@ def test_dp_merge_disjoint_free_vars_adds_distances():
     root_atom = atoms[jt.root]
     child_node = jt.children[jt.root][0]
     child_atom = atoms[child_node]
-    parent = dp_init(jt.root, root_atom, db, 2, q.free_vars)
-    child = dp_init(child_node, child_atom, db, 2, q.free_vars)
+    parent = dp_init(jt.root, root_atom.variables, _sorted_sols(root_atom, db), 2, q.free_vars)
+    child = dp_init(child_node, child_atom.variables, _sorted_sols(child_atom, db), 2, q.free_vars)
     merged = dp_merge(parent, child, q.free_vars)
     # x = 1 for both S rows; distances on x (0) and y add with no overlap
     for (ptuple, dvec) in merged.entries:
@@ -99,8 +101,10 @@ def test_dp_merge_drops_incompatible_pairs():
     jt = gyo_join_tree(q)
     atoms = q.conjuncts[0].positive_atoms
     child_node = jt.children[jt.root][0]
-    parent = dp_init(jt.root, atoms[jt.root], db, 1, q.free_vars)
-    child = dp_init(child_node, atoms[child_node], db, 1, q.free_vars)
+    parent = dp_init(jt.root, atoms[jt.root].variables, _sorted_sols(atoms[jt.root], db),
+                     1, q.free_vars)
+    child = dp_init(child_node, atoms[child_node].variables, _sorted_sols(atoms[child_node], db),
+                    1, q.free_vars)
     merged = dp_merge(parent, child, q.free_vars)
     assert merged.entries == {}
 
@@ -209,7 +213,7 @@ def test_table_semantics_against_subtree_enumeration():
 
         tables = {}
         for node in jt.postorder():
-            table = dp_init(node, atoms[node], db, k, free)
+            table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db), k, free)
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], free)
             tables[node] = table
@@ -253,7 +257,8 @@ def test_permutation_closure():
         atoms = query.conjuncts[0].positive_atoms
         tables = {}
         for node in jt.postorder():
-            table = dp_init(node, atoms[node], db, k, query.free_vars)
+            table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
+                            k, query.free_vars)
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], query.free_vars)
             tables[node] = table
@@ -351,7 +356,8 @@ def test_sum_table_semantics_against_subtree_enumeration():
 
         tables = {}
         for node in jt.postorder():
-            table = dp_init(node, atoms[node], db, k, free, rule=FLAGS)
+            table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
+                            k, free, rule=FLAGS)
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], free)
             tables[node] = table
@@ -404,7 +410,8 @@ def test_dup_table_semantics_against_subtree_enumeration():
 
         tables = {}
         for node in jt.postorder():
-            table = dp_init(node, atoms[node], db, k, free, rule=NONE)
+            table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
+                            k, free, rule=NONE)
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], free)
             tables[node] = table
@@ -539,7 +546,8 @@ def test_full_reducer_keeps_root_entries():
             jt, reduced, stats = _traverse(query, db, k, free, rule, 10 ** 7)
             full, max_full = {}, 0
             for node in jt.postorder():
-                table = dp_init(node, atoms[node], db, k, free, rule=rule)
+                table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
+                                k, free, rule=rule)
                 for child in jt.children.get(node, ()):
                     table = dp_merge(table, full[child], free)
                 full[node] = table
@@ -595,7 +603,8 @@ def test_dp_merge_matches_reference_merge():
         for rule in (EXACT, FLAGS, NONE):
             tables = {}
             for node in jt.postorder():
-                table = dp_init(node, atoms[node], db, k, free, rule=rule)
+                table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
+                                k, free, rule=rule)
                 for child in jt.children.get(node, ()):
                     expected = reference_merge(table, tables[child], free)
                     table = dp_merge(table, tables[child], free)

@@ -26,14 +26,14 @@ def test_fact_file_comments_and_blanks(tmp_path):
     path = tmp_path / "db.facts"
     path.write_text("# header\n\nR(1, 2).  # trailing comment\nR(3, 4).\n")
     db = load_database(str(path))
-    rows = {tuple(v.payload for v in r) for r in db.relations["R"].rows}
+    rows = db.relations["R"].payload_rows()
     assert rows == {(1, 2), (3, 4)}
 
 
 def test_fact_file_hash_inside_strings(tmp_path):
     path = tmp_path / "db.facts"
     path.write_text('R("a#b", 1).  # comment with "quotes"\nR("#", 2). # x\n')
-    rows = {tuple(v.payload for v in r) for r in load_database(str(path)).relations["R"].rows}
+    rows = load_database(str(path)).relations["R"].payload_rows()
     assert rows == {("a#b", 1), ("#", 2)}
 
 
@@ -97,7 +97,7 @@ def test_csv_values_parse_types(tmp_path):
     d.mkdir()
     (d / "R.csv").write_text("-1,free_1\n2,taken_9\n")
     db = load_database(str(d))
-    rows = {tuple(v.payload for v in r) for r in db.relations["R"].rows}
+    rows = db.relations["R"].payload_rows()
     assert rows == {(-1, "free_1"), (2, "taken_9")}
 
 
@@ -107,7 +107,7 @@ def test_csv_values_keep_non_canonical_integer_text(tmp_path):
     d.mkdir()
     (d / "R.csv").write_text("007\n7\n-0\n+7\n 8\n-12\n")
     db = load_database(str(d))
-    rows = {v.payload for (v,) in db.relations["R"].rows}
+    rows = {p for (p,) in db.relations["R"].payload_rows()}
     assert rows == {"007", 7, "-0", "+7", " 8", -12}
 
 
@@ -161,7 +161,7 @@ def test_fact_file_non_ascii_digit_is_not_an_integer(tmp_path):
     with pytest.raises(QuerySyntaxError):
         load_database(str(path))
     path.write_text('R("\u0663").\nR(3).\n', encoding="utf-8")
-    rows = {r[0].payload for r in load_database(str(path)).relations["R"].rows}
+    rows = {r[0] for r in load_database(str(path)).relations["R"].payload_rows()}
     assert rows == {"\u0663", 3}
 
 
@@ -175,8 +175,7 @@ def test_fact_and_query_constants_share_one_grammar(tmp_path, text):
     path = tmp_path / "db.facts"
     path.write_text(f"R({text}).\n", encoding="utf-8")
     try:
-        [[fact]] = load_database(str(path)).relations["R"].rows
-        from_facts = fact.payload
+        [[from_facts]] = load_database(str(path)).relations["R"].payload_rows()
     except QuerySyntaxError:
         from_facts = QuerySyntaxError
     try:

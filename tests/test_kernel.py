@@ -11,6 +11,7 @@ from diverseq.errors import (
     PreconditionViolated,
 )
 from diverseq import kernel as kernel_module
+from diverseq.dbio import load_database
 from diverseq.kernel import (
     AnswerRelation,
     apply_capping_rule,
@@ -81,6 +82,57 @@ def test_materialize_agrees_with_enumeration():
             for a in enumerate_answers(query, db)
         }
         assert got == expected
+
+
+# --- index rows: one value table, index equality is value equality ----------
+
+
+def test_union_keeps_int_and_string_payloads_apart():
+    db = Database.from_rows({"A": [(1, "a")], "B": [("1", "a")]})
+    q = parse_query("Q(x, y) :- A(x, y).\nQ(x, y) :- B(x, y).")
+    answers = materialize_answers(q, db)
+    assert answers.payload_rows() == {(1, "a"), ("1", "a")}
+    out = solve_fo_diverse(answers, 2, None, SUM, witness=True)
+    assert out.diversity == 1
+    assert {tuple(a[v].payload for v in q.free_vars) for a in out.witness} == \
+        {(1, "a"), ("1", "a")}
+
+
+def test_negated_diagonal_drops_only_the_diagonal():
+    db = Database.from_rows({"R": [(1, 1), (1, 2), (2, 2), (3, 1)], "S": [(1, 1), (2, 1)]})
+    q = parse_query("Q(x, y) :- R(x, y), !S(x, x).")
+    assert materialize_answers(q, db).payload_rows() == {(2, 2), (3, 1)}
+
+
+def test_negated_constant_outside_the_domain_keeps_every_answer():
+    db = Database.from_rows({"R": [(1, 2), (2, 3)], "S": [(1, 2)]})
+    q = parse_query("Q(x, y) :- R(x, y), !S(x, 99).")
+    assert materialize_answers(q, db).payload_rows() == {(1, 2), (2, 3)}
+    q = parse_query("Q(x, y) :- R(x, y), !S(x, 2).")
+    assert materialize_answers(q, db).payload_rows() == {(2, 3)}
+
+
+def test_positive_constant_outside_the_domain_gives_no_answers():
+    db = Database.from_rows({"R": [(1, 2), (2, 3)], "S": [(1, 2)]})
+    q = parse_query('Q(x) :- R(x, y), S(x, "2").')
+    assert materialize_answers(q, db).rows == frozenset()
+    q = parse_query("Q(x) :- R(x, y), S(x, 2).")
+    assert materialize_answers(q, db).payload_rows() == {(1,)}
+
+
+def test_csv_directory_and_fact_file_materialize_alike(tmp_path):
+    # The two loaders intern values in different orders; the answers agree.
+    facts = tmp_path / "db.facts"
+    facts.write_text('T("b", 7).\nT(3, "a").\nR(3, "a").\nR(1, "b").\nR(2, "c").\n')
+    csv_dir = tmp_path / "db"
+    csv_dir.mkdir()
+    (csv_dir / "R.csv").write_text("1,b\n2,c\n3,a\n")
+    (csv_dir / "T.csv").write_text("3,a\nb,7\n")
+    q = parse_query("Q(x, y) :- R(x, y).\nQ(x, y) :- T(x, y).\nQ(x, y) :- R(x, z), T(z, y).")
+    from_facts = materialize_answers(q, load_database(str(facts)))
+    from_csv = materialize_answers(q, load_database(str(csv_dir)))
+    assert from_facts.payload_rows() == from_csv.payload_rows() == \
+        {(1, "b"), (2, "c"), (3, "a"), ("b", 7), (1, 7)}
 
 
 def test_capping_rule_level_one_example():

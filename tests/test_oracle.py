@@ -123,7 +123,7 @@ def test_edge_fixture_single_edge():
     fx = independent_set_to_diverse_query(Graph.from_edges(2, [(1, 2)]), 2)
     assert fx.k == 2 and fx.d_sum == 2 and fx.d_min == 2
     assert fx.db.relations["R1"].arity == 2
-    rows = {tuple(v.payload for v in r) for r in fx.db.relations["R1"].rows}
+    rows = fx.db.relations["R1"].payload_rows()
     assert rows == {(1, 0), (2, 0)}
 
 
@@ -159,7 +159,7 @@ def test_edge_fixture_matches_independent_set_small():
 def test_wide_fixture_path_rows():
     path = Graph.from_edges(3, [(1, 2), (2, 3)])
     fx = independent_set_to_wide_relation(path, 2)
-    rows = {tuple(v.payload for v in r) for r in fx.db.relations["R"].rows}
+    rows = fx.db.relations["R"].payload_rows()
     assert rows == {
         ("taken_1", "free_1", "free_1", "free_1", "free_1"),
         ("taken_1", "taken_2", "free_2", "free_2", "free_2"),
@@ -172,7 +172,7 @@ def test_wide_fixture_path_rows():
 
 def test_wide_fixture_edgeless_all_free():
     fx = independent_set_to_wide_relation(Graph.from_edges(2, []), 2)
-    rows = {tuple(v.payload for v in r) for r in fx.db.relations["R"].rows}
+    rows = fx.db.relations["R"].payload_rows()
     assert rows == {("free_1",) * 5, ("free_2",) * 5}
 
 
@@ -194,9 +194,7 @@ def test_wide_fixture_rejects_degree_four():
 
 def test_union_fixture_database_constants():
     db = list_coloring_database()
-    payload = lambda name: {
-        tuple(v.payload for v in r) for r in db.relations[name].rows
-    }
+    payload = lambda name: db.relations[name].payload_rows()
     assert payload("R_1") == {(1, 1, 1)}
     assert payload("R_2") == {(2, 2, 2)}
     assert payload("R_3") == {(3, 3, 3)}

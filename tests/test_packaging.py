@@ -3,6 +3,7 @@ import os
 import sys
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "diverseq")
+BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
 
 def test_package_imports_only_the_standard_library():
@@ -27,3 +28,23 @@ def test_package_imports_only_the_standard_library():
                 if module.split(".")[0] not in sys.stdlib_module_names
             )
     assert stray == []
+
+
+def test_benchmark_tracer_finds_every_hook(monkeypatch):
+    # The traced benchmark run (bench/tracing.py) wraps library functions by
+    # name and raises MissingHook for a name the library no longer defines.
+    # Installing it here catches a renamed hook in the test suite; uninstall
+    # must put every original back.
+    from diverseq import acq, cqneg, kernel
+
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    from tracing import Tracer
+
+    originals = (kernel.sols_atom, acq.dp_init, cqneg.BagSolver.leaf)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert kernel.sols_atom is not originals[0]
+    finally:
+        tracer.uninstall()
+    assert (kernel.sols_atom, acq.dp_init, cqneg.BagSolver.leaf) == originals

@@ -27,8 +27,9 @@ from diverseq.queries import (
 from helpers import random_acyclic_query
 
 
-def payloads(assignments, order):
-    return sorted(tuple(a[v].payload for v in order) for a in assignments)
+def payloads(db, sols):
+    """sols_atom's index tuples as payload tuples, sorted."""
+    return sorted(tuple(db.domain[i].payload for i in row) for row in sols)
 
 
 def test_parse_plain_cq():
@@ -133,25 +134,42 @@ def test_round_trip_adversarial_constants(rules):
 def test_sols_atom_basic():
     db = Database.from_rows({"R": [(1, 2)]})
     sols = sols_atom(Atom("R", (Variable("x"), Variable("y"))), db)
-    assert payloads(sols, ["x", "y"]) == [(1, 2)]
+    assert sols == [(db.value(1).index, db.value(2).index)]
+    assert payloads(db, sols) == [(1, 2)]
 
 
 def test_sols_atom_repeated_variable_selects_diagonal():
     db = Database.from_rows({"R": [(1, 2), (3, 3)]})
     sols = sols_atom(Atom("R", (Variable("x"), Variable("x"))), db)
-    assert payloads(sols, ["x"]) == [(3,)]
+    assert payloads(db, sols) == [(3,)]
 
 
 def test_sols_atom_constant_filters():
     db = Database.from_rows({"R": [(1, 5), (2, 6)]})
     sols = sols_atom(Atom("R", (Variable("x"), Constant(5))), db)
-    assert payloads(sols, ["x"]) == [(1,)]
+    assert payloads(db, sols) == [(1,)]
 
 
 def test_sols_atom_constant_outside_domain():
     db = Database.from_rows({"R": [(1, 5)]})
     sols = sols_atom(Atom("R", (Variable("x"), Constant(99))), db)
-    assert sols == set()
+    assert sols == []
+
+
+def test_sols_atom_tuples_follow_the_sorted_variables():
+    db = Database.from_rows({"R": [(1, 2, 1), (3, 4, 5)]})
+    sols = sols_atom(Atom("R", (Variable("y"), Variable("x"), Variable("y"))), db)
+    assert payloads(db, sols) == [(2, 1)]
+    sols = sols_atom(Atom("R", (Variable("z"), Constant(4), Variable("a"))), db)
+    assert payloads(db, sols) == [(5, 3)]
+
+
+def test_sols_atom_keeps_int_and_string_constants_apart():
+    db = Database.from_rows({"R": [(1, "a"), ("1", "b")]})
+    assert payloads(db, sols_atom(Atom("R", (Constant(1), Variable("x"))), db)) == [("a",)]
+    assert payloads(db, sols_atom(Atom("R", (Constant("1"), Variable("x"))), db)) == [("b",)]
+    assert sols_atom(Atom("R", (Constant(1), Constant("a"))), db) == [()]
+    assert sols_atom(Atom("R", (Constant(1), Constant("b"))), db) == []
 
 
 def test_sols_atom_errors():
