@@ -1,11 +1,11 @@
 """Diversity solver for acyclic conjunctive queries.
 
 The solver runs one dynamic program over a join tree. A table entry pairs a
-k-tuple of partial solutions (answers to one atom) with a state: what the
-entry remembers of the pairwise Hamming distances, over the free variables,
-of the extensions to the whole subtree it stands for. Each entry keeps the
-best sum of those distances and provenance links. Extensions merge
-bottom-up with the inclusion-exclusion rule
+k-tuple of partial solutions (an atom's answers, as value-index tuples) with
+a state: what the entry remembers of the pairwise Hamming distances, over
+the free variables, of the extensions to the whole subtree it stands for.
+Each entry keeps the best sum of those distances and provenance links.
+Extensions merge bottom-up with the inclusion-exclusion rule
 
     combined = d_parent + d_child - distance(shared parts)
 
@@ -36,12 +36,13 @@ reads child slot sigma[i]), reads the child's per-pair values through it, and
 records sigma in the provenance link.
 
 Joins are mostly functional: the shared variables of a parent sol pick
-exactly one child sol, its partner. A parent tuple whose slots all have
-partners meets just one child tuple, the partners sorted, under the inverse
-of their stable argsort, so the merge reads it directly. Only other tuples
-search: child tuples are bucketed by their sorted projection onto the shared
-variables (built on the first tuple that needs it), and `_arrangements`
-gives every slot map that lines a bucket's tuple up with the parent tuple.
+exactly one child sol, its partner. A merge decides once how it aligns: if
+every parent sol has a partner and the partners rise strictly with the
+sols, each sorted parent tuple reads its partners' (sorted) tuple under the
+identity. Otherwise a parent tuple whose slots all have partners reads the
+partners sorted, under the inverse of their stable argsort, and any other
+searches the child tuples bucketed by their sorted projection onto the
+shared variables, under every slot map `_arrangements` gives.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Sequence
 
 from .errors import CorruptProvenance, NotAcyclic, TableGuardExceeded
 from .model import (
@@ -61,7 +62,6 @@ from .model import (
     Database,
     Outcome,
     Value,
-    hamming_distance,
     pair_order,
     pairwise_distances,
 )
@@ -97,10 +97,8 @@ def _pair_map(sigma: tuple[int, ...]) -> tuple[int, ...]:
     """Position in a child's pair vector of each parent pair under sigma."""
     pairs = pair_order(len(sigma))
     pos = {p: n for n, p in enumerate(pairs)}
-    return tuple(
-        pos[(a, b) if a < b else (b, a)]
-        for a, b in ((sigma[i], sigma[j]) for i, j in pairs)
-    )
+    return tuple(pos[(a, b) if a < b else (b, a)]
+                 for a, b in ((sigma[i], sigma[j]) for i, j in pairs))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -154,23 +152,25 @@ def _slot_maps(ctuple: tuple[int, ...], proj: Sequence, target: tuple) -> tuple[
     return _arrangements(projs, repeats, relabeled)
 
 
-def _sorted_sols(atom: Atom, db: Database) -> list[Assignment]:
-    """The atom's sols as assignments, sorted by their index tuples over the
-    sorted variables."""
-    var_order = sorted(atom.variables)
-    domain = db.domain
-    return [Assignment(zip(var_order, [domain[i] for i in row]))
-            for row in sorted(sols_atom(atom, db))]
+def _sorted_sols(atom: Atom, db: Database) -> list[tuple[int, ...]]:
+    """The atom's sols: value-index tuples over its sorted variables, sorted."""
+    return sorted(sols_atom(atom, db))
 
 
-def _distance_matrix(sols: Sequence[Assignment], variables: frozenset[str]) -> list[list[int]]:
-    xs = sorted(variables)
-    n = len(sols)
-    matrix = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = hamming_distance(sols[i], sols[j], xs)
-            matrix[i][j] = matrix[j][i] = d
+def _project(sols: Sequence[tuple], variables: frozenset[str], names) -> list[tuple]:
+    """Each sol, an index tuple over the sorted `variables`, cut to `names`."""
+    cols = [n for n, v in enumerate(sorted(variables)) if v in names]
+    return [tuple([s[c] for c in cols]) for s in sols]
+
+
+def _distance_matrix(sols: Sequence[tuple], variables: frozenset[str], names) -> list[list[int]]:
+    """Pairwise distances of the sols on the variables among `names`."""
+    keys = _project(sols, variables, names)
+    matrix = [[0] * len(keys) for _ in keys]
+    for i, a in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            if a != keys[j]:
+                matrix[i][j] = matrix[j][i] = sum(map(operator.ne, a, keys[j]))
     return matrix
 
 
@@ -178,24 +178,22 @@ def _distance_matrix(sols: Sequence[Assignment], variables: frozenset[str]) -> l
 class DPTable:
     """DP table at one tree node: a join-tree atom or a decomposition bag.
 
-    sols are the node's partial solutions over `variables`, sorted by their
-    value-index tuple over the sorted variables. entries maps (sorted tuple
-    of sol indices, state) to (best sum, provenance): one (child node, child
+    sols are the node's partial solutions over `variables`: value-index
+    tuples over the sorted variables, sorted. entries maps (sorted tuple of
+    sol positions, state) to (best sum, provenance): one (child node, child
     entry key, sigma) link per child merged in.
     """
 
     node: int
     variables: frozenset[str]
-    sols: list[Mapping[str, Value]]
+    sols: list[tuple[int, ...]]
     k: int
     rule: StateRule = EXACT
     entries: dict[tuple, tuple] = field(default_factory=dict)
 
     def guard(self, table_cap: int) -> None:
         if len(self.entries) > table_cap:
-            raise TableGuardExceeded(
-                f"table at node {self.node} exceeded {table_cap} entries"
-            )
+            raise TableGuardExceeded(f"table at node {self.node} exceeded {table_cap} entries")
 
     def check_bound(self, free_count: int) -> None:
         k, n = self.k, len(self.sols)
@@ -205,17 +203,15 @@ class DPTable:
                 "unsorted entry key"
         else:
             bound = n ** k * (free_count + 1) ** len(pair_order(k))
-        assert len(self.entries) <= bound, (
-            f"table at node {self.node} holds {len(self.entries)} entries, "
-            f"bound is {bound}"
-        )
+        assert len(self.entries) <= bound, \
+            f"table at node {self.node} holds {len(self.entries)} entries, bound is {bound}"
 
 
-def dp_init(node: int, variables: frozenset[str], sols: list[Mapping[str, Value]],
+def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
             k: int, free_vars: Sequence[str], *, rule: StateRule = EXACT,
             table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
-    """Initial table: every sorted k-tuple of the node's sols, assignments
-    of its variables, with the state and the sum of its distances.
+    """Initial table: every sorted k-tuple of the node's sols, index tuples
+    over its sorted variables, with the state and the sum of its distances.
 
     The guard counts the n^k slot tuples a stateful table stands for, and
     the C(n + k - 1, k) sorted ones a stateless table stores.
@@ -224,9 +220,8 @@ def dp_init(node: int, variables: frozenset[str], sols: list[Mapping[str, Value]
     size = math.comb(n + k - 1, k) if rule is NONE else n ** k
     if size > table_cap:
         raise TableGuardExceeded(
-            f"initial table at node {node}: {n} partial solutions, {size} slot tuples"
-        )
-    dist = _distance_matrix(sols, frozenset(free_vars) & variables)
+            f"initial table at node {node}: {n} partial solutions, {size} slot tuples")
+    dist = _distance_matrix(sols, variables, free_vars)
     pairs = pair_order(k)
     state = rule.state
     table = DPTable(node=node, variables=variables, sols=sols, k=k, rule=rule)
@@ -243,25 +238,29 @@ class _Join:
 
     single[p] is parent sol p's partner, the one child sol sharing its
     projection onto the shared variables, or None when zero or several do.
-    A parent tuple whose slots all have partners meets one child tuple, the
-    partners sorted, under the one map `_arrangements` would give. Any other
-    parent tuple meets every child tuple of its bucket under each slot map
-    from `_arrangements`. Lookups are cached per partner or projection
-    sequence, which many parent tuples share.
+    If the partners are total and strictly increasing, `direct` maps each
+    child tuple to its entries under the identity; otherwise `aligned`
+    searches per parent tuple, cached per partner or projection sequence.
     """
 
     def __init__(self, parent: DPTable, child: DPTable, free_vars: Sequence[str]) -> None:
-        shared = sorted(parent.variables & child.variables)
-        self.proj_p = [tuple(a[v].index for v in shared) for a in parent.sols]
-        self.proj_c = [tuple(a[v].index for v in shared) for a in child.sols]
+        shared = parent.variables & child.variables
+        self.proj_p = _project(parent.sols, parent.variables, shared)
+        self.proj_c = _project(child.sols, child.variables, shared)
         partner: dict[tuple, int | None] = {}
         for c, proj in enumerate(self.proj_c):
             partner[proj] = None if proj in partner else c
-        self.single = [partner.get(proj) for proj in self.proj_p]
+        self.single = single = [partner.get(proj) for proj in self.proj_p]
         # Distances on the shared free variables, which both sides count.
-        self.corr = _distance_matrix(parent.sols, frozenset(free_vars) & frozenset(shared))
+        self.corr = _distance_matrix(parent.sols, parent.variables, shared & set(free_vars))
         self.child = child
-        self.identity = tuple(range(parent.k))
+        self.identity = identity = tuple(range(parent.k))
+        self.direct: dict[tuple, list] | None = None
+        if None not in single and all(map(operator.lt, single, single[1:])):
+            self.direct = {}
+            for ckey, (value, _) in child.entries.items():
+                self.direct.setdefault(ckey[0], []).append((ckey, identity, ckey[1], value))
+            return
         self.sums: dict[tuple, int] | None = None
         self.child_keys: dict[tuple, list[tuple]] = {}  # sorted child tuple -> its keys
         if child.rule is NONE:
@@ -330,11 +329,8 @@ class _Join:
         if ctuple == partners:
             sigma = self.identity
         else:
-            order = sorted(range(len(partners)), key=partners.__getitem__)
-            inverse = [0] * len(order)
-            for s, i in enumerate(order):
-                inverse[i] = s
-            sigma = tuple(inverse)
+            order = sorted(self.identity, key=partners.__getitem__)
+            sigma = tuple(sorted(self.identity, key=order.__getitem__))  # its inverse
         if self.sums is not None:
             total = self.sums.get(ctuple)
             return [] if total is None else [((ctuple, ()), sigma, (), total)]
@@ -354,25 +350,27 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     Compatible entry pairs combine their states and add their sums, less
     the distance already counted on the shared variables (which exact
     states subtract too). Per new key, the first candidate with the highest
-    sum donates provenance.
+    sum donates provenance. The guard runs once per parent slot tuple.
     """
-    rule = parent.rule
     join = _Join(parent, child, free_vars)
-    merged = DPTable(node=parent.node, variables=parent.variables, sols=parent.sols,
-                     k=parent.k, rule=rule)
+    merged = replace(parent, entries={})
     out = merged.entries
-    combine, exact = rule.combine, rule.exact
+    combine, exact = parent.rule.combine, parent.rule.exact
     corr, pairs = join.corr, pair_order(parent.k)
+    single, direct = join.single, join.direct
     last = None  # entries of one slot tuple are adjacent
     for (ptuple, state), (value, refs) in parent.entries.items():
         if ptuple != last:
-            last, aligned = ptuple, join.aligned(ptuple)
+            merged.guard(table_cap)
+            last = ptuple
+            aligned = join.aligned(ptuple) if direct is None \
+                else direct.get(tuple([single[p] for p in ptuple]), ())
             corrvec = [corr[ptuple[i]][ptuple[j]] for i, j in pairs]
             corr_sum = sum(corrvec)
         if not aligned:
             continue
         base = value - corr_sum
-        if exact:
+        if exact and corr_sum:
             state = [a - c for a, c in zip(state, corrvec)]
         for ckey, sigma, cstate, cvalue in aligned:
             new_key = (ptuple, tuple(map(combine, state, cstate)) if state else ())
@@ -380,7 +378,7 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
             prior = out.get(new_key)
             if prior is None or total > prior[0]:
                 out[new_key] = (total, refs + ((child.node, ckey, sigma),))
-        merged.guard(table_cap)
+    merged.guard(table_cap)
     merged.check_bound(len(free_vars))
     return merged
 
@@ -409,34 +407,30 @@ def dp_finalize(root: DPTable, aggregator: Aggregator, threshold: float | None,
 
 
 def extract_witness(tables: dict[int, DPTable], root_key: tuple, jt: TreeDecomposition,
-                    free_vars: Sequence[str]) -> tuple[Assignment, ...]:
+                    free_vars: Sequence[str], domain: Sequence[Value]) -> tuple[Assignment, ...]:
     """Rebuild k full answers realizing a kept root entry, via provenance.
 
     The walk is iterative. Each visit carries `slots`: slots[i] is the
     position of the node's tuple that feeds witness slot i; a link's sigma
-    maps it into the child's tuple. The answers' pair distances must give
-    back the entry's state and sum.
+    maps it into the child's tuple. The walk collects value indices, which
+    `domain`, the database's value table, turns into the answers' values.
+    The answers' pair distances must give back the entry's state and sum.
     """
     root = tables[jt.root]
     k = root.k
-    collected: list[dict] = [dict() for _ in range(k)]
+    collected: list[dict[str, int]] = [{} for _ in range(k)]
     stack = [(jt.root, root_key, tuple(range(k)))]
     while stack:
         node, key, slots = stack.pop()
         table = tables[node]
-        ptuple = key[0]
-        for i in range(k):
-            for v, value in table.sols[ptuple[slots[i]]].items():
-                prior = collected[i].get(v)
-                if prior is not None and prior != value:
-                    raise CorruptProvenance(
-                        f"conflicting bindings for {v} while extending entry"
-                    )
-                collected[i][v] = value
+        for bound, s in zip(collected, slots):
+            for v, index in zip(sorted(table.variables), table.sols[key[0][s]]):
+                if bound.setdefault(v, index) != index:
+                    raise CorruptProvenance(f"conflicting bindings for {v} while extending entry")
         for child_node, child_key, sigma in table.entries[key][1]:
             stack.append((child_node, child_key, tuple([sigma[s] for s in slots])))
     xs = list(free_vars)
-    witness = tuple(Assignment(b).restrict(xs) for b in collected)
+    witness = tuple(Assignment([(x, domain[b[x]]) for x in xs if x in b]) for b in collected)
     vec = pairwise_distances(witness, xs)
     if root.rule.state(vec) != root_key[1] or sum(vec) != root.entries[root_key][0]:
         raise CorruptProvenance("witness distances disagree with the kept entry")
@@ -451,14 +445,15 @@ sum_merge = dup_merge = dp_merge
 _extract_sum_witness = _extract_dup_witness = extract_witness
 
 
-def _full_reduce(jt: TreeDecomposition, sols: dict[int, list[Assignment]]) -> None:
+def _full_reduce(jt: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]]) -> None:
     """Keep in sols[node] only the solutions that lie in some full join
     result: semi-joins up the join tree, then down it. Order is kept."""
 
     def semijoin(target: int, source: int) -> None:
-        shared = sorted(jt.bags[target] & jt.bags[source])
-        seen = {tuple([a[v] for v in shared]) for a in sols[source]}
-        sols[target] = [a for a in sols[target] if tuple([a[v] for v in shared]) in seen]
+        shared = jt.bags[target] & jt.bags[source]
+        seen = set(_project(sols[source], jt.bags[source], shared))
+        keys = _project(sols[target], jt.bags[target], shared)
+        sols[target] = [s for s, key in zip(sols[target], keys) if key in seen]
 
     edges = [(node, child) for node in jt.postorder() for child in jt.children.get(node, ())]
     for parent, child in edges:
@@ -498,7 +493,8 @@ def _solve(query: Query, db: Database, k: int, d: float | None, aggregator: Aggr
     free_vars = query.free_vars
     jt, tables, stats = _traverse(query, db, k, free_vars, rule, table_cap)
     decision, best_key, best = dp_finalize(tables[jt.root], aggregator, d, allow_duplicates)
-    solution = extract_witness(tables, best_key, jt, free_vars) if decision and witness else None
+    solution = extract_witness(tables, best_key, jt, free_vars, db.domain) \
+        if decision and witness else None
     return Outcome(decision, best, solution, stats=stats)
 
 

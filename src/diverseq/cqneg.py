@@ -1,16 +1,17 @@
 """Diversity solver for conjunctive queries with negation, bounded treewidth.
 
 The dynamic program walks a nice tree decomposition bottom-up. Each node's
-table is an `acq.DPTable` whose sols are bag assignments; an entry pairs a
-sorted k-tuple of them with the pairwise free-variable distances their
-extensions below the node realize:
+table is an `acq.DPTable` whose sols are bag assignments, as value-index
+tuples over the sorted bag; an entry pairs a sorted k-tuple of them with the
+pairwise free-variable distances their extensions below the node realize:
 
     leaf       all sorted k-tuples of the bag assignments satisfying the
                covered literals (`dp_init`)
     introduce  extend each slot by the new variable's candidate values that
                keep the covered literals true, re-sort, add their distances
-    forget     project the variable away and re-sort, one entry per
-               arrangement of the slots that become equal
+    forget     project the variable away and re-sort (unless the slots
+               stay sorted and distinct), one entry per arrangement of the
+               slots that become equal
     join       match equal tuples, add distances, subtract the overlap
 
 A rule that re-sorts records its slot map in the provenance link, so the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .acq import (
     DEFAULT_TABLE_CAP,
@@ -110,7 +112,7 @@ class BagSolver:
 
     def satisfying_tuples(self, node: int) -> list[tuple[int, ...]]:
         """All candidate-value index tuples over the bag that satisfy the
-        covered literals."""
+        covered literals, sorted (the candidate lists are)."""
         order = self.bag_order(node)
         lits = self.covered_literals(self.ntd.bags[node])
         options = [self.candidates[v] for v in order]
@@ -127,26 +129,17 @@ class BagSolver:
         assignment = {v: self.domain[i] for v, i in zip(order, part)}
         return all(satisfies_literal(lit, assignment, self.db) for lit in lits)
 
-    def parts(self, node: int) -> list[tuple[int, ...]]:
-        """Value-index tuples, over the sorted bag, of a built node's sols."""
-        order = self.bag_order(node)
-        return [tuple([a[v].index for v in order]) for a in self.tables[node].sols]
-
-    def new_table(self, node: int, parts: list[tuple[int, ...]]) -> tuple[DPTable, dict]:
-        """An empty table whose sols are the bag assignments with the index
-        tuples `parts`, sorted, and each tuple's position among them."""
-        parts = sorted(parts)
-        order = self.bag_order(node)
-        sols = [{v: self.domain[i] for v, i in zip(order, p)} for p in parts]
+    def new_table(self, node: int, parts) -> tuple[DPTable, dict]:
+        """An empty table with the sorted index tuples `parts` as sols, and their positions."""
+        sols = sorted(parts)
         table = DPTable(node=node, variables=self.ntd.bags[node], sols=sols, k=self.k)
-        return table, {p: n for n, p in enumerate(parts)}
+        return table, {p: n for n, p in enumerate(sols)}
 
     # -- node rules ----------------------------------------------------------
 
     def leaf(self, node: int) -> DPTable:
-        bag, _ = self.new_table(node, self.satisfying_tuples(node))
-        return dp_init(node, bag.variables, bag.sols, self.k, self.query.free_vars,
-                       table_cap=self.table_cap)
+        return dp_init(node, self.ntd.bags[node], self.satisfying_tuples(node), self.k,
+                       self.query.free_vars, table_cap=self.table_cap)
 
     def introduce(self, node: int, child: int, z: str) -> DPTable:
         child_table = self.tables[child]
@@ -156,7 +149,7 @@ class BagSolver:
         # Per child sol: the (z value, extended part) pairs that keep the
         # covered literals true.
         extensions = []
-        for part in self.parts(child):
+        for part in child_table.sols:
             ext = [(idx, part[:zpos] + (idx,) + part[zpos:]) for idx in self.candidates[z]]
             extensions.append([(idx, e) for idx, e in ext if self.satisfies(order, e, lits)])
         table, index = self.new_table(node, [e for ext in extensions for _, e in ext])
@@ -190,24 +183,28 @@ class BagSolver:
     def forget(self, node: int, child: int, z: str) -> DPTable:
         child_table = self.tables[child]
         zpos = self.bag_order(child).index(z)
-        projected = [p[:zpos] + p[zpos + 1:] for p in self.parts(child)]
-        table, index = self.new_table(node, list(set(projected)))
+        projected = [p[:zpos] + p[zpos + 1:] for p in child_table.sols]
+        table, index = self.new_table(node, set(projected))
         proj = [index[p] for p in projected]  # child sol -> node sol
         k, out = self.k, table.entries
-        moves: dict[tuple, list] = {}  # child tuple -> (tuple, sigma, pair map)
+        identity = tuple(range(k))
+        moves: dict[tuple, list] = {}  # child tuple -> (tuple, sigma, pair map or None)
         for ckey, (value, _) in child_table.entries.items():
             ctuple, cvec = ckey
             found = moves.get(ctuple)
             if found is None:
-                projs = [proj[c] for c in ctuple]
-                target = tuple(sorted(projs))
-                if len(set(target)) < k:  # slots project alike: every arrangement
-                    sigmas = _slot_maps(ctuple, proj, target)
+                projs = tuple([proj[c] for c in ctuple])
+                if all(map(operator.lt, projs, projs[1:])):  # still sorted, distinct
+                    found = [(projs, identity, None)]
+                elif len(set(projs)) < k:  # slots project alike: every arrangement
+                    target = tuple(sorted(projs))
+                    found = [(target, s, _pair_map(s)) for s in _slot_maps(ctuple, proj, target)]
                 else:
-                    sigmas = (tuple(sorted(range(k), key=projs.__getitem__)),)
-                found = moves[ctuple] = [(target, s, _pair_map(s)) for s in sigmas]
+                    sigma = tuple(sorted(range(k), key=projs.__getitem__))
+                    found = [(tuple(sorted(projs)), sigma, _pair_map(sigma))]
+                moves[ctuple] = found
             for target, sigma, pmap in found:
-                key = (target, tuple([cvec[m] for m in pmap]))
+                key = (target, cvec if pmap is None else tuple([cvec[m] for m in pmap]))
                 if key not in out:
                     out[key] = (value, ((child, ckey, sigma),))
         table.guard(self.table_cap)
@@ -217,15 +214,15 @@ class BagSolver:
     def join(self, node: int, left: int, right: int) -> DPTable:
         left_table = self.tables[left]
         right_table = self.tables[right]
-        lparts = self.parts(left)
-        rindex = {p: n for n, p in enumerate(self.parts(right))}
+        lparts = left_table.sols
+        rindex = {p: n for n, p in enumerate(right_table.sols)}
         # The node's sols are the bag assignments both sides hold; both sides
         # sort them alike, so a sorted tuple maps to a sorted tuple.
         kept = [n for n, p in enumerate(lparts) if p in rindex]
         to_node = {l: n for n, l in enumerate(kept)}
         table = DPTable(node=node, variables=self.ntd.bags[node],
-                        sols=[left_table.sols[l] for l in kept], k=self.k)
-        overlap = _distance_matrix(table.sols, self.free & table.variables)
+                        sols=[lparts[l] for l in kept], k=self.k)
+        overlap = _distance_matrix(table.sols, table.variables, self.free)
         buckets: dict[tuple, list[tuple]] = {}
         for rkey in right_table.entries:
             buckets.setdefault(rkey[0], []).append(rkey)
@@ -269,7 +266,8 @@ class BagSolver:
             self.tables[node] = table
 
     def witness(self, root_key: tuple) -> tuple[Assignment, ...]:
-        return extract_witness(self.tables, root_key, self.ntd, self.query.free_vars)
+        return extract_witness(self.tables, root_key, self.ntd, self.query.free_vars,
+                               self.domain)
 
 
 def solve_cqneg(query: Query, db: Database, k: int, d: float | None,

@@ -35,15 +35,19 @@ def _strip_quoted_comment(line: str) -> str:
     return line[:end]
 
 
-def _parse_fact_values(body: str, lineno: int) -> list[Payload]:
+def _parse_fact_values(body: str, lineno: int, line: str) -> list[Payload]:
     values: list[Payload] = []
-    pos = 0
-    if not body.strip():
+    trimmed = body.rstrip()
+    if not trimmed:
         return values
+    if trimmed.endswith(","):  # as in query text, a value follows every comma
+        raise QuerySyntaxError(f"value list {body!r} ends in a comma", lineno,
+                               line.index("(") + len(trimmed) + 1)
+    pos = 0
     while pos < len(body):
         m = _VALUE_RE.match(body, pos)
         if m is None:
-            raise QuerySyntaxError(f"bad value list {body!r}", lineno, pos + 1)
+            raise QuerySyntaxError(f"bad value list {body!r}", lineno, line.index("(") + pos + 2)
         if m.group(1) is not None:
             values.append(int(m.group(1)))
         else:
@@ -71,7 +75,7 @@ def load_database(path: str) -> Database:
             if m is None:
                 raise QuerySyntaxError(f"bad fact {stripped!r}", lineno, 1)
             name = m.group(1)
-            values = tuple(_parse_fact_values(m.group(2), lineno))
+            values = tuple(_parse_fact_values(m.group(2), lineno, line))
             if name in arity and arity[name] != len(values):
                 raise QuerySyntaxError(
                     f"relation {name} used with arities {arity[name]} and {len(values)}",

@@ -266,6 +266,16 @@ def is_permutation_closed(keys, k: int) -> bool:
     )
 
 
+def sol_bindings(table, position: int, domain: Sequence | None = None) -> dict:
+    """A DP table's sol at `position`, an index tuple over the sorted
+    variables, as a dict from variable to value index; to value when the
+    database's value table `domain` is given."""
+    row = table.sols[position]
+    if domain is not None:
+        row = [domain[i] for i in row]
+    return dict(zip(sorted(table.variables), row))
+
+
 def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
     """The entries `acq.dp_merge(parent, child, ...)` must produce, built
     naively: every (parent entry, child entry, slot map) triple is tried,
@@ -288,14 +298,13 @@ def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
         by_tuple.setdefault(ckey[0], []).append(ckey)
     out: dict = {}
     for (ptuple, state), (value, refs) in parent.entries.items():
-        psols = [parent.sols[p] for p in ptuple]
+        psols = [sol_bindings(parent, p) for p in ptuple]
         overlap = [hamming_distance(psols[i], psols[j], shared_free) for i, j in pairs]
         for ctuple, ckeys in by_tuple.items():
-            csols = [child.sols[c] for c in ctuple]
+            csols = [sol_bindings(child, c) for c in ctuple]
             maps: dict[tuple, tuple] = {}
             for sigma in itertools.permutations(range(k)):
-                if all(csols[sigma[i]].restrict(shared) == psols[i].restrict(shared)
-                       for i in range(k)):
+                if all(csols[sigma[i]][v] == psols[i][v] for i in range(k) for v in shared):
                     maps.setdefault(tuple(ctuple[s] for s in sigma), sigma)
             for _, sigma in sorted(maps.items()):
                 for ckey in ckeys:

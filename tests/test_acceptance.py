@@ -123,7 +123,7 @@ def test_criterion_2_witnesses_valid(acq_corpus):
             if achieved is None:
                 continue
             witness = extract_witness(
-                record.tables, best_key, record.jt, record.query.free_vars
+                record.tables, best_key, record.jt, record.query.free_vars, record.db.domain
             )
             assert len(witness) == record.k
             assert len(set(witness)) == record.k

@@ -7,6 +7,7 @@ from diverseq.acq import (
     EXACT,
     FLAGS,
     NONE,
+    _Join,
     _sorted_sols,
     _traverse,
     dp_finalize,
@@ -33,6 +34,7 @@ from helpers import (
     reference_merge,
     slot_closure,
     small_answer_instances,
+    sol_bindings,
 )
 
 
@@ -90,8 +92,8 @@ def test_dp_merge_disjoint_free_vars_adds_distances():
     merged = dp_merge(parent, child, q.free_vars)
     # x = 1 for both S rows; distances on x (0) and y add with no overlap
     for (ptuple, dvec) in merged.entries:
-        sols = merged.sols
-        x_equal = sols[ptuple[0]]["x"] == sols[ptuple[1]]["x"]
+        a, b = (sol_bindings(merged, p, db.domain) for p in ptuple)
+        x_equal = a["x"] == b["x"]
         assert x_equal or dvec[0] >= 1
 
 
@@ -227,11 +229,11 @@ def test_table_semantics_against_subtree_enumeration():
             subsols = conjunction_solutions(subtree_atoms, db)
             expected = set()
             index_of = {sol: i for i, sol in enumerate(table.sols)}
-            node_vars = atoms[node].variables
+            node_order = sorted(atoms[node].variables)
             subtree_vars = {v for a in subtree_atoms for v in a.variables}
             local_free = [x for x in free if x in subtree_vars]
             for combo in itertools.product(subsols, repeat=k):
-                ptuple = tuple(index_of[g.restrict(node_vars)] for g in combo)
+                ptuple = tuple(index_of[tuple(g[v].index for v in node_order)] for g in combo)
                 dvec = tuple(
                     sum(1 for x in local_free if combo[i][x] != combo[j][x])
                     for i in range(k) for j in range(i + 1, k)
@@ -370,12 +372,12 @@ def test_sum_table_semantics_against_subtree_enumeration():
                 stack.extend(jt.children.get(current, ()))
             subsols = conjunction_solutions(subtree_atoms, db)
             index_of = {sol: i for i, sol in enumerate(table.sols)}
-            node_vars = atoms[node].variables
+            node_order = sorted(atoms[node].variables)
             subtree_vars = {v for a in subtree_atoms for v in a.variables}
             local_free = [x for x in free if x in subtree_vars]
             expected: dict = {}
             for combo in itertools.product(subsols, repeat=k):
-                ptuple = tuple(index_of[g.restrict(node_vars)] for g in combo)
+                ptuple = tuple(index_of[tuple(g[v].index for v in node_order)] for g in combo)
                 ds = [
                     sum(1 for x in local_free if combo[i][x] != combo[j][x])
                     for i, j in pairs
@@ -424,13 +426,13 @@ def test_dup_table_semantics_against_subtree_enumeration():
                 stack.extend(jt.children.get(current, ()))
             subsols = conjunction_solutions(subtree_atoms, db)
             index_of = {sol: i for i, sol in enumerate(table.sols)}
-            node_vars = atoms[node].variables
+            node_order = sorted(atoms[node].variables)
             subtree_vars = {v for a in subtree_atoms for v in a.variables}
             local_free = [x for x in free if x in subtree_vars]
             expected: dict = {}
             for combo in itertools.product(subsols, repeat=k):
                 ptuple = tuple(
-                    sorted(index_of[g.restrict(node_vars)] for g in combo)
+                    sorted(index_of[tuple(g[v].index for v in node_order)] for g in combo)
                 )
                 value = sum(
                     sum(1 for x in local_free if combo[i][x] != combo[j][x])
@@ -499,13 +501,13 @@ def _with_dangling(db, rng):
     return out
 
 
-def _root_entries(tables, jt, free):
+def _root_entries(tables, jt, free, db):
     """The root's entries in order, each spelled as its slots' solutions,
     its state, its sum and the answers its provenance gives."""
     table = tables[jt.root]
     return [
         (tuple(table.sols[p] for p in key[0]), key[1], entry[0],
-         extract_witness(tables, key, jt, free))
+         extract_witness(tables, key, jt, free, db.domain))
         for key, entry in table.entries.items()
     ]
 
@@ -521,9 +523,12 @@ def _pairwise_consistent(jt, atoms, sols):
         for node in jt.postorder():
             for child in jt.children.get(node, ()):
                 for a, b in ((node, child), (child, node)):
-                    shared = sorted(atoms[a].variables & atoms[b].variables)
-                    seen = {tuple(s[v] for v in shared) for s in sols[b]}
-                    kept = [s for s in sols[a] if tuple(s[v] for v in shared) in seen]
+                    shared = atoms[a].variables & atoms[b].variables
+                    cols_a, cols_b = (
+                        [n for n, v in enumerate(sorted(atoms[x].variables)) if v in shared]
+                        for x in (a, b))
+                    seen = {tuple(s[c] for c in cols_b) for s in sols[b]}
+                    kept = [s for s in sols[a] if tuple(s[c] for c in cols_a) in seen]
                     changed |= len(kept) < len(sols[a])
                     sols[a] = kept
     return sols
@@ -556,7 +561,7 @@ def test_full_reducer_keeps_root_entries():
             consistent = _pairwise_consistent(
                 jt, atoms, {node: full[node].sols for node in full})
             assert all(reduced[node].sols == consistent[node] for node in full)
-            assert _root_entries(reduced, jt, free) == _root_entries(full, jt, free)
+            assert _root_entries(reduced, jt, free, db) == _root_entries(full, jt, free, db)
             assert stats["max_table"] <= max_full
             shrunk += stats["max_table"] < max_full
     assert rows_dropped > 0 and shrunk > 0
@@ -579,6 +584,15 @@ def test_dp_merge_matches_reference_merge():
         Database.from_rows({"S": [(10, 5), (10, 6), (20, 7)], "R": [(1, 20), (2, 10), (3, 10)]}),
         3,
     ))
+    # One partner per parent sol (the root S), rising with the parent sols
+    # but skipping the child's dangling sols x = 42 and x = 44 (no full
+    # reducer here): the partner map is strictly increasing, not the identity.
+    cases.append((
+        parse_query("Q(x, z) :- R(x, y), S(y, z)."),
+        Database.from_rows({"S": [(10, 5), (20, 6), (30, 7)],
+                            "R": [(41, 10), (42, 99), (43, 20), (44, 98), (45, 30)]}),
+        3,
+    ))
     # One partner per parent sol, child sols in the parent's order: every
     # slot map is the identity.
     star = Graph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
@@ -596,6 +610,7 @@ def test_dp_merge_matches_reference_merge():
                                              "C0": c0 + [(4, 40), (5, 40)]}), 3))
     merges = 0
     cycles = set()
+    partner_maps = set()
     for query, db, k in cases:
         free = query.free_vars
         jt = gyo_join_tree(query)
@@ -607,6 +622,7 @@ def test_dp_merge_matches_reference_merge():
                                 k, free, rule=rule)
                 for child in jt.children.get(node, ()):
                     expected = reference_merge(table, tables[child], free)
+                    partner_maps.add((rule.name, _partner_map_kind(table, tables[child], free)))
                     table = dp_merge(table, tables[child], free)
                     assert list(table.entries.items()) == list(expected.items())
                     merges += 1
@@ -617,6 +633,23 @@ def test_dp_merge_matches_reference_merge():
                 tables[node] = table
     assert merges > 0
     assert {name for name, _ in cycles} == {"exact", "flags", "none"}
+    for rule in ("exact", "flags", "none"):
+        for kind in ("identity", "increasing", "permuted", "partial"):
+            assert (rule, kind) in partner_maps
+
+
+def _partner_map_kind(parent, child, free):
+    """How a merge's parent sols map to their join partners: "partial" when
+    some sol has none or several, else "identity", "increasing" (strictly,
+    not the identity) or "permuted"."""
+    single = _Join(parent, child, free).single
+    if None in single:
+        return "partial"
+    if single == list(range(len(single))):
+        return "identity"
+    if all(a < b for a, b in zip(single, single[1:])):
+        return "increasing"
+    return "permuted"
 
 
 # --- oracle equivalence (small smoke version of the acceptance sweep) -----------

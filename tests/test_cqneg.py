@@ -15,6 +15,7 @@ from helpers import (
     literal_solutions,
     random_cqneg_query,
     small_answer_instances,
+    sol_bindings,
 )
 
 
@@ -39,7 +40,7 @@ def test_leaf_rule_counts_survivors():
     table = solver.leaf(leaf)
     # of the 4 grid assignments, (1,1) violates the negated literal
     assert len(table.entries) == 3
-    sols = [table.sols[key[0][0]] for key in table.entries]
+    sols = [sol_bindings(table, key[0][0], db.domain) for key in table.entries]
     values = {(a["x"].payload, a["y"].payload) for a in sols}
     assert values == {(1, 2), (2, 1), (2, 2)}
 
@@ -52,7 +53,7 @@ def test_leaf_rule_k2_pairs_with_distances():
     # the sorted pairs of the 3 survivors: 3 distinct, 3 repeated
     assert len(table.entries) == 6
     for (ptuple, dvec) in table.entries:
-        a, b = (table.sols[i] for i in ptuple)
+        a, b = (sol_bindings(table, i, db.domain) for i in ptuple)
         assert ptuple == tuple(sorted(ptuple))
         expected = sum(1 for v in ("x", "y") if a[v] != b[v])
         assert dvec == (expected,)
@@ -72,7 +73,8 @@ def test_leaf_rule_uncovered_bag_admits_every_candidate():
     candidates = column_candidates(q, db)
     assert {v.payload for v in candidates["y"]} == {2, 4}
     assert {v.payload for v in candidates["x"]} == {1}
-    assert {(table.sols[key[0][0]]["y"], key[1]) for key in table.entries} == \
+    assert {(sol_bindings(table, key[0][0], db.domain)["y"], key[1])
+            for key in table.entries} == \
         {(v, ()) for v in candidates["y"]}
 
 
@@ -228,7 +230,7 @@ def test_node_tables_match_witness_semantics():
                     for i in range(k) for j in range(i + 1, k)
                 )
                 expected.add((ptuple, dvec))
-            parts = solver.parts(node)
+            parts = solver.tables[node].sols
             stored = {
                 (tuple(parts[i] for i in ptuple), dvec)
                 for ptuple, dvec in solver.tables[node].entries

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diverseq.cli import RunConfig, run
 from diverseq.dbio import dump_database, dump_query, load_database, load_query
 from diverseq.errors import QuerySyntaxError
 from diverseq.kernel import AnswerRelation, read_answer_csv, write_answer_csv
@@ -167,7 +168,7 @@ def test_fact_file_non_ascii_digit_is_not_an_integer(tmp_path):
 
 @pytest.mark.parametrize("text", [
     "7", "\u0663", "007", "-0", "+7", "-", '"a#b"', '"\\\\"', '"\\n"', '"a\\"b"',
-    '"\\q"', '"abc', '"ab\\"',
+    '"\\q"', '"abc', '"ab\\"', "1,", "1, 2,", '"a",',
 ])
 def test_fact_and_query_constants_share_one_grammar(tmp_path, text):
     # A constant reads the same in a fact file and in query text: both
@@ -185,3 +186,19 @@ def test_fact_and_query_constants_share_one_grammar(tmp_path, text):
         from_query = QuerySyntaxError
     assert from_facts == from_query
     assert type(from_facts) is type(from_query)
+
+
+def test_fact_trailing_comma_is_a_syntax_error_at_the_comma(tmp_path):
+    # Query text rejects `R(x,)`; a fact file must not read `R(1,)` as R(1).
+    path = tmp_path / "db.facts"
+    for text, column in (("R(1,).", 4), ("  S(1, 2,).", 9), ('T("a,",).', 7)):
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(QuerySyntaxError) as err:
+            load_database(str(path))
+        assert (err.value.line, err.value.column) == (1, column)
+    query = tmp_path / "q.dq"
+    query.write_text("Q(x) :- R(x).\n", encoding="utf-8")
+    path.write_text("R(1).\nR(2,).\n", encoding="utf-8")
+    code, report = run(RunConfig(db_path=str(path), query_path=str(query), k=1, d=0,
+                                 aggregator="sum"))
+    assert code == 2 and report["error"]["code"] == "QuerySyntaxError"

@@ -1,9 +1,11 @@
 import ast
+import json
 import os
 import sys
 
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "diverseq")
 BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+BENCHMARK_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
 
 
 def test_package_imports_only_the_standard_library():
@@ -48,3 +50,38 @@ def test_benchmark_tracer_finds_every_hook(monkeypatch):
     finally:
         tracer.uninstall()
     assert (kernel.sols_atom, acq.dp_init, cqneg.BagSolver.leaf) == originals
+
+
+def test_traced_run_feeds_every_layer_metric(tmp_path, monkeypatch):
+    # A traced benchmark run fails when a name the tracer wraps is gone
+    # (MissingHook) or when a per-layer metric goes unfed although ops that
+    # run its layer were answered ("metrics not produced"). Run one op per
+    # variant of each workload class under the tracer, as the worker does,
+    # and require every per-layer metric that BENCHMARK.json lists.
+    from diverseq import cli
+
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import run as bench_run
+    import worker
+    import workloads
+    from tracing import Tracer
+
+    with open(BENCHMARK_JSON, encoding="utf-8") as handle:
+        names = [metric["name"] for metric in json.load(handle)["per_layer"]]
+    for workload in workloads.WORKLOADS:
+        ops = workloads.build(workload, 1, str(tmp_path / workload), tiny=True)
+        tracer, records = Tracer(), []
+        for i, op in enumerate(ops):
+            config = cli.RunConfig(db_path=op.db, query_path=op.query, k=op.k, d=op.d,
+                                   aggregator=op.aggregator,
+                                   allow_duplicates=op.allow_duplicates,
+                                   witness=op.witness, output="json")
+            result, record = tracer.run_op(i, lambda: cli.run(config))
+            refusal = worker.check(workloads.op_json(op), *result, workloads.GUARD_CODES)
+            # No untraced twin: the overhead metrics read 0, which is enough
+            # to show they are produced.
+            record.update(op=i, error=refusal, untraced_ms=record["ms"],
+                          witness=op.witness and op.decision)
+            records.append(record)
+        metrics, _ = bench_run.per_layer({"records": records, "passes": 1})
+        assert [name for name in names if name not in metrics] == [], workload
