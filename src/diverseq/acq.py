@@ -36,13 +36,14 @@ reads child slot sigma[i]), reads the child's per-pair values through it, and
 records sigma in the provenance link.
 
 Joins are mostly functional: the shared variables of a parent sol pick
-exactly one child sol, its partner. A merge decides once how it aligns: if
-every parent sol has a partner and the partners rise strictly with the
-sols, each sorted parent tuple reads its partners' (sorted) tuple under the
-identity. Otherwise a parent tuple whose slots all have partners reads the
-partners sorted, under the inverse of their stable argsort, and any other
-searches the child tuples bucketed by their sorted projection onto the
-shared variables, under every slot map `_arrangements` gives.
+exactly one child sol, its partner; a parent tuple holding a sol with none
+joins nothing. A merge decides once how it aligns: if no sol has several
+partners and the partners rise strictly with the sols, each sorted parent
+tuple reads its partners' (sorted) tuple under the identity. Otherwise a
+parent tuple whose slots all have one partner reads the partners sorted,
+under the inverse of their stable argsort, and any other searches the child
+tuples bucketed by their sorted projection onto the shared variables, under
+every slot map `_arrangements` gives.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .queries import Atom, Query, sols_atom
 from .structure import TreeDecomposition, gyo_join_tree
 
 DEFAULT_TABLE_CAP = 10_000_000
+NO_PARTNER = -1
 
 
 @dataclass(frozen=True)
@@ -237,10 +239,11 @@ class _Join:
     """Lines up the sorted tuples of a child table with those of its parent.
 
     single[p] is parent sol p's partner, the one child sol sharing its
-    projection onto the shared variables, or None when zero or several do.
-    If the partners are total and strictly increasing, `direct` maps each
-    child tuple to its entries under the identity; otherwise `aligned`
-    searches per parent tuple, cached per partner or projection sequence.
+    projection onto the shared variables; NO_PARTNER when none does, so a
+    tuple holding p joins nothing, and None when several do. If no sol has
+    several and the partners rise strictly, `direct` maps each child tuple
+    to its entries under the identity; otherwise `aligned` searches per
+    parent tuple, cached per partner or projection sequence.
     """
 
     def __init__(self, parent: DPTable, child: DPTable, free_vars: Sequence[str]) -> None:
@@ -250,13 +253,14 @@ class _Join:
         partner: dict[tuple, int | None] = {}
         for c, proj in enumerate(self.proj_c):
             partner[proj] = None if proj in partner else c
-        self.single = single = [partner.get(proj) for proj in self.proj_p]
+        self.single = single = [partner.get(proj, NO_PARTNER) for proj in self.proj_p]
         # Distances on the shared free variables, which both sides count.
         self.corr = _distance_matrix(parent.sols, parent.variables, shared & set(free_vars))
         self.child = child
         self.identity = identity = tuple(range(parent.k))
         self.direct: dict[tuple, list] | None = None
-        if None not in single and all(map(operator.lt, single, single[1:])):
+        joined = [c for c in single if c != NO_PARTNER]
+        if None not in joined and all(map(operator.lt, joined, joined[1:])):
             self.direct = {}
             for ckey, (value, _) in child.entries.items():
                 self.direct.setdefault(ckey[0], []).append((ckey, identity, ckey[1], value))
@@ -284,6 +288,8 @@ class _Join:
         """
         single = self.single
         partners = tuple([single[p] for p in ptuple])
+        if NO_PARTNER in partners:
+            return []
         if None not in partners:
             found = self._direct.get(partners)
             if found is None:
@@ -350,7 +356,8 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     Compatible entry pairs combine their states and add their sums, less
     the distance already counted on the shared variables (which exact
     states subtract too). Per new key, the first candidate with the highest
-    sum donates provenance. The guard runs once per parent slot tuple.
+    sum donates provenance. The guard runs once per parent slot tuple that
+    joins, and once at the end.
     """
     join = _Join(parent, child, free_vars)
     merged = replace(parent, entries={})
@@ -361,12 +368,13 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     last = None  # entries of one slot tuple are adjacent
     for (ptuple, state), (value, refs) in parent.entries.items():
         if ptuple != last:
-            merged.guard(table_cap)
             last = ptuple
             aligned = join.aligned(ptuple) if direct is None \
                 else direct.get(tuple([single[p] for p in ptuple]), ())
-            corrvec = [corr[ptuple[i]][ptuple[j]] for i, j in pairs]
-            corr_sum = sum(corrvec)
+            if aligned:
+                merged.guard(table_cap)
+                corrvec = [corr[ptuple[i]][ptuple[j]] for i, j in pairs]
+                corr_sum = sum(corrvec)
         if not aligned:
             continue
         base = value - corr_sum

@@ -222,21 +222,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integer(text: str, expects: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{expects}, got {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.d == "max":
-        d = None
-    else:
-        try:
-            d = int(args.d)
-        except ValueError:
-            print(f"error: --d expects an integer or 'max', got {args.d!r}",
-                  file=sys.stderr)
-            return 2
-    table_cap = args.table_cap
-    if table_cap is None:
-        table_cap = int(os.environ.get(TABLE_CAP_ENV, acq.DEFAULT_TABLE_CAP))
     try:
+        d = None if args.d == "max" else _integer(args.d, "--d expects an integer or 'max'")
+        table_cap = args.table_cap if args.table_cap is not None else _integer(
+            os.environ.get(TABLE_CAP_ENV, str(acq.DEFAULT_TABLE_CAP)),
+            f"{TABLE_CAP_ENV} expects an integer")
         cfg = RunConfig(
             db_path=args.db,
             query_path=args.query,

@@ -12,11 +12,13 @@ pairwise free-variable distances their extensions below the node realize:
     forget     project the variable away and re-sort (unless the slots
                stay sorted and distinct), one entry per arrangement of the
                slots that become equal
-    join       match equal tuples, add distances, subtract the overlap
+    join       the join-tree merge (`dp_merge`) of the right child into
+               the left: the node keeps the left child's sols, and a tuple
+               holding a sol the right child lacks makes no entry
 
 A rule that re-sorts records its slot map in the provenance link, so the
 root is decided by `dp_finalize` and the witness rebuilt by `extract_witness`
-exactly as in the join-tree solver.
+exactly as in the join-tree solver. Literal checks bind value indices.
 
 A variable ranges only over its candidate values: those in its column of
 every positive atom that mentions it. That loses no answer, and no node
@@ -30,15 +32,16 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from dataclasses import replace
 
 from .acq import (
     DEFAULT_TABLE_CAP,
     DPTable,
-    _distance_matrix,
     _pair_map,
     _slot_maps,
     dp_finalize,
     dp_init,
+    dp_merge,
     extract_witness,
 )
 from .errors import TableGuardExceeded
@@ -47,7 +50,6 @@ from .model import (
     Assignment,
     Database,
     Outcome,
-    Value,
     pair_order,
 )
 from .queries import Literal, Query, Variable, relation_of, satisfies_literal
@@ -70,7 +72,6 @@ class BagSolver:
         self.k = k
         self.ntd = ntd
         self.table_cap = table_cap
-        self.domain: list[Value] = list(db.domain)
         self.free = frozenset(query.free_vars)
         self.pairs = pair_order(k)
         self.literals: tuple[Literal, ...] = query.conjuncts[0].literals
@@ -126,8 +127,8 @@ class BagSolver:
     def satisfies(self, order: tuple[str, ...], part: tuple[int, ...],
                   lits: list[Literal]) -> bool:
         """Whether the bag assignment with index tuple `part` satisfies lits."""
-        assignment = {v: self.domain[i] for v, i in zip(order, part)}
-        return all(satisfies_literal(lit, assignment, self.db) for lit in lits)
+        bindings = dict(zip(order, part))
+        return all(satisfies_literal(lit, bindings, self.db) for lit in lits)
 
     def new_table(self, node: int, parts) -> tuple[DPTable, dict]:
         """An empty table with the sorted index tuples `parts` as sols, and their positions."""
@@ -212,42 +213,8 @@ class BagSolver:
         return table
 
     def join(self, node: int, left: int, right: int) -> DPTable:
-        left_table = self.tables[left]
-        right_table = self.tables[right]
-        lparts = left_table.sols
-        rindex = {p: n for n, p in enumerate(right_table.sols)}
-        # The node's sols are the bag assignments both sides hold; both sides
-        # sort them alike, so a sorted tuple maps to a sorted tuple.
-        kept = [n for n, p in enumerate(lparts) if p in rindex]
-        to_node = {l: n for n, l in enumerate(kept)}
-        table = DPTable(node=node, variables=self.ntd.bags[node],
-                        sols=[lparts[l] for l in kept], k=self.k)
-        overlap = _distance_matrix(table.sols, table.variables, self.free)
-        buckets: dict[tuple, list[tuple]] = {}
-        for rkey in right_table.entries:
-            buckets.setdefault(rkey[0], []).append(rkey)
-        pairs, identity = self.pairs, tuple(range(self.k))
-        out = table.entries
-        matched: dict[tuple, tuple] = {}  # left tuple -> (tuple, overlap, right keys)
-        for lkey in left_table.entries:
-            ltuple, lvec = lkey
-            found = matched.get(ltuple)
-            if found is None:
-                found = (None, None, ())
-                if all(l in to_node for l in ltuple):
-                    ntuple = tuple([to_node[l] for l in ltuple])
-                    rkeys = buckets.get(tuple([rindex[lparts[l]] for l in ltuple]), ())
-                    found = (ntuple, [overlap[ntuple[i]][ntuple[j]] for i, j in pairs], rkeys)
-                matched[ltuple] = found
-            ntuple, ovec, rkeys = found
-            for rkey in rkeys:
-                vec = tuple([a + b - o for a, b, o in zip(lvec, rkey[1], ovec)])
-                key = (ntuple, vec)
-                if key not in out:
-                    out[key] = (sum(vec), ((left, lkey, identity), (right, rkey, identity)))
-            table.guard(self.table_cap)
-        table.check_bound(len(self.free))
-        return table
+        return dp_merge(replace(self.tables[left], node=node), self.tables[right],
+                        self.query.free_vars, table_cap=self.table_cap)
 
     # -- driver ----------------------------------------------------------------
 
@@ -267,7 +234,7 @@ class BagSolver:
 
     def witness(self, root_key: tuple) -> tuple[Assignment, ...]:
         return extract_witness(self.tables, root_key, self.ntd, self.query.free_vars,
-                               self.domain)
+                               self.db.domain)
 
 
 def solve_cqneg(query: Query, db: Database, k: int, d: float | None,

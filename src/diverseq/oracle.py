@@ -127,9 +127,9 @@ def _enumerate_conjunct(query: Query, conjunct: Conjunct, db: Database) -> set[A
 
     def backtrack(i: int, bound: dict[str, Value]) -> None:
         if i == len(atoms):
-            assignment = Assignment(bound)
-            if all(satisfies_literal(lit, assignment, db) for lit in negatives):
-                out.add(assignment.restrict(query.free_vars))
+            indices = {v: x.index for v, x in bound.items()}
+            if all(satisfies_literal(lit, indices, db) for lit in negatives):
+                out.add(Assignment(bound).restrict(query.free_vars))
             return
         atom = atoms[i]
         relation = db.relations[atom.relation]

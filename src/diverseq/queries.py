@@ -24,7 +24,7 @@ from .errors import (
     UnknownRelation,
     UnsafeQuery,
 )
-from .model import Database, Payload, Relation, Value
+from .model import Database, Payload, Relation
 
 
 @dataclass(frozen=True)
@@ -368,13 +368,14 @@ def sols_atom(atom: Atom, db: Database) -> list[tuple[int, ...]]:
     return [tuple([row[p] for p in take]) for row in rows]
 
 
-def satisfies_literal(literal: Literal, assignment: Mapping[str, Value],
+def satisfies_literal(literal: Literal, bindings: Mapping[str, int],
                       db: Database) -> bool:
     """Check one fully-bound literal against the database.
 
-    The assignment binds values of this database, whose indices form the
-    row looked up. A constant outside the active domain makes a positive
-    literal false and a negative literal true.
+    `bindings` maps each of the literal's variables to a value index of this
+    database; with the constants' indices they form the row looked up. A
+    constant outside the active domain makes a positive literal false and a
+    negative literal true.
     """
     relation = relation_of(literal.atom, db)
     row = []
@@ -383,8 +384,8 @@ def satisfies_literal(literal: Literal, assignment: Mapping[str, Value],
             value = db.value(term.payload)
             if value is None:
                 return not literal.positive
+            row.append(value.index)
         else:
-            value = assignment[term.name]
-        row.append(value.index)
+            row.append(bindings[term.name])
     present = tuple(row) in relation.rows
     return present if literal.positive else not present

@@ -182,9 +182,9 @@ def literal_solutions(literals: Sequence[Literal], variables: Sequence[str],
     domain = list(db.domain)
     out = []
     for combo in itertools.product(domain, repeat=len(variables)):
-        assignment = Assignment(dict(zip(variables, combo)))
-        if all(satisfies_literal(lit, assignment, db) for lit in literals):
-            out.append(assignment)
+        indices = {v: x.index for v, x in zip(variables, combo)}
+        if all(satisfies_literal(lit, indices, db) for lit in literals):
+            out.append(Assignment(dict(zip(variables, combo))))
     return out
 
 

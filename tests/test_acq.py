@@ -6,6 +6,7 @@ import pytest
 from diverseq.acq import (
     EXACT,
     FLAGS,
+    NO_PARTNER,
     NONE,
     _Join,
     _sorted_sols,
@@ -608,6 +609,11 @@ def test_dp_merge_matches_reference_merge():
     cases.append((chain, Database.from_rows({"C1": c1, "C0": c0}), 3))
     cases.append((chain, Database.from_rows({"C1": c1 + [(40, 8)],
                                              "C0": c0 + [(4, 40), (5, 40)]}), 3))
+    # A parent sol (x1 = 50) that no C0 row joins, with the other partners
+    # rising and then rotated: tuples holding it make no entry on the
+    # direct path and on the per-tuple one.
+    for child_rows in ([(1, 10), (2, 20), (3, 30)], c0):
+        cases.append((chain, Database.from_rows({"C1": c1 + [(50, 9)], "C0": child_rows}), 3))
     merges = 0
     cycles = set()
     partner_maps = set()
@@ -634,17 +640,19 @@ def test_dp_merge_matches_reference_merge():
     assert merges > 0
     assert {name for name, _ in cycles} == {"exact", "flags", "none"}
     for rule in ("exact", "flags", "none"):
-        for kind in ("identity", "increasing", "permuted", "partial"):
+        for kind in ("identity", "increasing", "permuted", "partial", "unjoined"):
             assert (rule, kind) in partner_maps
 
 
 def _partner_map_kind(parent, child, free):
     """How a merge's parent sols map to their join partners: "partial" when
-    some sol has none or several, else "identity", "increasing" (strictly,
-    not the identity) or "permuted"."""
+    some sol has several, else "unjoined" when some has none, else
+    "identity", "increasing" (strictly, not the identity) or "permuted"."""
     single = _Join(parent, child, free).single
     if None in single:
         return "partial"
+    if NO_PARTNER in single:
+        return "unjoined"
     if single == list(range(len(single))):
         return "identity"
     if all(a < b for a, b in zip(single, single[1:])):

@@ -202,6 +202,13 @@ def test_cli_entrypoint_and_env_cap(tmp_path, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["error"]["code"] == "TableGuardExceeded"
 
+    # A cap that is no integer is refused like a bad --d, not with a traceback.
+    monkeypatch.setenv("DIVERSEQ_TABLE_CAP", "abc")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "DIVERSEQ_TABLE_CAP" in captured.err and "'abc'" in captured.err
+
 
 def test_d_max_via_argv(tmp_path, capsys):
     db_path, query_path = write_fixture(

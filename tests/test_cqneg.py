@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from helpers import (
     column_candidates,
     literal_solutions,
     random_cqneg_query,
+    reference_merge,
     small_answer_instances,
     sol_bindings,
 )
@@ -186,9 +188,11 @@ def test_witness_contract_random_cqneg():
 def test_node_tables_match_witness_semantics():
     # e in D_t iff solutions of the subtree's covered literals extend e,
     # every variable taking one of its candidate values. A table stores the
-    # entries of D_t at sorted tuples of its sols.
+    # entries of D_t at sorted tuples of its sols. A join node's table is the
+    # reference merge of its right child into its left, entry for entry.
     rng = random.Random(79)
     joins = {2: 0, 3: 0}
+    unmatched = 0  # joins where a left sol has no equal right sol
     for n in range(100):
         query, db = random_cqneg_query(rng, max_vars=4, dom_size=2)
         if n % 2:
@@ -202,7 +206,15 @@ def test_node_tables_match_witness_semantics():
         literals = query.conjuncts[0].literals
         free = query.free_vars
         for node in ntd.postorder():
-            joins[k] += ntd.kinds[node] == "join"
+            if ntd.kinds[node] == "join":
+                joins[k] += 1
+                left, right = ntd.children[node]
+                table = solver.tables[node]
+                reference = reference_merge(replace(solver.tables[left], node=node),
+                                            solver.tables[right], free)
+                assert table.sols == solver.tables[left].sols
+                assert list(table.entries.items()) == list(reference.items())
+                unmatched += not set(table.sols) <= set(solver.tables[right].sols)
             subtree_bags = [ntd.bags[node]]
             stack = list(ntd.children.get(node, ()))
             while stack:
@@ -236,7 +248,8 @@ def test_node_tables_match_witness_semantics():
                 for ptuple, dvec in solver.tables[node].entries
             }
             assert stored == expected
-    assert joins[3] >= 10, joins
+    assert joins[2] >= 3 and joins[3] >= 10, joins
+    assert unmatched > 0
 
 
 def test_negation_free_matches_acq():

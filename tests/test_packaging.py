@@ -32,6 +32,33 @@ def test_package_imports_only_the_standard_library():
     assert stray == []
 
 
+def test_package_has_no_unused_module_imports():
+    # A module-level import must be used in the module or listed in its
+    # `__all__`; a deletion that leaves one behind fails here.
+    unused = []
+    for name in sorted(os.listdir(SRC_DIR)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC_DIR, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=name)
+        imported = {}  # bound name -> line
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.extend(f"{name}:{line}: {bound}" for bound, line in imported.items()
+                      if bound not in used and bound not in exported)
+    assert unused == []
+
+
 def test_benchmark_tracer_finds_every_hook(monkeypatch):
     # The traced benchmark run (bench/tracing.py) wraps library functions by
     # name and raises MissingHook for a name the library no longer defines.
