@@ -70,7 +70,6 @@ from .queries import Atom, Query, sols_atom
 from .structure import TreeDecomposition, gyo_join_tree
 
 DEFAULT_TABLE_CAP = 10_000_000
-NO_PARTNER = -1
 
 
 @dataclass(frozen=True)
@@ -239,11 +238,11 @@ class _Join:
     """Lines up the sorted tuples of a child table with those of its parent.
 
     single[p] is parent sol p's partner, the one child sol sharing its
-    projection onto the shared variables; NO_PARTNER when none does, so a
-    tuple holding p joins nothing, and None when several do. If no sol has
-    several and the partners rise strictly, `direct` maps each child tuple
-    to its entries under the identity; otherwise `aligned` searches per
-    parent tuple, cached per partner or projection sequence.
+    projection onto the shared variables, and None when several or none do.
+    If every sol has one and the partners rise strictly, `direct` maps each
+    child tuple to its entries under the identity; otherwise `aligned`
+    searches per parent tuple, cached per partner or projection sequence,
+    and finds no child tuple for a tuple holding a sol with no partner.
     """
 
     def __init__(self, parent: DPTable, child: DPTable, free_vars: Sequence[str]) -> None:
@@ -253,14 +252,13 @@ class _Join:
         partner: dict[tuple, int | None] = {}
         for c, proj in enumerate(self.proj_c):
             partner[proj] = None if proj in partner else c
-        self.single = single = [partner.get(proj, NO_PARTNER) for proj in self.proj_p]
+        self.single = single = [partner.get(proj) for proj in self.proj_p]
         # Distances on the shared free variables, which both sides count.
         self.corr = _distance_matrix(parent.sols, parent.variables, shared & set(free_vars))
         self.child = child
         self.identity = identity = tuple(range(parent.k))
         self.direct: dict[tuple, list] | None = None
-        joined = [c for c in single if c != NO_PARTNER]
-        if None not in joined and all(map(operator.lt, joined, joined[1:])):
+        if None not in single and all(map(operator.lt, single, single[1:])):
             self.direct = {}
             for ckey, (value, _) in child.entries.items():
                 self.direct.setdefault(ckey[0], []).append((ckey, identity, ckey[1], value))
@@ -288,8 +286,6 @@ class _Join:
         """
         single = self.single
         partners = tuple([single[p] for p in ptuple])
-        if NO_PARTNER in partners:
-            return []
         if None not in partners:
             found = self._direct.get(partners)
             if found is None:

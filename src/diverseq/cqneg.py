@@ -1,24 +1,42 @@
 """Diversity solver for conjunctive queries with negation, bounded treewidth.
 
-The dynamic program walks a nice tree decomposition bottom-up. Each node's
-table is an `acq.DPTable` whose sols are bag assignments, as value-index
-tuples over the sorted bag; an entry pairs a sorted k-tuple of them with the
-pairwise free-variable distances their extensions below the node realize:
+A tree decomposition makes the query acyclic over its bags' satisfying
+assignments, so a k = 1 pass first runs Yannakakis' full reducer over the
+nice decomposition (Yannakakis, VLDB 1981; Gottlob, Leone and Scarcello,
+JCSS 2002). Bottom-up, each node gets the bag assignments its cone
+satisfies: a leaf's satisfying tuples, the extensions of an introduce
+node's child set that keep the covered literals true, a forget node's
+projections, and at a join the intersection of the children's sets.
+Top-down, a join's children get the join's set, and an introduce's or a
+forget's child keeps only the sols that extend into, or project onto, its
+parent's set. What is left is exactly each bag's share of the answers.
+A node whose bottom-up set holds more assignments than a table under the
+cap could pair is refused as soon as it passes that count, as the sweep
+without the pass would refuse it at that node's table.
 
-    leaf       all sorted k-tuples of the bag assignments satisfying the
-               covered literals (`dp_init`)
-    introduce  extend each slot by the new variable's candidate values that
-               keep the covered literals true, re-sort, add their distances
+The dynamic program then walks the decomposition bottom-up over those
+reduced sols. Each node's table is an `acq.DPTable` whose sols are bag
+assignments, as value-index tuples over the sorted bag; an entry pairs a
+sorted k-tuple of them with the pairwise free-variable distances their
+extensions below the node realize:
+
+    leaf       all sorted k-tuples of the node's sols (`dp_init`)
+    introduce  extend each slot into the node's sols that agree with it off
+               the new variable, re-sort, add their distances; the k = 1
+               pass has already checked the literals
     forget     project the variable away and re-sort (unless the slots
                stay sorted and distinct), one entry per arrangement of the
                slots that become equal
     join       the join-tree merge (`dp_merge`) of the right child into
-               the left: the node keeps the left child's sols, and a tuple
-               holding a sol the right child lacks makes no entry
+               the left; both children hold the join's sols, so every
+               slot tuple meets its own
 
 A rule that re-sorts records its slot map in the provenance link, so the
 root is decided by `dp_finalize` and the witness rebuilt by `extract_witness`
-exactly as in the join-tree solver. Literal checks bind value indices.
+exactly as in the join-tree solver. Literal checks bind value indices. The
+reducer drops only sols that lie on no root entry's provenance chain, so
+the root entries, their order and the witnesses are those of a sweep over
+the unreduced sols; only the tables below the root shrink.
 
 A variable ranges only over its candidate values: those in its column of
 every positive atom that mentions it. That loses no answer, and no node
@@ -63,7 +81,9 @@ from .structure import (
 
 
 class BagSolver:
-    """Bottom-up sweep over one nice tree decomposition."""
+    """Bottom-up sweep over one nice tree decomposition. Building the
+    solver runs the k = 1 pass, so `sols` holds every node's reduced sols
+    before `run` (or a single node rule) builds a k-tuple table."""
 
     def __init__(self, query: Query, db: Database, k: int,
                  ntd: NiceTreeDecomposition, table_cap: int):
@@ -85,6 +105,7 @@ class BagSolver:
         for n, lit in enumerate(self.literals):
             for v in lit.variables:
                 self.literals_of.setdefault(v, []).append(n)
+        self.sols = self._reduce()
 
     # -- helpers ------------------------------------------------------------
 
@@ -130,31 +151,91 @@ class BagSolver:
         bindings = dict(zip(order, part))
         return all(satisfies_literal(lit, bindings, self.db) for lit in lits)
 
-    def new_table(self, node: int, parts) -> tuple[DPTable, dict]:
-        """An empty table with the sorted index tuples `parts` as sols, and their positions."""
-        sols = sorted(parts)
-        table = DPTable(node=node, variables=self.ntd.bags[node], sols=sols, k=self.k)
-        return table, {p: n for n, p in enumerate(sols)}
+    # -- k = 1 pass -----------------------------------------------------------
+
+    def _reduce(self) -> dict[int, list[tuple[int, ...]]]:
+        """The k = 1 pass: per node, the sorted bag assignments that extend
+        to an answer. Semi-joins up the decomposition, then down it.
+
+        The sweep without this pass stores every sorted k-tuple of a node's
+        bottom-up sols, so a node with more than `most` of them would be
+        refused there; it is refused here as soon as its sols pass `most`,
+        before they are all built. A forget or join node holds no more sols
+        than its child.
+        """
+        k, cap = self.k, self.table_cap
+        lo, hi = 0, cap
+        while lo < hi:  # the most sols whose sorted k-tuples fit the cap
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if math.comb(mid + k - 1, k) <= cap else (lo, mid - 1)
+        most = lo
+
+        def bounded(node: int, parts) -> list[tuple[int, ...]]:
+            found = list(itertools.islice(parts, most + 1))
+            if len(found) > most:
+                raise TableGuardExceeded(
+                    f"node {node} has over {most} bag assignments, whose sorted "
+                    f"{k}-tuples exceed {cap} entries")
+            return found
+
+        ntd = self.ntd
+        order = ntd.postorder()
+        sols: dict[int, list[tuple[int, ...]]] = {}
+        for node in order:
+            kind = ntd.kinds[node]
+            kids = ntd.children.get(node, ())
+            if kind == "leaf":
+                sols[node] = bounded(node, self.satisfying_tuples(node))
+            elif kind == "join":
+                right = set(sols[kids[1]])
+                sols[node] = [p for p in sols[kids[0]] if p in right]
+            elif kind[0] == "introduce":
+                bag = self.bag_order(node)
+                zpos = bag.index(kind[1])
+                lits = self.covered_literals(ntd.bags[node])
+                extended = (p[:zpos] + (idx,) + p[zpos:]
+                            for p in sols[kids[0]] for idx in self.candidates[kind[1]])
+                sols[node] = sorted(bounded(node, (e for e in extended
+                                                   if self.satisfies(bag, e, lits))))
+            else:
+                zpos = self.bag_order(kids[0]).index(kind[1])
+                sols[node] = sorted({p[:zpos] + p[zpos + 1:] for p in sols[kids[0]]})
+        for node in reversed(order):
+            kind = ntd.kinds[node]
+            kids = ntd.children.get(node, ())
+            if kind == "join":
+                for kid in kids:
+                    sols[kid] = sols[node]
+            elif kind != "leaf":
+                kid = kids[0]
+                if kind[0] == "introduce":
+                    zpos = self.bag_order(node).index(kind[1])
+                    kept = {p[:zpos] + p[zpos + 1:] for p in sols[node]}
+                    sols[kid] = [p for p in sols[kid] if p in kept]
+                else:
+                    zpos = self.bag_order(kid).index(kind[1])
+                    kept = set(sols[node])
+                    sols[kid] = [p for p in sols[kid] if p[:zpos] + p[zpos + 1:] in kept]
+        return sols
 
     # -- node rules ----------------------------------------------------------
 
     def leaf(self, node: int) -> DPTable:
-        return dp_init(node, self.ntd.bags[node], self.satisfying_tuples(node), self.k,
+        return dp_init(node, self.ntd.bags[node], self.sols[node], self.k,
                        self.query.free_vars, table_cap=self.table_cap)
 
     def introduce(self, node: int, child: int, z: str) -> DPTable:
         child_table = self.tables[child]
-        order = self.bag_order(node)
-        zpos = order.index(z)
-        lits = self.covered_literals(self.ntd.bags[node])
-        # Per child sol: the (z value, extended part) pairs that keep the
-        # covered literals true.
-        extensions = []
-        for part in child_table.sols:
-            ext = [(idx, part[:zpos] + (idx,) + part[zpos:]) for idx in self.candidates[z]]
-            extensions.append([(idx, e) for idx, e in ext if self.satisfies(order, e, lits)])
-        table, index = self.new_table(node, [e for ext in extensions for _, e in ext])
-        options = [[(idx, index[e]) for idx, e in ext] for ext in extensions]
+        sols = self.sols[node]
+        zpos = self.bag_order(node).index(z)
+        table = DPTable(node=node, variables=self.ntd.bags[node], sols=sols, k=self.k)
+        # Per child sol: the (z value, node sol position) pairs of its
+        # extensions among the node's sols, by z value (a group of sorted
+        # sols that agree off z is sorted by z); none if no sol extends it.
+        groups: dict[tuple, list[tuple[int, int]]] = {}
+        for n, part in enumerate(sols):
+            groups.setdefault(part[:zpos] + part[zpos + 1:], []).append((part[zpos], n))
+        options = [groups.get(part, ()) for part in child_table.sols]
 
         k, pairs, z_free = self.k, self.pairs, z in self.free
         out = table.entries
@@ -183,10 +264,12 @@ class BagSolver:
 
     def forget(self, node: int, child: int, z: str) -> DPTable:
         child_table = self.tables[child]
+        sols = self.sols[node]
         zpos = self.bag_order(child).index(z)
-        projected = [p[:zpos] + p[zpos + 1:] for p in child_table.sols]
-        table, index = self.new_table(node, set(projected))
-        proj = [index[p] for p in projected]  # child sol -> node sol
+        table = DPTable(node=node, variables=self.ntd.bags[node], sols=sols, k=self.k)
+        # The node's sols are exactly the projections of the child's.
+        index = {p: n for n, p in enumerate(sols)}
+        proj = [index[p[:zpos] + p[zpos + 1:]] for p in child_table.sols]  # child sol -> node sol
         k, out = self.k, table.entries
         identity = tuple(range(k))
         moves: dict[tuple, list] = {}  # child tuple -> (tuple, sigma, pair map or None)

@@ -472,54 +472,77 @@ def format_decomposition(td: TreeDecomposition) -> str:
 def parse_decomposition(text: str) -> TreeDecomposition:
     """Parse the line format accepted by the CLI's --decomposition flag.
 
-    Items may be separated by newlines or semicolons; edges are oriented away
-    from the declared root.
+    Items may be separated by newlines or semicolons. Edges are undirected
+    and oriented away from the declared root; a repeated edge is harmless.
+    A malformed item, a node declared twice, an edge to an undeclared node,
+    a self-loop, an edge that closes a cycle, and a node the root cannot
+    reach are each a QuerySyntaxError at the line that holds them.
     """
     bags: dict[int, frozenset[str]] = {}
-    edges: list[tuple[int, int]] = []
+    node_line: dict[int, int] = {}
+    edges: list[tuple[int, int, int]] = []  # (one end, other end, line)
     root: int | None = None
-    items = [piece.strip() for chunk in text.splitlines() for piece in chunk.split(";")]
-    for lineno, item in enumerate(items, start=1):
-        if not item or item.startswith("#"):
-            continue
-        parts = item.split()
-        try:
-            if parts[0] == "node":
-                if len(parts) == 3:
+    root_line = lineno = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for item in (piece.strip() for piece in line.split(";")):
+            if not item or item.startswith("#"):
+                continue
+            parts = item.split()
+            try:
+                if parts[0] == "node" and len(parts) == 3:
                     node, bag_text = int(parts[1]), parts[2]
-                elif len(parts) == 4 and parts[2] == "bag":
+                elif parts[0] == "node" and len(parts) == 4 and parts[2] == "bag":
                     node, bag_text = int(parts[1]), parts[3]
+                elif parts[0] == "edge" and len(parts) == 3:
+                    edges.append((int(parts[1]), int(parts[2]), lineno))
+                    continue
+                elif parts[0] == "root" and len(parts) == 2:
+                    root, root_line = int(parts[1]), lineno
+                    continue
                 else:
                     raise ValueError(item)
-                bags[node] = frozenset(v for v in bag_text.split(",") if v)
-            elif parts[0] == "edge" and len(parts) == 3:
-                edges.append((int(parts[1]), int(parts[2])))
-            elif parts[0] == "root" and len(parts) == 2:
-                root, root_line = int(parts[1]), lineno
-            else:
-                raise ValueError(item)
-        except ValueError:
-            raise QuerySyntaxError(f"bad decomposition item {item!r}", lineno, 1) from None
+            except ValueError:
+                raise QuerySyntaxError(f"bad decomposition item {item!r}", lineno, 1) from None
+            if node in bags:
+                raise QuerySyntaxError(
+                    f"node {node} is declared twice (first on line {node_line[node]})", lineno, 1)
+            bags[node] = frozenset(v for v in bag_text.split(",") if v)
+            node_line[node] = lineno
     if root is None:
-        raise QuerySyntaxError("decomposition lacks a root line", len(items), 1)
+        raise QuerySyntaxError("decomposition lacks a root line", max(lineno, 1), 1)
     if root not in bags:
         raise QuerySyntaxError(f"root {root} is not a declared node", root_line, 1)
     adj: dict[int, set[int]] = {n: set() for n in bags}
-    for a, b in edges:
+    component = {n: n for n in bags}  # union-find over the edges read so far
+
+    def find(n: int) -> int:
+        while component[n] != n:
+            component[n] = component[component[n]]
+            n = component[n]
+        return n
+
+    for a, b, line in edges:
         if a not in bags or b not in bags:
-            raise QuerySyntaxError(f"edge {a} {b} references an unknown node", 1, 1)
+            raise QuerySyntaxError(f"edge {a} {b} references an unknown node", line, 1)
+        if a == b:
+            raise QuerySyntaxError(f"edge {a} {b} is a self-loop", line, 1)
+        if b in adj[a]:
+            continue
+        if find(a) == find(b):
+            raise QuerySyntaxError(f"edge {a} {b} closes a cycle", line, 1)
+        component[find(a)] = find(b)
         adj[a].add(b)
         adj[b].add(a)
     children: dict[int, tuple[int, ...]] = {}
     seen = {root}
     queue = [root]
-    while queue:
-        node = queue.pop(0)
+    for node in queue:
         kids = tuple(sorted(n for n in adj[node] if n not in seen))
         children[node] = kids
-        for kid in kids:
-            seen.add(kid)
-            queue.append(kid)
-    if seen != set(bags):
-        raise QuerySyntaxError("decomposition edges do not form a tree", 1, 1)
+        seen.update(kids)
+        queue.extend(kids)
+    if len(seen) < len(bags):
+        stray = min(set(bags) - seen, key=node_line.__getitem__)
+        raise QuerySyntaxError(f"node {stray} is not connected to root {root}",
+                               node_line[stray], 1)
     return TreeDecomposition(root=root, children=children, bags=bags)

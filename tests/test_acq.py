@@ -6,7 +6,6 @@ import pytest
 from diverseq.acq import (
     EXACT,
     FLAGS,
-    NO_PARTNER,
     NONE,
     _Join,
     _sorted_sols,
@@ -648,11 +647,13 @@ def _partner_map_kind(parent, child, free):
     """How a merge's parent sols map to their join partners: "partial" when
     some sol has several, else "unjoined" when some has none, else
     "identity", "increasing" (strictly, not the identity) or "permuted"."""
-    single = _Join(parent, child, free).single
-    if None in single:
+    join = _Join(parent, child, free)
+    counts = [join.proj_c.count(proj) for proj in join.proj_p]
+    if max(counts, default=0) > 1:
         return "partial"
-    if NO_PARTNER in single:
+    if 0 in counts:
         return "unjoined"
+    single = join.single
     if single == list(range(len(single))):
         return "identity"
     if all(a < b for a, b in zip(single, single[1:])):

@@ -81,6 +81,18 @@ def test_table_cap_guard_surfaces(tmp_path):
     code, report = run(base_config(db_path, query_path, k=3, table_cap=4))
     assert code == 2 and report["error"]["code"] == "TableGuardExceeded"
 
+    # cqneg refuses a six-variable bag above a one-variable leaf the same way.
+    variables = [f"x{i}" for i in range(1, 7)]
+    db_path, query_path = write_fixture(
+        tmp_path, {"R": [(i,) for i in range(10)]},
+        f"Q({', '.join(variables)}) :- " + ", ".join(f"R({v})" for v in variables) + ".",
+    )
+    td_path = tmp_path / "wide.td"
+    td_path.write_text(f"node 0 bag {','.join(variables)}\nnode 1 bag x1\nedge 0 1\nroot 0\n")
+    code, report = run(base_config(db_path, query_path, mode="cqneg", table_cap=1000,
+                                   decomposition_path=str(td_path)))
+    assert code == 2 and report["error"]["code"] == "TableGuardExceeded"
+
 
 def test_routing_auto(tmp_path):
     cases = [
@@ -156,6 +168,9 @@ def test_decomposition_flag(tmp_path):
     ("node 0 bag x,y\nroot 5\n", "QuerySyntaxError"),  # the root is no node
     ("root 0\n", "QuerySyntaxError"),  # no node at all
     ("node 0 bag x,y,w\nroot 0\n", "ValueError"),  # w is not in the query
+    # edges that close a cycle: refused, not cut to a spanning tree
+    ("node 0 bag x,y\nnode 1 bag x\nnode 2 bag y\nroot 0\n"
+     "edge 0 1\nedge 1 2\nedge 2 0\n", "QuerySyntaxError"),
 ])
 def test_bad_decomposition_file_is_a_typed_error(tmp_path, text, code):
     db_path, query_path = write_fixture(

@@ -10,11 +10,12 @@ from diverseq.errors import ArityMismatch, TableGuardExceeded, UnknownRelation
 from diverseq.model import MIN, SUM, Database, diversity_of_set
 from diverseq.oracle import bruteforce_diversity, enumerate_answers
 from diverseq.queries import parse_query
-from diverseq.structure import make_nice, tree_decompose
+from diverseq.structure import TreeDecomposition, make_nice, tree_decompose
 from helpers import (
     column_candidates,
     literal_solutions,
     random_cqneg_query,
+    reference_introduce,
     reference_merge,
     small_answer_instances,
     sol_bindings,
@@ -71,13 +72,11 @@ def test_leaf_rule_uncovered_bag_admits_every_candidate():
     ntd.bags[max(ntd.bags) + 1] = frozenset({"y"})
     node = max(ntd.bags)
     ntd.kinds[node] = "leaf"
-    table = solver.leaf(node)
+    sols = solver.satisfying_tuples(node)
     candidates = column_candidates(q, db)
     assert {v.payload for v in candidates["y"]} == {2, 4}
     assert {v.payload for v in candidates["x"]} == {1}
-    assert {(sol_bindings(table, key[0][0], db.domain)["y"], key[1])
-            for key in table.entries} == \
-        {(v, ()) for v in candidates["y"]}
+    assert [db.domain[i] for (i,) in sols] == sorted(candidates["y"])
 
 
 def test_introduce_existential_keeps_distances():
@@ -188,11 +187,14 @@ def test_witness_contract_random_cqneg():
 def test_node_tables_match_witness_semantics():
     # e in D_t iff solutions of the subtree's covered literals extend e,
     # every variable taking one of its candidate values. A table stores the
-    # entries of D_t at sorted tuples of its sols. A join node's table is the
-    # reference merge of its right child into its left, entry for entry.
+    # entries of D_t at sorted tuples of its sols, and its sols are the
+    # node's bag assignments that extend to an answer (the k = 1 pass). A
+    # join node's children hold its sols, and its table is the reference
+    # merge of its right child into its left, entry for entry; an introduce
+    # node's table is the reference introduce of its child's, likewise.
     rng = random.Random(79)
     joins = {2: 0, 3: 0}
-    unmatched = 0  # joins where a left sol has no equal right sol
+    introduces = 0
     for n in range(100):
         query, db = random_cqneg_query(rng, max_vars=4, dom_size=2)
         if n % 2:
@@ -205,16 +207,31 @@ def test_node_tables_match_witness_semantics():
         solver.run()
         literals = query.conjuncts[0].literals
         free = query.free_vars
+        every_var = sorted(frozenset().union(*ntd.bags.values()))
+        answers = [
+            g for g in literal_solutions(literals, every_var, db)
+            if all(g[v] in candidates[v] for v in every_var)
+        ]
         for node in ntd.postorder():
+            order = solver.bag_order(node)
+            sols = solver.tables[node].sols
+            assert sols == solver.sols[node]
+            assert set(sols) == {tuple(g[v].index for v in order) for g in answers}
             if ntd.kinds[node] == "join":
                 joins[k] += 1
                 left, right = ntd.children[node]
                 table = solver.tables[node]
                 reference = reference_merge(replace(solver.tables[left], node=node),
                                             solver.tables[right], free)
-                assert table.sols == solver.tables[left].sols
+                assert solver.tables[left].sols == solver.tables[right].sols == sols
                 assert list(table.entries.items()) == list(reference.items())
-                unmatched += not set(table.sols) <= set(solver.tables[right].sols)
+            elif ntd.kinds[node][0] == "introduce":
+                introduces += 1
+                z = ntd.kinds[node][1]
+                (child,) = ntd.children[node]
+                reference = reference_introduce(solver.tables[child], sols,
+                                                order.index(z), z in free)
+                assert list(solver.tables[node].entries.items()) == list(reference.items())
             subtree_bags = [ntd.bags[node]]
             stack = list(ntd.children.get(node, ()))
             while stack:
@@ -228,28 +245,165 @@ def test_node_tables_match_witness_semantics():
                 g for g in literal_solutions(covered, cone_vars, db)
                 if all(g[v] in candidates[v] for v in cone_vars)
             ]
-            order = solver.bag_order(node)
             local_free = [x for x in free if x in cone]
+            kept = set(sols)
             expected = set()
             for combo in itertools.product(witnesses, repeat=k):
                 ptuple = tuple(
                     tuple(g[v].index for v in order) for g in combo
                 )
-                if ptuple != tuple(sorted(ptuple)):
+                if ptuple != tuple(sorted(ptuple)) or not kept.issuperset(ptuple):
                     continue
                 dvec = tuple(
                     sum(1 for x in local_free if combo[i][x] != combo[j][x])
                     for i in range(k) for j in range(i + 1, k)
                 )
                 expected.add((ptuple, dvec))
-            parts = solver.tables[node].sols
             stored = {
-                (tuple(parts[i] for i in ptuple), dvec)
+                (tuple(sols[i] for i in ptuple), dvec)
                 for ptuple, dvec in solver.tables[node].entries
             }
             assert stored == expected
     assert joins[2] >= 3 and joins[3] >= 10, joins
-    assert unmatched > 0
+    assert introduces > 0
+
+
+def _unreduced_solver(query, db, k, ntd, table_cap):
+    """A solver whose rules run without the k = 1 pass, over the sols the
+    sweep finds bottom-up alone: a leaf's satisfying tuples, an introduce
+    node's extensions of its child's sols that keep the covered literals
+    true, a forget node's projections, and at a join its left child's sols,
+    which the join's merge keeps. A bag enumeration over the cap raises."""
+    solver = BagSolver(query, db, k, ntd, table_cap=10 ** 7)
+    solver.table_cap = table_cap
+    ntd, sols = solver.ntd, {}
+    for node in ntd.postorder():
+        kind, kids = ntd.kinds[node], ntd.children.get(node, ())
+        if kind == "leaf":
+            sols[node] = solver.satisfying_tuples(node)
+        elif kind == "join":
+            sols[node] = sols[kids[0]]
+        elif kind[0] == "introduce":
+            order = solver.bag_order(node)
+            zpos = order.index(kind[1])
+            lits = solver.covered_literals(ntd.bags[node])
+            extended = [p[:zpos] + (idx,) + p[zpos:]
+                        for p in sols[kids[0]] for idx in solver.candidates[kind[1]]]
+            sols[node] = sorted(e for e in extended if solver.satisfies(order, e, lits))
+        else:
+            zpos = solver.bag_order(kids[0]).index(kind[1])
+            sols[node] = sorted({p[:zpos] + p[zpos + 1:] for p in sols[kids[0]]})
+    solver.sols = sols
+    return solver
+
+
+def _spelled_entries(solver, node):
+    """A node's entries in order, slots spelled as their sols, each with its
+    sum and its provenance links, whose child keys are spelled the same way."""
+    tables = solver.tables
+
+    def spell(at, key):
+        return tuple(tables[at].sols[p] for p in key[0]), key[1]
+
+    return [
+        (spell(node, key), value,
+         tuple((child, spell(child, ckey), sigma) for child, ckey, sigma in refs))
+        for key, (value, refs) in tables[node].entries.items()
+    ]
+
+
+def _with_dangling_rows(db, rng):
+    """db with one to three more rows per relation, each a copy of a row
+    with one value replaced by another of 1..4, so some join no sibling."""
+    out = Database()
+    for name, rel in db.relations.items():
+        rows = [tuple(v.payload for v in r) for r in rel.sorted_rows()]
+        for _ in range(rng.randint(1, 3) if rows else 0):
+            row = list(rng.choice(rows))
+            row[rng.randrange(rel.arity)] = rng.randint(1, 4)
+            rows.append(tuple(row))
+        out.add_relation(name, rel.arity, list(dict.fromkeys(rows)))
+    return out
+
+
+def test_full_reducer_keeps_root_entries():
+    # The same rules over the bottom-up sols alone build tables that, cut
+    # to the reduced sols, are the reduced tables: entries, order, sums and
+    # provenance. At the root nothing is cut, so the root entries and every
+    # witness are equal; the reduced tables are no larger.
+    rng = random.Random(89)
+    shrunk = dangling = 0
+    for trial in range(150):
+        query, plain_db = random_cqneg_query(rng, max_vars=5, dom_size=3)
+        db = _with_dangling_rows(plain_db, rng)
+        k = 2 if trial % 2 == 0 else 3
+        ntd = make_nice(tree_decompose(query, "minfill"))
+        reduced = BagSolver(query, db, k, ntd, table_cap=10 ** 7)
+        reduced.run()
+        full = _unreduced_solver(query, db, k, ntd, table_cap=10 ** 7)
+        full.run()
+        dangling += any(len({tuple(full.tables[kid].sols) for kid in ntd.children[node]}) > 1
+                        for node in ntd.postorder() if ntd.kinds[node] == "join")
+        for node in ntd.postorder():
+            kept = set(reduced.sols[node])
+            assert kept <= set(full.sols[node])
+            assert _spelled_entries(reduced, node) == [
+                e for e in _spelled_entries(full, node) if kept.issuperset(e[0][0])]
+        root = ntd.root
+        assert _spelled_entries(reduced, root) == _spelled_entries(full, root)
+        assert [reduced.witness(key) for key in reduced.tables[root].entries] == \
+            [full.witness(key) for key in full.tables[root].entries]
+        sizes = [max(len(t.entries) for t in s.tables.values()) for s in (reduced, full)]
+        assert sizes[0] <= sizes[1]
+        shrunk += sizes[0] < sizes[1]
+    assert dangling > 0 and shrunk > 0, (dangling, shrunk)
+
+
+def test_reducer_refuses_a_wide_bag_before_building_it():
+    # A root bag over six variables above a leaf over one: the introduce
+    # chain multiplies the bag assignments by ten per variable. With k = 2
+    # and a cap of 1000 entries a node may hold 44 assignments (45 * 44 / 2
+    # sorted pairs is 990), so the k = 1 pass refuses at the first
+    # introduce, which builds 100; the million-assignment root is never
+    # built.
+    variables = [f"x{i}" for i in range(1, 7)]
+    query = parse_query(f"Q({', '.join(variables)}) :- "
+                        + ", ".join(f"R({v})" for v in variables) + ".")
+    db = Database()
+    db.add_relation("R", 1, [(v,) for v in range(10)])
+    td = TreeDecomposition(root=0, children={0: (1,), 1: ()},
+                           bags={0: frozenset(variables), 1: frozenset({"x1"})})
+    ntd = make_nice(td)
+    with pytest.raises(TableGuardExceeded, match="over 44 bag assignments"):
+        BagSolver(query, db, 2, ntd, table_cap=1000)
+    with pytest.raises(TableGuardExceeded):
+        solve_cqneg(query, db, 2, None, SUM, decomposition=td, table_cap=1000)
+    # 100 assignments make 5050 sorted pairs: that cap lets the first
+    # introduce through and refuses the second, which builds 1000.
+    with pytest.raises(TableGuardExceeded, match="over 100 bag assignments"):
+        BagSolver(query, db, 2, ntd, table_cap=5050)
+    with pytest.raises(TableGuardExceeded, match="over 99 bag assignments"):
+        BagSolver(query, db, 2, ntd, table_cap=5049)
+
+
+def test_reducer_refuses_only_what_the_sweep_without_it_refuses():
+    # The sweep without the k = 1 pass stores every sorted k-tuple of a
+    # node's bottom-up sols, so whatever the pass refuses it refuses too.
+    rng = random.Random(97)
+    refused = 0
+    for trial in range(150):
+        query, plain_db = random_cqneg_query(rng, max_vars=5, dom_size=3)
+        db = _with_dangling_rows(plain_db, rng)
+        k = 2 if trial % 2 == 0 else 3
+        cap = rng.randint(1, 60)
+        ntd = make_nice(tree_decompose(query, "minfill"))
+        try:
+            BagSolver(query, db, k, ntd, table_cap=cap)
+        except TableGuardExceeded:
+            refused += 1
+            with pytest.raises(TableGuardExceeded):
+                _unreduced_solver(query, db, k, ntd, table_cap=cap).run()
+    assert refused > 10, refused
 
 
 def test_negation_free_matches_acq():

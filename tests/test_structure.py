@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from diverseq.errors import ExactSearchBudgetExceeded
+from diverseq.errors import ExactSearchBudgetExceeded, QuerySyntaxError
 from diverseq.oracle import exhaustive_join_tree
 from diverseq.queries import parse_query
 from diverseq.structure import (
@@ -184,6 +184,39 @@ def test_decomposition_semicolon_format():
     td = parse_decomposition("node 0 bag x,y ; node 1 bag y,z ; edge 0 1 ; root 0")
     assert td.bags[0] == {"x", "y"}
     assert td.children[0] == (1,)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # an item after a blank line: the file's line, not the item's count
+    ("node 0 x,y; node 1 y\n\nroot 0\nedge 0 1\nbogus item", 5, "bad decomposition item"),
+    ("node 0 x; node 1 y; node 2 z; root 0; edge 0 1\nedge 2 3 4", 2, "bad decomposition item"),
+    ("node 0 x\nnode 1 y\nroot 0\nedge 0 1\nedge 1 7", 5, "unknown node"),
+    ("node 0 x\nnode 1 y\nnode 2 z\nroot 0\nedge 0 1", 3, "not connected to root 0"),
+    ("node 0 x\nnode 1 y\nroot 1\n", 1, "not connected to root 1"),
+    ("node 0 x\nnode 1 y\n\n", 3, "lacks a root line"),
+    ("node 0 x\nroot 4", 2, "not a declared node"),
+])
+def test_decomposition_errors_name_the_file_line(text, line, message):
+    with pytest.raises(QuerySyntaxError, match=message) as caught:
+        parse_decomposition(text)
+    assert caught.value.line == line
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("node 0 x\nnode 1 y\nnode 2 z\nroot 0\nedge 0 1\nedge 1 2\nedge 2 0", 7, "closes a cycle"),
+    ("node 0 x\nnode 1 y\nroot 0\nedge 0 1\nedge 1 1", 5, "self-loop"),
+    ("node 0 x,y\nnode 1 y\nnode 0 z\nroot 0\nedge 0 1", 3, "declared twice"),
+])
+def test_decomposition_refuses_what_is_no_tree(text, line, message):
+    with pytest.raises(QuerySyntaxError, match=message) as caught:
+        parse_decomposition(text)
+    assert caught.value.line == line
+
+
+def test_decomposition_repeated_edge_is_harmless():
+    td = parse_decomposition("node 0 x\nnode 1 y\nnode 2 z\nroot 1\n"
+                             "edge 0 1\nedge 1 0\nedge 0 1\nedge 2 1")
+    assert td.children == {1: (0, 2), 0: (), 2: ()}
 
 
 def _min_fill_by_rescan(adj):
