@@ -449,21 +449,31 @@ sum_merge = dup_merge = dp_merge
 _extract_sum_witness = _extract_dup_witness = extract_witness
 
 
-def _full_reduce(jt: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]]) -> None:
-    """Keep in sols[node] only the solutions that lie in some full join
-    result: semi-joins up the join tree, then down it. Order is kept."""
+def _semijoin(jt: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]],
+              target: int, source: int) -> None:
+    """Keep in sols[target] the solutions that agree with some solution of
+    sols[source] on the variables the two nodes share. Order is kept."""
+    shared = jt.bags[target] & jt.bags[source]
+    seen = set(_project(sols[source], jt.bags[source], shared))
+    keys = _project(sols[target], jt.bags[target], shared)
+    sols[target] = [s for s, key in zip(sols[target], keys) if key in seen]
 
-    def semijoin(target: int, source: int) -> None:
-        shared = jt.bags[target] & jt.bags[source]
-        seen = set(_project(sols[source], jt.bags[source], shared))
-        keys = _project(sols[target], jt.bags[target], shared)
-        sols[target] = [s for s, key in zip(sols[target], keys) if key in seen]
 
-    edges = [(node, child) for node in jt.postorder() for child in jt.children.get(node, ())]
-    for parent, child in edges:
-        semijoin(parent, child)
-    for parent, child in reversed(edges):
-        semijoin(child, parent)
+def _reduce_up(jt: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]]) -> None:
+    """Semi-joins up the tree: each node keeps the solutions that every
+    child's reduced set can meet."""
+    for node in jt.postorder():
+        for child in jt.children.get(node, ()):
+            _semijoin(jt, sols, node, child)
+
+
+def _reduce_down(jt: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]]) -> None:
+    """Semi-joins down the tree: each child keeps the solutions its
+    parent's reduced set can meet. After `_reduce_up` every node is left
+    with exactly the solutions that lie in some full join result."""
+    for node in reversed(jt.postorder()):
+        for child in jt.children.get(node, ()):
+            _semijoin(jt, sols, child, node)
 
 
 def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
@@ -477,7 +487,8 @@ def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
     atoms = query.conjuncts[0].positive_atoms
     order = jt.postorder()
     sols = {node: _sorted_sols(atoms[node], db) for node in order}
-    _full_reduce(jt, sols)
+    _reduce_up(jt, sols)
+    _reduce_down(jt, sols)
     tables: dict[int, DPTable] = {}
     max_table = 0
     for node in order:

@@ -70,6 +70,13 @@ def _pick_mode(cfg: RunConfig, query) -> str:
 
 def _solve(cfg: RunConfig, mode: str, query, db) -> Outcome:
     aggregator = SUM if cfg.aggregator == "sum" else MIN
+    decomposition = None
+    if cfg.decomposition_path:
+        with open(cfg.decomposition_path, encoding="utf-8") as handle:
+            decomposition = parse_decomposition(handle.read())
+        if mode != "cqneg":
+            raise ValueError(f"--decomposition is read only by the cqneg route, "
+                             f"and this run routes to {mode}")
     if mode == "acq":
         return acq.solve_acq(
             query, db, cfg.k, cfg.d, aggregator,
@@ -83,10 +90,6 @@ def _solve(cfg: RunConfig, mode: str, query, db) -> Outcome:
         return solver(query, db, cfg.k, cfg.d, witness=cfg.witness,
                       table_cap=cfg.table_cap)
     if mode == "cqneg":
-        decomposition = None
-        if cfg.decomposition_path:
-            with open(cfg.decomposition_path, encoding="utf-8") as handle:
-                decomposition = parse_decomposition(handle.read())
         return cqneg.solve_cqneg(
             query, db, cfg.k, cfg.d, aggregator,
             witness=cfg.witness, allow_duplicates=cfg.allow_duplicates,

@@ -1,18 +1,18 @@
 """Diversity solver for conjunctive queries with negation, bounded treewidth.
 
 A tree decomposition makes the query acyclic over its bags' satisfying
-assignments, so a k = 1 pass first runs Yannakakis' full reducer over the
-nice decomposition (Yannakakis, VLDB 1981; Gottlob, Leone and Scarcello,
-JCSS 2002). Bottom-up, each node gets the bag assignments its cone
-satisfies: a leaf's satisfying tuples, the extensions of an introduce
-node's child set that keep the covered literals true, a forget node's
-projections, and at a join the intersection of the children's sets.
-Top-down, a join's children get the join's set, and an introduce's or a
-forget's child keeps only the sols that extend into, or project onto, its
-parent's set. What is left is exactly each bag's share of the answers.
-A node whose bottom-up set holds more assignments than a table under the
-cap could pair is refused as soon as it passes that count, as the sweep
-without the pass would refuse it at that node's table.
+assignments (Gottlob, Leone and Scarcello, JCSS 2002), so the engine is
+the join-tree engine of `acq` run over a nice decomposition. A k = 1 pass
+first runs Yannakakis' full reducer over it (VLDB 1981). Bottom-up, each
+node gets the bag assignments its cone satisfies: a leaf's satisfying
+tuples, the extensions of an introduce node's child set that keep the
+covered literals true, a forget node's projections, and at a join the
+intersection of the children's sets. Top-down, acq's down sweep
+semi-joins each child with its parent (the up sweep would keep every
+bottom-up set as it is). What is left is exactly each bag's share of the
+answers. A node whose bottom-up set holds more assignments than a table
+under the cap could pair is refused as soon as it passes that count, as
+the sweep without the pass would refuse it at that node's table.
 
 The dynamic program then walks the decomposition bottom-up over those
 reduced sols. Each node's table is an `acq.DPTable` whose sols are bag
@@ -21,15 +21,14 @@ sorted k-tuple of them with the pairwise free-variable distances their
 extensions below the node realize:
 
     leaf       all sorted k-tuples of the node's sols (`dp_init`)
-    introduce  extend each slot into the node's sols that agree with it off
-               the new variable, re-sort, add their distances; the k = 1
-               pass has already checked the literals
+    introduce  the node's `dp_init` merged with its child (`dp_merge`):
+               each sol's one partner is its projection without the new
+               variable; the k = 1 pass has already checked the literals
     forget     project the variable away and re-sort (unless the slots
                stay sorted and distinct), one entry per arrangement of the
-               slots that become equal
-    join       the join-tree merge (`dp_merge`) of the right child into
-               the left; both children hold the join's sols, so every
-               slot tuple meets its own
+               slots that become equal; the one rule not taken from `acq`
+    join       the merge of the right child into the left; both children
+               hold the join's sols, so every slot tuple meets its own
 
 A rule that re-sorts records its slot map in the provenance link, so the
 root is decided by `dp_finalize` and the witness rebuilt by `extract_witness`
@@ -56,6 +55,7 @@ from .acq import (
     DEFAULT_TABLE_CAP,
     DPTable,
     _pair_map,
+    _reduce_down,
     _slot_maps,
     dp_finalize,
     dp_init,
@@ -68,7 +68,6 @@ from .model import (
     Assignment,
     Database,
     Outcome,
-    pair_order,
 )
 from .queries import Literal, Query, Variable, relation_of, satisfies_literal
 from .structure import (
@@ -93,7 +92,6 @@ class BagSolver:
         self.ntd = ntd
         self.table_cap = table_cap
         self.free = frozenset(query.free_vars)
-        self.pairs = pair_order(k)
         self.literals: tuple[Literal, ...] = query.conjuncts[0].literals
         self.tables: dict[int, DPTable] = {}
         self.candidates = self._candidate_values()
@@ -155,7 +153,8 @@ class BagSolver:
 
     def _reduce(self) -> dict[int, list[tuple[int, ...]]]:
         """The k = 1 pass: per node, the sorted bag assignments that extend
-        to an answer. Semi-joins up the decomposition, then down it.
+        to an answer. The bottom-up sets are built here; acq's down sweep
+        then cuts them to the answers' projections.
 
         The sweep without this pass stores every sorted k-tuple of a node's
         bottom-up sols, so a node with more than `most` of them would be
@@ -200,67 +199,21 @@ class BagSolver:
             else:
                 zpos = self.bag_order(kids[0]).index(kind[1])
                 sols[node] = sorted({p[:zpos] + p[zpos + 1:] for p in sols[kids[0]]})
-        for node in reversed(order):
-            kind = ntd.kinds[node]
-            kids = ntd.children.get(node, ())
-            if kind == "join":
-                for kid in kids:
-                    sols[kid] = sols[node]
-            elif kind != "leaf":
-                kid = kids[0]
-                if kind[0] == "introduce":
-                    zpos = self.bag_order(node).index(kind[1])
-                    kept = {p[:zpos] + p[zpos + 1:] for p in sols[node]}
-                    sols[kid] = [p for p in sols[kid] if p in kept]
-                else:
-                    zpos = self.bag_order(kid).index(kind[1])
-                    kept = set(sols[node])
-                    sols[kid] = [p for p in sols[kid] if p[:zpos] + p[zpos + 1:] in kept]
+        _reduce_down(ntd, sols)
         return sols
 
     # -- node rules ----------------------------------------------------------
 
-    def leaf(self, node: int) -> DPTable:
+    def _init(self, node: int) -> DPTable:
         return dp_init(node, self.ntd.bags[node], self.sols[node], self.k,
                        self.query.free_vars, table_cap=self.table_cap)
 
-    def introduce(self, node: int, child: int, z: str) -> DPTable:
-        child_table = self.tables[child]
-        sols = self.sols[node]
-        zpos = self.bag_order(node).index(z)
-        table = DPTable(node=node, variables=self.ntd.bags[node], sols=sols, k=self.k)
-        # Per child sol: the (z value, node sol position) pairs of its
-        # extensions among the node's sols, by z value (a group of sorted
-        # sols that agree off z is sorted by z); none if no sol extends it.
-        groups: dict[tuple, list[tuple[int, int]]] = {}
-        for n, part in enumerate(sols):
-            groups.setdefault(part[:zpos] + part[zpos + 1:], []).append((part[zpos], n))
-        options = [groups.get(part, ()) for part in child_table.sols]
+    def leaf(self, node: int) -> DPTable:
+        return self._init(node)
 
-        k, pairs, z_free = self.k, self.pairs, z in self.free
-        out = table.entries
-        # One slot map per product: slots that become equal came from equal
-        # child slots, whose other order the product also yields.
-        moves: dict[tuple, list] = {}  # child tuple -> (tuple, sigma, pair map, z distances)
-        for ckey in child_table.entries:
-            ctuple, cvec = ckey
-            found = moves.get(ctuple)
-            if found is None:
-                found = moves[ctuple] = []
-                for chosen in itertools.product(*[options[c] for c in ctuple]):
-                    new = [n for _, n in chosen]
-                    sigma = tuple(sorted(range(k), key=new.__getitem__))
-                    zs = [chosen[s][0] for s in sigma]
-                    zdist = [int(z_free and zs[i] != zs[j]) for i, j in pairs]
-                    found.append((tuple([new[s] for s in sigma]), sigma, _pair_map(sigma), zdist))
-            for ntuple, sigma, pmap, zdist in found:
-                vec = tuple([cvec[m] + d for m, d in zip(pmap, zdist)])
-                key = (ntuple, vec)
-                if key not in out:
-                    out[key] = (sum(vec), ((child, ckey, sigma),))
-            table.guard(self.table_cap)
-        table.check_bound(len(self.free))
-        return table
+    def introduce(self, node: int, child: int, z: str) -> DPTable:
+        return dp_merge(self._init(node), self.tables[child], self.query.free_vars,
+                        table_cap=self.table_cap)
 
     def forget(self, node: int, child: int, z: str) -> DPTable:
         child_table = self.tables[child]
@@ -280,12 +233,9 @@ class BagSolver:
                 projs = tuple([proj[c] for c in ctuple])
                 if all(map(operator.lt, projs, projs[1:])):  # still sorted, distinct
                     found = [(projs, identity, None)]
-                elif len(set(projs)) < k:  # slots project alike: every arrangement
+                else:  # one entry per arrangement of the slots that project alike
                     target = tuple(sorted(projs))
                     found = [(target, s, _pair_map(s)) for s in _slot_maps(ctuple, proj, target)]
-                else:
-                    sigma = tuple(sorted(range(k), key=projs.__getitem__))
-                    found = [(tuple(sorted(projs)), sigma, _pair_map(sigma))]
                 moves[ctuple] = found
             for target, sigma, pmap in found:
                 key = (target, cvec if pmap is None else tuple([cvec[m] for m in pmap]))

@@ -324,42 +324,6 @@ def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
     return out
 
 
-def reference_introduce(child, sols, zpos: int, z_free: bool) -> dict:
-    """The entries `BagSolver.introduce` must produce at a node whose sols
-    `sols` extend the child table's by the new variable's value at position
-    `zpos`, built naively.
-
-    Candidates come per child entry in order, then per choice of one node
-    sol extending each slot's child sol, the first slot's choice varying
-    slowest and each slot's sols in ascending order of the new value. A
-    choice is sorted stably by node sol (new slot i holds child slot
-    sigma[i]) and adds 1 to a pair's distance when z is free and its values
-    differ; per new key the first candidate is kept.
-    """
-    k = child.k
-    pairs = pair_order(k)
-    pos = {p: n for n, p in enumerate(pairs)}
-    out: dict = {}
-    for ckey in child.entries:
-        ctuple, cvec = ckey
-        per_slot = [
-            sorted((e[zpos], n) for n, e in enumerate(sols)
-                   if e[:zpos] + e[zpos + 1:] == child.sols[c])
-            for c in ctuple
-        ]
-        for chosen in itertools.product(*per_slot):
-            sigma = tuple(sorted(range(k), key=lambda i: chosen[i][1]))
-            vec = tuple(
-                cvec[pos[tuple(sorted((sigma[i], sigma[j])))]]
-                + int(z_free and chosen[sigma[i]][0] != chosen[sigma[j]][0])
-                for i, j in pairs
-            )
-            key = (tuple(chosen[s][1] for s in sigma), vec)
-            if key not in out:
-                out[key] = (sum(vec), ((child.node, ckey, sigma),))
-    return out
-
-
 # --- reference kernel: the capping rules and the search as plain loops ----------
 
 

@@ -186,6 +186,33 @@ def test_bad_decomposition_file_is_a_typed_error(tmp_path, text, code):
     assert "traceback" not in report["error"]
 
 
+@pytest.mark.parametrize("mode, text, code", [
+    ("auto", None, "FileNotFoundError"),  # no file there
+    ("auto", "garbage\n", "QuerySyntaxError"),
+    ("auto", "valid", "ValueError"),  # a positive acyclic query: acq-sum
+    ("acq", "valid", "ValueError"),
+])
+def test_decomposition_is_refused_off_the_cqneg_route(tmp_path, mode, text, code):
+    # The file is read and parsed whenever it is given, and a route that
+    # would ignore it is an error, not a silent "yes".
+    db_path, query_path = write_fixture(tmp_path, {"R": [(1, 2), (2, 3)]}, "Q(x) :- R(x, y).")
+    route = "acq-sum" if mode == "auto" else mode
+    td_path = tmp_path / "dec.txt"
+    if text == "valid":
+        text = format_decomposition(tree_decompose(parse_query("Q(x) :- R(x, y)."), "exact"))
+    if text is not None:
+        td_path.write_text(text)
+    exit_code, report = run(base_config(
+        db_path, query_path, k=1, d=0, mode=mode, decomposition_path=str(td_path),
+    ))
+    assert exit_code == 2
+    assert report["error"]["code"] == code
+    if code == "ValueError":
+        assert f"routes to {route}" in report["error"]["message"]
+    exit_code, report = run(base_config(db_path, query_path, k=1, d=0, mode=mode))
+    assert exit_code == 0 and report["routing"] == route
+
+
 def test_csv_directory_matches_fact_file(tmp_path):
     rows = {"R": [(1,), (2,)], "R1": [(1, 0), (2, 0)]}
     db_path, query_path = write_fixture(

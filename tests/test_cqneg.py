@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from diverseq.acq import solve_acq
+from diverseq.acq import dp_init, solve_acq
 from diverseq.cqneg import BagSolver, solve_cqneg
 from diverseq.errors import ArityMismatch, TableGuardExceeded, UnknownRelation
 from diverseq.model import MIN, SUM, Database, diversity_of_set
@@ -15,7 +15,6 @@ from helpers import (
     column_candidates,
     literal_solutions,
     random_cqneg_query,
-    reference_introduce,
     reference_merge,
     small_answer_instances,
     sol_bindings,
@@ -191,7 +190,8 @@ def test_node_tables_match_witness_semantics():
     # node's bag assignments that extend to an answer (the k = 1 pass). A
     # join node's children hold its sols, and its table is the reference
     # merge of its right child into its left, entry for entry; an introduce
-    # node's table is the reference introduce of its child's, likewise.
+    # node's table is the reference merge of its child into the node's init
+    # over its sols, likewise.
     rng = random.Random(79)
     joins = {2: 0, 3: 0}
     introduces = 0
@@ -227,10 +227,9 @@ def test_node_tables_match_witness_semantics():
                 assert list(table.entries.items()) == list(reference.items())
             elif ntd.kinds[node][0] == "introduce":
                 introduces += 1
-                z = ntd.kinds[node][1]
                 (child,) = ntd.children[node]
-                reference = reference_introduce(solver.tables[child], sols,
-                                                order.index(z), z in free)
+                reference = reference_merge(dp_init(node, ntd.bags[node], sols, k, free),
+                                            solver.tables[child], free)
                 assert list(solver.tables[node].entries.items()) == list(reference.items())
             subtree_bags = [ntd.bags[node]]
             stack = list(ntd.children.get(node, ()))
@@ -384,6 +383,37 @@ def test_reducer_refuses_a_wide_bag_before_building_it():
         BagSolver(query, db, 2, ntd, table_cap=5050)
     with pytest.raises(TableGuardExceeded, match="over 99 bag assignments"):
         BagSolver(query, db, 2, ntd, table_cap=5049)
+
+
+def test_introduce_table_is_guarded_as_a_leaf_is():
+    # Two values of x under five of y: the bag {x, y} holds 10 sols, whose
+    # 55 sorted pairs fit caps from 55 up, so the k = 1 pass keeps them;
+    # the 100 slot tuples they stand for fit only a cap of 100. The
+    # introduce node over {x, y} starts from the leaf's init over its sols,
+    # so it is refused exactly as a leaf over the same bag is.
+    query = parse_query("Q(x, y) :- A(x), B(y).")
+    db = Database()
+    db.add_relation("A", 1, [(1,), (2,)])
+    db.add_relation("B", 1, [(v,) for v in range(10, 15)])
+    bag = frozenset({"x", "y"})
+    under_leaf = TreeDecomposition(root=0, children={0: (1,), 1: ()},
+                                   bags={0: bag, 1: frozenset({"x"})})
+    alone = TreeDecomposition(root=0, children={0: ()}, bags={0: bag})
+    for td, kind in ((under_leaf, ("introduce", "y")), (alone, "leaf")):
+        ntd = make_nice(td)
+        (node,) = [n for n in ntd.bags if ntd.bags[n] == bag]
+        assert ntd.kinds[node] == kind
+        for cap in (55, 99):
+            solver = BagSolver(query, db, 2, ntd, table_cap=cap)
+            assert len(solver.sols[node]) == 10
+            with pytest.raises(TableGuardExceeded, match=rf"^initial table at node {node}: "
+                               r"10 partial solutions, 100 slot tuples$"):
+                solver.run()
+            with pytest.raises(TableGuardExceeded):
+                solve_cqneg(query, db, 2, None, SUM, decomposition=td, table_cap=cap)
+        solver = BagSolver(query, db, 2, ntd, table_cap=100)
+        solver.run()
+        assert len(solver.tables[node].entries) == 55
 
 
 def test_reducer_refuses_only_what_the_sweep_without_it_refuses():
