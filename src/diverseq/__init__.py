@@ -5,17 +5,9 @@ decide whether k pairwise-distinct answers with aggregated pairwise Hamming
 diversity at least d exist, and produce such a set on demand.
 """
 
-from .acq import solve_acq, solve_acq_sum, solve_acq_sum_dup
-from .cqneg import solve_cqneg
+from importlib import import_module
+
 from .errors import DiverseQError
-from .kernel import (
-    AnswerRelation,
-    kernelize,
-    materialize_answers,
-    read_answer_csv,
-    solve_fo_diverse,
-    write_answer_csv,
-)
 from .model import (
     MIN,
     SUM,
@@ -29,15 +21,6 @@ from .model import (
     diversity_of_set,
     hamming_distance,
 )
-from .oracle import (
-    DiverseInstance,
-    Graph,
-    bruteforce_diversity,
-    enumerate_answers,
-    independent_set_to_diverse_query,
-    independent_set_to_wide_relation,
-    list_coloring_to_union_query,
-)
 from .queries import Atom, Constant, Literal, Query, Variable, parse_query, render_query, sols_atom
 from .structure import (
     NiceTreeDecomposition,
@@ -47,6 +30,28 @@ from .structure import (
     tree_decompose,
     validate_decomposition,
 )
+
+# The engines and the oracle load on first use of one of their names, so
+# that `from diverseq import cli` and a run that routes to one engine import
+# no other (PEP 562).
+_LAZY = {
+    "acq": ("solve_acq", "solve_acq_sum", "solve_acq_sum_dup"),
+    "cqneg": ("solve_cqneg",),
+    "kernel": ("AnswerRelation", "kernelize", "materialize_answers", "read_answer_csv",
+               "solve_fo_diverse", "write_answer_csv"),
+    "oracle": ("DiverseInstance", "Graph", "bruteforce_diversity", "enumerate_answers",
+               "independent_set_to_diverse_query", "independent_set_to_wide_relation",
+               "list_coloring_to_union_query"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.1.0"
 

@@ -55,7 +55,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
-from .errors import CorruptProvenance, NotAcyclic, TableGuardExceeded
+from .errors import DEFAULT_TABLE_CAP, CorruptProvenance, NotAcyclic, TableGuardExceeded
 from .model import (
     SUM,
     Aggregator,
@@ -68,8 +68,6 @@ from .model import (
 )
 from .queries import Atom, Query, sols_atom
 from .structure import TreeDecomposition, gyo_join_tree
-
-DEFAULT_TABLE_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -208,6 +206,19 @@ class DPTable:
             f"table at node {self.node} holds {len(self.entries)} entries, bound is {bound}"
 
 
+def _slot_tuples(n: int, k: int, stateless: bool, table_cap: int) -> int | None:
+    """The slot tuples a table over n sols counts: all n^k of them, or for a
+    stateless table the C(n + k - 1, k) sorted ones it stores. None when the
+    count has 64 bits more than table_cap, so surely exceeds it: a count far
+    past the cap could take minutes to compute and be too long to print."""
+    if n > 1:
+        bits = (math.lgamma(n + k) - math.lgamma(k + 1) - math.lgamma(n)) / math.log(2) \
+            if stateless else k * math.log2(n)
+        if bits > max(table_cap, 1).bit_length() + 64:
+            return None
+    return math.comb(n + k - 1, k) if stateless else n ** k
+
+
 def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
             k: int, free_vars: Sequence[str], *, rule: StateRule = EXACT,
             table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
@@ -215,13 +226,21 @@ def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
     over its sorted variables, with the state and the sum of its distances.
 
     The guard counts the n^k slot tuples a stateful table stands for, and
-    the C(n + k - 1, k) sorted ones a stateless table stores.
+    the C(n + k - 1, k) sorted ones a stateless table stores. It also
+    refuses a non-empty table when the C(k, 2) slot pairs that each entry
+    lists outnumber the cap.
     """
     n = len(sols)
-    size = math.comb(n + k - 1, k) if rule is NONE else n ** k
-    if size > table_cap:
+    size = _slot_tuples(n, k, rule is NONE, table_cap)
+    if size is None or size > table_cap:
+        if size is None:
+            size = f"C({n + k - 1}, {k})" if rule is NONE else f"{n}^{k}"
         raise TableGuardExceeded(
             f"initial table at node {node}: {n} partial solutions, {size} slot tuples")
+    if size and math.comb(k, 2) > table_cap:
+        raise TableGuardExceeded(
+            f"initial table at node {node}: each entry's {k} slots make "
+            f"{math.comb(k, 2)} pairs")
     dist = _distance_matrix(sols, variables, free_vars)
     pairs = pair_order(k)
     state = rule.state

@@ -6,25 +6,29 @@ aggregator is sum), negation goes to the bag engine, and unions or cyclic
 queries go through materialize + kernelize + exhaustive search.
 
 Exit codes: 0 = yes, 1 = no, 2 = error.
+
+A run imports only the engine module its route needs, when it gets there:
+one call spends far longer starting the interpreter and loading code than
+solving at small sizes.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import sys
 import time
-import traceback
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from . import acq, cqneg, kernel
 from .dbio import load_database, load_query
-from .errors import DiverseQError
+from .errors import DEFAULT_BUDGET, DEFAULT_TABLE_CAP, DiverseQError
 from .model import MIN, SUM, Outcome, diversity_of_set
-from .oracle import bruteforce_diversity, enumerate_answers
 from .structure import gyo_join_tree, parse_decomposition
+
+if TYPE_CHECKING:
+    import argparse
 
 TABLE_CAP_ENV = "DIVERSEQ_TABLE_CAP"
 MODES = ("auto", "acq", "acq-sum", "cqneg", "fo-kernel", "bruteforce")
@@ -41,8 +45,8 @@ class RunConfig:
     allow_duplicates: bool = False
     witness: bool = False
     decomposition_path: str | None = None
-    table_cap: int = acq.DEFAULT_TABLE_CAP
-    budget: int = kernel.DEFAULT_BUDGET
+    table_cap: int = DEFAULT_TABLE_CAP
+    budget: int = DEFAULT_BUDGET
     output: str = "text"
 
     def __post_init__(self) -> None:
@@ -54,6 +58,10 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.aggregator not in ("sum", "min"):
             raise ValueError(f"unknown aggregator {self.aggregator!r}")
+        if self.table_cap < 0:
+            raise ValueError(f"the table cap must be non-negative, got {self.table_cap}")
+        if self.budget < 0:
+            raise ValueError(f"the budget must be non-negative, got {self.budget}")
 
 
 def _pick_mode(cfg: RunConfig, query) -> str:
@@ -77,7 +85,10 @@ def _solve(cfg: RunConfig, mode: str, query, db) -> Outcome:
         if mode != "cqneg":
             raise ValueError(f"--decomposition is read only by the cqneg route, "
                              f"and this run routes to {mode}")
+    # Each engine is called through its module, so a name patched there
+    # (as the traced benchmark run does) is the one called.
     if mode == "acq":
+        from . import acq
         return acq.solve_acq(
             query, db, cfg.k, cfg.d, aggregator,
             witness=cfg.witness, allow_duplicates=cfg.allow_duplicates,
@@ -86,16 +97,19 @@ def _solve(cfg: RunConfig, mode: str, query, db) -> Outcome:
     if mode == "acq-sum":
         if cfg.aggregator != "sum":
             raise ValueError("mode acq-sum needs the sum aggregator")
+        from . import acq
         solver = acq.solve_acq_sum_dup if cfg.allow_duplicates else acq.solve_acq_sum
         return solver(query, db, cfg.k, cfg.d, witness=cfg.witness,
                       table_cap=cfg.table_cap)
     if mode == "cqneg":
+        from . import cqneg
         return cqneg.solve_cqneg(
             query, db, cfg.k, cfg.d, aggregator,
             witness=cfg.witness, allow_duplicates=cfg.allow_duplicates,
             decomposition=decomposition, table_cap=cfg.table_cap,
         )
     if mode == "fo-kernel":
+        from . import kernel
         answers = kernel.materialize_answers(query, db)
         return kernel.solve_fo_diverse(
             answers, cfg.k, cfg.d, aggregator,
@@ -103,6 +117,7 @@ def _solve(cfg: RunConfig, mode: str, query, db) -> Outcome:
             budget=cfg.budget,
         )
     # bruteforce
+    from .oracle import bruteforce_diversity, enumerate_answers
     answers = enumerate_answers(query, db)
     best, combo = bruteforce_diversity(
         answers, cfg.k, aggregator,
@@ -169,6 +184,7 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     except (OSError, ValueError) as err:
         return 2, {"error": {"code": type(err).__name__, "message": str(err)}}
     except Exception as err:  # a defect, not an answer: never exit 1 ("no")
+        import traceback
         return 2, {"error": {
             "code": "InternalError",
             "message": f"{type(err).__name__}: {err}",
@@ -198,6 +214,8 @@ def _emit(report: dict, output: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="diverseq",
         description="Decide whether k pairwise-distinct query answers reach diversity d.",
@@ -216,9 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--decomposition",
                         help="tree decomposition file for the cqneg engine")
     parser.add_argument("--table-cap", type=int, default=None,
-                        help=f"DP table guard (default {acq.DEFAULT_TABLE_CAP}, "
+                        help=f"DP table guard (default {DEFAULT_TABLE_CAP}, "
                              f"env {TABLE_CAP_ENV})")
-    parser.add_argument("--budget", type=int, default=kernel.DEFAULT_BUDGET,
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="search guard: nodes the fo-kernel search may visit, "
                              "candidate sets bruteforce may enumerate")
     parser.add_argument("--output", choices=("text", "json"), default="text")
@@ -237,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         d = None if args.d == "max" else _integer(args.d, "--d expects an integer or 'max'")
         table_cap = args.table_cap if args.table_cap is not None else _integer(
-            os.environ.get(TABLE_CAP_ENV, str(acq.DEFAULT_TABLE_CAP)),
+            os.environ.get(TABLE_CAP_ENV, str(DEFAULT_TABLE_CAP)),
             f"{TABLE_CAP_ENV} expects an integer")
         cfg = RunConfig(
             db_path=args.db,

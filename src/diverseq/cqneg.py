@@ -52,17 +52,17 @@ import operator
 from dataclasses import replace
 
 from .acq import (
-    DEFAULT_TABLE_CAP,
     DPTable,
     _pair_map,
     _reduce_down,
     _slot_maps,
+    _slot_tuples,
     dp_finalize,
     dp_init,
     dp_merge,
     extract_witness,
 )
-from .errors import TableGuardExceeded
+from .errors import DEFAULT_TABLE_CAP, TableGuardExceeded
 from .model import (
     Aggregator,
     Assignment,
@@ -166,7 +166,8 @@ class BagSolver:
         lo, hi = 0, cap
         while lo < hi:  # the most sols whose sorted k-tuples fit the cap
             mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if math.comb(mid + k - 1, k) <= cap else (lo, mid - 1)
+            size = _slot_tuples(mid, k, True, cap)
+            lo, hi = (mid, hi) if size is not None and size <= cap else (lo, mid - 1)
         most = lo
 
         def bounded(node: int, parts) -> list[tuple[int, ...]]:

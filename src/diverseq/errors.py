@@ -1,8 +1,14 @@
-"""Exception types shared across the engine.
+"""Exception types shared across the engine, and the guards' defaults.
 
 Every error carries a stable machine-readable code (the class name) so the
 CLI can surface failures in JSON output.
 """
+
+# The most entries a DP table may hold (TableGuardExceeded), and the most
+# search nodes the fo-kernel search may visit or candidate sets bruteforce
+# may enumerate (CombinatorialBudgetExceeded).
+DEFAULT_TABLE_CAP = 10_000_000
+DEFAULT_BUDGET = 10_000_000
 
 
 class DiverseQError(Exception):

@@ -28,6 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .dbio import parse_csv_value
 from .errors import (
+    DEFAULT_BUDGET,
     CombinatorialBudgetExceeded,
     NotMonotone,
     PreconditionViolated,
@@ -43,8 +44,6 @@ from .model import (
     _Interner,
 )
 from .queries import Conjunct, Query, sols_atom
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
+    DEFAULT_BUDGET,
     CombinatorialBudgetExceeded,
     DegreeTooHigh,
     NotBipartiteOrNot3Regular,
@@ -159,7 +160,7 @@ def _enumerate_conjunct(query: Query, conjunct: Conjunct, db: Database) -> set[A
 def bruteforce_diversity(answers: Iterable[Assignment], k: int,
                          aggregator: Aggregator, *,
                          allow_duplicates: bool = False,
-                         budget: int = 10_000_000
+                         budget: int = DEFAULT_BUDGET
                          ) -> tuple[float | None, tuple[Assignment, ...] | None]:
     """Exact maximum diversity over all k-subsets (or k-multisets) of answers.
 

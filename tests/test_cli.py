@@ -94,6 +94,48 @@ def test_table_cap_guard_surfaces(tmp_path):
     assert code == 2 and report["error"]["code"] == "TableGuardExceeded"
 
 
+def test_large_k_is_refused_by_the_table_guard(tmp_path):
+    # The guards count n^k slot tuples, or C(n + k - 1, k) without states,
+    # and the C(k, 2) pairs of an entry, before building or printing any of
+    # them: a k far past what a table can hold is refused at once.
+    fixtures = {}
+    for rows in ([(1,)], [(1,), (2,)], [(v,) for v in range(5)]):
+        (tmp_path / str(len(rows))).mkdir()
+        fixtures[len(rows)] = write_fixture(tmp_path / str(len(rows)), {"R": rows},
+                                            "Q(x) :- R(x).")
+    cases = [
+        (2, 20_000, "cqneg", False, "2 partial solutions, 2^20000 slot tuples"),
+        (2, 20_000, "acq-sum", False, "2 partial solutions, 2^20000 slot tuples"),
+        (2, 100_000_000, "cqneg", False, "sorted 100000000-tuples exceed 10000000 entries"),
+        (2, 100_000_000, "acq", False, "2^100000000 slot tuples"),
+        (2, 100_000_000, "acq-sum", True, "2 partial solutions, 100000001 slot tuples"),
+        (5, 100_000_000, "acq-sum", True, "C(100000004, 100000000) slot tuples"),
+        (1, 20_000, "acq-sum", False, "each entry's 20000 slots make 199990000 pairs"),
+        (1, 20_000, "acq-sum", True, "each entry's 20000 slots make 199990000 pairs"),
+        (1, 20_000, "cqneg", False, "each entry's 20000 slots make 199990000 pairs"),
+    ]
+    for rows, k, mode, duplicates, message in cases:
+        code, report = run(base_config(*fixtures[rows], k=k, d=None, mode=mode,
+                                       allow_duplicates=duplicates))
+        assert code == 2 and report["error"]["code"] == "TableGuardExceeded", (k, mode)
+        assert report["error"]["message"].endswith(message), (k, mode)
+
+
+def test_negative_guard_values_are_rejected(tmp_path, monkeypatch, capsys):
+    db_path, query_path = write_fixture(tmp_path, {"R": [(1,), (2,)]}, "Q(v) :- R(v).")
+    for field in ("table_cap", "budget"):
+        with pytest.raises(ValueError, match="must be non-negative, got -1"):
+            base_config(db_path, query_path, **{field: -1})
+    argv = ["--db", db_path, "--query", query_path, "--k", "2", "--d", "1"]
+    assert main(argv + ["--table-cap", "-5"]) == 2
+    assert main(argv + ["--budget", "-1", "--mode", "bruteforce"]) == 2
+    monkeypatch.setenv("DIVERSEQ_TABLE_CAP", "-5")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("must be non-negative") == 3
+
+
 def test_routing_auto(tmp_path):
     cases = [
         ({"R": [(1,), (2,)]}, "Q(v) :- R(v).", "sum", "acq-sum"),

@@ -1,8 +1,11 @@
 import ast
 import json
 import os
+import re
+import subprocess
 import sys
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "diverseq")
 BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 BENCHMARK_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
@@ -112,3 +115,51 @@ def test_traced_run_feeds_every_layer_metric(tmp_path, monkeypatch):
             records.append(record)
         metrics, _ = bench_run.per_layer({"records": records, "passes": 1})
         assert [name for name in names if name not in metrics] == [], workload
+
+
+def fresh_python(code: str) -> list[str]:
+    """Run `code` in a new interpreter that imports the package from src/;
+    returns its stdout lines."""
+    path = os.pathsep.join(filter(None, (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_readme_library_snippet_runs_and_every_export_resolves():
+    # The README's "Library" block, run as written in a new interpreter, so
+    # the engine names it uses load on first use as they do for a user.
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    snippet = re.search(r"^## Library\n\n```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    lines = fresh_python(snippet + "import diverseq\n"
+                         "print([n for n in diverseq.__all__ if not hasattr(diverseq, n)])\n")
+    assert lines == ["True 1 ({v->1, x1->0}, {v->2, x1->0})", "[]"]
+
+
+ENGINES = ("acq", "cqneg", "kernel", "oracle")
+
+
+def loaded_after(code: str) -> tuple[list[str], set[str]]:
+    """What `code` prints in a new interpreter, and the engine modules
+    loaded when it is done."""
+    lines = fresh_python(code + "\nimport sys\nprint(*sys.modules)\n")
+    loaded = lines[-1].split()
+    return lines[:-1], {name for name in ENGINES if f"diverseq.{name}" in loaded}
+
+
+def test_cli_imports_only_the_engine_a_run_routes_to(tmp_path):
+    (tmp_path / "db.facts").write_text("R(1).\nR(2).\nS(3).\n")
+    (tmp_path / "union.dq").write_text("Q(x) :- R(x).\nQ(x) :- S(x).\n")
+    (tmp_path / "acyclic.dq").write_text("Q(x) :- R(x).\n")
+
+    def run(query: str) -> str:
+        return ("from diverseq import cli\n"
+                f"config = cli.RunConfig(db_path={str(tmp_path / 'db.facts')!r}, "
+                f"query_path={str(tmp_path / query)!r}, k=2, d=1)\n"
+                "print(cli.run(config)[1]['routing'])")
+
+    assert loaded_after("from diverseq import cli") == ([], set())
+    assert loaded_after(run("union.dq")) == (["fo-kernel"], {"kernel"})
+    assert loaded_after(run("acyclic.dq")) == (["acq-sum"], {"acq"})
