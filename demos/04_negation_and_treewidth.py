@@ -25,8 +25,10 @@ db = Database.from_rows({
 })
 q = parse_query("Match(a, b) :- Likes(a, b), !Blocked(a, b).")
 
-td = tree_decompose(q, "exact")
-print("treewidth:", td.width, "| bags:", {n: sorted(b) for n, b in td.bags.items()})
+# A min-fill decomposition: its width bounds the treewidth from above, and
+# the bag engine's cost grows with the width it is given.
+td = tree_decompose(q)
+print("width:", td.width, "| bags:", {n: sorted(b) for n, b in td.bags.items()})
 nice = make_nice(td)
 print("nice nodes:", len(nice.bags), "| kinds:",
       sorted(str(k) for k in set(map(str, nice.kinds.values()))))

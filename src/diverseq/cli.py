@@ -237,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"DP table guard (default {DEFAULT_TABLE_CAP}, "
                              f"env {TABLE_CAP_ENV})")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="search guard: nodes the fo-kernel search may visit, "
-                             "candidate sets bruteforce may enumerate")
+                        help="search guard in pair distances: each node the fo-kernel "
+                             "search visits and each candidate set bruteforce "
+                             "enumerates costs C(k, 2), and at least 1")
     parser.add_argument("--output", choices=("text", "json"), default="text")
     return parser
 

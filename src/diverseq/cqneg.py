@@ -284,12 +284,11 @@ def solve_cqneg(query: Query, db: Database, k: int, d: float | None,
     if len(query.conjuncts) != 1:
         raise ValueError("the bag solver handles single-disjunct queries")
     if decomposition is None:
-        decomposition = tree_decompose(query, "minfill")
+        decomposition = tree_decompose(query)
     violations = validate_decomposition(decomposition, query)
     if violations:
         raise ValueError(f"invalid decomposition: {violations[0]}")
-    ntd = decomposition if isinstance(decomposition, NiceTreeDecomposition) \
-        else make_nice(decomposition)
+    ntd = make_nice(decomposition)
     solver = BagSolver(query, db, k, ntd, table_cap)
     solver.run()
     decision, best_key, best = dp_finalize(solver.tables[ntd.root], aggregator, d,

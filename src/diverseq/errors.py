@@ -5,8 +5,8 @@ CLI can surface failures in JSON output.
 """
 
 # The most entries a DP table may hold (TableGuardExceeded), and the most
-# search nodes the fo-kernel search may visit or candidate sets bruteforce
-# may enumerate (CombinatorialBudgetExceeded).
+# pair distances the fo-kernel search or bruteforce may spend, C(k, 2) (and
+# at least 1) per search node or candidate set (CombinatorialBudgetExceeded).
 DEFAULT_TABLE_CAP = 10_000_000
 DEFAULT_BUDGET = 10_000_000
 
@@ -54,10 +54,6 @@ class ArityMismatch(DiverseQError):
 
 class NotAcyclic(DiverseQError):
     """The query admits no join tree."""
-
-
-class ExactSearchBudgetExceeded(DiverseQError):
-    """Exact treewidth search ran out of its state budget."""
 
 
 class TableGuardExceeded(DiverseQError):

@@ -257,8 +257,9 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
     at the ceiling, every pair at distance m. The best value is replaced
     only by a greater one, so the witness is the lexicographically first
     optimum, as in plain enumeration. The budget caps the search nodes
-    visited: every prefix the search extends or scores, complete sets
-    included.
+    visited (every prefix the search extends or scores, complete sets
+    included) at C(k, 2) pair distances (at least 1) each, so a k whose one
+    node costs more is refused before the search starts.
     """
     if not aggregator.monotone:
         raise NotMonotone(f"aggregator {aggregator.label} is not flagged monotone")
@@ -269,13 +270,18 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
     best = None
     best_combo = None
     if count:
+        pairs = k * (k - 1) // 2
+        cost = max(1, pairs)
+        if k and cost > budget:
+            raise CombinatorialBudgetExceeded(
+                f"one search node costs {cost} pair distances, over the budget of {budget}"
+            )
         aggregate = aggregator.aggregate
         # Row i of the distance matrix is made when the search first reaches
         # row i; it only ever moves one row past the rows made so far.
         distance_rows = _distance_rows(rows)
         matrix: list[list[int]] = []
         m = len(answers.columns)
-        pairs = k * (k - 1) // 2
         ceiling = aggregate([m] * pairs)
         step = 0 if allow_duplicates else 1
         if not k:
@@ -283,18 +289,18 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
         # One frame per chosen prefix: the rows that may extend it, the
         # prefix, and the distances among its rows.
         frames = [(iter(range(n - (k - 1) * step)), (), [])] if k else []
-        visited = 0
+        spent = 0
         while frames:
             options, chosen, dists = frames[-1]
             i = next(options, None)
             if i is None:
                 frames.pop()
                 continue
-            visited += 1
-            if visited > budget:
+            spent += cost
+            if spent > budget:
                 raise CombinatorialBudgetExceeded(
-                    f"the search over {n} kernel answers visited more than "
-                    f"{budget} nodes"
+                    f"the search over {n} kernel answers spent more than the budget "
+                    f"of {budget} at {cost} pair distances per node"
                 )
             if i == len(matrix):
                 matrix.append(next(distance_rows))

@@ -112,12 +112,9 @@ class Database:
     for answers handed out.
     """
 
-    def __init__(self, relations: Mapping[str, tuple[int, Iterable[Sequence[Payload]]]] | None = None):
+    def __init__(self) -> None:
         self._interner = _Interner()
         self.relations: dict[str, Relation] = {}
-        if relations:
-            for name, (arity, rows) in relations.items():
-                self.add_relation(name, arity, rows)
 
     @classmethod
     def from_rows(cls, relations: Mapping[str, Iterable[Sequence[Payload]]]) -> "Database":

@@ -166,17 +166,23 @@ def bruteforce_diversity(answers: Iterable[Assignment], k: int,
 
     Returns (None, None) when no candidate set exists. The reported maximizer
     is the lexicographically least one under the canonical answer order.
+    Each candidate set costs its C(k, 2) pair distances (at least 1).
     """
     pool = list(answers)
     if not pool:
         return (None, None) if k > 0 else (aggregator.aggregate(()), ())
+    cost = max(1, math.comb(k, 2))
+    if cost > budget:
+        raise CombinatorialBudgetExceeded(
+            f"one candidate set costs {cost} pair distances, over the budget of {budget}"
+        )
     xs = sorted(pool[0].variables)
     pool.sort(key=lambda a: tuple(a[x].index for x in xs))
     n = len(pool)
     count = math.comb(n + k - 1, k) if allow_duplicates else math.comb(n, k)
-    if count > budget:
+    if count * cost > budget:
         raise CombinatorialBudgetExceeded(
-            f"{count} candidate sets exceed the budget of {budget}"
+            f"{count} candidate sets of {cost} pair distances exceed the budget of {budget}"
         )
     combos = (
         itertools.combinations_with_replacement(range(n), k)

@@ -1,5 +1,5 @@
-"""Join trees (via GYO ear removal), tree decompositions (min-fill heuristic
-or exact branch-and-bound), the nice normal form, and validators.
+"""Join trees (via GYO ear removal), tree decompositions (min-fill
+elimination orders), the nice normal form, and validators.
 
 All constructions are deterministic: ears are removed in ascending atom-index
 order, elimination orders break ties by variable name, and node ids are
@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import ExactSearchBudgetExceeded, QuerySyntaxError
+from .errors import QuerySyntaxError
 from .queries import Conjunct, Query
 
 
@@ -189,119 +189,14 @@ def _min_fill_order(adj: dict[str, set[str]]) -> list[str]:
     return order
 
 
-def _exact_order(adj: dict[str, set[str]], budget: int) -> list[str]:
-    """Minimum-width elimination order by branch and bound.
-
-    The fill graph after eliminating a set S is order-independent: u and w are
-    adjacent iff they are adjacent in G or connected via a path through S.
-    That makes the remaining-vertex set a sound memoization key.
-    """
-    vertices = sorted(adj)
-    n = len(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    base = [0] * n
-    for v, ns in adj.items():
-        for u in ns:
-            base[index[v]] |= 1 << index[u]
-
-    state_count = 0
-    best_width: dict[int, int] = {}
-
-    def neighbors_in(remaining: int) -> list[int]:
-        # Adjacency of the fill graph restricted to `remaining`.
-        eliminated = ~remaining
-        masks = []
-        for i in range(n):
-            if not (remaining >> i) & 1:
-                masks.append(0)
-                continue
-            # BFS through eliminated vertices.
-            seen = 1 << i
-            frontier = base[i]
-            reach = base[i] & remaining
-            frontier &= eliminated & ~seen
-            while frontier:
-                seen |= frontier
-                nxt = 0
-                f = frontier
-                while f:
-                    j = (f & -f).bit_length() - 1
-                    f &= f - 1
-                    nxt |= base[j]
-                reach |= nxt & remaining
-                frontier = nxt & eliminated & ~seen
-            masks.append(reach & ~(1 << i))
-        return masks
-
-    def solve(remaining: int) -> int:
-        nonlocal state_count
-        if remaining == 0:
-            return -1
-        cached = best_width.get(remaining)
-        if cached is not None:
-            return cached
-        state_count += 1
-        if state_count > budget:
-            raise ExactSearchBudgetExceeded(
-                f"exact treewidth search exceeded {budget} states"
-            )
-        masks = neighbors_in(remaining)
-        result = n
-        for i in range(n):
-            if not (remaining >> i) & 1:
-                continue
-            degree = bin(masks[i]).count("1")
-            if degree >= result:
-                continue
-            rest = solve(remaining & ~(1 << i))
-            result = min(result, max(degree, rest))
-        best_width[remaining] = result
-        return result
-
-    if n == 0:
-        return []
-    solve((1 << n) - 1)
-
-    # Rebuild one optimal order from the memo table.
-    order: list[str] = []
-    remaining = (1 << n) - 1
-    while remaining:
-        masks = neighbors_in(remaining)
-        target = best_width[remaining]
-        for i in range(n):
-            if not (remaining >> i) & 1:
-                continue
-            degree = bin(masks[i]).count("1")
-            rest = remaining & ~(1 << i)
-            rest_width = best_width.get(rest)
-            if rest_width is None:
-                rest_width = solve(rest)
-            if max(degree, rest_width) == target:
-                order.append(vertices[i])
-                remaining = rest
-                break
-        else:  # pragma: no cover - the memo always admits a continuation
-            raise AssertionError("failed to rebuild elimination order")
-    return order
-
-
-def tree_decompose(query: Query, method: str = "minfill", *,
-                   exact_budget: int = 200_000) -> TreeDecomposition:
-    """Tree decomposition of a single-disjunct query's primal graph.
-
-    method "minfill" is the default heuristic; "exact" finds minimum width by
-    branch and bound and raises ExactSearchBudgetExceeded past its budget.
-    """
+def tree_decompose(query: Query) -> TreeDecomposition:
+    """Tree decomposition of a single-disjunct query's primal graph, from a
+    min-fill elimination order. Its width is an upper bound on the treewidth,
+    which is all the bag engine needs."""
     if len(query.conjuncts) != 1:
         raise ValueError("tree decompositions are built per disjunct")
     adj = primal_graph(query.conjuncts[0])
-    if method == "minfill":
-        order = _min_fill_order(adj)
-    elif method == "exact":
-        order = _exact_order(adj, exact_budget)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _decomposition_from_order(adj, order)
+    return _decomposition_from_order(adj, _min_fill_order(adj))
 
 
 # --- nice normal form ----------------------------------------------------------

@@ -65,9 +65,10 @@ def random_acyclic_query(rng: random.Random, *, max_atoms: int = 4,
 def random_cqneg_query(rng: random.Random, *, max_vars: int = 5,
                        dom_size: int = 3, max_positive: int = 3,
                        max_width: int = 2) -> tuple[Query, Database]:
-    """A random single-disjunct query with negation, treewidth-bounded.
+    """A random single-disjunct query with negation, of bounded width.
 
-    Regenerates until the primal graph's exact width fits under max_width.
+    Regenerates until the min-fill decomposition's width fits under
+    max_width. On at most six variables min-fill width is the treewidth.
     """
     while True:
         n_vars = rng.randint(1, max_vars)
@@ -115,7 +116,7 @@ def random_cqneg_query(rng: random.Random, *, max_vars: int = 5,
 
         free = rng.sample(variables, k=rng.randint(1, n_vars))
         query = Query("Q", tuple(free), (Conjunct(tuple(literals)),))
-        if tree_decompose(query, "exact").width <= max_width:
+        if tree_decompose(query).width <= max_width:
             return query, db
 
 

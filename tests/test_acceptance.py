@@ -305,7 +305,7 @@ def test_criterion_8_structural_validators():
     nice_checked = 0
     for _ in range(60):
         query, _ = random_general_query(rng)
-        nice = make_nice(tree_decompose(query, "minfill"))
+        nice = make_nice(tree_decompose(query))
         assert validate_decomposition(nice, query) == []
         nice_checked += 1
     print(f"\n[PASS] criterion 8: GYO verdict matched exhaustive tree search "

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -121,6 +122,22 @@ def test_large_k_is_refused_by_the_table_guard(tmp_path):
         assert report["error"]["message"].endswith(message), (k, mode)
 
 
+@pytest.mark.parametrize("mode", ["bruteforce", "fo-kernel"])
+@pytest.mark.parametrize("k", [300, 20_000, 100_000_000])
+def test_large_k_is_refused_by_the_search_budget(tmp_path, mode, k):
+    # Each candidate set (bruteforce) or search node (fo-kernel) costs its
+    # C(k, 2) pair distances against the budget, so a large k over two
+    # answers is refused within the budget's worth of work, and a k whose
+    # one set already costs more is refused before the search starts.
+    db_path, query_path = write_fixture(tmp_path, {"R": [(1,), (2,)]}, "Q(x) :- R(x).")
+    config = base_config(db_path, query_path, k=k, d=None, mode=mode,
+                         allow_duplicates=True, output="json")
+    start = time.perf_counter()
+    code, report = run(config)
+    assert time.perf_counter() - start < 2
+    assert code == 2 and report["error"]["code"] == "CombinatorialBudgetExceeded"
+
+
 def test_negative_guard_values_are_rejected(tmp_path, monkeypatch, capsys):
     db_path, query_path = write_fixture(tmp_path, {"R": [(1,), (2,)]}, "Q(v) :- R(v).")
     for field in ("table_cap", "budget"):
@@ -196,7 +213,7 @@ def test_decomposition_flag(tmp_path):
         {"R": [(1, 1), (1, 2), (2, 1), (2, 2)], "S": [(1, 1)]},
         "Q(x, y) :- R(x, y), !S(x, y).",
     )
-    td = tree_decompose(parse_query("Q(x, y) :- R(x, y), !S(x, y)."), "exact")
+    td = tree_decompose(parse_query("Q(x, y) :- R(x, y), !S(x, y)."))
     td_path = tmp_path / "dec.txt"
     td_path.write_text(format_decomposition(td))
     code, report = run(base_config(
@@ -241,7 +258,7 @@ def test_decomposition_is_refused_off_the_cqneg_route(tmp_path, mode, text, code
     route = "acq-sum" if mode == "auto" else mode
     td_path = tmp_path / "dec.txt"
     if text == "valid":
-        text = format_decomposition(tree_decompose(parse_query("Q(x) :- R(x, y)."), "exact"))
+        text = format_decomposition(tree_decompose(parse_query("Q(x) :- R(x, y).")))
     if text is not None:
         td_path.write_text(text)
     exit_code, report = run(base_config(

@@ -30,7 +30,7 @@ def grid_instance():
 
 
 def solver_for(q, db, k):
-    ntd = make_nice(tree_decompose(q, "exact"))
+    ntd = make_nice(tree_decompose(q))
     return BagSolver(q, db, k, ntd, table_cap=10 ** 7), ntd
 
 
@@ -64,7 +64,7 @@ def test_leaf_rule_k2_pairs_with_distances():
 def test_leaf_rule_uncovered_bag_admits_every_candidate():
     db = Database.from_rows({"R": [(1, 2), (3, 4)], "T": [(1,), (2,), (4,)]})
     q = parse_query("Q(x, y) :- R(x, y), T(x).")
-    ntd = make_nice(tree_decompose(q, "exact"))
+    ntd = make_nice(tree_decompose(q))
     solver = BagSolver(q, db, 1, ntd, table_cap=10 ** 7)
     # fabricate a node covering only y: no literal fits inside {y}, so every
     # candidate of y (its column of R, the one atom naming it) survives
@@ -134,7 +134,7 @@ def test_negation_can_kill_everything():
 
 def test_supplied_decomposition_is_used():
     q, db = grid_instance()
-    td = tree_decompose(q, "exact")
+    td = tree_decompose(q)
     out = solve_cqneg(q, db, 2, 2, MIN, decomposition=td)
     assert out.decision is True
 
@@ -142,9 +142,28 @@ def test_supplied_decomposition_is_used():
 def test_invalid_decomposition_rejected():
     q, db = grid_instance()
     other = parse_query("Q(a, b) :- R(a, b).")
-    td = tree_decompose(other, "exact")
+    td = tree_decompose(other)
     with pytest.raises(ValueError):
         solve_cqneg(q, db, 2, 2, MIN, decomposition=td)
+
+
+def test_supplied_nice_decomposition_gives_the_same_outcome():
+    # solve_cqneg puts every decomposition through make_nice, a nice one
+    # too: the nice form of a nice decomposition has the same nodes in the
+    # same postorder, so decision, diversity, witness and stats agree.
+    rng = random.Random(83)
+    witnesses = 0
+    for _ in range(30):
+        query, db = random_cqneg_query(rng)
+        td = tree_decompose(query)
+        for k, aggregator in ((2, SUM), (3, MIN)):
+            plain = solve_cqneg(query, db, k, None, aggregator, witness=True,
+                                decomposition=td)
+            nice = solve_cqneg(query, db, k, None, aggregator, witness=True,
+                               decomposition=make_nice(td))
+            assert nice == plain
+            witnesses += plain.witness is not None
+    assert witnesses >= 20
 
 
 def test_table_guard():
@@ -202,7 +221,7 @@ def test_node_tables_match_witness_semantics():
             db.add_relation("U", 1, [(7,), (8,)])
         candidates = column_candidates(query, db)
         k = 2 if n < 16 else 3
-        ntd = make_nice(tree_decompose(query, "exact"))
+        ntd = make_nice(tree_decompose(query))
         solver = BagSolver(query, db, k, ntd, table_cap=10 ** 7)
         solver.run()
         literals = query.conjuncts[0].literals
@@ -336,7 +355,7 @@ def test_full_reducer_keeps_root_entries():
         query, plain_db = random_cqneg_query(rng, max_vars=5, dom_size=3)
         db = _with_dangling_rows(plain_db, rng)
         k = 2 if trial % 2 == 0 else 3
-        ntd = make_nice(tree_decompose(query, "minfill"))
+        ntd = make_nice(tree_decompose(query))
         reduced = BagSolver(query, db, k, ntd, table_cap=10 ** 7)
         reduced.run()
         full = _unreduced_solver(query, db, k, ntd, table_cap=10 ** 7)
@@ -426,7 +445,7 @@ def test_reducer_refuses_only_what_the_sweep_without_it_refuses():
         db = _with_dangling_rows(plain_db, rng)
         k = 2 if trial % 2 == 0 else 3
         cap = rng.randint(1, 60)
-        ntd = make_nice(tree_decompose(query, "minfill"))
+        ntd = make_nice(tree_decompose(query))
         try:
             BagSolver(query, db, k, ntd, table_cap=cap)
         except TableGuardExceeded:
@@ -468,7 +487,7 @@ def test_unrelated_domain_values_cost_nothing():
 
 def test_candidates_check_positive_atoms():
     db = Database.from_rows({"R": [(1, 2)], "S": [(1,)]})
-    nice = make_nice(tree_decompose(parse_query("Q(x) :- R(x, y), !S(x)."), "exact"))
+    nice = make_nice(tree_decompose(parse_query("Q(x) :- R(x, y), !S(x).")))
     for text, error in (("Q(x) :- R(x, y), T(x), !S(x).", UnknownRelation),
                         ("Q(x) :- R(x, y), S(x, y).", ArityMismatch)):
         q = parse_query(text)

@@ -62,6 +62,43 @@ def test_package_has_no_unused_module_imports():
     assert unused == []
 
 
+def test_package_has_no_unreferenced_private_code():
+    # A top-level function, class or name with one leading underscore is
+    # private: nothing outside the package should need it. It must be named
+    # somewhere in the package, or in the bench tracer that wraps it,
+    # outside its own definition; a deletion that leaves it without a
+    # caller fails here.
+    texts = {}
+    for name in sorted(os.listdir(SRC_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC_DIR, name), encoding="utf-8") as handle:
+                texts[name] = handle.read().splitlines()
+    with open(os.path.join(BENCH_DIR, "tracing.py"), encoding="utf-8") as handle:
+        texts["bench/tracing.py"] = handle.read().splitlines()
+    unreferenced = []
+    for name in sorted(n for n in texts if not n.startswith("bench/")):
+        tree = ast.parse("\n".join(texts[name]), filename=name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            own = range(node.lineno - 1, node.end_lineno)
+            for private in bound:
+                if not private.startswith("_") or private.startswith("__"):
+                    continue
+                word = re.compile(rf"\b{re.escape(private)}\b")
+                if not any(word.search(line)
+                           for other, lines in texts.items()
+                           for i, line in enumerate(lines)
+                           if other != name or i not in own):
+                    unreferenced.append(f"{name}:{node.lineno}: {private}")
+    assert unreferenced == []
+
+
 def test_benchmark_tracer_finds_every_hook(monkeypatch):
     # The traced benchmark run (bench/tracing.py) wraps library functions by
     # name and raises MissingHook for a name the library no longer defines.

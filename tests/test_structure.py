@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from diverseq.errors import ExactSearchBudgetExceeded, QuerySyntaxError
+from diverseq.errors import QuerySyntaxError
 from diverseq.oracle import exhaustive_join_tree
 from diverseq.queries import parse_query
 from diverseq.structure import (
@@ -81,57 +81,38 @@ def test_tree_decompose_single_edge():
 
 def test_tree_decompose_star_width_one():
     q = parse_query("Q(v, x1, x2, x3) :- R(v), R1(v, x1), R2(v, x2), R3(v, x3).")
-    assert tree_decompose(q, "exact").width == 1
+    assert tree_decompose(q).width == 1
 
 
 def test_tree_decompose_clique_forced():
     # four variables in one atom force a single size-4 bag
     q = parse_query("Q(a, b, c, d) :- R(a, b, c, d).")
-    assert tree_decompose(q, "exact").width == 3
-    assert tree_decompose(q, "minfill").width == 3
+    assert tree_decompose(q).width == 3
 
 
-def test_exact_never_worse_than_minfill():
-    rng = random.Random(5)
-    for _ in range(40):
-        query, _ = random_general_query(rng)
-        exact = tree_decompose(query, "exact").width
-        heuristic = tree_decompose(query, "minfill").width
-        assert exact <= heuristic
-        assert validate_decomposition(tree_decompose(query, "exact"), query) == []
-        assert validate_decomposition(tree_decompose(query, "minfill"), query) == []
-
-
-def test_exact_equals_minfill_on_paths_and_cliques():
+def test_tree_decompose_paths_and_cliques():
     path = parse_query("Q(a, b, c, d) :- R(a, b), S(b, c), T(c, d).")
-    assert tree_decompose(path, "exact").width == 1
-    assert tree_decompose(path, "minfill").width == 1
+    assert tree_decompose(path).width == 1
     clique = parse_query("Q(a, b, c) :- R(a, b), S(b, c), T(a, c).")
-    assert tree_decompose(clique, "exact").width == 2
-    assert tree_decompose(clique, "minfill").width == 2
-
-
-def test_exact_budget_guard():
-    rng = random.Random(1)
-    query, _ = random_general_query(rng, max_vars=5, max_atoms=5)
-    with pytest.raises(ExactSearchBudgetExceeded):
-        tree_decompose(query, "exact", exact_budget=1)
+    assert tree_decompose(clique).width == 2
 
 
 def test_make_nice_preserves_width_and_validates():
-    rng = random.Random(9)
-    for _ in range(40):
-        query, _ = random_general_query(rng)
-        td = tree_decompose(query, "minfill")
-        nice = make_nice(td)
-        assert nice.width == td.width
-        assert validate_decomposition(nice, query) == []
-        for node, kind in nice.kinds.items():
-            kids = nice.children.get(node, ())
-            if kind == "leaf":
-                assert kids == ()
-            elif kind == "join":
-                assert len(kids) == 2
+    for seed in (5, 9):
+        rng = random.Random(seed)
+        for _ in range(40):
+            query, _ = random_general_query(rng)
+            td = tree_decompose(query)
+            assert validate_decomposition(td, query) == []
+            nice = make_nice(td)
+            assert nice.width == td.width
+            assert validate_decomposition(nice, query) == []
+            for node, kind in nice.kinds.items():
+                kids = nice.children.get(node, ())
+                if kind == "leaf":
+                    assert kids == ()
+                elif kind == "join":
+                    assert len(kids) == 2
 
 
 def test_make_nice_single_bag():
@@ -173,7 +154,7 @@ def test_decomposition_round_trip():
     rng = random.Random(2)
     for _ in range(10):
         query, _ = random_general_query(rng)
-        td = tree_decompose(query, "minfill")
+        td = tree_decompose(query)
         again = parse_decomposition(format_decomposition(td))
         assert again.bags == td.bags
         assert again.root == td.root
@@ -255,7 +236,7 @@ def test_deep_decomposition_needs_no_recursion():
     n = 2000
     body = ", ".join(f"R(x{i}, x{i + 1})" for i in range(n))
     q = parse_query(f"Q(x0) :- {body}.")
-    td = tree_decompose(q, "minfill")
+    td = tree_decompose(q)
     assert td.width == 1
     nice = make_nice(td)
     assert nice.width == 1
