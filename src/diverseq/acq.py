@@ -35,15 +35,16 @@ tuple up with a sorted parent tuple through a slot map sigma (parent slot i
 reads child slot sigma[i]), reads the child's per-pair values through it, and
 records sigma in the provenance link.
 
-Joins are mostly functional: the shared variables of a parent sol pick
-exactly one child sol, its partner; a parent tuple holding a sol with none
-joins nothing. A merge decides once how it aligns: if no sol has several
-partners and the partners rise strictly with the sols, each sorted parent
-tuple reads its partners' (sorted) tuple under the identity. Otherwise a
-parent tuple whose slots all have one partner reads the partners sorted,
-under the inverse of their stable argsort, and any other searches the child
-tuples bucketed by their sorted projection onto the shared variables, under
-every slot map `_arrangements` gives.
+A merge first makes its join functional: the shared variables of a parent
+sol pick at most one child sol, its partner. A child whose sols share a
+projection onto the shared variables is projected onto them (`dp_project`):
+each entry lands at its slots' projections, re-sorted, once per arrangement
+of the slots that project alike, and each key keeps the first entry with the
+highest sum. The same projection is a decomposition's forget rule. A parent
+tuple holding a sol with no partner joins nothing. If every sol has a
+partner and the partners rise strictly with the sols, each sorted parent
+tuple reads its partners' (sorted) tuple under the identity; otherwise it
+reads the partners sorted, under the inverse of their stable argsort.
 """
 
 from __future__ import annotations
@@ -173,14 +174,17 @@ def _distance_matrix(sols: Sequence[tuple], variables: frozenset[str], names) ->
     return matrix
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class DPTable:
     """DP table at one tree node: a join-tree atom or a decomposition bag.
 
     sols are the node's partial solutions over `variables`: value-index
     tuples over the sorted variables, sorted. entries maps (sorted tuple of
-    sol positions, state) to (best sum, provenance): one (child node, child
-    entry key, sigma) link per child merged in.
+    sol positions, state) to (best sum, provenance): one (child table, child
+    entry key, sigma) link per child merged in, or for a projection
+    (`dp_project`) one link to the entry it projects. A link holds the table
+    itself, so it can reach a projection that is no tree node's table; so
+    tables compare by identity, lest `==` or repr walk every table below.
     """
 
     node: int
@@ -253,25 +257,77 @@ def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
     return table
 
 
+def dp_project(child: DPTable, node: int, variables: frozenset[str], *,
+               table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
+    """The child's table seen from fewer variables, a subset of its own.
+
+    The sols are the child's distinct projections onto `variables`, sorted.
+    Each child entry lands at its slots' projections, re-sorted, once per
+    arrangement of the slots that project alike (`_slot_maps`), its state
+    read through the slot map, which the provenance link records; a tuple
+    whose projections stay strictly increasing lands as it is. Per key the
+    first entry with the highest sum is kept. A stateless entry lands on
+    one key under every arrangement, so it takes only the first, the stable
+    argsort of its projections. This is a forget node's rule, and how
+    `dp_merge` sees a child whose sols share a projection onto the shared
+    variables: marginalized before it is joined.
+    """
+    proj_sols = _project(child.sols, child.variables, variables)
+    sols = sorted(set(proj_sols))
+    index = {p: n for n, p in enumerate(sols)}
+    proj = [index[p] for p in proj_sols]  # child sol -> projected sol
+    table = DPTable(node=node, variables=variables, sols=sols, k=child.k, rule=child.rule)
+    out = table.entries
+    identity = tuple(range(child.k))
+    stateless = child.rule is NONE
+    # Where a slot tuple's entries land; a stateless entry's first slot map
+    # depends on its projections alone, so they key its moves instead.
+    cache: dict[tuple, list] = {}
+    for ckey, (value, _) in child.entries.items():
+        ctuple, cstate = ckey
+        at = tuple([proj[c] for c in ctuple]) if stateless else ctuple
+        moves = cache.get(at)
+        if moves is None:
+            projs = tuple([proj[c] for c in ctuple])
+            if all(map(operator.lt, projs, projs[1:])):  # still sorted, distinct
+                moves = [(projs, identity, None)]
+            else:
+                target = tuple(sorted(projs))
+                maps = _slot_maps(ctuple, proj, target)
+                moves = [(target, maps[0], None)] if stateless else \
+                    [(target, s, _pair_map(s)) for s in maps]
+            cache[at] = moves
+        for target, sigma, pmap in moves:
+            key = (target, cstate if pmap is None else tuple([cstate[m] for m in pmap]))
+            prior = out.get(key)
+            if prior is None or value > prior[0]:
+                out[key] = (value, ((child, ckey, sigma),))
+    table.guard(table_cap)
+    return table
+
+
 class _Join:
     """Lines up the sorted tuples of a child table with those of its parent.
 
-    single[p] is parent sol p's partner, the one child sol sharing its
-    projection onto the shared variables, and None when several or none do.
-    If every sol has one and the partners rise strictly, `direct` maps each
-    child tuple to its entries under the identity; otherwise `aligned`
-    searches per parent tuple, cached per partner or projection sequence,
+    A child with two sols that share a projection onto the shared variables
+    is first projected onto them (`dp_project`), so each parent sol has at
+    most one partner, the child sol sharing its projection: single[p], None
+    when there is none. If every sol has one and the partners rise
+    strictly, `direct` maps each child tuple to its entries under the
+    identity; otherwise `aligned` reads each parent tuple's partners sorted,
     and finds no child tuple for a tuple holding a sol with no partner.
     """
 
-    def __init__(self, parent: DPTable, child: DPTable, free_vars: Sequence[str]) -> None:
+    def __init__(self, parent: DPTable, child: DPTable, free_vars: Sequence[str],
+                 table_cap: int) -> None:
         shared = parent.variables & child.variables
-        self.proj_p = _project(parent.sols, parent.variables, shared)
-        self.proj_c = _project(child.sols, child.variables, shared)
-        partner: dict[tuple, int | None] = {}
-        for c, proj in enumerate(self.proj_c):
-            partner[proj] = None if proj in partner else c
-        self.single = single = [partner.get(proj) for proj in self.proj_p]
+        proj_c = _project(child.sols, child.variables, shared)
+        if len(set(proj_c)) < len(proj_c):
+            child = dp_project(child, child.node, shared, table_cap=table_cap)
+            proj_c = child.sols
+        partner = {proj: c for c, proj in enumerate(proj_c)}
+        self.single = single = [partner.get(proj)
+                                for proj in _project(parent.sols, parent.variables, shared)]
         # Distances on the shared free variables, which both sides count.
         self.corr = _distance_matrix(parent.sols, parent.variables, shared & set(free_vars))
         self.child = child
@@ -282,86 +338,43 @@ class _Join:
             for ckey, (value, _) in child.entries.items():
                 self.direct.setdefault(ckey[0], []).append((ckey, identity, ckey[1], value))
             return
-        self.sums: dict[tuple, int] | None = None
         self.child_keys: dict[tuple, list[tuple]] = {}  # sorted child tuple -> its keys
-        if child.rule is NONE:
-            # A stateless child holds one entry per tuple: its sum by tuple.
-            self.sums = {key[0]: entry[0] for key, entry in child.entries.items()}
-        else:
-            for key in child.entries:
-                self.child_keys.setdefault(key[0], []).append(key)
-        self.buckets: dict[tuple, list[tuple]] | None = None
-        self._direct: dict[tuple, list] = {}
-        self._aligned: dict[tuple, list] = {}
+        for key in child.entries:
+            self.child_keys.setdefault(key[0], []).append(key)
+        self._cache: dict[tuple, list] = {}
 
-    def aligned(self, ptuple: tuple[int, ...]) -> list[tuple[tuple, tuple, tuple, int]]:
+    def aligned(self, ptuple: tuple[int, ...]) -> Sequence[tuple[tuple, tuple, tuple, int]]:
         """(child key, sigma, child state read through sigma, child sum) for
-        the child entries joining ptuple.
+        the child entries joining ptuple, cached per partner sequence.
 
-        All candidates of a stateless child land on one key, where a merge
-        keeps the first with the highest sum; so such a child lists only
-        that entry, under the least slot map (the identity when the
-        projections already line up).
+        Parent slot i joins only the child sol partners[i], so the child
+        tuple is the partners sorted, and slot i reads the child slot that
+        sorting moved partners[i] to: sigma is the inverse of the partners'
+        stable argsort, the identity when they are already sorted.
         """
         single = self.single
         partners = tuple([single[p] for p in ptuple])
-        if None not in partners:
-            found = self._direct.get(partners)
-            if found is None:
-                found = self._direct[partners] = self._one_partner(partners)
+        found = self._cache.get(partners)
+        if found is not None:
             return found
-        target = tuple([self.proj_p[p] for p in ptuple])
-        found = self._aligned.get(target)
-        if found is None:
-            found = []
-            if self.buckets is None:
-                self.buckets = {}
-                for ctuple in self.sums or self.child_keys:
-                    bucket_key = tuple(sorted([self.proj_c[c] for c in ctuple]))
-                    self.buckets.setdefault(bucket_key, []).append(ctuple)
-            ctuples = self.buckets.get(tuple(sorted(target)), ())
-            sums = self.sums
-            if sums is not None:
-                if ctuples:
-                    ctuple = max(ctuples, key=sums.__getitem__)
-                    if tuple([self.proj_c[c] for c in ctuple]) == target:
-                        sigma = self.identity
-                    else:
-                        sigma = _slot_maps(ctuple, self.proj_c, target)[0]
-                    found.append(((ctuple, ()), sigma, (), sums[ctuple]))
-            else:
-                entries = self.child.entries
-                for ctuple in ctuples:
-                    keys = self.child_keys[ctuple]
-                    for sigma in _slot_maps(ctuple, self.proj_c, target):
-                        pmap = _pair_map(sigma)
-                        found.extend(
-                            (ckey, sigma, tuple([ckey[1][m] for m in pmap]), entries[ckey][0])
-                            for ckey in keys
-                        )
-            self._aligned[target] = found
-        return found
-
-    def _one_partner(self, partners: tuple[int, ...]) -> list[tuple[tuple, tuple, tuple, int]]:
-        """`aligned` for a parent tuple whose slot i joins only the child sol
-        partners[i]: the child tuple is the partners sorted, and parent slot
-        i reads the child slot that sorting moved partners[i] to."""
+        if None in partners:
+            return ()
         ctuple = tuple(sorted(partners))
         if ctuple == partners:
             sigma = self.identity
         else:
             order = sorted(self.identity, key=partners.__getitem__)
             sigma = tuple(sorted(self.identity, key=order.__getitem__))  # its inverse
-        if self.sums is not None:
-            total = self.sums.get(ctuple)
-            return [] if total is None else [((ctuple, ()), sigma, (), total)]
         entries = self.child.entries
         keys = self.child_keys.get(ctuple, ())
-        if sigma is self.identity:
-            return [(ckey, sigma, ckey[1], entries[ckey][0]) for ckey in keys]
-        pmap = _pair_map(sigma)
-        return [(ckey, sigma, tuple([ckey[1][m] for m in pmap]), entries[ckey][0])
-                for ckey in keys]
+        if sigma is self.identity or self.child.rule is NONE:
+            found = [(ckey, sigma, ckey[1], entries[ckey][0]) for ckey in keys]
+        else:
+            pmap = _pair_map(sigma)
+            found = [(ckey, sigma, tuple([ckey[1][m] for m in pmap]), entries[ckey][0])
+                     for ckey in keys]
+        self._cache[partners] = found
+        return found
 
 
 def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
@@ -371,10 +384,13 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     Compatible entry pairs combine their states and add their sums, less
     the distance already counted on the shared variables (which exact
     states subtract too). Per new key, the first candidate with the highest
-    sum donates provenance. The guard runs once per parent slot tuple that
-    joins, and once at the end.
+    sum donates provenance. A child whose sols share a projection onto the
+    shared variables is merged as its projection onto them, which the links
+    then reach. The guard runs once per parent slot tuple that joins, and
+    once at the end.
     """
-    join = _Join(parent, child, free_vars)
+    join = _Join(parent, child, free_vars, table_cap)
+    child = join.child
     merged = replace(parent, entries={})
     out = merged.entries
     combine, exact = parent.rule.combine, parent.rule.exact
@@ -400,7 +416,7 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
             total = base + cvalue
             prior = out.get(new_key)
             if prior is None or total > prior[0]:
-                out[new_key] = (total, refs + ((child.node, ckey, sigma),))
+                out[new_key] = (total, refs + ((child, ckey, sigma),))
     merged.guard(table_cap)
     merged.check_bound(len(free_vars))
     return merged
@@ -429,29 +445,28 @@ def dp_finalize(root: DPTable, aggregator: Aggregator, threshold: float | None,
     return decision, best_key, best_val
 
 
-def extract_witness(tables: dict[int, DPTable], root_key: tuple, jt: TreeDecomposition,
-                    free_vars: Sequence[str], domain: Sequence[Value]) -> tuple[Assignment, ...]:
+def extract_witness(root: DPTable, root_key: tuple, free_vars: Sequence[str],
+                    domain: Sequence[Value]) -> tuple[Assignment, ...]:
     """Rebuild k full answers realizing a kept root entry, via provenance.
 
     The walk is iterative. Each visit carries `slots`: slots[i] is the
-    position of the node's tuple that feeds witness slot i; a link's sigma
-    maps it into the child's tuple. The walk collects value indices, which
-    `domain`, the database's value table, turns into the answers' values.
-    The answers' pair distances must give back the entry's state and sum.
+    position of the table's tuple that feeds witness slot i; a link's sigma
+    maps it into the linked table's tuple. The walk collects value indices,
+    which `domain`, the database's value table, turns into the answers'
+    values. The answers' pair distances must give back the entry's state
+    and sum.
     """
-    root = tables[jt.root]
     k = root.k
     collected: list[dict[str, int]] = [{} for _ in range(k)]
-    stack = [(jt.root, root_key, tuple(range(k)))]
+    stack = [(root, root_key, tuple(range(k)))]
     while stack:
-        node, key, slots = stack.pop()
-        table = tables[node]
+        table, key, slots = stack.pop()
         for bound, s in zip(collected, slots):
             for v, index in zip(sorted(table.variables), table.sols[key[0][s]]):
                 if bound.setdefault(v, index) != index:
                     raise CorruptProvenance(f"conflicting bindings for {v} while extending entry")
-        for child_node, child_key, sigma in table.entries[key][1]:
-            stack.append((child_node, child_key, tuple([sigma[s] for s in slots])))
+        for child, child_key, sigma in table.entries[key][1]:
+            stack.append((child, child_key, tuple([sigma[s] for s in slots])))
     xs = list(free_vars)
     witness = tuple(Assignment([(x, domain[b[x]]) for x in xs if x in b]) for b in collected)
     vec = pairwise_distances(witness, xs)
@@ -527,7 +542,7 @@ def _solve(query: Query, db: Database, k: int, d: float | None, aggregator: Aggr
     free_vars = query.free_vars
     jt, tables, stats = _traverse(query, db, k, free_vars, rule, table_cap)
     decision, best_key, best = dp_finalize(tables[jt.root], aggregator, d, allow_duplicates)
-    solution = extract_witness(tables, best_key, jt, free_vars, db.domain) \
+    solution = extract_witness(tables[jt.root], best_key, free_vars, db.domain) \
         if decision and witness else None
     return Outcome(decision, best, solution, stats=stats)
 

@@ -24,9 +24,10 @@ extensions below the node realize:
     introduce  the node's `dp_init` merged with its child (`dp_merge`):
                each sol's one partner is its projection without the new
                variable; the k = 1 pass has already checked the literals
-    forget     project the variable away and re-sort (unless the slots
-               stay sorted and distinct), one entry per arrangement of the
-               slots that become equal; the one rule not taken from `acq`
+    forget     the child's table projected onto the node's bag
+               (`dp_project`): each entry re-sorted, once per arrangement
+               of the slots that become equal; `dp_merge` projects a child
+               whose sols share a projection the same way
     join       the merge of the right child into the left; both children
                hold the join's sols, so every slot tuple meets its own
 
@@ -48,18 +49,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import replace
 
 from .acq import (
     DPTable,
-    _pair_map,
     _reduce_down,
-    _slot_maps,
     _slot_tuples,
     dp_finalize,
     dp_init,
     dp_merge,
+    dp_project,
     extract_witness,
 )
 from .errors import DEFAULT_TABLE_CAP, TableGuardExceeded
@@ -103,6 +102,7 @@ class BagSolver:
         for n, lit in enumerate(self.literals):
             for v in lit.variables:
                 self.literals_of.setdefault(v, []).append(n)
+        self.most = self._most_sols()
         self.sols = self._reduce()
 
     # -- helpers ------------------------------------------------------------
@@ -132,7 +132,8 @@ class BagSolver:
 
     def satisfying_tuples(self, node: int) -> list[tuple[int, ...]]:
         """All candidate-value index tuples over the bag that satisfy the
-        covered literals, sorted (the candidate lists are)."""
+        covered literals, sorted (the candidate lists are). The enumeration
+        stops, refused, as soon as they pass `most`."""
         order = self.bag_order(node)
         lits = self.covered_literals(self.ntd.bags[node])
         options = [self.candidates[v] for v in order]
@@ -140,8 +141,8 @@ class BagSolver:
             raise TableGuardExceeded(
                 f"bag enumeration at node {node} exceeds {self.table_cap}"
             )
-        return [combo for combo in itertools.product(*options)
-                if self.satisfies(order, combo, lits)]
+        return self._bounded(node, (combo for combo in itertools.product(*options)
+                                    if self.satisfies(order, combo, lits)))
 
     def satisfies(self, order: tuple[str, ...], part: tuple[int, ...],
                   lits: list[Literal]) -> bool:
@@ -151,6 +152,26 @@ class BagSolver:
 
     # -- k = 1 pass -----------------------------------------------------------
 
+    def _most_sols(self) -> int:
+        """The most sols whose sorted k-tuples fit a table under the cap."""
+        k, cap = self.k, self.table_cap
+        lo, hi = 0, cap
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            size = _slot_tuples(mid, k, True, cap)
+            lo, hi = (mid, hi) if size is not None and size <= cap else (lo, mid - 1)
+        return lo
+
+    def _bounded(self, node: int, parts) -> list[tuple[int, ...]]:
+        """The bag assignments `parts` yields, refused as soon as they pass
+        `most`, before the rest are built."""
+        found = list(itertools.islice(parts, self.most + 1))
+        if len(found) > self.most:
+            raise TableGuardExceeded(
+                f"node {node} has over {self.most} bag assignments, whose sorted "
+                f"{self.k}-tuples exceed {self.table_cap} entries")
+        return found
+
     def _reduce(self) -> dict[int, list[tuple[int, ...]]]:
         """The k = 1 pass: per node, the sorted bag assignments that extend
         to an answer. The bottom-up sets are built here; acq's down sweep
@@ -158,26 +179,10 @@ class BagSolver:
 
         The sweep without this pass stores every sorted k-tuple of a node's
         bottom-up sols, so a node with more than `most` of them would be
-        refused there; it is refused here as soon as its sols pass `most`,
-        before they are all built. A forget or join node holds no more sols
-        than its child.
+        refused there; a leaf or introduce node is refused here as soon as
+        its sols pass `most` (`_bounded`). A forget or join node holds no
+        more sols than its child.
         """
-        k, cap = self.k, self.table_cap
-        lo, hi = 0, cap
-        while lo < hi:  # the most sols whose sorted k-tuples fit the cap
-            mid = (lo + hi + 1) // 2
-            size = _slot_tuples(mid, k, True, cap)
-            lo, hi = (mid, hi) if size is not None and size <= cap else (lo, mid - 1)
-        most = lo
-
-        def bounded(node: int, parts) -> list[tuple[int, ...]]:
-            found = list(itertools.islice(parts, most + 1))
-            if len(found) > most:
-                raise TableGuardExceeded(
-                    f"node {node} has over {most} bag assignments, whose sorted "
-                    f"{k}-tuples exceed {cap} entries")
-            return found
-
         ntd = self.ntd
         order = ntd.postorder()
         sols: dict[int, list[tuple[int, ...]]] = {}
@@ -185,7 +190,7 @@ class BagSolver:
             kind = ntd.kinds[node]
             kids = ntd.children.get(node, ())
             if kind == "leaf":
-                sols[node] = bounded(node, self.satisfying_tuples(node))
+                sols[node] = self.satisfying_tuples(node)
             elif kind == "join":
                 right = set(sols[kids[1]])
                 sols[node] = [p for p in sols[kids[0]] if p in right]
@@ -195,8 +200,8 @@ class BagSolver:
                 lits = self.covered_literals(ntd.bags[node])
                 extended = (p[:zpos] + (idx,) + p[zpos:]
                             for p in sols[kids[0]] for idx in self.candidates[kind[1]])
-                sols[node] = sorted(bounded(node, (e for e in extended
-                                                   if self.satisfies(bag, e, lits))))
+                sols[node] = sorted(self._bounded(node, (e for e in extended
+                                                         if self.satisfies(bag, e, lits))))
             else:
                 zpos = self.bag_order(kids[0]).index(kind[1])
                 sols[node] = sorted({p[:zpos] + p[zpos + 1:] for p in sols[kids[0]]})
@@ -217,32 +222,8 @@ class BagSolver:
                         table_cap=self.table_cap)
 
     def forget(self, node: int, child: int, z: str) -> DPTable:
-        child_table = self.tables[child]
-        sols = self.sols[node]
-        zpos = self.bag_order(child).index(z)
-        table = DPTable(node=node, variables=self.ntd.bags[node], sols=sols, k=self.k)
-        # The node's sols are exactly the projections of the child's.
-        index = {p: n for n, p in enumerate(sols)}
-        proj = [index[p[:zpos] + p[zpos + 1:]] for p in child_table.sols]  # child sol -> node sol
-        k, out = self.k, table.entries
-        identity = tuple(range(k))
-        moves: dict[tuple, list] = {}  # child tuple -> (tuple, sigma, pair map or None)
-        for ckey, (value, _) in child_table.entries.items():
-            ctuple, cvec = ckey
-            found = moves.get(ctuple)
-            if found is None:
-                projs = tuple([proj[c] for c in ctuple])
-                if all(map(operator.lt, projs, projs[1:])):  # still sorted, distinct
-                    found = [(projs, identity, None)]
-                else:  # one entry per arrangement of the slots that project alike
-                    target = tuple(sorted(projs))
-                    found = [(target, s, _pair_map(s)) for s in _slot_maps(ctuple, proj, target)]
-                moves[ctuple] = found
-            for target, sigma, pmap in found:
-                key = (target, cvec if pmap is None else tuple([cvec[m] for m in pmap]))
-                if key not in out:
-                    out[key] = (value, ((child, ckey, sigma),))
-        table.guard(self.table_cap)
+        table = dp_project(self.tables[child], node, self.ntd.bags[node],
+                           table_cap=self.table_cap)
         table.check_bound(len(self.free))
         return table
 
@@ -267,7 +248,7 @@ class BagSolver:
             self.tables[node] = table
 
     def witness(self, root_key: tuple) -> tuple[Assignment, ...]:
-        return extract_witness(self.tables, root_key, self.ntd, self.query.free_vars,
+        return extract_witness(self.tables[self.ntd.root], root_key, self.query.free_vars,
                                self.db.domain)
 
 

@@ -13,7 +13,8 @@ the conjunct join, capping and the distance matrix compare integers, and
 skips the levels that cannot act and works in linear passes: one dict
 grouping per fixed column set over the rows, sorted once. The search is a
 depth-first branch and bound over a matrix of pairwise distances; its
-budget caps the search nodes it visits.
+budget counts pair distances, C(k, 2) (at least one) per search node it
+visits.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from typing import Sequence
 
 from diverseq.model import Assignment, Database, hamming_distance, pair_order
@@ -277,10 +278,58 @@ def sol_bindings(table, position: int, domain: Sequence | None = None) -> dict:
     return dict(zip(sorted(table.variables), row))
 
 
+def _projections(table, names: Sequence[str]) -> list[tuple]:
+    """Each of a DP table's sols, as its values on `names`."""
+    return [tuple(sol_bindings(table, n)[v] for v in names) for n in range(len(table.sols))]
+
+
+def _read_state(state: tuple, sigma: Sequence[int]) -> tuple:
+    """A stored state read through slot map sigma: parent pair (i, j) takes
+    the child's pair (sigma[i], sigma[j]). A stateless () stays ()."""
+    if not state:
+        return state
+    pairs = pair_order(len(sigma))
+    pos = {p: n for n, p in enumerate(pairs)}
+    return tuple(state[pos[tuple(sorted((sigma[i], sigma[j])))]] for i, j in pairs)
+
+
+def reference_project(child, node: int, variables):
+    """The table `acq.dp_project(child, node, variables, ...)` must produce,
+    built naively: the child's distinct projections onto `variables`,
+    sorted, as sols; every child entry tried under every slot map sigma
+    whose rearranged tuple projects to a sorted tuple; per new key the
+    first candidate with the highest sum kept.
+
+    Candidates come per child entry, then per slot map: of the maps that
+    rearrange the child tuple alike only the lexicographically first is
+    tried, in ascending order of the rearranged tuple.
+    """
+    names = sorted(variables)
+    proj = _projections(child, names)
+    sols = sorted(set(proj))
+    index = [sols.index(p) for p in proj]
+    out: dict = {}
+    for ckey, (value, _) in child.entries.items():
+        ctuple, state = ckey
+        maps: dict[tuple, tuple] = {}
+        for sigma in itertools.permutations(range(child.k)):
+            projected = [index[ctuple[s]] for s in sigma]
+            if projected == sorted(projected):
+                maps.setdefault(tuple(ctuple[s] for s in sigma), sigma)
+        for rearranged, sigma in sorted(maps.items()):
+            key = (tuple(index[c] for c in rearranged), _read_state(state, sigma))
+            prior = out.get(key)
+            if prior is None or value > prior[0]:
+                out[key] = (value, ((child, ckey, sigma),))
+    return replace(child, node=node, variables=frozenset(variables), sols=sols, entries=out)
+
+
 def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
     """The entries `acq.dp_merge(parent, child, ...)` must produce, built
-    naively: every (parent entry, child entry, slot map) triple is tried,
-    and per new key the first candidate with the highest sum is kept.
+    naively: a child whose sols share a projection onto the shared
+    variables is first projected onto them (`reference_project`); then
+    every (parent entry, child entry, slot map) triple is tried, and per new
+    key the first candidate with the highest sum is kept.
 
     Candidates come per parent entry, then per child slot tuple in order of
     first appearance, then per slot map, then per child entry of that
@@ -291,8 +340,10 @@ def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
     """
     k, rule = parent.k, parent.rule.name
     pairs = pair_order(k)
-    pos = {p: n for n, p in enumerate(pairs)}
     shared = sorted(parent.variables & child.variables)
+    proj = _projections(child, shared)
+    if len(set(proj)) < len(proj):
+        child = reference_project(child, child.node, shared)
     shared_free = [v for v in shared if v in free_vars]
     by_tuple: dict[tuple, list[tuple]] = {}
     for ckey in child.entries:
@@ -309,20 +360,35 @@ def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
                     maps.setdefault(tuple(ctuple[s] for s in sigma), sigma)
             for _, sigma in sorted(maps.items()):
                 for ckey in ckeys:
+                    read = _read_state(ckey[1], sigma)
                     if rule == "none":
                         new_state = ()
+                    elif rule == "exact":
+                        new_state = tuple(p - o + c for p, o, c in zip(state, overlap, read))
                     else:
-                        read = [ckey[1][pos[tuple(sorted((sigma[i], sigma[j])))]]
-                                for i, j in pairs]
-                        if rule == "exact":
-                            new_state = tuple(p - o + c for p, o, c in zip(state, overlap, read))
-                        else:
-                            new_state = tuple(p | c for p, c in zip(state, read))
+                        new_state = tuple(p | c for p, c in zip(state, read))
                     total = value - sum(overlap) + child.entries[ckey][0]
                     prior = out.get((ptuple, new_state))
                     if prior is None or total > prior[0]:
-                        out[(ptuple, new_state)] = (total, refs + ((child.node, ckey, sigma),))
+                        out[(ptuple, new_state)] = (total, refs + ((child, ckey, sigma),))
     return out
+
+
+def spelled_links(entries: dict) -> list:
+    """A DP table's entries in order, each link's table spelled by its node,
+    variables, sols and entries. Tables compare by identity, so this lets a
+    projection built by a merge equal one built by `reference_merge`; the
+    spelled entries' own links keep their tables, which both sides share."""
+    spelled: dict[int, tuple] = {}
+
+    def spell(table):
+        if id(table) not in spelled:
+            spelled[id(table)] = (table.node, table.variables, tuple(table.sols),
+                                  tuple(table.entries.items()))
+        return spelled[id(table)]
+
+    return [(key, value, tuple((spell(table), ckey, sigma) for table, ckey, sigma in refs))
+            for key, (value, refs) in entries.items()]
 
 
 # --- reference kernel: the capping rules and the search as plain loops ----------

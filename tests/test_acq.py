@@ -7,12 +7,12 @@ from diverseq.acq import (
     EXACT,
     FLAGS,
     NONE,
-    _Join,
     _sorted_sols,
     _traverse,
     dp_finalize,
     dp_init,
     dp_merge,
+    dp_project,
     extract_witness,
     solve_acq,
     solve_acq_sum,
@@ -32,9 +32,11 @@ from helpers import (
     conjunction_solutions,
     is_permutation_closed,
     reference_merge,
+    reference_project,
     slot_closure,
     small_answer_instances,
     sol_bindings,
+    spelled_links,
 )
 
 
@@ -507,7 +509,7 @@ def _root_entries(tables, jt, free, db):
     table = tables[jt.root]
     return [
         (tuple(table.sols[p] for p in key[0]), key[1], entry[0],
-         extract_witness(tables, key, jt, free, db.domain))
+         extract_witness(table, key, free, db.domain))
         for key, entry in table.entries.items()
     ]
 
@@ -627,9 +629,9 @@ def test_dp_merge_matches_reference_merge():
                                 k, free, rule=rule)
                 for child in jt.children.get(node, ()):
                     expected = reference_merge(table, tables[child], free)
-                    partner_maps.add((rule.name, _partner_map_kind(table, tables[child], free)))
+                    partner_maps.add((rule.name, _partner_map_kind(table, tables[child])))
                     table = dp_merge(table, tables[child], free)
-                    assert list(table.entries.items()) == list(expected.items())
+                    assert spelled_links(table.entries) == spelled_links(expected)
                     merges += 1
                     cycles.update(
                         (rule.name, sigma)
@@ -639,26 +641,76 @@ def test_dp_merge_matches_reference_merge():
     assert merges > 0
     assert {name for name, _ in cycles} == {"exact", "flags", "none"}
     for rule in ("exact", "flags", "none"):
-        for kind in ("identity", "increasing", "permuted", "partial", "unjoined"):
+        for kind in ("identity", "increasing", "permuted", "projected", "unjoined"):
             assert (rule, kind) in partner_maps
 
 
-def _partner_map_kind(parent, child, free):
-    """How a merge's parent sols map to their join partners: "partial" when
-    some sol has several, else "unjoined" when some has none, else
-    "identity", "increasing" (strictly, not the identity) or "permuted"."""
-    join = _Join(parent, child, free)
-    counts = [join.proj_c.count(proj) for proj in join.proj_p]
+def _partner_map_kind(parent, child):
+    """How a merge's parent sols map to their join partners: "projected"
+    when some sol has several, so the merge projects the child first, else
+    "unjoined" when some has none, else "identity", "increasing" (strictly,
+    not the identity) or "permuted"."""
+    shared = sorted(parent.variables & child.variables)
+    proj_c = [tuple(sol_bindings(child, c)[v] for v in shared) for c in range(len(child.sols))]
+    proj_p = [tuple(sol_bindings(parent, p)[v] for v in shared) for p in range(len(parent.sols))]
+    counts = [proj_c.count(proj) for proj in proj_p]
     if max(counts, default=0) > 1:
-        return "partial"
+        return "projected"
     if 0 in counts:
         return "unjoined"
-    single = join.single
+    single = [proj_c.index(proj) for proj in proj_p]
     if single == list(range(len(single))):
         return "identity"
     if all(a < b for a, b in zip(single, single[1:])):
         return "increasing"
     return "permuted"
+
+
+def test_dp_project_matches_reference_project():
+    # Every projection equals the naive one (every child entry under every
+    # slot map that leaves the projections sorted; first candidate with the
+    # highest sum) in sols, keys, order, sums and provenance links, under
+    # each state rule and k = 2, 3 and 4. The child tables are each node's
+    # init and its merged table; each is projected onto every subset of its
+    # variables, so many projections repeat.
+    rng = random.Random(83)
+    instances = list(small_answer_instances(rng, 12, max_atoms=3, max_rows=5))
+    instances.append((parse_query("Q(x, z) :- R(x, y), S(y, z)."),
+                      Database.from_rows({"S": [(10, 5), (10, 6), (20, 7)],
+                                          "R": [(1, 20), (2, 10), (3, 10)]})))
+    projections = repeated = rearranged = 0
+    for trial, (query, db) in enumerate(instances):
+        free = query.free_vars
+        jt = gyo_join_tree(query)
+        atoms = query.conjuncts[0].positive_atoms
+        k = (2, 3, 4)[trial % 3]
+        for rule in (EXACT, FLAGS, NONE):
+            tables = {}
+            for node in jt.postorder():
+                init = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
+                               k, free, rule=rule)
+                table = init
+                for child in jt.children.get(node, ()):
+                    table = dp_merge(table, tables[child], free)
+                tables[node] = table
+                names = sorted(table.variables)
+                for source in (init, table):
+                    for size in range(len(names)):
+                        for kept in itertools.combinations(names, size):
+                            kept = frozenset(kept)
+                            got = dp_project(source, 99, kept)
+                            expected = reference_project(source, 99, kept)
+                            assert got.sols == expected.sols
+                            assert list(got.entries.items()) == list(expected.entries.items())
+                            got.check_bound(len(free))
+                            projections += 1
+                            repeated += len(got.sols) < len(source.sols)
+                            links = [ckey for _, refs in got.entries.values()
+                                     for _, ckey, _ in refs]
+                            rearranged += len(set(links)) < len(links)
+    # some child entry lands at several keys, one per arrangement
+    assert projections > 0 and repeated > 0 and rearranged > 0, \
+        (projections, repeated, rearranged)
 
 
 # --- oracle equivalence (small smoke version of the acceptance sweep) -----------

@@ -16,6 +16,7 @@ from helpers import (
     literal_solutions,
     random_cqneg_query,
     reference_merge,
+    reference_project,
     small_answer_instances,
     sol_bindings,
 )
@@ -210,10 +211,11 @@ def test_node_tables_match_witness_semantics():
     # join node's children hold its sols, and its table is the reference
     # merge of its right child into its left, entry for entry; an introduce
     # node's table is the reference merge of its child into the node's init
-    # over its sols, likewise.
+    # over its sols, likewise; a forget node's table is the reference
+    # projection of its child's table onto its bag.
     rng = random.Random(79)
     joins = {2: 0, 3: 0}
-    introduces = 0
+    introduces = forgets = 0
     for n in range(100):
         query, db = random_cqneg_query(rng, max_vars=4, dom_size=2)
         if n % 2:
@@ -250,6 +252,13 @@ def test_node_tables_match_witness_semantics():
                 reference = reference_merge(dp_init(node, ntd.bags[node], sols, k, free),
                                             solver.tables[child], free)
                 assert list(solver.tables[node].entries.items()) == list(reference.items())
+            elif ntd.kinds[node][0] == "forget":
+                forgets += 1
+                (child,) = ntd.children[node]
+                table = solver.tables[node]
+                reference = reference_project(solver.tables[child], node, ntd.bags[node])
+                assert (table.variables, table.sols) == (reference.variables, reference.sols)
+                assert list(table.entries.items()) == list(reference.entries.items())
             subtree_bags = [ntd.bags[node]]
             stack = list(ntd.children.get(node, ()))
             while stack:
@@ -283,7 +292,7 @@ def test_node_tables_match_witness_semantics():
             }
             assert stored == expected
     assert joins[2] >= 3 and joins[3] >= 10, joins
-    assert introduces > 0
+    assert introduces > 0 and forgets > 0
 
 
 def _unreduced_solver(query, db, k, ntd, table_cap):
@@ -317,16 +326,17 @@ def _unreduced_solver(query, db, k, ntd, table_cap):
 
 def _spelled_entries(solver, node):
     """A node's entries in order, slots spelled as their sols, each with its
-    sum and its provenance links, whose child keys are spelled the same way."""
-    tables = solver.tables
+    sum and its provenance links, each spelled as the linked table's node
+    and the child key spelled the same way."""
 
-    def spell(at, key):
-        return tuple(tables[at].sols[p] for p in key[0]), key[1]
+    def spell(table, key):
+        return tuple(table.sols[p] for p in key[0]), key[1]
 
+    table = solver.tables[node]
     return [
-        (spell(node, key), value,
-         tuple((child, spell(child, ckey), sigma) for child, ckey, sigma in refs))
-        for key, (value, refs) in tables[node].entries.items()
+        (spell(table, key), value,
+         tuple((child.node, spell(child, ckey), sigma) for child, ckey, sigma in refs))
+        for key, (value, refs) in table.entries.items()
     ]
 
 
@@ -402,6 +412,32 @@ def test_reducer_refuses_a_wide_bag_before_building_it():
         BagSolver(query, db, 2, ntd, table_cap=5050)
     with pytest.raises(TableGuardExceeded, match="over 99 bag assignments"):
         BagSolver(query, db, 2, ntd, table_cap=5049)
+
+
+def test_leaf_enumeration_stops_at_the_bound(monkeypatch):
+    # One leaf over {x, y}, 100 candidates each: the candidate product is
+    # 10,000 and C never holds, so every assignment satisfies. With k = 2
+    # and a cap of 10,000 entries a node may hold 140 assignments (141 * 140
+    # / 2 sorted pairs is 9870), so the leaf is refused after checking 141
+    # of them, not all 10,000.
+    query = parse_query("Q(x, y) :- A(x), B(y), !C(x, y).")
+    db = Database()
+    db.add_relation("A", 1, [(v,) for v in range(100)])
+    db.add_relation("B", 1, [(v,) for v in range(100, 200)])
+    db.add_relation("C", 2, [])
+    td = TreeDecomposition(root=0, children={0: ()}, bags={0: frozenset({"x", "y"})})
+    ntd = make_nice(td)
+    checked = []
+    satisfies = BagSolver.satisfies
+
+    def counting(self, order, part, lits):
+        checked.append(part)
+        return satisfies(self, order, part, lits)
+
+    monkeypatch.setattr(BagSolver, "satisfies", counting)
+    with pytest.raises(TableGuardExceeded, match="over 140 bag assignments"):
+        BagSolver(query, db, 2, ntd, table_cap=10_000)
+    assert len(checked) == 141
 
 
 def test_introduce_table_is_guarded_as_a_leaf_is():

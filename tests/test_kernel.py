@@ -250,9 +250,10 @@ def test_solve_fo_diverse_accepts_monotone_custom():
 
 
 def test_solve_fo_diverse_budget():
-    # The budget counts search nodes. The rows survive kernelization (every
-    # group stays below threshold), and no three of them reach the ceiling
-    # (z never differs), so the branch and bound passes 10 nodes.
+    # The budget counts pair distances, C(k, 2) per search node: 3 at k = 3,
+    # so a budget of 10 is spent on the fourth node. The rows survive
+    # kernelization (every group stays below threshold), and no three of
+    # them reach the ceiling (z never differs), so the search gets there.
     answers = relation(("x", "y", "z"), [(i, i, 0) for i in range(30)])
     with pytest.raises(CombinatorialBudgetExceeded):
         solve_fo_diverse(answers, 3, 0, SUM, budget=10)
