@@ -41,9 +41,10 @@ for i, answer in enumerate(out.witness, 1):
 best = solve_acq(fx.query, fx.db, fx.k, None, MIN)
 print("maximum min-diversity for k=2:", best.diversity)
 
-# The sum aggregator has a faster dedicated path; decisions always agree.
+# solve_acq_sum is solve_acq with the sum aggregator, kept as its own entry
+# point; decisions always agree.
 fast = solve_acq_sum(fx.query, fx.db, fx.k, fx.d_sum)
-print("sum fast path agrees:", fast.decision == out.decision,
+print("solve_acq_sum agrees:", fast.decision == out.decision,
       "| value:", fast.diversity)
 
 # Allowing duplicate answers switches to multiset semantics.

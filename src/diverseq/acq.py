@@ -9,18 +9,18 @@ Extensions merge bottom-up with the inclusion-exclusion rule
 
     combined = d_parent + d_child - distance(shared parts)
 
-and provenance links let a concrete witness be rebuilt afterwards. A state
-rule says what the state is:
+and provenance links let a concrete witness be rebuilt afterwards. A table
+is one of two kinds:
 
-    exact  the pair-distance vector, merged by the rule above; the root
-           aggregates it, so any aggregator works (`solve_acq`)
-    flags  per pair, whether the extensions differ somewhere, merged by OR;
-           the root scores an entry by its sum (`solve_acq_sum`)
-    none   nothing: duplicate answers are allowed, so one entry per tuple
-           keeps the best sum (`solve_acq_sum_dup`)
+    exact      the state is the pair-distance vector, merged by the rule
+               above; the root aggregates it, so any aggregator works
+    stateless  the state is empty, so one entry per tuple keeps the best
+               sum; the root scores an entry by that sum. A solve builds
+               these exactly when it sums distances and allows duplicate
+               answers (`solve_acq_sum_dup`)
 
-A merge keeps, per new key, the first candidate with the highest sum; under
-exact states every candidate for a key has the same sum. Pair-distance
+A merge keeps, per new key, the first candidate with the highest sum; in an
+exact table every candidate for a key has the same sum. Pair-distance
 vectors follow `model.pair_order`.
 
 Before the tables are built, a full reducer (Yannakakis, VLDB 1981) drops
@@ -54,7 +54,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DEFAULT_TABLE_CAP, CorruptProvenance, NotAcyclic, TableGuardExceeded
 from .model import (
@@ -69,27 +69,6 @@ from .model import (
 )
 from .queries import Atom, Query, sols_atom
 from .structure import TreeDecomposition, gyo_join_tree
-
-
-@dataclass(frozen=True)
-class StateRule:
-    """What a table entry remembers of its extensions' pair distances.
-
-    `state` makes it from a pair-distance vector and `combine` merges a
-    parent's and a child's, pair by pair. Exact states are the vectors
-    themselves: a merge subtracts the shared overlap from them and the root
-    aggregates them. Other states leave scoring to the entry's sum.
-    """
-
-    name: str
-    state: Callable[[tuple[int, ...]], tuple]
-    combine: Callable[[int, int], int]
-    exact: bool = False
-
-
-EXACT = StateRule("exact", tuple, operator.add, exact=True)
-FLAGS = StateRule("flags", lambda vec: tuple([1 if d > 0 else 0 for d in vec]), operator.or_)
-NONE = StateRule("none", lambda vec: (), operator.add)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -182,16 +161,18 @@ class DPTable:
     tuples over the sorted variables, sorted. entries maps (sorted tuple of
     sol positions, state) to (best sum, provenance): one (child table, child
     entry key, sigma) link per child merged in, or for a projection
-    (`dp_project`) one link to the entry it projects. A link holds the table
-    itself, so it can reach a projection that is no tree node's table; so
-    tables compare by identity, lest `==` or repr walk every table below.
+    (`dp_project`) one link to the entry it projects. The state is the
+    entry's pair-distance vector, or () when the table is stateless. A link
+    holds the table itself, so it can reach a projection that is no tree
+    node's table; so tables compare by identity, lest `==` or repr walk
+    every table below.
     """
 
     node: int
     variables: frozenset[str]
     sols: list[tuple[int, ...]]
     k: int
-    rule: StateRule = EXACT
+    stateless: bool = False
     entries: dict[tuple, tuple] = field(default_factory=dict)
 
     def guard(self, table_cap: int) -> None:
@@ -200,7 +181,7 @@ class DPTable:
 
     def check_bound(self, free_count: int) -> None:
         k, n = self.k, len(self.sols)
-        if self.rule is NONE:
+        if self.stateless:
             bound = math.comb(n + k - 1, k)
             assert all(tuple(sorted(key[0])) == key[0] for key in self.entries), \
                 "unsorted entry key"
@@ -224,21 +205,22 @@ def _slot_tuples(n: int, k: int, stateless: bool, table_cap: int) -> int | None:
 
 
 def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
-            k: int, free_vars: Sequence[str], *, rule: StateRule = EXACT,
+            k: int, free_vars: Sequence[str], *, stateless: bool = False,
             table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
     """Initial table: every sorted k-tuple of the node's sols, index tuples
-    over its sorted variables, with the state and the sum of its distances.
+    over its sorted variables, with its pair-distance vector (or () in a
+    stateless table) and the sum of its distances.
 
-    The guard counts the n^k slot tuples a stateful table stands for, and
+    The guard counts the n^k slot tuples an exact table stands for, and
     the C(n + k - 1, k) sorted ones a stateless table stores. It also
     refuses a non-empty table when the C(k, 2) slot pairs that each entry
     lists outnumber the cap.
     """
     n = len(sols)
-    size = _slot_tuples(n, k, rule is NONE, table_cap)
+    size = _slot_tuples(n, k, stateless, table_cap)
     if size is None or size > table_cap:
         if size is None:
-            size = f"C({n + k - 1}, {k})" if rule is NONE else f"{n}^{k}"
+            size = f"C({n + k - 1}, {k})" if stateless else f"{n}^{k}"
         raise TableGuardExceeded(
             f"initial table at node {node}: {n} partial solutions, {size} slot tuples")
     if size and math.comb(k, 2) > table_cap:
@@ -247,12 +229,11 @@ def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
             f"{math.comb(k, 2)} pairs")
     dist = _distance_matrix(sols, variables, free_vars)
     pairs = pair_order(k)
-    state = rule.state
-    table = DPTable(node=node, variables=variables, sols=sols, k=k, rule=rule)
+    table = DPTable(node=node, variables=variables, sols=sols, k=k, stateless=stateless)
     entries = table.entries
     for ptuple in itertools.combinations_with_replacement(range(n), k):
         vec = tuple([dist[ptuple[i]][ptuple[j]] for i, j in pairs])
-        entries[(ptuple, state(vec))] = (sum(vec), ())
+        entries[(ptuple, () if stateless else vec)] = (sum(vec), ())
     table.check_bound(len(free_vars))
     return table
 
@@ -276,10 +257,10 @@ def dp_project(child: DPTable, node: int, variables: frozenset[str], *,
     sols = sorted(set(proj_sols))
     index = {p: n for n, p in enumerate(sols)}
     proj = [index[p] for p in proj_sols]  # child sol -> projected sol
-    table = DPTable(node=node, variables=variables, sols=sols, k=child.k, rule=child.rule)
+    stateless = child.stateless
+    table = DPTable(node=node, variables=variables, sols=sols, k=child.k, stateless=stateless)
     out = table.entries
     identity = tuple(range(child.k))
-    stateless = child.rule is NONE
     # Where a slot tuple's entries land; a stateless entry's first slot map
     # depends on its projections alone, so they key its moves instead.
     cache: dict[tuple, list] = {}
@@ -367,7 +348,7 @@ class _Join:
             sigma = tuple(sorted(self.identity, key=order.__getitem__))  # its inverse
         entries = self.child.entries
         keys = self.child_keys.get(ctuple, ())
-        if sigma is self.identity or self.child.rule is NONE:
+        if sigma is self.identity or self.child.stateless:
             found = [(ckey, sigma, ckey[1], entries[ckey][0]) for ckey in keys]
         else:
             pmap = _pair_map(sigma)
@@ -381,10 +362,10 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
              table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
     """Merge a completed child table into its parent's table.
 
-    Compatible entry pairs combine their states and add their sums, less
-    the distance already counted on the shared variables (which exact
-    states subtract too). Per new key, the first candidate with the highest
-    sum donates provenance. A child whose sols share a projection onto the
+    Compatible entry pairs add their states and their sums, less the
+    distance already counted on the shared variables, which a non-empty
+    state subtracts pair by pair too. Per new key, the first candidate with
+    the highest sum donates provenance. A child whose sols share a projection onto the
     shared variables is merged as its projection onto them, which the links
     then reach. The guard runs once per parent slot tuple that joins, and
     once at the end.
@@ -393,7 +374,7 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     child = join.child
     merged = replace(parent, entries={})
     out = merged.entries
-    combine, exact = parent.rule.combine, parent.rule.exact
+    add = operator.add
     corr, pairs = join.corr, pair_order(parent.k)
     single, direct = join.single, join.direct
     last = None  # entries of one slot tuple are adjacent
@@ -409,10 +390,10 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
         if not aligned:
             continue
         base = value - corr_sum
-        if exact and corr_sum:
+        if corr_sum and state:
             state = [a - c for a, c in zip(state, corrvec)]
         for ckey, sigma, cstate, cvalue in aligned:
-            new_key = (ptuple, tuple(map(combine, state, cstate)) if state else ())
+            new_key = (ptuple, tuple(map(add, state, cstate)) if state else ())
             total = base + cvalue
             prior = out.get(new_key)
             if prior is None or total > prior[0]:
@@ -427,18 +408,18 @@ def dp_finalize(root: DPTable, aggregator: Aggregator, threshold: float | None,
     """Decision at the root: (decision, best entry key, best diversity).
 
     Entries with a zero pairwise distance are dropped unless duplicates are
-    allowed; the best entry maximizes the aggregate of an exact state, and
-    otherwise the sum (first such entry wins). A threshold of None asks only
-    for the maximum.
+    allowed; the best entry maximizes the aggregate of its state, or in a
+    stateless table its sum (first such entry wins). A threshold of None
+    asks only for the maximum.
     """
-    exact = root.rule.exact
+    stateless = root.stateless
     best_key = None
     best_val = None
     for key, (total, _) in root.entries.items():
         state = key[1]
         if not allow_duplicates and not all(state):
             continue
-        value = aggregator.aggregate(state) if exact else total
+        value = total if stateless else aggregator.aggregate(state)
         if best_val is None or value > best_val:
             best_key, best_val = key, value
     decision = best_val is not None and (threshold is None or best_val >= threshold)
@@ -470,7 +451,8 @@ def extract_witness(root: DPTable, root_key: tuple, free_vars: Sequence[str],
     xs = list(free_vars)
     witness = tuple(Assignment([(x, domain[b[x]]) for x in xs if x in b]) for b in collected)
     vec = pairwise_distances(witness, xs)
-    if root.rule.state(vec) != root_key[1] or sum(vec) != root.entries[root_key][0]:
+    state = () if root.stateless else tuple(vec)
+    if state != root_key[1] or sum(vec) != root.entries[root_key][0]:
         raise CorruptProvenance("witness distances disagree with the kept entry")
     return witness
 
@@ -511,7 +493,7 @@ def _reduce_down(jt: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]]) 
 
 
 def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
-              rule: StateRule, table_cap: int):
+              stateless: bool, table_cap: int):
     """Build every node's table over its fully reduced solutions, children
     first. Tables are built through the module's `dp_init` and `dp_merge`
     as they are at call time."""
@@ -527,7 +509,7 @@ def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
     max_table = 0
     for node in order:
         table = dp_init(node, atoms[node].variables, sols[node], k, free_vars,
-                        rule=rule, table_cap=table_cap)
+                        stateless=stateless, table_cap=table_cap)
         for child in jt.children.get(node, ()):
             table = dp_merge(table, tables[child], free_vars, table_cap=table_cap)
         tables[node] = table
@@ -537,10 +519,13 @@ def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
 
 
 def _solve(query: Query, db: Database, k: int, d: float | None, aggregator: Aggregator,
-           rule: StateRule, witness: bool, allow_duplicates: bool,
-           table_cap: int) -> Outcome:
+           witness: bool, allow_duplicates: bool, table_cap: int) -> Outcome:
+    """Build the tables and decide at the root. Summing distances over
+    multisets of answers needs only each tuple's best sum, so exactly then
+    the tables are stateless."""
     free_vars = query.free_vars
-    jt, tables, stats = _traverse(query, db, k, free_vars, rule, table_cap)
+    stateless = allow_duplicates and aggregator is SUM
+    jt, tables, stats = _traverse(query, db, k, free_vars, stateless, table_cap)
     decision, best_key, best = dp_finalize(tables[jt.root], aggregator, d, allow_duplicates)
     solution = extract_witness(tables[jt.root], best_key, free_vars, db.domain) \
         if decision and witness else None
@@ -556,22 +541,19 @@ def solve_acq(query: Query, db: Database, k: int, d: float | None,
     Needs an acyclic positive query; d = None reports the maximum achievable
     diversity instead of deciding against a threshold.
     """
-    return _solve(query, db, k, d, aggregator, EXACT, witness, allow_duplicates,
-                  table_cap)
+    return _solve(query, db, k, d, aggregator, witness, allow_duplicates, table_cap)
 
 
 def solve_acq_sum(query: Query, db: Database, k: int, d: float | None, *,
                   witness: bool = False,
                   table_cap: int = DEFAULT_TABLE_CAP) -> Outcome:
-    """Sum-diversity decision via the flagged max-sum tables.
-
-    Matches solve_acq with the sum aggregator on decisions and values.
-    """
-    return _solve(query, db, k, d, SUM, FLAGS, witness, False, table_cap)
+    """Sum-diversity decision over k pairwise-distinct answers: solve_acq
+    with the sum aggregator."""
+    return _solve(query, db, k, d, SUM, witness, False, table_cap)
 
 
 def solve_acq_sum_dup(query: Query, db: Database, k: int, d: float | None, *,
                       witness: bool = False,
                       table_cap: int = DEFAULT_TABLE_CAP) -> Outcome:
     """Sum-diversity over multisets of answers (duplicates permitted)."""
-    return _solve(query, db, k, d, SUM, NONE, witness, True, table_cap)
+    return _solve(query, db, k, d, SUM, witness, True, table_cap)

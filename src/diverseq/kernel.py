@@ -44,7 +44,7 @@ from .model import (
     _IndexRows,
     _Interner,
 )
-from .queries import Conjunct, Query, sols_atom
+from .queries import Conjunct, Query, relation_of, sols_atom
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,8 @@ def _evaluate_conjunct(query: Query, conjunct: Conjunct, db: Database) -> set[tu
     literal then drops the bindings whose projection is among its atom's
     sols.
     """
+    for atom in conjunct.positive_atoms:  # refused even after an empty join
+        relation_of(atom, db)
     slot: dict[str, int] = {}
     acc: list[tuple[int, ...]] = [()]
     for atom in conjunct.positive_atoms:

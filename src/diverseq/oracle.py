@@ -29,6 +29,7 @@ from .queries import (
     Literal,
     Query,
     Variable,
+    relation_of,
     satisfies_literal,
 )
 
@@ -124,6 +125,9 @@ def enumerate_answers(query: Query, db: Database) -> frozenset[Assignment]:
 def _enumerate_conjunct(query: Query, conjunct: Conjunct, db: Database) -> set[Assignment]:
     atoms = conjunct.positive_atoms
     negatives = conjunct.negative_literals
+    # Resolved up front, so an atom that names no relation or has the wrong
+    # arity is refused even when an earlier atom matches no row.
+    relations = [relation_of(atom, db) for atom in atoms]
     out: set[Assignment] = set()
 
     def backtrack(i: int, bound: dict[str, Value]) -> None:
@@ -133,8 +137,7 @@ def _enumerate_conjunct(query: Query, conjunct: Conjunct, db: Database) -> set[A
                 out.add(Assignment(bound).restrict(query.free_vars))
             return
         atom = atoms[i]
-        relation = db.relations[atom.relation]
-        for row in relation.sorted_rows():
+        for row in relations[i].sorted_rows():
             extension = dict(bound)
             ok = True
             for term, value in zip(atom.terms, row):

@@ -338,7 +338,7 @@ def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
     rearrange the child tuple alike only the lexicographically first is
     tried, in ascending order of the rearranged tuple.
     """
-    k, rule = parent.k, parent.rule.name
+    k = parent.k
     pairs = pair_order(k)
     shared = sorted(parent.variables & child.variables)
     proj = _projections(child, shared)
@@ -361,12 +361,8 @@ def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
             for _, sigma in sorted(maps.items()):
                 for ckey in ckeys:
                     read = _read_state(ckey[1], sigma)
-                    if rule == "none":
-                        new_state = ()
-                    elif rule == "exact":
-                        new_state = tuple(p - o + c for p, o, c in zip(state, overlap, read))
-                    else:
-                        new_state = tuple(p | c for p, c in zip(state, read))
+                    new_state = () if parent.stateless else \
+                        tuple(p - o + c for p, o, c in zip(state, overlap, read))
                     total = value - sum(overlap) + child.entries[ckey][0]
                     prior = out.get((ptuple, new_state))
                     if prior is None or total > prior[0]:

@@ -175,7 +175,7 @@ def test_criterion_4_sum_fast_paths(acq_corpus):
         else:
             assert fast.diversity == expected
         dup_checked += 1
-    print(f"\n[PASS] criterion 4: flagged sum path matches on {len(records)} "
+    print(f"\n[PASS] criterion 4: sum path matches on {len(records)} "
           f"instances; duplicates path matches multiset brute force on "
           f"{dup_checked} (entry bound asserted per node)")
 

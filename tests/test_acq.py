@@ -4,9 +4,6 @@ import random
 import pytest
 
 from diverseq.acq import (
-    EXACT,
-    FLAGS,
-    NONE,
     _sorted_sols,
     _traverse,
     dp_finalize,
@@ -293,17 +290,23 @@ def test_dp_merge_shared_free_variable_subtracts_overlap():
     assert out.diversity == 3
 
 
-# --- sum fast path -----------------------------------------------------------
+# --- sum solvers -------------------------------------------------------------
 
 
-def test_sum_path_matches_generic_on_random_instances():
+def test_solve_acq_under_sum_matches_the_sum_solvers():
+    # solve_acq derives its tables from the aggregator and the duplicates
+    # flag, so under sum it is solve_acq_sum, or with duplicates allowed
+    # solve_acq_sum_dup, down to the witness and the table sizes.
     rng = random.Random(41)
     for query, db in small_answer_instances(rng, 40):
-        k = rng.choice([2, 3])
-        generic = solve_acq(query, db, k, None, SUM)
-        fast = solve_acq_sum(query, db, k, None)
-        assert generic.decision == fast.decision
-        assert generic.diversity == fast.diversity
+        for k in (2, 3):
+            for allow_duplicates, dedicated in ((False, solve_acq_sum),
+                                                (True, solve_acq_sum_dup)):
+                generic = solve_acq(query, db, k, None, SUM, witness=True,
+                                    allow_duplicates=allow_duplicates)
+                fast = dedicated(query, db, k, None, witness=True)
+                assert (generic.decision, generic.diversity, generic.witness, generic.stats) \
+                    == (fast.decision, fast.diversity, fast.witness, fast.stats)
 
 
 def test_sum_decomposes_by_column():
@@ -342,61 +345,6 @@ def test_sum_path_witnesses_are_distinct_answers():
         assert diversity_of_set(SUM, out.witness, query.free_vars) == out.diversity
 
 
-def test_sum_table_semantics_against_subtree_enumeration():
-    # A sum-table entry (partials, flags), stored sorted and expanded under
-    # slot permutations, must hold the maximum subtree-local sum diversity
-    # over extensions whose pairwise difference pattern equals the flags.
-    rng = random.Random(67)
-    checked = 0
-    while checked < 10:
-        query, db = small_answer_instances(
-            rng, 1, max_answers=12, max_atoms=3, max_dom=3, max_rows=5
-        )[0]
-        k = 2 if checked % 2 == 0 else 3
-        jt = gyo_join_tree(query)
-        atoms = query.conjuncts[0].positive_atoms
-        free = query.free_vars
-        pairs = pair_order(k)
-
-        tables = {}
-        for node in jt.postorder():
-            table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
-                            k, free, rule=FLAGS)
-            for child in jt.children.get(node, ()):
-                table = dp_merge(table, tables[child], free)
-            tables[node] = table
-
-            subtree_atoms = []
-            stack = [node]
-            while stack:
-                current = stack.pop()
-                subtree_atoms.append(atoms[current])
-                stack.extend(jt.children.get(current, ()))
-            subsols = conjunction_solutions(subtree_atoms, db)
-            index_of = {sol: i for i, sol in enumerate(table.sols)}
-            node_order = sorted(atoms[node].variables)
-            subtree_vars = {v for a in subtree_atoms for v in a.variables}
-            local_free = [x for x in free if x in subtree_vars]
-            expected: dict = {}
-            for combo in itertools.product(subsols, repeat=k):
-                ptuple = tuple(index_of[tuple(g[v].index for v in node_order)] for g in combo)
-                ds = [
-                    sum(1 for x in local_free if combo[i][x] != combo[j][x])
-                    for i, j in pairs
-                ]
-                key = (ptuple, tuple(1 if d > 0 else 0 for d in ds))
-                value = sum(ds)
-                if key not in expected or value > expected[key]:
-                    expected[key] = value
-            assert is_permutation_closed(expected, k)
-            assert all(list(key[0]) == sorted(key[0]) for key in table.entries)
-            got = slot_closure(
-                ((key, value) for key, (value, _) in table.entries.items()), k
-            )
-            assert got == expected
-        checked += 1
-
-
 def test_dup_table_semantics_against_subtree_enumeration():
     # A duplicates-mode entry holds, per sorted partial tuple, the maximum
     # subtree-local sum diversity over all index-aligned extension tuples.
@@ -415,7 +363,7 @@ def test_dup_table_semantics_against_subtree_enumeration():
         tables = {}
         for node in jt.postorder():
             table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
-                            k, free, rule=NONE)
+                            k, free, stateless=True)
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], free)
             tables[node] = table
@@ -549,12 +497,12 @@ def test_full_reducer_keeps_root_entries():
         k = 2 if trial % 2 == 0 else 3
         free = query.free_vars
         atoms = query.conjuncts[0].positive_atoms
-        for rule in (EXACT, FLAGS, NONE):
-            jt, reduced, stats = _traverse(query, db, k, free, rule, 10 ** 7)
+        for stateless in (False, True):
+            jt, reduced, stats = _traverse(query, db, k, free, stateless, 10 ** 7)
             full, max_full = {}, 0
             for node in jt.postorder():
                 table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
-                                k, free, rule=rule)
+                                k, free, stateless=stateless)
                 for child in jt.children.get(node, ()):
                     table = dp_merge(table, full[child], free)
                 full[node] = table
@@ -572,7 +520,8 @@ def test_full_reducer_keeps_root_entries():
 def test_dp_merge_matches_reference_merge():
     # Every merge equals the naive one (every parent entry, child entry and
     # slot map; first candidate with the highest sum) in keys, order, sums
-    # and provenance links, under each state rule, dangling rows included.
+    # and provenance links, in exact and stateless tables, dangling rows
+    # included.
     rng = random.Random(73)
     cases = [
         (query, _with_dangling(db, rng), 2 if trial % 2 == 0 else 3)
@@ -622,27 +571,27 @@ def test_dp_merge_matches_reference_merge():
         free = query.free_vars
         jt = gyo_join_tree(query)
         atoms = query.conjuncts[0].positive_atoms
-        for rule in (EXACT, FLAGS, NONE):
+        for stateless in (False, True):
             tables = {}
             for node in jt.postorder():
                 table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
-                                k, free, rule=rule)
+                                k, free, stateless=stateless)
                 for child in jt.children.get(node, ()):
                     expected = reference_merge(table, tables[child], free)
-                    partner_maps.add((rule.name, _partner_map_kind(table, tables[child])))
+                    partner_maps.add((stateless, _partner_map_kind(table, tables[child])))
                     table = dp_merge(table, tables[child], free)
                     assert spelled_links(table.entries) == spelled_links(expected)
                     merges += 1
                     cycles.update(
-                        (rule.name, sigma)
+                        (stateless, sigma)
                         for _, refs in table.entries.values() for _, _, sigma in refs
                         if any(sigma[sigma[i]] != i for i in range(k)))
                 tables[node] = table
     assert merges > 0
-    assert {name for name, _ in cycles} == {"exact", "flags", "none"}
-    for rule in ("exact", "flags", "none"):
+    assert {stateless for stateless, _ in cycles} == {False, True}
+    for stateless in (False, True):
         for kind in ("identity", "increasing", "permuted", "projected", "unjoined"):
-            assert (rule, kind) in partner_maps
+            assert (stateless, kind) in partner_maps
 
 
 def _partner_map_kind(parent, child):
@@ -669,8 +618,8 @@ def _partner_map_kind(parent, child):
 def test_dp_project_matches_reference_project():
     # Every projection equals the naive one (every child entry under every
     # slot map that leaves the projections sorted; first candidate with the
-    # highest sum) in sols, keys, order, sums and provenance links, under
-    # each state rule and k = 2, 3 and 4. The child tables are each node's
+    # highest sum) in sols, keys, order, sums and provenance links, in exact
+    # and stateless tables and k = 2, 3 and 4. The child tables are each node's
     # init and its merged table; each is projected onto every subset of its
     # variables, so many projections repeat.
     rng = random.Random(83)
@@ -684,11 +633,11 @@ def test_dp_project_matches_reference_project():
         jt = gyo_join_tree(query)
         atoms = query.conjuncts[0].positive_atoms
         k = (2, 3, 4)[trial % 3]
-        for rule in (EXACT, FLAGS, NONE):
+        for stateless in (False, True):
             tables = {}
             for node in jt.postorder():
                 init = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
-                               k, free, rule=rule)
+                               k, free, stateless=stateless)
                 table = init
                 for child in jt.children.get(node, ()):
                     table = dp_merge(table, tables[child], free)

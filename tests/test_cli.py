@@ -6,7 +6,7 @@ import pytest
 
 import diverseq
 import make_goldens
-from diverseq.cli import RunConfig, canonical_json, main, run
+from diverseq.cli import MODES, RunConfig, canonical_json, main, run
 from diverseq.dbio import dump_database, dump_query, load_database
 from diverseq.model import SUM, Database, diversity_of_set
 from diverseq.queries import parse_query
@@ -73,6 +73,21 @@ def test_internal_error_exits_2(tmp_path, monkeypatch):
     assert error["code"] == "InternalError"
     assert error["message"] == "RecursionError: maximum recursion depth exceeded"
     assert "in broken" in error["traceback"]
+
+
+@pytest.mark.parametrize("db_rows, query_text, code", [
+    ({"R": [(1,), (2,)]}, "Q(x) :- R(x), S(x).", "UnknownRelation"),
+    # R(x, 3) matches no row, which must not hide the bad atom after it
+    ({"R": [(1, 2)]}, "Q(x) :- R(x, 3), S(x).", "UnknownRelation"),
+    ({"R": [(1, 2)]}, "Q(x) :- R(x).", "ArityMismatch"),
+    ({"R": [(1, 2)], "S": [(1,)]}, "Q(x) :- R(x, 3), S(x, x).", "ArityMismatch"),
+    ({}, "Q(x) :- R(x).", "UnknownRelation"),
+])
+def test_every_mode_refuses_an_ill_typed_instance_alike(tmp_path, db_rows, query_text, code):
+    db_path, query_path = write_fixture(tmp_path, db_rows, query_text)
+    for mode in MODES:
+        status, report = run(base_config(db_path, query_path, mode=mode))
+        assert (status, report.get("error", {}).get("code")) == (2, code), mode
 
 
 def test_table_cap_guard_surfaces(tmp_path):

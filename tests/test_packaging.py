@@ -154,6 +154,34 @@ def test_traced_run_feeds_every_layer_metric(tmp_path, monkeypatch):
         assert [name for name in names if name not in metrics] == [], workload
 
 
+def test_tracer_labels_each_op_with_the_engine_that_ran(tmp_path, monkeypatch):
+    # The tracer labels an op with the last solver entry point it wrapped,
+    # so a solver that called another wrapped one would take its label.
+    from diverseq import cli
+    from diverseq.dbio import dump_database, dump_query
+    from diverseq.model import Database
+    from diverseq.queries import parse_query
+
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    from tracing import Tracer
+
+    db_path = str(tmp_path / "db.facts")
+    dump_database(Database.from_rows({"R": [(1, 2), (3, 4), (5, 6)], "S": [(2,)]}), db_path)
+    paths = {}
+    for name, text in (("plain", "Q(x, y) :- R(x, y)."), ("neg", "Q(x, y) :- R(x, y), !S(y).")):
+        paths[name] = str(tmp_path / f"{name}.dq")
+        dump_query(parse_query(text), paths[name])
+    ops = [("plain", "min", False, "acq"), ("plain", "sum", False, "acq-sum"),
+           ("plain", "sum", True, "acq-sum-dup"), ("neg", "sum", False, "cqneg")]
+    tracer = Tracer()
+    for i, (query, aggregator, allow_duplicates, engine) in enumerate(ops):
+        config = cli.RunConfig(db_path=db_path, query_path=paths[query], k=2, d=1,
+                               aggregator=aggregator, allow_duplicates=allow_duplicates,
+                               witness=True)
+        (code, report), record = tracer.run_op(i, lambda: cli.run(config))
+        assert code == 0 and record["engine"] == engine, (engine, report, record["engine"])
+
+
 def fresh_python(code: str) -> list[str]:
     """Run `code` in a new interpreter that imports the package from src/;
     returns its stdout lines."""
