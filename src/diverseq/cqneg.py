@@ -109,12 +109,14 @@ class BagSolver:
 
     def _candidate_values(self) -> dict[str, list[int]]:
         """Per variable, the sorted domain indices found in its column of
-        every positive atom that mentions it."""
+        every positive atom that mentions it. A negative literal's atom is
+        resolved too, so that one naming no relation, or with the wrong
+        arity, is refused even when no binding reaches it."""
         found: dict[str, set[int]] = {}
         for lit in self.literals:
+            rows = relation_of(lit.atom, self.db).rows
             if not lit.positive:
                 continue
-            rows = relation_of(lit.atom, self.db).rows
             for pos, term in enumerate(lit.atom.terms):
                 if isinstance(term, Variable):
                     column = {row[pos] for row in rows}

@@ -6,6 +6,14 @@ Two database formats produce identical instances:
     strings as values, `#` starting a comment;
   * a directory of per-relation CSV files (`R.csv`, no header, arity
     inferred from the first record).
+
+A fact file is read whole. When it holds only integer facts and blank
+lines, with spaces and tabs as its only whitespace inside a line, one scan
+of the text splits it into facts. Any other file (comments, quoted strings,
+other whitespace, or an error anywhere) is parsed line by line, and that
+parser gives every error its message, line and column. Both paths intern
+relations and values in the same order: relations by first fact, values
+row by row within a relation, in file order.
 """
 
 from __future__ import annotations
@@ -13,17 +21,25 @@ from __future__ import annotations
 import csv
 import os
 import re
+from typing import Iterable
 
 from .errors import QuerySyntaxError
 from .model import Database, Payload
-from .queries import (INT_LITERAL, STRING_LITERAL, Constant, Query, parse_query,
-                      render_query, render_term, unescape)
+from .queries import (INT_LITERAL, STRING_LITERAL, Constant, Query, parse_int_literal,
+                      parse_query, render_query, render_term, unescape)
 
 _FACT_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*\.\s*$")
 _VALUE_RE = re.compile(rf"\s*(?:({INT_LITERAL})|({STRING_LITERAL}))\s*(?:,|$)")
 # Longest prefix made of whole quoted strings and characters other than `"`
 # and `#`: what precedes a comment.
 _BEFORE_COMMENT_RE = re.compile(rf'(?:[^"#]|{STRING_LITERAL})*')
+# One line of a file of integer facts: a fact or nothing, then the line
+# break or the end of the text. Only spaces and tabs count as whitespace
+# here: `\s` also matches characters such as `\x1c`, which `int` refuses.
+_INT_FACT_RE = re.compile(
+    rf"[ \t]*(?:([A-Za-z_][A-Za-z0-9_]*)[ \t]*\("
+    rf"([ \t]*{INT_LITERAL}[ \t]*(?:,[ \t]*{INT_LITERAL}[ \t]*)*)"
+    rf"\)[ \t]*\.[ \t]*)?(?:\n|\Z)")
 
 
 def _strip_quoted_comment(line: str) -> str:
@@ -49,7 +65,8 @@ def _parse_fact_values(body: str, lineno: int, line: str) -> list[Payload]:
         if m is None:
             raise QuerySyntaxError(f"bad value list {body!r}", lineno, line.index("(") + pos + 2)
         if m.group(1) is not None:
-            values.append(int(m.group(1)))
+            column = line.index("(") + m.start(1) + 2
+            values.append(parse_int_literal(m.group(1), lineno, column))
         else:
             values.append(unescape(m.group(2)[1:-1]))
         pos = m.end()
@@ -60,33 +77,75 @@ def load_database(path: str) -> Database:
     """Load a database from a fact file or a directory of CSV files."""
     if os.path.isdir(path):
         return _load_csv_dir(path)
-    db = Database()
-    pending: dict[str, list[tuple[Payload, ...]]] = {}
-    arity: dict[str, int] = {}
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if '"' in line and "#" in line:
-                stripped = _strip_quoted_comment(line).strip()
-            else:
-                stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            m = _FACT_RE.match(stripped)
-            if m is None:
-                raise QuerySyntaxError(f"bad fact {stripped!r}", lineno, 1)
-            name = m.group(1)
-            values = tuple(_parse_fact_values(m.group(2), lineno, line))
-            if name in arity and arity[name] != len(values):
-                raise QuerySyntaxError(
-                    f"relation {name} used with arities {arity[name]} and {len(values)}",
-                    lineno,
-                    1,
-                )
-            arity[name] = len(values)
-            pending.setdefault(name, []).append(values)
-    for name, rows in pending.items():
-        db.add_relation(name, arity[name], rows)
+        text = handle.read()
+    facts = _integer_facts(text)
+    if facts is None:
+        facts = _facts_by_line(text.split("\n"))
+    del text  # released before the relations are built
+    db = Database()
+    for name, rows in facts.items():
+        db.add_relation(name, len(rows[0]), rows)
     return db
+
+
+def _integer_facts(text: str) -> dict[str, list[tuple[int, ...]]] | None:
+    """The rows of each relation of a file of integer facts, by one scan of
+    the text; None when the text is anything else (see the module
+    docstring), or when a relation has rows of two arities or a literal
+    `int` refuses, so that the line parser reports it."""
+    facts: dict[str, list[tuple[int, ...]]] = {}
+    # The pattern matches at the end of the text, so matches that leave no
+    # gap cover the whole text.
+    pos = 0
+    for m in _INT_FACT_RE.finditer(text):
+        if m.start() != pos:
+            return None
+        pos = m.end()
+        name, body = m.groups()
+        if name is None:
+            continue
+        rows = facts.get(name)
+        if rows is None:
+            rows = facts[name] = []
+        try:
+            # Through a list: `tuple` of an iterator allocates a guessed
+            # length and then shrinks, which left a process that loads many
+            # files holding more memory.
+            rows.append(tuple(list(map(int, body.split(",")))))
+        except ValueError:  # more digits than `int` converts
+            return None
+    for rows in facts.values():
+        if len(set(map(len, rows))) > 1:
+            return None
+    return facts
+
+
+def _facts_by_line(lines: Iterable[str]) -> dict[str, list[tuple[Payload, ...]]]:
+    """The rows of each relation, parsed line by line (line 1 first); every
+    error is a QuerySyntaxError at its line and column."""
+    facts: dict[str, list[tuple[Payload, ...]]] = {}
+    for lineno, line in enumerate(lines, start=1):
+        if '"' in line and "#" in line:
+            stripped = _strip_quoted_comment(line).strip()
+        else:
+            stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        m = _FACT_RE.match(stripped)
+        if m is None:
+            raise QuerySyntaxError(f"bad fact {stripped!r}", lineno, 1)
+        name = m.group(1)
+        values = tuple(_parse_fact_values(m.group(2), lineno, line))
+        rows = facts.setdefault(name, [])
+        if rows and len(rows[0]) != len(values):
+            raise QuerySyntaxError(
+                f"relation {name} used with arities {len(rows[0])} and {len(values)}",
+                lineno,
+                1,
+            )
+        rows.append(values)
+    return facts
 
 
 def _load_csv_dir(path: str) -> Database:

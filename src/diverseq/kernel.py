@@ -10,11 +10,12 @@ whose structure the join-tree solver cannot exploit, take this path.
 Rows are tuples of value indices from the database load to the search:
 the conjunct join, capping and the distance matrix compare integers, and
 `Value` objects are built only for the witness and for output. Capping
-skips the levels that cannot act and works in linear passes: one dict
-grouping per fixed column set over the rows, sorted once. The search is a
-depth-first branch and bound over a matrix of pairwise distances; its
-budget counts pair distances, C(k, 2) (at least one) per search node it
-visits.
+skips the levels that cannot act and works in linear passes over the rows,
+sorted once per level: level 1 counts each group's rows and keeps its first
+k, and a higher level groups the rows in one dict per fixed column set.
+The search is a depth-first branch and bound over a matrix of pairwise
+distances; its budget counts pair distances, C(k, 2) (at least one) per
+search node it visits.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def _evaluate_conjunct(query: Query, conjunct: Conjunct, db: Database) -> set[tu
     literal then drops the bindings whose projection is among its atom's
     sols.
     """
-    for atom in conjunct.positive_atoms:  # refused even after an empty join
-        relation_of(atom, db)
+    for lit in conjunct.literals:  # refused even after an empty join
+        relation_of(lit.atom, db)
     slot: dict[str, int] = {}
     acc: list[tuple[int, ...]] = [()]
     for atom in conjunct.positive_atoms:
@@ -149,19 +150,42 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
     the rest. Assumes the levels below t are already exhausted; violations of
     that precondition raise PreconditionViolated.
 
-    The index rows are sorted once. One dict pass per fixed column set
-    groups them; a group keeps the sorted order, which within the group is
-    the order of its free columns. The groups of one column set are
-    disjoint, so their deletions are applied together. Since a group is a
-    subset of the rows, the precondition scan is skipped when there are at
-    most (t-1)!^2 * k^(t-1) rows, and capping stops once fewer than
-    t!^2 * k^t rows are left.
+    The index rows are sorted once; within a group, sorted order is the
+    order of its free columns. At level 1 a group's rows differ on its one
+    free column, since the rows are distinct, so for k >= 1 the greedy keeps
+    the group's first k rows: one pass per fixed column set counts the rows
+    kept per group. At a higher level one dict pass per fixed column set
+    groups the rows, and the groups of one column set are disjoint, so
+    their deletions are applied together. Since a group is a subset of the
+    rows, the precondition scan is skipped when there are at most
+    (t-1)!^2 * k^(t-1) rows, and capping stops once fewer than t!^2 * k^t
+    rows are left.
     """
     m = len(answers.columns)
     if not 1 <= t <= m:
         raise ValueError(f"level {t} out of range for {m} columns")
 
     rows = sorted(answers.rows)
+    if t == 1:
+        # No precondition scan: a group fixing all m columns holds one row,
+        # since the rows are distinct (`rows` is a set). For the same reason
+        # a group fixing m-1 columns holds rows that differ on the free one,
+        # so the greedy keeps its first k rows. With k = 0 it keeps them all.
+        for fixed in itertools.combinations(range(m), m - 1):
+            if not k or len(rows) < k:
+                break
+            key = _key_of(fixed)
+            counts: dict[object, int] = {}
+            kept = []
+            for row in rows:
+                group = key(row)
+                count = counts.get(group, 0)
+                if count < k:
+                    counts[group] = count + 1
+                    kept.append(row)
+            rows = kept
+        return _with_rows(answers, rows)
+
     # Precondition: every group fixing m-(t-1) columns is already small.
     prior_threshold = _group_threshold(t - 1, k)
     if len(rows) > prior_threshold:
@@ -204,6 +228,11 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
             dropped.difference_update(chosen)
         if dropped:
             rows = [row for row in rows if row not in dropped]
+    return _with_rows(answers, rows)
+
+
+def _with_rows(answers: AnswerRelation, rows: list[tuple[int, ...]]) -> AnswerRelation:
+    """`answers` cut down to `rows`, a subset of its rows."""
     if len(rows) == len(answers.rows):
         return answers
     return AnswerRelation(answers.columns, frozenset(rows), answers.values)

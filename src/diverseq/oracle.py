@@ -126,8 +126,11 @@ def _enumerate_conjunct(query: Query, conjunct: Conjunct, db: Database) -> set[A
     atoms = conjunct.positive_atoms
     negatives = conjunct.negative_literals
     # Resolved up front, so an atom that names no relation or has the wrong
-    # arity is refused even when an earlier atom matches no row.
+    # arity is refused even when an earlier atom matches no row; a negative
+    # literal's atom too, even when no binding reaches it.
     relations = [relation_of(atom, db) for atom in atoms]
+    for lit in negatives:
+        relation_of(lit.atom, db)
     out: set[Assignment] = set()
 
     def backtrack(i: int, bound: dict[str, Value]) -> None:

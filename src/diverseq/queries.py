@@ -13,6 +13,7 @@ order is semantic: it fixes the column order of every answer.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -131,6 +132,19 @@ class Query:
 INT_LITERAL = r"-?[0-9]+"
 STRING_LITERAL = r'"(?:[^"\\]|\\.)*"'
 
+
+def parse_int_literal(text: str, line: int, column: int) -> int:
+    """The value of an integer literal at (line, column). A literal with more
+    digits than `int` converts from text (`sys.get_int_max_str_digits()`) is
+    a syntax error there; the limit is not raised."""
+    try:
+        return int(text)
+    except ValueError:
+        raise QuerySyntaxError(
+            f"integer literal of {len(text.lstrip('-'))} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()}", line, column) from None
+
+
 _TOKEN_RE = re.compile(
     rf"""
     (?P<ws>\s+)
@@ -231,10 +245,10 @@ class _RuleParser:
         tok = self.peek()
         if tok is None:
             raise self.error("expected a term")
-        kind, text, _ = tok
+        kind, text, column = tok
         if kind == "int":
             self.i += 1
-            return Constant(int(text))
+            return Constant(parse_int_literal(text, self.lineno, column))
         if kind == "string":
             self.i += 1
             return Constant(unescape(text[1:-1]))

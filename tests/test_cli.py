@@ -90,6 +90,20 @@ def test_every_mode_refuses_an_ill_typed_instance_alike(tmp_path, db_rows, query
         assert (status, report.get("error", {}).get("code")) == (2, code), mode
 
 
+@pytest.mark.parametrize("query_text, code", [
+    ("Q(x) :- R(x, y), !S(x).", "UnknownRelation"),
+    # R(x, 3) matches no row, so no binding reaches the negative literal
+    ("Q(x) :- R(x, 3), !S(x).", "UnknownRelation"),
+    ("Q(x) :- R(x, y), !R(x).", "ArityMismatch"),
+    ("Q(x) :- R(x, 3), !R(x).", "ArityMismatch"),
+])
+def test_every_negation_mode_resolves_negative_literals_up_front(tmp_path, query_text, code):
+    db_path, query_path = write_fixture(tmp_path, {"R": [(1, 2)]}, query_text)
+    for mode in ("auto", "cqneg", "fo-kernel", "bruteforce"):
+        status, report = run(base_config(db_path, query_path, k=1, d=0, mode=mode))
+        assert (status, report.get("error", {}).get("code")) == (2, code), mode
+
+
 def test_table_cap_guard_surfaces(tmp_path):
     db_path, query_path = write_fixture(
         tmp_path, {"R": [(i,) for i in range(1, 9)]}, "Q(v) :- R(v)."

@@ -1,10 +1,12 @@
 import os
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diverseq import dbio
 from diverseq.cli import RunConfig, run
 from diverseq.dbio import dump_database, dump_query, load_database, load_query
 from diverseq.errors import QuerySyntaxError
@@ -202,3 +204,124 @@ def test_fact_trailing_comma_is_a_syntax_error_at_the_comma(tmp_path):
     code, report = run(RunConfig(db_path=str(path), query_path=str(query), k=1, d=0,
                                  aggregator="sum"))
     assert code == 2 and report["error"]["code"] == "QuerySyntaxError"
+
+
+# Files of integer facts, spelled every way the fact grammar allows: signs,
+# leading zeros, `-0`, whitespace around every token, blank lines, LF, CRLF
+# and CR line ends, with or without a final line end.
+_PLAIN_SPACE = st.sampled_from(["", " ", "\t", " \t "])
+# Whitespace to `\s` and `str.strip`, so the line parser skips it. The
+# whole-text scan takes only spaces and tabs (`int` refuses `\x1c` to `\x1f`
+# next to a digit), so a file holding one of these is read line by line.
+_ODD_SPACE = st.sampled_from(["\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0",
+                              "\u2028", "\u3000"])
+
+
+@st.composite
+def _int_literals(draw):
+    n = draw(st.integers(-60, 60))
+    zeros = "0" * draw(st.integers(0, 2))
+    if n == 0 and draw(st.booleans()):
+        return "-" + zeros + "0"
+    return ("-" if n < 0 else "") + zeros + str(abs(n))
+
+
+@st.composite
+def integer_fact_files(draw, odd_space: bool):
+    space = st.one_of(_PLAIN_SPACE, _ODD_SPACE) if odd_space else _PLAIN_SPACE
+    arity = draw(st.dictionaries(st.sampled_from(["R", "S_1", "t"]), st.integers(1, 3),
+                                 min_size=1))
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(space) + draw(space))
+            continue
+        name = draw(st.sampled_from(sorted(arity)))
+        values = ",".join(draw(space) + draw(_int_literals()) + draw(space)
+                          for _ in range(arity[name]))
+        lines.append(f"{draw(space)}{name}{draw(space)}({values}){draw(space)}."
+                     f"{draw(space)}")
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r"])) for line in lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+def _database_of(facts):
+    db = Database()
+    for name, rows in facts.items():
+        db.add_relation(name, len(rows[0]), rows)
+    return db
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans().flatmap(lambda odd: st.tuples(st.just(odd), integer_fact_files(odd))))
+def test_fact_file_reader_paths_agree(case):
+    # The whole-text scan takes every plain file of integer facts and no file
+    # with other whitespace, and gives what the line parser gives: the same
+    # relations, rows and values, in the same order.
+    odd_space, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "db.facts")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        with open(path, encoding="utf-8") as handle:
+            read = handle.read()
+        db = load_database(path)
+    by_line = dbio._facts_by_line(read.split("\n"))
+    whole = dbio._integer_facts(read)
+    if not odd_space:
+        assert whole is not None
+    elif any(c not in " \t\n" and c.isspace() for c in read):
+        assert whole is None
+    if whole is not None:
+        assert list(whole.items()) == list(by_line.items())
+    reference = _database_of(by_line)
+    assert db == reference
+    assert [v.payload for v in db.domain] == [v.payload for v in reference.domain]
+
+
+_GOOD_FACTS = "".join(f"G({i}, {-i}).\n" for i in range(1000))
+
+
+@pytest.mark.parametrize("prefix", ["", _GOOD_FACTS, "# comment\n"],
+                         ids=["first", "after-1000-facts", "after-a-comment"])
+@pytest.mark.parametrize("bad, line, column, message", [
+    ("R(1, 2).\nR(3).\n", 2, 1, "relation R used with arities 2 and 1"),
+    ("R(1,).\n", 1, 4, "value list '1,' ends in a comma"),
+    ("R(1). S(2).\n", 1, 3, "bad value list '1). S(2'"),
+    ("R(1, 2)\n", 1, 1, "bad fact 'R(1, 2)'"),
+    ("R(1 2).", 1, 3, "bad value list '1 2'"),
+])
+def test_fact_file_errors_keep_their_position(tmp_path, prefix, bad, line, column, message):
+    # The same message, line and column whether the file is read by the
+    # whole-text scan up to the error or by the line parser from the start.
+    path = tmp_path / "db.facts"
+    path.write_text(prefix + bad, encoding="utf-8")
+    with pytest.raises(QuerySyntaxError) as err:
+        load_database(str(path))
+    line += prefix.count("\n")
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int converts any length")
+def test_integer_literal_past_the_int_limit_is_a_syntax_error(tmp_path):
+    # `int` refuses text of more digits than the interpreter's limit; the
+    # literal is refused at its position, and the limit stays.
+    limit = sys.get_int_max_str_digits()
+    huge = "-" + "7" * (limit + 1)
+    message = f"integer literal of {limit + 1} digits exceeds the limit of {limit}"
+    path = tmp_path / "db.facts"
+    for prefix in ("", _GOOD_FACTS, "# comment\n"):
+        path.write_text(f"{prefix}R(1, {huge}).\n", encoding="utf-8")
+        with pytest.raises(QuerySyntaxError) as err:
+            load_database(str(path))
+        line = prefix.count("\n") + 1
+        assert str(err.value) == f"line {line}, column 6: {message}"
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(f"Q(x) :- R(x, {huge}).")
+    assert str(err.value) == f"line 1, column 14: {message}"
+    query = tmp_path / "q.dq"
+    query.write_text("Q(x) :- R(x, y).\n", encoding="utf-8")
+    code, report = run(RunConfig(db_path=str(path), query_path=str(query), k=1, d=0))
+    assert (code, report["error"]["code"]) == (2, "QuerySyntaxError")
+    assert sys.get_int_max_str_digits() == limit

@@ -280,14 +280,15 @@ AGGREGATORS = (SUM, MIN, MAX, SUM_OF_SQUARES)
 
 
 @st.composite
-def capped_relations(draw):
-    """A relation with m = 1..5 columns, k = 1..4, and up to 60 rows. Up to
-    three columns are wide (20 values), the others narrow (1 to 3 values).
-    With two wide columns, a group fixing the narrow ones holds 16 rows and
-    more whose level-1 subgroups are small, so level-2 capping fires for
-    k = 2 as well."""
+def capped_relations(draw, min_k: int = 0):
+    """A relation with m = 1..5 columns, k = min_k..4, and up to 60 rows. Up
+    to three columns are wide (20 values), the others narrow (1 to 3
+    values). With two wide columns, a group fixing the narrow ones holds 16
+    rows and more whose level-1 subgroups are small, so level-2 capping
+    fires for k = 2 as well. At k = 0 level 1 keeps every row, which a
+    plain first-k pass would drop."""
     m = draw(st.integers(1, 5))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(min_k, 4))
     rng = draw(st.randoms(use_true_random=False))
     wide = min(m, rng.choice((0, 1, 2, 2, 2, 3)))
     domains = [20] * wide + [rng.randint(1, 3) for _ in range(m - wide)]
@@ -315,7 +316,7 @@ def test_capping_rule_matches_reference(case, t):
 
 
 @settings(max_examples=150, deadline=None)
-@given(capped_relations())
+@given(capped_relations(min_k=1))  # the kernel size bound needs k >= 1
 def test_kernelize_and_search_match_reference(case):
     answers, k = case
     kernel = kernelize(answers, k)
