@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""The bag engine: negation, tree decompositions, and the nice normal form.
+"""The bag engine: negation and tree decompositions.
 
-Negated literals break the join-tree approach, so the solver walks a nice
-tree decomposition instead: leaves enumerate bag assignments, introduce nodes
-extend them one variable at a time, forget nodes project, and join nodes
-combine branches while subtracting the distance counted twice.
+Negated literals break the join-tree approach, so the solver walks a tree
+decomposition instead, as it is: each bag's assignments come from a join of
+the atoms it covers and its children's assignments, filtered by the negated
+literals it covers, and the join-tree engine's tables run over them. A
+child's table is projected onto the variables it shares with its parent and
+merged in, subtracting the distance counted twice.
 """
 
 from diverseq import (
     MIN,
     SUM,
     Database,
-    make_nice,
     parse_query,
     solve_cqneg,
     tree_decompose,
@@ -26,17 +27,17 @@ db = Database.from_rows({
 q = parse_query("Match(a, b) :- Likes(a, b), !Blocked(a, b).")
 
 # A min-fill decomposition: its width bounds the treewidth from above, and
-# the bag engine's cost grows with the width it is given.
+# the bag engine's cost grows with the width it is given. This is the tree
+# the engine walks, children before parents.
 td = tree_decompose(q)
-print("width:", td.width, "| bags:", {n: sorted(b) for n, b in td.bags.items()})
-nice = make_nice(td)
-print("nice nodes:", len(nice.bags), "| kinds:",
-      sorted(str(k) for k in set(map(str, nice.kinds.values()))))
-print("validation:", validate_decomposition(nice, q) or "ok")
+print("width:", td.width, "| root:", td.root)
+for node in td.postorder():
+    print(f"  bag {node}: {sorted(td.bags[node])} | children: {list(td.children[node])}")
+print("validation:", validate_decomposition(td, q) or "ok")
 
 # Two answers as far apart as possible.
 out = solve_cqneg(q, db, 2, None, MIN, witness=True)
-print("max min-diversity:", out.diversity)
+print("max min-diversity:", out.diversity, "| nodes walked:", out.stats["nodes"])
 for answer in out.witness:
     print("  answer:", {v: answer[v].payload for v in q.free_vars})
 

@@ -1,58 +1,47 @@
 """Diversity solver for conjunctive queries with negation, bounded treewidth.
 
-A tree decomposition makes the query acyclic over its bags' satisfying
-assignments (Gottlob, Leone and Scarcello, JCSS 2002), so the engine is
-the join-tree engine of `acq` run over a nice decomposition. A k = 1 pass
-first runs Yannakakis' full reducer over it (VLDB 1981). Bottom-up, each
-node gets the bag assignments its cone satisfies: a leaf's satisfying
-tuples, the extensions of an introduce node's child set that keep the
-covered literals true, a forget node's projections, and at a join the
-intersection of the children's sets. Top-down, acq's down sweep
-semi-joins each child with its parent (the up sweep would keep every
-bottom-up set as it is). What is left is exactly each bag's share of the
-answers. A node whose bottom-up set holds more assignments than a table
-under the cap could pair is refused as soon as it passes that count, as
-the sweep without the pass would refuse it at that node's table.
+A tree decomposition is a join tree over its bags' satisfying assignments
+(Gottlob, Leone and Scarcello, JCSS 2002), and `acq`'s rules change any
+number of variables along an edge, so the engine is acq's join-tree engine
+run over the decomposition as it is.
 
-The dynamic program then walks the decomposition bottom-up over those
-reduced sols. Each node's table is an `acq.DPTable` whose sols are bag
-assignments, as value-index tuples over the sorted bag; an entry pairs a
-sorted k-tuple of them with the pairwise free-variable distances their
-extensions below the node realize:
+A k = 1 pass first gives each bag its sols, value-index tuples over the
+sorted bag. In postorder, a bag's bottom-up sols are a lazy hash join of
+each child's sols projected onto the variables they share, the sols of
+every positive atom the bag covers, and each bag variable's candidate
+values, filtered by the negative literals the bag covers. acq's down sweep
+(Yannakakis, VLDB 1981) then leaves exactly each bag's share of the
+answers. A bag whose sols outnumber what a table under the cap could pair
+is refused as soon as its join passes that count.
 
-    leaf       all sorted k-tuples of the node's sols (`dp_init`)
-    introduce  the node's `dp_init` merged with its child (`dp_merge`):
-               each sol's one partner is its projection without the new
-               variable; the k = 1 pass has already checked the literals
-    forget     the child's table projected onto the node's bag
-               (`dp_project`): each entry re-sorted, once per arrangement
-               of the slots that become equal; `dp_merge` projects a child
-               whose sols share a projection the same way
-    join       the merge of the right child into the left; both children
-               hold the join's sols, so every slot tuple meets its own
+Then, bottom-up, each node's table is an `acq.DPTable` over those sols:
 
-A rule that re-sorts records its slot map in the provenance link, so the
-root is decided by `dp_finalize` and the witness rebuilt by `extract_witness`
-exactly as in the join-tree solver. Literal checks bind value indices. The
-reducer drops only sols that lie on no root entry's provenance chain, so
-the root entries, their order and the witnesses are those of a sweep over
-the unreduced sols; only the tables below the root shrink.
+    leaf       `dp_init` of a childless bag
+    forget     a child's table projected onto the variables it shares with
+               its parent (`dp_project`)
+    introduce  the bag's `dp_init` merged with its first child's forget
+               (`dp_merge`), or that forget alone when the bag adds no
+               variable to the child's
+    join       the table so far merged with each further child's forget
+
+Tables are stateless exactly when acq's are: when the solve sums distances
+and allows duplicate answers. The root is decided by `dp_finalize` and the
+witness rebuilt by `extract_witness`. The reducer drops only sols that lie
+on no root entry's provenance chain, so only the tables below the root
+shrink.
 
 A variable ranges only over its candidate values: those in its column of
-every positive atom that mentions it. That loses no answer, and no node
-table loses an entry that can reach the root: the query is safe, and every
-positive atom mentioning a variable is covered below the node that forgets
-it, so an assignment outside the candidates fails there at the latest.
+every positive atom that mentions it. That loses no answer: the query is
+safe, so every variable lies in some positive atom, which some bag covers.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import replace
 
 from .acq import (
     DPTable,
+    _project,
     _reduce_down,
     _slot_tuples,
     dp_finalize,
@@ -62,46 +51,77 @@ from .acq import (
     extract_witness,
 )
 from .errors import DEFAULT_TABLE_CAP, TableGuardExceeded
-from .model import (
-    Aggregator,
-    Assignment,
-    Database,
-    Outcome,
-)
-from .queries import Literal, Query, Variable, relation_of, satisfies_literal
-from .structure import (
-    NiceTreeDecomposition,
-    TreeDecomposition,
-    make_nice,
-    tree_decompose,
-    validate_decomposition,
-)
+from .model import SUM, Aggregator, Assignment, Database, Outcome
+from .queries import Literal, Query, Variable, relation_of, satisfies_literal, sols_atom
+from . import structure
+from .structure import TreeDecomposition, tree_decompose, validate_decomposition
+
+# Bound only because the traced benchmark wraps it: nothing here calls the
+# nice form. It goes when the program records its own spans (ROADMAP item 6).
+make_nice = structure.make_nice
+
+
+def _join(inputs: list[tuple[tuple[str, ...], list[tuple[int, ...]]]],
+          order: tuple[str, ...], limit: int, node: int):
+    """Lazily hash-join relations given as (variables, index rows), into
+    index tuples over `order`, their variables. Each next input is the
+    first that shares a variable with those bound so far, or else the first
+    left; its rows are bucketed on the shared variables, and a partial
+    assignment extends by its bucket, depth first. A join is refused as
+    soon as it has built more than `limit` partial assignments; an input
+    whose variables are all bound only filters, and builds none."""
+    slot: dict[str, int] = {}
+    steps = []
+    pending = list(inputs)
+    while pending:
+        n = next((n for n, (vs, _) in enumerate(pending) if any(v in slot for v in vs)), 0)
+        variables, rows = pending.pop(n)
+        shared = [j for j, v in enumerate(variables) if v in slot]
+        new = [j for j, v in enumerate(variables) if v not in slot]
+        buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for row in rows:
+            buckets.setdefault(tuple([row[j] for j in shared]), []).append(
+                tuple([row[j] for j in new]))
+        steps.append(([slot[variables[j]] for j in shared], buckets, bool(new)))
+        for j in new:
+            slot[variables[j]] = len(slot)
+    out = [slot[v] for v in order]
+    built = 0
+    stack = [((), 0)]
+    while stack:
+        part, step = stack.pop()
+        if step == len(steps):
+            yield tuple([part[i] for i in out])
+            continue
+        probe, buckets, binds = steps[step]
+        found = buckets.get(tuple([part[i] for i in probe]), ())
+        if binds:
+            built += len(found)
+            if built > limit:
+                raise TableGuardExceeded(
+                    f"join at node {node} builds over {limit} partial bag assignments")
+        stack.extend((part + b, step + 1) for b in reversed(found))
 
 
 class BagSolver:
-    """Bottom-up sweep over one nice tree decomposition. Building the
-    solver runs the k = 1 pass, so `sols` holds every node's reduced sols
-    before `run` (or a single node rule) builds a k-tuple table."""
+    """Bottom-up sweep over one tree decomposition. Building the solver runs
+    the k = 1 pass, so `sols` holds every bag's reduced sols before `run`
+    (or a single node rule) builds a k-tuple table."""
 
-    def __init__(self, query: Query, db: Database, k: int,
-                 ntd: NiceTreeDecomposition, table_cap: int):
+    def __init__(self, query: Query, db: Database, k: int, td: TreeDecomposition,
+                 table_cap: int, stateless: bool = False):
         self.query = query
         self.db = db
         self.k = k
-        self.ntd = ntd
+        self.td = td
         self.table_cap = table_cap
-        self.free = frozenset(query.free_vars)
-        self.literals: tuple[Literal, ...] = query.conjuncts[0].literals
+        self.stateless = stateless
+        # Literals by least variable (None if ground): a bag finds its own fast.
+        self.literals: dict[str | None, list[Literal]] = {}
+        for lit in query.conjuncts[0].literals:
+            self.literals.setdefault(min(lit.variables, default=None), []).append(lit)
         self.tables: dict[int, DPTable] = {}
         self.candidates = self._candidate_values()
-        # Literal positions per variable, so a bag's covered literals are
-        # found without scanning the whole query; a ground literal is
-        # covered by every bag.
-        self.ground = [n for n, lit in enumerate(self.literals) if not lit.variables]
-        self.literals_of: dict[str, list[int]] = {}
-        for n, lit in enumerate(self.literals):
-            for v in lit.variables:
-                self.literals_of.setdefault(v, []).append(n)
         self.most = self._most_sols()
         self.sols = self._reduce()
 
@@ -113,7 +133,7 @@ class BagSolver:
         resolved too, so that one naming no relation, or with the wrong
         arity, is refused even when no binding reaches it."""
         found: dict[str, set[int]] = {}
-        for lit in self.literals:
+        for lit in self.query.conjuncts[0].literals:
             rows = relation_of(lit.atom, self.db).rows
             if not lit.positive:
                 continue
@@ -124,27 +144,28 @@ class BagSolver:
                     found[term.name] = column if prior is None else prior & column
         return {v: sorted(found[v]) for v in found}
 
-    def bag_order(self, node: int) -> tuple[str, ...]:
-        return tuple(sorted(self.ntd.bags[node]))
-
-    def covered_literals(self, bag: frozenset[str]) -> list[Literal]:
-        """The literals whose variables all lie in the bag, in query order."""
-        near = sorted({n for v in bag for n in self.literals_of.get(v, ())}.union(self.ground))
-        return [self.literals[n] for n in near if self.literals[n].variables <= bag]
-
-    def satisfying_tuples(self, node: int) -> list[tuple[int, ...]]:
-        """All candidate-value index tuples over the bag that satisfy the
-        covered literals, sorted (the candidate lists are). The enumeration
-        stops, refused, as soon as they pass `most`."""
-        order = self.bag_order(node)
-        lits = self.covered_literals(self.ntd.bags[node])
-        options = [self.candidates[v] for v in order]
-        if math.prod(len(o) for o in options) > self.table_cap:
-            raise TableGuardExceeded(
-                f"bag enumeration at node {node} exceeds {self.table_cap}"
-            )
-        return self._bounded(node, (combo for combo in itertools.product(*options)
-                                    if self.satisfies(order, combo, lits)))
+    def satisfying_tuples(self, node: int,
+                          below: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+        """The node's bottom-up sols, given its children's in `below`: the
+        candidate assignments of its bag that satisfy the literals it covers
+        and meet each child's sols on the variables they share, sorted. They
+        are refused as soon as they pass `most` (`_bounded`)."""
+        bags = self.td.bags
+        bag, order = bags[node], tuple(sorted(bags[node]))
+        inputs = []
+        for child in self.td.children.get(node, ()):
+            shared = bag & bags[child]
+            inputs.append((tuple(sorted(shared)),
+                           list(dict.fromkeys(_project(below[child], bags[child], shared)))))
+        covered = [lit for v in (None, *order) for lit in self.literals.get(v, ())
+                   if lit.variables <= bag]
+        inputs += [(tuple(sorted(lit.variables)), sols_atom(lit.atom, self.db))
+                   for lit in covered if lit.positive]
+        inputs += [((v,), [(i,) for i in self.candidates[v]]) for v in order]
+        negative = [lit for lit in covered if not lit.positive]
+        joined = _join(inputs, order, self.table_cap, node)
+        return sorted(self._bounded(node, (part for part in joined
+                                           if self.satisfies(order, part, negative))))
 
     def satisfies(self, order: tuple[str, ...], part: tuple[int, ...],
                   lits: list[Literal]) -> bool:
@@ -175,82 +196,51 @@ class BagSolver:
         return found
 
     def _reduce(self) -> dict[int, list[tuple[int, ...]]]:
-        """The k = 1 pass: per node, the sorted bag assignments that extend
-        to an answer. The bottom-up sets are built here; acq's down sweep
-        then cuts them to the answers' projections.
-
-        The sweep without this pass stores every sorted k-tuple of a node's
-        bottom-up sols, so a node with more than `most` of them would be
-        refused there; a leaf or introduce node is refused here as soon as
-        its sols pass `most` (`_bounded`). A forget or join node holds no
-        more sols than its child.
-        """
-        ntd = self.ntd
-        order = ntd.postorder()
+        """The k = 1 pass: per bag, the sorted assignments that extend to an
+        answer. The sweep without it stores every sorted k-tuple of a bag's
+        bottom-up sols, so it would refuse a bag with more than `most`."""
         sols: dict[int, list[tuple[int, ...]]] = {}
-        for node in order:
-            kind = ntd.kinds[node]
-            kids = ntd.children.get(node, ())
-            if kind == "leaf":
-                sols[node] = self.satisfying_tuples(node)
-            elif kind == "join":
-                right = set(sols[kids[1]])
-                sols[node] = [p for p in sols[kids[0]] if p in right]
-            elif kind[0] == "introduce":
-                bag = self.bag_order(node)
-                zpos = bag.index(kind[1])
-                lits = self.covered_literals(ntd.bags[node])
-                extended = (p[:zpos] + (idx,) + p[zpos:]
-                            for p in sols[kids[0]] for idx in self.candidates[kind[1]])
-                sols[node] = sorted(self._bounded(node, (e for e in extended
-                                                         if self.satisfies(bag, e, lits))))
-            else:
-                zpos = self.bag_order(kids[0]).index(kind[1])
-                sols[node] = sorted({p[:zpos] + p[zpos + 1:] for p in sols[kids[0]]})
-        _reduce_down(ntd, sols)
+        for node in self.td.postorder():
+            sols[node] = self.satisfying_tuples(node, sols)
+        _reduce_down(self.td, sols)
         return sols
 
     # -- node rules ----------------------------------------------------------
 
-    def _init(self, node: int) -> DPTable:
-        return dp_init(node, self.ntd.bags[node], self.sols[node], self.k,
-                       self.query.free_vars, table_cap=self.table_cap)
-
     def leaf(self, node: int) -> DPTable:
-        return self._init(node)
+        return dp_init(node, self.td.bags[node], self.sols[node], self.k,
+                       self.query.free_vars, stateless=self.stateless,
+                       table_cap=self.table_cap)
 
-    def introduce(self, node: int, child: int, z: str) -> DPTable:
-        return dp_merge(self._init(node), self.tables[child], self.query.free_vars,
-                        table_cap=self.table_cap)
-
-    def forget(self, node: int, child: int, z: str) -> DPTable:
-        table = dp_project(self.tables[child], node, self.ntd.bags[node],
+    def forget(self, node: int, child: int) -> DPTable:
+        table = dp_project(self.tables[child], node, self.td.bags[node] & self.td.bags[child],
                            table_cap=self.table_cap)
-        table.check_bound(len(self.free))
+        table.check_bound(len(self.query.free_vars))
         return table
 
-    def join(self, node: int, left: int, right: int) -> DPTable:
-        return dp_merge(replace(self.tables[left], node=node), self.tables[right],
-                        self.query.free_vars, table_cap=self.table_cap)
+    def introduce(self, node: int, child: int) -> DPTable:
+        table = self.forget(node, child)
+        if self.td.bags[node] <= self.td.bags[child]:
+            return table  # the bag's sols are the forget's, and so is its table
+        return dp_merge(self.leaf(node), table, self.query.free_vars,
+                        table_cap=self.table_cap)
+
+    def join(self, node: int, table: DPTable, child: int) -> DPTable:
+        return dp_merge(table, self.forget(node, child), self.query.free_vars,
+                        table_cap=self.table_cap)
 
     # -- driver ----------------------------------------------------------------
 
     def run(self) -> None:
-        for node in self.ntd.postorder():
-            kind = self.ntd.kinds[node]
-            kids = self.ntd.children.get(node, ())
-            if kind == "leaf":
-                table = self.leaf(node)
-            elif kind == "join":
-                table = self.join(node, kids[0], kids[1])
-            elif kind[0] == "introduce":
-                table = self.introduce(node, kids[0], kind[1])
-            else:
-                table = self.forget(node, kids[0], kind[1])
+        for node in self.td.postorder():
+            kids = self.td.children.get(node, ())
+            table = self.introduce(node, kids[0]) if kids else self.leaf(node)
+            for child in kids[1:]:
+                table = self.join(node, table, child)
             self.tables[node] = table
 
     def witness(self, root_key: tuple) -> tuple[Assignment, ...]:
-        return extract_witness(self.tables[self.ntd.root], root_key, self.query.free_vars,
+        return extract_witness(self.tables[self.td.root], root_key, self.query.free_vars,
                                self.db.domain)
 
 
@@ -271,15 +261,15 @@ def solve_cqneg(query: Query, db: Database, k: int, d: float | None,
     violations = validate_decomposition(decomposition, query)
     if violations:
         raise ValueError(f"invalid decomposition: {violations[0]}")
-    ntd = make_nice(decomposition)
-    solver = BagSolver(query, db, k, ntd, table_cap)
+    solver = BagSolver(query, db, k, decomposition, table_cap,
+                       stateless=allow_duplicates and aggregator is SUM)
     solver.run()
-    decision, best_key, best = dp_finalize(solver.tables[ntd.root], aggregator, d,
-                                           allow_duplicates)
+    root = solver.tables[decomposition.root]
+    decision, best_key, best = dp_finalize(root, aggregator, d, allow_duplicates)
     solution = solver.witness(best_key) if decision and witness else None
     stats = {
-        "nodes": len(ntd.bags),
-        "width": ntd.width,
+        "nodes": len(decomposition.bags),
+        "width": decomposition.width,
         "max_table": max(len(table.entries) for table in solver.tables.values()),
         "k": k,
     }

@@ -13,7 +13,8 @@ of the text splits it into facts. Any other file (comments, quoted strings,
 other whitespace, or an error anywhere) is parsed line by line, and that
 parser gives every error its message, line and column. Both paths intern
 relations and values in the same order: relations by first fact, values
-row by row within a relation, in file order.
+row by row within a relation, in file order. In both formats an integer
+too long for `int` is a QuerySyntaxError at its line.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from __future__ import annotations
 import csv
 import os
 import re
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import QuerySyntaxError
 from .model import Database, Payload
 from .queries import (INT_LITERAL, STRING_LITERAL, Constant, Query, parse_int_literal,
                       parse_query, render_query, render_term, unescape)
 
+_CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 _FACT_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*\.\s*$")
 _VALUE_RE = re.compile(rf"\s*(?:({INT_LITERAL})|({STRING_LITERAL}))\s*(?:,|$)")
 # Longest prefix made of whole quoted strings and characters other than `"`
@@ -154,28 +156,27 @@ def _load_csv_dir(path: str) -> Database:
         if not filename.endswith(".csv"):
             continue
         name = filename[: -len(".csv")]
-        rows: list[tuple[Payload, ...]] = []
         with open(os.path.join(path, filename), newline="", encoding="utf-8") as handle:
-            for record in csv.reader(handle):
-                if not record:
-                    continue
-                rows.append(tuple(parse_csv_value(field) for field in record))
+            rows = list(csv_rows(csv.reader(handle)))
         if not rows:
             continue
         db.add_relation(name, len(rows[0]), rows)
     return db
 
 
-def parse_csv_value(field: str) -> Payload:
-    """A CSV field's payload: canonical integer text (`str(int(t)) == t`,
-    so `7` and `-7` but not `007`, `+7` or ` 7`) is an int, any other field
-    the string as written. A string that is canonical integer text therefore
-    reads back as an int."""
-    try:
-        number = int(field)
-    except ValueError:
-        return field
-    return number if str(number) == field else field
+def csv_rows(reader) -> Iterator[tuple[Payload, ...]]:
+    """The payload rows of a `csv.reader`'s non-empty records. A field of
+    canonical integer text (`str(int(t)) == t`, so `7` and `-7` but not
+    `007`, `+7` or ` 7`) is an int, any other field the string as written; a
+    string that is canonical integer text therefore reads back as an int.
+    One with more digits than `int` converts from text is a
+    QuerySyntaxError at the reader's line and the field's number, as the
+    same literal is in a fact file."""
+    for record in reader:
+        if record:
+            yield tuple([parse_int_literal(field, reader.line_num, n)
+                         if _CANONICAL_INT_RE.fullmatch(field) else field
+                         for n, field in enumerate(record, start=1)])
 
 
 def dump_database(db: Database, path: str) -> None:

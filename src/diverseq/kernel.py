@@ -28,7 +28,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .dbio import parse_csv_value
+from .dbio import csv_rows
 from .errors import (
     DEFAULT_BUDGET,
     CombinatorialBudgetExceeded,
@@ -248,8 +248,11 @@ def kernelize(answers: AnswerRelation, k: int) -> AnswerRelation:
     that pairwise differ on its free columns, which a second pass would keep
     whole. A level is skipped when neither its capping (no group reaches
     t!^2 * k^t rows) nor its precondition scan (no group exceeds
-    (t-1)!^2 * k^(t-1) rows) can fire on the rows left.
+    (t-1)!^2 * k^(t-1) rows) can fire on the rows left. k must be at least
+    1: at k = 0 the bound is 0, which no non-empty relation meets.
     """
+    if k < 1:
+        raise ValueError(f"kernelize needs k >= 1, got {k}")
     current = answers
     m = len(answers.columns)
     for t in range(1, m + 1):
@@ -291,10 +294,16 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
     optimum, as in plain enumeration. The budget caps the search nodes
     visited (every prefix the search extends or scores, complete sets
     included) at C(k, 2) pair distances (at least 1) each, so a k whose one
-    node costs more is refused before the search starts.
+    node costs more is refused before the search starts. At k = 0 the empty
+    set is the only candidate, so nothing is kernelized or searched.
     """
     if not aggregator.monotone:
         raise NotMonotone(f"aggregator {aggregator.label} is not flagged monotone")
+    if k == 0:
+        best = aggregator.aggregate(())
+        decision = d is None or best >= d
+        stats = {"answers": len(answers.rows), "kernel": 0, "candidates": 1, "k": 0}
+        return Outcome(decision, best, () if decision and witness else None, stats=stats)
     kernel = kernelize(answers, k)
     rows = sorted(kernel.rows)
     n = len(rows)
@@ -304,7 +313,7 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
     if count:
         pairs = k * (k - 1) // 2
         cost = max(1, pairs)
-        if k and cost > budget:
+        if cost > budget:
             raise CombinatorialBudgetExceeded(
                 f"one search node costs {cost} pair distances, over the budget of {budget}"
             )
@@ -316,11 +325,9 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
         m = len(answers.columns)
         ceiling = aggregate([m] * pairs)
         step = 0 if allow_duplicates else 1
-        if not k:
-            best, best_combo = aggregate(()), ()
         # One frame per chosen prefix: the rows that may extend it, the
         # prefix, and the distances among its rows.
-        frames = [(iter(range(n - (k - 1) * step)), (), [])] if k else []
+        frames = [(iter(range(n - (k - 1) * step)), (), [])]
         spent = 0
         while frames:
             options, chosen, dists = frames[-1]
@@ -371,8 +378,9 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
 def read_answer_csv(path: str) -> AnswerRelation:
     """Read an answer relation; the header row names the columns in order.
 
-    Fields are read by `dbio.parse_csv_value`: canonical integer text becomes
-    an int, every other field the string as written.
+    Fields are read by `dbio.csv_rows`: canonical integer text becomes an
+    int, every other field the string as written, and canonical integer
+    text too long for `int` is a QuerySyntaxError at its line.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -380,11 +388,7 @@ def read_answer_csv(path: str) -> AnswerRelation:
             columns = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty answer file") from None
-        rows = []
-        for record in reader:
-            if not record:
-                continue
-            rows.append(tuple(parse_csv_value(field) for field in record))
+        rows = list(csv_rows(reader))
     return AnswerRelation.from_payload_rows(tuple(columns), rows)
 
 

@@ -1,5 +1,6 @@
 """Join trees (via GYO ear removal), tree decompositions (min-fill
-elimination orders), the nice normal form, and validators.
+elimination orders), the nice normal form (which no engine uses), and
+validators.
 
 All constructions are deterministic: ears are removed in ascending atom-index
 order, elimination orders break ties by variable name, and node ids are

@@ -40,6 +40,17 @@ def _cqneg_grid():
     return db, parse_query("Q(x, y) :- R(x, y), !S(x, y).")
 
 
+def _cqneg_branching():
+    # The bench's width-1 negation query: min-fill puts two children under
+    # the bag {y, z}, so the nice form has leaf, introduce, forget and join
+    # nodes.
+    values = [1, 2, 3, 4, 5]
+    r_rows = [(v, v % 5 + 1) for v in values]
+    t_rows = [(v, v % 5 + 1) for v in values] + [(v, (v + 1) % 5 + 1) for v in values]
+    db = Database.from_rows({"R": r_rows, "T": t_rows, "S": [(1, 2), (3, 4)]})
+    return db, parse_query("Q(x, y, z, w) :- R(x, y), T(y, z), T(y, w), !S(x, y).")
+
+
 def _triangle():
     db = Database.from_rows(
         {"R": [(1, 2), (2, 1)], "S": [(2, 1), (1, 2)], "T": [(1, 1), (2, 2)]}
@@ -70,6 +81,7 @@ def golden_cases() -> list[GoldenCase]:
     uacq_yes = list_coloring_to_union_query(_k33(), all_lists)
     uacq_no = list_coloring_to_union_query(_k33(), one_color)
     grid_db, grid_q = _cqneg_grid()
+    branch_db, branch_q = _cqneg_branching()
     tri_db, tri_q = _triangle()
 
     return [
@@ -90,5 +102,7 @@ def golden_cases() -> list[GoldenCase]:
                    uacq_no.d_min, "min", False, UCQ_MODES),
         GoldenCase("cqneg_grid_yes", grid_db, grid_q, 2, 2, "min", True, CQNEG_MODES),
         GoldenCase("cqneg_grid_k3", grid_db, grid_q, 3, 5, "sum", False, CQNEG_MODES),
+        GoldenCase("cqneg_branching_max", branch_db, branch_q, 3, None, "sum", True,
+                   CQNEG_MODES),
         GoldenCase("triangle_cyclic", tri_db, tri_q, 2, 3, "sum", True, UCQ_MODES),
     ]

@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from diverseq.acq import dp_init, solve_acq
+from diverseq.acq import _project, dp_init, solve_acq
 from diverseq.cqneg import BagSolver, solve_cqneg
 from diverseq.errors import ArityMismatch, TableGuardExceeded, UnknownRelation
+from diverseq.kernel import materialize_answers, solve_fo_diverse
 from diverseq.model import MIN, SUM, Database, diversity_of_set
 from diverseq.oracle import bruteforce_diversity, enumerate_answers
 from diverseq.queries import parse_query
@@ -19,6 +20,7 @@ from helpers import (
     reference_project,
     small_answer_instances,
     sol_bindings,
+    spelled_links,
 )
 
 
@@ -31,15 +33,19 @@ def grid_instance():
 
 
 def solver_for(q, db, k):
-    ntd = make_nice(tree_decompose(q))
-    return BagSolver(q, db, k, ntd, table_cap=10 ** 7), ntd
+    td = tree_decompose(q)
+    return BagSolver(q, db, k, td, table_cap=10 ** 7), td
+
+
+def childless(td):
+    return next(n for n in td.postorder() if not td.children.get(n))
 
 
 def test_leaf_rule_counts_survivors():
     q, db = grid_instance()
-    solver, ntd = solver_for(q, db, 1)
-    leaf = next(n for n, kind in ntd.kinds.items() if kind == "leaf")
-    assert ntd.bags[leaf] == {"x", "y"}
+    solver, td = solver_for(q, db, 1)
+    leaf = childless(td)
+    assert td.bags[leaf] == {"x", "y"}
     table = solver.leaf(leaf)
     # of the 4 grid assignments, (1,1) violates the negated literal
     assert len(table.entries) == 3
@@ -50,9 +56,8 @@ def test_leaf_rule_counts_survivors():
 
 def test_leaf_rule_k2_pairs_with_distances():
     q, db = grid_instance()
-    solver, ntd = solver_for(q, db, 2)
-    leaf = next(n for n, kind in ntd.kinds.items() if kind == "leaf")
-    table = solver.leaf(leaf)
+    solver, td = solver_for(q, db, 2)
+    table = solver.leaf(childless(td))
     # the sorted pairs of the 3 survivors: 3 distinct, 3 repeated
     assert len(table.entries) == 6
     for (ptuple, dvec) in table.entries:
@@ -65,14 +70,15 @@ def test_leaf_rule_k2_pairs_with_distances():
 def test_leaf_rule_uncovered_bag_admits_every_candidate():
     db = Database.from_rows({"R": [(1, 2), (3, 4)], "T": [(1,), (2,), (4,)]})
     q = parse_query("Q(x, y) :- R(x, y), T(x).")
-    ntd = make_nice(tree_decompose(q))
-    solver = BagSolver(q, db, 1, ntd, table_cap=10 ** 7)
-    # fabricate a node covering only y: no literal fits inside {y}, so every
-    # candidate of y (its column of R, the one atom naming it) survives
-    ntd.bags[max(ntd.bags) + 1] = frozenset({"y"})
-    node = max(ntd.bags)
-    ntd.kinds[node] = "leaf"
-    sols = solver.satisfying_tuples(node)
+    td = tree_decompose(q)
+    solver = BagSolver(q, db, 1, td, table_cap=10 ** 7)
+    # fabricate a childless node covering only y: no literal fits inside
+    # {y}, so every candidate of y (its column of R, the one atom naming it)
+    # survives
+    node = max(td.bags) + 1
+    td.bags[node] = frozenset({"y"})
+    td.children[node] = ()
+    sols = solver.satisfying_tuples(node, {})
     candidates = column_candidates(q, db)
     assert {v.payload for v in candidates["y"]} == {2, 4}
     assert {v.payload for v in candidates["x"]} == {1}
@@ -149,20 +155,32 @@ def test_invalid_decomposition_rejected():
 
 
 def test_supplied_nice_decomposition_gives_the_same_outcome():
-    # solve_cqneg puts every decomposition through make_nice, a nice one
-    # too: the nice form of a nice decomposition has the same nodes in the
-    # same postorder, so decision, diversity, witness and stats agree.
+    # A nice decomposition is a tree decomposition, walked as it is: the
+    # decision and diversity are those of the plain one, each witness is a
+    # set of k distinct answers that realizes the diversity, and the stats
+    # count each decomposition's own nodes.
     rng = random.Random(83)
     witnesses = 0
     for _ in range(30):
         query, db = random_cqneg_query(rng)
         td = tree_decompose(query)
+        nice_td = make_nice(td)
+        answers = enumerate_answers(query, db)
         for k, aggregator in ((2, SUM), (3, MIN)):
             plain = solve_cqneg(query, db, k, None, aggregator, witness=True,
                                 decomposition=td)
             nice = solve_cqneg(query, db, k, None, aggregator, witness=True,
-                               decomposition=make_nice(td))
-            assert nice == plain
+                               decomposition=nice_td)
+            assert (nice.decision, nice.diversity) == (plain.decision, plain.diversity)
+            assert plain.stats["nodes"] == len(td.bags)
+            assert nice.stats["nodes"] == len(nice_td.bags)
+            for out in (plain, nice):
+                assert (out.witness is None) == (not out.decision)
+                if out.witness is not None:
+                    assert len(set(out.witness)) == k
+                    assert all(a in answers for a in out.witness)
+                    assert diversity_of_set(aggregator, out.witness,
+                                            query.free_vars) == out.diversity
             witnesses += plain.witness is not None
     assert witnesses >= 20
 
@@ -188,6 +206,36 @@ def test_oracle_equivalence_random_cqneg():
                 assert got.decision is True and got.diversity == expected
 
 
+def test_oracle_equivalence_random_cqneg_with_duplicates():
+    # Multisets of answers: under sum the tables are stateless, as acq's
+    # are, and never larger than the exact ones; under min they stay exact.
+    # Every witness is k answers, repeats allowed, that realize the
+    # diversity.
+    rng = random.Random(5)
+    witnesses = shrunk = 0
+    for _ in range(60):
+        query, db = random_cqneg_query(rng)
+        answers = enumerate_answers(query, db)
+        for k, aggregator in ((2, SUM), (3, SUM), (3, MIN)):
+            expected, _ = bruteforce_diversity(answers, k, aggregator, allow_duplicates=True)
+            got = solve_cqneg(query, db, k, None, aggregator, witness=True,
+                              allow_duplicates=True)
+            if expected is None:
+                assert got.decision is False and got.witness is None
+                continue
+            assert got.decision is True and got.diversity == expected
+            assert len(got.witness) == k and all(a in answers for a in got.witness)
+            assert diversity_of_set(aggregator, got.witness, query.free_vars) == expected
+            witnesses += 1
+            if aggregator is SUM:
+                exact = BagSolver(query, db, k, tree_decompose(query), 10 ** 7)
+                exact.run()
+                exact_max = max(len(t.entries) for t in exact.tables.values())
+                assert got.stats["max_table"] <= exact_max
+                shrunk += got.stats["max_table"] < exact_max
+    assert witnesses >= 100 and shrunk > 0, (witnesses, shrunk)
+
+
 def test_witness_contract_random_cqneg():
     rng = random.Random(73)
     for _ in range(20):
@@ -208,11 +256,13 @@ def test_node_tables_match_witness_semantics():
     # every variable taking one of its candidate values. A table stores the
     # entries of D_t at sorted tuples of its sols, and its sols are the
     # node's bag assignments that extend to an answer (the k = 1 pass). A
-    # join node's children hold its sols, and its table is the reference
-    # merge of its right child into its left, entry for entry; an introduce
-    # node's table is the reference merge of its child into the node's init
-    # over its sols, likewise; a forget node's table is the reference
-    # projection of its child's table onto its bag.
+    # forget is the reference projection of a child's table onto the
+    # variables it shares with its parent. A node with children starts from
+    # its init over its sols, and its table is the reference merge of each
+    # child's reference projection into that, child by child, entry for
+    # entry; the first merge is the introduce rule, each further one the
+    # join rule. A bag that adds no variable to its first child's starts
+    # from that child's projection instead.
     rng = random.Random(79)
     joins = {2: 0, 3: 0}
     introduces = forgets = 0
@@ -223,48 +273,46 @@ def test_node_tables_match_witness_semantics():
             db.add_relation("U", 1, [(7,), (8,)])
         candidates = column_candidates(query, db)
         k = 2 if n < 16 else 3
-        ntd = make_nice(tree_decompose(query))
-        solver = BagSolver(query, db, k, ntd, table_cap=10 ** 7)
+        td = tree_decompose(query)
+        solver = BagSolver(query, db, k, td, table_cap=10 ** 7)
         solver.run()
         literals = query.conjuncts[0].literals
         free = query.free_vars
-        every_var = sorted(frozenset().union(*ntd.bags.values()))
+        every_var = sorted(frozenset().union(*td.bags.values()))
         answers = [
             g for g in literal_solutions(literals, every_var, db)
             if all(g[v] in candidates[v] for v in every_var)
         ]
-        for node in ntd.postorder():
-            order = solver.bag_order(node)
+        for node in td.postorder():
+            order = sorted(td.bags[node])
             sols = solver.tables[node].sols
             assert sols == solver.sols[node]
             assert set(sols) == {tuple(g[v].index for v in order) for g in answers}
-            if ntd.kinds[node] == "join":
-                joins[k] += 1
-                left, right = ntd.children[node]
-                table = solver.tables[node]
-                reference = reference_merge(replace(solver.tables[left], node=node),
-                                            solver.tables[right], free)
-                assert solver.tables[left].sols == solver.tables[right].sols == sols
-                assert list(table.entries.items()) == list(reference.items())
-            elif ntd.kinds[node][0] == "introduce":
-                introduces += 1
-                (child,) = ntd.children[node]
-                reference = reference_merge(dp_init(node, ntd.bags[node], sols, k, free),
-                                            solver.tables[child], free)
-                assert list(solver.tables[node].entries.items()) == list(reference.items())
-            elif ntd.kinds[node][0] == "forget":
+            kids = td.children.get(node, ())
+            reference = dp_init(node, td.bags[node], sols, k, free)
+            for n, child in enumerate(kids):
                 forgets += 1
-                (child,) = ntd.children[node]
-                table = solver.tables[node]
-                reference = reference_project(solver.tables[child], node, ntd.bags[node])
-                assert (table.variables, table.sols) == (reference.variables, reference.sols)
-                assert list(table.entries.items()) == list(reference.entries.items())
-            subtree_bags = [ntd.bags[node]]
-            stack = list(ntd.children.get(node, ()))
+                shared = td.bags[node] & td.bags[child]
+                projected = reference_project(solver.tables[child], node, shared)
+                table = solver.forget(node, child)
+                assert (table.variables, table.sols) == (projected.variables, projected.sols)
+                assert list(table.entries.items()) == list(projected.entries.items())
+                if n == 0 and shared == td.bags[node]:
+                    assert projected.sols == sols
+                    reference = projected
+                else:
+                    introduces += n == 0
+                    reference = replace(reference,
+                                        entries=reference_merge(reference, projected, free))
+            joins[k] += max(len(kids) - 1, 0)  # join rules applied
+            assert spelled_links(solver.tables[node].entries) == \
+                spelled_links(reference.entries)
+            subtree_bags = [td.bags[node]]
+            stack = list(td.children.get(node, ()))
             while stack:
                 current = stack.pop()
-                subtree_bags.append(ntd.bags[current])
-                stack.extend(ntd.children.get(current, ()))
+                subtree_bags.append(td.bags[current])
+                stack.extend(td.children.get(current, ()))
             cone = frozenset().union(*subtree_bags)
             covered = [lit for lit in literals if lit.variables <= cone]
             cone_vars = sorted(cone)
@@ -292,34 +340,20 @@ def test_node_tables_match_witness_semantics():
             }
             assert stored == expected
     assert joins[2] >= 3 and joins[3] >= 10, joins
-    assert introduces > 0 and forgets > 0
+    assert introduces > 0 and forgets > introduces, (introduces, forgets)
 
 
-def _unreduced_solver(query, db, k, ntd, table_cap):
+def _unreduced_solver(query, db, k, td, table_cap):
     """A solver whose rules run without the k = 1 pass, over the sols the
-    sweep finds bottom-up alone: a leaf's satisfying tuples, an introduce
-    node's extensions of its child's sols that keep the covered literals
-    true, a forget node's projections, and at a join its left child's sols,
-    which the join's merge keeps. A bag enumeration over the cap raises."""
-    solver = BagSolver(query, db, k, ntd, table_cap=10 ** 7)
+    sweep finds bottom-up alone: each bag's assignments that keep its
+    covered literals true and meet its children's bottom-up sols, with no
+    refusal at `most`. A join that builds more partial assignments than the
+    cap raises."""
+    solver = BagSolver(query, db, k, td, table_cap=10 ** 7)
     solver.table_cap = table_cap
-    ntd, sols = solver.ntd, {}
-    for node in ntd.postorder():
-        kind, kids = ntd.kinds[node], ntd.children.get(node, ())
-        if kind == "leaf":
-            sols[node] = solver.satisfying_tuples(node)
-        elif kind == "join":
-            sols[node] = sols[kids[0]]
-        elif kind[0] == "introduce":
-            order = solver.bag_order(node)
-            zpos = order.index(kind[1])
-            lits = solver.covered_literals(ntd.bags[node])
-            extended = [p[:zpos] + (idx,) + p[zpos:]
-                        for p in sols[kids[0]] for idx in solver.candidates[kind[1]]]
-            sols[node] = sorted(e for e in extended if solver.satisfies(order, e, lits))
-        else:
-            zpos = solver.bag_order(kids[0]).index(kind[1])
-            sols[node] = sorted({p[:zpos] + p[zpos + 1:] for p in sols[kids[0]]})
+    sols = {}
+    for node in td.postorder():
+        sols[node] = solver.satisfying_tuples(node, sols)
     solver.sols = sols
     return solver
 
@@ -365,19 +399,22 @@ def test_full_reducer_keeps_root_entries():
         query, plain_db = random_cqneg_query(rng, max_vars=5, dom_size=3)
         db = _with_dangling_rows(plain_db, rng)
         k = 2 if trial % 2 == 0 else 3
-        ntd = make_nice(tree_decompose(query))
-        reduced = BagSolver(query, db, k, ntd, table_cap=10 ** 7)
+        td = tree_decompose(query)
+        reduced = BagSolver(query, db, k, td, table_cap=10 ** 7)
         reduced.run()
-        full = _unreduced_solver(query, db, k, ntd, table_cap=10 ** 7)
+        full = _unreduced_solver(query, db, k, td, table_cap=10 ** 7)
         full.run()
-        dangling += any(len({tuple(full.tables[kid].sols) for kid in ntd.children[node]}) > 1
-                        for node in ntd.postorder() if ntd.kinds[node] == "join")
-        for node in ntd.postorder():
+        # a child with bottom-up sols that its parent's bottom-up sols miss
+        dangling += any(
+            not set(_project(full.sols[kid], td.bags[kid], td.bags[node] & td.bags[kid]))
+            <= set(_project(full.sols[node], td.bags[node], td.bags[node] & td.bags[kid]))
+            for node in td.postorder() for kid in td.children.get(node, ()))
+        for node in td.postorder():
             kept = set(reduced.sols[node])
             assert kept <= set(full.sols[node])
             assert _spelled_entries(reduced, node) == [
                 e for e in _spelled_entries(full, node) if kept.issuperset(e[0][0])]
-        root = ntd.root
+        root = td.root
         assert _spelled_entries(reduced, root) == _spelled_entries(full, root)
         assert [reduced.witness(key) for key in reduced.tables[root].entries] == \
             [full.witness(key) for key in full.tables[root].entries]
@@ -388,12 +425,11 @@ def test_full_reducer_keeps_root_entries():
 
 
 def test_reducer_refuses_a_wide_bag_before_building_it():
-    # A root bag over six variables above a leaf over one: the introduce
-    # chain multiplies the bag assignments by ten per variable. With k = 2
-    # and a cap of 1000 entries a node may hold 44 assignments (45 * 44 / 2
-    # sorted pairs is 990), so the k = 1 pass refuses at the first
-    # introduce, which builds 100; the million-assignment root is never
-    # built.
+    # A root bag over six variables above a leaf over one: the root's join
+    # has a million assignments. With k = 2 and a cap of 1000 entries a
+    # node may hold 44 assignments (45 * 44 / 2 sorted pairs is 990), so
+    # the k = 1 pass refuses the root's join after its 45th assignment; the
+    # million-assignment root is never built.
     variables = [f"x{i}" for i in range(1, 7)]
     query = parse_query(f"Q({', '.join(variables)}) :- "
                         + ", ".join(f"R({v})" for v in variables) + ".")
@@ -401,17 +437,16 @@ def test_reducer_refuses_a_wide_bag_before_building_it():
     db.add_relation("R", 1, [(v,) for v in range(10)])
     td = TreeDecomposition(root=0, children={0: (1,), 1: ()},
                            bags={0: frozenset(variables), 1: frozenset({"x1"})})
-    ntd = make_nice(td)
     with pytest.raises(TableGuardExceeded, match="over 44 bag assignments"):
-        BagSolver(query, db, 2, ntd, table_cap=1000)
+        BagSolver(query, db, 2, td, table_cap=1000)
     with pytest.raises(TableGuardExceeded):
         solve_cqneg(query, db, 2, None, SUM, decomposition=td, table_cap=1000)
-    # 100 assignments make 5050 sorted pairs: that cap lets the first
-    # introduce through and refuses the second, which builds 1000.
+    # 100 assignments make 5050 sorted pairs: that cap refuses the root's
+    # join after its 101st assignment, one less after its 100th.
     with pytest.raises(TableGuardExceeded, match="over 100 bag assignments"):
-        BagSolver(query, db, 2, ntd, table_cap=5050)
+        BagSolver(query, db, 2, td, table_cap=5050)
     with pytest.raises(TableGuardExceeded, match="over 99 bag assignments"):
-        BagSolver(query, db, 2, ntd, table_cap=5049)
+        BagSolver(query, db, 2, td, table_cap=5049)
 
 
 def test_leaf_enumeration_stops_at_the_bound(monkeypatch):
@@ -426,7 +461,6 @@ def test_leaf_enumeration_stops_at_the_bound(monkeypatch):
     db.add_relation("B", 1, [(v,) for v in range(100, 200)])
     db.add_relation("C", 2, [])
     td = TreeDecomposition(root=0, children={0: ()}, bags={0: frozenset({"x", "y"})})
-    ntd = make_nice(td)
     checked = []
     satisfies = BagSolver.satisfies
 
@@ -436,7 +470,7 @@ def test_leaf_enumeration_stops_at_the_bound(monkeypatch):
 
     monkeypatch.setattr(BagSolver, "satisfies", counting)
     with pytest.raises(TableGuardExceeded, match="over 140 bag assignments"):
-        BagSolver(query, db, 2, ntd, table_cap=10_000)
+        BagSolver(query, db, 2, td, table_cap=10_000)
     assert len(checked) == 141
 
 
@@ -444,8 +478,8 @@ def test_introduce_table_is_guarded_as_a_leaf_is():
     # Two values of x under five of y: the bag {x, y} holds 10 sols, whose
     # 55 sorted pairs fit caps from 55 up, so the k = 1 pass keeps them;
     # the 100 slot tuples they stand for fit only a cap of 100. The
-    # introduce node over {x, y} starts from the leaf's init over its sols,
-    # so it is refused exactly as a leaf over the same bag is.
+    # introduce rule at the bag {x, y} starts from the leaf's init over its
+    # sols, so it is refused exactly as a leaf over the same bag is.
     query = parse_query("Q(x, y) :- A(x), B(y).")
     db = Database()
     db.add_relation("A", 1, [(1,), (2,)])
@@ -454,19 +488,18 @@ def test_introduce_table_is_guarded_as_a_leaf_is():
     under_leaf = TreeDecomposition(root=0, children={0: (1,), 1: ()},
                                    bags={0: bag, 1: frozenset({"x"})})
     alone = TreeDecomposition(root=0, children={0: ()}, bags={0: bag})
-    for td, kind in ((under_leaf, ("introduce", "y")), (alone, "leaf")):
-        ntd = make_nice(td)
-        (node,) = [n for n in ntd.bags if ntd.bags[n] == bag]
-        assert ntd.kinds[node] == kind
+    for td, kids in ((under_leaf, (1,)), (alone, ())):
+        (node,) = [n for n in td.bags if td.bags[n] == bag]
+        assert td.children[node] == kids
         for cap in (55, 99):
-            solver = BagSolver(query, db, 2, ntd, table_cap=cap)
+            solver = BagSolver(query, db, 2, td, table_cap=cap)
             assert len(solver.sols[node]) == 10
             with pytest.raises(TableGuardExceeded, match=rf"^initial table at node {node}: "
                                r"10 partial solutions, 100 slot tuples$"):
                 solver.run()
             with pytest.raises(TableGuardExceeded):
                 solve_cqneg(query, db, 2, None, SUM, decomposition=td, table_cap=cap)
-        solver = BagSolver(query, db, 2, ntd, table_cap=100)
+        solver = BagSolver(query, db, 2, td, table_cap=100)
         solver.run()
         assert len(solver.tables[node].entries) == 55
 
@@ -481,13 +514,13 @@ def test_reducer_refuses_only_what_the_sweep_without_it_refuses():
         db = _with_dangling_rows(plain_db, rng)
         k = 2 if trial % 2 == 0 else 3
         cap = rng.randint(1, 60)
-        ntd = make_nice(tree_decompose(query))
+        td = tree_decompose(query)
         try:
-            BagSolver(query, db, k, ntd, table_cap=cap)
+            BagSolver(query, db, k, td, table_cap=cap)
         except TableGuardExceeded:
             refused += 1
             with pytest.raises(TableGuardExceeded):
-                _unreduced_solver(query, db, k, ntd, table_cap=cap).run()
+                _unreduced_solver(query, db, k, td, table_cap=cap).run()
     assert refused > 10, refused
 
 
@@ -523,19 +556,19 @@ def test_unrelated_domain_values_cost_nothing():
 
 def test_candidates_check_positive_atoms():
     db = Database.from_rows({"R": [(1, 2)], "S": [(1,)]})
-    nice = make_nice(tree_decompose(parse_query("Q(x) :- R(x, y), !S(x).")))
+    td = tree_decompose(parse_query("Q(x) :- R(x, y), !S(x)."))
     for text, error in (("Q(x) :- R(x, y), T(x), !S(x).", UnknownRelation),
                         ("Q(x) :- R(x, y), S(x, y).", ArityMismatch)):
         q = parse_query(text)
         with pytest.raises(error):
             solve_cqneg(q, db, 1, None, SUM)
     with pytest.raises(UnknownRelation):
-        BagSolver(parse_query("Q(x) :- R(x, y), T(y), !S(x)."), db, 1, nice, 10 ** 7)
+        BagSolver(parse_query("Q(x) :- R(x, y), T(y), !S(x)."), db, 1, td, 10 ** 7)
 
 
 def test_deep_path_query_needs_no_recursion():
-    # A 2000-atom path gives a tree decomposition 2000 levels deep; building
-    # its nice form and walking the witness provenance must be iterative.
+    # A 2000-atom path gives a tree decomposition 2000 levels deep; walking
+    # it and the witness provenance must be iterative.
     n = 2000
     body = ", ".join(f"R(x{i}, x{i + 1})" for i in range(n))
     q = parse_query(f"Q(x0, x{n}) :- {body}, !S(x0).")
@@ -547,3 +580,46 @@ def test_deep_path_query_needs_no_recursion():
         assert diversity_of_set(SUM, out.witness, q.free_vars) == best
         for a in out.witness:
             assert set(a.as_payload_dict()) == {"x0", f"x{n}"}
+
+
+def test_bag_with_few_joint_solutions_is_answered_whatever_its_candidate_product():
+    # One bag over {x, y, z} holds R's 300 rows, whose candidate product is
+    # 300^3 = 27M tuples, past the default cap: the bag's join yields only
+    # the 300 rows, so the query is answered, as fo-kernel answers it.
+    rows = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(300)]
+    db = Database.from_rows({"R": rows, "S": [(0,)]})
+    query = parse_query("Q(x, y, z) :- R(x, y, z), !S(x).")
+    answers = materialize_answers(query, db)
+    assert len(answers.rows) == 299
+    expected = solve_fo_diverse(answers, 2, None, SUM)
+    out = solve_cqneg(query, db, 2, None, SUM, witness=True)
+    assert out.decision is expected.decision is True
+    assert out.diversity == expected.diversity == 3
+    assert len(set(out.witness)) == 2
+    assert diversity_of_set(SUM, out.witness, query.free_vars) == 3
+
+
+def test_join_that_builds_past_the_cap_is_refused(monkeypatch):
+    # A and B give 100 * 100 pairs, and C removes every one: the bag's join
+    # yields nothing, but would build and check 10,000 assignments. With a
+    # cap of 5000 it is refused once it has built more than that, before it
+    # checks the rest.
+    query = parse_query("Q(x, y) :- A(x), B(y), !C(x, y).")
+    db = Database()
+    db.add_relation("A", 1, [(v,) for v in range(100)])
+    db.add_relation("B", 1, [(v,) for v in range(100, 200)])
+    db.add_relation("C", 2, [(a, b) for a in range(100) for b in range(100, 200)])
+    td = TreeDecomposition(root=0, children={0: ()}, bags={0: frozenset({"x", "y"})})
+    checked = []
+    satisfies = BagSolver.satisfies
+
+    def counting(self, order, part, lits):
+        checked.append(part)
+        return satisfies(self, order, part, lits)
+
+    monkeypatch.setattr(BagSolver, "satisfies", counting)
+    with pytest.raises(TableGuardExceeded,
+                       match="^join at node 0 builds over 5000 partial bag assignments$"):
+        BagSolver(query, db, 2, td, table_cap=5000)
+    assert 0 < len(checked) < 5000
+    assert not BagSolver(query, db, 2, td, table_cap=10 ** 5).sols[0]

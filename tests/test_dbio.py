@@ -325,3 +325,33 @@ def test_integer_literal_past_the_int_limit_is_a_syntax_error(tmp_path):
     code, report = run(RunConfig(db_path=str(path), query_path=str(query), k=1, d=0))
     assert (code, report["error"]["code"]) == (2, "QuerySyntaxError")
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int converts any length")
+def test_csv_integer_past_the_int_limit_is_a_syntax_error(tmp_path):
+    # Both CSV readers refuse canonical integer text longer than `int`
+    # converts, at its line and field number, as a fact file refuses the
+    # same literal. Text at the limit is an int, and text that is not
+    # canonical stays a string, however long.
+    limit = sys.get_int_max_str_digits()
+    huge = "-" + "7" * (limit + 1)
+    message = f"integer literal of {limit + 1} digits exceeds the limit of {limit}"
+    d = tmp_path / "db"
+    d.mkdir()
+    (d / "R.csv").write_text(f"1,2\n\n3,{huge}\n", encoding="utf-8")
+    with pytest.raises(QuerySyntaxError) as err:
+        load_database(str(d))
+    assert str(err.value) == f"line 3, column 2: {message}"
+    answers = tmp_path / "answers.csv"
+    answers.write_text(f"x,y\n1,2\n{huge},3\n", encoding="utf-8")
+    with pytest.raises(QuerySyntaxError) as err:
+        read_answer_csv(str(answers))
+    assert str(err.value) == f"line 3, column 1: {message}"
+    query = tmp_path / "q.dq"
+    query.write_text("Q(x) :- R(x, y).\n", encoding="utf-8")
+    code, report = run(RunConfig(db_path=str(d), query_path=str(query), k=1, d=0))
+    assert (code, report["error"]["code"]) == (2, "QuerySyntaxError")
+    at_limit, padded = "7" * limit, "0" + "7" * (limit + 1)
+    (d / "R.csv").write_text(f"{at_limit},{padded}\n", encoding="utf-8")
+    assert load_database(str(d)).relations["R"].payload_rows() == {(int(at_limit), padded)}
+    assert sys.get_int_max_str_digits() == limit

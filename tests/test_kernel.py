@@ -178,6 +178,35 @@ def test_kernelize_small_input_unchanged():
     assert kernelize(answers, 2).rows == answers.rows
 
 
+def test_k_zero_is_answered_without_kernelizing(monkeypatch):
+    # At k = 0 the empty set is the only candidate, so the answer is the
+    # aggregate of no distances, as brute force finds, on one column and on
+    # two, with no answer at all too; the kernel is never built.
+    def unused(answers, k):
+        raise AssertionError("kernelize called at k = 0")
+
+    monkeypatch.setattr(kernel_module, "kernelize", unused)
+    for columns, rows in ((("x",), [(1,), (2,)]), (("x", "y"), [(1, 2), (2, 3), (1, 3)]),
+                          (("x",), [])):
+        answers = relation(columns, rows)
+        for aggregator in (SUM, MIN):
+            for dup in (False, True):
+                expected, chosen = bruteforce_diversity_on(answers, 0, aggregator,
+                                                           allow_duplicates=dup)
+                out = solve_fo_diverse(answers, 0, None, aggregator, allow_duplicates=dup,
+                                       witness=True)
+                assert (out.decision, out.diversity, out.witness) == (True, expected, chosen)
+        out = solve_fo_diverse(answers, 0, 1, SUM, witness=True)
+        assert (out.decision, out.diversity, out.witness) == (False, 0, None)
+
+
+def test_kernelize_refuses_k_below_one():
+    answers = relation(("x", "y"), [(1, 2), (2, 3)])
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=rf"kernelize needs k >= 1, got {k}"):
+            kernelize(answers, k)
+
+
 def bruteforce_diversity_on(answers, k, aggregator, **kw):
     return bruteforce_diversity(answers.assignments(), k, aggregator, **kw)
 
@@ -316,7 +345,7 @@ def test_capping_rule_matches_reference(case, t):
 
 
 @settings(max_examples=150, deadline=None)
-@given(capped_relations(min_k=1))  # the kernel size bound needs k >= 1
+@given(capped_relations(min_k=1))  # kernelize refuses k < 1
 def test_kernelize_and_search_match_reference(case):
     answers, k = case
     kernel = kernelize(answers, k)
