@@ -35,6 +35,14 @@ tuple up with a sorted parent tuple through a slot map sigma (parent slot i
 reads child slot sigma[i]), reads the child's per-pair values through it, and
 records sigma in the provenance link.
 
+A table is stored as rows or as a matrix. A table whose entries all come
+from one n x n distance matrix over its sols (an atom's initial table, and
+what merging such tables makes) keeps only that matrix: it holds one entry
+per sorted slot tuple, whose state is the tuple's pair distances in the
+matrix, and works out an entry's links only when the entry is read. Every
+other table stores its entries as rows, a dict. Both read alike: a
+read-only mapping in `combinations_with_replacement` order.
+
 A merge first makes its join functional: the shared variables of a parent
 sol pick at most one child sol, its partner. A child whose sols share a
 projection onto the shared variables is projected onto them (`dp_project`):
@@ -42,9 +50,13 @@ each entry lands at its slots' projections, re-sorted, once per arrangement
 of the slots that project alike, and each key keeps the first entry with the
 highest sum. The same projection is a decomposition's forget rule. A parent
 tuple holding a sol with no partner joins nothing. If every sol has a
-partner and the partners rise strictly with the sols, each sorted parent
-tuple reads its partners' (sorted) tuple under the identity; otherwise it
-reads the partners sorted, under the inverse of their stable argsort.
+partner and both tables are matrices, the merge adds matrices: entry
+(a, b) of the result is P[a][b] + C[single[a]][single[b]] less the shared
+distance, where single maps each parent sol to its partner. Otherwise, if
+every sol has a partner and the partners rise strictly with the sols, each
+sorted parent tuple reads its partners' (sorted) tuple under the identity;
+else it reads the partners sorted, under the inverse of their stable
+argsort.
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ import functools
 import itertools
 import math
 import operator
+from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -153,6 +166,111 @@ def _distance_matrix(sols: Sequence[tuple], variables: frozenset[str], names) ->
     return matrix
 
 
+def _sorted_tuples(n: int, k: int) -> int:
+    """How many sorted k-tuples n sols make: C(n + k - 1, k), and 1, the
+    empty tuple, when k = 0, even over no sols."""
+    return math.comb(n + k - 1, k) if k else 1
+
+
+def _sorting_map(partners: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The partners sorted, and the slot map sigma under which parent slot i
+    reads the slot that sorting moved partners[i] to: the inverse of their
+    stable argsort, the identity when they are already sorted."""
+    ctuple = tuple(sorted(partners))
+    slots = range(len(partners))
+    if ctuple == partners:
+        return ctuple, tuple(slots)
+    order = sorted(slots, key=partners.__getitem__)
+    return ctuple, tuple(sorted(slots, key=order.__getitem__))
+
+
+class _MatrixEntries(Mapping):
+    """A table's entries read off one n x n distance matrix over its sols.
+
+    There is one entry per sorted slot tuple: its state is the tuple's pair
+    distances in the matrix (() when stateless) and its sum is theirs. Each
+    fold, a (child table, partner of each sol) pair recorded by a merge that
+    added the child's matrix, gives every entry one provenance link, worked
+    out when the entry is read: the child key at the partners sorted, and
+    sigma, the inverse of their stable argsort. Nothing per entry is stored.
+    """
+
+    def __init__(self, matrix: list[list[int]], k: int, stateless: bool,
+                 folds: tuple[tuple[DPTable, list[int]], ...] = ()) -> None:
+        self.matrix = matrix
+        self.k = k
+        self.stateless = stateless
+        self.folds = folds
+        self._pairs = pair_order(k)
+
+    def __len__(self) -> int:
+        return _sorted_tuples(len(self.matrix), self.k)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return (key for key, _ in self.scored())
+
+    def __getitem__(self, key: tuple) -> tuple[int, tuple]:
+        total = self._sum(key)
+        if total is None:
+            raise KeyError(key)
+        return total, self._links(key[0])
+
+    def items(self) -> ItemsView:
+        return _MatrixItems(self)
+
+    def state(self, ptuple: tuple[int, ...]) -> tuple[int, ...]:
+        """The state of the entry at a sorted slot tuple."""
+        return () if self.stateless else self._distances(ptuple)
+
+    def scored(self) -> Iterator[tuple[tuple, int]]:
+        """(key, sum) per entry, in order, without the links."""
+        m, pairs, stateless = self.matrix, self._pairs, self.stateless
+        for ptuple in itertools.combinations_with_replacement(range(len(m)), self.k):
+            vec = tuple([m[ptuple[i]][ptuple[j]] for i, j in pairs])
+            yield (ptuple, () if stateless else vec), sum(vec)
+
+    def _sum(self, key: object) -> int | None:
+        """The sum of the entry at key, or None when the table holds none."""
+        if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], tuple)):
+            return None
+        ptuple, state = key
+        n = len(self.matrix)
+        if len(ptuple) != self.k or not all(isinstance(a, int) and 0 <= a < n for a in ptuple) \
+                or not all(map(operator.le, ptuple, ptuple[1:])):
+            return None
+        vec = self._distances(ptuple)
+        if state != (() if self.stateless else vec):
+            return None
+        return sum(vec)
+
+    def _distances(self, ptuple: tuple[int, ...]) -> tuple[int, ...]:
+        m = self.matrix
+        return tuple([m[ptuple[i]][ptuple[j]] for i, j in self._pairs])
+
+    def _links(self, ptuple: tuple[int, ...]) -> tuple:
+        links = []
+        for child, single in self.folds:
+            ctuple, sigma = _sorting_map(tuple([single[p] for p in ptuple]))
+            links.append((child, (ctuple, child.entries.state(ctuple)), sigma))
+        return tuple(links)
+
+
+class _MatrixItems(ItemsView):
+    def __iter__(self):
+        entries = self._mapping
+        if not entries.folds:
+            return ((key, (total, ())) for key, total in entries.scored())
+        links = entries._links
+        return ((key, (total, links(key[0]))) for key, total in entries.scored())
+
+
+def _scored(entries: Mapping) -> Iterator[tuple[tuple, int]]:
+    """(key, sum) per entry of a table, in order, without the links."""
+    if isinstance(entries, _MatrixEntries):
+        return entries.scored()
+    return zip(entries, map(operator.itemgetter(0), entries.values()))
+
+
 @dataclass(eq=False, repr=False)
 class DPTable:
     """DP table at one tree node: a join-tree atom or a decomposition bag.
@@ -166,6 +284,11 @@ class DPTable:
     holds the table itself, so it can reach a projection that is no tree
     node's table; so tables compare by identity, lest `==` or repr walk
     every table below.
+
+    entries are stored as rows, a dict, or as a matrix (`_MatrixEntries`):
+    `dp_init` makes a matrix table, and `dp_merge` makes one when it adds
+    the matrices of a functional join. Both are read-only mappings with the
+    same keys, order and values.
     """
 
     node: int
@@ -173,7 +296,14 @@ class DPTable:
     sols: list[tuple[int, ...]]
     k: int
     stateless: bool = False
-    entries: dict[tuple, tuple] = field(default_factory=dict)
+    entries: Mapping[tuple, tuple] = field(default_factory=dict)
+
+    @property
+    def matrix(self) -> list[list[int]] | None:
+        """The distance matrix a matrix table's entries are read off, or
+        None when they are stored as rows."""
+        entries = self.entries
+        return entries.matrix if isinstance(entries, _MatrixEntries) else None
 
     def guard(self, table_cap: int) -> None:
         if len(self.entries) > table_cap:
@@ -182,7 +312,7 @@ class DPTable:
     def check_bound(self, free_count: int) -> None:
         k, n = self.k, len(self.sols)
         if self.stateless:
-            bound = math.comb(n + k - 1, k)
+            bound = _sorted_tuples(n, k)
             assert all(tuple(sorted(key[0])) == key[0] for key in self.entries), \
                 "unsorted entry key"
         else:
@@ -193,15 +323,15 @@ class DPTable:
 
 def _slot_tuples(n: int, k: int, stateless: bool, table_cap: int) -> int | None:
     """The slot tuples a table over n sols counts: all n^k of them, or for a
-    stateless table the C(n + k - 1, k) sorted ones it stores. None when the
-    count has 64 bits more than table_cap, so surely exceeds it: a count far
-    past the cap could take minutes to compute and be too long to print."""
+    stateless table the sorted ones it stores. None when the count has 64
+    bits more than table_cap, so surely exceeds it: a count far past the cap
+    could take minutes to compute and be too long to print."""
     if n > 1:
         bits = (math.lgamma(n + k) - math.lgamma(k + 1) - math.lgamma(n)) / math.log(2) \
             if stateless else k * math.log2(n)
         if bits > max(table_cap, 1).bit_length() + 64:
             return None
-    return math.comb(n + k - 1, k) if stateless else n ** k
+    return _sorted_tuples(n, k) if stateless else n ** k
 
 
 def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
@@ -209,7 +339,8 @@ def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
             table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
     """Initial table: every sorted k-tuple of the node's sols, index tuples
     over its sorted variables, with its pair-distance vector (or () in a
-    stateless table) and the sum of its distances.
+    stateless table) and the sum of its distances. It is a matrix table:
+    only the sols' distance matrix is built.
 
     The guard counts the n^k slot tuples an exact table stands for, and
     the C(n + k - 1, k) sorted ones a stateless table stores. It also
@@ -227,15 +358,9 @@ def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
         raise TableGuardExceeded(
             f"initial table at node {node}: each entry's {k} slots make "
             f"{math.comb(k, 2)} pairs")
-    dist = _distance_matrix(sols, variables, free_vars)
-    pairs = pair_order(k)
-    table = DPTable(node=node, variables=variables, sols=sols, k=k, stateless=stateless)
-    entries = table.entries
-    for ptuple in itertools.combinations_with_replacement(range(n), k):
-        vec = tuple([dist[ptuple[i]][ptuple[j]] for i, j in pairs])
-        entries[(ptuple, () if stateless else vec)] = (sum(vec), ())
-    table.check_bound(len(free_vars))
-    return table
+    matrix = _distance_matrix(sols, variables, free_vars)
+    return DPTable(node=node, variables=variables, sols=sols, k=k, stateless=stateless,
+                   entries=_MatrixEntries(matrix, k, stateless))
 
 
 def dp_project(child: DPTable, node: int, variables: frozenset[str], *,
@@ -264,7 +389,7 @@ def dp_project(child: DPTable, node: int, variables: frozenset[str], *,
     # Where a slot tuple's entries land; a stateless entry's first slot map
     # depends on its projections alone, so they key its moves instead.
     cache: dict[tuple, list] = {}
-    for ckey, (value, _) in child.entries.items():
+    for ckey, value in _scored(child.entries):
         ctuple, cstate = ckey
         at = tuple([proj[c] for c in ctuple]) if stateless else ctuple
         moves = cache.get(at)
@@ -288,40 +413,29 @@ def dp_project(child: DPTable, node: int, variables: frozenset[str], *,
 
 
 class _Join:
-    """Lines up the sorted tuples of a child table with those of its parent.
-
-    A child with two sols that share a projection onto the shared variables
-    is first projected onto them (`dp_project`), so each parent sol has at
-    most one partner, the child sol sharing its projection: single[p], None
-    when there is none. If every sol has one and the partners rise
-    strictly, `direct` maps each child tuple to its entries under the
-    identity; otherwise `aligned` reads each parent tuple's partners sorted,
-    and finds no child tuple for a tuple holding a sol with no partner.
+    """Lines up the sorted tuples of a child table with those of its parent,
+    given each parent sol's partner: single[p], the child sol sharing its
+    projection onto the shared variables, or None when there is none. If
+    every sol has one and the partners rise strictly, `direct` maps each
+    child tuple to its entries under the identity; otherwise `aligned` reads
+    each parent tuple's partners sorted, and finds no child tuple for a
+    tuple holding a sol with no partner.
     """
 
-    def __init__(self, parent: DPTable, child: DPTable, free_vars: Sequence[str],
-                 table_cap: int) -> None:
-        shared = parent.variables & child.variables
-        proj_c = _project(child.sols, child.variables, shared)
-        if len(set(proj_c)) < len(proj_c):
-            child = dp_project(child, child.node, shared, table_cap=table_cap)
-            proj_c = child.sols
-        partner = {proj: c for c, proj in enumerate(proj_c)}
-        self.single = single = [partner.get(proj)
-                                for proj in _project(parent.sols, parent.variables, shared)]
-        # Distances on the shared free variables, which both sides count.
-        self.corr = _distance_matrix(parent.sols, parent.variables, shared & set(free_vars))
+    def __init__(self, child: DPTable, single: list[int | None]) -> None:
         self.child = child
-        self.identity = identity = tuple(range(parent.k))
+        self.single = single
+        self.identity = identity = tuple(range(child.k))
         self.direct: dict[tuple, list] | None = None
         if None not in single and all(map(operator.lt, single, single[1:])):
             self.direct = {}
-            for ckey, (value, _) in child.entries.items():
+            for ckey, value in _scored(child.entries):
                 self.direct.setdefault(ckey[0], []).append((ckey, identity, ckey[1], value))
             return
-        self.child_keys: dict[tuple, list[tuple]] = {}  # sorted child tuple -> its keys
-        for key in child.entries:
-            self.child_keys.setdefault(key[0], []).append(key)
+        # sorted child tuple -> (key, sum) of its entries
+        self.child_keys: dict[tuple, list[tuple[tuple, int]]] = {}
+        for ckey, value in _scored(child.entries):
+            self.child_keys.setdefault(ckey[0], []).append((ckey, value))
         self._cache: dict[tuple, list] = {}
 
     def aligned(self, ptuple: tuple[int, ...]) -> Sequence[tuple[tuple, tuple, tuple, int]]:
@@ -330,8 +444,7 @@ class _Join:
 
         Parent slot i joins only the child sol partners[i], so the child
         tuple is the partners sorted, and slot i reads the child slot that
-        sorting moved partners[i] to: sigma is the inverse of the partners'
-        stable argsort, the identity when they are already sorted.
+        sorting moved partners[i] to (`_sorting_map`).
         """
         single = self.single
         partners = tuple([single[p] for p in ptuple])
@@ -340,20 +453,14 @@ class _Join:
             return found
         if None in partners:
             return ()
-        ctuple = tuple(sorted(partners))
-        if ctuple == partners:
-            sigma = self.identity
-        else:
-            order = sorted(self.identity, key=partners.__getitem__)
-            sigma = tuple(sorted(self.identity, key=order.__getitem__))  # its inverse
-        entries = self.child.entries
+        ctuple, sigma = _sorting_map(partners)
         keys = self.child_keys.get(ctuple, ())
-        if sigma is self.identity or self.child.stateless:
-            found = [(ckey, sigma, ckey[1], entries[ckey][0]) for ckey in keys]
+        if sigma == self.identity or self.child.stateless:
+            found = [(ckey, sigma, ckey[1], value) for ckey, value in keys]
         else:
             pmap = _pair_map(sigma)
-            found = [(ckey, sigma, tuple([ckey[1][m] for m in pmap]), entries[ckey][0])
-                     for ckey in keys]
+            found = [(ckey, sigma, tuple([ckey[1][m] for m in pmap]), value)
+                     for ckey, value in keys]
         self._cache[partners] = found
         return found
 
@@ -367,16 +474,34 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     state subtracts pair by pair too. Per new key, the first candidate with
     the highest sum donates provenance. A child whose sols share a projection onto the
     shared variables is merged as its projection onto them, which the links
-    then reach. The guard runs once per parent slot tuple that joins, and
-    once at the end.
+    then reach. When both tables are matrices and every parent sol has a
+    partner, each parent tuple meets one child entry, so the merge adds the
+    matrices and records the fold. Otherwise the guard runs once per parent
+    slot tuple that joins, and once at the end.
     """
-    join = _Join(parent, child, free_vars, table_cap)
-    child = join.child
+    shared = parent.variables & child.variables
+    proj_c = _project(child.sols, child.variables, shared)
+    if len(set(proj_c)) < len(proj_c):
+        child = dp_project(child, child.node, shared, table_cap=table_cap)
+        proj_c = child.sols
+    partner = {proj: c for c, proj in enumerate(proj_c)}
+    single = [partner.get(proj) for proj in _project(parent.sols, parent.variables, shared)]
+    # Distances on the shared free variables, which both sides count.
+    corr = _distance_matrix(parent.sols, parent.variables, shared & set(free_vars))
+    pm, cm = parent.matrix, child.matrix
+    if pm is not None and cm is not None and None not in single:
+        matrix = [[p + crow[s] - c for p, s, c in zip(prow, single, corrow)]
+                  for prow, corrow, crow in zip(pm, corr, [cm[s] for s in single])]
+        merged = replace(parent, entries=_MatrixEntries(
+            matrix, parent.k, parent.stateless, parent.entries.folds + ((child, single),)))
+        merged.guard(table_cap)
+        return merged
+    join = _Join(child, single)
     merged = replace(parent, entries={})
     out = merged.entries
     add = operator.add
-    corr, pairs = join.corr, pair_order(parent.k)
-    single, direct = join.single, join.direct
+    pairs = pair_order(parent.k)
+    direct = join.direct
     last = None  # entries of one slot tuple are adjacent
     for (ptuple, state), (value, refs) in parent.entries.items():
         if ptuple != last:
@@ -410,12 +535,13 @@ def dp_finalize(root: DPTable, aggregator: Aggregator, threshold: float | None,
     Entries with a zero pairwise distance are dropped unless duplicates are
     allowed; the best entry maximizes the aggregate of its state, or in a
     stateless table its sum (first such entry wins). A threshold of None
-    asks only for the maximum.
+    asks only for the maximum. The entries are read one by one, so a matrix
+    root is never stored entry by entry.
     """
     stateless = root.stateless
     best_key = None
     best_val = None
-    for key, (total, _) in root.entries.items():
+    for key, total in _scored(root.entries):
         state = key[1]
         if not allow_duplicates and not all(state):
             continue

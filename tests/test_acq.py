@@ -1,9 +1,12 @@
 import itertools
+import math
+import operator
 import random
 
 import pytest
 
 from diverseq.acq import (
+    _slot_tuples,
     _sorted_sols,
     _traverse,
     dp_finalize,
@@ -76,6 +79,86 @@ def test_dp_init_k1_has_empty_distance_vector():
     table = dp_init(0, atom.variables, _sorted_sols(atom, fx.db), 1, fx.query.free_vars)
     assert len(table.entries) == 2
     assert all(key[1] == () for key in table.entries)
+
+
+def test_matrix_table_reads_as_its_rows():
+    # An initial table keeps only its distance matrix, yet reads as the
+    # read-only mapping of its rows: one entry per sorted slot tuple, in
+    # combinations_with_replacement order, each (sum, no links).
+    sols = [(1, 5), (1, 6), (2, 5), (3, 7)]
+    variables = frozenset({"x", "y"})
+    for k in (1, 2, 3):
+        for stateless in (False, True):
+            table = dp_init(0, variables, sols, k, ["x", "y"], stateless=stateless)
+            entries = table.entries
+            assert table.matrix is not None
+            tuples = list(itertools.combinations_with_replacement(range(len(sols)), k))
+            assert len(entries) == len(tuples) == math.comb(len(sols) + k - 1, k)
+            assert [key[0] for key in entries] == tuples
+            assert list(entries.keys()) == list(entries)
+            rows = {}
+            for ptuple in tuples:
+                vec = tuple(sum(map(operator.ne, sols[ptuple[i]], sols[ptuple[j]]))
+                            for i, j in pair_order(k))
+                rows[(ptuple, () if stateless else vec)] = (sum(vec), ())
+            assert list(entries.items()) == list(rows.items())
+            assert list(entries.values()) == list(rows.values())
+            assert entries == rows and dict(entries) == rows
+            assert all(key in entries and entries[key] == rows[key] for key in rows)
+            if k < 2:
+                continue
+            # Foreign keys: wrong state, unsorted tuple, index out of range
+            # (either end), wrong arity, and not a key at all.
+            ptuple, state = next(key for key in rows if key[0] == (0, 3) + (3,) * (k - 2))
+            wrong_state = (ptuple, (9,) * len(pair_order(k)))
+            if stateless:
+                wrong_state = (ptuple, state + (0,))
+            foreign = [
+                wrong_state,
+                ((3, 0) + ptuple[2:], state),
+                ((0,) * (k - 1) + (len(sols),), state),
+                ((-1,) + (0,) * (k - 1), state),
+                (ptuple[:-1], state),
+                (ptuple + (3,), state),
+                ptuple,
+                [ptuple, state],
+            ]
+            for key in foreign:
+                assert key not in entries
+                assert entries.get(key) is None
+                with pytest.raises(KeyError):
+                    entries[key]
+
+
+def test_matrix_table_without_sols():
+    # No sols: no entry for k >= 1, and the one empty tuple for k = 0.
+    for stateless in (False, True):
+        for k in (1, 2):
+            table = dp_init(0, frozenset({"x"}), [], k, ["x"], stateless=stateless)
+            assert table.entries == {} and len(table.entries) == 0
+            assert list(table.entries) == [] and ((0,) * k, ()) not in table.entries
+        table = dp_init(0, frozenset({"x"}), [], 0, ["x"], stateless=stateless)
+        assert table.entries == {((), ()): (0, ())}
+
+
+def test_k0_counts_the_empty_tuple():
+    # k = 0 asks for the empty set of answers, which exists whether or not
+    # the query has answers: one slot tuple, for exact and stateless tables
+    # (which once failed to count it over no sols).
+    assert _slot_tuples(0, 0, True, 10) == _slot_tuples(0, 0, False, 10) == 1
+    q = parse_query("Q(x) :- R(x), S(x).")
+    for r_rows in ([(3,)], [(1,), (2,)]):
+        db = Database.from_rows({"R": r_rows, "S": [(1,), (2,)]})
+        answers = enumerate_answers(q, db)
+        for aggregator in (SUM, MIN):
+            for dup in (False, True):
+                expected, best = bruteforce_diversity(answers, 0, aggregator, allow_duplicates=dup)
+                assert best == ()
+                out = solve_acq(q, db, 0, None, aggregator, witness=True, allow_duplicates=dup)
+                assert (out.decision, out.diversity, out.witness) == (True, expected, ())
+                assert out.stats["max_table"] == 1
+        out = solve_acq_sum_dup(q, db, 0, None, witness=True)
+        assert (out.decision, out.diversity, out.witness) == (True, 0, ())
 
 
 def test_dp_merge_disjoint_free_vars_adds_distances():
@@ -567,6 +650,7 @@ def test_dp_merge_matches_reference_merge():
     merges = 0
     cycles = set()
     partner_maps = set()
+    added = set()  # (stateless, kind) of merges that added matrices
     for query, db, k in cases:
         free = query.free_vars
         jt = gyo_join_tree(query)
@@ -578,8 +662,16 @@ def test_dp_merge_matches_reference_merge():
                                 k, free, stateless=stateless)
                 for child in jt.children.get(node, ()):
                     expected = reference_merge(table, tables[child], free)
-                    partner_maps.add((stateless, _partner_map_kind(table, tables[child])))
+                    kind = _partner_map_kind(table, tables[child])
+                    partner_maps.add((stateless, kind))
+                    # A functional join of two matrix tables adds matrices;
+                    # a projected or unjoined one stores rows.
+                    fold = kind in ("identity", "increasing", "permuted") \
+                        and table.matrix is not None and tables[child].matrix is not None
                     table = dp_merge(table, tables[child], free)
+                    assert (table.matrix is not None) == fold
+                    if fold:
+                        added.add((stateless, kind))
                     assert spelled_links(table.entries) == spelled_links(expected)
                     merges += 1
                     cycles.update(
@@ -592,6 +684,8 @@ def test_dp_merge_matches_reference_merge():
     for stateless in (False, True):
         for kind in ("identity", "increasing", "permuted", "projected", "unjoined"):
             assert (stateless, kind) in partner_maps
+        for kind in ("identity", "increasing", "permuted"):
+            assert (stateless, kind) in added
 
 
 def _partner_map_kind(parent, child):
@@ -677,6 +771,67 @@ def test_oracle_equivalence_small():
                 assert got.decision is False
             else:
                 assert got.diversity == expected
+
+
+def _functional_chain(rng: random.Random, atoms: int):
+    """A path query C0(x0, x1), ..., whose relations are one-to-one, with
+    some free variables dropped: every join along the path is functional in
+    both directions, so the join tree folds each child, whose own children
+    are folded first."""
+    names = [f"x{i}" for i in range(atoms + 1)]
+    free = [v for v in names if rng.random() < 0.7] or names[:1]
+    body = ", ".join(f"C{i}(x{i}, x{i + 1})" for i in range(atoms))
+    query = parse_query(f"Q({', '.join(free)}) :- {body}.")
+    rows = rng.randint(2, 5)
+    columns = [rng.sample(range(1, 9), rows) for _ in range(atoms + 1)]
+    db = Database.from_rows({
+        f"C{i}": list(zip(columns[i], columns[i + 1])) + [(90 + i, 80 + i)]
+        for i in range(atoms)
+    })
+    return query, db
+
+
+def test_folded_chains_and_stars_match_bruteforce():
+    # Merges that add matrices, in chains of three or more atoms (folds of
+    # folds) and in independent-set stars, agree with the brute force on
+    # decision and diversity, under sum and min, with and without
+    # duplicates, and every witness re-verifies.
+    rng = random.Random(2024)
+    cases = [_functional_chain(rng, rng.randint(3, 5)) for _ in range(16)]
+    for n in (4, 5):
+        star = Graph.from_edges(n, [(1, v) for v in range(2, n + 1)])
+        fx = independent_set_to_diverse_query(star, 2)
+        cases.append((fx.query, fx.db))
+    nested = 0
+    for query, db in cases:
+        answers = enumerate_answers(query, db)
+        free = query.free_vars
+        for k in (2, 3):
+            for dup in (False, True):
+                jt, tables, _ = _traverse(query, db, k, free, dup, 10 ** 7)
+                root = tables[jt.root].entries
+                assert root.folds
+                nested += any(child.entries.folds for child, _ in root.folds)
+                for aggregator in (SUM, MIN):
+                    expected, _ = bruteforce_diversity(answers, k, aggregator,
+                                                       allow_duplicates=dup)
+                    if dup and aggregator is SUM:
+                        out = solve_acq_sum_dup(query, db, k, None, witness=True)
+                    else:
+                        out = solve_acq(query, db, k, None, aggregator, witness=True,
+                                        allow_duplicates=dup)
+                    assert out.decision is (expected is not None)
+                    assert out.diversity == expected
+                    if expected is None:
+                        continue
+                    assert len(out.witness) == k
+                    assert all(a in answers for a in out.witness)
+                    assert dup or len(set(out.witness)) == k
+                    assert diversity_of_set(aggregator, out.witness, free) == expected
+                    for d, decision in ((expected, True), (expected + 1, False)):
+                        assert solve_acq(query, db, k, d, aggregator,
+                                         allow_duplicates=dup).decision is decision
+    assert nested > 0
 
 
 # --- deep join trees ------------------------------------------------------------

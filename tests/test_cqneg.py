@@ -185,6 +185,22 @@ def test_supplied_nice_decomposition_gives_the_same_outcome():
     assert witnesses >= 20
 
 
+def test_k0_counts_the_empty_tuple():
+    # k = 0 asks for the empty set of answers, which exists whether or not
+    # the query has answers, in exact and stateless tables alike.
+    q = parse_query("Q(x) :- R(x), !S(x).")
+    for r_rows in ([(1,)], [(1,), (2,), (3,)]):
+        db = Database.from_rows({"R": r_rows, "S": [(1,)]})
+        answers = enumerate_answers(q, db)
+        for aggregator in (SUM, MIN):
+            for dup in (False, True):
+                expected, best = bruteforce_diversity(answers, 0, aggregator, allow_duplicates=dup)
+                assert best == ()
+                out = solve_cqneg(q, db, 0, None, aggregator, witness=True, allow_duplicates=dup)
+                assert (out.decision, out.diversity, out.witness) == (True, expected, ())
+                assert out.stats["max_table"] == 1
+
+
 def test_table_guard():
     q, db = grid_instance()
     with pytest.raises(TableGuardExceeded):
