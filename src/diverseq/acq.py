@@ -44,19 +44,18 @@ other table stores its entries as rows, a dict. Both read alike: a
 read-only mapping in `combinations_with_replacement` order.
 
 A merge first makes its join functional: the shared variables of a parent
-sol pick at most one child sol, its partner. A child whose sols share a
-projection onto the shared variables is projected onto them (`dp_project`):
-each entry lands at its slots' projections, re-sorted, once per arrangement
-of the slots that project alike, and each key keeps the first entry with the
-highest sum. The same projection is a decomposition's forget rule. A parent
-tuple holding a sol with no partner joins nothing. If every sol has a
-partner and both tables are matrices, the merge adds matrices: entry
+sol pick at most one child sol, its partner. The merge alone decides whether
+a child is projected: one whose sols share a projection onto the shared
+variables is projected onto them (`dp_project`), and any other is merged as
+it is. A projection lands each entry at its slots' projections, re-sorted,
+once per arrangement of the slots that project alike, and keeps per key the
+first entry with the highest sum; it is also a decomposition's forget rule.
+A parent tuple holding a sol with no partner joins nothing. If every sol has
+a partner and both tables are matrices, the merge adds matrices: entry
 (a, b) of the result is P[a][b] + C[single[a]][single[b]] less the shared
-distance, where single maps each parent sol to its partner. Otherwise, if
-every sol has a partner and the partners rise strictly with the sols, each
-sorted parent tuple reads its partners' (sorted) tuple under the identity;
-else it reads the partners sorted, under the inverse of their stable
-argsort.
+distance, where single maps each parent sol to its partner. Otherwise each
+sorted parent tuple reads its partners sorted, under the inverse of their
+stable argsort, which is the identity when they are already sorted.
 """
 
 from __future__ import annotations
@@ -412,57 +411,25 @@ def dp_project(child: DPTable, node: int, variables: frozenset[str], *,
     return table
 
 
-class _Join:
-    """Lines up the sorted tuples of a child table with those of its parent,
-    given each parent sol's partner: single[p], the child sol sharing its
-    projection onto the shared variables, or None when there is none. If
-    every sol has one and the partners rise strictly, `direct` maps each
-    child tuple to its entries under the identity; otherwise `aligned` reads
-    each parent tuple's partners sorted, and finds no child tuple for a
-    tuple holding a sol with no partner.
+def _aligned(child_keys: dict[tuple, list[tuple[tuple, int]]], partners: tuple,
+             stateless: bool) -> Sequence[tuple[tuple, tuple, tuple, int]]:
+    """(child key, sigma, child state read through sigma, child sum) for the
+    child entries joining a parent tuple whose slot i has the partner
+    partners[i], given the child's (key, sum) pairs per sorted tuple; none
+    when a slot has no partner.
+
+    Parent slot i joins only the child sol partners[i], so the child tuple
+    is the partners sorted, and slot i reads the child slot that sorting
+    moved partners[i] to (`_sorting_map`).
     """
-
-    def __init__(self, child: DPTable, single: list[int | None]) -> None:
-        self.child = child
-        self.single = single
-        self.identity = identity = tuple(range(child.k))
-        self.direct: dict[tuple, list] | None = None
-        if None not in single and all(map(operator.lt, single, single[1:])):
-            self.direct = {}
-            for ckey, value in _scored(child.entries):
-                self.direct.setdefault(ckey[0], []).append((ckey, identity, ckey[1], value))
-            return
-        # sorted child tuple -> (key, sum) of its entries
-        self.child_keys: dict[tuple, list[tuple[tuple, int]]] = {}
-        for ckey, value in _scored(child.entries):
-            self.child_keys.setdefault(ckey[0], []).append((ckey, value))
-        self._cache: dict[tuple, list] = {}
-
-    def aligned(self, ptuple: tuple[int, ...]) -> Sequence[tuple[tuple, tuple, tuple, int]]:
-        """(child key, sigma, child state read through sigma, child sum) for
-        the child entries joining ptuple, cached per partner sequence.
-
-        Parent slot i joins only the child sol partners[i], so the child
-        tuple is the partners sorted, and slot i reads the child slot that
-        sorting moved partners[i] to (`_sorting_map`).
-        """
-        single = self.single
-        partners = tuple([single[p] for p in ptuple])
-        found = self._cache.get(partners)
-        if found is not None:
-            return found
-        if None in partners:
-            return ()
-        ctuple, sigma = _sorting_map(partners)
-        keys = self.child_keys.get(ctuple, ())
-        if sigma == self.identity or self.child.stateless:
-            found = [(ckey, sigma, ckey[1], value) for ckey, value in keys]
-        else:
-            pmap = _pair_map(sigma)
-            found = [(ckey, sigma, tuple([ckey[1][m] for m in pmap]), value)
-                     for ckey, value in keys]
-        self._cache[partners] = found
-        return found
+    if None in partners:
+        return ()
+    ctuple, sigma = _sorting_map(partners)
+    keys = child_keys.get(ctuple, ())
+    if stateless or ctuple == partners:  # no state to read, or sigma is the identity
+        return [(ckey, sigma, ckey[1], value) for ckey, value in keys]
+    pmap = _pair_map(sigma)
+    return [(ckey, sigma, tuple([ckey[1][m] for m in pmap]), value) for ckey, value in keys]
 
 
 def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
@@ -472,17 +439,22 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     Compatible entry pairs add their states and their sums, less the
     distance already counted on the shared variables, which a non-empty
     state subtracts pair by pair too. Per new key, the first candidate with
-    the highest sum donates provenance. A child whose sols share a projection onto the
-    shared variables is merged as its projection onto them, which the links
-    then reach. When both tables are matrices and every parent sol has a
-    partner, each parent tuple meets one child entry, so the merge adds the
-    matrices and records the fold. Otherwise the guard runs once per parent
-    slot tuple that joins, and once at the end.
+    the highest sum donates provenance.
+
+    This is the one place that decides whether a child is projected: a
+    child whose sols share a projection onto the shared variables is merged
+    as its projection onto them (`dp_project`), which the links then reach,
+    and any other child is merged as it is. When both tables are matrices
+    and every parent sol has a partner, each parent tuple meets one child
+    entry, so the merge adds the matrices and records the fold. Otherwise
+    the guard runs once per parent slot tuple that joins, and once at the
+    end.
     """
     shared = parent.variables & child.variables
     proj_c = _project(child.sols, child.variables, shared)
     if len(set(proj_c)) < len(proj_c):
         child = dp_project(child, child.node, shared, table_cap=table_cap)
+        child.check_bound(len(free_vars))
         proj_c = child.sols
     partner = {proj: c for c, proj in enumerate(proj_c)}
     single = [partner.get(proj) for proj in _project(parent.sols, parent.variables, shared)]
@@ -496,18 +468,23 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
             matrix, parent.k, parent.stateless, parent.entries.folds + ((child, single),)))
         merged.guard(table_cap)
         return merged
-    join = _Join(child, single)
+    # sorted child tuple -> (key, sum) of its entries
+    child_keys: dict[tuple, list[tuple[tuple, int]]] = {}
+    for ckey, value in _scored(child.entries):
+        child_keys.setdefault(ckey[0], []).append((ckey, value))
+    cache: dict[tuple, Sequence] = {}  # partners -> `_aligned` of them
     merged = replace(parent, entries={})
     out = merged.entries
     add = operator.add
     pairs = pair_order(parent.k)
-    direct = join.direct
     last = None  # entries of one slot tuple are adjacent
     for (ptuple, state), (value, refs) in parent.entries.items():
         if ptuple != last:
             last = ptuple
-            aligned = join.aligned(ptuple) if direct is None \
-                else direct.get(tuple([single[p] for p in ptuple]), ())
+            partners = tuple([single[p] for p in ptuple])
+            aligned = cache.get(partners)
+            if aligned is None:
+                aligned = cache[partners] = _aligned(child_keys, partners, child.stateless)
             if aligned:
                 merged.guard(table_cap)
                 corrvec = [corr[ptuple[i]][ptuple[j]] for i, j in pairs]

@@ -17,12 +17,15 @@ is refused as soon as its join passes that count.
 Then, bottom-up, each node's table is an `acq.DPTable` over those sols:
 
     leaf       `dp_init` of a childless bag
-    forget     a child's table projected onto the variables it shares with
-               its parent (`dp_project`)
-    introduce  the bag's `dp_init` merged with its first child's forget
-               (`dp_merge`), or that forget alone when the bag adds no
-               variable to the child's
-    join       the table so far merged with each further child's forget
+    introduce  the bag's `dp_init` merged with its first child's table
+               (`dp_merge`); or, when the bag adds no variable to the
+               child's, the forget: the child's table projected onto the
+               bag (`dp_project`)
+    join       the table so far merged with each further child's table
+
+`dp_merge` alone decides whether a child is projected before it is joined:
+it projects one whose sols share a projection onto the shared variables,
+and merges any other as it is.
 
 Tables are stateless exactly when acq's are: when the solve sums distances
 and allows duplicate answers. The root is decided by `dp_finalize` and the
@@ -219,14 +222,14 @@ class BagSolver:
         return table
 
     def introduce(self, node: int, child: int) -> DPTable:
-        table = self.forget(node, child)
         if self.td.bags[node] <= self.td.bags[child]:
-            return table  # the bag's sols are the forget's, and so is its table
-        return dp_merge(self.leaf(node), table, self.query.free_vars,
+            # the bag's sols are the child's projected onto it, and so is its table
+            return self.forget(node, child)
+        return dp_merge(self.leaf(node), self.tables[child], self.query.free_vars,
                         table_cap=self.table_cap)
 
-    def join(self, node: int, table: DPTable, child: int) -> DPTable:
-        return dp_merge(table, self.forget(node, child), self.query.free_vars,
+    def join(self, table: DPTable, child: int) -> DPTable:
+        return dp_merge(table, self.tables[child], self.query.free_vars,
                         table_cap=self.table_cap)
 
     # -- driver ----------------------------------------------------------------
@@ -236,7 +239,7 @@ class BagSolver:
             kids = self.td.children.get(node, ())
             table = self.introduce(node, kids[0]) if kids else self.leaf(node)
             for child in kids[1:]:
-                table = self.join(node, table, child)
+                table = self.join(table, child)
             self.tables[node] = table
 
     def witness(self, root_key: tuple) -> tuple[Assignment, ...]:

@@ -643,8 +643,8 @@ def test_dp_merge_matches_reference_merge():
     cases.append((chain, Database.from_rows({"C1": c1 + [(40, 8)],
                                              "C0": c0 + [(4, 40), (5, 40)]}), 3))
     # A parent sol (x1 = 50) that no C0 row joins, with the other partners
-    # rising and then rotated: tuples holding it make no entry on the
-    # direct path and on the per-tuple one.
+    # rising and then rotated: tuples holding it make no entry, whether the
+    # other slots read their partners under the identity or not.
     for child_rows in ([(1, 10), (2, 20), (3, 30)], c0):
         cases.append((chain, Database.from_rows({"C1": c1 + [(50, 9)], "C0": child_rows}), 3))
     merges = 0

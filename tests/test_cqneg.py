@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from diverseq import cqneg
 from diverseq.acq import _project, dp_init, solve_acq
 from diverseq.cqneg import BagSolver, solve_cqneg
 from diverseq.errors import ArityMismatch, TableGuardExceeded, UnknownRelation
@@ -275,10 +276,11 @@ def test_node_tables_match_witness_semantics():
     # forget is the reference projection of a child's table onto the
     # variables it shares with its parent. A node with children starts from
     # its init over its sols, and its table is the reference merge of each
-    # child's reference projection into that, child by child, entry for
-    # entry; the first merge is the introduce rule, each further one the
-    # join rule. A bag that adds no variable to its first child's starts
-    # from that child's projection instead.
+    # child's table into that, child by child, entry for entry, the merge
+    # projecting a child only where its join is not functional; the first
+    # merge is the introduce rule, each further one the join rule. A bag
+    # that adds no variable to its first child's starts from that child's
+    # forget instead.
     rng = random.Random(79)
     joins = {2: 0, 3: 0}
     introduces = forgets = 0
@@ -318,8 +320,8 @@ def test_node_tables_match_witness_semantics():
                     reference = projected
                 else:
                     introduces += n == 0
-                    reference = replace(reference,
-                                        entries=reference_merge(reference, projected, free))
+                    reference = replace(reference, entries=reference_merge(
+                        reference, solver.tables[child], free))
             joins[k] += max(len(kids) - 1, 0)  # join rules applied
             assert spelled_links(solver.tables[node].entries) == \
                 spelled_links(reference.entries)
@@ -359,6 +361,57 @@ def test_node_tables_match_witness_semantics():
     assert introduces > 0 and forgets > introduces, (introduces, forgets)
 
 
+def test_solver_projects_only_a_child_whose_bag_holds_its_parents(monkeypatch):
+    # dp_merge alone decides whether a child it joins is projected. The
+    # solver projects a table itself (the forget) only for a bag that adds
+    # no variable to its first child's, once per such bag, in postorder.
+    projections = []
+    project = cqneg.dp_project
+
+    def recording(child, node, variables, **kwargs):
+        projections.append((child.node, node, variables))
+        return project(child, node, variables, **kwargs)
+
+    monkeypatch.setattr(cqneg, "dp_project", recording)
+    rng = random.Random(5)
+    forgets = merged = 0
+    for _ in range(60):
+        query, db = random_cqneg_query(rng, max_vars=5, dom_size=3)
+        td = tree_decompose(query)
+        projections.clear()
+        BagSolver(query, db, 2, td, table_cap=10 ** 7).run()
+        expected = []
+        for node in td.postorder():
+            kids = td.children.get(node, ())
+            shortcut = bool(kids) and td.bags[node] <= td.bags[kids[0]]
+            if shortcut:
+                expected.append((kids[0], node, td.bags[node]))
+            merged += len(kids) - shortcut
+        assert projections == expected
+        forgets += len(expected)
+    assert forgets > 0 and merged > 0, (forgets, merged)
+
+
+def test_some_solver_merges_add_matrices(monkeypatch):
+    # A child table that joins its parent one to one is merged as it is,
+    # so where both are matrices and every parent sol has a partner, the
+    # merge adds matrices, as acq's merges do.
+    results = []
+    merge = cqneg.dp_merge
+
+    def recording(*args, **kwargs):
+        results.append(merge(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cqneg, "dp_merge", recording)
+    rng = random.Random(5)
+    for _ in range(60):
+        query, db = random_cqneg_query(rng, max_vars=5, dom_size=3)
+        BagSolver(query, db, 2, tree_decompose(query), table_cap=10 ** 7).run()
+    added = sum(table.matrix is not None for table in results)
+    assert 0 < added < len(results), (added, len(results))
+
+
 def _unreduced_solver(query, db, k, td, table_cap):
     """A solver whose rules run without the k = 1 pass, over the sols the
     sweep finds bottom-up alone: each bag's assignments that keep its
@@ -377,15 +430,23 @@ def _unreduced_solver(query, db, k, td, table_cap):
 def _spelled_entries(solver, node):
     """A node's entries in order, slots spelled as their sols, each with its
     sum and its provenance links, each spelled as the linked table's node
-    and the child key spelled the same way."""
+    and the child key spelled the same way. A link into a table that is no
+    node's, a projection a merge made, is followed to the entry it
+    projects, composing the slot maps: whether a merge projects a child
+    depends on the child's sols, which the k = 1 pass may have cut."""
 
     def spell(table, key):
         return tuple(table.sols[p] for p in key[0]), key[1]
 
+    def link(child, ckey, sigma):
+        if solver.tables.get(child.node) is not child:
+            ((child, ckey, inner),) = child.entries[ckey][1]
+            sigma = tuple(inner[s] for s in sigma)
+        return child.node, spell(child, ckey), sigma
+
     table = solver.tables[node]
     return [
-        (spell(table, key), value,
-         tuple((child.node, spell(child, ckey), sigma) for child, ckey, sigma in refs))
+        (spell(table, key), value, tuple(link(*ref) for ref in refs))
         for key, (value, refs) in table.entries.items()
     ]
 
