@@ -379,34 +379,19 @@ def exhaustive_join_tree(query: Query):
     Trees are generated from Prüfer sequences; validity does not depend on
     the choice of root. Intended for small queries only.
     """
-    from .structure import TreeDecomposition, validate_decomposition
+    from .structure import _orient, _tree, validate_decomposition
 
     atoms = query.conjuncts[0].positive_atoms
     n = len(atoms)
     bags = {i: atom.variables for i, atom in enumerate(atoms)}
     if n == 1:
-        return TreeDecomposition(root=0, children={0: ()}, bags=bags)
+        return _tree(0, {}, bags)
     for seq in itertools.product(range(n), repeat=max(0, n - 2)):
-        edges = _pruefer_to_edges(list(seq), n)
-        children: dict[int, list[int]] = {i: [] for i in range(n)}
-        seen = {0}
-        queue = [0]
         adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
-        for a, b in edges:
+        for a, b in _pruefer_to_edges(list(seq), n):
             adjacency[a].add(b)
             adjacency[b].add(a)
-        while queue:
-            node = queue.pop(0)
-            for other in sorted(adjacency[node]):
-                if other not in seen:
-                    seen.add(other)
-                    children[node].append(other)
-                    queue.append(other)
-        candidate = TreeDecomposition(
-            root=0,
-            children={i: tuple(cs) for i, cs in children.items()},
-            bags=bags,
-        )
+        candidate = _tree(0, _orient(0, adjacency), bags)
         if not validate_decomposition(candidate, query):
             return candidate
     return None

@@ -1,6 +1,10 @@
 """Join trees (via GYO ear removal), tree decompositions (min-fill
-elimination orders), the nice normal form (which no engine uses), and
-validators.
+elimination), the nice normal form (which no engine uses), and validators.
+
+Each tree is built in one pass: GYO counts, for each variable, the remaining
+atoms that hold it, and min-fill records each bag as it eliminates its vertex.
+GYO, min-fill, the text parser and the oracle's exhaustive search all make
+their trees from parent links through one constructor, `_tree`.
 
 All constructions are deterministic: ears are removed in ascending atom-index
 order, elimination orders break ties by variable name, and node ids are
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -47,6 +52,29 @@ class TreeDecomposition:
         return _postorder(self.root, self.children)
 
 
+def _tree(root: int, parent: dict[int, int], bags: dict[int, frozenset[str]]
+          ) -> TreeDecomposition:
+    """The tree on the nodes of `bags` in which each node of `parent` hangs
+    below its parent; siblings in id order."""
+    children: dict[int, list[int]] = {n: [] for n in bags}
+    for child in sorted(parent):
+        children[parent[child]].append(child)
+    return TreeDecomposition(root, {n: tuple(cs) for n, cs in children.items()}, bags)
+
+
+def _orient(root: int, adj: dict[int, set[int]]) -> dict[int, int]:
+    """Parent links that orient the undirected forest `adj` away from `root`,
+    for each node the root reaches."""
+    parent: dict[int, int] = {}
+    queue = [root]
+    for node in queue:
+        for other in adj[node]:
+            if other != root and other not in parent:
+                parent[other] = node
+                queue.append(other)
+    return parent
+
+
 @dataclass
 class NiceTreeDecomposition(TreeDecomposition):
     """Tree decomposition restricted to leaf / introduce / forget / join nodes.
@@ -68,37 +96,30 @@ def gyo_join_tree(query: Query) -> TreeDecomposition | None:
     is a tree decomposition. Ear removal: repeatedly drop the lowest-index
     atom whose shared variables are covered by a single other atom (the
     lowest-index such witness becomes its parent). The last remaining atom
-    is the root.
+    is the root. A variable is shared while more than one remaining atom
+    holds it, so each ear reads its shared variables off those counts.
     """
     if query.kind != "cq":
         raise ValueError("join trees are defined for positive single-disjunct queries")
-    atoms = query.conjuncts[0].positive_atoms
-    atom_vars = [a.variables for a in atoms]
-    remaining = list(range(len(atoms)))
+    atom_vars = [a.variables for a in query.conjuncts[0].positive_atoms]
+    holders: Counter[str] = Counter()
+    for variables in atom_vars:
+        holders.update(variables)
+    remaining = list(range(len(atom_vars)))
     parent: dict[int, int] = {}
     while len(remaining) > 1:
-        ear = None
-        for i in remaining:
-            others = [j for j in remaining if j != i]
-            shared = atom_vars[i] & frozenset().union(*(atom_vars[j] for j in others))
-            witness = next((j for j in others if shared <= atom_vars[j]), None)
+        for ear in remaining:
+            shared = {v for v in atom_vars[ear] if holders[v] > 1}
+            witness = next((j for j in remaining if j != ear and shared <= atom_vars[j]), None)
             if witness is not None:
-                ear = (i, witness)
                 break
-        if ear is None:
+        else:
             return None
-        i, witness = ear
-        parent[i] = witness
-        remaining.remove(i)
-    root = remaining[0]
-    children: dict[int, list[int]] = {i: [] for i in range(len(atoms))}
-    for child, par in sorted(parent.items()):
-        children[par].append(child)
-    return TreeDecomposition(
-        root=root,
-        children={n: tuple(cs) for n, cs in children.items()},
-        bags=dict(enumerate(atom_vars)),
-    )
+        parent[ear] = witness
+        remaining.remove(ear)
+        for v in atom_vars[ear]:
+            holders[v] -= 1
+    return _tree(remaining[0], parent, dict(enumerate(atom_vars)))
 
 
 # --- tree decompositions -----------------------------------------------------
@@ -115,66 +136,40 @@ def primal_graph(conjunct: Conjunct) -> dict[str, set[str]]:
     return adj
 
 
-def _decomposition_from_order(adj: dict[str, set[str]], order: list[str]) -> TreeDecomposition:
-    """Standard bag tree from an elimination order (with fill-in)."""
-    if not adj:
-        return TreeDecomposition(root=0, children={0: ()}, bags={0: frozenset()})
-    work = {v: set(ns) for v, ns in adj.items()}
-    position = {v: i for i, v in enumerate(order)}
-    bags: dict[int, frozenset[str]] = {}
-    parent_of: dict[int, int] = {}
-    bag_of_vertex: dict[str, int] = {}
-    for i, v in enumerate(order):
-        neighbors = work[v]
-        bags[i] = frozenset({v} | neighbors)
-        bag_of_vertex[v] = i
-        for a, b in itertools.combinations(neighbors, 2):
-            work[a].add(b)
-            work[b].add(a)
-        for n in neighbors:
-            work[n].discard(v)
-        del work[v]
-    for i, v in enumerate(order):
-        rest = bags[i] - {v}
-        if rest:
-            first = min(rest, key=lambda u: position[u])
-            parent_of[i] = bag_of_vertex[first]
-    root = len(order) - 1
-    # Orphan component roots hang off the global root; their variables appear
-    # nowhere else, so connectedness is unaffected.
-    for i in range(len(order)):
-        if i != root and i not in parent_of:
-            parent_of[i] = root
-    children: dict[int, list[int]] = {i: [] for i in bags}
-    for child, par in sorted(parent_of.items()):
-        children[par].append(child)
-    return TreeDecomposition(
-        root=root,
-        children={n: tuple(cs) for n, cs in children.items()},
-        bags=bags,
-    )
+def tree_decompose(query: Query) -> TreeDecomposition:
+    """Tree decomposition of a single-disjunct query's primal graph, from a
+    min-fill elimination order. Its width is an upper bound on the treewidth,
+    which is all the bag engine needs.
 
-
-def _min_fill_order(adj: dict[str, set[str]]) -> list[str]:
-    """Eliminate, each time, the vertex whose neighbours lack the fewest
-    edges, the least name first among ties. Fill counts live in a heap and
-    are recounted only around the eliminated vertex, where they can change."""
-    work = {v: set(ns) for v, ns in adj.items()}
+    Each step eliminates the vertex whose neighbours lack the fewest edges,
+    the least name first among ties, and joins its neighbours into a clique
+    (fill-in). Bag i is the i-th eliminated vertex with its neighbours at that
+    moment; its parent is the bag of the first of those neighbours to go.
+    """
+    if len(query.conjuncts) != 1:
+        raise ValueError("tree decompositions are built per disjunct")
+    work = primal_graph(query.conjuncts[0])
+    if not work:
+        return _tree(0, {}, {0: frozenset()})
 
     def fill(v: str) -> int:
         return sum(1 for a, b in itertools.combinations(work[v], 2) if b not in work[a])
 
+    # Fill counts live in a heap and are recounted only around the
+    # eliminated vertex, where they can change.
     current = {v: fill(v) for v in work}
     heap = [(f, v) for v, f in current.items()]
     heapq.heapify(heap)
-    order: list[str] = []
+    position: dict[str, int] = {}
+    bags: dict[int, frozenset[str]] = {}
     while work:
         f, best = heapq.heappop(heap)
         if best not in work or current[best] != f:
             continue  # a stale count
-        order.append(best)
         neighbors = work.pop(best)
-        for a, b in itertools.combinations(sorted(neighbors), 2):
+        position[best] = len(bags)
+        bags[len(bags)] = frozenset(neighbors | {best})
+        for a, b in itertools.combinations(neighbors, 2):
             work[a].add(b)
             work[b].add(a)
         for n in neighbors:
@@ -187,17 +182,12 @@ def _min_fill_order(adj: dict[str, set[str]]) -> list[str]:
             if f != current[v]:
                 current[v] = f
                 heapq.heappush(heap, (f, v))
-    return order
-
-
-def tree_decompose(query: Query) -> TreeDecomposition:
-    """Tree decomposition of a single-disjunct query's primal graph, from a
-    min-fill elimination order. Its width is an upper bound on the treewidth,
-    which is all the bag engine needs."""
-    if len(query.conjuncts) != 1:
-        raise ValueError("tree decompositions are built per disjunct")
-    adj = primal_graph(query.conjuncts[0])
-    return _decomposition_from_order(adj, _min_fill_order(adj))
+    root = len(bags) - 1
+    # A bag with no later neighbour roots a component of its own; it hangs
+    # off the global root, as its variables appear nowhere else.
+    parent = {i: min((position[u] for u in bag if position[u] > i), default=root)
+              for i, bag in bags.items() if i != root}
+    return _tree(root, parent, bags)
 
 
 # --- nice normal form ----------------------------------------------------------
@@ -368,8 +358,10 @@ def format_decomposition(td: TreeDecomposition) -> str:
 def parse_decomposition(text: str) -> TreeDecomposition:
     """Parse the line format accepted by the CLI's --decomposition flag.
 
-    Items may be separated by newlines or semicolons. Edges are undirected
-    and oriented away from the declared root; a repeated edge is harmless.
+    Items may be separated by newlines or semicolons. `node N bag` with no
+    variable list is an empty bag, as format_decomposition writes one.
+    Edges are undirected and oriented away from the declared root; a
+    repeated edge is harmless.
     A malformed item, a node declared twice, an edge to an undeclared node,
     a self-loop, an edge that closes a cycle, and a node the root cannot
     reach are each a QuerySyntaxError at the line that holds them.
@@ -385,10 +377,10 @@ def parse_decomposition(text: str) -> TreeDecomposition:
                 continue
             parts = item.split()
             try:
-                if parts[0] == "node" and len(parts) == 3:
+                if parts[0] == "node" and parts[2:3] == ["bag"] and len(parts) <= 4:
+                    node, bag_text = int(parts[1]), "".join(parts[3:])
+                elif parts[0] == "node" and len(parts) == 3:
                     node, bag_text = int(parts[1]), parts[2]
-                elif parts[0] == "node" and len(parts) == 4 and parts[2] == "bag":
-                    node, bag_text = int(parts[1]), parts[3]
                 elif parts[0] == "edge" and len(parts) == 3:
                     edges.append((int(parts[1]), int(parts[2]), lineno))
                     continue
@@ -429,16 +421,9 @@ def parse_decomposition(text: str) -> TreeDecomposition:
         component[find(a)] = find(b)
         adj[a].add(b)
         adj[b].add(a)
-    children: dict[int, tuple[int, ...]] = {}
-    seen = {root}
-    queue = [root]
-    for node in queue:
-        kids = tuple(sorted(n for n in adj[node] if n not in seen))
-        children[node] = kids
-        seen.update(kids)
-        queue.extend(kids)
-    if len(seen) < len(bags):
-        stray = min(set(bags) - seen, key=node_line.__getitem__)
+    parent = _orient(root, adj)
+    if len(parent) + 1 < len(bags):
+        stray = min(set(bags) - set(parent) - {root}, key=node_line.__getitem__)
         raise QuerySyntaxError(f"node {stray} is not connected to root {root}",
                                node_line[stray], 1)
-    return TreeDecomposition(root=root, children=children, bags=bags)
+    return _tree(root, parent, bags)

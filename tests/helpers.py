@@ -1,18 +1,51 @@
-"""Shared test utilities: random instance generators and tiny independent
+"""Shared test utilities: random instance generators, tiny independent
 oracles (assignment enumeration over the full domain) used to cross-check the
-dynamic-programming tables.
+dynamic-programming tables, and a runner for code in a new interpreter.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from typing import Sequence
 
 from diverseq.model import Assignment, Database, hamming_distance, pair_order
-from diverseq.queries import Atom, Conjunct, Literal, Query, Variable
-from diverseq.structure import tree_decompose
+from diverseq.queries import Atom, Conjunct, Literal, Query, Variable, parse_query
+from diverseq.structure import gyo_join_tree, tree_decompose
+
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+def fresh_python(code: str, **env: str) -> list[str]:
+    """Run `code` in a new interpreter that imports the package from src/
+    and these helpers, with `env` added to its environment; returns its
+    stdout lines."""
+    path = os.pathsep.join(filter(None, (os.path.join(TESTS_DIR, os.pardir, "src"), TESTS_DIR,
+                                         os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def tree_shapes(texts: Sequence[str]) -> list[str]:
+    """For each query text, its GYO join tree (None when it is cyclic or
+    has negation) and its min-fill decomposition, as comparable text."""
+    def shape(td):
+        return None if td is None else (
+            td.root, sorted(td.children.items()), sorted((n, sorted(b)) for n, b in td.bags.items()))
+
+    lines = []
+    for text in texts:
+        query = parse_query(text)
+        gyo = gyo_join_tree(query) if query.kind == "cq" else None
+        lines.append(repr((shape(gyo), shape(tree_decompose(query)))))
+    return lines
 
 
 def random_acyclic_query(rng: random.Random, *, max_atoms: int = 4,

@@ -252,6 +252,20 @@ def test_decomposition_flag(tmp_path):
     assert code == 0 and report["decision"] == "yes"
 
 
+def test_written_empty_bag_is_read_back(tmp_path, capsys):
+    # A query without variables decomposes into one empty bag, which
+    # format_decomposition writes as `node 0 bag`.
+    text = "Q() :- R(1, 2), !S(3)."
+    db_path, query_path = write_fixture(tmp_path, {"R": [(1, 2)], "S": [(4,)]}, text)
+    td_path = tmp_path / "dec.txt"
+    td_path.write_text(format_decomposition(tree_decompose(parse_query(text))))
+    argv = ["--db", db_path, "--query", query_path, "--k", "1", "--d", "0",
+            "--decomposition", str(td_path), "--output", "json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["decision"] == "yes" and report["routing"] == "cqneg"
+
+
 @pytest.mark.parametrize("text, code", [
     ("node 0 bag x,y\nroot 5\n", "QuerySyntaxError"),  # the root is no node
     ("root 0\n", "QuerySyntaxError"),  # no node at all

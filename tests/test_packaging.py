@@ -2,8 +2,9 @@ import ast
 import json
 import os
 import re
-import subprocess
 import sys
+
+from helpers import fresh_python
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "diverseq")
@@ -180,16 +181,6 @@ def test_tracer_labels_each_op_with_the_engine_that_ran(tmp_path, monkeypatch):
                                witness=True)
         (code, report), record = tracer.run_op(i, lambda: cli.run(config))
         assert code == 0 and record["engine"] == engine, (engine, report, record["engine"])
-
-
-def fresh_python(code: str) -> list[str]:
-    """Run `code` in a new interpreter that imports the package from src/;
-    returns its stdout lines."""
-    path = os.pathsep.join(filter(None, (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()
 
 
 def test_readme_library_snippet_runs_and_every_export_resolves():

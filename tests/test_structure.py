@@ -5,18 +5,18 @@ import pytest
 
 from diverseq.errors import QuerySyntaxError
 from diverseq.oracle import exhaustive_join_tree
-from diverseq.queries import parse_query
+from diverseq.queries import parse_query, render_query
 from diverseq.structure import (
-    _min_fill_order,
     TreeDecomposition,
     format_decomposition,
     gyo_join_tree,
     make_nice,
     parse_decomposition,
+    primal_graph,
     tree_decompose,
     validate_decomposition,
 )
-from helpers import random_general_query
+from helpers import fresh_python, random_cqneg_query, random_general_query, tree_shapes
 
 
 def test_star_query_is_acyclic():
@@ -151,14 +151,39 @@ def test_validator_catches_disconnected_variable():
 
 
 def test_decomposition_round_trip():
+    # Both builders' trees, and the empty bag of a ground atom's join-tree
+    # node and of a query without variables, read back as written.
+    queries = [parse_query("Q(x) :- R(x, 2), T(5)."), parse_query("Q() :- R(1, 2), !S(3).")]
     rng = random.Random(2)
-    for _ in range(10):
-        query, _ = random_general_query(rng)
-        td = tree_decompose(query)
-        again = parse_decomposition(format_decomposition(td))
-        assert again.bags == td.bags
-        assert again.root == td.root
-        assert validate_decomposition(again, query) == []
+    queries += [random_general_query(rng, max_atoms=8, max_vars=8)[0] for _ in range(150)]
+    queries += [random_cqneg_query(rng)[0] for _ in range(150)]
+    trees = 0
+    for query in queries:
+        built = [tree_decompose(query)]
+        if query.kind == "cq":
+            built.append(gyo_join_tree(query))
+        for td in filter(None, built):
+            again = parse_decomposition(format_decomposition(td))
+            assert (again.root, again.children, again.bags) == (td.root, td.children, td.bags)
+            assert validate_decomposition(again, query) == []
+            trees += 1
+    assert trees > 400, trees
+
+
+def test_empty_bag_line_is_an_empty_bag():
+    assert parse_decomposition("node 0 bag\nroot 0").bags == {0: frozenset()}
+    assert parse_decomposition("node 0 bag bag\nroot 0").bags == {0: frozenset({"bag"})}
+
+
+def test_trees_do_not_depend_on_string_hashing():
+    rng = random.Random(31)
+    texts = [render_query(random_general_query(rng, max_atoms=8, max_vars=8)[0])
+             for _ in range(60)]
+    texts += [render_query(random_cqneg_query(rng)[0]) for _ in range(60)]
+    code = f"from helpers import tree_shapes\nprint(*tree_shapes({texts!r}), sep='\\n')\n"
+    expected = tree_shapes(texts)
+    for seed in ("1", "2"):
+        assert fresh_python(code, PYTHONHASHSEED=seed) == expected, seed
 
 
 def test_decomposition_semicolon_format():
@@ -220,6 +245,18 @@ def _min_fill_by_rescan(adj):
     return order
 
 
+def _elimination_order(td):
+    """The vertex each bag eliminates, in node order: bag i minus its
+    parent's bag, which must be exactly that one vertex."""
+    parent = {child: node for node, kids in td.children.items() for child in kids}
+    order = []
+    for node in range(len(td.bags)):
+        own = td.bags[node] - td.bags[parent[node]] if node in parent else td.bags[node]
+        assert len(own) == 1, (node, own)
+        order.extend(own)
+    return order
+
+
 def test_min_fill_order_matches_full_rescan():
     rng = random.Random(97)
     for _ in range(300):
@@ -229,7 +266,13 @@ def test_min_fill_order_matches_full_rescan():
             if rng.random() < rng.choice([0.2, 0.4, 0.7]):
                 adj[a].add(b)
                 adj[b].add(a)
-        assert _min_fill_order(adj) == _min_fill_by_rescan(adj)
+        # a query whose primal graph is adj: an atom per edge and per
+        # isolated vertex
+        atoms = [f"E({a}, {b})" for a in names for b in sorted(adj[a]) if a < b]
+        atoms += [f"V({v})" for v in names if not adj[v]]
+        query = parse_query(f"Q() :- {', '.join(atoms)}.")
+        assert primal_graph(query.conjuncts[0]) == adj
+        assert _elimination_order(tree_decompose(query)) == _min_fill_by_rescan(adj)
 
 
 def test_deep_decomposition_needs_no_recursion():
