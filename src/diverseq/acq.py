@@ -49,7 +49,7 @@ a child is projected: one whose sols share a projection onto the shared
 variables is projected onto them (`dp_project`), and any other is merged as
 it is. A projection lands each entry at its slots' projections, re-sorted,
 once per arrangement of the slots that project alike, and keeps per key the
-first entry with the highest sum; it is also a decomposition's forget rule.
+first entry with the highest sum; no other rule of either engine projects.
 A parent tuple holding a sol with no partner joins nothing. If every sol has
 a partner and both tables are matrices, the merge adds matrices: entry
 (a, b) of the result is P[a][b] + C[single[a]][single[b]] less the shared
@@ -362,7 +362,7 @@ def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
                    entries=_MatrixEntries(matrix, k, stateless))
 
 
-def dp_project(child: DPTable, node: int, variables: frozenset[str], *,
+def dp_project(child: DPTable, variables: frozenset[str], *,
                table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
     """The child's table seen from fewer variables, a subset of its own.
 
@@ -373,16 +373,16 @@ def dp_project(child: DPTable, node: int, variables: frozenset[str], *,
     whose projections stay strictly increasing lands as it is. Per key the
     first entry with the highest sum is kept. A stateless entry lands on
     one key under every arrangement, so it takes only the first, the stable
-    argsort of its projections. This is a forget node's rule, and how
-    `dp_merge` sees a child whose sols share a projection onto the shared
-    variables: marginalized before it is joined.
+    argsort of its projections. Only `dp_merge` projects a table, a child
+    whose sols share a projection onto the shared variables, and the
+    projection keeps the child's node id.
     """
     proj_sols = _project(child.sols, child.variables, variables)
     sols = sorted(set(proj_sols))
     index = {p: n for n, p in enumerate(sols)}
     proj = [index[p] for p in proj_sols]  # child sol -> projected sol
     stateless = child.stateless
-    table = DPTable(node=node, variables=variables, sols=sols, k=child.k, stateless=stateless)
+    table = replace(child, variables=variables, sols=sols, entries={})
     out = table.entries
     identity = tuple(range(child.k))
     # Where a slot tuple's entries land; a stateless entry's first slot map
@@ -453,7 +453,7 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     shared = parent.variables & child.variables
     proj_c = _project(child.sols, child.variables, shared)
     if len(set(proj_c)) < len(proj_c):
-        child = dp_project(child, child.node, shared, table_cap=table_cap)
+        child = dp_project(child, shared, table_cap=table_cap)
         child.check_bound(len(free_vars))
         proj_c = child.sols
     partner = {proj: c for c, proj in enumerate(proj_c)}

@@ -11,21 +11,21 @@ each child's sols projected onto the variables they share, the sols of
 every positive atom the bag covers, and each bag variable's candidate
 values, filtered by the negative literals the bag covers. acq's down sweep
 (Yannakakis, VLDB 1981) then leaves exactly each bag's share of the
-answers. A bag whose sols outnumber what a table under the cap could pair
-is refused as soon as its join passes that count.
+answers. A join is refused once it builds more partial assignments than
+the cap, and the root's, whose sols the sweep leaves, as soon as they
+outnumber what a table under the cap could pair.
 
 Then, bottom-up, each node's table is an `acq.DPTable` over those sols:
 
     leaf       `dp_init` of a childless bag
     introduce  the bag's `dp_init` merged with its first child's table
                (`dp_merge`); or, when the bag adds no variable to the
-               child's, the forget: the child's table projected onto the
-               bag (`dp_project`)
+               child's, the forget: the child's table under the bag's id
     join       the table so far merged with each further child's table
 
-`dp_merge` alone decides whether a child is projected before it is joined:
-it projects one whose sols share a projection onto the shared variables,
-and merges any other as it is.
+Only `dp_merge` projects a table, a child whose sols share a projection
+onto the shared variables. A forget needs none: whatever a bag inside its
+child's shares with its parent or siblings lies in that bag.
 
 Tables are stateless exactly when acq's are: when the solve sums distances
 and allows duplicate answers. The root is decided by `dp_finalize` and the
@@ -41,6 +41,7 @@ safe, so every variable lies in some positive atom, which some bag covers.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 from .acq import (
     DPTable,
@@ -50,7 +51,6 @@ from .acq import (
     dp_finalize,
     dp_init,
     dp_merge,
-    dp_project,
     extract_witness,
 )
 from .errors import DEFAULT_TABLE_CAP, TableGuardExceeded
@@ -151,8 +151,8 @@ class BagSolver:
                           below: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
         """The node's bottom-up sols, given its children's in `below`: the
         candidate assignments of its bag that satisfy the literals it covers
-        and meet each child's sols on the variables they share, sorted. They
-        are refused as soon as they pass `most` (`_bounded`)."""
+        and meet each child's sols on the variables they share, sorted. The
+        root's are refused as soon as they pass `most` (`_bounded`)."""
         bags = self.td.bags
         bag, order = bags[node], tuple(sorted(bags[node]))
         inputs = []
@@ -166,9 +166,9 @@ class BagSolver:
                    for lit in covered if lit.positive]
         inputs += [((v,), [(i,) for i in self.candidates[v]]) for v in order]
         negative = [lit for lit in covered if not lit.positive]
-        joined = _join(inputs, order, self.table_cap, node)
-        return sorted(self._bounded(node, (part for part in joined
-                                           if self.satisfies(order, part, negative))))
+        parts = (part for part in _join(inputs, order, self.table_cap, node)
+                 if self.satisfies(order, part, negative))
+        return sorted(self._bounded(node, parts) if node == self.td.root else parts)
 
     def satisfies(self, order: tuple[str, ...], part: tuple[int, ...],
                   lits: list[Literal]) -> bool:
@@ -216,14 +216,12 @@ class BagSolver:
                        table_cap=self.table_cap)
 
     def forget(self, node: int, child: int) -> DPTable:
-        table = dp_project(self.tables[child], node, self.td.bags[node] & self.td.bags[child],
-                           table_cap=self.table_cap)
-        table.check_bound(len(self.query.free_vars))
-        return table
+        # the parent's merge projects it onto what they share, if it must
+        return replace(self.tables[child], node=node)
 
     def introduce(self, node: int, child: int) -> DPTable:
         if self.td.bags[node] <= self.td.bags[child]:
-            # the bag's sols are the child's projected onto it, and so is its table
+            # the bag's sols are the child's projected onto it
             return self.forget(node, child)
         return dp_merge(self.leaf(node), self.tables[child], self.query.free_vars,
                         table_cap=self.table_cap)

@@ -326,12 +326,12 @@ def _read_state(state: tuple, sigma: Sequence[int]) -> tuple:
     return tuple(state[pos[tuple(sorted((sigma[i], sigma[j])))]] for i, j in pairs)
 
 
-def reference_project(child, node: int, variables):
-    """The table `acq.dp_project(child, node, variables, ...)` must produce,
-    built naively: the child's distinct projections onto `variables`,
-    sorted, as sols; every child entry tried under every slot map sigma
-    whose rearranged tuple projects to a sorted tuple; per new key the
-    first candidate with the highest sum kept.
+def reference_project(child, variables):
+    """The table `acq.dp_project(child, variables, ...)` must produce,
+    under the child's node id, built naively: the child's distinct
+    projections onto `variables`, sorted, as sols; every child entry tried
+    under every slot map sigma whose rearranged tuple projects to a sorted
+    tuple; per new key the first candidate with the highest sum kept.
 
     Candidates come per child entry, then per slot map: of the maps that
     rearrange the child tuple alike only the lexicographically first is
@@ -354,7 +354,7 @@ def reference_project(child, node: int, variables):
             prior = out.get(key)
             if prior is None or value > prior[0]:
                 out[key] = (value, ((child, ckey, sigma),))
-    return replace(child, node=node, variables=frozenset(variables), sols=sols, entries=out)
+    return replace(child, variables=frozenset(variables), sols=sols, entries=out)
 
 
 def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
@@ -376,7 +376,7 @@ def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
     shared = sorted(parent.variables & child.variables)
     proj = _projections(child, shared)
     if len(set(proj)) < len(proj):
-        child = reference_project(child, child.node, shared)
+        child = reference_project(child, shared)
     shared_free = [v for v in shared if v in free_vars]
     by_tuple: dict[tuple, list[tuple]] = {}
     for ckey in child.entries:

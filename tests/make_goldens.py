@@ -8,7 +8,8 @@ canonical JSON output with the volatile timing field removed).
 With --check nothing under tests/golden/ is written: every case is rebuilt in
 a temporary directory and compared with the committed files. Each changed
 run of lines, or each changed field of expected.json, is printed as
-old -> new, and the exit code is 1 if anything changed.
+old -> new, and the exit code is 1 if anything changed. A changed witness
+that lists the same answers in another slot order is marked as such.
 """
 
 from __future__ import annotations
@@ -71,6 +72,13 @@ def _fields(report: dict, prefix: str = "") -> dict:
     return out
 
 
+def _same_answers(old: object, new: object) -> bool:
+    """Whether two witnesses list the same answers, in any slot order."""
+    if not (isinstance(old, list) and isinstance(new, list)):
+        return False
+    return sorted(map(canonical_json, old)) == sorted(map(canonical_json, new))
+
+
 def _changes(name: str, old: str | None, new: str) -> list[str]:
     """Lines `name ...: old -> new` for what differs between two versions."""
     if old == new:
@@ -81,6 +89,9 @@ def _changes(name: str, old: str | None, new: str) -> list[str]:
         before, after = _fields(json.loads(old)), _fields(json.loads(new))
         return [
             f"{name} {field}: {json.dumps(before.get(field))} -> {json.dumps(after.get(field))}"
+            + (" (same answers, another slot order)"
+               if field == "witness" and _same_answers(before.get(field), after.get(field))
+               else "")
             for field in sorted(before.keys() | after.keys())
             if before.get(field) != after.get(field)
         ]

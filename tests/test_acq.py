@@ -741,8 +741,9 @@ def test_dp_project_matches_reference_project():
                     for size in range(len(names)):
                         for kept in itertools.combinations(names, size):
                             kept = frozenset(kept)
-                            got = dp_project(source, 99, kept)
-                            expected = reference_project(source, 99, kept)
+                            got = dp_project(source, kept)
+                            expected = reference_project(source, kept)
+                            assert (got.node, got.variables) == (node, kept)
                             assert got.sols == expected.sols
                             assert list(got.entries.items()) == list(expected.entries.items())
                             got.check_bound(len(free))

@@ -391,6 +391,25 @@ def test_golden_files_match_their_generator():
     assert make_goldens.drift() == []
 
 
+def test_golden_check_marks_a_witness_in_another_slot_order():
+    def report(witness, max_table=6):
+        return canonical_json({"decision": "yes", "diversity": 1,
+                               "stats": {"k": 2, "max_table": max_table},
+                               "witness": witness})
+
+    old = report([{"x": 1, "y": 2}, {"x": 2, "y": 1}])
+    moved = report([{"y": 1, "x": 2}, {"x": 1, "y": 2}], max_table=5)
+    assert make_goldens._changes("expected.json", old, moved) == [
+        "expected.json stats.max_table: 6 -> 5",
+        'expected.json witness: [{"x": 1, "y": 2}, {"x": 2, "y": 1}] -> '
+        '[{"x": 2, "y": 1}, {"x": 1, "y": 2}] (same answers, another slot order)',
+    ]
+    for other in ([{"x": 1, "y": 2}, {"x": 1, "y": 2}], [{"x": 1, "y": 2}], None):
+        (line,) = make_goldens._changes("expected.json", old, report(other))
+        assert line.startswith("expected.json witness: ") and "slot order" not in line
+    assert make_goldens._changes("expected.json", old, old) == []
+
+
 def test_every_export_resolves():
     missing = [name for name in diverseq.__all__ if not hasattr(diverseq, name)]
     assert missing == []

@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from diverseq import cqneg
-from diverseq.acq import _project, dp_init, solve_acq
+from diverseq import acq, cqneg
+from diverseq.acq import _project, dp_init, dp_project, solve_acq
 from diverseq.cqneg import BagSolver, solve_cqneg
 from diverseq.errors import ArityMismatch, TableGuardExceeded, UnknownRelation
 from diverseq.kernel import materialize_answers, solve_fo_diverse
@@ -110,6 +110,20 @@ def test_forget_projects_and_coalesces():
     assert len(answers) == 1
     out = solve_cqneg(q, db, 1, 0, SUM)
     assert out.decision is True
+    # A root forget: the root {x} decides on its child's table over {x, y},
+    # whose two sols are one answer, so two distinct answers do not exist,
+    # and two with a duplicate reach 0, in exact and stateless tables.
+    td = TreeDecomposition(root=0, children={0: (1,), 1: ()},
+                           bags={0: frozenset({"x"}), 1: frozenset({"x", "y"})})
+    for aggregator in (SUM, MIN):
+        for dup, expected in ((False, (False, None)), (True, (True, 0))):
+            assert bruteforce_diversity(answers, 2, aggregator, allow_duplicates=dup)[0] \
+                == expected[1]
+            out = solve_cqneg(q, db, 2, None, aggregator, witness=True,
+                              allow_duplicates=dup, decomposition=td)
+            assert (out.decision, out.diversity) == expected
+            assert out.witness == (None if not dup else (next(iter(answers)),) * 2)
+            assert out.stats["max_table"] == 3  # the sorted pairs of two sols
 
 
 def test_join_rule_no_double_counting():
@@ -156,9 +170,12 @@ def test_invalid_decomposition_rejected():
 
 
 def test_supplied_nice_decomposition_gives_the_same_outcome():
-    # A nice decomposition is a tree decomposition, walked as it is: the
-    # decision and diversity are those of the plain one, each witness is a
-    # set of k distinct answers that realizes the diversity, and the stats
+    # A nice decomposition is a tree decomposition, walked as it is; most of
+    # its nodes are forgets, which hand their child's table on. The decision
+    # and diversity are those of the plain one and of the brute-force
+    # oracle, at k = 1 as well, and in stateless tables (sum with
+    # duplicates); each witness is a set of k answers, distinct unless
+    # duplicates are allowed, that realizes the diversity, and the stats
     # count each decomposition's own nodes.
     rng = random.Random(83)
     witnesses = 0
@@ -167,18 +184,23 @@ def test_supplied_nice_decomposition_gives_the_same_outcome():
         td = tree_decompose(query)
         nice_td = make_nice(td)
         answers = enumerate_answers(query, db)
-        for k, aggregator in ((2, SUM), (3, MIN)):
+        for k, aggregator, dup in ((1, SUM, False), (2, SUM, False), (3, MIN, False),
+                                   (2, SUM, True), (3, SUM, True)):
+            expected, _ = bruteforce_diversity(answers, k, aggregator, allow_duplicates=dup)
             plain = solve_cqneg(query, db, k, None, aggregator, witness=True,
-                                decomposition=td)
+                                allow_duplicates=dup, decomposition=td)
             nice = solve_cqneg(query, db, k, None, aggregator, witness=True,
-                               decomposition=nice_td)
+                               allow_duplicates=dup, decomposition=nice_td)
             assert (nice.decision, nice.diversity) == (plain.decision, plain.diversity)
+            assert (plain.decision, plain.diversity) == \
+                ((False, None) if expected is None else (True, expected))
             assert plain.stats["nodes"] == len(td.bags)
             assert nice.stats["nodes"] == len(nice_td.bags)
             for out in (plain, nice):
                 assert (out.witness is None) == (not out.decision)
                 if out.witness is not None:
-                    assert len(set(out.witness)) == k
+                    assert len(out.witness) == k
+                    assert dup or len(set(out.witness)) == k
                     assert all(a in answers for a in out.witness)
                     assert diversity_of_set(aggregator, out.witness,
                                             query.free_vars) == out.diversity
@@ -268,22 +290,39 @@ def test_witness_contract_random_cqneg():
         assert diversity_of_set(SUM, out.witness, query.free_vars) == out.diversity
 
 
+def is_checked_forget(solver, node):
+    """Whether node is a forget, a bag that adds no variable to its first
+    child's; if so, checks that its table is that child's under its id:
+    the same object's entries when it has no other child to join."""
+    td = solver.td
+    kids = td.children.get(node, ())
+    if not (kids and td.bags[node] <= td.bags[kids[0]]):
+        return False
+    table, first = solver.tables[node], solver.tables[kids[0]]
+    assert vars(solver.forget(node, kids[0])) == {**vars(first), "node": node}
+    assert table.node == node
+    assert (table.variables, table.sols) == (first.variables, first.sols)
+    assert (table.entries is first.entries) == (len(kids) == 1)
+    return True
+
+
 def test_node_tables_match_witness_semantics():
     # e in D_t iff solutions of the subtree's covered literals extend e,
     # every variable taking one of its candidate values. A table stores the
-    # entries of D_t at sorted tuples of its sols, and its sols are the
-    # node's bag assignments that extend to an answer (the k = 1 pass). A
-    # forget is the reference projection of a child's table onto the
-    # variables it shares with its parent. A node with children starts from
+    # entries of D_t at sorted tuples of its sols. A node's sols are its bag
+    # assignments that extend to an answer (the k = 1 pass), and its table's
+    # sols are those, or at a forget node (a bag that adds no variable to
+    # its first child's) its first child's table's: a forget is that table
+    # under the node's id. A node with children starts from that table or
     # its init over its sols, and its table is the reference merge of each
-    # child's table into that, child by child, entry for entry, the merge
-    # projecting a child only where its join is not functional; the first
-    # merge is the introduce rule, each further one the join rule. A bag
-    # that adds no variable to its first child's starts from that child's
-    # forget instead.
+    # further child's table into that, child by child, entry for entry; the
+    # first merge is the introduce rule, each further one the join rule.
+    # The merge projects a child only where its join is not functional, and
+    # the projection of every child onto the variables it shares with its
+    # parent is the reference projection.
     rng = random.Random(79)
     joins = {2: 0, 3: 0}
-    introduces = forgets = 0
+    introduces = forgets = projections = 0
     for n in range(100):
         query, db = random_cqneg_query(rng, max_vars=4, dom_size=2)
         if n % 2:
@@ -302,30 +341,40 @@ def test_node_tables_match_witness_semantics():
             if all(g[v] in candidates[v] for v in every_var)
         ]
         for node in td.postorder():
-            order = sorted(td.bags[node])
-            sols = solver.tables[node].sols
-            assert sols == solver.sols[node]
-            assert set(sols) == {tuple(g[v].index for v in order) for g in answers}
+            bag = td.bags[node]
+            table = solver.tables[node]
             kids = td.children.get(node, ())
-            reference = dp_init(node, td.bags[node], sols, k, free)
-            for n, child in enumerate(kids):
+            forget = is_checked_forget(solver, node)
+            assert set(solver.sols[node]) == {tuple(g[v].index for v in sorted(bag))
+                                              for g in answers}
+            if forget:
+                reference = solver.tables[kids[0]]
                 forgets += 1
-                shared = td.bags[node] & td.bags[child]
-                projected = reference_project(solver.tables[child], node, shared)
-                table = solver.forget(node, child)
-                assert (table.variables, table.sols) == (projected.variables, projected.sols)
-                assert list(table.entries.items()) == list(projected.entries.items())
-                if n == 0 and shared == td.bags[node]:
-                    assert projected.sols == sols
-                    reference = projected
-                else:
-                    introduces += n == 0
-                    reference = replace(reference, entries=reference_merge(
-                        reference, solver.tables[child], free))
+            else:
+                assert (table.node, table.variables, table.sols) == \
+                    (node, bag, solver.sols[node])
+                reference = dp_init(node, bag, solver.sols[node], k, free)
+            order = sorted(table.variables)
+            sols = table.sols
+            assert sorted(set(_project(sols, table.variables, bag))) == solver.sols[node]
+            assert set(sols) == {tuple(g[v].index for v in order) for g in answers}
+            for n, child in enumerate(kids):
+                shared = bag & td.bags[child]
+                expected_projection = reference_project(solver.tables[child], shared)
+                projected = dp_project(solver.tables[child], shared)
+                assert (projected.node, projected.variables, projected.sols) == \
+                    (child, expected_projection.variables, expected_projection.sols)
+                assert list(projected.entries.items()) == \
+                    list(expected_projection.entries.items())
+                projections += 1
+                if n == 0 and forget:
+                    continue
+                introduces += n == 0
+                reference = replace(reference, entries=reference_merge(
+                    reference, solver.tables[child], free))
             joins[k] += max(len(kids) - 1, 0)  # join rules applied
-            assert spelled_links(solver.tables[node].entries) == \
-                spelled_links(reference.entries)
-            subtree_bags = [td.bags[node]]
+            assert spelled_links(table.entries) == spelled_links(reference.entries)
+            subtree_bags = [bag]
             stack = list(td.children.get(node, ()))
             while stack:
                 current = stack.pop()
@@ -354,42 +403,54 @@ def test_node_tables_match_witness_semantics():
                 expected.add((ptuple, dvec))
             stored = {
                 (tuple(sols[i] for i in ptuple), dvec)
-                for ptuple, dvec in solver.tables[node].entries
+                for ptuple, dvec in table.entries
             }
             assert stored == expected
     assert joins[2] >= 3 and joins[3] >= 10, joins
-    assert introduces > 0 and forgets > introduces, (introduces, forgets)
+    assert introduces > 0 and forgets > 0, (introduces, forgets)
+    assert projections > introduces, (introduces, projections)
 
 
 def test_solver_projects_only_a_child_whose_bag_holds_its_parents(monkeypatch):
-    # dp_merge alone decides whether a child it joins is projected. The
-    # solver projects a table itself (the forget) only for a bag that adds
-    # no variable to its first child's, once per such bag, in postorder.
+    # No node rule projects a table: a forget node (a bag that adds no
+    # variable to its first child's) takes that child's table under its own
+    # id, and the merges that introduce and join make are the only callers
+    # of dp_project. Each projects the child it merges exactly when the
+    # child's sols share a projection onto the variables the child's table
+    # shares with the table so far, so every projected child's bag holds
+    # all that its parent's table reads of it; in postorder, child by child.
     projections = []
-    project = cqneg.dp_project
+    project = acq.dp_project
 
-    def recording(child, node, variables, **kwargs):
-        projections.append((child.node, node, variables))
-        return project(child, node, variables, **kwargs)
+    def recording(child, variables, **kwargs):
+        projections.append((child.node, variables))
+        return project(child, variables, **kwargs)
 
-    monkeypatch.setattr(cqneg, "dp_project", recording)
+    monkeypatch.setattr(acq, "dp_project", recording)
     rng = random.Random(5)
-    forgets = merged = 0
+    forgets = merged = projected = 0
     for _ in range(60):
         query, db = random_cqneg_query(rng, max_vars=5, dom_size=3)
         td = tree_decompose(query)
         projections.clear()
-        BagSolver(query, db, 2, td, table_cap=10 ** 7).run()
+        solver = BagSolver(query, db, 2, td, table_cap=10 ** 7)
+        solver.run()
         expected = []
         for node in td.postorder():
             kids = td.children.get(node, ())
-            shortcut = bool(kids) and td.bags[node] <= td.bags[kids[0]]
-            if shortcut:
-                expected.append((kids[0], node, td.bags[node]))
-            merged += len(kids) - shortcut
+            forget = is_checked_forget(solver, node)
+            forgets += forget
+            variables = solver.tables[node].variables
+            for child in kids[forget:]:
+                child_table = solver.tables[child]
+                shared = variables & child_table.variables
+                proj = _project(child_table.sols, child_table.variables, shared)
+                if len(set(proj)) < len(proj):
+                    expected.append((child, shared))
+                merged += 1
         assert projections == expected
-        forgets += len(expected)
-    assert forgets > 0 and merged > 0, (forgets, merged)
+        projected += len(expected)
+    assert forgets > 0 and merged > projected > 0, (forgets, merged, projected)
 
 
 def test_some_solver_merges_add_matrices(monkeypatch):
@@ -466,12 +527,12 @@ def _with_dangling_rows(db, rng):
 
 
 def test_full_reducer_keeps_root_entries():
-    # The same rules over the bottom-up sols alone build tables that, cut
-    # to the reduced sols, are the reduced tables: entries, order, sums and
-    # provenance. At the root nothing is cut, so the root entries and every
+    # The same rules over the bottom-up sols alone build tables that, each
+    # cut to the reduced table's own sols, are the reduced tables: entries,
+    # order, sums and provenance. At the root nothing is cut, so the root entries and every
     # witness are equal; the reduced tables are no larger.
     rng = random.Random(89)
-    shrunk = dangling = 0
+    shrunk = dangling = forgets = 0
     for trial in range(150):
         query, plain_db = random_cqneg_query(rng, max_vars=5, dom_size=3)
         db = _with_dangling_rows(plain_db, rng)
@@ -487,8 +548,11 @@ def test_full_reducer_keeps_root_entries():
             <= set(_project(full.sols[node], td.bags[node], td.bags[node] & td.bags[kid]))
             for node in td.postorder() for kid in td.children.get(node, ()))
         for node in td.postorder():
-            kept = set(reduced.sols[node])
-            assert kept <= set(full.sols[node])
+            assert set(reduced.sols[node]) <= set(full.sols[node])
+            # a forget node's table is its child's, over the child's sols
+            forgets += is_checked_forget(reduced, node) + is_checked_forget(full, node)
+            kept = set(reduced.tables[node].sols)
+            assert kept <= set(full.tables[node].sols)
             assert _spelled_entries(reduced, node) == [
                 e for e in _spelled_entries(full, node) if kept.issuperset(e[0][0])]
         root = td.root
@@ -498,7 +562,7 @@ def test_full_reducer_keeps_root_entries():
         sizes = [max(len(t.entries) for t in s.tables.values()) for s in (reduced, full)]
         assert sizes[0] <= sizes[1]
         shrunk += sizes[0] < sizes[1]
-    assert dangling > 0 and shrunk > 0, (dangling, shrunk)
+    assert dangling > 0 and shrunk > 0 and forgets > 0, (dangling, shrunk, forgets)
 
 
 def test_reducer_refuses_a_wide_bag_before_building_it():
@@ -524,6 +588,56 @@ def test_reducer_refuses_a_wide_bag_before_building_it():
         BagSolver(query, db, 2, td, table_cap=5050)
     with pytest.raises(TableGuardExceeded, match="over 99 bag assignments"):
         BagSolver(query, db, 2, td, table_cap=5049)
+
+
+def test_wide_bag_below_the_root_is_refused_by_its_join():
+    # The same six-variable bag as a child of the root {x1}: the down sweep
+    # could still cut its bottom-up sols, so they are not held to the 44 a
+    # table under the cap could pair; its join is refused once it builds
+    # more partial assignments than the cap, before the million are built.
+    variables = [f"x{i}" for i in range(1, 7)]
+    query = parse_query(f"Q({', '.join(variables)}) :- "
+                        + ", ".join(f"R({v})" for v in variables) + ".")
+    db = Database()
+    db.add_relation("R", 1, [(v,) for v in range(10)])
+    td = TreeDecomposition(root=0, children={0: (1,), 1: ()},
+                           bags={0: frozenset({"x1"}), 1: frozenset(variables)})
+    for cap in (1000, 5050):
+        with pytest.raises(TableGuardExceeded,
+                           match=f"^join at node 1 builds over {cap} partial bag assignments$"):
+            BagSolver(query, db, 2, td, table_cap=cap)
+        with pytest.raises(TableGuardExceeded):
+            solve_cqneg(query, db, 2, None, SUM, decomposition=td, table_cap=cap)
+
+
+def test_bag_the_down_sweep_cuts_is_not_refused_for_its_bottom_up_sols():
+    # R and S pair each of 50 values with itself, and U keeps z in {1, 2}:
+    # min-fill's leaf {x, y} has 50 bottom-up sols under {y, z}, under the
+    # root {z}, and the down sweep leaves it 2. With k = 2 and a cap of 100
+    # a node may hold 13 sols (14 * 13 / 2 sorted pairs is 91), but only
+    # the root is held to that before the sweep: the leaf's join builds 50
+    # partial assignments, under the cap, so the query is answered, as
+    # fo-kernel answers it. A cap under 50 refuses the leaf's join.
+    db = Database.from_rows({"R": [(i, i) for i in range(50)],
+                             "S": [(i, i) for i in range(50)],
+                             "U": [(1,), (2,)], "T": [(999,)]})
+    query = parse_query("Q(x) :- R(x, y), S(y, z), U(z), !T(x).")
+    td = tree_decompose(query)
+    leaf = childless(td)
+    assert td.bags[leaf] == {"x", "y"} and td.root != leaf
+    solver = BagSolver(query, db, 2, td, table_cap=100)
+    assert solver.most == 13
+    assert len(solver.satisfying_tuples(leaf, {})) == 50
+    assert len(solver.sols[leaf]) == 2
+    expected = solve_fo_diverse(materialize_answers(query, db), 2, None, SUM)
+    for cap in (100, 10 ** 7):
+        out = solve_cqneg(query, db, 2, None, SUM, witness=True, table_cap=cap)
+        assert (out.decision, out.diversity) == (expected.decision, expected.diversity) \
+            == (True, 1)
+        assert sorted(a["x"].payload for a in out.witness) == [1, 2]
+    with pytest.raises(TableGuardExceeded,
+                       match=f"^join at node {leaf} builds over 49 partial bag assignments$"):
+        solve_cqneg(query, db, 2, None, SUM, table_cap=49)
 
 
 def test_leaf_enumeration_stops_at_the_bound(monkeypatch):
