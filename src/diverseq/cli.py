@@ -110,7 +110,7 @@ def _solve(cfg: RunConfig, mode: str, query, db) -> Outcome:
         )
     if mode == "fo-kernel":
         from . import kernel
-        answers = kernel.materialize_answers(query, db)
+        answers = kernel.materialize_answers(query, db, budget=cfg.budget)
         return kernel.solve_fo_diverse(
             answers, cfg.k, cfg.d, aggregator,
             allow_duplicates=cfg.allow_duplicates, witness=cfg.witness,
@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="search guard in pair distances: each node the fo-kernel "
                              "search visits and each candidate set bruteforce "
-                             "enumerates costs C(k, 2), and at least 1")
+                             "enumerates costs C(k, 2), and at least 1; apart, the most "
+                             "partial answers the fo-kernel answer join may build")
     parser.add_argument("--output", choices=("text", "json"), default="text")
     return parser
 

@@ -6,14 +6,14 @@ number of variables along an edge, so the engine is acq's join-tree engine
 run over the decomposition as it is.
 
 A k = 1 pass first gives each bag its sols, value-index tuples over the
-sorted bag. In postorder, a bag's bottom-up sols are a lazy hash join of
-each child's sols projected onto the variables they share, the sols of
-every positive atom the bag covers, and each bag variable's candidate
-values, filtered by the negative literals the bag covers. acq's down sweep
-(Yannakakis, VLDB 1981) then leaves exactly each bag's share of the
-answers. A join is refused once it builds more partial assignments than
-the cap, and the root's, whose sols the sweep leaves, as soon as they
-outnumber what a table under the cap could pair.
+sorted bag. In postorder, a bag's bottom-up sols are `queries.join`, a
+lazy hash join, of each child's sols projected onto the variables they
+share, the sols of every positive atom the bag covers, and each bag
+variable's candidate values, filtered by the negative literals the bag
+covers. acq's down sweep (Yannakakis, VLDB 1981) then leaves exactly each
+bag's share of the answers. A join is refused once it builds more partial
+assignments than the cap, and the root's, whose sols the sweep leaves, as
+soon as they outnumber what a table under the cap could pair.
 
 Then, bottom-up, each node's table is an `acq.DPTable` over those sols:
 
@@ -55,55 +55,13 @@ from .acq import (
 )
 from .errors import DEFAULT_TABLE_CAP, TableGuardExceeded
 from .model import SUM, Aggregator, Assignment, Database, Outcome
-from .queries import Literal, Query, Variable, relation_of, satisfies_literal, sols_atom
+from .queries import Literal, Query, Variable, join, relation_of, satisfies_literal, sols_atom
 from . import structure
 from .structure import TreeDecomposition, tree_decompose, validate_decomposition
 
 # Bound only because the traced benchmark wraps it: nothing here calls the
 # nice form. It goes when the program records its own spans (ROADMAP item 6).
 make_nice = structure.make_nice
-
-
-def _join(inputs: list[tuple[tuple[str, ...], list[tuple[int, ...]]]],
-          order: tuple[str, ...], limit: int, node: int):
-    """Lazily hash-join relations given as (variables, index rows), into
-    index tuples over `order`, their variables. Each next input is the
-    first that shares a variable with those bound so far, or else the first
-    left; its rows are bucketed on the shared variables, and a partial
-    assignment extends by its bucket, depth first. A join is refused as
-    soon as it has built more than `limit` partial assignments; an input
-    whose variables are all bound only filters, and builds none."""
-    slot: dict[str, int] = {}
-    steps = []
-    pending = list(inputs)
-    while pending:
-        n = next((n for n, (vs, _) in enumerate(pending) if any(v in slot for v in vs)), 0)
-        variables, rows = pending.pop(n)
-        shared = [j for j, v in enumerate(variables) if v in slot]
-        new = [j for j, v in enumerate(variables) if v not in slot]
-        buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for row in rows:
-            buckets.setdefault(tuple([row[j] for j in shared]), []).append(
-                tuple([row[j] for j in new]))
-        steps.append(([slot[variables[j]] for j in shared], buckets, bool(new)))
-        for j in new:
-            slot[variables[j]] = len(slot)
-    out = [slot[v] for v in order]
-    built = 0
-    stack = [((), 0)]
-    while stack:
-        part, step = stack.pop()
-        if step == len(steps):
-            yield tuple([part[i] for i in out])
-            continue
-        probe, buckets, binds = steps[step]
-        found = buckets.get(tuple([part[i] for i in probe]), ())
-        if binds:
-            built += len(found)
-            if built > limit:
-                raise TableGuardExceeded(
-                    f"join at node {node} builds over {limit} partial bag assignments")
-        stack.extend((part + b, step + 1) for b in reversed(found))
 
 
 class BagSolver:
@@ -166,8 +124,9 @@ class BagSolver:
                    for lit in covered if lit.positive]
         inputs += [((v,), [(i,) for i in self.candidates[v]]) for v in order]
         negative = [lit for lit in covered if not lit.positive]
-        parts = (part for part in _join(inputs, order, self.table_cap, node)
-                 if self.satisfies(order, part, negative))
+        parts = join(inputs, order, self.table_cap, TableGuardExceeded(
+            f"join at node {node} builds over {self.table_cap} partial bag assignments"))
+        parts = (part for part in parts if self.satisfies(order, part, negative))
         return sorted(self._bounded(node, parts) if node == self.td.root else parts)
 
     def satisfies(self, order: tuple[str, ...], part: tuple[int, ...],

@@ -8,14 +8,15 @@ parameter-bounded) remainder is searched exactly. Unions and cyclic queries,
 whose structure the join-tree solver cannot exploit, take this path.
 
 Rows are tuples of value indices from the database load to the search:
-the conjunct join, capping and the distance matrix compare integers, and
-`Value` objects are built only for the witness and for output. Capping
-skips the levels that cannot act and works in linear passes over the rows,
-sorted once per level: level 1 counts each group's rows and keeps its first
-k, and a higher level groups the rows in one dict per fixed column set.
-The search is a depth-first branch and bound over a matrix of pairwise
-distances; its budget counts pair distances, C(k, 2) (at least one) per
-search node it visits.
+`queries.join` joins each conjunct's atom sols, capping and the distance
+matrix compare integers, and `Value` objects are built only for the
+witness and for output. Capping skips the levels that cannot act and works
+in linear passes over the rows, sorted once per level: level 1 counts each
+group's rows and keeps its first k, and a higher level groups the rows in
+one dict per fixed column set. The search is a depth-first branch and
+bound over a matrix of pairwise distances; its budget counts pair
+distances, C(k, 2) (at least one) per search node it visits, and on its
+own count the join's partial answers.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .model import (
     _IndexRows,
     _Interner,
 )
-from .queries import Conjunct, Query, relation_of, sols_atom
+from .queries import Query, _key_of, _tuple_of, join, sols_atom
 
 
 @dataclass(frozen=True)
@@ -80,51 +81,32 @@ class AnswerRelation(_IndexRows):
 # --- materialization ---------------------------------------------------------
 
 
-def _evaluate_conjunct(query: Query, conjunct: Conjunct, db: Database) -> set[tuple[int, ...]]:
-    """The conjunct's answers as index tuples over the head.
-
-    A binding is an index tuple over the variables bound so far, at the
-    positions `slot` gives them. Each positive atom's sols are bucketed on
-    the variables it shares with the binding and hash-joined; a negative
-    literal then drops the bindings whose projection is among its atom's
-    sols.
-    """
-    for lit in conjunct.literals:  # refused even after an empty join
-        relation_of(lit.atom, db)
-    slot: dict[str, int] = {}
-    acc: list[tuple[int, ...]] = [()]
-    for atom in conjunct.positive_atoms:
-        variables = sorted(atom.variables)
-        shared = [j for j, v in enumerate(variables) if v in slot]
-        new = [j for j, v in enumerate(variables) if v not in slot]
-        buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for s in sols_atom(atom, db):
-            buckets.setdefault(tuple([s[j] for j in shared]), []).append(
-                tuple([s[j] for j in new]))
-        probe = [slot[variables[j]] for j in shared]
-        acc = [a + b for a in acc for b in buckets.get(tuple([a[i] for i in probe]), ())]
-        if not acc:
-            return set()
-        for j in new:
-            slot[variables[j]] = len(slot)
-    for lit in conjunct.negative_literals:
-        held = set(sols_atom(lit.atom, db))
-        probe = [slot[v] for v in sorted(lit.variables)]
-        acc = [a for a in acc if tuple([a[i] for i in probe]) not in held]
-    head = [slot[v] for v in query.free_vars]
-    return {tuple([a[i] for i in head]) for a in acc}
-
-
-def materialize_answers(query: Query, db: Database) -> AnswerRelation:
+def materialize_answers(query: Query, db: Database, *,
+                        budget: int = DEFAULT_BUDGET) -> AnswerRelation:
     """Evaluate the query and store its answers as a single relation.
 
-    Unions contribute the union of their disjuncts' answers; negated literals
-    filter after the positive join. Rows are deduplicated.
+    A disjunct's answers are `queries.join` of its positive atoms' sols over
+    the head and the other variables its negative literals need, less the
+    tuples whose values on a negative literal's variables are among its
+    atom's sols. The disjuncts' answers are united and deduplicated. A
+    disjunct's join that builds more than `budget` partial answers is
+    refused, apart from the search's budget, with CombinatorialBudgetExceeded.
     """
+    head = query.free_vars
     rows: set[tuple[int, ...]] = set()
     for conjunct in query.conjuncts:
-        rows |= _evaluate_conjunct(query, conjunct, db)
-    return AnswerRelation(query.free_vars, frozenset(rows), db.domain)
+        needed = {v for lit in conjunct.negative_literals for v in lit.variables}
+        order = head + tuple(sorted(needed.difference(head)))
+        inputs = [(sorted(atom.variables), sols_atom(atom, db))
+                  for atom in conjunct.positive_atoms]
+        filters = [(_tuple_of([order.index(v) for v in sorted(lit.variables)]),
+                    set(sols_atom(lit.atom, db))) for lit in conjunct.negative_literals]
+        found = join(inputs, order, budget, CombinatorialBudgetExceeded(
+            f"the answer join builds over {budget} partial answers"))
+        for probe, held in filters:
+            found = [row for row in found if probe(row) not in held]
+        rows.update(row[:len(head)] for row in found)
+    return AnswerRelation(head, frozenset(rows), db.domain)
 
 
 # --- capping rules -------------------------------------------------------------
@@ -132,13 +114,6 @@ def materialize_answers(query: Query, db: Database) -> AnswerRelation:
 
 def _group_threshold(t: int, k: int) -> int:
     return math.factorial(t) ** 2 * k ** t
-
-
-def _key_of(columns: Sequence[int]):
-    """The group key of an index row: its entries at `columns`."""
-    if not columns:
-        return lambda row: ()
-    return operator.itemgetter(*columns)
 
 
 def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelation:

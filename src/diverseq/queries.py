@@ -1,5 +1,5 @@
-"""Query ASTs (conjunctive, unions, negation), a rule-text parser, and
-single-atom evaluation.
+"""Query ASTs (conjunctive, unions, negation), a rule-text parser,
+single-atom evaluation, and the one hash join of atoms' solutions.
 
 Rule syntax, one rule per line, `#` starts a comment:
 
@@ -12,10 +12,11 @@ order is semantic: it fixes the column order of every answer.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import (
     ArityMismatch,
@@ -335,7 +336,7 @@ def render_query(query: Query) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- single-atom evaluation --------------------------------------------------
+# --- single-atom evaluation and the join -------------------------------------
 
 
 def relation_of(atom: Atom, db: Database) -> Relation:
@@ -403,3 +404,66 @@ def satisfies_literal(literal: Literal, bindings: Mapping[str, int],
             row.append(bindings[term.name])
     present = tuple(row) in relation.rows
     return present if literal.positive else not present
+
+
+def join(inputs: Sequence[tuple[Sequence[str], Sequence[tuple[int, ...]]]], order: Sequence[str],
+         limit: int, refusal: Exception) -> Iterator[tuple[int, ...]]:
+    """Lazily hash-join relations given as (variables, index rows), each
+    over distinct variables, into index tuples over `order`, some of their
+    variables: one per joint assignment, so a tuple repeats when `order`
+    leaves a variable out or an input repeats a row. The inputs are taken
+    in connected order: each next one is the first that shares a bound
+    variable, or else the first left. Its rows are bucketed on the shared
+    variables, and a partial assignment extends by its bucket, depth first.
+    An empty input ends the join at once. `refusal` is raised as soon as
+    more than `limit` partial assignments are built; an input whose
+    variables are all bound only filters, and builds none."""
+    slot: dict[str, int] = {}
+    # Every join starts from the empty assignment, as if from a ground input.
+    steps = [(_key_of(()), {(): [()]}, False)]
+    pending = list(inputs)
+    while pending:
+        n = next((n for n, (vs, _) in enumerate(pending) if not slot.keys().isdisjoint(vs)), 0)
+        variables, rows = pending.pop(n)
+        shared = [j for j, v in enumerate(variables) if v in slot]
+        new = [j for j, v in enumerate(variables) if v not in slot]
+        key, extension = _key_of(shared), _tuple_of(new)
+        buckets: dict[object, list[tuple[int, ...]]] = {}
+        for row in rows:
+            buckets.setdefault(key(row), []).append(extension(row))
+        if not buckets:
+            return
+        steps.append((_key_of([slot[variables[j]] for j in shared]), buckets, bool(new)))
+        for j in new:
+            slot[variables[j]] = len(slot)
+    get = _tuple_of([slot[v] for v in order])
+    last = len(steps) - 1
+    built = 0
+    stack = [((), 0)]
+    while stack:
+        part, step = stack.pop()
+        probe, buckets, binds = steps[step]
+        found = buckets.get(probe(part), ())
+        if binds:
+            built += len(found)
+            if built > limit:
+                raise refusal
+        if step < last:
+            step += 1
+            stack += [(part + b, step) for b in reversed(found)]
+        else:
+            yield from [get(part + b) for b in found]
+
+
+def _key_of(positions: Sequence[int]):
+    """A row's entries at `positions` as a key: for one position, the entry."""
+    if not positions:
+        return lambda row: ()
+    return operator.itemgetter(*positions)
+
+
+def _tuple_of(positions: Sequence[int]):
+    """A row's entries at `positions` as a tuple."""
+    if len(positions) == 1:
+        return lambda row, i=positions[0]: (row[i],)
+    return _key_of(positions)

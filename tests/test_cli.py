@@ -167,6 +167,24 @@ def test_large_k_is_refused_by_the_search_budget(tmp_path, mode, k):
     assert code == 2 and report["error"]["code"] == "CombinatorialBudgetExceeded"
 
 
+def test_fo_kernel_join_past_the_budget_is_a_typed_refusal(tmp_path, capsys):
+    # R and S pair each of 10 values with itself: the 4-cycle's join builds
+    # 10 partial answers per step, 30 in all (the last R only filters), in
+    # either body order; a budget of 29 refuses it with exit code 2.
+    pairs = [(i, i) for i in range(10)]
+    for body in ("R(x, y), S(z, w), S(y, z), R(w, x)", "R(x, y), S(y, z), S(z, w), R(w, x)"):
+        db_path, query_path = write_fixture(tmp_path, {"R": pairs, "S": pairs},
+                                            f"Q(x, y, z, w) :- {body}.")
+        argv = ["--db", db_path, "--query", query_path, "--k", "2", "--d", "max",
+                "--mode", "fo-kernel", "--output", "json"]
+        assert main(argv + ["--budget", "29"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"code": "CombinatorialBudgetExceeded",
+                         "message": "the answer join builds over 29 partial answers"}
+        assert main(argv + ["--budget", "30"]) == 0
+        assert json.loads(capsys.readouterr().out)["diversity"] == 4
+
+
 def test_negative_guard_values_are_rejected(tmp_path, monkeypatch, capsys):
     db_path, query_path = write_fixture(tmp_path, {"R": [(1,), (2,)]}, "Q(v) :- R(v).")
     for field in ("table_cap", "budget"):

@@ -84,6 +84,45 @@ def test_materialize_agrees_with_enumeration():
         assert got == expected
 
 
+def test_materialize_answers_alike_in_both_body_orders_within_the_budget():
+    # A 4-cycle whose body lists R(x, y) and S(z, w), which share no
+    # variable, first. Joined in body order it would build their product,
+    # 3074 partial answers; the join takes T(y, z) second in both orders and
+    # builds 598, so a budget of 1000 fits both and one of 597 refuses both.
+    rng = random.Random(5)
+    db = Database.from_rows({name: [(rng.randrange(20), rng.randrange(20)) for _ in range(60)]
+                             for name in "RST"})
+    bodies = ("R(x, y), S(z, w), T(y, z), R(w, x)", "R(x, y), T(y, z), S(z, w), R(w, x)")
+    queries = [parse_query(f"Q(x, y, z, w) :- {body}.") for body in bodies]
+    r, s = (len(set(db.relations[name].rows)) for name in "RS")
+    assert r * s > 1000
+    expected = {tuple(a[v].payload for v in "xyzw") for a in enumerate_answers(queries[0], db)}
+    assert len(expected) == 56
+    for query in queries:
+        assert materialize_answers(query, db, budget=1000).payload_rows() == expected
+        assert materialize_answers(query, db, budget=598).payload_rows() == expected
+        with pytest.raises(CombinatorialBudgetExceeded,
+                           match="^the answer join builds over 597 partial answers$"):
+            materialize_answers(query, db, budget=597)
+
+
+def test_answer_join_counts_what_it_builds_apart_from_negation():
+    # R's 4 rows bind x and y (4 partial answers), S(y) only filters: 3 are
+    # left, and !T(x) drops one after the join, which it does not count.
+    db = Database.from_rows({"R": [(1, 5), (2, 5), (3, 5), (4, 6)], "S": [(5,)], "T": [(1,)]})
+    for text in ("Q(x) :- R(x, y), S(y), !T(x).", "Q(x) :- S(y), !T(x), R(x, y)."):
+        query = parse_query(text)
+        assert materialize_answers(query, db, budget=4).payload_rows() == {(2,), (3,)}
+    with pytest.raises(CombinatorialBudgetExceeded):
+        materialize_answers(parse_query("Q(x) :- R(x, y), S(y), !T(x)."), db, budget=3)
+    # The other order binds y from S first (1), then x from R (3): 4 in all.
+    with pytest.raises(CombinatorialBudgetExceeded):
+        materialize_answers(parse_query("Q(x) :- S(y), !T(x), R(x, y)."), db, budget=3)
+    # A union's disjuncts are joined, and counted, one at a time.
+    union = parse_query("Q(x) :- R(x, y).\nQ(x) :- T(x).")
+    assert materialize_answers(union, db, budget=4).payload_rows() == {(1,), (2,), (3,), (4,)}
+
+
 # --- index rows: one value table, index equality is value equality ----------
 
 
@@ -118,6 +157,15 @@ def test_positive_constant_outside_the_domain_gives_no_answers():
     assert materialize_answers(q, db).rows == frozenset()
     q = parse_query("Q(x) :- R(x, y), S(x, 2).")
     assert materialize_answers(q, db).payload_rows() == {(1,)}
+
+
+def test_ground_query_materializes_the_empty_answer_or_none():
+    # A body without variables joins to the empty assignment, or to none:
+    # with no positive atom at all the join has no inputs and yields () once.
+    db = Database.from_rows({"T": [(1,)], "R": [(2,)]})
+    for text, answers in (("Q() :- !T(1).", set()), ("Q() :- !T(2).", {()}),
+                          ("Q() :- R(2), !T(2).", {()}), ("Q() :- R(3).", set())):
+        assert materialize_answers(parse_query(text), db, budget=0).payload_rows() == answers
 
 
 def test_csv_directory_and_fact_file_materialize_alike(tmp_path):

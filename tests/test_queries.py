@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from diverseq.queries import (
     Literal,
     Query,
     Variable,
+    join,
     parse_query,
     render_query,
     sols_atom,
@@ -194,3 +196,90 @@ def test_non_ascii_digits_are_not_integers():
         parse_query("Q(x) :- R(x, \u0663).")
     q = parse_query('Q(x) :- R(x, "\u0663").')
     assert q.conjuncts[0].literals[0].atom.terms[1] == Constant("\u0663")
+
+
+# --- the hash join -----------------------------------------------------------
+
+
+def reference_join(inputs, order):
+    """The tuples over `order` of every joint assignment of the inputs,
+    found by nested loops over them in the join's connected order (each
+    next input the first sharing a variable with those bound, or else the
+    first left), and how many partial assignments the steps that bind a
+    variable build. An empty input builds nothing."""
+    if any(not rows for _, rows in inputs):
+        return [], 0
+    pending, bound, partial, built = list(inputs), set(), [{}], 0
+    while pending:
+        n = next((n for n, (vs, _) in enumerate(pending) if bound & set(vs)), 0)
+        variables, rows = pending.pop(n)
+        partial = [{**a, **dict(zip(variables, row))} for a in partial for row in rows
+                   if all(a.get(v, x) == x for v, x in zip(variables, row))]
+        if not bound.issuperset(variables):
+            built += len(partial)
+        bound.update(variables)
+    return [tuple(a[v] for v in order) for a in partial], built
+
+
+def random_join_inputs(rng):
+    """Up to four inputs over a, b, c, d, e, ground ones among them, each
+    with up to seven rows over values 0-3, duplicates and empty inputs
+    included; and an order over some of their variables."""
+    inputs = []
+    for _ in range(rng.randrange(5)):
+        variables = tuple(rng.sample("abcde", rng.randrange(4)))
+        rows = [tuple(rng.randrange(4) for _ in variables)
+                for _ in range(rng.choice((0, 1, 2, 4, 7)))]
+        if rows and rng.random() < 0.3:
+            rows.append(rng.choice(rows))
+        inputs.append((variables, rows))
+    bound = sorted({v for variables, _ in inputs for v in variables})
+    order = tuple(rng.sample(bound, rng.randrange(len(bound) + 1)))
+    return inputs, order
+
+
+def test_join_matches_nested_loops_and_refuses_past_its_limit():
+    refusal = ValueError("over the limit")
+    rng = random.Random(28)
+    refused = 0
+    for _ in range(3000):
+        inputs, order = random_join_inputs(rng)
+        expected, built = reference_join(inputs, order)
+        got = list(join(inputs, order, built, refusal))
+        assert Counter(got) == Counter(expected), (inputs, order)
+        assert all(len(row) == len(order) for row in got)
+        if built:
+            refused += 1
+            with pytest.raises(ValueError, match="^over the limit$"):
+                list(join(inputs, order, built - 1, refusal))
+    assert refused > 1000
+
+
+def test_join_edge_cases():
+    refusal = ValueError("over the limit")
+    # No inputs: the one empty assignment, which builds nothing.
+    assert list(join([], (), 0, refusal)) == [()]
+    # A ground input only filters: it holds () or it is empty.
+    assert list(join([((), [()])], (), 0, refusal)) == [()]
+    assert list(join([((), [()]), (("x",), [(1,), (2,)])], ("x",), 2, refusal)) == [(1,), (2,)]
+    assert list(join([((), []), (("x",), [(1,), (2,)])], ("x",), 0, refusal)) == []
+    # One output variable gives 1-tuples; a duplicate row repeats its tuple,
+    # and so does an assignment that differs only outside `order`.
+    rows = [(1, 5), (1, 6), (2, 5), (2, 5)]
+    assert Counter(join([(("x", "y"), rows)], ("x",), 4, refusal)) == \
+        Counter({(1,): 2, (2,): 2})
+    # A filter step builds nothing: the second input's variables are bound.
+    inputs = [(("x", "y"), rows), (("y",), [(5,)])]
+    assert Counter(join(inputs, ("y", "x"), 4, refusal)) == Counter({(5, 1): 1, (5, 2): 2})
+    with pytest.raises(ValueError):
+        list(join(inputs, ("y", "x"), 3, refusal))
+
+
+def test_join_takes_inputs_in_connected_order():
+    # x-y and z-w share nothing, so the body order builds their product;
+    # the join takes y-z second and builds 3 + 3 + 3 assignments.
+    pairs = [(i, i) for i in range(3)]
+    inputs = [(("x", "y"), pairs), (("w", "z"), pairs), (("y", "z"), pairs)]
+    assert sorted(join(inputs, ("x", "w"), 9, ValueError())) == [(0, 0), (1, 1), (2, 2)]
+    with pytest.raises(ValueError):
+        list(join(inputs, ("x", "w"), 8, ValueError()))
