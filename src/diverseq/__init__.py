@@ -23,7 +23,6 @@ from .model import (
 )
 from .queries import Atom, Constant, Literal, Query, Variable, parse_query, render_query, sols_atom
 from .structure import (
-    NiceTreeDecomposition,
     TreeDecomposition,
     gyo_join_tree,
     make_nice,
@@ -67,7 +66,6 @@ __all__ = [
     "Graph",
     "Literal",
     "MIN",
-    "NiceTreeDecomposition",
     "Outcome",
     "Query",
     "Relation",

@@ -103,32 +103,25 @@ def _arrangements(projs: tuple, repeats: tuple, target: tuple) -> tuple[tuple[in
     equal slots, under which the stored child entries are already closed.
     Projections come relabeled by first appearance in the target, so the
     arguments range over a few patterns per k and the cache stays small.
+
+    The target is sorted, so its equal projections form runs. Each run is
+    filled by a distinct permutation, in lexicographic order, of the child
+    groups (runs of equal child slots) that project to its value, each group
+    giving its slots in ascending order; the maps are the product over runs.
     """
-    k = len(projs)
-    slots: dict[int, list[int]] = {}  # first slot of a value -> its slots
-    proj_of: dict[int, int] = {}
-    group = 0
-    for s in range(k):
-        if s and not repeats[s - 1]:
-            group = s
-        slots.setdefault(group, []).append(s)
-        proj_of[group] = projs[s]
-    used = dict.fromkeys(slots, 0)
-    sigma = [0] * k
-    found: list[tuple[int, ...]] = []
-
-    def place(i: int) -> None:
-        if i == k:
-            found.append(tuple(sigma))
-            return
-        for group, free in slots.items():
-            if used[group] < len(free) and proj_of[group] == target[i]:
-                sigma[i] = free[used[group]]
-                used[group] += 1
-                place(i + 1)
-                used[group] -= 1
-
-    place(0)
+    starts = [s for s in range(len(projs)) if not s or not repeats[s - 1]]
+    groups = [range(a, b) for a, b in zip(starts, starts[1:] + [len(projs)])]
+    fills = []
+    for value, run in itertools.groupby(target):
+        multiset = [g for g, slots in enumerate(groups) if projs[slots[0]] == value
+                    for _ in slots]
+        if len(multiset) != len(list(run)):
+            return ()
+        fills.append(sorted(set(itertools.permutations(multiset))))
+    found = []
+    for fill in itertools.product(*fills):
+        free = [iter(slots) for slots in groups]
+        found.append(tuple([next(free[g]) for part in fill for g in part]))
     return tuple(found)
 
 

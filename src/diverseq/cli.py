@@ -118,7 +118,7 @@ def _solve(cfg: RunConfig, mode: str, query, db) -> Outcome:
         )
     # bruteforce
     from .oracle import bruteforce_diversity, enumerate_answers
-    answers = enumerate_answers(query, db)
+    answers = enumerate_answers(query, db, budget=cfg.budget)
     best, combo = bruteforce_diversity(
         answers, cfg.k, aggregator,
         allow_duplicates=cfg.allow_duplicates, budget=cfg.budget,
@@ -238,9 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
                              f"env {TABLE_CAP_ENV})")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="search guard in pair distances: each node the fo-kernel "
-                             "search visits and each candidate set bruteforce "
-                             "enumerates costs C(k, 2), and at least 1; apart, the most "
-                             "partial answers the fo-kernel answer join may build")
+                             "search visits and each candidate set bruteforce tries costs "
+                             "C(k, 2), and at least 1; apart, the most partial answers the "
+                             "fo-kernel answer join may build, and the most rows bruteforce "
+                             "may try per disjunct as it enumerates answers")
     parser.add_argument("--output", choices=("text", "json"), default="text")
     return parser
 

@@ -4,9 +4,10 @@ Every error carries a stable machine-readable code (the class name) so the
 CLI can surface failures in JSON output.
 """
 
-# The most entries a DP table may hold (TableGuardExceeded), and the most
-# pair distances the fo-kernel search or bruteforce may spend, C(k, 2) (and
-# at least 1) per search node or candidate set (CombinatorialBudgetExceeded).
+# The most entries a DP table may hold (TableGuardExceeded), and the budget of
+# CombinatorialBudgetExceeded: C(k, 2) pair distances (at least 1) per
+# fo-kernel search node or bruteforce candidate set, and one per partial answer
+# the fo-kernel join builds or row the bruteforce enumeration tries.
 DEFAULT_TABLE_CAP = 10_000_000
 DEFAULT_BUDGET = 10_000_000
 

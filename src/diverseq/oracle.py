@@ -1,10 +1,12 @@
 """Ground-truth brute force and instance generators for hardness reductions.
 
-Everything here is deliberately naive: answers come from backtracking search,
-diversity maxima from exhausting all k-subsets, and the generators build the
-classic reductions (independent set via per-edge relations, independent set
-via one wide relation, list coloring via a two-disjunct union). These are the
-reference implementations every solver is tested against.
+Everything here is deliberately naive: answers come from backtracking search
+in body order, diversity maxima from exhausting all k-subsets, and the
+generators build the classic reductions (independent set via per-edge
+relations, independent set via one wide relation, list coloring via a
+two-disjunct union). These are the reference implementations every solver is
+tested against. Both searches spend a budget: the enumeration counts the rows
+it tries, the diversity search its candidate sets' pair distances.
 """
 
 from __future__ import annotations
@@ -114,33 +116,46 @@ def has_admissible_coloring(g: Graph, lists: Mapping[int, frozenset[int]]) -> bo
 # --- answer enumeration -------------------------------------------------------
 
 
-def enumerate_answers(query: Query, db: Database) -> frozenset[Assignment]:
-    """Exactly the query's answers over its free variables, by backtracking."""
+def enumerate_answers(query: Query, db: Database, *,
+                      budget: int = DEFAULT_BUDGET) -> frozenset[Assignment]:
+    """Exactly the query's answers over its free variables, by backtracking
+    over the positive atoms in body order.
+
+    Each row tried against a partial assignment costs 1, and a disjunct
+    that costs more than `budget` is refused (CombinatorialBudgetExceeded).
+    """
     answers: set[Assignment] = set()
     for conjunct in query.conjuncts:
-        answers |= _enumerate_conjunct(query, conjunct, db)
+        answers |= _enumerate_conjunct(query, conjunct, db, budget)
     return frozenset(answers)
 
 
-def _enumerate_conjunct(query: Query, conjunct: Conjunct, db: Database) -> set[Assignment]:
+def _enumerate_conjunct(query: Query, conjunct: Conjunct, db: Database,
+                        budget: int) -> set[Assignment]:
     atoms = conjunct.positive_atoms
     negatives = conjunct.negative_literals
     # Resolved up front, so an atom that names no relation or has the wrong
     # arity is refused even when an earlier atom matches no row; a negative
     # literal's atom too, even when no binding reaches it.
-    relations = [relation_of(atom, db) for atom in atoms]
+    rows = [relation_of(atom, db).sorted_rows() for atom in atoms]
     for lit in negatives:
         relation_of(lit.atom, db)
     out: set[Assignment] = set()
+    tried = 0
 
     def backtrack(i: int, bound: dict[str, Value]) -> None:
+        nonlocal tried
         if i == len(atoms):
             indices = {v: x.index for v, x in bound.items()}
             if all(satisfies_literal(lit, indices, db) for lit in negatives):
                 out.add(Assignment(bound).restrict(query.free_vars))
             return
         atom = atoms[i]
-        for row in relations[i].sorted_rows():
+        for row in rows[i]:
+            tried += 1
+            if tried > budget:
+                raise CombinatorialBudgetExceeded(
+                    f"the answer enumeration tries over {budget} rows")
             extension = dict(bound)
             ok = True
             for term, value in zip(atom.terms, row):

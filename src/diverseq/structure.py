@@ -1,5 +1,6 @@
 """Join trees (via GYO ear removal), tree decompositions (min-fill
-elimination), the nice normal form (which no engine uses), and validators.
+elimination), the nice normal form (which no engine uses), and a validator:
+one tree type, `TreeDecomposition`, serves them all.
 
 Each tree is built in one pass: GYO counts, for each variable, the remaining
 atoms that hold it, and min-fill records each bag as it eliminates its vertex.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import QuerySyntaxError
@@ -73,17 +74,6 @@ def _orient(root: int, adj: dict[int, set[int]]) -> dict[int, int]:
                 parent[other] = node
                 queue.append(other)
     return parent
-
-
-@dataclass
-class NiceTreeDecomposition(TreeDecomposition):
-    """Tree decomposition restricted to leaf / introduce / forget / join nodes.
-
-    kinds maps a node id to "leaf", "join", ("introduce", z) or ("forget", z).
-    Leaf bags stay as built; they are not forced down to singletons.
-    """
-
-    kinds: dict[int, object] = field(default_factory=dict)
 
 
 # --- GYO join-tree construction ----------------------------------------------
@@ -193,29 +183,28 @@ def tree_decompose(query: Query) -> TreeDecomposition:
 # --- nice normal form ----------------------------------------------------------
 
 
-def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
-    """Equivalent nice tree decomposition of the same width."""
+def make_nice(td: TreeDecomposition) -> TreeDecomposition:
+    """An equivalent nice tree decomposition of the same width, returned as a
+    plain `TreeDecomposition`: each node has no child; or one child whose bag
+    differs from its own by one variable (introduce or forget); or two
+    children with its bag (join). Leaf bags stay as built; they are not
+    forced down to singletons."""
     bags: dict[int, frozenset[str]] = {}
-    kinds: dict[int, object] = {}
-    children: dict[int, list[int]] = {}
+    children: dict[int, tuple[int, ...]] = {}
     counter = itertools.count()
 
-    def new_node(bag: frozenset[str], kind: object, kids: list[int]) -> int:
+    def new_node(bag: frozenset[str], *kids: int) -> int:
         node = next(counter)
         bags[node] = bag
-        kinds[node] = kind
         children[node] = kids
         return node
 
     def chain_to(top_bag: frozenset[str], node: int) -> int:
         """Forget/introduce chain morphing the bag of `node` into top_bag."""
-        current = bags[node]
-        for z in sorted(current - top_bag):
-            bag = bags[node] - {z}
-            node = new_node(bag, ("forget", z), [node])
+        for z in sorted(bags[node] - top_bag):
+            node = new_node(bags[node] - {z}, node)
         for z in sorted(top_bag - bags[node]):
-            bag = bags[node] | {z}
-            node = new_node(bag, ("introduce", z), [node])
+            node = new_node(bags[node] | {z}, node)
         return node
 
     # Old nodes children first, so node ids come out as a recursive build
@@ -225,20 +214,14 @@ def make_nice(td: TreeDecomposition) -> NiceTreeDecomposition:
         kids = [built.pop(c) for c in td.children.get(old, ())]
         bag = td.bags[old]
         if not kids:
-            built[old] = new_node(bag, "leaf", [])
+            built[old] = new_node(bag)
             continue
         tops = [chain_to(bag, kid) for kid in kids]
         node = tops[0]
         for other in tops[1:]:
-            node = new_node(bag, "join", [node, other])
+            node = new_node(bag, node, other)
         built[old] = node
-
-    return NiceTreeDecomposition(
-        root=built[td.root],
-        children={n: tuple(cs) for n, cs in children.items()},
-        bags=bags,
-        kinds=kinds,
-    )
+    return TreeDecomposition(built[td.root], children, bags)
 
 
 # --- validation -----------------------------------------------------------------
@@ -266,26 +249,13 @@ def _tree_shape_violation(root: int, children: dict[int, tuple[int, ...]],
     return None
 
 
-def _connected(nodes_with: set[int], adj: dict[int, set[int]]) -> bool:
-    """Do the given nodes induce a connected subtree?"""
-    if not nodes_with:
-        return True
-    start = next(iter(nodes_with))
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        for other in adj.get(node, ()):
-            if other in nodes_with and other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return seen == nodes_with
-
-
 def validate_decomposition(structure: TreeDecomposition, query: Query) -> list[str]:
     """All violated structural conditions, first one first; empty means valid.
 
-    A join tree is checked as the tree decomposition it is.
+    A join tree is checked as the tree decomposition it is. Once the shape
+    is a tree, a variable's bags are connected exactly when one of them, its
+    topmost, has no parent bag holding it (Kloks, LNCS 842, 1994), so one
+    pass over the edges counts those tops for every variable.
     """
     conjunct = query.conjuncts[0]
     violations: list[str] = []
@@ -306,37 +276,14 @@ def validate_decomposition(structure: TreeDecomposition, query: Query) -> list[s
         near = nodes_with.get(min(variables), ()) if variables else structure.bags
         if not any(variables <= structure.bags[n] for n in near):
             violations.append(f"literal #{i} ({literal.atom.relation}) covered by no bag")
-    adj: dict[int, set[int]] = {}
-    for parent, kids in structure.children.items():
-        for kid in kids:
-            adj.setdefault(parent, set()).add(kid)
-            adj.setdefault(kid, set()).add(parent)
+    tops = Counter(structure.bags[structure.root])
+    for node, bag in structure.bags.items():
+        for child in structure.children.get(node, ()):
+            tops.update(structure.bags[child] - bag)
     violations += [
         f"occurrences of variable {v} are disconnected"
-        for v in sorted(conjunct.variables)
-        if not _connected(nodes_with.get(v, set()), adj)
+        for v in sorted(conjunct.variables) if tops[v] > 1
     ]
-    if isinstance(structure, NiceTreeDecomposition):
-        for node in structure.bags:
-            kind = structure.kinds.get(node)
-            kids = structure.children.get(node, ())
-            bag = structure.bags[node]
-            if kind == "leaf":
-                if kids:
-                    violations.append(f"leaf node {node} has children")
-            elif kind == "join":
-                if len(kids) != 2 or any(structure.bags[c] != bag for c in kids):
-                    violations.append(f"join node {node} lacks two equal-bag children")
-            elif isinstance(kind, tuple) and kind[0] == "introduce":
-                if len(kids) != 1 or structure.bags[kids[0]] | {kind[1]} != bag \
-                        or kind[1] in structure.bags[kids[0]]:
-                    violations.append(f"introduce node {node} malformed")
-            elif isinstance(kind, tuple) and kind[0] == "forget":
-                if len(kids) != 1 or bag | {kind[1]} != structure.bags[kids[0]] \
-                        or kind[1] in bag:
-                    violations.append(f"forget node {node} malformed")
-            else:
-                violations.append(f"node {node} has unknown kind {kind!r}")
     return violations
 
 

@@ -48,6 +48,22 @@ def tree_shapes(texts: Sequence[str]) -> list[str]:
     return lines
 
 
+def not_nice(td) -> list[int]:
+    """The nodes of `td` that break nice shape, read from the bags alone. A
+    nice node has no child; or one child whose bag differs from its own by
+    exactly one variable; or two children whose bags equal its own."""
+    bad = []
+    for node, bag in td.bags.items():
+        kids = td.children.get(node, ())
+        if len(kids) == 1:
+            ok = len(bag ^ td.bags[kids[0]]) == 1
+        else:
+            ok = len(kids) in (0, 2) and all(td.bags[kid] == bag for kid in kids)
+        if not ok:
+            bad.append(node)
+    return bad
+
+
 def random_acyclic_query(rng: random.Random, *, max_atoms: int = 4,
                          max_arity: int = 3, max_dom: int = 4,
                          max_rows: int = 12) -> tuple[Query, Database]:

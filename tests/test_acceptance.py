@@ -290,7 +290,7 @@ def test_criterion_7_reductions_round_trip():
 
 
 def test_criterion_8_structural_validators():
-    from helpers import random_general_query
+    from helpers import not_nice, random_general_query
 
     rng = random.Random(888)
     gyo_checked = 0
@@ -308,6 +308,7 @@ def test_criterion_8_structural_validators():
         query, _ = random_general_query(rng)
         nice = make_nice(tree_decompose(query))
         assert validate_decomposition(nice, query) == []
+        assert not_nice(nice) == []
         nice_checked += 1
     print(f"\n[PASS] criterion 8: GYO verdict matched exhaustive tree search "
           f"on {gyo_checked} queries; {nice_checked} nice decompositions "

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from diverseq.acq import (
+    _slot_maps,
     _slot_tuples,
     _sorted_sols,
     _traverse,
@@ -755,6 +756,30 @@ def test_dp_project_matches_reference_project():
     # some child entry lands at several keys, one per arrangement
     assert projections > 0 and repeated > 0 and rearranged > 0, \
         (projections, repeated, rearranged)
+
+
+def _slot_maps_by_search(ctuple, proj, target):
+    """Every slot map onto `target` tried: the first (least) map for each
+    rearranged child tuple, ordered by that tuple."""
+    first = {}
+    for sigma in itertools.permutations(range(len(ctuple))):
+        if all(proj[ctuple[s]] == t for s, t in zip(sigma, target)):
+            first.setdefault(tuple(ctuple[s] for s in sigma), sigma)
+    return tuple(first[rearranged] for rearranged in sorted(first))
+
+
+def test_slot_maps_match_a_search_over_all_maps():
+    # Sorted child tuples over 4 sols, each sol projecting to one of 3 values,
+    # onto the sorted rearrangement of their projections.
+    maps = 0
+    for k in range(1, 6):
+        for ctuple in itertools.combinations_with_replacement(range(4), k):
+            for proj in itertools.product("abc", repeat=4):
+                target = tuple(sorted(proj[c] for c in ctuple))
+                expected = _slot_maps_by_search(ctuple, proj, target)
+                assert _slot_maps(ctuple, proj, target) == expected, (ctuple, proj)
+                maps += len(expected)
+    assert maps > 30_000, maps
 
 
 # --- oracle equivalence (small smoke version of the acceptance sweep) -----------

@@ -185,6 +185,44 @@ def test_fo_kernel_join_past_the_budget_is_a_typed_refusal(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["diversity"] == 4
 
 
+@pytest.mark.parametrize("body, rows_tried", [
+    # R and S pair each of 10 values with itself. With S(z, w) second, every
+    # (x, z) pair meets 10 rows of S(y, z): 10 + 100 + 1000 + 100 rows.
+    ("R(x, y), S(z, w), S(y, z), R(w, x)", 1210),
+    ("R(x, y), S(y, z), S(z, w), R(w, x)", 310),
+])
+def test_bruteforce_enumeration_past_the_budget_is_a_typed_refusal(tmp_path, capsys, body,
+                                                                  rows_tried):
+    # Each row the enumeration tries costs 1: one row short of the count is
+    # refused with exit code 2, and the count answers as fo-kernel does.
+    pairs = [(i, i) for i in range(10)]
+    db_path, query_path = write_fixture(tmp_path, {"R": pairs, "S": pairs},
+                                        f"Q(x, y, z, w) :- {body}.")
+    argv = ["--db", db_path, "--query", query_path, "--k", "2", "--d", "max",
+            "--witness", "--output", "json"]
+    for budget in (9, rows_tried - 1):
+        assert main(argv + ["--mode", "bruteforce", "--budget", str(budget)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "code": "CombinatorialBudgetExceeded",
+            "message": f"the answer enumeration tries over {budget} rows"}
+    assert main(argv + ["--mode", "bruteforce", "--budget", str(rows_tried)]) == 0
+    brute = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--mode", "fo-kernel"]) == 0
+    kernel = json.loads(capsys.readouterr().out)
+    assert brute["diversity"] == kernel["diversity"] == 4
+    assert brute["witness"] == kernel["witness"]
+
+
+def test_repeated_head_variable_is_a_syntax_error(tmp_path, capsys):
+    db_path, query_path = write_fixture(tmp_path, {"S": [(1,), (2,)]}, "Q(x) :- S(x).")
+    with open(query_path, "w", encoding="utf-8") as handle:
+        handle.write("Q(x, x) :- S(x).\n")
+    argv = ["--db", db_path, "--query", query_path, "--k", "1", "--d", "0", "--output", "json"]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "code": "QuerySyntaxError", "message": "line 1, column 6: head term 'x' is repeated"}
+
+
 def test_negative_guard_values_are_rejected(tmp_path, monkeypatch, capsys):
     db_path, query_path = write_fixture(tmp_path, {"R": [(1,), (2,)]}, "Q(v) :- R(v).")
     for field in ("table_cap", "budget"):

@@ -89,6 +89,17 @@ def test_syntax_errors_carry_position():
         parse_query("Q(X) :- R(X).")  # uppercase head term is not a variable
 
 
+def test_head_term_errors_point_at_the_term():
+    # A repeated head variable is a syntax error at its second occurrence,
+    # and an uppercase head term one at the term, not at the token after it.
+    with pytest.raises(QuerySyntaxError, match="'x' is repeated") as info:
+        parse_query("Q(a) :- R(a).\nQ(x, y,  x) :- S(x, y).")
+    assert (info.value.line, info.value.column) == (2, 10)
+    with pytest.raises(QuerySyntaxError, match="'Y' must be a variable") as info:
+        parse_query("Q(x, Y) :- R(x, Y).")
+    assert (info.value.line, info.value.column) == (1, 6)
+
+
 def test_constants_parse_and_render():
     q = parse_query('Q(x) :- R(x, 5), S(x, "free_1").')
     terms = q.conjuncts[0].literals[0].atom.terms

@@ -16,7 +16,13 @@ from diverseq.structure import (
     tree_decompose,
     validate_decomposition,
 )
-from helpers import fresh_python, random_cqneg_query, random_general_query, tree_shapes
+from helpers import (
+    fresh_python,
+    not_nice,
+    random_cqneg_query,
+    random_general_query,
+    tree_shapes,
+)
 
 
 def test_star_query_is_acyclic():
@@ -107,12 +113,7 @@ def test_make_nice_preserves_width_and_validates():
             nice = make_nice(td)
             assert nice.width == td.width
             assert validate_decomposition(nice, query) == []
-            for node, kind in nice.kinds.items():
-                kids = nice.children.get(node, ())
-                if kind == "leaf":
-                    assert kids == ()
-                elif kind == "join":
-                    assert len(kids) == 2
+            assert not_nice(nice) == []
 
 
 def test_make_nice_single_bag():
@@ -120,6 +121,7 @@ def test_make_nice_single_bag():
     nice = make_nice(tree_decompose(q))
     assert nice.width == 1
     assert validate_decomposition(nice, q) == []
+    assert not_nice(nice) == []
 
 
 def test_make_nice_two_bag_path():
@@ -127,6 +129,7 @@ def test_make_nice_two_bag_path():
     nice = make_nice(tree_decompose(q))
     assert nice.width == 1
     assert validate_decomposition(nice, q) == []
+    assert not_nice(nice) == []
 
 
 def test_validator_catches_uncovered_literal():
@@ -148,6 +151,55 @@ def test_validator_catches_disconnected_variable():
     )
     report = validate_decomposition(bad, q)
     assert any("disconnected" in line for line in report)
+
+
+def _disconnected_by_search(td, variables) -> list[str]:
+    """The variables whose bags do not induce a connected subtree, found by
+    a search over the undirected edges from one bag holding each."""
+    adj = {n: set() for n in td.bags}
+    for node, kids in td.children.items():
+        for kid in kids:
+            adj[node].add(kid)
+            adj[kid].add(node)
+    out = []
+    for v in sorted(variables):
+        holding = {n for n, bag in td.bags.items() if v in bag}
+        seen = set(list(holding)[:1])
+        stack = list(seen)
+        while stack:
+            for other in adj[stack.pop()] & holding - seen:
+                seen.add(other)
+                stack.append(other)
+        if seen != holding:
+            out.append(v)
+    return out
+
+
+def test_connectivity_check_matches_a_search():
+    # Random rooted trees with random bags, valid and not: the validator's
+    # count of each variable's topmost bags flags exactly the variables a
+    # search over the tree finds split.
+    rng = random.Random(29)
+    split = whole = 0
+    for _ in range(1500):
+        query, _ = random_general_query(rng)
+        variables = sorted(query.conjuncts[0].variables)
+        n = rng.randint(1, 7)
+        order = rng.sample(range(n), n)
+        kids = {i: [] for i in range(n)}
+        for j in range(1, n):
+            kids[order[rng.randrange(j)]].append(order[j])
+        td = TreeDecomposition(
+            root=order[0], children={i: tuple(c) for i, c in kids.items()},
+            bags={i: frozenset(rng.sample(variables, rng.randint(0, len(variables))))
+                  for i in range(n)})
+        expected = _disconnected_by_search(td, variables)
+        flagged = [line.split()[3] for line in validate_decomposition(td, query)
+                   if line.endswith("are disconnected")]
+        assert flagged == expected, (td, flagged, expected)
+        split += bool(expected)
+        whole += not expected
+    assert split > 300 and whole > 300, (split, whole)
 
 
 def test_decomposition_round_trip():
@@ -284,3 +336,4 @@ def test_deep_decomposition_needs_no_recursion():
     nice = make_nice(td)
     assert nice.width == 1
     assert validate_decomposition(nice, q) == []
+    assert not_nice(nice) == []
