@@ -104,24 +104,27 @@ def _arrangements(projs: tuple, repeats: tuple, target: tuple) -> tuple[tuple[in
     Projections come relabeled by first appearance in the target, so the
     arguments range over a few patterns per k and the cache stays small.
 
-    The target is sorted, so its equal projections form runs. Each run is
-    filled by a distinct permutation, in lexicographic order, of the child
-    groups (runs of equal child slots) that project to its value, each group
-    giving its slots in ascending order; the maps are the product over runs.
+    Each parent slot, in order, takes the next free slot of a child group (a
+    run of equal child slots) projecting to its target, groups ascending. So
+    each map is reached once, never by way of the orders of equal slots.
     """
     starts = [s for s in range(len(projs)) if not s or not repeats[s - 1]]
     groups = [range(a, b) for a, b in zip(starts, starts[1:] + [len(projs)])]
-    fills = []
-    for value, run in itertools.groupby(target):
-        multiset = [g for g, slots in enumerate(groups) if projs[slots[0]] == value
-                    for _ in slots]
-        if len(multiset) != len(list(run)):
-            return ()
-        fills.append(sorted(set(itertools.permutations(multiset))))
-    found = []
-    for fill in itertools.product(*fills):
-        free = [iter(slots) for slots in groups]
-        found.append(tuple([next(free[g]) for part in fill for g in part]))
+    used, sigma = [0] * len(groups), [0] * len(target)
+    found: list[tuple[int, ...]] = []
+
+    def place(i: int) -> None:
+        if i == len(target):
+            found.append(tuple(sigma))
+            return
+        for g, slots in enumerate(groups):
+            if used[g] < len(slots) and projs[slots[0]] == target[i]:
+                sigma[i] = slots[used[g]]
+                used[g] += 1
+                place(i + 1)
+                used[g] -= 1
+
+    place(0)
     return tuple(found)
 
 

@@ -205,10 +205,10 @@ class _RuleParser:
         head_vars: list[str] = []
         if self.peek() and self.peek()[1] != ")":
             while True:
-                column = self.peek()[2]
                 name = self.expect("ident")
                 if not name[0].islower() or name in head_vars:
                     problem = "is repeated" if name in head_vars else "must be a variable"
+                    column = self.tokens[self.i - 1][2]
                     raise QuerySyntaxError(f"head term {name!r} {problem}", self.lineno, column)
                 head_vars.append(name)
                 if self.peek() and self.peek()[1] == ",":

@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+import time
 
 import pytest
 
@@ -780,6 +781,19 @@ def test_slot_maps_match_a_search_over_all_maps():
                 assert _slot_maps(ctuple, proj, target) == expected, (ctuple, proj)
                 maps += len(expected)
     assert maps > 30_000, maps
+
+
+def test_slot_maps_of_repeated_sols_take_no_factorial_walk():
+    # Two sols repeated 7 times each, projecting alike: the maps are the
+    # C(14, 7) ways to interleave them, reached without visiting the 14!
+    # orders of the equal slots.
+    ctuple = (0,) * 7 + (1,) * 7
+    started = time.perf_counter()
+    maps = _slot_maps(ctuple, ("a", "a"), ("a",) * 14)
+    assert time.perf_counter() - started < 5.0
+    assert len(maps) == math.comb(14, 7)
+    rearranged = [tuple(ctuple[s] for s in sigma) for sigma in maps]
+    assert rearranged == sorted(set(rearranged))
 
 
 # --- oracle equivalence (small smoke version of the acceptance sweep) -----------

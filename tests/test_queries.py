@@ -100,6 +100,14 @@ def test_head_term_errors_point_at_the_term():
     assert (info.value.line, info.value.column) == (1, 6)
 
 
+def test_truncated_head_is_a_syntax_error():
+    # A head that ends after a comma has no term to point at; the parser
+    # still refuses it with its own error, not a lookup on a missing token.
+    for text in ("Q(x,", "Q(x, ", "Q(x,\n"):
+        with pytest.raises(QuerySyntaxError, match="expected 'ident'"):
+            parse_query(text)
+
+
 def test_constants_parse_and_render():
     q = parse_query('Q(x) :- R(x, 5), S(x, "free_1").')
     terms = q.conjuncts[0].literals[0].atom.terms
