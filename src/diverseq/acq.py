@@ -55,7 +55,14 @@ a partner and both tables are matrices, the merge adds matrices: entry
 (a, b) of the result is P[a][b] + C[single[a]][single[b]] less the shared
 distance, where single maps each parent sol to its partner. Otherwise each
 sorted parent tuple reads its partners sorted, under the inverse of their
-stable argsort, which is the identity when they are already sorted.
+stable argsort, which is the identity when they are already sorted. A node
+merges its children in `merge_order`, those the merge adds as matrices
+first, so a matrix table stays one as long as it can.
+
+A matrix root asks what the fo-kernel search asks: which k rows of a
+distance matrix aggregate highest. `dp_finalize` answers it with the same
+branch and bound (`model.best_tuple`) under a monotone aggregator, and
+reads any other root entry by entry.
 """
 
 from __future__ import annotations
@@ -76,6 +83,7 @@ from .model import (
     Database,
     Outcome,
     Value,
+    best_tuple,
     pair_order,
     pairwise_distances,
 )
@@ -369,9 +377,9 @@ def dp_project(child: DPTable, variables: frozenset[str], *,
     whose projections stay strictly increasing lands as it is. Per key the
     first entry with the highest sum is kept. A stateless entry lands on
     one key under every arrangement, so it takes only the first, the stable
-    argsort of its projections. Only `dp_merge` projects a table, a child
-    whose sols share a projection onto the shared variables, and the
-    projection keeps the child's node id.
+    argsort of its projections, and builds no other map. Only `dp_merge`
+    projects a table, a child whose sols share a projection onto the shared
+    variables, and the projection keeps the child's node id.
     """
     proj_sols = _project(child.sols, child.variables, variables)
     sols = sorted(set(proj_sols))
@@ -392,11 +400,12 @@ def dp_project(child: DPTable, variables: frozenset[str], *,
             projs = tuple([proj[c] for c in ctuple])
             if all(map(operator.lt, projs, projs[1:])):  # still sorted, distinct
                 moves = [(projs, identity, None)]
+            elif stateless:  # the first slot map: the stable argsort
+                sigma = tuple(sorted(identity, key=projs.__getitem__))
+                moves = [(tuple([projs[s] for s in sigma]), sigma, None)]
             else:
                 target = tuple(sorted(projs))
-                maps = _slot_maps(ctuple, proj, target)
-                moves = [(target, maps[0], None)] if stateless else \
-                    [(target, s, _pair_map(s)) for s in maps]
+                moves = [(target, s, _pair_map(s)) for s in _slot_maps(ctuple, proj, target)]
             cache[at] = moves
         for target, sigma, pmap in moves:
             key = (target, cstate if pmap is None else tuple([cstate[m] for m in pmap]))
@@ -501,6 +510,28 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     return merged
 
 
+def merge_order(variables: frozenset[str], sols: Sequence[tuple], kids: Sequence[int],
+                tables: Mapping[int, DPTable]) -> list[int]:
+    """The order in which a table over `variables` and `sols` merges its
+    children's tables: first the children `dp_merge` adds as matrices (a
+    matrix table whose sols project onto the shared variables one to one,
+    a partner for every sol of the parent), then those it projects or merges
+    as rows, each group in tree order. A matrix add keeps the parent's sols,
+    and the parent a matrix, so into a matrix table every child of the first
+    group is added; into a table stored as rows every child merges as rows."""
+    def adds_matrix(child: int) -> bool:
+        table = tables[child]
+        if table.matrix is None:
+            return False
+        shared = variables & table.variables
+        keys = _project(table.sols, table.variables, shared)
+        partners = set(keys)
+        return len(partners) == len(keys) and \
+            partners.issuperset(_project(sols, variables, shared))
+
+    return sorted(kids, key=lambda child: not adds_matrix(child))
+
+
 def dp_finalize(root: DPTable, aggregator: Aggregator, threshold: float | None,
                 allow_duplicates: bool) -> tuple[bool, tuple | None, float | None]:
     """Decision at the root: (decision, best entry key, best diversity).
@@ -508,13 +539,29 @@ def dp_finalize(root: DPTable, aggregator: Aggregator, threshold: float | None,
     Entries with a zero pairwise distance are dropped unless duplicates are
     allowed; the best entry maximizes the aggregate of its state, or in a
     stateless table its sum (first such entry wins). A threshold of None
-    asks only for the maximum. The entries are read one by one, so a matrix
-    root is never stored entry by entry.
+    asks only for the maximum, which is found either way.
+
+    A matrix root under a monotone aggregator (a stateless one scores by
+    sum) is searched, not read whole: `model.best_tuple`, the branch and
+    bound the fo-kernel search runs too, walks its sorted slot tuples in
+    table order with the matrix's largest entry as the bound, so it finds
+    the same first best entry. Any other root is read entry by entry.
     """
     stateless = root.stateless
+    entries = root.entries
+    if isinstance(entries, _MatrixEntries) and (stateless or aggregator.monotone):
+        m = entries.matrix
+        found = best_tuple(iter(m), len(m), root.k, SUM if stateless else aggregator,
+                           max(map(max, m), default=0),
+                           distinct=not (allow_duplicates or stateless))
+        if found is None:
+            return False, None, None
+        best_val, ptuple = found
+        return threshold is None or best_val >= threshold, \
+            (ptuple, entries.state(ptuple)), best_val
     best_key = None
     best_val = None
-    for key, total in _scored(root.entries):
+    for key, total in _scored(entries):
         state = key[1]
         if not allow_duplicates and not all(state):
             continue
@@ -594,8 +641,9 @@ def _reduce_down(jt: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]]) 
 def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
               stateless: bool, table_cap: int):
     """Build every node's table over its fully reduced solutions, children
-    first. Tables are built through the module's `dp_init` and `dp_merge`
-    as they are at call time."""
+    first, each merging its children in `merge_order`. Tables are built
+    through the module's `dp_init` and `dp_merge` as they are at call
+    time."""
     jt = gyo_join_tree(query)
     if jt is None:
         raise NotAcyclic(f"query {query.head} admits no join tree")
@@ -609,7 +657,7 @@ def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
     for node in order:
         table = dp_init(node, atoms[node].variables, sols[node], k, free_vars,
                         stateless=stateless, table_cap=table_cap)
-        for child in jt.children.get(node, ()):
+        for child in merge_order(table.variables, sols[node], jt.children.get(node, ()), tables):
             table = dp_merge(table, tables[child], free_vars, table_cap=table_cap)
         tables[node] = table
         max_table = max(max_table, len(table.entries))

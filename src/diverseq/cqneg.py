@@ -18,20 +18,24 @@ soon as they outnumber what a table under the cap could pair.
 Then, bottom-up, each node's table is an `acq.DPTable` over those sols:
 
     leaf       `dp_init` of a childless bag
-    introduce  the bag's `dp_init` merged with its first child's table
-               (`dp_merge`); or, when the bag adds no variable to the
-               child's, the forget: the child's table under the bag's id
-    join       the table so far merged with each further child's table
+    forget     when the bag adds no variable to its first child's: that
+               child's table under the bag's id
+    introduce  otherwise, the bag's `dp_init` merged with the table of its
+               first child in merge order (`dp_merge`)
+    join       the table so far merged with each further child's table, in
+               `acq.merge_order`: first the children the merge adds as
+               matrices, then those it projects or merges as rows, each
+               group in tree order (a forget's child stays first)
 
 Only `dp_merge` projects a table, a child whose sols share a projection
 onto the shared variables. A forget needs none: whatever a bag inside its
 child's shares with its parent or siblings lies in that bag.
 
 Tables are stateless exactly when acq's are: when the solve sums distances
-and allows duplicate answers. The root is decided by `dp_finalize` and the
-witness rebuilt by `extract_witness`. The reducer drops only sols that lie
-on no root entry's provenance chain, so only the tables below the root
-shrink.
+and allows duplicate answers. The root is decided by `dp_finalize`, which
+searches a matrix root by branch and bound, and the witness rebuilt by
+`extract_witness`. The reducer drops only sols that lie on no root entry's
+provenance chain, so only the tables below the root shrink.
 
 A variable ranges only over its candidate values: those in its column of
 every positive atom that mentions it. That loses no answer: the query is
@@ -52,6 +56,7 @@ from .acq import (
     dp_init,
     dp_merge,
     extract_witness,
+    merge_order,
 )
 from .errors import DEFAULT_TABLE_CAP, TableGuardExceeded
 from .model import SUM, Aggregator, Assignment, Database, Outcome
@@ -179,9 +184,6 @@ class BagSolver:
         return replace(self.tables[child], node=node)
 
     def introduce(self, node: int, child: int) -> DPTable:
-        if self.td.bags[node] <= self.td.bags[child]:
-            # the bag's sols are the child's projected onto it
-            return self.forget(node, child)
         return dp_merge(self.leaf(node), self.tables[child], self.query.free_vars,
                         table_cap=self.table_cap)
 
@@ -192,10 +194,19 @@ class BagSolver:
     # -- driver ----------------------------------------------------------------
 
     def run(self) -> None:
+        bags = self.td.bags
         for node in self.td.postorder():
             kids = self.td.children.get(node, ())
-            table = self.introduce(node, kids[0]) if kids else self.leaf(node)
-            for child in kids[1:]:
+            if not kids:
+                table, rest = self.leaf(node), ()
+            elif bags[node] <= bags[kids[0]]:
+                # the bag's sols are its first child's projected onto it
+                table = self.forget(node, kids[0])
+                rest = merge_order(table.variables, table.sols, kids[1:], self.tables)
+            else:
+                first, *rest = merge_order(bags[node], self.sols[node], kids, self.tables)
+                table = self.introduce(node, first)
+            for child in rest:
                 table = self.join(table, child)
             self.tables[node] = table
 

@@ -13,10 +13,11 @@ matrix compare integers, and `Value` objects are built only for the
 witness and for output. Capping skips the levels that cannot act and works
 in linear passes over the rows, sorted once per level: level 1 counts each
 group's rows and keeps its first k, and a higher level groups the rows in
-one dict per fixed column set. The search is a depth-first branch and
-bound over a matrix of pairwise distances; its budget counts pair
-distances, C(k, 2) (at least one) per search node it visits, and on its
-own count the join's partial answers.
+one dict per fixed column set. The search is `model.best_tuple`, the
+depth-first branch and bound over a matrix of pairwise distances that the
+join-tree engine shares; its budget counts pair distances, C(k, 2) (at
+least one) per search node it visits, and on its own count the join's
+partial answers.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .model import (
     Value,
     _IndexRows,
     _Interner,
+    best_tuple,
 )
 from .queries import Query, _key_of, _tuple_of, join, sols_atom
 
@@ -260,17 +262,17 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
     Only monotone aggregators are admitted: capping is justified by exchanging
     a deleted answer for a kept one that is at least as far from every other.
 
-    The search is a depth-first branch and bound over index combinations in
-    `itertools` order. A branch is cut when even the largest distance m on
-    every pair still open cannot beat the best value found; monotonicity
-    makes that bound sound for every admitted aggregator. The search stops
-    at the ceiling, every pair at distance m. The best value is replaced
-    only by a greater one, so the witness is the lexicographically first
-    optimum, as in plain enumeration. The budget caps the search nodes
-    visited (every prefix the search extends or scores, complete sets
-    included) at C(k, 2) pair distances (at least 1) each, so a k whose one
-    node costs more is refused before the search starts. At k = 0 the empty
-    set is the only candidate, so nothing is kernelized or searched.
+    The search is `model.best_tuple`, the depth-first branch and bound that
+    the join-tree engine decides a matrix root with, over the kernel rows'
+    distance matrix, each row made when the search first reaches it. Its
+    bound is m, the column count, the largest distance two answers can
+    have; so it stops at the ceiling, every pair at distance m, and the
+    witness is the lexicographically first optimum. The budget caps the
+    search nodes visited (every prefix the search extends or scores,
+    complete sets included) at C(k, 2) pair distances (at least 1) each, so
+    a k whose one node costs more is refused before the search starts. At
+    k = 0 the empty set is the only candidate, so nothing is kernelized or
+    searched.
     """
     if not aggregator.monotone:
         raise NotMonotone(f"aggregator {aggregator.label} is not flagged monotone")
@@ -283,62 +285,27 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
     rows = sorted(kernel.rows)
     n = len(rows)
     count = math.comb(n + k - 1, k) if allow_duplicates else math.comb(n, k)
-    best = None
-    best_combo = None
+    found = None
     if count:
-        pairs = k * (k - 1) // 2
-        cost = max(1, pairs)
+        cost = max(1, k * (k - 1) // 2)
         if cost > budget:
             raise CombinatorialBudgetExceeded(
                 f"one search node costs {cost} pair distances, over the budget of {budget}"
             )
-        aggregate = aggregator.aggregate
-        # Row i of the distance matrix is made when the search first reaches
-        # row i; it only ever moves one row past the rows made so far.
-        distance_rows = _distance_rows(rows)
-        matrix: list[list[int]] = []
-        m = len(answers.columns)
-        ceiling = aggregate([m] * pairs)
-        step = 0 if allow_duplicates else 1
-        # One frame per chosen prefix: the rows that may extend it, the
-        # prefix, and the distances among its rows.
-        frames = [(iter(range(n - (k - 1) * step)), (), [])]
-        spent = 0
-        while frames:
-            options, chosen, dists = frames[-1]
-            i = next(options, None)
-            if i is None:
-                frames.pop()
-                continue
-            spent += cost
-            if spent > budget:
-                raise CombinatorialBudgetExceeded(
-                    f"the search over {n} kernel answers spent more than the budget "
-                    f"of {budget} at {cost} pair distances per node"
-                )
-            if i == len(matrix):
-                matrix.append(next(distance_rows))
-            row = matrix[i]
-            grown = dists + [row[j] for j in chosen]
-            picked = chosen + (i,)
-            if len(picked) == k:
-                value = aggregate(grown)
-                if best is None or value > best:
-                    best, best_combo = value, picked
-                    if best == ceiling:
-                        break
-            elif best is None or aggregate(grown + [m] * (pairs - len(grown))) > best:
-                depth = len(picked)
-                frames.append((iter(range(i + step, n - (k - 1 - depth) * step)),
-                               picked, grown))
+        found = best_tuple(_distance_rows(rows), n, k, aggregator, len(answers.columns),
+                           distinct=not allow_duplicates, limit=budget // cost,
+                           refusal=CombinatorialBudgetExceeded(
+                               f"the search over {n} kernel answers spent more than the "
+                               f"budget of {budget} at {cost} pair distances per node"))
     stats = {
         "answers": len(answers.rows),
         "kernel": n,
         "candidates": count,
         "k": k,
     }
-    if best is None:
+    if found is None:
         return Outcome(False, None, None, stats=stats)
+    best, best_combo = found
     decision = d is None or best >= d
     solution = None
     if decision and witness:

@@ -269,6 +269,70 @@ def pair_order(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(k) for j in range(i + 1, k))
 
 
+def best_tuple(rows: Iterator[Sequence[int]], n: int, k: int, aggregator: Aggregator,
+               top: int, *, distinct: bool, limit: float = math.inf,
+               refusal: Exception | None = None) -> tuple[float, tuple[int, ...]] | None:
+    """The sorted k-tuple of n rows whose pair distances aggregate highest,
+    as (value, tuple), or None when there is no tuple. The aggregator must
+    be monotone.
+
+    `rows` yields row i of the distance matrix, at least its distances to
+    rows 0..i, when the search first reaches row i; the search only ever
+    moves one row past the rows made so far. The tuples are non-decreasing,
+    or when `distinct` strictly increasing with no zero distance, since two
+    distinct rows may agree on every column.
+
+    A depth-first branch and bound in `itertools` order: a prefix is cut
+    when even `top`, the largest distance, on every pair still open cannot
+    beat the best value found, and the search stops at the ceiling, every
+    pair at `top`. The best is replaced only by a greater value, so the
+    result is the first optimum in that order, as plain enumeration finds.
+    The distances of a prefix are collected column by column, not in
+    `pair_order`. Every node visited (each prefix extended or scored) counts
+    one, and a visit past `limit` raises `refusal`. At k = 0 the empty tuple
+    is the one candidate.
+    """
+    aggregate = aggregator.aggregate
+    if k == 0:
+        return aggregate(()), ()
+    pairs = k * (k - 1) // 2
+    ceiling = aggregate([top] * pairs)
+    step = 1 if distinct else 0
+    matrix: list[Sequence[int]] = []
+    best = best_picked = None
+    # One frame per chosen prefix: the rows that may extend it, the prefix,
+    # and the distances among its rows.
+    frames = [(iter(range(n - (k - 1) * step)), (), [])]
+    visits = 0
+    while frames:
+        options, chosen, dists = frames[-1]
+        i = next(options, None)
+        if i is None:
+            frames.pop()
+            continue
+        visits += 1
+        if visits > limit:
+            raise refusal
+        if i == len(matrix):
+            matrix.append(next(rows))
+        row = matrix[i]
+        added = [row[j] for j in chosen]
+        if distinct and 0 in added:
+            continue
+        grown = dists + added
+        picked = chosen + (i,)
+        if len(picked) == k:
+            value = aggregate(grown)
+            if best is None or value > best:
+                best, best_picked = value, picked
+                if best == ceiling:
+                    break
+        elif best is None or aggregate(grown + [top] * (pairs - len(grown))) > best:
+            depth = len(picked)
+            frames.append((iter(range(i + step, n - (k - 1 - depth) * step)), picked, grown))
+    return None if best is None else (best, best_picked)
+
+
 def pairwise_distances(answers: Sequence[Assignment], variables: Iterable[str]) -> list[int]:
     """All k(k-1)/2 pairwise Hamming distances, in `pair_order`."""
     xs = tuple(variables)

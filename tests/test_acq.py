@@ -6,7 +6,10 @@ import time
 
 import pytest
 
+from diverseq import acq
 from diverseq.acq import (
+    DPTable,
+    _MatrixEntries,
     _slot_maps,
     _slot_tuples,
     _sorted_sols,
@@ -16,12 +19,13 @@ from diverseq.acq import (
     dp_merge,
     dp_project,
     extract_witness,
+    merge_order,
     solve_acq,
     solve_acq_sum,
     solve_acq_sum_dup,
 )
 from diverseq.errors import NotAcyclic, TableGuardExceeded
-from diverseq.model import MIN, SUM, Database, diversity_of_set, pair_order
+from diverseq.model import MIN, SUM, Database, custom_aggregator, diversity_of_set, pair_order
 from diverseq.oracle import (
     Graph,
     bruteforce_diversity,
@@ -571,8 +575,10 @@ def _pairwise_consistent(jt, atoms, sols):
 
 def test_full_reducer_keeps_root_entries():
     # The reducer leaves exactly the pairwise-consistent solutions, in order.
-    # Reduced and unreduced traversals agree on the root table (slots,
-    # vectors, values, order, provenance); the reduced tables are no larger.
+    # Reduced and unreduced traversals, each node merging its children in
+    # the order the reduced traversal chose (`merge_order` over its tables),
+    # agree on the root table (slots, vectors, values, order, provenance);
+    # the reduced tables are no larger.
     rng = random.Random(67)
     rows_dropped = shrunk = 0
     for trial, (query, plain_db) in enumerate(
@@ -588,7 +594,9 @@ def test_full_reducer_keeps_root_entries():
             for node in jt.postorder():
                 table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
                                 k, free, stateless=stateless)
-                for child in jt.children.get(node, ()):
+                kids = merge_order(reduced[node].variables, reduced[node].sols,
+                                   jt.children.get(node, ()), reduced)
+                for child in kids:
                     table = dp_merge(table, full[child], free)
                 full[node] = table
                 max_full = max(max_full, len(table.entries))
@@ -769,6 +777,27 @@ def _slot_maps_by_search(ctuple, proj, target):
     return tuple(first[rearranged] for rearranged in sorted(first))
 
 
+def test_stateless_projection_takes_the_stable_argsort_alone(monkeypatch):
+    # A stateless entry lands on one key under every slot map, so the
+    # projection reads only the first, the stable argsort of its slots'
+    # projections: at k = 9, nine distinct sols projecting alike would
+    # otherwise make 9! maps. Sols over (x, y) projected onto {y} (three
+    # values, out of order) and onto nothing (one value).
+    def no_maps(*args):
+        raise AssertionError("a stateless projection built slot maps")
+
+    monkeypatch.setattr(acq, "_slot_maps", no_maps)
+    sols = [(x, y) for x in range(3) for y in range(3)]
+    entries = {(tuple(range(9)), ()): (20, ()), ((0, 0, 1, 2, 4, 4, 5, 7, 8), ()): (13, ())}
+    child = DPTable(node=4, variables=frozenset({"x", "y"}), sols=sols, k=9, stateless=True,
+                    entries=entries)
+    for kept in (frozenset({"y"}), frozenset()):
+        got = dp_project(child, kept)
+        expected = reference_project(child, kept)
+        assert (got.node, got.variables, got.sols) == (4, kept, expected.sols)
+        assert list(got.entries.items()) == list(expected.entries.items())
+
+
 def test_slot_maps_match_a_search_over_all_maps():
     # Sorted child tuples over 4 sols, each sol projecting to one of 3 values,
     # onto the sorted rearrangement of their projections.
@@ -794,6 +823,87 @@ def test_slot_maps_of_repeated_sols_take_no_factorial_walk():
     assert len(maps) == math.comb(14, 7)
     rearranged = [tuple(ctuple[s] for s in sigma) for sigma in maps]
     assert rearranged == sorted(set(rearranged))
+
+
+# --- the matrix root search against plain enumeration ----------------------------
+
+SQUARES = custom_aggregator(lambda ds: sum(x * x for x in ds), monotone=True, name="squares")
+
+
+def enumerated_finalize(root, aggregator, threshold, allow_duplicates):
+    """`dp_finalize` by plain enumeration: every entry in table order, one
+    with a zero distance dropped unless duplicates are allowed, scored by
+    the aggregate of its state (a stateless one by its sum), the first best
+    kept."""
+    best_key = best = None
+    for key, (total, _) in root.entries.items():
+        if not allow_duplicates and not all(key[1]):
+            continue
+        value = total if root.stateless else aggregator.aggregate(key[1])
+        if best is None or value > best:
+            best_key, best = key, value
+    return best is not None and (threshold is None or best >= threshold), best_key, best
+
+
+def random_matrix_root(rng, n, k, stateless):
+    """A matrix root over n sols with a random symmetric distance matrix:
+    zero diagonal, off-diagonal entries 0 to 3, zeros among them."""
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = rng.choice((0, 1, 1, 2, 3))
+    return DPTable(node=0, variables=frozenset({"x"}), sols=[(i,) for i in range(n)], k=k,
+                   stateless=stateless, entries=_MatrixEntries(matrix, k, stateless))
+
+
+def test_matrix_root_search_matches_enumeration(monkeypatch):
+    # On a matrix root the search (`model.best_tuple`) gives the decision,
+    # the key with its state in pair order, and the value that reading
+    # every entry gives: sum, min and a custom monotone aggregator, with and
+    # without duplicates, and the stateless table sum builds with them.
+    searches = []
+    search = acq.best_tuple
+
+    def counting(*args, **kwargs):
+        searches.append(args[2])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(acq, "best_tuple", counting)
+    rng = random.Random(131)
+    cases = found = zero_rows = 0
+    for _ in range(120):
+        n = rng.randint(0, 7)
+        for k in (0, 1, 2, 4):
+            for aggregator, stateless, dup in ((SUM, False, False), (SUM, False, True),
+                                               (MIN, False, False), (MIN, False, True),
+                                               (SQUARES, False, False), (SQUARES, False, True),
+                                               (SUM, True, True)):
+                root = random_matrix_root(rng, n, k, stateless)
+                zero_rows += any(0 in row[:i] + row[i + 1:] for i, row in enumerate(root.matrix))
+                for threshold in (None, 3):
+                    got = dp_finalize(root, aggregator, threshold, dup)
+                    assert got == enumerated_finalize(root, aggregator, threshold, dup), \
+                        (root.matrix, k, aggregator.label, stateless, dup, threshold)
+                    cases += 1
+                    found += got[1] is not None
+    assert len(searches) == cases and found > cases // 2 and zero_rows > 100, \
+        (len(searches), cases, found, zero_rows)
+
+
+def test_non_monotone_aggregator_reads_the_matrix_root_whole(monkeypatch):
+    # A bound from the largest distance says nothing under an aggregator
+    # that may fall as a distance grows, so such a root is enumerated.
+    def no_search(*args, **kwargs):
+        raise AssertionError("a non-monotone aggregator reached the search")
+
+    monkeypatch.setattr(acq, "best_tuple", no_search)
+    closest = custom_aggregator(lambda ds: -sum(ds), monotone=False, name="closest")
+    rng = random.Random(137)
+    for _ in range(40):
+        root = random_matrix_root(rng, rng.randint(1, 6), rng.choice((1, 2, 3)), False)
+        for dup in (False, True):
+            got = dp_finalize(root, closest, None, dup)
+            assert got == enumerated_finalize(root, closest, None, dup)
 
 
 # --- oracle equivalence (small smoke version of the acceptance sweep) -----------

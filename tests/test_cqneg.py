@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from diverseq import acq, cqneg
-from diverseq.acq import _project, dp_init, dp_project, solve_acq
+from diverseq.acq import _project, dp_init, dp_project, merge_order, solve_acq
 from diverseq.cqneg import BagSolver, solve_cqneg
 from diverseq.errors import ArityMismatch, TableGuardExceeded, UnknownRelation
 from diverseq.kernel import materialize_answers, solve_fo_diverse
@@ -306,6 +306,18 @@ def is_checked_forget(solver, node):
     return True
 
 
+def merge_sequence(solver, node):
+    """A node's children in the order the solver merges them: a forget's
+    first child stays first, and the rest follow `acq.merge_order` over the
+    table they merge into, the forget's or the bag's init."""
+    td = solver.td
+    kids = td.children.get(node, ())
+    if kids and td.bags[node] <= td.bags[kids[0]]:
+        first = solver.tables[kids[0]]
+        return [kids[0], *merge_order(first.variables, first.sols, kids[1:], solver.tables)]
+    return merge_order(td.bags[node], solver.sols[node], kids, solver.tables)
+
+
 def test_node_tables_match_witness_semantics():
     # e in D_t iff solutions of the subtree's covered literals extend e,
     # every variable taking one of its candidate values. A table stores the
@@ -315,8 +327,9 @@ def test_node_tables_match_witness_semantics():
     # its first child's) its first child's table's: a forget is that table
     # under the node's id. A node with children starts from that table or
     # its init over its sols, and its table is the reference merge of each
-    # further child's table into that, child by child, entry for entry; the
-    # first merge is the introduce rule, each further one the join rule.
+    # further child's table into that, child by child in the solver's merge
+    # order (`merge_sequence`), entry for entry; the first merge is the
+    # introduce rule, each further one the join rule.
     # The merge projects a child only where its join is not functional, and
     # the projection of every child onto the variables it shares with its
     # parent is the reference projection.
@@ -358,7 +371,7 @@ def test_node_tables_match_witness_semantics():
             sols = table.sols
             assert sorted(set(_project(sols, table.variables, bag))) == solver.sols[node]
             assert set(sols) == {tuple(g[v].index for v in order) for g in answers}
-            for n, child in enumerate(kids):
+            for n, child in enumerate(merge_sequence(solver, node)):
                 shared = bag & td.bags[child]
                 expected_projection = reference_project(solver.tables[child], shared)
                 projected = dp_project(solver.tables[child], shared)
@@ -453,6 +466,42 @@ def test_solver_projects_only_a_child_whose_bag_holds_its_parents(monkeypatch):
     assert forgets > 0 and merged > projected > 0, (forgets, merged, projected)
 
 
+def test_functional_child_merges_first_as_a_matrix(monkeypatch):
+    # The benchmark's neg-w1 shape: the bag {y, z} has the children {w, y}
+    # (first in tree order; each y has two successors w, so it is projected
+    # onto {y} and merged as rows) and {x, y} (R pairs each y with one x, a
+    # functional join). The functional child merges first and adds its
+    # matrix, and only the projected child is merged as rows. Merges are
+    # seen through cqneg's binding of `acq.dp_merge`.
+    merges = []
+    merge = cqneg.dp_merge
+
+    def recording(parent, child, *args, **kwargs):
+        merged = merge(parent, child, *args, **kwargs)
+        merges.append((parent.node, child.variables, merged.matrix is not None))
+        return merged
+
+    monkeypatch.setattr(cqneg, "dp_merge", recording)
+    live = range(1, 7)
+    db = Database.from_rows({
+        "R": [(x, 7 - x) for x in live],
+        "T": [(y, y % 6 + 1) for y in live] + [(y, (y + 2) % 6 + 1) for y in live],
+        "S": [(1, 6), (2, 5)],
+    })
+    query = parse_query("Q(x, y, z, w) :- R(x, y), T(y, z), T(y, w), !S(x, y).")
+    td = tree_decompose(query)
+    bag = next(n for n in td.postorder() if td.bags[n] == {"y", "z"})
+    assert [td.bags[c] for c in td.children[bag]] == [{"w", "y"}, {"x", "y"}]
+    for k in (2, 3):
+        merges.clear()
+        out = solve_cqneg(query, db, k, None, SUM, witness=True)
+        assert merges == [(bag, {"x", "y"}, True), (bag, {"w", "y"}, False)]
+        answers = enumerate_answers(query, db)
+        best, _ = bruteforce_diversity(answers, k, SUM)
+        assert out.diversity == best
+        assert diversity_of_set(SUM, out.witness, query.free_vars) == best
+
+
 def test_some_solver_merges_add_matrices(monkeypatch):
     # A child table that joins its parent one to one is merged as it is,
     # so where both are matrices and every parent sol has a partner, the
@@ -526,11 +575,22 @@ def _with_dangling_rows(db, rng):
     return out
 
 
-def test_full_reducer_keeps_root_entries():
-    # The same rules over the bottom-up sols alone build tables that, each
-    # cut to the reduced table's own sols, are the reduced tables: entries,
-    # order, sums and provenance. At the root nothing is cut, so the root entries and every
-    # witness are equal; the reduced tables are no larger.
+def test_full_reducer_keeps_root_entries(monkeypatch):
+    # The same rules over the bottom-up sols alone, merging each node's
+    # children in the order the reduced solver chose from its own tables,
+    # build tables that, each cut to the reduced table's own sols, are the
+    # reduced tables: entries, order, sums and provenance. At the root
+    # nothing is cut, so the root entries and every witness are equal; the
+    # reduced tables are no larger.
+    orders = {}
+
+    def recording(variables, sols, kids, tables):
+        orders[tuple(kids)] = merge_order(variables, sols, kids, tables)
+        return orders[tuple(kids)]
+
+    def replaying(variables, sols, kids, tables):
+        return orders[tuple(kids)]
+
     rng = random.Random(89)
     shrunk = dangling = forgets = 0
     for trial in range(150):
@@ -539,8 +599,10 @@ def test_full_reducer_keeps_root_entries():
         k = 2 if trial % 2 == 0 else 3
         td = tree_decompose(query)
         reduced = BagSolver(query, db, k, td, table_cap=10 ** 7)
+        monkeypatch.setattr(cqneg, "merge_order", recording)
         reduced.run()
         full = _unreduced_solver(query, db, k, td, table_cap=10 ** 7)
+        monkeypatch.setattr(cqneg, "merge_order", replaying)
         full.run()
         # a child with bottom-up sols that its parent's bottom-up sols miss
         dangling += any(
