@@ -674,7 +674,7 @@ def _solve(query: Query, db: Database, k: int, d: float | None, aggregator: Aggr
     stateless = allow_duplicates and aggregator is SUM
     jt, tables, stats = _traverse(query, db, k, free_vars, stateless, table_cap)
     decision, best_key, best = dp_finalize(tables[jt.root], aggregator, d, allow_duplicates)
-    solution = extract_witness(tables[jt.root], best_key, free_vars, db.domain) \
+    solution = extract_witness(tables[jt.root], best_key, free_vars, db.values) \
         if decision and witness else None
     return Outcome(decision, best, solution, stats=stats)
 

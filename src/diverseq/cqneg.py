@@ -212,7 +212,7 @@ class BagSolver:
 
     def witness(self, root_key: tuple) -> tuple[Assignment, ...]:
         return extract_witness(self.tables[self.td.root], root_key, self.query.free_vars,
-                               self.db.domain)
+                               self.db.values)
 
 
 def solve_cqneg(query: Query, db: Database, k: int, d: float | None,

@@ -8,18 +8,25 @@ Two database formats produce identical instances:
     inferred from the first record).
 
 A fact file is read whole. When it holds only integer facts and blank
-lines, with spaces and tabs as its only whitespace inside a line, one scan
-of the text splits it into facts. Any other file (comments, quoted strings,
-other whitespace, or an error anywhere) is parsed line by line, and that
-parser gives every error its message, line and column. Both paths intern
-relations and values in the same order: relations by first fact, values
-row by row within a relation, in file order. In both formats an integer
-too long for `int` is a QuerySyntaxError at its line.
+lines, with spaces and tabs as its only whitespace inside a line, it is
+read relation by relation: one regular-expression pass checks the whole
+text, string operations split it into each relation's value lists, and
+each relation's values are converted in one call and interned together.
+Any other file (comments, quoted strings, other whitespace, or an error
+anywhere) is parsed line by line, and that parser gives every error its
+message, line and column. Both paths give each relation as its arity and
+its values end to end, and intern relations and values in the same order:
+relations by first fact, values row by row within a relation, in file
+order. In both formats an integer too long for `int` is a
+QuerySyntaxError at its line.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import json
+import operator
 import os
 import re
 from typing import Iterable, Iterator
@@ -38,10 +45,16 @@ _BEFORE_COMMENT_RE = re.compile(rf'(?:[^"#]|{STRING_LITERAL})*')
 # One line of a file of integer facts: a fact or nothing, then the line
 # break or the end of the text. Only spaces and tabs count as whitespace
 # here: `\s` also matches characters such as `\x1c`, which `int` refuses.
-_INT_FACT_RE = re.compile(
-    rf"[ \t]*(?:([A-Za-z_][A-Za-z0-9_]*)[ \t]*\("
-    rf"([ \t]*{INT_LITERAL}[ \t]*(?:,[ \t]*{INT_LITERAL}[ \t]*)*)"
+# Deleting its matches leaves nothing of a file of such lines, and `sub`
+# with a plain replacement builds no match object per line. It runs to the
+# end of the text, so a file with a quoted string or a comment is left to
+# the line parser before it.
+_INT_LINE_RE = re.compile(
+    rf"[ \t]*(?:[A-Za-z_][A-Za-z0-9_]*[ \t]*\("
+    rf"[ \t]*{INT_LITERAL}[ \t]*(?:,[ \t]*{INT_LITERAL}[ \t]*)*"
     rf"\)[ \t]*\.[ \t]*)?(?:\n|\Z)")
+_BLANKS = str.maketrans("", "", " \t\n")
+_NAME, _BODY = operator.itemgetter(0), operator.itemgetter(1)
 
 
 def _strip_quoted_comment(line: str) -> str:
@@ -86,47 +99,56 @@ def load_database(path: str) -> Database:
         facts = _facts_by_line(text.split("\n"))
     del text  # released before the relations are built
     db = Database()
-    for name, rows in facts.items():
-        db.add_relation(name, len(rows[0]), rows)
+    for name, (arity, values) in facts.items():
+        if arity:
+            db.add_flat(name, arity, values)
+        else:
+            db.add_relation(name, 0, [()])
     return db
 
 
-def _integer_facts(text: str) -> dict[str, list[tuple[int, ...]]] | None:
-    """The rows of each relation of a file of integer facts, by one scan of
-    the text; None when the text is anything else (see the module
-    docstring), or when a relation has rows of two arities or a literal
-    `int` refuses, so that the line parser reports it."""
-    facts: dict[str, list[tuple[int, ...]]] = {}
-    # The pattern matches at the end of the text, so matches that leave no
-    # gap cover the whole text.
-    pos = 0
-    for m in _INT_FACT_RE.finditer(text):
-        if m.start() != pos:
+def _integer_facts(text: str) -> dict[str, tuple[int, list[int]]] | None:
+    """Each relation of a file of integer facts as (arity, its values end to
+    end), read relation by relation; None when the text is anything else
+    (see the module docstring), or when a relation has rows of two arities
+    or a literal `int` refuses, so that the line parser reports it."""
+    if '"' in text or "#" in text or _INT_LINE_RE.sub("", text):
+        return None
+    # Without blanks, which no literal holds, the text is facts `R(1,2).`
+    # end to end: it splits at `(` and `).` into names and value lists.
+    parts = text.translate(_BLANKS).replace(").", "(").split("(")
+    bodies_of: dict[str, list[str]] = {}
+    for name, run in itertools.groupby(zip(parts[:-1:2], parts[1::2]), _NAME):
+        bodies_of.setdefault(name, []).extend(map(_BODY, run))
+    del parts
+    facts: dict[str, tuple[int, list[int]]] = {}
+    for name in list(bodies_of):
+        bodies = bodies_of.pop(name)  # freed once converted
+        commas = set(map(str.count, bodies, itertools.repeat(",")))
+        if len(commas) > 1:
             return None
-        pos = m.end()
-        name, body = m.groups()
-        if name is None:
-            continue
-        rows = facts.get(name)
-        if rows is None:
-            rows = facts[name] = []
         try:
-            # Through a list: `tuple` of an iterator allocates a guessed
-            # length and then shrinks, which left a process that loads many
-            # files holding more memory.
-            rows.append(tuple(list(map(int, body.split(",")))))
+            facts[name] = (commas.pop() + 1, _integers(bodies))
         except ValueError:  # more digits than `int` converts
-            return None
-    for rows in facts.values():
-        if len(set(map(len, rows))) > 1:
             return None
     return facts
 
 
-def _facts_by_line(lines: Iterable[str]) -> dict[str, list[tuple[Payload, ...]]]:
-    """The rows of each relation, parsed line by line (line 1 first); every
-    error is a QuerySyntaxError at its line and column."""
-    facts: dict[str, list[tuple[Payload, ...]]] = {}
+def _integers(bodies: list[str]) -> list[int]:
+    """The integers of lists of comma-separated literals, in order: one JSON
+    array read, unless a literal has a leading zero, which JSON refuses.
+    ValueError when a literal has more digits than `int` converts."""
+    try:
+        return json.loads(f"[{','.join(bodies)}]")
+    except ValueError:
+        return [int(literal) for body in bodies for literal in body.split(",")]
+
+
+def _facts_by_line(lines: Iterable[str]) -> dict[str, tuple[int, list[Payload]]]:
+    """Each relation as (arity, its values end to end), parsed line by line
+    (line 1 first); every error is a QuerySyntaxError at its line and
+    column."""
+    facts: dict[str, tuple[int, list[Payload]]] = {}
     for lineno, line in enumerate(lines, start=1):
         if '"' in line and "#" in line:
             stripped = _strip_quoted_comment(line).strip()
@@ -138,15 +160,15 @@ def _facts_by_line(lines: Iterable[str]) -> dict[str, list[tuple[Payload, ...]]]
         if m is None:
             raise QuerySyntaxError(f"bad fact {stripped!r}", lineno, 1)
         name = m.group(1)
-        values = tuple(_parse_fact_values(m.group(2), lineno, line))
-        rows = facts.setdefault(name, [])
-        if rows and len(rows[0]) != len(values):
+        values = _parse_fact_values(m.group(2), lineno, line)
+        arity, known = facts.setdefault(name, (len(values), []))
+        if arity != len(values):
             raise QuerySyntaxError(
-                f"relation {name} used with arities {len(rows[0])} and {len(values)}",
+                f"relation {name} used with arities {arity} and {len(values)}",
                 lineno,
                 1,
             )
-        rows.append(values)
+        known += values
     return facts
 
 

@@ -13,7 +13,10 @@ matrix compare integers, and `Value` objects are built only for the
 witness and for output. Capping skips the levels that cannot act and works
 in linear passes over the rows, sorted once per level: level 1 counts each
 group's rows and keeps its first k, and a higher level groups the rows in
-one dict per fixed column set. The search is `model.best_tuple`, the
+one dict per fixed column set. A level does not re-check its precondition
+on the relation the level below has just returned, which meets it by
+construction, so kernelization makes no precondition scan; a relation from
+anywhere else is scanned. The search is `model.best_tuple`, the
 depth-first branch and bound over a matrix of pairwise distances that the
 join-tree engine shares; its budget counts pair distances, C(k, 2) (at
 least one) per search node it visits, and on its own count the join's
@@ -62,12 +65,11 @@ class AnswerRelation(_IndexRows):
 
     columns: tuple[str, ...]
     rows: frozenset[tuple[int, ...]]
-    values: tuple[Value, ...] = field(repr=False)
+    values: Sequence[Value] = field(repr=False, hash=False)  # a list: not hashable
 
     def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row width does not match the column count")
+        if not set(map(len, self.rows)) <= {len(self.columns)}:
+            raise ValueError("row width does not match the column count")
 
     @classmethod
     def from_payload_rows(cls, columns: Sequence[str],
@@ -107,8 +109,10 @@ def materialize_answers(query: Query, db: Database, *,
             f"the answer join builds over {budget} partial answers"))
         for probe, held in filters:
             found = [row for row in found if probe(row) not in held]
-        rows.update(row[:len(head)] for row in found)
-    return AnswerRelation(head, frozenset(rows), db.domain)
+        if len(order) > len(head):
+            found = map(operator.itemgetter(slice(len(head))), found)
+        rows.update(found)
+    return AnswerRelation(head, frozenset(rows), db.values)
 
 
 # --- capping rules -------------------------------------------------------------
@@ -127,16 +131,25 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
     the rest. Assumes the levels below t are already exhausted; violations of
     that precondition raise PreconditionViolated.
 
+    The precondition is checked by a scan of every group fixing m-t+1
+    columns, which runs unless one of two things already proves it. A group
+    is a subset of the rows, so the scan is skipped when there are at most
+    (t-1)!^2 * k^(t-1) rows. And for k >= 1 the relation this function
+    returned at level t-1 meets it: capping there left every such group
+    with at most max((t-1)*k, (t-1)!^2 * k^(t-1) - 1) rows, and later
+    column sets only delete rows. Each returned relation records its level
+    and k for that; it is not a field, and a relation built any other way,
+    or returned at another level, is scanned. So `kernelize`, which feeds
+    each level the one below's output, never scans.
+
     The index rows are sorted once; within a group, sorted order is the
     order of its free columns. At level 1 a group's rows differ on its one
     free column, since the rows are distinct, so for k >= 1 the greedy keeps
     the group's first k rows: one pass per fixed column set counts the rows
     kept per group. At a higher level one dict pass per fixed column set
     groups the rows, and the groups of one column set are disjoint, so
-    their deletions are applied together. Since a group is a subset of the
-    rows, the precondition scan is skipped when there are at most
-    (t-1)!^2 * k^(t-1) rows, and capping stops once fewer than t!^2 * k^t
-    rows are left.
+    their deletions are applied together. Capping stops once fewer than
+    t!^2 * k^t rows are left.
     """
     m = len(answers.columns)
     if not 1 <= t <= m:
@@ -161,18 +174,11 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
                     counts[group] = count + 1
                     kept.append(row)
             rows = kept
-        return _with_rows(answers, rows)
+        return _capped(answers, rows, t, k)
 
-    # Precondition: every group fixing m-(t-1) columns is already small.
-    prior_threshold = _group_threshold(t - 1, k)
-    if len(rows) > prior_threshold:
-        for fixed in itertools.combinations(range(m), m - (t - 1)):
-            oversized = max(collections.Counter(map(_key_of(fixed), rows)).values())
-            if oversized > prior_threshold:
-                raise PreconditionViolated(
-                    f"a group fixing {m - (t - 1)} columns holds {oversized} rows; "
-                    f"level {t - 1} allows {prior_threshold}"
-                )
+    if len(rows) > _group_threshold(t - 1, k) and \
+            getattr(answers, "_capped_at", None) != (t - 1, k):
+        _check_level_below(rows, m, t, k)
 
     threshold = _group_threshold(t, k)
     keep = t * k
@@ -205,14 +211,32 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
             dropped.difference_update(chosen)
         if dropped:
             rows = [row for row in rows if row not in dropped]
-    return _with_rows(answers, rows)
+    return _capped(answers, rows, t, k)
 
 
-def _with_rows(answers: AnswerRelation, rows: list[tuple[int, ...]]) -> AnswerRelation:
-    """`answers` cut down to `rows`, a subset of its rows."""
-    if len(rows) == len(answers.rows):
-        return answers
-    return AnswerRelation(answers.columns, frozenset(rows), answers.values)
+def _check_level_below(rows: list[tuple[int, ...]], m: int, t: int, k: int) -> None:
+    """Raise PreconditionViolated unless every group fixing m-(t-1) columns
+    holds at most (t-1)!^2 * k^(t-1) rows."""
+    prior_threshold = _group_threshold(t - 1, k)
+    for fixed in itertools.combinations(range(m), m - (t - 1)):
+        oversized = max(collections.Counter(map(_key_of(fixed), rows)).values())
+        if oversized > prior_threshold:
+            raise PreconditionViolated(
+                f"a group fixing {m - (t - 1)} columns holds {oversized} rows; "
+                f"level {t - 1} allows {prior_threshold}"
+            )
+
+
+def _capped(answers: AnswerRelation, rows: list[tuple[int, ...]], t: int,
+            k: int) -> AnswerRelation:
+    """`answers` cut down to `rows`, a subset of its rows, as level t's
+    output for k. Only k >= 1 is recorded: at k = 0 level 1 keeps every
+    row, which leaves level 2's precondition unmet."""
+    if len(rows) != len(answers.rows):
+        answers = AnswerRelation(answers.columns, frozenset(rows), answers.values)
+    if k:
+        object.__setattr__(answers, "_capped_at", (t, k))
+    return answers
 
 
 def kernelize(answers: AnswerRelation, k: int) -> AnswerRelation:
@@ -225,8 +249,10 @@ def kernelize(answers: AnswerRelation, k: int) -> AnswerRelation:
     that pairwise differ on its free columns, which a second pass would keep
     whole. A level is skipped when neither its capping (no group reaches
     t!^2 * k^t rows) nor its precondition scan (no group exceeds
-    (t-1)!^2 * k^(t-1) rows) can fire on the rows left. k must be at least
-    1: at k = 0 the bound is 0, which no non-empty relation meets.
+    (t-1)!^2 * k^(t-1) rows) can fire on the rows left. No level entered
+    scans: it gets the level below's output, or the level below was
+    skipped, which leaves no more rows than the scan's bound. k must be at
+    least 1: at k = 0 the bound is 0, which no non-empty relation meets.
     """
     if k < 1:
         raise ValueError(f"kernelize needs k >= 1, got {k}")

@@ -9,6 +9,7 @@ while loading and read-only afterwards. All operations are pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
@@ -49,23 +50,37 @@ class Value:
 
 class _Interner:
     """Assigns dense indices to payloads in first-appearance order and keeps
-    the values in index order."""
+    the values in index order. Payloads of different types never share an
+    index, as `Value` equality requires: each type has its own index."""
 
     def __init__(self) -> None:
-        self._index: dict[tuple[type, Payload], int] = {}
+        self._index: dict[type, dict[Payload, int]] = {}
         self.values: list[Value] = []
 
     def intern(self, payload: Payload) -> int:
-        key = (type(payload), payload)
-        index = self._index.get(key)
-        if index is None:
-            index = self._index[key] = len(self.values)
-            self.values.append(Value(payload, index))
-        return index
+        index = self._index.setdefault(type(payload), {})
+        position = index.get(payload)
+        if position is None:
+            position = index[payload] = len(self.values)
+            self.values.append(Value(payload, position))
+        return position
+
+    def intern_all(self, payloads: Sequence[Payload]) -> list[int]:
+        """The index of each payload in turn, interning as `intern` would:
+        when the payloads share one type, once per distinct payload."""
+        kinds = set(map(type, payloads))
+        if len(kinds) != 1:
+            return [self.intern(p) for p in payloads]
+        index, values = self._index.setdefault(kinds.pop(), {}), self.values
+        for payload in dict.fromkeys(payloads):
+            if payload not in index:
+                position = index[payload] = len(values)
+                values.append(Value(payload, position))
+        return list(map(index.__getitem__, payloads))
 
     def lookup(self, payload: Payload) -> Value | None:
-        index = self._index.get((type(payload), payload))
-        return None if index is None else self.values[index]
+        position = self._index.get(type(payload), {}).get(payload)
+        return None if position is None else self.values[position]
 
 
 class _IndexRows:
@@ -74,7 +89,7 @@ class _IndexRows:
     index tuples orders rows by their values' load order."""
 
     rows: frozenset[tuple[int, ...]]
-    values: tuple[Value, ...]
+    values: Sequence[Value]
 
     def sorted_rows(self) -> list[tuple[Value, ...]]:
         values = self.values
@@ -87,33 +102,29 @@ class _IndexRows:
 
 @dataclass(frozen=True)
 class Relation(_IndexRows):
-    """A named relation: a duplicate-free set of equal-length rows, each a
-    tuple of indices into the database's value table `values`."""
+    """A named relation: a duplicate-free set of rows, each a tuple of
+    `arity` indices into `values`, the value table of its database, which
+    the database's relations share."""
 
     name: str
     arity: int
     rows: frozenset[tuple[int, ...]]
-    values: tuple[Value, ...] = field(repr=False)
-
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != self.arity:
-                raise ValueError(
-                    f"relation {self.name}: row of length {len(row)}, arity is {self.arity}"
-                )
+    values: Sequence[Value] = field(repr=False, hash=False)  # a list: not hashable
 
 
 class Database:
     """A database instance under active-domain semantics.
 
     The domain is exactly the set of values appearing in some row, in load
-    order. Values are interned per database and rows hold their indices, so
-    the solvers join and compare integers; `Value` objects are built only
-    for answers handed out.
+    order. Values are interned per database into one value table, `values`,
+    that its relations share and that only grows, and rows hold their
+    indices, so the solvers join and compare integers; `Value` objects are
+    built only for answers handed out.
     """
 
     def __init__(self) -> None:
         self._interner = _Interner()
+        self.values: Sequence[Value] = self._interner.values
         self.relations: dict[str, Relation] = {}
 
     @classmethod
@@ -131,21 +142,35 @@ class Database:
         return db
 
     def add_relation(self, name: str, arity: int, rows: Iterable[Sequence[Payload]]) -> Relation:
+        """Add a relation from its rows, interning their values row by row."""
         if name in self.relations:
             raise ValueError(f"relation {name} already defined")
-        intern = self._interner.intern
-        interned = []
+        rows = list(rows)
         for row in rows:
             if len(row) != arity:
                 raise ValueError(f"relation {name}: row {row!r} does not match arity {arity}")
-            interned.append(tuple([intern(p) for p in row]))
-        relation = Relation(name, arity, frozenset(interned), self.domain)
-        self.relations[name] = relation
+        if arity:
+            return self.add_flat(name, arity, list(itertools.chain.from_iterable(rows)))
+        return self._store(name, 0, frozenset(map(tuple, rows)))
+
+    def add_flat(self, name: str, arity: int, payloads: Sequence[Payload]) -> Relation:
+        """Add a relation of arity >= 1 given as its rows' payloads end to
+        end, interning them in that order."""
+        if name in self.relations:
+            raise ValueError(f"relation {name} already defined")
+        if arity < 1 or len(payloads) % arity:
+            raise ValueError(f"relation {name}: {len(payloads)} values do not make rows "
+                             f"of arity {arity}")
+        indices = self._interner.intern_all(payloads)
+        return self._store(name, arity, frozenset(zip(*[iter(indices)] * arity)))
+
+    def _store(self, name: str, arity: int, rows: frozenset[tuple[int, ...]]) -> Relation:
+        relation = self.relations[name] = Relation(name, arity, rows, self.values)
         return relation
 
     @property
     def domain(self) -> tuple[Value, ...]:
-        return tuple(self._interner.values)
+        return tuple(self.values)
 
     def value(self, payload: Payload) -> Value | None:
         """The interned value for a payload, or None if it is not in the domain."""

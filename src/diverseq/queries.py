@@ -440,6 +440,12 @@ def join(inputs: Sequence[tuple[Sequence[str], Sequence[tuple[int, ...]]]], orde
             slot[variables[j]] = len(slot)
     get = _tuple_of([slot[v] for v in order])
     last = len(steps) - 1
+    if not last:
+        yield get(())
+        return
+    # The partials of step last - 1 are not stacked: each extension is
+    # probed on the last step at once, in the order the stack would pop it.
+    last_probe, last_buckets, last_binds = steps[last]
     built = 0
     stack = [((), 0)]
     while stack:
@@ -450,11 +456,18 @@ def join(inputs: Sequence[tuple[Sequence[str], Sequence[tuple[int, ...]]]], orde
             built += len(found)
             if built > limit:
                 raise refusal
+        step += 1
         if step < last:
-            step += 1
             stack += [(part + b, step) for b in reversed(found)]
-        else:
-            yield from [get(part + b) for b in found]
+            continue
+        for b in found:
+            extended = part + b
+            tails = last_buckets.get(last_probe(extended), ())
+            if last_binds:
+                built += len(tails)
+                if built > limit:
+                    raise refusal
+            yield from [get(extended + c) for c in tails]
 
 
 def _key_of(positions: Sequence[int]):

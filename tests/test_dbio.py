@@ -247,8 +247,10 @@ def integer_fact_files(draw, odd_space: bool):
 
 def _database_of(facts):
     db = Database()
-    for name, rows in facts.items():
-        db.add_relation(name, len(rows[0]), rows)
+    for name, (arity, values) in facts.items():
+        rows = [tuple(values[i:i + arity]) for i in range(0, len(values), arity)] \
+            if arity else [()]
+        db.add_relation(name, arity, rows)
     return db
 
 
@@ -277,6 +279,56 @@ def test_fact_file_reader_paths_agree(case):
     reference = _database_of(by_line)
     assert db == reference
     assert [v.payload for v in db.domain] == [v.payload for v in reference.domain]
+
+
+@pytest.mark.parametrize("text, scanned", [
+    ("R(1, 2).\r\nR(3, 4).\r\n", False),  # as read without newline translation
+    ("R(1, 2).\nR(3, 4).", True),  # no final newline
+    ("\tR\t(\t1 ,\t2\t)\t.\t\n \t\nR(3,4).\n", True),
+    ("R(007, -0).\nS(2).\nR(-05, 1).\nS(7).\n", True),  # leading zeros, relations interleaved
+    ("R().\n", False),
+    ("R(- 1).\n", False),
+    ("R(1-2).\n", False),
+    ("R(+1).\n", False),
+    ("R(\u0663).\n", False),  # ARABIC-INDIC DIGIT THREE, which `int` accepts
+    ("R(1).\nR(" + "9" * 5000 + ").\n", False),  # more digits than `int` converts
+    ("R(1, 2).\nR(3).\n", False),  # mixed arity
+    ("S(1).\nR(1, 2, 3).\nS(2).\nR(4, 5, 6).\nR(7, 8, 9, 10).\n", False),
+    ("R(1, 2).  # a comment\n", False),
+    ('R(1, 2).\nR("3", 4).\n', False),
+    ("R(1, 2).\x1c\n", False),  # whitespace to `str.strip`, not to the scan
+], ids=["crlf", "no-final-newline", "tabs", "leading-zeros", "empty-row", "spaced-minus",
+        "inner-minus", "plus", "non-ascii-digit", "long-integer", "mixed-arity",
+        "mixed-arity-later", "comment", "quoted-string", "other-whitespace"])
+def test_fact_file_reader_edge_cases(tmp_path, text, scanned):
+    # The whole-text scan takes the file, and gives what the line parser
+    # gives with the same value order, or leaves it to the line parser; a
+    # load through a file (newlines translated) agrees with the line
+    # parser on the text as read, in its relations, values and errors.
+    whole = dbio._integer_facts(text)
+    assert (whole is not None) == scanned
+    try:
+        by_line = dbio._facts_by_line(text.split("\n"))
+    except QuerySyntaxError as err:
+        by_line = err
+    if whole is not None:
+        assert list(whole.items()) == list(by_line.items())
+    path = tmp_path / "db.facts"
+    path.write_bytes(text.encode("utf-8"))
+    read = path.read_text(encoding="utf-8")
+    try:
+        reference = dbio._facts_by_line(read.split("\n"))
+    except QuerySyntaxError as err:
+        with pytest.raises(QuerySyntaxError) as got:
+            load_database(str(path))
+        assert (str(got.value), got.value.line, got.value.column) == \
+            (str(err), err.line, err.column)
+        return
+    db = load_database(str(path))
+    expected = _database_of(reference)
+    assert db == expected
+    assert list(db.relations) == list(expected.relations)
+    assert [v.payload for v in db.domain] == [v.payload for v in expected.domain]
 
 
 _GOOD_FACTS = "".join(f"G({i}, {-i}).\n" for i in range(1000))

@@ -455,6 +455,84 @@ def test_kernelize_enters_only_levels_that_can_fire(monkeypatch):
     assert kernel.rows == reference_kernelize(answers, k).rows
 
 
+def dense_union_answers(seed, values=8, pairs=32, triples=70):
+    """The answers of a union of a two-atom join and a ternary relation, all
+    dense and random, with k = 2."""
+    rng = random.Random(seed)
+    grid = [(u, v) for u in range(values) for v in range(values)]
+    cube = [(u, v, w) for u in range(values) for v in range(values) for w in range(values)]
+    db = Database.from_rows({"A": rng.sample(grid, pairs), "B": rng.sample(grid, pairs),
+                             "C": rng.sample(cube, triples)})
+    query = parse_query("Q(x, y, z) :- A(x, y), B(y, z).\nQ(x, y, z) :- C(x, y, z).")
+    return materialize_answers(query, db), 2
+
+
+@pytest.mark.parametrize("instance", [k33_lists_union, lambda: dense_union_answers(3),
+                                      lambda: dense_union_answers(4)],
+                         ids=["k33-lists", "dense-union-3", "dense-union-4"])
+def test_kernelize_makes_no_precondition_scan(monkeypatch, instance):
+    # Each level kernelize enters gets the level below's output, whose
+    # precondition holds by construction, or the level below was skipped,
+    # which leaves too few rows for a group to break it. On these inputs
+    # the scan's own row count test would have let it run.
+    answers, k = instance()
+    scans, entered = [], []
+    check, capping = kernel_module._check_level_below, kernel_module.apply_capping_rule
+
+    def counting_check(rows, m, t, k):
+        scans.append(t)
+        return check(rows, m, t, k)
+
+    def counting_capping(current, t, k):
+        entered.append((t, len(current.rows)))
+        return capping(current, t, k)
+
+    monkeypatch.setattr(kernel_module, "_check_level_below", counting_check)
+    monkeypatch.setattr(kernel_module, "apply_capping_rule", counting_capping)
+    kernel = kernelize(answers, k)
+    assert scans == []
+    assert any(t > 1 and rows > math.factorial(t - 1) ** 2 * k ** (t - 1)
+               for t, rows in entered), entered
+    assert kernel.rows == reference_kernelize(answers, k).rows
+    # A standalone call on a relation as large is scanned.
+    t, _ = entered[-1]
+    fresh = AnswerRelation(answers.columns, answers.rows, answers.values)
+    outcome_or_error(lambda: apply_capping_rule(fresh, t, k))
+    assert scans == [t]
+
+
+def test_capping_rule_scans_all_but_the_level_below_output(tmp_path):
+    # Only the relation that level t - 1 returned for the same k skips
+    # level t's precondition scan: one built directly, one read from CSV,
+    # one from a lower level or from another k is scanned, and refused
+    # when a lower level was not exhausted.
+    k = 2
+    stacked = [("a", "b", z) for z in range(5)]  # a group fixing x, y holds 5 > k rows
+    with pytest.raises(PreconditionViolated):
+        apply_capping_rule(relation(("x", "y", "z"), stacked), 2, k)
+    path = tmp_path / "answers.csv"
+    write_answer_csv(relation(("x", "y", "z"), stacked), str(path))
+    with pytest.raises(PreconditionViolated):
+        apply_capping_rule(read_answer_csv(str(path)), 2, k)
+    wide_k = apply_capping_rule(relation(("x", "y", "z"), stacked), 1, 5)
+    assert len(wide_k.rows) == 5
+    with pytest.raises(PreconditionViolated):
+        apply_capping_rule(wide_k, 2, k)
+    # y and z pair as a ring: a group fixing two columns holds at most two
+    # rows, so level 1 keeps all 40, but the group fixing x holds 40 rows,
+    # more than level 2 allows (2!^2 * k^2 = 16).
+    ring = [(0, y, z) for y in range(20) for z in (y, (y + 1) % 20)]
+    level_1 = apply_capping_rule(relation(("x", "y", "z"), ring), 1, k)
+    assert len(level_1.rows) == 40
+    with pytest.raises(PreconditionViolated):
+        apply_capping_rule(level_1, 3, k)
+    level_2 = apply_capping_rule(level_1, 2, k)
+    assert level_2.rows == reference_capping_rule(level_1, 2, k).rows
+    assert apply_capping_rule(level_2, 3, k).rows == level_2.rows
+    with pytest.raises(PreconditionViolated):
+        apply_capping_rule(relation(("x", "y", "z"), ring), 3, k)
+
+
 # --- the search against brute force ---------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,45 @@ def test_relation_rejects_ragged_rows():
     db = Database()
     with pytest.raises(ValueError):
         db.add_relation("R", 2, [(1, 2), (3,)])
+
+
+def test_relations_share_one_value_table():
+    # Each relation holds its database's value table itself, not a copy of
+    # the domain as it stood when the relation was added: 2000 relations of
+    # 50 new values each then hold one table of 100,000 values, where
+    # copies would hold about 100 million references (800 MB).
+    tracemalloc.start()
+    try:
+        db = Database()
+        for r in range(2000):
+            db.add_relation(f"R{r}", 1, [(50 * r + i,) for i in range(50)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert len(db.values) == 100_000
+    assert all(relation.values is db.values for relation in db.relations.values())
+    assert db.domain == tuple(db.values)
+    assert len({*db.relations.values()}) == 2000  # relations stay hashable
+    first, last = db.relations["R0"], db.relations["R1999"]
+    assert [v.payload for (v,) in first.sorted_rows()] == list(range(50))
+    assert [v.payload for (v,) in last.sorted_rows()] == list(range(99_950, 100_000))
+
+
+def test_values_are_interned_row_by_row_across_types():
+    # A relation's values are interned together, once per distinct value
+    # when they are ints and strs only, else one by one; in the same order
+    # either way, with 1, "1" and True apart.
+    db = Database()
+    db.add_relation("R", 2, [(3, 1), (1, 2), (2, 3)])
+    db.add_relation("S", 2, [("1", 1), (5, "1"), (1, "x")])
+    db.add_relation("T", 3, [("1", 1, True), (True, "y", 6)])
+    assert [(type(v.payload), v.payload) for v in db.values] == [
+        (int, 3), (int, 1), (int, 2), (str, "1"), (int, 5), (str, "x"), (bool, True),
+        (str, "y"), (int, 6)]
+    assert [v.index for v in db.values] == list(range(9))
+    assert db.relations["S"].rows == {(3, 1), (4, 3), (1, 5)}
+    assert db.relations["T"].rows == {(3, 1, 6), (6, 7, 8)}
 
 
 def test_active_domain_is_union_of_rows():

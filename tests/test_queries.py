@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -272,6 +273,72 @@ def test_join_matches_nested_loops_and_refuses_past_its_limit():
             with pytest.raises(ValueError, match="^over the limit$"):
                 list(join(inputs, order, built - 1, refusal))
     assert refused > 1000
+
+
+def dfs_join(inputs, order, limit, refusal):
+    """The join as a plain recursive depth-first search over the inputs in
+    its connected order, each step's matching rows in input order: a
+    partial assignment first counts the extensions it gets from a step that
+    binds a variable, raising `refusal` once more than `limit` are counted,
+    and then yields its extensions' outputs one by one."""
+    if any(not rows for _, rows in inputs):
+        return
+    pending, bound, steps = list(inputs), set(), []
+    while pending:
+        n = next((n for n, (vs, _) in enumerate(pending) if bound & set(vs)), 0)
+        variables, rows = pending.pop(n)
+        steps.append((variables, rows, not bound.issuperset(variables)))
+        bound.update(variables)
+    built = 0
+
+    def visit(assignment, step):
+        nonlocal built
+        if step == len(steps):
+            yield tuple(assignment[v] for v in order)
+            return
+        variables, rows, binds = steps[step]
+        found = [row for row in rows
+                 if all(assignment.get(v, x) == x for v, x in zip(variables, row))]
+        if binds:
+            built += len(found)
+            if built > limit:
+                raise refusal
+        for row in found:
+            yield from visit({**assignment, **dict(zip(variables, row))}, step + 1)
+
+    yield from visit({}, 0)
+
+
+def drain(outputs):
+    """The outputs yielded, and whether a ValueError then ended them."""
+    got = []
+    try:
+        for row in outputs:
+            got.append(row)
+    except ValueError:
+        return got, True
+    return got, False
+
+
+def test_join_yields_lazily_in_depth_first_order():
+    # The join yields what a depth-first search yields, in the same order,
+    # and does no work ahead: every prefix of its outputs comes without a
+    # refusal that the search would only meet later, and a refusal comes
+    # after exactly as many outputs.
+    refusal = ValueError("over the limit")
+    rng = random.Random(31)
+    cut_short = 0
+    for _ in range(600):
+        inputs, order = random_join_inputs(rng)
+        _, built = reference_join(inputs, order)
+        for limit in sorted({built, rng.randrange(built + 1), rng.randrange(built + 1)}):
+            want, refused = drain(dfs_join(inputs, order, limit, refusal))
+            assert drain(join(inputs, order, limit, refusal)) == (want, refused)
+            for n in range(len(want) + 1):
+                assert list(itertools.islice(join(inputs, order, limit, refusal), n)) \
+                    == want[:n]
+            cut_short += refused and bool(want)
+    assert cut_short > 50
 
 
 def test_join_edge_cases():
