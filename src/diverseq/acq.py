@@ -639,12 +639,13 @@ def _reduce_down(jt: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]]) 
 
 
 def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
-              stateless: bool, table_cap: int):
+              stateless: bool, table_cap: int, jt: TreeDecomposition | None = None):
     """Build every node's table over its fully reduced solutions, children
-    first, each merging its children in `merge_order`. Tables are built
-    through the module's `dp_init` and `dp_merge` as they are at call
-    time."""
-    jt = gyo_join_tree(query)
+    first, each merging its children in `merge_order`, over `jt`, or when
+    it is None the query's GYO join tree. Tables are built through the
+    module's `dp_init` and `dp_merge` as they are at call time."""
+    if jt is None:
+        jt = gyo_join_tree(query)
     if jt is None:
         raise NotAcyclic(f"query {query.head} admits no join tree")
     atoms = query.conjuncts[0].positive_atoms
@@ -666,13 +667,14 @@ def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
 
 
 def _solve(query: Query, db: Database, k: int, d: float | None, aggregator: Aggregator,
-           witness: bool, allow_duplicates: bool, table_cap: int) -> Outcome:
+           witness: bool, allow_duplicates: bool, table_cap: int,
+           join_tree: TreeDecomposition | None) -> Outcome:
     """Build the tables and decide at the root. Summing distances over
     multisets of answers needs only each tuple's best sum, so exactly then
     the tables are stateless."""
     free_vars = query.free_vars
     stateless = allow_duplicates and aggregator is SUM
-    jt, tables, stats = _traverse(query, db, k, free_vars, stateless, table_cap)
+    jt, tables, stats = _traverse(query, db, k, free_vars, stateless, table_cap, join_tree)
     decision, best_key, best = dp_finalize(tables[jt.root], aggregator, d, allow_duplicates)
     solution = extract_witness(tables[jt.root], best_key, free_vars, db.values) \
         if decision and witness else None
@@ -682,25 +684,31 @@ def _solve(query: Query, db: Database, k: int, d: float | None, aggregator: Aggr
 def solve_acq(query: Query, db: Database, k: int, d: float | None,
               aggregator: Aggregator, *, witness: bool = False,
               allow_duplicates: bool = False,
-              table_cap: int = DEFAULT_TABLE_CAP) -> Outcome:
+              table_cap: int = DEFAULT_TABLE_CAP,
+              join_tree: TreeDecomposition | None = None) -> Outcome:
     """Decide whether k pairwise-distinct answers reach diversity d.
 
     Needs an acyclic positive query; d = None reports the maximum achievable
-    diversity instead of deciding against a threshold.
+    diversity instead of deciding against a threshold. `join_tree` is the
+    query's `gyo_join_tree`, when the caller has built it already; without
+    it the solver builds it.
     """
-    return _solve(query, db, k, d, aggregator, witness, allow_duplicates, table_cap)
+    return _solve(query, db, k, d, aggregator, witness, allow_duplicates, table_cap,
+                  join_tree)
 
 
 def solve_acq_sum(query: Query, db: Database, k: int, d: float | None, *,
                   witness: bool = False,
-                  table_cap: int = DEFAULT_TABLE_CAP) -> Outcome:
+                  table_cap: int = DEFAULT_TABLE_CAP,
+                  join_tree: TreeDecomposition | None = None) -> Outcome:
     """Sum-diversity decision over k pairwise-distinct answers: solve_acq
     with the sum aggregator."""
-    return _solve(query, db, k, d, SUM, witness, False, table_cap)
+    return _solve(query, db, k, d, SUM, witness, False, table_cap, join_tree)
 
 
 def solve_acq_sum_dup(query: Query, db: Database, k: int, d: float | None, *,
                       witness: bool = False,
-                      table_cap: int = DEFAULT_TABLE_CAP) -> Outcome:
+                      table_cap: int = DEFAULT_TABLE_CAP,
+                      join_tree: TreeDecomposition | None = None) -> Outcome:
     """Sum-diversity over multisets of answers (duplicates permitted)."""
-    return _solve(query, db, k, d, SUM, witness, True, table_cap)
+    return _solve(query, db, k, d, SUM, witness, True, table_cap, join_tree)

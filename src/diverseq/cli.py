@@ -1,9 +1,13 @@
-"""Command-line frontend: load data, parse the query, route to a solver.
+"""Command-line frontend: parse the query, load data, route to a solver.
 
-Routing in auto mode mirrors the solvers' applicability: an acyclic positive
-single-disjunct query goes to the join-tree engine (the sum fast path when the
-aggregator is sum), negation goes to the bag engine, and unions or cyclic
-queries go through materialize + kernelize + exhaustive search.
+The query is parsed first, and only the relations it names are loaded (the
+loader still checks every fact). Routing in auto mode mirrors the solvers'
+applicability: an acyclic positive single-disjunct query goes to the
+join-tree engine (the sum fast path when the aggregator is sum), on the
+GYO join tree built to route it, negation goes to the bag engine, and
+unions or cyclic queries go through materialize + kernelize + exhaustive
+search. Each of these jobs is done once per run; nothing is kept from one
+run to the next.
 
 Exit codes: 0 = yes, 1 = no, 2 = error.
 
@@ -25,7 +29,7 @@ from typing import TYPE_CHECKING
 from .dbio import load_database, load_query
 from .errors import DEFAULT_BUDGET, DEFAULT_TABLE_CAP, DiverseQError
 from .model import MIN, SUM, Outcome, diversity_of_set
-from .structure import gyo_join_tree, parse_decomposition
+from .structure import TreeDecomposition, gyo_join_tree, parse_decomposition
 
 if TYPE_CHECKING:
     import argparse
@@ -64,19 +68,22 @@ class RunConfig:
             raise ValueError(f"the budget must be non-negative, got {self.budget}")
 
 
-def _pick_mode(cfg: RunConfig, query) -> str:
+def _pick_mode(cfg: RunConfig, query) -> tuple[str, TreeDecomposition | None]:
+    """The route, and the join tree built to choose it, if one was."""
     if cfg.mode != "auto":
-        return cfg.mode
+        return cfg.mode, None
     if query.kind == "cqneg":
-        return "cqneg"
+        return "cqneg", None
     if query.kind == "ucq":
-        return "fo-kernel"
-    if gyo_join_tree(query) is None:
-        return "fo-kernel"
-    return "acq-sum" if cfg.aggregator == "sum" else "acq"
+        return "fo-kernel", None
+    join_tree = gyo_join_tree(query)
+    if join_tree is None:
+        return "fo-kernel", None
+    return ("acq-sum" if cfg.aggregator == "sum" else "acq"), join_tree
 
 
-def _solve(cfg: RunConfig, mode: str, query, db) -> Outcome:
+def _solve(cfg: RunConfig, mode: str, query, db,
+           join_tree: TreeDecomposition | None) -> Outcome:
     aggregator = SUM if cfg.aggregator == "sum" else MIN
     decomposition = None
     if cfg.decomposition_path:
@@ -92,7 +99,7 @@ def _solve(cfg: RunConfig, mode: str, query, db) -> Outcome:
         return acq.solve_acq(
             query, db, cfg.k, cfg.d, aggregator,
             witness=cfg.witness, allow_duplicates=cfg.allow_duplicates,
-            table_cap=cfg.table_cap,
+            table_cap=cfg.table_cap, join_tree=join_tree,
         )
     if mode == "acq-sum":
         if cfg.aggregator != "sum":
@@ -100,7 +107,7 @@ def _solve(cfg: RunConfig, mode: str, query, db) -> Outcome:
         from . import acq
         solver = acq.solve_acq_sum_dup if cfg.allow_duplicates else acq.solve_acq_sum
         return solver(query, db, cfg.k, cfg.d, witness=cfg.witness,
-                      table_cap=cfg.table_cap)
+                      table_cap=cfg.table_cap, join_tree=join_tree)
     if mode == "cqneg":
         from . import cqneg
         return cqneg.solve_cqneg(
@@ -167,10 +174,10 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     """Execute one configured solve; returns (exit code, report)."""
     try:
         query = load_query(cfg.query_path)
-        db = load_database(cfg.db_path)
-        mode = _pick_mode(cfg, query)
+        db = load_database(cfg.db_path, query.relations)
+        mode, join_tree = _pick_mode(cfg, query)
         started = time.perf_counter()
-        outcome = _solve(cfg, mode, query, db)
+        outcome = _solve(cfg, mode, query, db, join_tree)
         wall_ms = (time.perf_counter() - started) * 1000.0
         if outcome.witness is not None:
             aggregator = SUM if cfg.aggregator == "sum" else MIN

@@ -45,13 +45,13 @@ safe, so every variable lies in some positive atom, which some bag covers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 
 from .acq import (
     DPTable,
     _project,
     _reduce_down,
-    _slot_tuples,
     dp_finalize,
     dp_init,
     dp_merge,
@@ -67,6 +67,24 @@ from .structure import TreeDecomposition, tree_decompose, validate_decomposition
 # Bound only because the traced benchmark wraps it: nothing here calls the
 # nice form. It goes when the program records its own spans (ROADMAP item 6).
 make_nice = structure.make_nice
+
+
+# Beyond this k, `_most_sols` counts up rather than take a root of cap * k!;
+# at the default cap, k = 64 leaves at most 31 sols.
+_ROOT_MAX_K = 64
+
+
+def _integer_root(x: int, k: int) -> int:
+    """The largest r with r^k <= x, for x >= 0 and k >= 1, by Newton's
+    method in integers from above."""
+    if x < 2:
+        return x
+    r = 1 << -(-x.bit_length() // k)  # 2^ceil(bits / k) > the root
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 class BagSolver:
@@ -143,14 +161,28 @@ class BagSolver:
     # -- k = 1 pass -----------------------------------------------------------
 
     def _most_sols(self) -> int:
-        """The most sols whose sorted k-tuples fit a table under the cap."""
+        """The most sols n whose C(n + k - 1, k) sorted k-tuples fit a table
+        under the cap. Since n^k / k! <= C(n + k - 1, k) <= (n + k - 1)^k / k!,
+        n is at most r, the integer k-th root of cap * k!, and r - k + 1
+        fits: the count is stepped down from r at most k - 1 times. Past
+        `_ROOT_MAX_K` the factorial grows costly and n is small: the count
+        is stepped up from n = 1 instead."""
         k, cap = self.k, self.table_cap
-        lo, hi = 0, cap
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            size = _slot_tuples(mid, k, True, cap)
-            lo, hi = (mid, hi) if size is not None and size <= cap else (lo, mid - 1)
-        return lo
+        if not k:
+            return cap  # one empty tuple, however many sols
+        if k <= _ROOT_MAX_K:
+            n = min(cap, _integer_root(cap * math.factorial(k), k))
+            while math.comb(n + k - 1, k) > cap:
+                n -= 1
+            return n
+        if not cap:
+            return 0
+        n, count = 1, 1
+        while True:
+            count = count * (n + k) // n  # C(n + k, k), the count for n + 1
+            if count > cap:
+                return n
+            n += 1
 
     def _bounded(self, node: int, parts) -> list[tuple[int, ...]]:
         """The bag assignments `parts` yields, refused as soon as they pass

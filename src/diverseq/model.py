@@ -112,14 +112,24 @@ class Relation(_IndexRows):
     values: Sequence[Value] = field(repr=False, hash=False)  # a list: not hashable
 
 
+def check_arity(name: str, arity: int, rows: Iterable[Sequence[Payload]]) -> None:
+    """ValueError unless every row of relation `name` has `arity` values."""
+    for row in rows:
+        if len(row) != arity:
+            raise ValueError(f"relation {name}: row {row!r} does not match arity {arity}")
+
+
 class Database:
     """A database instance under active-domain semantics.
 
     The domain is exactly the set of values appearing in some row, in load
-    order. Values are interned per database into one value table, `values`,
-    that its relations share and that only grows, and rows hold their
-    indices, so the solvers join and compare integers; `Value` objects are
-    built only for answers handed out.
+    order. A database loaded with only the relations a query names (as the
+    CLI loads it) has only their values, numbered as they are met in those
+    relations; a value no loaded relation holds has no index, which to a
+    query is the same as being in no row. Values are interned per database
+    into one value table, `values`, that its relations share and that only
+    grows, and rows hold their indices, so the solvers join and compare
+    integers; `Value` objects are built only for answers handed out.
     """
 
     def __init__(self) -> None:
@@ -146,9 +156,7 @@ class Database:
         if name in self.relations:
             raise ValueError(f"relation {name} already defined")
         rows = list(rows)
-        for row in rows:
-            if len(row) != arity:
-                raise ValueError(f"relation {name}: row {row!r} does not match arity {arity}")
+        check_arity(name, arity, rows)
         if arity:
             return self.add_flat(name, arity, list(itertools.chain.from_iterable(rows)))
         return self._store(name, 0, frozenset(map(tuple, rows)))

@@ -42,12 +42,33 @@ class Constant:
 Term = Union[Variable, Constant]
 
 
+class _once:
+    """A property computed on first access and stored in the instance's
+    dictionary, which then answers every later access. A frozen dataclass
+    leaves that dictionary writable, and its equality, hash and repr read
+    only the fields. Unlike `functools.cached_property` on Python 3.11, it
+    takes no lock."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class Atom:
     relation: str
     terms: tuple[Term, ...]
 
-    @property
+    @_once
     def variables(self) -> frozenset[str]:
         return frozenset(t.name for t in self.terms if isinstance(t, Variable))
 
@@ -57,7 +78,7 @@ class Literal:
     atom: Atom
     positive: bool = True
 
-    @property
+    @_once
     def variables(self) -> frozenset[str]:
         return self.atom.variables
 
@@ -68,31 +89,24 @@ class Conjunct:
 
     literals: tuple[Literal, ...]
 
-    @property
+    @_once
     def variables(self) -> frozenset[str]:
-        out: set[str] = set()
-        for lit in self.literals:
-            out |= lit.variables
-        return frozenset(out)
+        return frozenset().union(*(lit.variables for lit in self.literals))
 
-    @property
+    @_once
     def positive_variables(self) -> frozenset[str]:
-        out: set[str] = set()
-        for lit in self.literals:
-            if lit.positive:
-                out |= lit.variables
-        return frozenset(out)
+        return frozenset().union(*(lit.variables for lit in self.literals if lit.positive))
 
-    @property
+    @_once
     def positive_atoms(self) -> tuple[Atom, ...]:
         return tuple(lit.atom for lit in self.literals if lit.positive)
 
-    @property
+    @_once
     def negative_literals(self) -> tuple[Literal, ...]:
         return tuple(lit for lit in self.literals if not lit.positive)
 
     def has_negation(self) -> bool:
-        return any(not lit.positive for lit in self.literals)
+        return bool(self.negative_literals)
 
 
 @dataclass(frozen=True)
@@ -116,6 +130,11 @@ class Query:
                     raise UnsafeQuery(
                         f"variable {v} has no positive occurrence in a disjunct of {self.head}"
                     )
+
+    @_once
+    def relations(self) -> frozenset[str]:
+        """The names of the relations the query's literals mention."""
+        return frozenset(lit.atom.relation for c in self.conjuncts for lit in c.literals)
 
     @property
     def kind(self) -> str:
@@ -141,128 +160,134 @@ def parse_int_literal(text: str, line: int, column: int) -> int:
     try:
         return int(text)
     except ValueError:
-        raise QuerySyntaxError(
-            f"integer literal of {len(text.lstrip('-'))} digits exceeds the limit of "
-            f"{sys.get_int_max_str_digits()}", line, column) from None
+        raise QuerySyntaxError(_int_limit_message(text), line, column) from None
 
 
+def _int_limit_message(text: str) -> str:
+    """Why `int` refuses an integer literal of the grammar."""
+    return (f"integer literal of {len(text.lstrip('-'))} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()}")
+
+
+# One token and the whitespace before it; `findall` reads a line's tokens in
+# one pass. The end of the line is an empty token, or a comment followed by
+# one. Punctuation, `-` and `:` on their own, a `"` that opens no string and
+# any other character no token starts with fall to the one-character
+# alternative, and the parser tells them apart.
 _TOKEN_RE = re.compile(
-    rf"""
-    (?P<ws>\s+)
-  | (?P<comment>\#.*)
-  | (?P<implies>:-)
-  | (?P<string>{STRING_LITERAL})
-  | (?P<int>{INT_LITERAL})
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[(),.!])
-    """,
-    re.VERBOSE,
-)
+    rf"\s*(:-|{STRING_LITERAL}|{INT_LITERAL}|[A-Za-z_][A-Za-z0-9_]*|[^\s#]|\#.*|$)")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_INT_START = frozenset("-0123456789")
+# The one-character tokens the grammar has; any other is a stray character.
+_SINGLES = _IDENT_START | frozenset("0123456789(),.!")
 
 
-def _tokenize_line(line: str, lineno: int) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(line):
-        m = _TOKEN_RE.match(line, pos)
-        if m is None:
-            raise QuerySyntaxError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
-        kind = m.lastgroup
-        if kind == "comment":
-            break
-        if kind != "ws":
-            tokens.append((kind, m.group(), m.start() + 1))
-        pos = m.end()
+def _tokens(line: str) -> list[str]:
+    """The line's tokens, then one or two empty tokens that mark its end;
+    a comment is blanked to one of them."""
+    tokens = _TOKEN_RE.findall(line)
+    if tokens[-2:-1] and tokens[-2][:1] == "#":
+        tokens[-2] = ""
     return tokens
 
 
-class _RuleParser:
-    def __init__(self, tokens: list[tuple[str, str, int]], lineno: int):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.i = 0
+def _syntax_error(message: str, line: str, lineno: int, at: int) -> QuerySyntaxError:
+    """The error for `message` at token `at` of the line, or past its last
+    token at the end of that token. A stray character anywhere in the line
+    is reported instead, at its own column, as no rule on the line can
+    parse."""
+    starts, end = [], 1
+    for m in _TOKEN_RE.finditer(line):
+        token = m.group(1)
+        if not token or token[0] == "#":
+            break
+        if len(token) == 1 and token not in _SINGLES:
+            return QuerySyntaxError(f"unexpected character {token!r}", lineno, m.start(1) + 1)
+        starts.append(m.start(1) + 1)
+        end = m.end(1) + 1
+    return QuerySyntaxError(message, lineno, starts[at] if at < len(starts) else end)
 
-    def error(self, message: str) -> QuerySyntaxError:
-        col = self.tokens[self.i][2] if self.i < len(self.tokens) else (
-            self.tokens[-1][2] + len(self.tokens[-1][1]) if self.tokens else 1
-        )
-        return QuerySyntaxError(message, self.lineno, col)
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+def _parse_rule(tokens: list[str], line: str,
+                lineno: int) -> tuple[str, tuple[str, ...], Conjunct]:
+    """One rule from the line's tokens (see `_tokens`)."""
 
-    def expect(self, kind: str, text: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None or tok[0] != kind or (text is not None and tok[1] != text):
-            want = text or kind
-            raise self.error(f"expected {want!r}")
-        self.i += 1
-        return tok[1]
+    def fail(message: str, at: int) -> QuerySyntaxError:
+        return _syntax_error(message, line, lineno, at)
 
-    def parse_rule(self) -> tuple[str, tuple[str, ...], Conjunct]:
-        head = self.expect("ident")
-        self.expect("sym", "(")
-        head_vars: list[str] = []
-        if self.peek() and self.peek()[1] != ")":
-            while True:
-                name = self.expect("ident")
-                if not name[0].islower() or name in head_vars:
-                    problem = "is repeated" if name in head_vars else "must be a variable"
-                    column = self.tokens[self.i - 1][2]
-                    raise QuerySyntaxError(f"head term {name!r} {problem}", self.lineno, column)
-                head_vars.append(name)
-                if self.peek() and self.peek()[1] == ",":
-                    self.i += 1
-                    continue
+    head = tokens[0]
+    if head[0] not in _IDENT_START:
+        raise fail("expected 'ident'", 0)
+    if tokens[1] != "(":
+        raise fail("expected '('", 1)
+    i = 2
+    head_vars: list[str] = []
+    if tokens[i] and tokens[i] != ")":
+        while True:
+            name = tokens[i]
+            if name[:1] not in _IDENT_START:
+                raise fail("expected 'ident'", i)
+            if not name[0].islower() or name in head_vars:
+                problem = "is repeated" if name in head_vars else "must be a variable"
+                raise fail(f"head term {name!r} {problem}", i)
+            head_vars.append(name)
+            i += 1
+            if tokens[i] != ",":
                 break
-        self.expect("sym", ")")
-        self.expect("implies")
-        literals = [self.parse_literal()]
-        while self.peek() and self.peek()[1] == ",":
-            self.i += 1
-            literals.append(self.parse_literal())
-        self.expect("sym", ".")
-        if self.peek() is not None:
-            raise self.error("trailing input after rule")
-        return head, tuple(head_vars), Conjunct(tuple(literals))
-
-    def parse_literal(self) -> Literal:
-        positive = True
-        if self.peek() and self.peek()[1] == "!":
-            positive = False
-            self.i += 1
-        name = self.expect("ident")
-        self.expect("sym", "(")
+            i += 1
+    if tokens[i] != ")":
+        raise fail("expected ')'", i)
+    if tokens[i + 1] != ":-":
+        raise fail("expected 'implies'", i + 1)
+    i += 2
+    literals: list[Literal] = []
+    while True:
+        positive = tokens[i] != "!"
+        if not positive:
+            i += 1
+        name = tokens[i]
+        if name[:1] not in _IDENT_START:
+            raise fail("expected 'ident'", i)
+        if tokens[i + 1] != "(":
+            raise fail("expected '('", i + 1)
+        i += 2
         terms: list[Term] = []
-        if self.peek() and self.peek()[1] != ")":
+        if tokens[i] and tokens[i] != ")":
             while True:
-                terms.append(self.parse_term())
-                if self.peek() and self.peek()[1] == ",":
-                    self.i += 1
-                    continue
-                break
-        self.expect("sym", ")")
-        return Literal(Atom(name, tuple(terms)), positive)
-
-    def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok is None:
-            raise self.error("expected a term")
-        kind, text, column = tok
-        if kind == "int":
-            self.i += 1
-            return Constant(parse_int_literal(text, self.lineno, column))
-        if kind == "string":
-            self.i += 1
-            return Constant(unescape(text[1:-1]))
-        if kind == "ident":
-            if not text[0].islower():
-                raise self.error(
-                    f"term {text!r} is neither a variable (lowercase-initial) nor a constant"
-                )
-            self.i += 1
-            return Variable(text)
-        raise self.error(f"unexpected token {text!r} in term position")
+                token = tokens[i]
+                first = token[:1]
+                if not token:
+                    raise fail("expected a term", i)
+                if first in _INT_START and token != "-":
+                    try:
+                        terms.append(Constant(int(token)))
+                    except ValueError:  # more digits than `int` converts
+                        raise fail(_int_limit_message(token), i) from None
+                elif first == '"' and len(token) > 1:
+                    terms.append(Constant(unescape(token[1:-1])))
+                elif first in _IDENT_START:
+                    if not first.islower():
+                        raise fail(f"term {token!r} is neither a variable "
+                                   f"(lowercase-initial) nor a constant", i)
+                    terms.append(Variable(token))
+                else:
+                    raise fail(f"unexpected token {token!r} in term position", i)
+                i += 1
+                if tokens[i] != ",":
+                    break
+                i += 1
+        if tokens[i] != ")":
+            raise fail("expected ')'", i)
+        literals.append(Literal(Atom(name, tuple(terms)), positive))
+        i += 1
+        if tokens[i] != ",":
+            break
+        i += 1
+    if tokens[i] != ".":
+        raise fail("expected '.'", i)
+    if tokens[i + 1]:
+        raise fail("trailing input after rule", i + 1)
+    return head, tuple(head_vars), Conjunct(tuple(literals))
 
 
 # In a quoted literal a backslash escapes the next character: `\n` and `\r`
@@ -299,11 +324,9 @@ def parse_query(text: str) -> Query:
     """
     rules: list[tuple[str, tuple[str, ...], Conjunct]] = []
     for lineno, line in enumerate(_LINE_BREAK_RE.split(text), start=1):
-        tokens = _tokenize_line(line, lineno)
-        if not tokens:
-            continue
-        parser = _RuleParser(tokens, lineno)
-        rules.append(parser.parse_rule())
+        tokens = _tokens(line)
+        if tokens[0]:
+            rules.append(_parse_rule(tokens, line, lineno))
     if not rules:
         raise QuerySyntaxError("no rule found", 1, 1)
     head, free_vars, _ = rules[0]

@@ -260,6 +260,80 @@ def test_routing_auto(tmp_path):
             os.unlink(item)
 
 
+@pytest.mark.parametrize("mode, aggregator, duplicates, route", [
+    ("auto", "sum", False, "acq-sum"),
+    ("auto", "sum", True, "acq-sum"),
+    ("auto", "min", False, "acq"),
+    ("acq", "min", False, "acq"),
+    ("acq-sum", "sum", False, "acq-sum"),
+])
+def test_an_acq_run_builds_one_join_tree(tmp_path, monkeypatch, mode, aggregator,
+                                          duplicates, route):
+    # The tree auto routing builds to choose acq is the one the solver
+    # runs on; a run told its mode builds it in the solver. Either way one
+    # GYO join tree per run, and the same answer.
+    from diverseq import acq, cli
+
+    calls = []
+
+    def counted(original):
+        def gyo(query):
+            calls.append(query)
+            return original(query)
+        return gyo
+
+    monkeypatch.setattr(cli, "gyo_join_tree", counted(cli.gyo_join_tree))
+    monkeypatch.setattr(acq, "gyo_join_tree", counted(acq.gyo_join_tree))
+    db_path, query_path = write_fixture(
+        tmp_path, {"L": [(1,), (2,)], "E": [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]},
+        "Q(x, y) :- L(y), E(x, y).")
+    code, report = run(base_config(db_path, query_path, k=3, d=None, mode=mode,
+                                   aggregator=aggregator, allow_duplicates=duplicates,
+                                   witness=True))
+    assert len(calls) == 1
+    assert (code, report["routing"]) == (0, route)
+    assert report["diversity"] == {"sum": 5, "min": 1}[aggregator]
+
+
+@pytest.mark.parametrize("text", [
+    "Q(x) :- R(x, y), S(x, 7).",
+    "Q(x, y) :- R(x, y), !S(x, 7).",
+    "Q(x, y) :- R(x, y), !S(y, 9).",
+    "Q(x) :- R(x, 7).\nQ(x) :- S(x, 5).",
+])
+@pytest.mark.parametrize("mode", ["auto", "bruteforce"])
+def test_a_constant_only_an_unnamed_relation_holds_changes_no_report(
+        tmp_path, monkeypatch, text, mode):
+    # 7 and 9 are values only of U, which no query names, so a run does not
+    # intern them: a positive literal with one selects nothing and a
+    # negated one holds, as when U's values are in the domain.
+    from diverseq import cli, dbio
+
+    db_path = tmp_path / "db.facts"
+    db_path.write_text("U(7, 9).\nR(1, 2).\nR(2, 3).\nR(3, 3).\nS(1, 5).\nS(2, 6).\nU(9, 1).\n",
+                       encoding="utf-8")
+    query_path = tmp_path / "q.dq"
+    query_path.write_text(text + "\n", encoding="utf-8")
+    assert load_database(str(db_path), {"R", "S"}).value(7) is None
+    config = base_config(str(db_path), str(query_path), k=2, d=None, mode=mode,
+                         witness=True)
+    names = []
+
+    def load(path, relations=None):
+        names.append(relations)
+        return dbio.load_database(path, relations)
+
+    monkeypatch.setattr(cli, "load_database", load)
+    reports = [run(config)]
+    assert names == [{"R", "S"}]
+    monkeypatch.setattr(cli, "load_database", lambda path, names=None: dbio.load_database(path))
+    reports.append(run(config))
+    (code, report), (full_code, full_report) = reports
+    assert code == full_code
+    assert canonical_json(report, drop_volatile=True) == \
+        canonical_json(full_report, drop_volatile=True)
+
+
 def test_max_mode_reports_maximum(tmp_path):
     db_path, query_path = write_fixture(
         tmp_path, {"R": [(1,), (2,), (3,)]}, "Q(v) :- R(v)."

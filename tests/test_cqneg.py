@@ -1,13 +1,15 @@
 import itertools
+import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from diverseq import acq, cqneg
 from diverseq.acq import _project, dp_init, dp_project, merge_order, solve_acq
 from diverseq.cqneg import BagSolver, solve_cqneg
-from diverseq.errors import ArityMismatch, TableGuardExceeded, UnknownRelation
+from diverseq.errors import DEFAULT_TABLE_CAP, ArityMismatch, TableGuardExceeded, UnknownRelation
 from diverseq.kernel import materialize_answers, solve_fo_diverse
 from diverseq.model import MIN, SUM, Database, diversity_of_set
 from diverseq.oracle import bruteforce_diversity, enumerate_answers
@@ -670,6 +672,33 @@ def test_wide_bag_below_the_root_is_refused_by_its_join():
             BagSolver(query, db, 2, td, table_cap=cap)
         with pytest.raises(TableGuardExceeded):
             solve_cqneg(query, db, 2, None, SUM, decomposition=td, table_cap=cap)
+
+
+def _most_sols_by_search(k, cap):
+    """The reference for `BagSolver._most_sols`: a binary search over the
+    table guard's own count."""
+    lo, hi = 0, cap
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        size = acq._slot_tuples(mid, k, True, cap)
+        lo, hi = (mid, hi) if size is not None and size <= cap else (lo, mid - 1)
+    return lo
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 63, 64, 65, 200, 20_000, 100_000_000])
+def test_most_sols_is_the_binary_searched_bound(k):
+    # The most sols a node may hold is computed from (k, cap) directly; it
+    # is the largest n whose sorted k-tuples fit under the cap, as the
+    # binary search over the guard's count finds it. Past k = 64 it is
+    # counted up from one sol.
+    caps = [0, 1, *range(2, 130), 1000, 12345, DEFAULT_TABLE_CAP - 1, DEFAULT_TABLE_CAP,
+            10 ** 18]
+    if k <= 200:  # past it the search computes exact counts of thousands of factors
+        caps.append(10 ** 40 + 7)
+    for cap in caps:
+        most = BagSolver._most_sols(SimpleNamespace(k=k, table_cap=cap))
+        assert most == _most_sols_by_search(k, cap), (k, cap)
+        assert math.comb(most + k - 1, k) <= cap < math.comb(most + k, k)
 
 
 def test_bag_the_down_sweep_cuts_is_not_refused_for_its_bottom_up_sols():

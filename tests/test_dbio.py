@@ -407,3 +407,110 @@ def test_csv_integer_past_the_int_limit_is_a_syntax_error(tmp_path):
     (d / "R.csv").write_text(f"{at_limit},{padded}\n", encoding="utf-8")
     assert load_database(str(d)).relations["R"].payload_rows() == {(int(at_limit), padded)}
     assert sys.get_int_max_str_digits() == limit
+
+
+_LONG = "7" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize("path", ["integer", "line"])
+@pytest.mark.parametrize("bad, line, column, message", [
+    ("U(1 2).\n", 3, 3, "bad value list '1 2'"),
+    ("U(1,).\n", 3, 4, "value list '1,' ends in a comma"),
+    ("U(1).\nU(1, 2).\n", 4, 1, "relation U used with arities 1 and 2"),
+    ("U(1, 2).\nR(3).\n", 4, 1, "relation R used with arities 2 and 1"),
+    pytest.param(f"U(1, {_LONG}).\n", 3, 6,
+                 f"integer literal of {len(_LONG)} digits exceeds the limit of "
+                 f"{sys.get_int_max_str_digits()}",
+                 marks=pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+                                          reason="int converts any length")),
+], ids=["bad-values", "trailing-comma", "mixed-arity", "mixed-arity-named", "long-integer"])
+def test_relations_the_query_never_names_are_still_checked(tmp_path, path, bad, line, column,
+                                                           message):
+    # Loading only R still checks every fact: a malformed fact, a mixed
+    # arity or an over-long integer in a relation never named is a
+    # QuerySyntaxError at its line, read by the whole-text scan or by the
+    # line parser, and the CLI exits 2 on it.
+    head = "R(1, 2).\nR(2, 3).\n" if path == "integer" else 'R(1, 2).\nR(2, "3").\n'
+    db_path = tmp_path / "db.facts"
+    db_path.write_text(head + bad, encoding="utf-8")
+    assert (dbio._integer_facts(head) is not None) == (path == "integer")
+    for names in (None, {"R"}):
+        with pytest.raises(QuerySyntaxError) as err:
+            load_database(str(db_path), names)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
+    query = tmp_path / "q.dq"
+    query.write_text("Q(x) :- R(x, y).\n", encoding="utf-8")
+    code, report = run(RunConfig(db_path=str(db_path), query_path=str(query), k=1, d=0))
+    assert (code, report["error"]["code"]) == (2, "QuerySyntaxError")
+
+
+@pytest.mark.parametrize("text", [
+    "U(9, 8).\nR(1, 2).\nU(2, 7).\nS(3).\nR(2, 3).\n",
+    'U(9, "8").\nR(1, 2).\nV().\nU(2, 7).\nS(3).\nR(2, 3).\nU(4, 4). # c\n',
+], ids=["integer", "line"])
+def test_load_database_keeps_only_the_named_relations(tmp_path, text):
+    # Only R and S are interned and stored, in the order a full load gives
+    # them, and their values in the order a full load meets them within R
+    # and S; U's values are not in the domain.
+    assert (dbio._integer_facts(text) is not None) == ("#" not in text)
+    path = tmp_path / "db.facts"
+    path.write_text(text, encoding="utf-8")
+    full = load_database(str(path))
+    db = load_database(str(path), {"R", "S", "T"})
+    assert list(db.relations) == ["R", "S"]
+    for name in db.relations:
+        assert db.relations[name].payload_rows() == full.relations[name].payload_rows()
+    assert [v.payload for v in db.domain] == [1, 2, 3]
+    assert db.value(9) is None and db.value(7) is None
+    assert list(load_database(str(path), ()).relations) == []
+
+
+def test_csv_relations_never_named_are_still_checked(tmp_path):
+    # A CSV file the query never names is read and checked, and not
+    # stored: an over-long integer or a row of another arity in it fails
+    # as it does when every relation is loaded.
+    d = tmp_path / "db"
+    d.mkdir()
+    (d / "R.csv").write_text("1,2\n2,3\n", encoding="utf-8")
+    (d / "U.csv").write_text("5,6\n7,8\n", encoding="utf-8")
+    db = load_database(str(d), {"R"})
+    assert list(db.relations) == ["R"]
+    assert [v.payload for v in db.domain] == [1, 2, 3]
+    (d / "U.csv").write_text("5,6\n7\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"relation U: row \(7,\) does not match arity 2"):
+        load_database(str(d), {"R"})
+    if sys.get_int_max_str_digits():
+        (d / "U.csv").write_text(f"5,6\n7,{_LONG}\n", encoding="utf-8")
+        for names in (None, {"R"}):
+            with pytest.raises(QuerySyntaxError) as err:
+                load_database(str(d), names)
+            assert (err.value.line, err.value.column) == (2, 2)
+
+
+_FACT_PIECES = st.sampled_from([
+    "R", "S_1", "(", ")", ".", ",", " ", "\t", "\r", "\x0b", "\xa0", "#", '"', "\\",
+    '"a#b"', '"x).\\""', '""', "1", "-", "-0", "007", "42", "٣", "a", "R(1, 2).",
+    'R("s", -3).', "# c",
+])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_FACT_PIECES, max_size=12).map("".join))
+def test_one_pass_fact_lines_read_as_the_token_parser_does(line):
+    # The one-pass reading of a fact line gives the relation, values and
+    # error that reading it token by token gives.
+    try:
+        expected = dbio._parse_fact_line(line, 1)
+    except QuerySyntaxError as err:
+        with pytest.raises(QuerySyntaxError) as got:
+            dbio._facts_by_line([line])
+        assert (str(got.value), got.value.column) == (str(err), err.column)
+        return
+    facts = dbio._facts_by_line([line])
+    if expected is None:
+        assert facts == {}
+    else:
+        name, values = expected
+        assert facts == {name: (len(values), values)}
+        assert [type(v) for v in facts[name][1]] == [type(v) for v in values]
+        assert dbio._facts_by_line([line], ()) == {}

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -80,14 +81,82 @@ def test_negation_in_union_rejected():
         parse_query("Q(x) :- R(x), !S(x).\nQ(x) :- T(x).")
 
 
-def test_syntax_errors_carry_position():
+_LIMIT = sys.get_int_max_str_digits()
+_LONG = "1" * (_LIMIT + 1)
+_LONG_MESSAGE = f"integer literal of {_LIMIT + 1} digits exceeds the limit of {_LIMIT}"
+_NO_LIMIT = pytest.mark.skipif(_LIMIT == 0, reason="int converts any length")
+
+
+def _error(case_id, text, line, column, message, *marks):
+    return pytest.param(text, line, column, message, id=case_id, marks=marks)
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    # a stray character: one that starts no token
+    _error("stray", "Q(x) :- R(x) & S(x).", 1, 14, "unexpected character '&'"),
+    _error("unterminated-string", 'Q(x) :- R(x, "abc).', 1, 14, "unexpected character '\"'"),
+    _error("lone-colon", "Q(x) :- R(x): S(x).", 1, 13, "unexpected character ':'"),
+    _error("lone-minus", "Q(x) :- R(x, -).", 1, 14, "unexpected character '-'"),
+    _error("non-ascii-digit", "Q(x) :- R(x, \u0663).", 1, 14,
+           "unexpected character '\u0663'"),
+    _error("stray-after-parse-error", "Q x & :- R(x).", 1, 5, "unexpected character '&'"),
+    # each `expected ...`
+    _error("head-name", "(x) :- R(x).", 1, 1, "expected 'ident'"),
+    _error("head-open", "Q x :- R(x).", 1, 3, "expected '('"),
+    _error("head-close", "Q(x y) :- R(x).", 1, 5, "expected ')'"),
+    _error("implies", "Q(x) R(x).", 1, 6, "expected 'implies'"),
+    _error("dot", "Q(x) :- R(x)", 1, 13, "expected '.'"),
+    _error("dot-then-spaces", "Q(x) :- R(x)  ", 1, 13, "expected '.'"),
+    _error("dot-then-comment", "Q(x) :- R(x) # no dot", 1, 13, "expected '.'"),
+    _error("atom-name", "Q(x) :- !5.", 1, 10, "expected 'ident'"),
+    _error("atom-open", "Q(x) :- R x.", 1, 11, "expected '('"),
+    _error("atom-close", "Q(x) :- R(x y).", 1, 13, "expected ')'"),
+    _error("atom-close-after-int", "Q(x) :- R(x, 1.", 1, 15, "expected ')'"),
+    _error("empty-head", "Q(", 1, 3, "expected ')'"),
+    _error("truncated-head", "Q(x,", 1, 5, "expected 'ident'"),
+    _error("head-then-comment", "Q( # comment", 1, 3, "expected ')'"),
+    # term errors
+    _error("comma-then-close", "Q(x) :- R(x,).", 1, 13,
+           "unexpected token ')' in term position"),
+    _error("uppercase-term", "Q(x) :- R(x, Y).", 1, 14,
+           "term 'Y' is neither a variable (lowercase-initial) nor a constant"),
+    _error("underscore-term", "Q(x) :- R(x, _y).", 1, 14,
+           "term '_y' is neither a variable (lowercase-initial) nor a constant"),
+    _error("truncated-body", "Q(x) :- R(x,", 1, 13, "expected a term"),
+    # trailing input
+    _error("trailing-name", "Q(x) :- R(x). S", 1, 15, "trailing input after rule"),
+    _error("trailing-dot", "Q(x) :- R(x).. # c", 1, 14, "trailing input after rule"),
+    # no rule
+    _error("empty-text", "", 1, 1, "no rule found"),
+    _error("comments-only", "# a comment\n\n  # another\n", 1, 1, "no rule found"),
+    # head-term errors
+    _error("integer-head-term", "Q(1) :- R(x).", 1, 3, "expected 'ident'"),
+    _error("repeated-head-variable", "Q(x, y,  x) :- S(x, y).", 1, 10,
+           "head term 'x' is repeated"),
+    _error("uppercase-head-term", "Q(x, Y) :- R(x, Y).", 1, 6,
+           "head term 'Y' must be a variable"),
+    _error("underscore-head-term", "Q(_x) :- R(_x).", 1, 3,
+           "head term '_x' must be a variable"),
+    # an over-long integer, and a stray character after one
+    _error("long-integer", f"Q(x) :- R(x, {_LONG}).", 1, 14, _LONG_MESSAGE, _NO_LIMIT),
+    _error("stray-after-long-integer", f"Q(x) :- R(x, {_LONG}) &", 1, _LIMIT + 17,
+           "unexpected character '&'", _NO_LIMIT),
+    # line breaks, `#` inside a quoted string, comment-only lines
+    _error("crlf", "Q(x) :- R(x).\r\nQ(x) :- S(x) &.\r\n", 2, 14,
+           "unexpected character '&'"),
+    _error("cr", "Q(x) :- R(x).\rQ(x) :- S(x)\r", 2, 13, "expected '.'"),
+    _error("hash-in-string", 'Q(x) :- R(x, "#") x.', 1, 19, "expected '.'"),
+    _error("comment-after-comma", 'Q(x) :- R(x, "a#b"), # S(x).', 1, 21,
+           "expected 'ident'"),
+    _error("after-comment-lines", "# c\n  # d\nQ(x) :- R(x)", 3, 13, "expected '.'"),
+    _error("after-a-rule", "Q(x) :- R(x). # fine\nQ(x) :- R(x) S(x).", 2, 14,
+           "expected '.'"),
+])
+def test_syntax_errors_carry_position(text, line, column, message):
     with pytest.raises(QuerySyntaxError) as info:
-        parse_query("Q(x) :- R(x)")  # missing final dot
-    assert info.value.line == 1
-    with pytest.raises(QuerySyntaxError):
-        parse_query("Q(x) :- R(x,).")
-    with pytest.raises(QuerySyntaxError):
-        parse_query("Q(X) :- R(X).")  # uppercase head term is not a variable
+        parse_query(text)
+    assert str(info.value) == f"line {line}, column {column}: {message}"
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 def test_head_term_errors_point_at_the_term():
