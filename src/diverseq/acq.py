@@ -1,4 +1,5 @@
-"""Diversity solver for acyclic conjunctive queries.
+"""Diversity solver for acyclic conjunctive queries, and the tree DP it
+shares with `cqneg`.
 
 The solver runs one dynamic program over a join tree. A table entry pairs a
 k-tuple of partial solutions (an atom's answers, as value-index tuples) with
@@ -27,6 +28,28 @@ Before the tables are built, a full reducer (Yannakakis, VLDB 1981) drops
 every atom solution that lies in no full join result: no such solution is on
 the provenance chain of a root entry, so the root entries, their order and
 the witnesses stay as they were, and only the intermediate tables shrink.
+
+`TreeSolver` is the one postorder driver of both DP engines. A tree
+decomposition is a join tree over its bags' satisfying assignments
+(Gottlob, Leone and Scarcello, JCSS 2002), so `cqneg` runs it over its
+decompositions with a k = 1 pass of its own. Given each node's reduced
+sols, it builds each node's table by one of four rules:
+
+    leaf       `dp_init` of a childless node
+    forget     when the node has one child and that child's bag holds its
+               own: the child's table under the node's id
+    introduce  otherwise, the node's `dp_init` merged with the table of its
+               first child in merge order (`dp_merge`)
+    join       the table so far merged with each further child's table, in
+               `merge_order`
+
+A forget needs no projection: the reduced child's sols project onto
+exactly the node's, and whatever the node shares with its parent lies in
+its bag, so the parent's merge projects the child's table if it must. A
+node with more children starts from its own sols, since its siblings,
+merged into the child's table, would multiply entries that differ only
+where no one else reads them. The root is decided by `dp_finalize` and the
+witness rebuilt by `extract_witness`.
 
 Every table is closed under permuting the k slots, so each one stores only
 its entries at sorted (non-decreasing) slot tuples: the full table is the
@@ -611,6 +634,83 @@ sum_merge = dup_merge = dp_merge
 _extract_sum_witness = _extract_dup_witness = extract_witness
 
 
+class TreeSolver:
+    """The postorder driver of both DP engines over a tree `td`, a join tree
+    or a tree decomposition, given `sols`, each node's reduced sols as index
+    tuples over its sorted bag. `run` builds each node's table by the node
+    rules in the module docstring into `tables`; `solve` runs it, decides at
+    the root and rebuilds a witness. The rules call this module's
+    `dp_init`, `dp_merge`, `merge_order`, `dp_finalize` and
+    `extract_witness` as they are at call time."""
+
+    def __init__(self, td: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]],
+                 k: int, free_vars: Sequence[str], values: Sequence[Value],
+                 table_cap: int, stateless: bool):
+        self.td = td
+        self.sols = sols
+        self.k = k
+        self.free_vars = free_vars
+        self.values = values
+        self.table_cap = table_cap
+        self.stateless = stateless
+        self.tables: dict[int, DPTable] = {}
+
+    # -- node rules ----------------------------------------------------------
+
+    def leaf(self, node: int) -> DPTable:
+        return dp_init(node, self.td.bags[node], self.sols[node], self.k, self.free_vars,
+                       stateless=self.stateless, table_cap=self.table_cap)
+
+    def forget(self, node: int, child: int) -> DPTable:
+        # the parent's merge projects it onto what they share, if it must
+        return replace(self.tables[child], node=node)
+
+    def introduce(self, node: int, child: int) -> DPTable:
+        return dp_merge(self.leaf(node), self.tables[child], self.free_vars,
+                        table_cap=self.table_cap)
+
+    def join(self, table: DPTable, child: int) -> DPTable:
+        return dp_merge(table, self.tables[child], self.free_vars, table_cap=self.table_cap)
+
+    # -- driver ----------------------------------------------------------------
+
+    def run(self) -> None:
+        bags, tables = self.td.bags, self.tables
+        for node in self.td.postorder():
+            kids = self.td.children.get(node, ())
+            if not kids:
+                table = self.leaf(node)
+            elif len(kids) == 1 and bags[node] <= bags[kids[0]]:
+                table = self.forget(node, kids[0])
+            else:
+                first, *rest = merge_order(bags[node], self.sols[node], kids, tables)
+                table = self.introduce(node, first)
+                for child in rest:
+                    table = self.join(table, child)
+            tables[node] = table
+
+    @property
+    def max_table(self) -> int:
+        """The entries the largest node table holds, rows or matrix."""
+        return max(len(table.entries) for table in self.tables.values())
+
+    def witness(self, root_key: tuple) -> tuple[Assignment, ...]:
+        return extract_witness(self.tables[self.td.root], root_key, self.free_vars,
+                               self.values)
+
+    def solve(self, aggregator: Aggregator, d: float | None, allow_duplicates: bool,
+              witness: bool, **stats) -> Outcome:
+        """Build the tables, decide at the root, and rebuild a witness when
+        one is asked for and the answer is yes. `stats` adds to the
+        report's node count, largest table and k."""
+        self.run()
+        decision, best_key, best = dp_finalize(self.tables[self.td.root], aggregator, d,
+                                               allow_duplicates)
+        solution = self.witness(best_key) if decision and witness else None
+        return Outcome(decision, best, solution, stats={
+            "nodes": len(self.td.bags), **stats, "max_table": self.max_table, "k": self.k})
+
+
 def _semijoin(jt: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]],
               target: int, source: int) -> None:
     """Keep in sols[target] the solutions that agree with some solution of
@@ -639,31 +739,19 @@ def _reduce_down(jt: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]]) 
 
 
 def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
-              stateless: bool, table_cap: int, jt: TreeDecomposition | None = None):
-    """Build every node's table over its fully reduced solutions, children
-    first, each merging its children in `merge_order`, over `jt`, or when
-    it is None the query's GYO join tree. Tables are built through the
-    module's `dp_init` and `dp_merge` as they are at call time."""
+              stateless: bool, table_cap: int,
+              jt: TreeDecomposition | None = None) -> TreeSolver:
+    """The tree solver over `jt`, or when it is None the query's GYO join
+    tree, with each node's fully reduced atom sols: the k = 1 pass."""
     if jt is None:
         jt = gyo_join_tree(query)
     if jt is None:
         raise NotAcyclic(f"query {query.head} admits no join tree")
     atoms = query.conjuncts[0].positive_atoms
-    order = jt.postorder()
-    sols = {node: _sorted_sols(atoms[node], db) for node in order}
+    sols = {node: _sorted_sols(atoms[node], db) for node in jt.postorder()}
     _reduce_up(jt, sols)
     _reduce_down(jt, sols)
-    tables: dict[int, DPTable] = {}
-    max_table = 0
-    for node in order:
-        table = dp_init(node, atoms[node].variables, sols[node], k, free_vars,
-                        stateless=stateless, table_cap=table_cap)
-        for child in merge_order(table.variables, sols[node], jt.children.get(node, ()), tables):
-            table = dp_merge(table, tables[child], free_vars, table_cap=table_cap)
-        tables[node] = table
-        max_table = max(max_table, len(table.entries))
-    stats = {"nodes": len(atoms), "max_table": max_table, "k": k}
-    return jt, tables, stats
+    return TreeSolver(jt, sols, k, free_vars, db.values, table_cap, stateless)
 
 
 def _solve(query: Query, db: Database, k: int, d: float | None, aggregator: Aggregator,
@@ -672,13 +760,9 @@ def _solve(query: Query, db: Database, k: int, d: float | None, aggregator: Aggr
     """Build the tables and decide at the root. Summing distances over
     multisets of answers needs only each tuple's best sum, so exactly then
     the tables are stateless."""
-    free_vars = query.free_vars
     stateless = allow_duplicates and aggregator is SUM
-    jt, tables, stats = _traverse(query, db, k, free_vars, stateless, table_cap, join_tree)
-    decision, best_key, best = dp_finalize(tables[jt.root], aggregator, d, allow_duplicates)
-    solution = extract_witness(tables[jt.root], best_key, free_vars, db.values) \
-        if decision and witness else None
-    return Outcome(decision, best, solution, stats=stats)
+    solver = _traverse(query, db, k, query.free_vars, stateless, table_cap, join_tree)
+    return solver.solve(aggregator, d, allow_duplicates, witness)
 
 
 def solve_acq(query: Query, db: Database, k: int, d: float | None,

@@ -2,40 +2,26 @@
 
 A tree decomposition is a join tree over its bags' satisfying assignments
 (Gottlob, Leone and Scarcello, JCSS 2002), and `acq`'s rules change any
-number of variables along an edge, so the engine is acq's join-tree engine
-run over the decomposition as it is.
+number of variables along an edge, so the engine is acq's tree driver,
+`acq.TreeSolver`, run over the decomposition as it is. What is cqneg's own
+is the k = 1 pass that gives each bag its sols.
 
-A k = 1 pass first gives each bag its sols, value-index tuples over the
-sorted bag. In postorder, a bag's bottom-up sols are `queries.join`, a
-lazy hash join, of each child's sols projected onto the variables they
-share, the sols of every positive atom the bag covers, and each bag
-variable's candidate values, filtered by the negative literals the bag
-covers. acq's down sweep (Yannakakis, VLDB 1981) then leaves exactly each
-bag's share of the answers. A join is refused once it builds more partial
-assignments than the cap, and the root's, whose sols the sweep leaves, as
-soon as they outnumber what a table under the cap could pair.
+The pass gives each bag value-index tuples over the sorted bag. In
+postorder, a bag's bottom-up sols are `queries.join`, a lazy hash join, of
+each child's sols projected onto the variables they share, the sols of
+every positive atom the bag covers, and each bag variable's candidate
+values, filtered by the negative literals the bag covers. acq's down sweep
+(Yannakakis, VLDB 1981) then leaves exactly each bag's share of the
+answers. A join is refused once it builds more partial assignments than
+the cap, and the root's, whose sols the sweep leaves, as soon as they
+outnumber what a table under the cap could pair.
 
-Then, bottom-up, each node's table is an `acq.DPTable` over those sols:
-
-    leaf       `dp_init` of a childless bag
-    forget     when the bag adds no variable to its first child's: that
-               child's table under the bag's id
-    introduce  otherwise, the bag's `dp_init` merged with the table of its
-               first child in merge order (`dp_merge`)
-    join       the table so far merged with each further child's table, in
-               `acq.merge_order`: first the children the merge adds as
-               matrices, then those it projects or merges as rows, each
-               group in tree order (a forget's child stays first)
-
-Only `dp_merge` projects a table, a child whose sols share a projection
-onto the shared variables. A forget needs none: whatever a bag inside its
-child's shares with its parent or siblings lies in that bag.
-
-Tables are stateless exactly when acq's are: when the solve sums distances
-and allows duplicate answers. The root is decided by `dp_finalize`, which
-searches a matrix root by branch and bound, and the witness rebuilt by
-`extract_witness`. The reducer drops only sols that lie on no root entry's
-provenance chain, so only the tables below the root shrink.
+The driver then builds each node's `acq.DPTable` over those sols by acq's
+node rules (leaf, forget, introduce and join), decides at the root and
+rebuilds the witness. Tables are stateless exactly when acq's are: when
+the solve sums distances and allows duplicate answers. The reducer drops
+only sols that lie on no root entry's provenance chain, so only the tables
+below the root shrink.
 
 A variable ranges only over its candidate values: those in its column of
 every positive atom that mentions it. That loses no answer: the query is
@@ -44,72 +30,34 @@ safe, so every variable lies in some positive atom, which some bag covers.
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import replace
-
-from .acq import (
-    DPTable,
-    _project,
-    _reduce_down,
-    dp_finalize,
-    dp_init,
-    dp_merge,
-    extract_witness,
-    merge_order,
-)
+from .acq import TreeSolver, _project, _reduce_down
 from .errors import DEFAULT_TABLE_CAP, TableGuardExceeded
-from .model import SUM, Aggregator, Assignment, Database, Outcome
+from .model import SUM, Aggregator, Database, Outcome
 from .queries import Literal, Query, Variable, join, relation_of, satisfies_literal, sols_atom
 from . import structure
 from .structure import TreeDecomposition, tree_decompose, validate_decomposition
 
 # Bound only because the traced benchmark wraps it: nothing here calls the
-# nice form. It goes when the program records its own spans (ROADMAP item 6).
+# nice form. It goes when the program records its own spans (ROADMAP item 2).
 make_nice = structure.make_nice
 
 
-# Beyond this k, `_most_sols` counts up rather than take a root of cap * k!;
-# at the default cap, k = 64 leaves at most 31 sols.
-_ROOT_MAX_K = 64
-
-
-def _integer_root(x: int, k: int) -> int:
-    """The largest r with r^k <= x, for x >= 0 and k >= 1, by Newton's
-    method in integers from above."""
-    if x < 2:
-        return x
-    r = 1 << -(-x.bit_length() // k)  # 2^ceil(bits / k) > the root
-    while True:
-        s = ((k - 1) * r + x // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
-class BagSolver:
-    """Bottom-up sweep over one tree decomposition. Building the solver runs
-    the k = 1 pass, so `sols` holds every bag's reduced sols before `run`
-    (or a single node rule) builds a k-tuple table."""
+class BagSolver(TreeSolver):
+    """The tree driver over one tree decomposition, with cqneg's k = 1 pass.
+    Building the solver runs the pass, so `sols` holds every bag's reduced
+    sols before `run` (or a single node rule) builds a k-tuple table."""
 
     def __init__(self, query: Query, db: Database, k: int, td: TreeDecomposition,
                  table_cap: int, stateless: bool = False):
+        super().__init__(td, {}, k, query.free_vars, db.values, table_cap, stateless)
         self.query = query
         self.db = db
-        self.k = k
-        self.td = td
-        self.table_cap = table_cap
-        self.stateless = stateless
         # Literals by least variable (None if ground): a bag finds its own fast.
         self.literals: dict[str | None, list[Literal]] = {}
         for lit in query.conjuncts[0].literals:
             self.literals.setdefault(min(lit.variables, default=None), []).append(lit)
-        self.tables: dict[int, DPTable] = {}
         self.candidates = self._candidate_values()
-        self.most = self._most_sols()
-        self.sols = self._reduce()
-
-    # -- helpers ------------------------------------------------------------
+        self._reduce()
 
     def _candidate_values(self) -> dict[str, list[int]]:
         """Per variable, the sorted domain indices found in its column of
@@ -133,7 +81,7 @@ class BagSolver:
         """The node's bottom-up sols, given its children's in `below`: the
         candidate assignments of its bag that satisfy the literals it covers
         and meet each child's sols on the variables they share, sorted. The
-        root's are refused as soon as they pass `most` (`_bounded`)."""
+        root's are refused as they arrive (`_bounded`)."""
         bags = self.td.bags
         bag, order = bags[node], tuple(sorted(bags[node]))
         inputs = []
@@ -158,93 +106,29 @@ class BagSolver:
         bindings = dict(zip(order, part))
         return all(satisfies_literal(lit, bindings, self.db) for lit in lits)
 
-    # -- k = 1 pass -----------------------------------------------------------
-
-    def _most_sols(self) -> int:
-        """The most sols n whose C(n + k - 1, k) sorted k-tuples fit a table
-        under the cap. Since n^k / k! <= C(n + k - 1, k) <= (n + k - 1)^k / k!,
-        n is at most r, the integer k-th root of cap * k!, and r - k + 1
-        fits: the count is stepped down from r at most k - 1 times. Past
-        `_ROOT_MAX_K` the factorial grows costly and n is small: the count
-        is stepped up from n = 1 instead."""
-        k, cap = self.k, self.table_cap
-        if not k:
-            return cap  # one empty tuple, however many sols
-        if k <= _ROOT_MAX_K:
-            n = min(cap, _integer_root(cap * math.factorial(k), k))
-            while math.comb(n + k - 1, k) > cap:
-                n -= 1
-            return n
-        if not cap:
-            return 0
-        n, count = 1, 1
-        while True:
-            count = count * (n + k) // n  # C(n + k, k), the count for n + 1
-            if count > cap:
-                return n
-            n += 1
-
     def _bounded(self, node: int, parts) -> list[tuple[int, ...]]:
-        """The bag assignments `parts` yields, refused as soon as they pass
-        `most`, before the rest are built."""
-        found = list(itertools.islice(parts, self.most + 1))
-        if len(found) > self.most:
-            raise TableGuardExceeded(
-                f"node {node} has over {self.most} bag assignments, whose sorted "
-                f"{self.k}-tuples exceed {self.table_cap} entries")
+        """The bag assignments `parts` yields, refused at the first n whose
+        C(n + k - 1, k) sorted k-tuples pass the cap, before the rest are
+        built. The count is carried from part to part."""
+        k, cap = self.k, self.table_cap
+        found, count = [], 1
+        for n, part in enumerate(parts, 1):
+            if n > 1:
+                count = count * (n + k - 1) // (n - 1)  # C(n + k - 1, k) from n - 1's
+            if count > cap:
+                raise TableGuardExceeded(
+                    f"node {node} has over {n - 1} bag assignments, whose sorted "
+                    f"{k}-tuples exceed {cap} entries")
+            found.append(part)
         return found
 
-    def _reduce(self) -> dict[int, list[tuple[int, ...]]]:
+    def _reduce(self) -> None:
         """The k = 1 pass: per bag, the sorted assignments that extend to an
         answer. The sweep without it stores every sorted k-tuple of a bag's
-        bottom-up sols, so it would refuse a bag with more than `most`."""
-        sols: dict[int, list[tuple[int, ...]]] = {}
+        bottom-up sols, so it would refuse whatever `_bounded` refuses."""
         for node in self.td.postorder():
-            sols[node] = self.satisfying_tuples(node, sols)
-        _reduce_down(self.td, sols)
-        return sols
-
-    # -- node rules ----------------------------------------------------------
-
-    def leaf(self, node: int) -> DPTable:
-        return dp_init(node, self.td.bags[node], self.sols[node], self.k,
-                       self.query.free_vars, stateless=self.stateless,
-                       table_cap=self.table_cap)
-
-    def forget(self, node: int, child: int) -> DPTable:
-        # the parent's merge projects it onto what they share, if it must
-        return replace(self.tables[child], node=node)
-
-    def introduce(self, node: int, child: int) -> DPTable:
-        return dp_merge(self.leaf(node), self.tables[child], self.query.free_vars,
-                        table_cap=self.table_cap)
-
-    def join(self, table: DPTable, child: int) -> DPTable:
-        return dp_merge(table, self.tables[child], self.query.free_vars,
-                        table_cap=self.table_cap)
-
-    # -- driver ----------------------------------------------------------------
-
-    def run(self) -> None:
-        bags = self.td.bags
-        for node in self.td.postorder():
-            kids = self.td.children.get(node, ())
-            if not kids:
-                table, rest = self.leaf(node), ()
-            elif bags[node] <= bags[kids[0]]:
-                # the bag's sols are its first child's projected onto it
-                table = self.forget(node, kids[0])
-                rest = merge_order(table.variables, table.sols, kids[1:], self.tables)
-            else:
-                first, *rest = merge_order(bags[node], self.sols[node], kids, self.tables)
-                table = self.introduce(node, first)
-            for child in rest:
-                table = self.join(table, child)
-            self.tables[node] = table
-
-    def witness(self, root_key: tuple) -> tuple[Assignment, ...]:
-        return extract_witness(self.tables[self.td.root], root_key, self.query.free_vars,
-                               self.db.values)
+            self.sols[node] = self.satisfying_tuples(node, self.sols)
+        _reduce_down(self.td, self.sols)
 
 
 def solve_cqneg(query: Query, db: Database, k: int, d: float | None,
@@ -266,14 +150,4 @@ def solve_cqneg(query: Query, db: Database, k: int, d: float | None,
         raise ValueError(f"invalid decomposition: {violations[0]}")
     solver = BagSolver(query, db, k, decomposition, table_cap,
                        stateless=allow_duplicates and aggregator is SUM)
-    solver.run()
-    root = solver.tables[decomposition.root]
-    decision, best_key, best = dp_finalize(root, aggregator, d, allow_duplicates)
-    solution = solver.witness(best_key) if decision and witness else None
-    stats = {
-        "nodes": len(decomposition.bags),
-        "width": decomposition.width,
-        "max_table": max(len(table.entries) for table in solver.tables.values()),
-        "k": k,
-    }
-    return Outcome(decision, best, solution, stats=stats)
+    return solver.solve(aggregator, d, allow_duplicates, witness, width=decomposition.width)

@@ -573,14 +573,26 @@ def _pairwise_consistent(jt, atoms, sols):
     return sols
 
 
-def test_full_reducer_keeps_root_entries():
+def test_full_reducer_keeps_root_entries(monkeypatch):
     # The reducer leaves exactly the pairwise-consistent solutions, in order.
-    # Reduced and unreduced traversals, each node merging its children in
-    # the order the reduced traversal chose (`merge_order` over its tables),
-    # agree on the root table (slots, vectors, values, order, provenance);
-    # the reduced tables are no larger.
+    # The driver run over the reduced sols and over the unreduced atom sols,
+    # each node merging its children in the order the reduced run chose
+    # (`merge_order` over its tables), agree on the root table (slots,
+    # vectors, values, order, provenance) cut to the reduced root table's
+    # sols; the reduced tables are no larger. The cut removes nothing unless
+    # the root is a forget: its table is its child's, whose unreduced sols
+    # still hold rows the root's atom would cut.
+    orders = {}
+
+    def recording(variables, sols, kids, tables):
+        orders[tuple(kids)] = merge_order(variables, sols, kids, tables)
+        return orders[tuple(kids)]
+
+    def replaying(variables, sols, kids, tables):
+        return orders[tuple(kids)]
+
     rng = random.Random(67)
-    rows_dropped = shrunk = 0
+    rows_dropped = shrunk = forget_roots = 0
     for trial, (query, plain_db) in enumerate(
         small_answer_instances(rng, 24, max_atoms=4, max_rows=6)
     ):
@@ -589,25 +601,60 @@ def test_full_reducer_keeps_root_entries():
         free = query.free_vars
         atoms = query.conjuncts[0].positive_atoms
         for stateless in (False, True):
-            jt, reduced, stats = _traverse(query, db, k, free, stateless, 10 ** 7)
-            full, max_full = {}, 0
-            for node in jt.postorder():
-                table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
-                                k, free, stateless=stateless)
-                kids = merge_order(reduced[node].variables, reduced[node].sols,
-                                   jt.children.get(node, ()), reduced)
-                for child in kids:
-                    table = dp_merge(table, full[child], free)
-                full[node] = table
-                max_full = max(max_full, len(table.entries))
-                rows_dropped += len(table.sols) - len(reduced[node].sols)
-            consistent = _pairwise_consistent(
-                jt, atoms, {node: full[node].sols for node in full})
-            assert all(reduced[node].sols == consistent[node] for node in full)
-            assert _root_entries(reduced, jt, free, db) == _root_entries(full, jt, free, db)
-            assert stats["max_table"] <= max_full
-            shrunk += stats["max_table"] < max_full
-    assert rows_dropped > 0 and shrunk > 0
+            monkeypatch.setattr(acq, "merge_order", recording)
+            reduced = _traverse(query, db, k, free, stateless, 10 ** 7)
+            reduced.run()
+            jt = reduced.td
+            full = acq.TreeSolver(jt, {node: _sorted_sols(atoms[node], db) for node in jt.bags},
+                                  k, free, db.values, 10 ** 7, stateless)
+            monkeypatch.setattr(acq, "merge_order", replaying)
+            full.run()
+            rows_dropped += sum(len(full.sols[n]) - len(reduced.sols[n]) for n in jt.bags)
+            consistent = _pairwise_consistent(jt, atoms, full.sols)
+            assert all(reduced.sols[node] == consistent[node] for node in jt.bags)
+            kept = set(reduced.tables[jt.root].sols)
+            expected = _root_entries(full.tables, jt, free, db)
+            cut = [e for e in expected if kept.issuperset(e[0])]
+            assert _root_entries(reduced.tables, jt, free, db) == cut
+            kids = jt.children[jt.root]
+            forget = len(kids) == 1 and jt.bags[jt.root] <= jt.bags[kids[0]]
+            assert forget or cut == expected
+            forget_roots += forget
+            assert reduced.max_table <= full.max_table
+            shrunk += reduced.max_table < full.max_table
+    assert rows_dropped > 0 and shrunk > 0 and forget_roots > 0, \
+        (rows_dropped, shrunk, forget_roots)
+
+
+@pytest.mark.parametrize("mode", ["sum", "min", "sum-dup"])
+def test_one_child_forget_takes_the_ear_table(mode):
+    # R is the GYO ear below the root T, whose bag {x} lies in R's {x, y}:
+    # the root is a forget and its table is R's, under the root's id. x = 4
+    # has no T row, so the reducer cuts R's (4, 1) first. The solve matches
+    # the brute force, and its witness re-verifies.
+    db = Database.from_rows({"R": [(1, 1), (1, 2), (2, 1), (2, 3), (3, 3), (4, 1)],
+                             "T": [(1,), (2,), (3,)]})
+    query = parse_query("Q(x, y) :- R(x, y), T(x).")
+    aggregator, dup = (MIN, False) if mode == "min" else (SUM, mode == "sum-dup")
+    answers = enumerate_answers(query, db)
+    for k in (2, 3):
+        solver = _traverse(query, db, k, query.free_vars, dup, 10 ** 7)
+        jt = solver.td
+        assert jt.children[jt.root] == (0,) and jt.bags[jt.root] == {"x"}
+        solver.run()
+        ear, root = solver.tables[0], solver.tables[jt.root]
+        assert (root.node, root.variables, root.sols) == (jt.root, ear.variables, ear.sols)
+        assert root.entries is ear.entries and len(ear.sols) == 5
+        expected, _ = bruteforce_diversity(answers, k, aggregator, allow_duplicates=dup)
+        if mode == "sum-dup":
+            out = solve_acq_sum_dup(query, db, k, None, witness=True)
+        else:
+            out = solve_acq(query, db, k, None, aggregator, witness=True)
+        assert out.decision is True and out.diversity == expected
+        assert out.stats["max_table"] == len(ear.entries)
+        assert len(out.witness) == k and all(a in answers for a in out.witness)
+        assert dup or len(set(out.witness)) == k
+        assert diversity_of_set(aggregator, out.witness, query.free_vars) == expected
 
 
 def test_dp_merge_matches_reference_merge():
@@ -958,8 +1005,9 @@ def test_folded_chains_and_stars_match_bruteforce():
         free = query.free_vars
         for k in (2, 3):
             for dup in (False, True):
-                jt, tables, _ = _traverse(query, db, k, free, dup, 10 ** 7)
-                root = tables[jt.root].entries
+                solver = _traverse(query, db, k, free, dup, 10 ** 7)
+                solver.run()
+                root = solver.tables[solver.td.root].entries
                 assert root.folds
                 nested += any(child.entries.folds for child, _ in root.folds)
                 for aggregator in (SUM, MIN):

@@ -2,11 +2,10 @@ import itertools
 import math
 import random
 from dataclasses import replace
-from types import SimpleNamespace
 
 import pytest
 
-from diverseq import acq, cqneg
+from diverseq import acq
 from diverseq.acq import _project, dp_init, dp_project, merge_order, solve_acq
 from diverseq.cqneg import BagSolver, solve_cqneg
 from diverseq.errors import DEFAULT_TABLE_CAP, ArityMismatch, TableGuardExceeded, UnknownRelation
@@ -293,30 +292,28 @@ def test_witness_contract_random_cqneg():
 
 
 def is_checked_forget(solver, node):
-    """Whether node is a forget, a bag that adds no variable to its first
-    child's; if so, checks that its table is that child's under its id:
-    the same object's entries when it has no other child to join."""
+    """Whether node is a forget, a bag with one child, whose bag holds its
+    own; if so, checks that its table is that child's under its id, the
+    same object's entries."""
     td = solver.td
     kids = td.children.get(node, ())
-    if not (kids and td.bags[node] <= td.bags[kids[0]]):
+    if not (len(kids) == 1 and td.bags[node] <= td.bags[kids[0]]):
         return False
     table, first = solver.tables[node], solver.tables[kids[0]]
     assert vars(solver.forget(node, kids[0])) == {**vars(first), "node": node}
     assert table.node == node
     assert (table.variables, table.sols) == (first.variables, first.sols)
-    assert (table.entries is first.entries) == (len(kids) == 1)
+    assert table.entries is first.entries
     return True
 
 
 def merge_sequence(solver, node):
     """A node's children in the order the solver merges them: a forget's
-    first child stays first, and the rest follow `acq.merge_order` over the
-    table they merge into, the forget's or the bag's init."""
+    one child, or `acq.merge_order` over the bag's init."""
     td = solver.td
     kids = td.children.get(node, ())
-    if kids and td.bags[node] <= td.bags[kids[0]]:
-        first = solver.tables[kids[0]]
-        return [kids[0], *merge_order(first.variables, first.sols, kids[1:], solver.tables)]
+    if len(kids) == 1 and td.bags[node] <= td.bags[kids[0]]:
+        return list(kids)
     return merge_order(td.bags[node], solver.sols[node], kids, solver.tables)
 
 
@@ -325,13 +322,13 @@ def test_node_tables_match_witness_semantics():
     # every variable taking one of its candidate values. A table stores the
     # entries of D_t at sorted tuples of its sols. A node's sols are its bag
     # assignments that extend to an answer (the k = 1 pass), and its table's
-    # sols are those, or at a forget node (a bag that adds no variable to
-    # its first child's) its first child's table's: a forget is that table
-    # under the node's id. A node with children starts from that table or
-    # its init over its sols, and its table is the reference merge of each
-    # further child's table into that, child by child in the solver's merge
-    # order (`merge_sequence`), entry for entry; the first merge is the
-    # introduce rule, each further one the join rule.
+    # sols are those, or at a forget node (a bag with one child, whose bag
+    # holds its own) that child's table's: a forget is that table under the
+    # node's id. Any other node with children starts from its init over its
+    # sols, and its table is the reference merge of each child's table into
+    # that, child by child in the solver's merge order (`merge_sequence`),
+    # entry for entry; the first merge is the introduce rule, each further
+    # one the join rule.
     # The merge projects a child only where its join is not functional, and
     # the projection of every child onto the variables it shares with its
     # parent is the reference projection.
@@ -426,11 +423,53 @@ def test_node_tables_match_witness_semantics():
     assert projections > introduces, (introduces, projections)
 
 
+def test_forget_needs_an_only_child():
+    # Instance 28 of the random_cqneg_query(Random(7), max_vars=5,
+    # dom_size=3) sweep: min-fill's root {v3} has two children, {v0, v3}
+    # first and {v2, v3}. Taking the first child's table, as a forget, and
+    # joining the second into it keys the root by {v0, v3}, a larger exact
+    # table than the root's own init joined with both (the introduce path),
+    # which is what the solver builds. The solve matches the brute force.
+    db = Database.from_rows({"P0": [(2, 1), (2, 3), (3, 2), (3, 3)],
+                             "P1": [(1, 1), (1, 2), (1, 3), (2, 2)],
+                             "N0": [(1, 3), (2, 2), (3, 3)]})
+    query = parse_query("Q(v2) :- P0(v1, v0), P1(v2, v3), !N0(v3, v0).")
+    td = tree_decompose(query)
+    root = td.root
+    first, second = td.children[root]
+    assert td.bags[root] == {"v3"} <= td.bags[first] == {"v0", "v3"}
+    answers = enumerate_answers(query, db)
+    for k in (2, 3):
+        for aggregator, dup in ((SUM, False), (MIN, False), (SUM, True)):
+            expected, _ = bruteforce_diversity(answers, k, aggregator, allow_duplicates=dup)
+            out = solve_cqneg(query, db, k, None, aggregator, witness=True,
+                              allow_duplicates=dup)
+            assert out.decision is (expected is not None) and out.diversity == expected
+            if expected is not None:
+                assert diversity_of_set(aggregator, out.witness, query.free_vars) == expected
+            solver = BagSolver(query, db, k, td, table_cap=10 ** 7,
+                               stateless=dup and aggregator is SUM)
+            for node in td.postorder():  # the introduce path at every node
+                kids = td.children[node]
+                if not kids:
+                    solver.tables[node] = solver.leaf(node)
+                    continue
+                head, *rest = merge_order(td.bags[node], solver.sols[node], kids, solver.tables)
+                table = solver.introduce(node, head)
+                for child in rest:
+                    table = solver.join(table, child)
+                solver.tables[node] = table
+            introduced = max(len(table.entries) for table in solver.tables.values())
+            assert out.stats["max_table"] == introduced
+            grown = len(solver.join(solver.forget(root, first), second).entries)
+            assert grown >= introduced and (dup or grown > introduced)
+
+
 def test_solver_projects_only_a_child_whose_bag_holds_its_parents(monkeypatch):
-    # No node rule projects a table: a forget node (a bag that adds no
-    # variable to its first child's) takes that child's table under its own
-    # id, and the merges that introduce and join make are the only callers
-    # of dp_project. Each projects the child it merges exactly when the
+    # No node rule projects a table: a forget node (a bag with one child,
+    # whose bag holds its own) takes that child's table under its own id,
+    # and the merges that introduce and join make are the only callers of
+    # dp_project. Each projects the child it merges exactly when the
     # child's sols share a projection onto the variables the child's table
     # shares with the table so far, so every projected child's bag holds
     # all that its parent's table reads of it; in postorder, child by child.
@@ -474,16 +513,16 @@ def test_functional_child_merges_first_as_a_matrix(monkeypatch):
     # onto {y} and merged as rows) and {x, y} (R pairs each y with one x, a
     # functional join). The functional child merges first and adds its
     # matrix, and only the projected child is merged as rows. Merges are
-    # seen through cqneg's binding of `acq.dp_merge`.
+    # seen through `acq.dp_merge`, which the tree driver calls.
     merges = []
-    merge = cqneg.dp_merge
+    merge = acq.dp_merge
 
     def recording(parent, child, *args, **kwargs):
         merged = merge(parent, child, *args, **kwargs)
         merges.append((parent.node, child.variables, merged.matrix is not None))
         return merged
 
-    monkeypatch.setattr(cqneg, "dp_merge", recording)
+    monkeypatch.setattr(acq, "dp_merge", recording)
     live = range(1, 7)
     db = Database.from_rows({
         "R": [(x, 7 - x) for x in live],
@@ -509,13 +548,13 @@ def test_some_solver_merges_add_matrices(monkeypatch):
     # so where both are matrices and every parent sol has a partner, the
     # merge adds matrices, as acq's merges do.
     results = []
-    merge = cqneg.dp_merge
+    merge = acq.dp_merge
 
     def recording(*args, **kwargs):
         results.append(merge(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(cqneg, "dp_merge", recording)
+    monkeypatch.setattr(acq, "dp_merge", recording)
     rng = random.Random(5)
     for _ in range(60):
         query, db = random_cqneg_query(rng, max_vars=5, dom_size=3)
@@ -528,10 +567,11 @@ def _unreduced_solver(query, db, k, td, table_cap):
     """A solver whose rules run without the k = 1 pass, over the sols the
     sweep finds bottom-up alone: each bag's assignments that keep its
     covered literals true and meet its children's bottom-up sols, with no
-    refusal at `most`. A join that builds more partial assignments than the
-    cap raises."""
+    refusal at the root bound. A join that builds more partial assignments
+    than the cap raises."""
     solver = BagSolver(query, db, k, td, table_cap=10 ** 7)
     solver.table_cap = table_cap
+    solver._bounded = lambda node, parts: list(parts)
     sols = {}
     for node in td.postorder():
         sols[node] = solver.satisfying_tuples(node, sols)
@@ -601,10 +641,10 @@ def test_full_reducer_keeps_root_entries(monkeypatch):
         k = 2 if trial % 2 == 0 else 3
         td = tree_decompose(query)
         reduced = BagSolver(query, db, k, td, table_cap=10 ** 7)
-        monkeypatch.setattr(cqneg, "merge_order", recording)
+        monkeypatch.setattr(acq, "merge_order", recording)
         reduced.run()
         full = _unreduced_solver(query, db, k, td, table_cap=10 ** 7)
-        monkeypatch.setattr(cqneg, "merge_order", replaying)
+        monkeypatch.setattr(acq, "merge_order", replaying)
         full.run()
         # a child with bottom-up sols that its parent's bottom-up sols miss
         dangling += any(
@@ -675,8 +715,8 @@ def test_wide_bag_below_the_root_is_refused_by_its_join():
 
 
 def _most_sols_by_search(k, cap):
-    """The reference for `BagSolver._most_sols`: a binary search over the
-    table guard's own count."""
+    """The reference for the root's refusal: a binary search over the table
+    guard's own count for the most sols a node may hold."""
     lo, hi = 0, cap
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -686,19 +726,31 @@ def _most_sols_by_search(k, cap):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 63, 64, 65, 200, 20_000, 100_000_000])
-def test_most_sols_is_the_binary_searched_bound(k):
-    # The most sols a node may hold is computed from (k, cap) directly; it
-    # is the largest n whose sorted k-tuples fit under the cap, as the
-    # binary search over the guard's count finds it. Past k = 64 it is
-    # counted up from one sol.
-    caps = [0, 1, *range(2, 130), 1000, 12345, DEFAULT_TABLE_CAP - 1, DEFAULT_TABLE_CAP,
-            10 ** 18]
+def test_root_is_refused_past_the_binary_searched_bound(k):
+    # The root's sorted k-tuples are counted as its assignments arrive: the
+    # most sols whose sorted k-tuples fit under the cap, as the binary
+    # search over the guard's count finds them, are kept, and one more sol
+    # is refused, naming that bound. Caps whose bound takes more sols than
+    # a test builds quickly are skipped.
+    db = Database.from_rows({"R": [(1,)]})
+    td = TreeDecomposition(root=0, children={0: ()}, bags={0: frozenset({"x"})})
+    solver = BagSolver(parse_query("Q(x) :- R(x)."), db, k, td, table_cap=1)
+    caps = [*range(130), 1000, 12345, DEFAULT_TABLE_CAP - 1, DEFAULT_TABLE_CAP, 10 ** 18]
     if k <= 200:  # past it the search computes exact counts of thousands of factors
         caps.append(10 ** 40 + 7)
+    checked = 0
     for cap in caps:
-        most = BagSolver._most_sols(SimpleNamespace(k=k, table_cap=cap))
-        assert most == _most_sols_by_search(k, cap), (k, cap)
+        most = _most_sols_by_search(k, cap)
+        if most >= 20_000:
+            continue
         assert math.comb(most + k - 1, k) <= cap < math.comb(most + k, k)
+        solver.table_cap = cap
+        assert solver._bounded(0, iter(range(most))) == list(range(most))
+        with pytest.raises(TableGuardExceeded, match=f"^node 0 has over {most} bag assignments, "
+                           f"whose sorted {k}-tuples exceed {cap} entries$"):
+            solver._bounded(0, iter(range(most + 1)))
+        checked += 1
+    assert checked >= 132, checked
 
 
 def test_bag_the_down_sweep_cuts_is_not_refused_for_its_bottom_up_sols():
@@ -708,16 +760,22 @@ def test_bag_the_down_sweep_cuts_is_not_refused_for_its_bottom_up_sols():
     # a node may hold 13 sols (14 * 13 / 2 sorted pairs is 91), but only
     # the root is held to that before the sweep: the leaf's join builds 50
     # partial assignments, under the cap, so the query is answered, as
-    # fo-kernel answers it. A cap under 50 refuses the leaf's join.
-    db = Database.from_rows({"R": [(i, i) for i in range(50)],
-                             "S": [(i, i) for i in range(50)],
-                             "U": [(1,), (2,)], "T": [(999,)]})
+    # fo-kernel answers it. A cap under 50 refuses the leaf's join. With 14
+    # values of z kept, the root {z} is refused at its 14th sol.
+    def instance(kept):
+        return Database.from_rows({"R": [(i, i) for i in range(50)],
+                                   "S": [(i, i) for i in range(50)],
+                                   "U": [(z,) for z in range(1, kept + 1)], "T": [(999,)]})
+
+    db = instance(2)
     query = parse_query("Q(x) :- R(x, y), S(y, z), U(z), !T(x).")
     td = tree_decompose(query)
     leaf = childless(td)
-    assert td.bags[leaf] == {"x", "y"} and td.root != leaf
+    assert td.bags[leaf] == {"x", "y"} and td.root != leaf and td.bags[td.root] == {"z"}
+    assert len(BagSolver(query, instance(13), 2, td, table_cap=100).sols[td.root]) == 13
+    with pytest.raises(TableGuardExceeded, match=f"^node {td.root} has over 13 bag assignments"):
+        BagSolver(query, instance(14), 2, td, table_cap=100)
     solver = BagSolver(query, db, 2, td, table_cap=100)
-    assert solver.most == 13
     assert len(solver.satisfying_tuples(leaf, {})) == 50
     assert len(solver.sols[leaf]) == 2
     expected = solve_fo_diverse(materialize_answers(query, db), 2, None, SUM)
@@ -790,8 +848,8 @@ def test_reducer_refuses_only_what_the_sweep_without_it_refuses():
     # The sweep without the k = 1 pass stores every sorted k-tuple of a
     # node's bottom-up sols, so whatever the pass refuses it refuses too.
     rng = random.Random(97)
-    refused = 0
-    for trial in range(150):
+    joins = bounds = 0
+    for trial in range(1500):
         query, plain_db = random_cqneg_query(rng, max_vars=5, dom_size=3)
         db = _with_dangling_rows(plain_db, rng)
         k = 2 if trial % 2 == 0 else 3
@@ -799,11 +857,19 @@ def test_reducer_refuses_only_what_the_sweep_without_it_refuses():
         td = tree_decompose(query)
         try:
             BagSolver(query, db, k, td, table_cap=cap)
-        except TableGuardExceeded:
-            refused += 1
-            with pytest.raises(TableGuardExceeded):
-                _unreduced_solver(query, db, k, td, table_cap=cap).run()
-    assert refused > 10, refused
+        except TableGuardExceeded as refusal:
+            if str(refusal).startswith("join"):
+                # The sweep runs the same join over sols no smaller.
+                joins += 1
+                with pytest.raises(TableGuardExceeded, match="^join"):
+                    _unreduced_solver(query, db, k, td, table_cap=cap)
+            else:
+                # A root-bound refusal: only the sweep's own tables refuse.
+                bounds += 1
+                unreduced = _unreduced_solver(query, db, k, td, table_cap=cap)
+                with pytest.raises(TableGuardExceeded):
+                    unreduced.run()
+    assert joins > 10 and bounds > 10, (joins, bounds)
 
 
 def test_negation_free_matches_acq():
