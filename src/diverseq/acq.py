@@ -58,13 +58,17 @@ tuple up with a sorted parent tuple through a slot map sigma (parent slot i
 reads child slot sigma[i]), reads the child's per-pair values through it, and
 records sigma in the provenance link.
 
-A table is stored as rows or as a matrix. A table whose entries all come
-from one n x n distance matrix over its sols (an atom's initial table, and
-what merging such tables makes) keeps only that matrix: it holds one entry
-per sorted slot tuple, whose state is the tuple's pair distances in the
-matrix, and works out an entry's links only when the entry is read. Every
-other table stores its entries as rows, a dict. Both read alike: a
-read-only mapping in `combinations_with_replacement` order.
+A table is stored as rows or as a matrix table. A table whose entries all
+come from one distance matrix over its sols (an atom's initial table, and
+what merging such tables makes) keeps one answer row per sol instead: the
+sol's values on the free variables the table counts, which the sol's
+extension to the subtree fixes. It holds one entry per sorted slot tuple,
+whose state is the Hamming distances of its slots' rows, and works out an
+entry's links only when the entry is read. Its distance matrix is built
+only for a reader of every entry (a row merge, a projection, or a root read
+entry by entry), and then once. Every other table stores its entries as
+rows, a dict. Both read alike: a read-only mapping in
+`combinations_with_replacement` order.
 
 A merge first makes its join functional: the shared variables of a parent
 sol pick at most one child sol, its partner. The merge alone decides whether
@@ -74,18 +78,25 @@ it is. A projection lands each entry at its slots' projections, re-sorted,
 once per arrangement of the slots that project alike, and keeps per key the
 first entry with the highest sum; no other rule of either engine projects.
 A parent tuple holding a sol with no partner joins nothing. If every sol has
-a partner and both tables are matrices, the merge adds matrices: entry
-(a, b) of the result is P[a][b] + C[single[a]][single[b]] less the shared
-distance, where single maps each parent sol to its partner. Otherwise each
-sorted parent tuple reads its partners sorted, under the inverse of their
-stable argsort, which is the identity when they are already sorted. A node
-merges its children in `merge_order`, those the merge adds as matrices
-first, so a matrix table stays one as long as it can.
+a partner and both tables are matrix tables, the merge adds answer rows:
+each parent sol's row is extended by its partner's, less the columns of the
+shared free variables, which it holds already. Distances then add as the
+rule above says, with no correction matrix: P[a][b] + C[single[a]][single[b]]
+less the shared distance is the Hamming distance of the extended rows.
+Otherwise each sorted parent tuple reads its partners sorted, under the
+inverse of their stable argsort, which is the identity when they are
+already sorted. Over a matrix parent with folds, each new entry links to
+the parent's entry rather than copying its links. A node merges its
+children in `merge_order`, those it adds as answer rows first, so a matrix
+table stays one as long as it can. Each projection of a table's sols onto a
+variable set is made once (`DPTable.projection`), and the merge order and
+the merges share it.
 
-A matrix root asks what the fo-kernel search asks: which k rows of a
-distance matrix aggregate highest. `dp_finalize` answers it with the same
-branch and bound (`model.best_tuple`) under a monotone aggregator, and
-reads any other root entry by entry.
+A matrix root asks what the fo-kernel search asks: which k of its rows
+aggregate highest. `dp_finalize` answers it with the same branch and bound
+(`model.best_tuple`) over the same lazily made distance rows
+(`model.distance_rows`) under a monotone aggregator, and reads any other
+root entry by entry.
 """
 
 from __future__ import annotations
@@ -107,6 +118,7 @@ from .model import (
     Outcome,
     Value,
     best_tuple,
+    distance_rows,
     pair_order,
     pairwise_distances,
 )
@@ -181,9 +193,8 @@ def _project(sols: Sequence[tuple], variables: frozenset[str], names) -> list[tu
     return [tuple([s[c] for c in cols]) for s in sols]
 
 
-def _distance_matrix(sols: Sequence[tuple], variables: frozenset[str], names) -> list[list[int]]:
-    """Pairwise distances of the sols on the variables among `names`."""
-    keys = _project(sols, variables, names)
+def _distance_matrix(keys: Sequence[tuple]) -> list[list[int]]:
+    """Pairwise Hamming distances of index tuples of one width."""
     matrix = [[0] * len(keys) for _ in keys]
     for i, a in enumerate(keys):
         for j in range(i + 1, len(keys)):
@@ -211,26 +222,42 @@ def _sorting_map(partners: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
 
 
 class _MatrixEntries(Mapping):
-    """A table's entries read off one n x n distance matrix over its sols.
+    """A table's entries read off one answer row per sol.
 
-    There is one entry per sorted slot tuple: its state is the tuple's pair
-    distances in the matrix (() when stateless) and its sum is theirs. Each
-    fold, a (child table, partner of each sol) pair recorded by a merge that
-    added the child's matrix, gives every entry one provenance link, worked
-    out when the entry is read: the child key at the partners sorted, and
-    sigma, the inverse of their stable argsort. Nothing per entry is stored.
+    A sol's row holds its values on `columns`, the free variables the
+    table counts: those of the sol's extension to the subtree the table
+    stands for. There is one entry per sorted slot tuple: its state is the
+    Hamming distances of its slots' rows in pair order (() when stateless)
+    and its sum is theirs. Each fold, a (child table, partner of each sol)
+    pair recorded by a merge that added the child's rows, gives every entry
+    one provenance link, worked out when the entry is read: the child key at
+    the partners sorted, and sigma, the inverse of their stable argsort.
+    Nothing per entry is stored.
+
+    A single entry's distances are read off its rows. The rows' n x n
+    distance matrix is built only for a reader of every entry (`scored`),
+    and then once.
     """
 
-    def __init__(self, matrix: list[list[int]], k: int, stateless: bool,
-                 folds: tuple[tuple[DPTable, list[int]], ...] = ()) -> None:
-        self.matrix = matrix
+    def __init__(self, rows: list[tuple[int, ...]], columns: tuple[str, ...], k: int,
+                 stateless: bool, folds: tuple[tuple[DPTable, list[int]], ...] = ()) -> None:
+        self.rows = rows
+        self.columns = columns
         self.k = k
         self.stateless = stateless
         self.folds = folds
         self._pairs = pair_order(k)
+        self._matrix: list[list[int]] | None = None
+
+    @property
+    def matrix(self) -> list[list[int]]:
+        """The rows' distance matrix, built on first use."""
+        if self._matrix is None:
+            self._matrix = _distance_matrix(self.rows)
+        return self._matrix
 
     def __len__(self) -> int:
-        return _sorted_tuples(len(self.matrix), self.k)
+        return _sorted_tuples(len(self.rows), self.k)
 
     def __iter__(self) -> Iterator[tuple]:
         return (key for key, _ in self.scored())
@@ -260,7 +287,7 @@ class _MatrixEntries(Mapping):
         if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], tuple)):
             return None
         ptuple, state = key
-        n = len(self.matrix)
+        n = len(self.rows)
         if len(ptuple) != self.k or not all(isinstance(a, int) and 0 <= a < n for a in ptuple) \
                 or not all(map(operator.le, ptuple, ptuple[1:])):
             return None
@@ -270,8 +297,8 @@ class _MatrixEntries(Mapping):
         return sum(vec)
 
     def _distances(self, ptuple: tuple[int, ...]) -> tuple[int, ...]:
-        m = self.matrix
-        return tuple([m[ptuple[i]][ptuple[j]] for i, j in self._pairs])
+        rows, ne = self.rows, operator.ne
+        return tuple([sum(map(ne, rows[ptuple[i]], rows[ptuple[j]])) for i, j in self._pairs])
 
     def _links(self, ptuple: tuple[int, ...]) -> tuple:
         links = []
@@ -311,10 +338,15 @@ class DPTable:
     node's table; so tables compare by identity, lest `==` or repr walk
     every table below.
 
-    entries are stored as rows, a dict, or as a matrix (`_MatrixEntries`):
-    `dp_init` makes a matrix table, and `dp_merge` makes one when it adds
-    the matrices of a functional join. Both are read-only mappings with the
-    same keys, order and values.
+    entries are stored as rows, a dict, or as a matrix table, one answer
+    row per sol (`_MatrixEntries`): `dp_init` makes a matrix table, and
+    `dp_merge` makes one when it adds the answer rows of a functional join.
+    Both are read-only mappings with the same keys, order and values.
+
+    A projection of the sols onto a variable set is made once per table
+    (`projection`). A table that `replace` makes from this one shares the
+    projections, so it must keep the variables and sols; `dp_project`,
+    which changes them, builds its table afresh.
     """
 
     node: int
@@ -323,13 +355,22 @@ class DPTable:
     k: int
     stateless: bool = False
     entries: Mapping[tuple, tuple] = field(default_factory=dict)
+    _projections: dict[frozenset[str], list[tuple]] = field(default_factory=dict, repr=False)
 
     @property
-    def matrix(self) -> list[list[int]] | None:
-        """The distance matrix a matrix table's entries are read off, or
-        None when they are stored as rows."""
+    def answer_rows(self) -> list[tuple[int, ...]] | None:
+        """The answer rows a matrix table's entries are read off, or None
+        when they are stored as rows."""
         entries = self.entries
-        return entries.matrix if isinstance(entries, _MatrixEntries) else None
+        return entries.rows if isinstance(entries, _MatrixEntries) else None
+
+    def projection(self, names) -> list[tuple]:
+        """Each sol cut to the variables among `names` (`_project`)."""
+        cols = self.variables.intersection(names)
+        found = self._projections.get(cols)
+        if found is None:
+            found = self._projections[cols] = _project(self.sols, self.variables, cols)
+        return found
 
     def guard(self, table_cap: int) -> None:
         if len(self.entries) > table_cap:
@@ -366,7 +407,8 @@ def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
     """Initial table: every sorted k-tuple of the node's sols, index tuples
     over its sorted variables, with its pair-distance vector (or () in a
     stateless table) and the sum of its distances. It is a matrix table:
-    only the sols' distance matrix is built.
+    only each sol's answer row, its projection onto the free variables, is
+    stored.
 
     The guard counts the n^k slot tuples an exact table stands for, and
     the C(n + k - 1, k) sorted ones a stateless table stores. It also
@@ -384,9 +426,10 @@ def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
         raise TableGuardExceeded(
             f"initial table at node {node}: each entry's {k} slots make "
             f"{math.comb(k, 2)} pairs")
-    matrix = _distance_matrix(sols, variables, free_vars)
+    columns = tuple(sorted(variables.intersection(free_vars)))
     return DPTable(node=node, variables=variables, sols=sols, k=k, stateless=stateless,
-                   entries=_MatrixEntries(matrix, k, stateless))
+                   entries=_MatrixEntries(_project(sols, variables, columns), columns, k,
+                                          stateless))
 
 
 def dp_project(child: DPTable, variables: frozenset[str], *,
@@ -404,23 +447,29 @@ def dp_project(child: DPTable, variables: frozenset[str], *,
     projects a table, a child whose sols share a projection onto the shared
     variables, and the projection keeps the child's node id.
     """
-    proj_sols = _project(child.sols, child.variables, variables)
+    proj_sols = child.projection(variables)
     sols = sorted(set(proj_sols))
     index = {p: n for n, p in enumerate(sols)}
     proj = [index[p] for p in proj_sols]  # child sol -> projected sol
     stateless = child.stateless
-    table = replace(child, variables=variables, sols=sols, entries={})
+    table = DPTable(node=child.node, variables=variables, sols=sols, k=child.k,
+                    stateless=stateless)
     out = table.entries
     identity = tuple(range(child.k))
-    # Where a slot tuple's entries land; a stateless entry's first slot map
-    # depends on its projections alone, so they key its moves instead.
+    # Where a slot tuple's entries land, keyed by its slots' projections
+    # and which slots repeat their left neighbour, on which alone the slot
+    # maps depend; a stateless entry's first slot map depends on its
+    # projections alone, so they key its moves.
     cache: dict[tuple, list] = {}
+    last = None
     for ckey, value in _scored(child.entries):
         ctuple, cstate = ckey
-        at = tuple([proj[c] for c in ctuple]) if stateless else ctuple
-        moves = cache.get(at)
-        if moves is None:
+        if ctuple != last:
+            last = ctuple
             projs = tuple([proj[c] for c in ctuple])
+            at = projs if stateless else (projs, tuple(map(operator.eq, ctuple, ctuple[1:])))
+            moves = cache.get(at)
+        if moves is None:
             if all(map(operator.lt, projs, projs[1:])):  # still sorted, distinct
                 moves = [(projs, identity, None)]
             elif stateless:  # the first slot map: the stable argsort
@@ -472,33 +521,45 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     This is the one place that decides whether a child is projected: a
     child whose sols share a projection onto the shared variables is merged
     as its projection onto them (`dp_project`), which the links then reach,
-    and any other child is merged as it is. When both tables are matrices
-    and every parent sol has a partner, each parent tuple meets one child
-    entry, so the merge adds the matrices and records the fold. Otherwise
-    the guard runs once per parent slot tuple that joins, and once at the
-    end.
+    and any other child is merged as it is. When both tables are matrix
+    tables and every parent sol has a partner, each parent tuple meets one
+    child entry, so the merge adds answer rows: each sol's row is extended
+    by its partner's, less the shared columns, which it holds already, and
+    the fold is recorded. Otherwise the guard runs once per parent slot
+    tuple that joins, and once at the end; a matrix parent with folds is
+    then read by sum alone, and each new entry links to the parent entry,
+    whose own links `extract_witness` works out when it walks there.
     """
     shared = parent.variables & child.variables
-    proj_c = _project(child.sols, child.variables, shared)
+    proj_c = child.projection(shared)
     if len(set(proj_c)) < len(proj_c):
         child = dp_project(child, shared, table_cap=table_cap)
         child.check_bound(len(free_vars))
         proj_c = child.sols
     partner = {proj: c for c, proj in enumerate(proj_c)}
-    single = [partner.get(proj) for proj in _project(parent.sols, parent.variables, shared)]
-    # Distances on the shared free variables, which both sides count.
-    corr = _distance_matrix(parent.sols, parent.variables, shared & set(free_vars))
-    pm, cm = parent.matrix, child.matrix
-    if pm is not None and cm is not None and None not in single:
-        matrix = [[p + crow[s] - c for p, s, c in zip(prow, single, corrow)]
-                  for prow, corrow, crow in zip(pm, corr, [cm[s] for s in single])]
+    single = [partner.get(proj) for proj in parent.projection(shared)]
+    pentries, centries = parent.entries, child.entries
+    if isinstance(pentries, _MatrixEntries) and isinstance(centries, _MatrixEntries) \
+            and None not in single:
+        keep = [i for i, v in enumerate(centries.columns) if v not in shared]
+        crows = [tuple([row[i] for i in keep]) for row in centries.rows]
         merged = replace(parent, entries=_MatrixEntries(
-            matrix, parent.k, parent.stateless, parent.entries.folds + ((child, single),)))
+            [prow + crows[s] for prow, s in zip(pentries.rows, single)],
+            pentries.columns + tuple([centries.columns[i] for i in keep]),
+            parent.k, parent.stateless, pentries.folds + ((child, single),)))
         merged.guard(table_cap)
         return merged
+    # Distances on the shared free variables, which both sides count.
+    corr = _distance_matrix(parent.projection(shared.intersection(free_vars)))
+    if isinstance(pentries, _MatrixEntries) and pentries.folds:
+        identity = tuple(range(parent.k))
+        parent_items = ((key, (total, ((parent, key, identity),)))
+                       for key, total in pentries.scored())
+    else:
+        parent_items = pentries.items()
     # sorted child tuple -> (key, sum) of its entries
     child_keys: dict[tuple, list[tuple[tuple, int]]] = {}
-    for ckey, value in _scored(child.entries):
+    for ckey, value in _scored(centries):
         child_keys.setdefault(ckey[0], []).append((ckey, value))
     cache: dict[tuple, Sequence] = {}  # partners -> `_aligned` of them
     merged = replace(parent, entries={})
@@ -506,7 +567,7 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     add = operator.add
     pairs = pair_order(parent.k)
     last = None  # entries of one slot tuple are adjacent
-    for (ptuple, state), (value, refs) in parent.entries.items():
+    for (ptuple, state), (value, refs) in parent_items:
         if ptuple != last:
             last = ptuple
             partners = tuple([single[p] for p in ptuple])
@@ -533,24 +594,23 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     return merged
 
 
-def merge_order(variables: frozenset[str], sols: Sequence[tuple], kids: Sequence[int],
-                tables: Mapping[int, DPTable]) -> list[int]:
-    """The order in which a table over `variables` and `sols` merges its
-    children's tables: first the children `dp_merge` adds as matrices (a
-    matrix table whose sols project onto the shared variables one to one,
-    a partner for every sol of the parent), then those it projects or merges
-    as rows, each group in tree order. A matrix add keeps the parent's sols,
-    and the parent a matrix, so into a matrix table every child of the first
-    group is added; into a table stored as rows every child merges as rows."""
+def merge_order(table: DPTable, kids: Sequence[int], tables: Mapping[int, DPTable]) -> list[int]:
+    """The order in which `table` merges its children's tables: first the
+    children `dp_merge` adds as answer rows (a matrix table whose sols
+    project onto the shared variables one to one, a partner for every sol
+    of the parent), then those it projects or merges as rows, each group in
+    tree order. A matrix add keeps the parent's sols, and the parent a
+    matrix table, so into a matrix table every child of the first group is
+    added; into a table stored as rows every child merges as rows. The
+    projections made here are the ones the merges read."""
     def adds_matrix(child: int) -> bool:
-        table = tables[child]
-        if table.matrix is None:
+        other = tables[child]
+        if other.answer_rows is None:
             return False
-        shared = variables & table.variables
-        keys = _project(table.sols, table.variables, shared)
+        shared = table.variables & other.variables
+        keys = other.projection(shared)
         partners = set(keys)
-        return len(partners) == len(keys) and \
-            partners.issuperset(_project(sols, variables, shared))
+        return len(partners) == len(keys) and partners.issuperset(table.projection(shared))
 
     return sorted(kids, key=lambda child: not adds_matrix(child))
 
@@ -567,15 +627,18 @@ def dp_finalize(root: DPTable, aggregator: Aggregator, threshold: float | None,
     A matrix root under a monotone aggregator (a stateless one scores by
     sum) is searched, not read whole: `model.best_tuple`, the branch and
     bound the fo-kernel search runs too, walks its sorted slot tuples in
-    table order with the matrix's largest entry as the bound, so it finds
-    the same first best entry. Any other root is read entry by entry.
+    table order over the answer rows' distance rows, each made when the
+    search reaches it (`model.distance_rows`), so it finds the same first
+    best entry. Its bound is the rows' width, the count of free variables
+    the root counts, which no distance exceeds. Any other root is read
+    entry by entry.
     """
     stateless = root.stateless
     entries = root.entries
     if isinstance(entries, _MatrixEntries) and (stateless or aggregator.monotone):
-        m = entries.matrix
-        found = best_tuple(iter(m), len(m), root.k, SUM if stateless else aggregator,
-                           max(map(max, m), default=0),
+        rows = entries.rows
+        found = best_tuple(distance_rows(rows), len(rows), root.k,
+                           SUM if stateless else aggregator, len(entries.columns),
                            distinct=not (allow_duplicates or stateless))
         if found is None:
             return False, None, None
@@ -665,12 +728,12 @@ class TreeSolver:
         # the parent's merge projects it onto what they share, if it must
         return replace(self.tables[child], node=node)
 
-    def introduce(self, node: int, child: int) -> DPTable:
-        return dp_merge(self.leaf(node), self.tables[child], self.free_vars,
-                        table_cap=self.table_cap)
-
     def join(self, table: DPTable, child: int) -> DPTable:
         return dp_merge(table, self.tables[child], self.free_vars, table_cap=self.table_cap)
+
+    # The first merge into a node's own table; a rule apart only so that
+    # the traced benchmark run times it apart.
+    introduce = join
 
     # -- driver ----------------------------------------------------------------
 
@@ -683,8 +746,9 @@ class TreeSolver:
             elif len(kids) == 1 and bags[node] <= bags[kids[0]]:
                 table = self.forget(node, kids[0])
             else:
-                first, *rest = merge_order(bags[node], self.sols[node], kids, tables)
-                table = self.introduce(node, first)
+                table = self.leaf(node)
+                first, *rest = merge_order(table, kids, tables)
+                table = self.introduce(table, first)
                 for child in rest:
                     table = self.join(table, child)
             tables[node] = table

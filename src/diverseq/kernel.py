@@ -17,10 +17,11 @@ one dict per fixed column set. A level does not re-check its precondition
 on the relation the level below has just returned, which meets it by
 construction, so kernelization makes no precondition scan; a relation from
 anywhere else is scanned. The search is `model.best_tuple`, the
-depth-first branch and bound over a matrix of pairwise distances that the
-join-tree engine shares; its budget counts pair distances, C(k, 2) (at
-least one) per search node it visits, and on its own count the join's
-partial answers.
+depth-first branch and bound over pairwise distances that the join-tree
+engine shares; both searches read the distance rows from one generator,
+`model.distance_rows`, which makes each row when the search first reaches
+it. Its budget counts pair distances, C(k, 2) (at least one) per search
+node it visits, and on its own count the join's partial answers.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .dbio import csv_rows
 from .errors import (
@@ -50,6 +51,7 @@ from .model import (
     _IndexRows,
     _Interner,
     best_tuple,
+    distance_rows,
 )
 from .queries import Query, _key_of, _tuple_of, join, sols_atom
 
@@ -271,14 +273,6 @@ def kernelize(answers: AnswerRelation, k: int) -> AnswerRelation:
 # --- search over the kernel -----------------------------------------------------
 
 
-def _distance_rows(rows: Sequence[tuple[int, ...]]) -> Iterator[list[int]]:
-    """The Hamming distances of index row i to rows 0..i, for i = 0, 1, ...
-    The rows index one value table, so a distance counts the columns whose
-    indices differ."""
-    for i, a in enumerate(rows):
-        yield [sum(map(operator.ne, a, b)) for b in rows[:i + 1]]
-
-
 def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
                      aggregator: Aggregator, *, allow_duplicates: bool = False,
                      witness: bool = False,
@@ -290,7 +284,8 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
 
     The search is `model.best_tuple`, the depth-first branch and bound that
     the join-tree engine decides a matrix root with, over the kernel rows'
-    distance matrix, each row made when the search first reaches it. Its
+    distance rows (`model.distance_rows`), each made when the search first
+    reaches it. Its
     bound is m, the column count, the largest distance two answers can
     have; so it stops at the ceiling, every pair at distance m, and the
     witness is the lexicographically first optimum. The budget caps the
@@ -318,7 +313,7 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
             raise CombinatorialBudgetExceeded(
                 f"one search node costs {cost} pair distances, over the budget of {budget}"
             )
-        found = best_tuple(_distance_rows(rows), n, k, aggregator, len(answers.columns),
+        found = best_tuple(distance_rows(rows), n, k, aggregator, len(answers.columns),
                            distinct=not allow_duplicates, limit=budget // cost,
                            refusal=CombinatorialBudgetExceeded(
                                f"the search over {n} kernel answers spent more than the "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -300,6 +301,19 @@ def pair_order(k: int) -> tuple[tuple[int, int], ...]:
     """The k(k-1)/2 slot pairs (i, j) with i < j, row-major: the order of
     every pair-distance vector."""
     return tuple((i, j) for i in range(k) for j in range(i + 1, k))
+
+
+def distance_rows(rows: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """The Hamming distances of row i to rows 0..i, for i = 0, 1, ...: the
+    lower triangle of the rows' distance matrix, a row at a time, as
+    `best_tuple` reads it. The rows are value-index tuples of one width
+    over one value table, so a distance counts the columns whose indices
+    differ; a row's distance to itself is 0 without a count."""
+    ne = operator.ne
+    for i, a in enumerate(rows):
+        row = [sum(map(ne, a, b)) for b in rows[:i]]
+        row.append(0)
+        yield row
 
 
 def best_tuple(rows: Iterator[Sequence[int]], n: int, k: int, aggregator: Aggregator,

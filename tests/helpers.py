@@ -370,7 +370,7 @@ def reference_project(child, variables):
             prior = out.get(key)
             if prior is None or value > prior[0]:
                 out[key] = (value, ((child, ckey, sigma),))
-    return replace(child, variables=frozenset(variables), sols=sols, entries=out)
+    return replace(child, variables=frozenset(variables), sols=sols, entries=out, _projections={})
 
 
 def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
@@ -419,11 +419,65 @@ def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
     return out
 
 
-def spelled_links(entries: dict) -> list:
+def reference_matrix(table, free_vars: Sequence[str]) -> list[list[int]]:
+    """The n x n distance matrix a matrix table stood for when its tables
+    stored matrices: its sols' distances on the free variables among its
+    own, then, per fold (child, partner of each sol) in order, plus the
+    child's matrix read at the partners, less the two sols' distance on
+    the free variables the child shares."""
+    n = len(table.sols)
+    sols = [sol_bindings(table, p) for p in range(n)]
+    own = [v for v in free_vars if v in table.variables]
+    matrix = [[hamming_index(sols[a], sols[b], own) for b in range(n)] for a in range(n)]
+    for child, partners in table.entries.folds:
+        child_matrix = reference_matrix(child, free_vars)
+        shared = [v for v in own if v in child.variables]
+        matrix = [[matrix[a][b] + child_matrix[partners[a]][partners[b]]
+                   - hamming_index(sols[a], sols[b], shared) for b in range(n)]
+                  for a in range(n)]
+    return matrix
+
+
+def hamming_index(a: dict, b: dict, names: Sequence[str]) -> int:
+    """How many of `names` two sols' bindings (`sol_bindings`) differ on."""
+    return sum(a[v] != b[v] for v in names)
+
+
+def reference_matrix_entries(table, free_vars: Sequence[str]) -> list:
+    """The entries, in order, of a matrix table read off `reference_matrix`:
+    one per sorted slot tuple, its state the tuple's pair distances (() when
+    stateless), its sum theirs, and one link per fold: the child key at the
+    partners sorted, read off the child's reference matrix, and the slot
+    map that sends each slot to where the stable sort moved its partner."""
+    k = table.k
+    matrix = reference_matrix(table, free_vars)
+    folds = [(child, partners, reference_matrix(child, free_vars))
+             for child, partners in table.entries.folds]
+    entries = []
+    for ptuple in itertools.combinations_with_replacement(range(len(table.sols)), k):
+        vec = tuple(matrix[ptuple[i]][ptuple[j]] for i, j in pair_order(k))
+        links = []
+        for child, partners, child_matrix in folds:
+            picked = [partners[p] for p in ptuple]
+            order = sorted(range(k), key=picked.__getitem__)
+            ctuple = tuple(picked[i] for i in order)
+            cvec = tuple(child_matrix[ctuple[i]][ctuple[j]] for i, j in pair_order(k))
+            links.append((child, (ctuple, () if child.stateless else cvec),
+                          tuple(order.index(i) for i in range(k))))
+        entries.append(((ptuple, () if table.stateless else vec), (sum(vec), tuple(links))))
+    return entries
+
+
+def spelled_links(entries: dict, node: int | None = None) -> list:
     """A DP table's entries in order, each link's table spelled by its node,
     variables, sols and entries. Tables compare by identity, so this lets a
     projection built by a merge equal one built by `reference_merge`; the
-    spelled entries' own links keep their tables, which both sides share."""
+    spelled entries' own links keep their tables, which both sides share.
+
+    A link into a table of `node` itself, the matrix table a row merge
+    started from, is followed to that entry's own links, the ones its folds
+    give it, composing the slot maps: `reference_merge` carries those links
+    over as they are."""
     spelled: dict[int, tuple] = {}
 
     def spell(table):
@@ -432,7 +486,13 @@ def spelled_links(entries: dict) -> list:
                                   tuple(table.entries.items()))
         return spelled[id(table)]
 
-    return [(key, value, tuple((spell(table), ckey, sigma) for table, ckey, sigma in refs))
+    def links(table, ckey, sigma):
+        if table.node != node:
+            return [(spell(table), ckey, sigma)]
+        return [link for inner_table, inner_key, inner in table.entries[ckey][1]
+                for link in links(inner_table, inner_key, tuple(inner[s] for s in sigma))]
+
+    return [(key, value, tuple(link for ref in refs for link in links(*ref)))
             for key, (value, refs) in entries.items()]
 
 

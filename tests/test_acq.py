@@ -7,6 +7,7 @@ import time
 import pytest
 
 from diverseq import acq
+from diverseq.cqneg import BagSolver
 from diverseq.acq import (
     DPTable,
     _MatrixEntries,
@@ -33,10 +34,13 @@ from diverseq.oracle import (
     independent_set_to_diverse_query,
 )
 from diverseq.queries import parse_query
-from diverseq.structure import gyo_join_tree
+from diverseq.structure import gyo_join_tree, tree_decompose
 from helpers import (
     conjunction_solutions,
     is_permutation_closed,
+    random_acyclic_query,
+    random_cqneg_query,
+    reference_matrix_entries,
     reference_merge,
     reference_project,
     slot_closure,
@@ -88,7 +92,7 @@ def test_dp_init_k1_has_empty_distance_vector():
 
 
 def test_matrix_table_reads_as_its_rows():
-    # An initial table keeps only its distance matrix, yet reads as the
+    # An initial table keeps only its sols' answer rows, yet reads as the
     # read-only mapping of its rows: one entry per sorted slot tuple, in
     # combinations_with_replacement order, each (sum, no links).
     sols = [(1, 5), (1, 6), (2, 5), (3, 7)]
@@ -97,7 +101,7 @@ def test_matrix_table_reads_as_its_rows():
         for stateless in (False, True):
             table = dp_init(0, variables, sols, k, ["x", "y"], stateless=stateless)
             entries = table.entries
-            assert table.matrix is not None
+            assert table.answer_rows is not None
             tuples = list(itertools.combinations_with_replacement(range(len(sols)), k))
             assert len(entries) == len(tuples) == math.comb(len(sols) + k - 1, k)
             assert [key[0] for key in entries] == tuples
@@ -532,7 +536,7 @@ def _with_dangling(db, rng):
     out = Database()
     for name, rel in db.relations.items():
         rows = [tuple(v.payload for v in r) for r in rel.sorted_rows()]
-        for _ in range(rng.randint(1, 3)):
+        for _ in range(rng.randint(1, 3) if rows else 0):
             row = list(rng.choice(rows))
             row[rng.randrange(rel.arity)] = 100 + rng.randrange(3)
             rows.append(tuple(row))
@@ -584,11 +588,11 @@ def test_full_reducer_keeps_root_entries(monkeypatch):
     # still hold rows the root's atom would cut.
     orders = {}
 
-    def recording(variables, sols, kids, tables):
-        orders[tuple(kids)] = merge_order(variables, sols, kids, tables)
+    def recording(table, kids, tables):
+        orders[tuple(kids)] = merge_order(table, kids, tables)
         return orders[tuple(kids)]
 
-    def replaying(variables, sols, kids, tables):
+    def replaying(table, kids, tables):
         return orders[tuple(kids)]
 
     rng = random.Random(67)
@@ -724,12 +728,14 @@ def test_dp_merge_matches_reference_merge():
                     # A functional join of two matrix tables adds matrices;
                     # a projected or unjoined one stores rows.
                     fold = kind in ("identity", "increasing", "permuted") \
-                        and table.matrix is not None and tables[child].matrix is not None
+                        and table.answer_rows is not None \
+                        and tables[child].answer_rows is not None
                     table = dp_merge(table, tables[child], free)
-                    assert (table.matrix is not None) == fold
+                    assert (table.answer_rows is not None) == fold
                     if fold:
                         added.add((stateless, kind))
-                    assert spelled_links(table.entries) == spelled_links(expected)
+                    assert spelled_links(table.entries, node) == \
+                        spelled_links(expected, node)
                     merges += 1
                     cycles.update(
                         (stateless, sigma)
@@ -877,6 +883,58 @@ def test_slot_maps_of_repeated_sols_take_no_factorial_walk():
 SQUARES = custom_aggregator(lambda ds: sum(x * x for x in ds), monotone=True, name="squares")
 
 
+def test_answer_rows_read_as_the_matrices_they_replace(monkeypatch):
+    # Every matrix table either engine builds (an atom's or a bag's init,
+    # and each merge that adds answer rows) reads as the distance matrix
+    # that tables once stored: its sols' own distances, plus each added
+    # child's matrix at the partners, less the shared distance
+    # (`helpers.reference_matrix`). Keys, their order, states, sums and
+    # fold links all agree, on random acyclic and bounded-width negation
+    # instances with dangling rows, and on one-to-one chains, whose every
+    # merge adds rows that hold free variables of their own; k = 2..4,
+    # exact and stateless.
+    built = []
+    for name in ("dp_init", "dp_merge"):
+        original = getattr(acq, name)
+
+        def recording(*args, original=original, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(acq, name, recording)
+    rng = random.Random(139)
+    checked = folded = nested = stateless_checked = 0
+    for trial in range(120):
+        k = 2 + trial % 3
+        stateless = trial % 2 == 1
+        if trial % 6 < 2:
+            query, plain_db = random_acyclic_query(rng, max_rows=6)
+            solver = _traverse(query, _with_dangling(plain_db, rng), k, query.free_vars,
+                               stateless, 10 ** 7)
+        elif trial % 6 < 4:
+            query, plain_db = _functional_chain(rng, rng.randint(2, 4))
+            solver = _traverse(query, _with_dangling(plain_db, rng), k, query.free_vars,
+                               stateless, 10 ** 7)
+        else:
+            query, plain_db = random_cqneg_query(rng, max_vars=5, dom_size=2)
+            solver = BagSolver(query, _with_dangling(plain_db, rng), k,
+                               tree_decompose(query), 10 ** 7, stateless)
+        built.clear()
+        solver.run()
+        for table in built:
+            if table.answer_rows is None:
+                continue
+            assert list(table.entries.items()) == \
+                reference_matrix_entries(table, query.free_vars), (trial, table.node)
+            checked += 1
+            stateless_checked += table.stateless
+            folds = table.entries.folds
+            folded += bool(folds)
+            nested += any(child.entries.folds for child, _ in folds)
+    assert checked > 200 and folded > 30 and nested > 5 and stateless_checked > 50, \
+        (checked, folded, nested, stateless_checked)
+
+
 def enumerated_finalize(root, aggregator, threshold, allow_duplicates):
     """`dp_finalize` by plain enumeration: every entry in table order, one
     with a zero distance dropped unless duplicates are allowed, scored by
@@ -893,14 +951,14 @@ def enumerated_finalize(root, aggregator, threshold, allow_duplicates):
 
 
 def random_matrix_root(rng, n, k, stateless):
-    """A matrix root over n sols with a random symmetric distance matrix:
-    zero diagonal, off-diagonal entries 0 to 3, zeros among them."""
-    matrix = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            matrix[i][j] = matrix[j][i] = rng.choice((0, 1, 1, 2, 3))
-    return DPTable(node=0, variables=frozenset({"x"}), sols=[(i,) for i in range(n)], k=k,
-                   stateless=stateless, entries=_MatrixEntries(matrix, k, stateless))
+    """A matrix root over n sols with random answer rows: one to four
+    columns over two or three values, so rows often agree on every column
+    (a zero distance between two sols) or on all but one."""
+    columns = tuple(f"x{c}" for c in range(rng.randint(1, 4)))
+    values = rng.choice((2, 3))
+    rows = [tuple(rng.randrange(values) for _ in columns) for _ in range(n)]
+    return DPTable(node=0, variables=frozenset({"s"}), sols=[(i,) for i in range(n)], k=k,
+                   stateless=stateless, entries=_MatrixEntries(rows, columns, k, stateless))
 
 
 def test_matrix_root_search_matches_enumeration(monkeypatch):
@@ -926,11 +984,12 @@ def test_matrix_root_search_matches_enumeration(monkeypatch):
                                                (SQUARES, False, False), (SQUARES, False, True),
                                                (SUM, True, True)):
                 root = random_matrix_root(rng, n, k, stateless)
-                zero_rows += any(0 in row[:i] + row[i + 1:] for i, row in enumerate(root.matrix))
+                rows = root.answer_rows
+                zero_rows += any(a == b for a, b in itertools.combinations(rows, 2))
                 for threshold in (None, 3):
                     got = dp_finalize(root, aggregator, threshold, dup)
                     assert got == enumerated_finalize(root, aggregator, threshold, dup), \
-                        (root.matrix, k, aggregator.label, stateless, dup, threshold)
+                        (rows, k, aggregator.label, stateless, dup, threshold)
                     cases += 1
                     found += got[1] is not None
     assert len(searches) == cases and found > cases // 2 and zero_rows > 100, \

@@ -314,7 +314,7 @@ def merge_sequence(solver, node):
     kids = td.children.get(node, ())
     if len(kids) == 1 and td.bags[node] <= td.bags[kids[0]]:
         return list(kids)
-    return merge_order(td.bags[node], solver.sols[node], kids, solver.tables)
+    return merge_order(solver.leaf(node), kids, solver.tables)
 
 
 def test_node_tables_match_witness_semantics():
@@ -385,7 +385,8 @@ def test_node_tables_match_witness_semantics():
                 reference = replace(reference, entries=reference_merge(
                     reference, solver.tables[child], free))
             joins[k] += max(len(kids) - 1, 0)  # join rules applied
-            assert spelled_links(table.entries) == spelled_links(reference.entries)
+            assert spelled_links(table.entries, node) == \
+                spelled_links(reference.entries, node)
             subtree_bags = [bag]
             stack = list(td.children.get(node, ()))
             while stack:
@@ -454,8 +455,9 @@ def test_forget_needs_an_only_child():
                 if not kids:
                     solver.tables[node] = solver.leaf(node)
                     continue
-                head, *rest = merge_order(td.bags[node], solver.sols[node], kids, solver.tables)
-                table = solver.introduce(node, head)
+                table = solver.leaf(node)
+                head, *rest = merge_order(table, kids, solver.tables)
+                table = solver.introduce(table, head)
                 for child in rest:
                     table = solver.join(table, child)
                 solver.tables[node] = table
@@ -519,7 +521,7 @@ def test_functional_child_merges_first_as_a_matrix(monkeypatch):
 
     def recording(parent, child, *args, **kwargs):
         merged = merge(parent, child, *args, **kwargs)
-        merges.append((parent.node, child.variables, merged.matrix is not None))
+        merges.append((parent.node, child.variables, merged.answer_rows is not None))
         return merged
 
     monkeypatch.setattr(acq, "dp_merge", recording)
@@ -543,6 +545,50 @@ def test_functional_child_merges_first_as_a_matrix(monkeypatch):
         assert diversity_of_set(SUM, out.witness, query.free_vars) == best
 
 
+def test_row_merge_links_to_its_folded_matrix_parent(monkeypatch):
+    # The neg-w1 shape with a third successor for each even y: at the bag
+    # {y, z} the functional child {x, y} is added as answer rows (a fold),
+    # and the projected child {w, y} is then merged as rows into that
+    # matrix table. Each new entry links to its parent entry, as (parent
+    # table, parent key, identity), rather than spelling out the fold's
+    # link, which the witness walk works out when it gets there. Under sum,
+    # min and sum with duplicates the witness re-verifies, reaches the
+    # brute force's diversity, and is the one the row merge gave when it
+    # copied each parent entry's links (pinned).
+    merges = []
+    merge = acq.dp_merge
+
+    def recording(parent, child, *args, **kwargs):
+        merges.append((parent, merge(parent, child, *args, **kwargs)))
+        return merges[-1][1]
+
+    monkeypatch.setattr(acq, "dp_merge", recording)
+    live = range(1, 7)
+    db = Database.from_rows({
+        "R": [(x, 7 - x) for x in live],
+        "T": [(y, y % 6 + 1) for y in live] + [(y, (y + 2) % 6 + 1) for y in live]
+        + [(y, (y + 3) % 6 + 1) for y in live if y % 2 == 0],
+        "S": [(1, 6), (2, 5)],
+    })
+    query = parse_query("Q(x, y, z, w) :- R(x, y), T(y, z), T(y, w), !S(x, y).")
+    answers = enumerate_answers(query, db)
+    for aggregator, dup in ((SUM, False), (MIN, False), (SUM, True)):
+        merges.clear()
+        out = solve_cqneg(query, db, 3, None, aggregator, witness=True, allow_duplicates=dup)
+        ((parent, merged),) = [(p, m) for p, m in merges if m.answer_rows is None]
+        assert parent.answer_rows is not None and parent.entries.folds
+        assert merged.entries
+        for key, (_, links) in merged.entries.items():
+            table, parent_key, sigma = links[0]
+            assert table is parent and parent_key[0] == key[0] and sigma == (0, 1, 2)
+            assert parent_key in parent.entries
+        best, _ = bruteforce_diversity(answers, 3, aggregator, allow_duplicates=dup)
+        assert out.diversity == best == (4 if aggregator is MIN else 12)
+        assert diversity_of_set(aggregator, out.witness, query.free_vars) == best
+        assert [tuple(a[v].payload for v in "xyzw") for a in out.witness] == \
+            [(6, 1, 2, 2), (5, 2, 6, 6), (4, 3, 4, 4)]
+
+
 def test_some_solver_merges_add_matrices(monkeypatch):
     # A child table that joins its parent one to one is merged as it is,
     # so where both are matrices and every parent sol has a partner, the
@@ -559,7 +605,7 @@ def test_some_solver_merges_add_matrices(monkeypatch):
     for _ in range(60):
         query, db = random_cqneg_query(rng, max_vars=5, dom_size=3)
         BagSolver(query, db, 2, tree_decompose(query), table_cap=10 ** 7).run()
-    added = sum(table.matrix is not None for table in results)
+    added = sum(table.answer_rows is not None for table in results)
     assert 0 < added < len(results), (added, len(results))
 
 
@@ -583,22 +629,24 @@ def _spelled_entries(solver, node):
     """A node's entries in order, slots spelled as their sols, each with its
     sum and its provenance links, each spelled as the linked table's node
     and the child key spelled the same way. A link into a table that is no
-    node's, a projection a merge made, is followed to the entry it
-    projects, composing the slot maps: whether a merge projects a child
-    depends on the child's sols, which the k = 1 pass may have cut."""
+    node's is followed to that entry's own links, composing the slot maps:
+    a projection a merge made to the entry it projects, and the matrix
+    table a row merge started from to the links its folds give the entry.
+    Whether a merge projects a child, or adds it as answer rows, depends
+    on the sols, which the k = 1 pass may have cut."""
 
     def spell(table, key):
         return tuple(table.sols[p] for p in key[0]), key[1]
 
-    def link(child, ckey, sigma):
-        if solver.tables.get(child.node) is not child:
-            ((child, ckey, inner),) = child.entries[ckey][1]
-            sigma = tuple(inner[s] for s in sigma)
-        return child.node, spell(child, ckey), sigma
+    def links(child, ckey, sigma):
+        if solver.tables.get(child.node) is child:
+            return [(child.node, spell(child, ckey), sigma)]
+        return [link for inner_child, inner_key, inner in child.entries[ckey][1]
+                for link in links(inner_child, inner_key, tuple(inner[s] for s in sigma))]
 
     table = solver.tables[node]
     return [
-        (spell(table, key), value, tuple(link(*ref) for ref in refs))
+        (spell(table, key), value, tuple(link for ref in refs for link in links(*ref)))
         for key, (value, refs) in table.entries.items()
     ]
 
@@ -626,11 +674,11 @@ def test_full_reducer_keeps_root_entries(monkeypatch):
     # reduced tables are no larger.
     orders = {}
 
-    def recording(variables, sols, kids, tables):
-        orders[tuple(kids)] = merge_order(variables, sols, kids, tables)
+    def recording(table, kids, tables):
+        orders[tuple(kids)] = merge_order(table, kids, tables)
         return orders[tuple(kids)]
 
-    def replaying(variables, sols, kids, tables):
+    def replaying(table, kids, tables):
         return orders[tuple(kids)]
 
     rng = random.Random(89)

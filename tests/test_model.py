@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -12,7 +13,9 @@ from diverseq.model import (
     SUM,
     Assignment,
     Database,
+    best_tuple,
     custom_aggregator,
+    distance_rows,
     diversity_of_set,
     hamming_distance,
 )
@@ -255,3 +258,65 @@ def test_sum_strictly_monotone_min_monotone(ds, data):
     bumped[i] += 1
     assert SUM.aggregate(bumped) > SUM.aggregate(ds)
     assert MIN.aggregate(bumped) >= MIN.aggregate(ds)
+
+
+SQUARES = custom_aggregator(lambda ds: sum(x * x for x in ds), monotone=True, name="squares")
+
+
+def enumerated_best(matrix, k, aggregator, distinct):
+    """`best_tuple` by plain enumeration: every sorted k-tuple of rows in
+    `itertools` order, strictly increasing with no zero distance when
+    `distinct`, the first with the highest aggregate kept."""
+    n = len(matrix)
+    tuples = itertools.combinations(range(n), k) if distinct else \
+        itertools.combinations_with_replacement(range(n), k)
+    best = None
+    for picked in tuples:
+        distances = [matrix[i][j] for i, j in itertools.combinations(picked, 2)]
+        if distinct and 0 in distances:
+            continue
+        value = aggregator.aggregate(distances)
+        if best is None or value > best[0]:
+            best = (value, picked)
+    return best
+
+
+def test_best_tuple_matches_enumeration_on_any_symmetric_matrix():
+    # The search must not lean on what distances between answer rows obey,
+    # such as the triangle inequality. Over random symmetric matrices with
+    # a zero diagonal and zeros off it, each row handed over only up to the
+    # diagonal when the search first asks for it, `best_tuple` finds the
+    # first best tuple that enumeration finds, with and without distinct
+    # rows, under sum, min and a custom monotone aggregator, given the
+    # largest entry as its bound or a looser one.
+    rng = random.Random(131)
+    found = zero_rows = 0
+    for _ in range(150):
+        n = rng.randint(0, 7)
+        matrix = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                matrix[i][j] = matrix[j][i] = rng.choice((0, 1, 1, 2, 3))
+        zero_rows += any(0 in row[:i] + row[i + 1:] for i, row in enumerate(matrix))
+        top = max(map(max, matrix), default=0)
+        for k in (0, 1, 2, 4):
+            for aggregator in (SUM, MIN, SQUARES):
+                for distinct in (False, True):
+                    expected = enumerated_best(matrix, k, aggregator, distinct)
+                    found += expected is not None
+                    for bound in (top, top + 2):
+                        lower = (row[:i + 1] for i, row in enumerate(matrix))
+                        assert best_tuple(lower, n, k, aggregator, bound,
+                                          distinct=distinct) == expected, \
+                            (matrix, k, aggregator.label, distinct, bound)
+    assert zero_rows > 50 and found > 1000, (zero_rows, found)
+
+
+def test_distance_rows_are_the_lower_triangle():
+    rng = random.Random(7)
+    for _ in range(50):
+        width = rng.randint(0, 4)
+        rows = [tuple(rng.randrange(3) for _ in range(width)) for _ in range(rng.randint(0, 6))]
+        assert list(distance_rows(rows)) == [
+            [sum(x != y for x, y in zip(a, b)) for b in rows[:i + 1]]
+            for i, a in enumerate(rows)]
