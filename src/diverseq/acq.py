@@ -24,16 +24,16 @@ A merge keeps, per new key, the first candidate with the highest sum; in an
 exact table every candidate for a key has the same sum. Pair-distance
 vectors follow `model.pair_order`.
 
-Before the tables are built, a full reducer (Yannakakis, VLDB 1981) drops
-every atom solution that lies in no full join result: no such solution is on
-the provenance chain of a root entry, so the root entries, their order and
-the witnesses stay as they were, and only the intermediate tables shrink.
-
-`TreeSolver` is the one postorder driver of both DP engines. A tree
-decomposition is a join tree over its bags' satisfying assignments
-(Gottlob, Leone and Scarcello, JCSS 2002), so `cqneg` runs it over its
-decompositions with a k = 1 pass of its own. Given each node's reduced
-sols, it builds each node's table by one of four rules:
+`TreeSolver` is the one driver of both DP engines: a join tree is a tree
+decomposition whose bags are atoms (Gottlob, Leone and Scarcello, JCSS
+2002). Its k = 1 pass gives each bag its sols. In postorder, a bag whose
+variables are a positive atom's semi-joins that atom's sols with its
+children's and the other atoms it covers; any other bag is a lazy hash
+join. The root's sols are refused once their sorted k-tuples outnumber the
+cap. A down sweep (Yannakakis, VLDB 1981) then leaves each bag its share of
+the answers; the sols it drops are on no root entry's provenance chain, so
+only the tables below the root shrink. The driver then builds each node's
+table by one of four rules:
 
     leaf       `dp_init` of a childless node
     forget     when the node has one child and that child's bag holds its
@@ -105,7 +105,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import ItemsView, Iterator, Mapping
+from collections.abc import Callable, Collection, ItemsView, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -122,7 +122,8 @@ from .model import (
     pair_order,
     pairwise_distances,
 )
-from .queries import Atom, Query, sols_atom
+from .queries import (Atom, Literal, Query, Variable, _tuple_of, join, relation_of,
+                      satisfies_literal, sols_atom)
 from .structure import TreeDecomposition, gyo_join_tree
 
 
@@ -182,15 +183,20 @@ def _slot_maps(ctuple: tuple[int, ...], proj: Sequence, target: tuple) -> tuple[
     return _arrangements(projs, repeats, relabeled)
 
 
-def _sorted_sols(atom: Atom, db: Database) -> list[tuple[int, ...]]:
-    """The atom's sols: value-index tuples over its sorted variables, sorted."""
-    return sorted(sols_atom(atom, db))
-
-
-def _project(sols: Sequence[tuple], variables: frozenset[str], names) -> list[tuple]:
-    """Each sol, an index tuple over the sorted `variables`, cut to `names`."""
+@functools.lru_cache(maxsize=4096)
+def _cut(variables: frozenset[str], names: Collection[str]) -> Callable | None:
+    """What cuts an index tuple over the sorted `variables` to those among
+    `names`, or None when that keeps every column."""
     cols = [n for n, v in enumerate(sorted(variables)) if v in names]
-    return [tuple([s[c] for c in cols]) for s in sols]
+    return None if len(cols) == len(variables) else _tuple_of(cols)
+
+
+def _project(sols: Sequence[tuple], variables: frozenset[str],
+             names: Collection[str]) -> Sequence[tuple]:
+    """Each sol, an index tuple over the sorted `variables`, cut to `names`
+    (hashable): `sols` itself when that keeps every column."""
+    cut = _cut(variables, names)
+    return sols if cut is None else list(map(cut, sols))
 
 
 def _distance_matrix(keys: Sequence[tuple]) -> list[list[int]]:
@@ -698,25 +704,151 @@ _extract_sum_witness = _extract_dup_witness = extract_witness
 
 
 class TreeSolver:
-    """The postorder driver of both DP engines over a tree `td`, a join tree
-    or a tree decomposition, given `sols`, each node's reduced sols as index
-    tuples over its sorted bag. `run` builds each node's table by the node
-    rules in the module docstring into `tables`; `solve` runs it, decides at
-    the root and rebuilds a witness. The rules call this module's
-    `dp_init`, `dp_merge`, `merge_order`, `dp_finalize` and
-    `extract_witness` as they are at call time."""
+    """The driver of both DP engines over `td`, a join tree or a tree
+    decomposition of `query`. Building it runs the k = 1 pass, so `sols`
+    holds each node's reduced sols, index tuples over its sorted bag; `run`
+    builds each node's table into `tables` by the node rules, and `solve`
+    runs it, decides at the root and rebuilds a witness. It calls this
+    module's `sols_atom`, `join`, `dp_init`, `dp_merge`, `merge_order`,
+    `dp_finalize` and `extract_witness` as they are at call time."""
 
-    def __init__(self, td: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]],
-                 k: int, free_vars: Sequence[str], values: Sequence[Value],
-                 table_cap: int, stateless: bool):
+    def __init__(self, query: Query, db: Database, k: int, td: TreeDecomposition,
+                 table_cap: int, stateless: bool = False):
+        self.query = query
+        self.db = db
         self.td = td
-        self.sols = sols
         self.k = k
-        self.free_vars = free_vars
-        self.values = values
+        self.free_vars = query.free_vars
+        self.values = db.values
         self.table_cap = table_cap
         self.stateless = stateless
+        self.sols: dict[int, list[tuple[int, ...]]] = {}
         self.tables: dict[int, DPTable] = {}
+        # Literals by least variable (None if ground): a bag finds its own
+        # fast. Each names a relation of its arity, even one no binding
+        # reaches.
+        self.literals: dict[str | None, list[Literal]] = {}
+        for lit in query.conjuncts[0].literals:
+            relation_of(lit.atom, db)
+            self.literals.setdefault(min(lit.variables, default=None), []).append(lit)
+        self._atom_keys: dict[Atom, set[tuple[int, ...]]] = {}
+        # child -> its bottom-up sols cut to what it shares with its parent,
+        # made by the parent's bag and read again by the down sweep
+        self._shared_keys: dict[int, list[tuple]] = {}
+        self._reduce()
+
+    # -- the k = 1 pass ----------------------------------------------------------
+
+    @functools.cached_property
+    def candidates(self) -> dict[str, list[int]]:
+        """Per variable, the sorted domain indices found in its column of
+        every positive atom that mentions it. Only a bag that no atom
+        covers reads them."""
+        found: dict[str, set[int]] = {}
+        for lit in self.query.conjuncts[0].literals:
+            if not lit.positive:
+                continue
+            rows = relation_of(lit.atom, self.db).rows
+            for pos, term in enumerate(lit.atom.terms):
+                if isinstance(term, Variable):
+                    column = {row[pos] for row in rows}
+                    prior = found.get(term.name)
+                    found[term.name] = column if prior is None else prior & column
+        return {v: sorted(found[v]) for v in found}
+
+    def satisfying_tuples(self, node: int,
+                          below: dict[int, list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+        """The node's bottom-up sols, given its children's in `below`: the
+        assignments of its bag that satisfy the literals it covers and meet
+        each child's sols on the variables they share, sorted.
+
+        A bag whose variables are a positive atom's starts from the sols of
+        the first such atom and keeps those that meet each child's sols and
+        every other positive atom it covers (a semi-join). Any other bag is
+        a lazy hash join (`queries.join`) of the children's sols, the
+        positive atoms it covers and its variables' candidate values,
+        refused once it builds more partial assignments than the cap. Both
+        then check the negative literals the bag covers, and the root's are
+        refused as they arrive (`_bounded`)."""
+        bags = self.td.bags
+        bag, order = bags[node], tuple(sorted(bags[node]))
+        covered = [lit for v in (None, *order) for lit in self.literals.get(v, ())
+                   if lit.variables <= bag]
+        kids = []
+        for child in self.td.children.get(node, ()):
+            shared = bag & bags[child]
+            keys = self._shared_keys[child] = _project(below[child], bags[child], shared)
+            kids.append((shared, keys))
+        start = next((lit for lit in covered if lit.positive and lit.variables == bag), None)
+        if start is not None:
+            # the key sets to meet, by the variables they are over
+            filters: dict[frozenset[str], list[set]] = {}
+            for shared, keys in kids:
+                filters.setdefault(shared, []).append(set(keys))
+            for lit in covered:
+                if lit.positive and lit is not start:
+                    seen = self._atom_keys.get(lit.atom)
+                    if seen is None:
+                        seen = self._atom_keys[lit.atom] = set(sols_atom(lit.atom, self.db))
+                    filters.setdefault(lit.variables, []).append(seen)
+            parts = sols_atom(start.atom, self.db)
+            for names, sets in filters.items():
+                seen = sets[0].intersection(*sets[1:]) if len(sets) > 1 else sets[0]
+                parts = [s for s, key in zip(parts, _project(parts, bag, names)) if key in seen]
+        else:
+            inputs = [(tuple(sorted(shared)), list(dict.fromkeys(keys))) for shared, keys in kids]
+            inputs += [(tuple(sorted(lit.variables)), sols_atom(lit.atom, self.db))
+                       for lit in covered if lit.positive]
+            inputs += [((v,), [(i,) for i in self.candidates[v]]) for v in order]
+            parts = join(inputs, order, self.table_cap, TableGuardExceeded(
+                f"join at node {node} builds over {self.table_cap} partial bag assignments"))
+        negative = [lit for lit in covered if not lit.positive]
+        if negative:
+            parts = (part for part in parts if self.satisfies(order, part, negative))
+        return sorted(self._bounded(node, parts) if node == self.td.root else parts)
+
+    def satisfies(self, order: tuple[str, ...], part: tuple[int, ...],
+                  lits: list[Literal]) -> bool:
+        """Whether the bag assignment with index tuple `part` satisfies lits."""
+        bindings = dict(zip(order, part))
+        return all(satisfies_literal(lit, bindings, self.db) for lit in lits)
+
+    def _bounded(self, node: int, parts) -> list[tuple[int, ...]]:
+        """The bag assignments `parts` yields, refused at the first n whose
+        C(n + k - 1, k) sorted k-tuples pass the cap, before the rest are
+        built. The count is carried from part to part; a list, built
+        already, is counted at once unless it is refused."""
+        k, cap = self.k, self.table_cap
+        if isinstance(parts, list):
+            size = _slot_tuples(len(parts), k, True, cap)
+            if size is not None and size <= cap:
+                return parts
+        found, count = [], 1
+        for n, part in enumerate(parts, 1):
+            if n > 1:
+                count = count * (n + k - 1) // (n - 1)  # C(n + k - 1, k) from n - 1's
+            if count > cap:
+                raise TableGuardExceeded(
+                    f"node {node} has over {n - 1} bag assignments, whose sorted "
+                    f"{k}-tuples exceed {cap} entries")
+            found.append(part)
+        return found
+
+    def _reduce(self) -> None:
+        """The k = 1 pass: bottom-up sols in postorder, then the down sweep,
+        in which each child keeps the sols that meet its parent's, read off
+        the keys the parent cut from them on the way up. Tables over the
+        bottom-up sols would refuse whatever `_bounded` refuses."""
+        td, sols = self.td, self.sols
+        postorder = td.postorder()
+        for node in postorder:
+            sols[node] = self.satisfying_tuples(node, sols)
+        for node in reversed(postorder):
+            bag = td.bags[node]
+            for child in td.children.get(node, ()):
+                seen = set(_project(sols[node], bag, bag & td.bags[child]))
+                keys = self._shared_keys.pop(child)
+                sols[child] = [s for s, key in zip(sols[child], keys) if key in seen]
 
     # -- node rules ----------------------------------------------------------
 
@@ -775,57 +907,18 @@ class TreeSolver:
             "nodes": len(self.td.bags), **stats, "max_table": self.max_table, "k": self.k})
 
 
-def _semijoin(jt: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]],
-              target: int, source: int) -> None:
-    """Keep in sols[target] the solutions that agree with some solution of
-    sols[source] on the variables the two nodes share. Order is kept."""
-    shared = jt.bags[target] & jt.bags[source]
-    seen = set(_project(sols[source], jt.bags[source], shared))
-    keys = _project(sols[target], jt.bags[target], shared)
-    sols[target] = [s for s, key in zip(sols[target], keys) if key in seen]
-
-
-def _reduce_up(jt: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]]) -> None:
-    """Semi-joins up the tree: each node keeps the solutions that every
-    child's reduced set can meet."""
-    for node in jt.postorder():
-        for child in jt.children.get(node, ()):
-            _semijoin(jt, sols, node, child)
-
-
-def _reduce_down(jt: TreeDecomposition, sols: dict[int, list[tuple[int, ...]]]) -> None:
-    """Semi-joins down the tree: each child keeps the solutions its
-    parent's reduced set can meet. After `_reduce_up` every node is left
-    with exactly the solutions that lie in some full join result."""
-    for node in reversed(jt.postorder()):
-        for child in jt.children.get(node, ()):
-            _semijoin(jt, sols, child, node)
-
-
-def _traverse(query: Query, db: Database, k: int, free_vars: Sequence[str],
-              stateless: bool, table_cap: int,
-              jt: TreeDecomposition | None = None) -> TreeSolver:
-    """The tree solver over `jt`, or when it is None the query's GYO join
-    tree, with each node's fully reduced atom sols: the k = 1 pass."""
-    if jt is None:
-        jt = gyo_join_tree(query)
-    if jt is None:
-        raise NotAcyclic(f"query {query.head} admits no join tree")
-    atoms = query.conjuncts[0].positive_atoms
-    sols = {node: _sorted_sols(atoms[node], db) for node in jt.postorder()}
-    _reduce_up(jt, sols)
-    _reduce_down(jt, sols)
-    return TreeSolver(jt, sols, k, free_vars, db.values, table_cap, stateless)
-
-
 def _solve(query: Query, db: Database, k: int, d: float | None, aggregator: Aggregator,
            witness: bool, allow_duplicates: bool, table_cap: int,
            join_tree: TreeDecomposition | None) -> Outcome:
-    """Build the tables and decide at the root. Summing distances over
-    multisets of answers needs only each tuple's best sum, so exactly then
-    the tables are stateless."""
-    stateless = allow_duplicates and aggregator is SUM
-    solver = _traverse(query, db, k, query.free_vars, stateless, table_cap, join_tree)
+    """Solve over `join_tree`, or when it is None the query's GYO join
+    tree. Summing distances over multisets of answers needs only each
+    tuple's best sum, so exactly then the tables are stateless."""
+    if join_tree is None:
+        join_tree = gyo_join_tree(query)
+    if join_tree is None:
+        raise NotAcyclic(f"query {query.head} admits no join tree")
+    solver = TreeSolver(query, db, k, join_tree, table_cap,
+                        stateless=allow_duplicates and aggregator is SUM)
     return solver.solve(aggregator, d, allow_duplicates, witness)
 
 

@@ -14,7 +14,6 @@ import time
 import pytest
 
 from diverseq.acq import (
-    _sorted_sols,
     dp_finalize,
     dp_init,
     dp_merge,
@@ -38,6 +37,7 @@ from diverseq.oracle import (
     independent_set_to_wide_relation,
     list_coloring_to_union_query,
 )
+from diverseq.queries import sols_atom
 from diverseq.structure import gyo_join_tree, make_nice, tree_decompose, validate_decomposition
 from golden_fixtures import golden_cases
 from helpers import all_graphs, random_cqneg_query, small_answer_instances
@@ -62,7 +62,7 @@ class AcqRecord:
         atoms = query.conjuncts[0].positive_atoms
         self.tables = {}
         for node in self.jt.postorder():
-            table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
+            table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)),
                             k, query.free_vars)
             for child in self.jt.children.get(node, ()):
                 table = dp_merge(table, self.tables[child], query.free_vars)

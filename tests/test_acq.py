@@ -13,8 +13,6 @@ from diverseq.acq import (
     _MatrixEntries,
     _slot_maps,
     _slot_tuples,
-    _sorted_sols,
-    _traverse,
     dp_finalize,
     dp_init,
     dp_merge,
@@ -33,7 +31,7 @@ from diverseq.oracle import (
     enumerate_answers,
     independent_set_to_diverse_query,
 )
-from diverseq.queries import parse_query
+from diverseq.queries import parse_query, sols_atom
 from diverseq.structure import gyo_join_tree, tree_decompose
 from helpers import (
     conjunction_solutions,
@@ -64,7 +62,7 @@ def k3_instance():
 def test_dp_init_k2_atom():
     fx = k2_instance()
     atom = fx.query.conjuncts[0].positive_atoms[1]  # R1(v, x1)
-    table = dp_init(1, atom.variables, _sorted_sols(atom, fx.db), 2, fx.query.free_vars)
+    table = dp_init(1, atom.variables, sorted(sols_atom(atom, fx.db)), 2, fx.query.free_vars)
     # two rows: slot tuples (0, 0), (0, 1), (1, 1) are stored, (1, 0) is not
     assert [key[0] for key in table.entries] == [(0, 0), (0, 1), (1, 1)]
     full = slot_closure(((key, None) for key in table.entries), 2)
@@ -79,14 +77,14 @@ def test_dp_init_empty_relation():
     db.add_relation("R", 1, [])
     q = parse_query("Q(x) :- R(x).")
     atom = q.conjuncts[0].positive_atoms[0]
-    table = dp_init(0, atom.variables, _sorted_sols(atom, db), 2, q.free_vars)
+    table = dp_init(0, atom.variables, sorted(sols_atom(atom, db)), 2, q.free_vars)
     assert table.entries == {}
 
 
 def test_dp_init_k1_has_empty_distance_vector():
     fx = k2_instance()
     atom = fx.query.conjuncts[0].positive_atoms[0]
-    table = dp_init(0, atom.variables, _sorted_sols(atom, fx.db), 1, fx.query.free_vars)
+    table = dp_init(0, atom.variables, sorted(sols_atom(atom, fx.db)), 1, fx.query.free_vars)
     assert len(table.entries) == 2
     assert all(key[1] == () for key in table.entries)
 
@@ -179,8 +177,10 @@ def test_dp_merge_disjoint_free_vars_adds_distances():
     root_atom = atoms[jt.root]
     child_node = jt.children[jt.root][0]
     child_atom = atoms[child_node]
-    parent = dp_init(jt.root, root_atom.variables, _sorted_sols(root_atom, db), 2, q.free_vars)
-    child = dp_init(child_node, child_atom.variables, _sorted_sols(child_atom, db), 2, q.free_vars)
+    parent = dp_init(jt.root, root_atom.variables, sorted(sols_atom(root_atom, db)), 2,
+                     q.free_vars)
+    child = dp_init(child_node, child_atom.variables, sorted(sols_atom(child_atom, db)), 2,
+                    q.free_vars)
     merged = dp_merge(parent, child, q.free_vars)
     # x = 1 for both S rows; distances on x (0) and y add with no overlap
     for (ptuple, dvec) in merged.entries:
@@ -195,10 +195,10 @@ def test_dp_merge_drops_incompatible_pairs():
     jt = gyo_join_tree(q)
     atoms = q.conjuncts[0].positive_atoms
     child_node = jt.children[jt.root][0]
-    parent = dp_init(jt.root, atoms[jt.root].variables, _sorted_sols(atoms[jt.root], db),
+    parent = dp_init(jt.root, atoms[jt.root].variables, sorted(sols_atom(atoms[jt.root], db)),
                      1, q.free_vars)
-    child = dp_init(child_node, atoms[child_node].variables, _sorted_sols(atoms[child_node], db),
-                    1, q.free_vars)
+    child = dp_init(child_node, atoms[child_node].variables,
+                    sorted(sols_atom(atoms[child_node], db)), 1, q.free_vars)
     merged = dp_merge(parent, child, q.free_vars)
     assert merged.entries == {}
 
@@ -307,7 +307,8 @@ def test_table_semantics_against_subtree_enumeration():
 
         tables = {}
         for node in jt.postorder():
-            table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db), k, free)
+            table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)), k,
+                            free)
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], free)
             tables[node] = table
@@ -351,7 +352,7 @@ def test_permutation_closure():
         atoms = query.conjuncts[0].positive_atoms
         tables = {}
         for node in jt.postorder():
-            table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
+            table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)),
                             k, query.free_vars)
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], query.free_vars)
@@ -455,7 +456,7 @@ def test_dup_table_semantics_against_subtree_enumeration():
 
         tables = {}
         for node in jt.postorder():
-            table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
+            table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)),
                             k, free, stateless=True)
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], free)
@@ -606,11 +607,11 @@ def test_full_reducer_keeps_root_entries(monkeypatch):
         atoms = query.conjuncts[0].positive_atoms
         for stateless in (False, True):
             monkeypatch.setattr(acq, "merge_order", recording)
-            reduced = _traverse(query, db, k, free, stateless, 10 ** 7)
+            jt = gyo_join_tree(query)
+            reduced = acq.TreeSolver(query, db, k, jt, 10 ** 7, stateless)
             reduced.run()
-            jt = reduced.td
-            full = acq.TreeSolver(jt, {node: _sorted_sols(atoms[node], db) for node in jt.bags},
-                                  k, free, db.values, 10 ** 7, stateless)
+            full = acq.TreeSolver(query, db, k, jt, 10 ** 7, stateless)
+            full.sols = {node: sorted(sols_atom(atoms[node], db)) for node in jt.bags}
             monkeypatch.setattr(acq, "merge_order", replaying)
             full.run()
             rows_dropped += sum(len(full.sols[n]) - len(reduced.sols[n]) for n in jt.bags)
@@ -642,8 +643,8 @@ def test_one_child_forget_takes_the_ear_table(mode):
     aggregator, dup = (MIN, False) if mode == "min" else (SUM, mode == "sum-dup")
     answers = enumerate_answers(query, db)
     for k in (2, 3):
-        solver = _traverse(query, db, k, query.free_vars, dup, 10 ** 7)
-        jt = solver.td
+        jt = gyo_join_tree(query)
+        solver = acq.TreeSolver(query, db, k, jt, 10 ** 7, dup)
         assert jt.children[jt.root] == (0,) and jt.bags[jt.root] == {"x"}
         solver.run()
         ear, root = solver.tables[0], solver.tables[jt.root]
@@ -719,7 +720,7 @@ def test_dp_merge_matches_reference_merge():
         for stateless in (False, True):
             tables = {}
             for node in jt.postorder():
-                table = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
+                table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)),
                                 k, free, stateless=stateless)
                 for child in jt.children.get(node, ()):
                     expected = reference_merge(table, tables[child], free)
@@ -793,7 +794,7 @@ def test_dp_project_matches_reference_project():
         for stateless in (False, True):
             tables = {}
             for node in jt.postorder():
-                init = dp_init(node, atoms[node].variables, _sorted_sols(atoms[node], db),
+                init = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)),
                                k, free, stateless=stateless)
                 table = init
                 for child in jt.children.get(node, ()):
@@ -909,12 +910,12 @@ def test_answer_rows_read_as_the_matrices_they_replace(monkeypatch):
         stateless = trial % 2 == 1
         if trial % 6 < 2:
             query, plain_db = random_acyclic_query(rng, max_rows=6)
-            solver = _traverse(query, _with_dangling(plain_db, rng), k, query.free_vars,
-                               stateless, 10 ** 7)
+            solver = acq.TreeSolver(query, _with_dangling(plain_db, rng), k,
+                                    gyo_join_tree(query), 10 ** 7, stateless)
         elif trial % 6 < 4:
             query, plain_db = _functional_chain(rng, rng.randint(2, 4))
-            solver = _traverse(query, _with_dangling(plain_db, rng), k, query.free_vars,
-                               stateless, 10 ** 7)
+            solver = acq.TreeSolver(query, _with_dangling(plain_db, rng), k,
+                                    gyo_join_tree(query), 10 ** 7, stateless)
         else:
             query, plain_db = random_cqneg_query(rng, max_vars=5, dom_size=2)
             solver = BagSolver(query, _with_dangling(plain_db, rng), k,
@@ -1064,7 +1065,7 @@ def test_folded_chains_and_stars_match_bruteforce():
         free = query.free_vars
         for k in (2, 3):
             for dup in (False, True):
-                solver = _traverse(query, db, k, free, dup, 10 ** 7)
+                solver = acq.TreeSolver(query, db, k, gyo_join_tree(query), 10 ** 7, dup)
                 solver.run()
                 root = solver.tables[solver.td.root].entries
                 assert root.folds

@@ -6,17 +6,26 @@ from dataclasses import replace
 import pytest
 
 from diverseq import acq
-from diverseq.acq import _project, dp_init, dp_project, merge_order, solve_acq
+from diverseq.acq import (
+    _project,
+    dp_init,
+    dp_project,
+    merge_order,
+    solve_acq,
+    solve_acq_sum,
+    solve_acq_sum_dup,
+)
 from diverseq.cqneg import BagSolver, solve_cqneg
 from diverseq.errors import DEFAULT_TABLE_CAP, ArityMismatch, TableGuardExceeded, UnknownRelation
 from diverseq.kernel import materialize_answers, solve_fo_diverse
 from diverseq.model import MIN, SUM, Database, diversity_of_set
 from diverseq.oracle import bruteforce_diversity, enumerate_answers
 from diverseq.queries import parse_query
-from diverseq.structure import TreeDecomposition, make_nice, tree_decompose
+from diverseq.structure import TreeDecomposition, gyo_join_tree, make_nice, tree_decompose
 from helpers import (
     column_candidates,
     literal_solutions,
+    random_acyclic_query,
     random_cqneg_query,
     reference_merge,
     reference_project,
@@ -806,9 +815,9 @@ def test_bag_the_down_sweep_cuts_is_not_refused_for_its_bottom_up_sols():
     # min-fill's leaf {x, y} has 50 bottom-up sols under {y, z}, under the
     # root {z}, and the down sweep leaves it 2. With k = 2 and a cap of 100
     # a node may hold 13 sols (14 * 13 / 2 sorted pairs is 91), but only
-    # the root is held to that before the sweep: the leaf's join builds 50
-    # partial assignments, under the cap, so the query is answered, as
-    # fo-kernel answers it. A cap under 50 refuses the leaf's join. With 14
+    # the root is held to that before the sweep, so the query is answered,
+    # as fo-kernel answers it. R(x, y) covers the leaf, whose sols are R's
+    # rows with no join, so a cap under 50 refuses nothing either. With 14
     # values of z kept, the root {z} is refused at its 14th sol.
     def instance(kept):
         return Database.from_rows({"R": [(i, i) for i in range(50)],
@@ -827,14 +836,98 @@ def test_bag_the_down_sweep_cuts_is_not_refused_for_its_bottom_up_sols():
     assert len(solver.satisfying_tuples(leaf, {})) == 50
     assert len(solver.sols[leaf]) == 2
     expected = solve_fo_diverse(materialize_answers(query, db), 2, None, SUM)
-    for cap in (100, 10 ** 7):
+    for cap in (49, 100, 10 ** 7):
         out = solve_cqneg(query, db, 2, None, SUM, witness=True, table_cap=cap)
         assert (out.decision, out.diversity) == (expected.decision, expected.diversity) \
             == (True, 1)
         assert sorted(a["x"].payload for a in out.witness) == [1, 2]
-    with pytest.raises(TableGuardExceeded,
-                       match=f"^join at node {leaf} builds over 49 partial bag assignments$"):
-        solve_cqneg(query, db, 2, None, SUM, table_cap=49)
+
+
+def test_join_tree_gives_cqneg_the_answer_acq_gives():
+    # A join tree is a tree decomposition whose bags are atoms: cqneg run
+    # over an acyclic query's GYO join tree runs acq's one k = 1 pass and
+    # node rules over the same tree, so decision, diversity, witness, the
+    # largest table and the node count are acq's, on instances with
+    # dangling rows, at k = 2 and 3, under each acq entry point.
+    rng = random.Random(151)
+    solvers = (
+        (SUM, False, lambda q, db, k: solve_acq(q, db, k, None, SUM, witness=True)),
+        (MIN, False, lambda q, db, k: solve_acq(q, db, k, None, MIN, witness=True)),
+        (SUM, False, lambda q, db, k: solve_acq_sum(q, db, k, None, witness=True)),
+        (SUM, True, lambda q, db, k: solve_acq_sum_dup(q, db, k, None, witness=True)),
+    )
+    answered = 0
+    for trial in range(60):
+        query, plain_db = random_acyclic_query(rng, max_rows=6)
+        db = _with_dangling_rows(plain_db, rng)
+        k = 2 + trial % 2
+        for aggregator, dup, solve in solvers:
+            expected = solve(query, db, k)
+            out = solve_cqneg(query, db, k, None, aggregator, witness=True,
+                              allow_duplicates=dup, decomposition=gyo_join_tree(query))
+            assert (out.decision, out.diversity, out.witness) == \
+                (expected.decision, expected.diversity, expected.witness), trial
+            assert [out.stats[key] for key in ("max_table", "nodes")] == \
+                [expected.stats[key] for key in ("max_table", "nodes")], trial
+            answered += out.witness is not None
+    assert answered > 150, answered
+
+
+def _counting_joins(monkeypatch):
+    """The bags the k = 1 pass hash-joins, one per call of `acq.join`."""
+    calls = []
+    original = acq.join
+
+    def counting(inputs, order, *args):
+        calls.append(frozenset(order))
+        return original(inputs, order, *args)
+
+    monkeypatch.setattr(acq, "join", counting)
+    return calls
+
+
+def test_atom_covered_bag_starts_from_its_atom_with_no_join(monkeypatch):
+    # R and S pair each of 5000 values with itself, and U keeps z in
+    # {1, 2}: min-fill's bags {x, y}, {y, z} and {z} are R's, S's and U's
+    # variables, so each starts from its atom's rows, semi-joined with its
+    # children, and no bag is hash-joined. The answer is fo-kernel's.
+    db = Database.from_rows({"R": [(i, i) for i in range(5000)],
+                             "S": [(i, i) for i in range(5000)],
+                             "U": [(1,), (2,)], "T": [(999,)]})
+    query = parse_query("Q(x) :- R(x, y), S(y, z), U(z), !T(x).")
+    td = tree_decompose(query)
+    assert sorted(map(sorted, td.bags.values())) == [["x", "y"], ["y", "z"], ["z"]]
+    calls = _counting_joins(monkeypatch)
+    out = solve_cqneg(query, db, 2, None, SUM, witness=True)
+    assert calls == []
+    expected = solve_fo_diverse(materialize_answers(query, db), 2, None, SUM)
+    assert (out.decision, out.diversity) == (expected.decision, expected.diversity) == (True, 1)
+    assert sorted(a["x"].payload for a in out.witness) == [1, 2]
+
+
+def test_bag_no_atom_covers_is_hash_joined(monkeypatch):
+    # The neg-w2 shape: !S(x, z) puts x, y and z in one bag, whose
+    # variables are neither R(x, y)'s nor T(y, z)'s, so it is hash-joined
+    # over its candidate values, as is any bag no atom's variables make
+    # (min-fill's root {z}). The answers are the brute force's.
+    db = Database.from_rows({"R": [(1, 2), (2, 3), (3, 1)],
+                             "T": [(1, 2), (1, 3), (2, 3), (2, 1), (3, 1), (3, 2)],
+                             "S": [(1, 3), (2, 1)], "U": [(7,)]})
+    query = parse_query("Q(x, y, z) :- R(x, y), T(y, z), !S(x, z).")
+    td = tree_decompose(query)
+    atom_bags = {atom.variables for atom in query.conjuncts[0].positive_atoms}
+    joined = sorted((bag for bag in td.bags.values() if bag not in atom_bags), key=sorted)
+    assert frozenset({"x", "y", "z"}) in joined
+    calls = _counting_joins(monkeypatch)
+    answers = enumerate_answers(query, db)
+    for k in (2, 3):
+        for aggregator in (SUM, MIN):
+            calls.clear()
+            out = solve_cqneg(query, db, k, None, aggregator, witness=True)
+            assert sorted(calls, key=sorted) == joined
+            expected, _ = bruteforce_diversity(answers, k, aggregator)
+            assert out.decision is True and out.diversity == expected
+            assert diversity_of_set(aggregator, out.witness, query.free_vars) == expected
 
 
 def test_leaf_enumeration_stops_at_the_bound(monkeypatch):
