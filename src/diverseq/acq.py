@@ -64,11 +64,12 @@ what merging such tables makes) keeps one answer row per sol instead: the
 sol's values on the free variables the table counts, which the sol's
 extension to the subtree fixes. It holds one entry per sorted slot tuple,
 whose state is the Hamming distances of its slots' rows, and works out an
-entry's links only when the entry is read. Its distance matrix is built
-only for a reader of every entry (a row merge, a projection, or a root read
-entry by entry), and then once. Every other table stores its entries as
-rows, a dict. Both read alike: a read-only mapping in
-`combinations_with_replacement` order.
+entry's links only when the entry is read. A reader of every entry (a row
+merge, a projection, or a root read entry by entry) reads the lower
+triangle of the rows' distances (`model.distance_rows`), built once and
+only when an entry has a pair, so k = 1 builds none. Every other table
+stores its entries as rows, a dict. Both read alike: a read-only mapping
+in `combinations_with_replacement` order.
 
 A merge first makes its join functional: the shared variables of a parent
 sol pick at most one child sol, its partner. The merge alone decides whether
@@ -81,12 +82,14 @@ A parent tuple holding a sol with no partner joins nothing. If every sol has
 a partner and both tables are matrix tables, the merge adds answer rows:
 each parent sol's row is extended by its partner's, less the columns of the
 shared free variables, which it holds already. Distances then add as the
-rule above says, with no correction matrix: P[a][b] + C[single[a]][single[b]]
+rule above says, with no correction triangle: P[a][b] + C[single[a]][single[b]]
 less the shared distance is the Hamming distance of the extended rows.
 Otherwise each sorted parent tuple reads its partners sorted, under the
 inverse of their stable argsort, which is the identity when they are
-already sorted. Over a matrix parent with folds, each new entry links to
-the parent's entry rather than copying its links. A node merges its
+already sorted, and the shared distance is read off the triangle of the
+parent's projections, built only when an entry has a pair. A matrix parent
+is read by sum alone; over one with folds, each new entry links to the
+parent's entry rather than copying its links. A node merges its
 children in `merge_order`, those it adds as answer rows first, so a matrix
 table stays one as long as it can. Each projection of a table's sols onto a
 variable set is made once (`DPTable.projection`), and the merge order and
@@ -105,7 +108,7 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Callable, Collection, ItemsView, Iterator, Mapping
+from collections.abc import Callable, Collection, Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -199,16 +202,6 @@ def _project(sols: Sequence[tuple], variables: frozenset[str],
     return sols if cut is None else list(map(cut, sols))
 
 
-def _distance_matrix(keys: Sequence[tuple]) -> list[list[int]]:
-    """Pairwise Hamming distances of index tuples of one width."""
-    matrix = [[0] * len(keys) for _ in keys]
-    for i, a in enumerate(keys):
-        for j in range(i + 1, len(keys)):
-            if a != keys[j]:
-                matrix[i][j] = matrix[j][i] = sum(map(operator.ne, a, keys[j]))
-    return matrix
-
-
 def _sorted_tuples(n: int, k: int) -> int:
     """How many sorted k-tuples n sols make: C(n + k - 1, k), and 1, the
     empty tuple, when k = 0, even over no sols."""
@@ -240,9 +233,10 @@ class _MatrixEntries(Mapping):
     the partners sorted, and sigma, the inverse of their stable argsort.
     Nothing per entry is stored.
 
-    A single entry's distances are read off its rows. The rows' n x n
-    distance matrix is built only for a reader of every entry (`scored`),
-    and then once.
+    A single entry's distances are read off its rows. A reader of every
+    entry (`scored`) reads the lower triangle of the rows' distances
+    (`model.distance_rows`), built once and only when an entry has a pair,
+    so k = 1 builds none.
     """
 
     def __init__(self, rows: list[tuple[int, ...]], columns: tuple[str, ...], k: int,
@@ -254,13 +248,6 @@ class _MatrixEntries(Mapping):
         self.folds = folds
         self._pairs = pair_order(k)
         self._matrix: list[list[int]] | None = None
-
-    @property
-    def matrix(self) -> list[list[int]]:
-        """The rows' distance matrix, built on first use."""
-        if self._matrix is None:
-            self._matrix = _distance_matrix(self.rows)
-        return self._matrix
 
     def __len__(self) -> int:
         return _sorted_tuples(len(self.rows), self.k)
@@ -274,18 +261,23 @@ class _MatrixEntries(Mapping):
             raise KeyError(key)
         return total, self._links(key[0])
 
-    def items(self) -> ItemsView:
-        return _MatrixItems(self)
-
     def state(self, ptuple: tuple[int, ...]) -> tuple[int, ...]:
         """The state of the entry at a sorted slot tuple."""
         return () if self.stateless else self._distances(ptuple)
 
     def scored(self) -> Iterator[tuple[tuple, int]]:
-        """(key, sum) per entry, in order, without the links."""
-        m, pairs, stateless = self.matrix, self._pairs, self.stateless
-        for ptuple in itertools.combinations_with_replacement(range(len(m)), self.k):
-            vec = tuple([m[ptuple[i]][ptuple[j]] for i, j in pairs])
+        """(key, sum) per entry, in order, without the links. The triangle
+        is built only when an entry has a pair to read."""
+        pairs, stateless = self._pairs, self.stateless
+        slots = itertools.combinations_with_replacement(range(len(self.rows)), self.k)
+        if not pairs:
+            yield from (((ptuple, ()), 0) for ptuple in slots)
+            return
+        m = self._matrix
+        if m is None:
+            m = self._matrix = list(distance_rows(self.rows))
+        for ptuple in slots:
+            vec = tuple([m[ptuple[j]][ptuple[i]] for i, j in pairs])
             yield (ptuple, () if stateless else vec), sum(vec)
 
     def _sum(self, key: object) -> int | None:
@@ -312,15 +304,6 @@ class _MatrixEntries(Mapping):
             ctuple, sigma = _sorting_map(tuple([single[p] for p in ptuple]))
             links.append((child, (ctuple, child.entries.state(ctuple)), sigma))
         return tuple(links)
-
-
-class _MatrixItems(ItemsView):
-    def __iter__(self):
-        entries = self._mapping
-        if not entries.folds:
-            return ((key, (total, ())) for key, total in entries.scored())
-        links = entries._links
-        return ((key, (total, links(key[0]))) for key, total in entries.scored())
 
 
 def _scored(entries: Mapping) -> Iterator[tuple[tuple, int]]:
@@ -532,9 +515,10 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     child entry, so the merge adds answer rows: each sol's row is extended
     by its partner's, less the shared columns, which it holds already, and
     the fold is recorded. Otherwise the guard runs once per parent slot
-    tuple that joins, and once at the end; a matrix parent with folds is
-    then read by sum alone, and each new entry links to the parent entry,
-    whose own links `extract_witness` works out when it walks there.
+    tuple that joins, and once at the end; a matrix parent is then read by
+    sum alone (`scored`), and when it has folds each new entry links to the
+    parent entry, whose own links `extract_witness` works out when it walks
+    there.
     """
     shared = parent.variables & child.variables
     proj_c = child.projection(shared)
@@ -555,12 +539,15 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
             parent.k, parent.stateless, pentries.folds + ((child, single),)))
         merged.guard(table_cap)
         return merged
-    # Distances on the shared free variables, which both sides count.
-    corr = _distance_matrix(parent.projection(shared.intersection(free_vars)))
-    if isinstance(pentries, _MatrixEntries) and pentries.folds:
-        identity = tuple(range(parent.k))
-        parent_items = ((key, (total, ((parent, key, identity),)))
-                       for key, total in pentries.scored())
+    pairs = pair_order(parent.k)
+    # Distances on the shared free variables, which both sides count: the
+    # lower triangle, built only when an entry has a pair to correct.
+    corr = list(distance_rows(parent.projection(shared.intersection(free_vars)))) \
+        if pairs else None
+    if isinstance(pentries, _MatrixEntries):
+        identity, folds = tuple(range(parent.k)), pentries.folds
+        parent_items = ((key, (total, ((parent, key, identity),) if folds else ()))
+                        for key, total in pentries.scored())
     else:
         parent_items = pentries.items()
     # sorted child tuple -> (key, sum) of its entries
@@ -571,7 +558,6 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     merged = replace(parent, entries={})
     out = merged.entries
     add = operator.add
-    pairs = pair_order(parent.k)
     last = None  # entries of one slot tuple are adjacent
     for (ptuple, state), (value, refs) in parent_items:
         if ptuple != last:
@@ -582,7 +568,7 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
                 aligned = cache[partners] = _aligned(child_keys, partners, child.stateless)
             if aligned:
                 merged.guard(table_cap)
-                corrvec = [corr[ptuple[i]][ptuple[j]] for i, j in pairs]
+                corrvec = [corr[ptuple[j]][ptuple[i]] for i, j in pairs]
                 corr_sum = sum(corrvec)
         if not aligned:
             continue

@@ -7,6 +7,8 @@ import time
 import pytest
 
 from diverseq import acq
+from diverseq.cli import RunConfig, run
+from diverseq.dbio import dump_database, dump_query
 from diverseq.cqneg import BagSolver
 from diverseq.acq import (
     DPTable,
@@ -1115,3 +1117,44 @@ def test_deep_path_query_needs_no_recursion():
             assert diversity_of_set(SUM, out.witness, q.free_vars) == best
             for a in out.witness:
                 assert set(a.as_payload_dict()) == {"x0", f"x{n}"}
+
+
+# --- k = 1 ----------------------------------------------------------------------
+
+
+def test_k1_builds_no_distance_triangle(tmp_path):
+    # `Q(x, z) :- R(x, y), S(y, z), T(z).` with R = {(i, 1)} and S = {(1, j)}
+    # for i, j < 3300, and T = {(0,)}, has one answer, {x: 0, z: 0}. At
+    # k = 1 no entry has a pair, so no route builds a distance table: each
+    # run answers well under a second, where an n x n matrix per table took
+    # seconds, and the solver leaves every matrix table's triangle unbuilt.
+    query = parse_query("Q(x, z) :- R(x, y), S(y, z), T(z).")
+    db = Database.from_rows({"R": [(i, 1) for i in range(3300)],
+                             "S": [(1, j) for j in range(3300)], "T": [(0,)]})
+    facts, rule = str(tmp_path / "k1.facts"), str(tmp_path / "k1.dq")
+    dump_database(db, facts)
+    dump_query(query, rule)
+    for options, diversity in (({}, 0), ({"aggregator": "min"}, None),
+                               ({"allow_duplicates": True}, 0), ({"mode": "cqneg"}, 0)):
+        config = RunConfig(db_path=facts, query_path=rule, k=1, d=None,
+                           witness=True, output="json", **options)
+        started = time.perf_counter()
+        code, report = run(config)
+        assert time.perf_counter() - started < 1.0, options
+        assert code == 0, report
+        assert (report["decision"], report["diversity"], report["witness"]) == \
+            ("yes", diversity, [{"x": 0, "z": 0}]), options
+    for solver_class, td in ((acq.TreeSolver, gyo_join_tree(query)),
+                             (BagSolver, tree_decompose(query))):
+        for aggregator, stateless in ((SUM, False), (MIN, False), (SUM, True)):
+            solver = solver_class(query, db, 1, td, 10 ** 7, stateless)
+            out = solver.solve(aggregator, None, stateless, True)
+            assert out.decision and out.diversity == (0 if aggregator is SUM else math.inf)
+            assert [a.as_payload_dict() for a in out.witness] == [{"x": 0, "z": 0}]
+            matrices, tables = [], list(solver.tables.values())
+            while tables:
+                entries = tables.pop().entries
+                if isinstance(entries, _MatrixEntries):
+                    matrices.append(entries)
+                    tables.extend(child for child, _ in entries.folds)
+            assert matrices and all(entries._matrix is None for entries in matrices)

@@ -27,6 +27,21 @@ def oracle_max(query, db, k, aggregator, **kw):
     return best
 
 
+def assert_k1_is_the_oracles(out, query, db, aggregator, allow_duplicates=False):
+    """A k = 1 report with its witness: the oracle's decision and
+    diversity, and when the answer is yes one answer of the query that
+    re-verifies."""
+    answers = enumerate_answers(query, db)
+    expected, _ = bruteforce_diversity(answers, 1, aggregator,
+                                       allow_duplicates=allow_duplicates)
+    assert (out.decision, out.diversity if out.decision else None) == \
+        (expected is not None, expected)
+    assert (out.witness is None) == (not out.decision)
+    if out.decision:
+        assert len(out.witness) == 1 and out.witness[0] in answers
+        assert diversity_of_set(aggregator, out.witness, query.free_vars) == out.diversity
+
+
 def test_generic_engine_multiset_mode_matches_bruteforce():
     rng = random.Random(1009)
     for query, db in small_answer_instances(rng, 40):
@@ -36,6 +51,9 @@ def test_generic_engine_multiset_mode_matches_bruteforce():
             got = solve_acq(query, db, k, None, aggregator, allow_duplicates=True)
             achieved = got.diversity if got.decision else None
             assert achieved == expected
+            got = solve_acq(query, db, 1, None, aggregator, allow_duplicates=True,
+                            witness=True)
+            assert_k1_is_the_oracles(got, query, db, aggregator, allow_duplicates=True)
 
 
 def test_generic_and_dedicated_multiset_paths_agree():
@@ -217,6 +235,10 @@ def test_all_engines_agree_on_acyclic_corpus():
             name: (out.decision, out.diversity) for name, out in results.items()
         }
         assert len(set(values.values())) == 1, values
+        for out in (solve_acq(query, db, 1, None, SUM, witness=True),
+                    solve_cqneg(query, db, 1, None, SUM, witness=True),
+                    solve_fo_diverse(answers, 1, None, SUM, witness=True)):
+            assert_k1_is_the_oracles(out, query, db, SUM)
 
 
 def test_witnesses_are_reproducible():
@@ -246,6 +268,9 @@ def test_bag_engine_is_decomposition_independent():
             got = solve_cqneg(query, db, k, None, aggregator, decomposition=fat)
             achieved = got.diversity if got.decision else None
             assert achieved == expected
+            got = solve_cqneg(query, db, 1, None, aggregator, decomposition=fat,
+                              witness=True)
+            assert_k1_is_the_oracles(got, query, db, aggregator)
 
 
 def test_k_beyond_acceptance_range():
