@@ -6,7 +6,8 @@ decomposition instead, as it is: each bag's assignments come from a join of
 the atoms it covers and its children's assignments, filtered by the negated
 literals it covers, and the join-tree engine's tables run over them. A
 child's table is projected onto the variables it shares with its parent and
-merged in, subtracting the distance counted twice.
+merged in. Each free variable is counted by one bag's table, so a merge
+adds distances.
 """
 
 from diverseq import (

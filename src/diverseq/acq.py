@@ -3,17 +3,21 @@ shares with `cqneg`.
 
 The solver runs one dynamic program over a join tree. A table entry pairs a
 k-tuple of partial solutions (an atom's answers, as value-index tuples) with
-a state: what the entry remembers of the pairwise Hamming distances, over
-the free variables, of the extensions to the whole subtree it stands for.
-Each entry keeps the best sum of those distances and provenance links.
-Extensions merge bottom-up with the inclusion-exclusion rule
+a state: what the entry remembers of the pairwise Hamming distances of the
+extensions to the whole subtree it stands for, over the free variables that
+subtree counts. Each free variable is counted by one node, the first in
+postorder whose bag holds it (`TreeSolver.counted`), so the tables merged
+into one count disjoint variables and extensions merge bottom-up by a plain
+sum
 
-    combined = d_parent + d_child - distance(shared parts)
+    combined = d_parent + d_child
 
-and provenance links let a concrete witness be rebuilt afterwards. A table
-is one of two kinds:
+and the root, whose subtree counts every free variable, holds the whole
+distance. Each entry keeps the best sum of those distances and provenance
+links, which let a concrete witness be rebuilt afterwards. A table is one of
+two kinds:
 
-    exact      the state is the pair-distance vector, merged by the rule
+    exact      the state is the pair-distance vector, merged by the sum
                above; the root aggregates it, so any aggregator works
     stateless  the state is empty, so one entry per tuple keeps the best
                sum; the root scores an entry by that sum. A solve builds
@@ -61,10 +65,10 @@ records sigma in the provenance link.
 A table is stored as rows or as a matrix table. A table whose entries all
 come from one distance matrix over its sols (an atom's initial table, and
 what merging such tables makes) keeps one answer row per sol instead: the
-sol's values on the free variables the table counts, which the sol's
-extension to the subtree fixes. It holds one entry per sorted slot tuple,
-whose state is the Hamming distances of its slots' rows, and works out an
-entry's links only when the entry is read. A reader of every entry (a row
+sol's values on the free variables the table's subtree counts, which the
+sol's extension to the subtree fixes. It holds one entry per sorted slot
+tuple, whose state is the Hamming distances of its slots' rows, and works
+out an entry's links only when the entry is read. A reader of every entry (a row
 merge, a projection, or a root read entry by entry) reads the lower
 triangle of the rows' distances (`model.distance_rows`), built once and
 only when an entry has a pair, so k = 1 builds none. Every other table
@@ -80,14 +84,11 @@ once per arrangement of the slots that project alike, and keeps per key the
 first entry with the highest sum; no other rule of either engine projects.
 A parent tuple holding a sol with no partner joins nothing. If every sol has
 a partner and both tables are matrix tables, the merge adds answer rows:
-each parent sol's row is extended by its partner's, less the columns of the
-shared free variables, which it holds already. Distances then add as the
-rule above says, with no correction triangle: P[a][b] + C[single[a]][single[b]]
-less the shared distance is the Hamming distance of the extended rows.
-Otherwise each sorted parent tuple reads its partners sorted, under the
-inverse of their stable argsort, which is the identity when they are
-already sorted, and the shared distance is read off the triangle of the
-parent's projections, built only when an entry has a pair. A matrix parent
+each parent sol's row is extended by its partner's, whose columns are
+variables the parent does not count, so P[a][b] + C[single[a]][single[b]]
+is the Hamming distance of the extended rows. Otherwise each sorted parent
+tuple reads its partners sorted, under the inverse of their stable argsort,
+which is the identity when they are already sorted. A matrix parent
 is read by sum alone; over one with folds, each new entry links to the
 parent's entry rather than copying its links. A node merges its
 children in `merge_order`, those it adds as answer rows first, so a matrix
@@ -224,10 +225,10 @@ class _MatrixEntries(Mapping):
     """A table's entries read off one answer row per sol.
 
     A sol's row holds its values on `columns`, the free variables the
-    table counts: those of the sol's extension to the subtree the table
-    stands for. There is one entry per sorted slot tuple: its state is the
-    Hamming distances of its slots' rows in pair order (() when stateless)
-    and its sum is theirs. Each fold, a (child table, partner of each sol)
+    table counts: those the nodes of its subtree count, on which the sol's
+    extension to the subtree is fixed. There is one entry per sorted slot
+    tuple: its state is the Hamming distances of its slots' rows in pair
+    order (() when stateless) and its sum is theirs. Each fold, a (child table, partner of each sol)
     pair recorded by a merge that added the child's rows, gives every entry
     one provenance link, worked out when the entry is read: the child key at
     the partners sorted, and sigma, the inverse of their stable argsort.
@@ -396,8 +397,8 @@ def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
     """Initial table: every sorted k-tuple of the node's sols, index tuples
     over its sorted variables, with its pair-distance vector (or () in a
     stateless table) and the sum of its distances. It is a matrix table:
-    only each sol's answer row, its projection onto the free variables, is
-    stored.
+    only each sol's answer row, its projection onto `free_vars`, the free
+    variables the node counts, is stored.
 
     The guard counts the n^k slot tuples an exact table stands for, and
     the C(n + k - 1, k) sorted ones a stateless table stores. It also
@@ -434,7 +435,8 @@ def dp_project(child: DPTable, variables: frozenset[str], *,
     one key under every arrangement, so it takes only the first, the stable
     argsort of its projections, and builds no other map. Only `dp_merge`
     projects a table, a child whose sols share a projection onto the shared
-    variables, and the projection keeps the child's node id.
+    variables, and the projection keeps the child's node id. The guard runs
+    each time the child slot tuple changes, and once at the end.
     """
     proj_sols = child.projection(variables)
     sols = sorted(set(proj_sols))
@@ -454,6 +456,7 @@ def dp_project(child: DPTable, variables: frozenset[str], *,
     for ckey, value in _scored(child.entries):
         ctuple, cstate = ckey
         if ctuple != last:
+            table.guard(table_cap)
             last = ctuple
             projs = tuple([proj[c] for c in ctuple])
             at = projs if stateless else (projs, tuple(map(operator.eq, ctuple, ctuple[1:])))
@@ -502,10 +505,9 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
              table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
     """Merge a completed child table into its parent's table.
 
-    Compatible entry pairs add their states and their sums, less the
-    distance already counted on the shared variables, which a non-empty
-    state subtracts pair by pair too. Per new key, the first candidate with
-    the highest sum donates provenance.
+    Compatible entry pairs add their states and their sums: the two tables
+    count disjoint free variables (`TreeSolver.counted`). Per new key, the
+    first candidate with the highest sum donates provenance.
 
     This is the one place that decides whether a child is projected: a
     child whose sols share a projection onto the shared variables is merged
@@ -513,12 +515,11 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     and any other child is merged as it is. When both tables are matrix
     tables and every parent sol has a partner, each parent tuple meets one
     child entry, so the merge adds answer rows: each sol's row is extended
-    by its partner's, less the shared columns, which it holds already, and
-    the fold is recorded. Otherwise the guard runs once per parent slot
-    tuple that joins, and once at the end; a matrix parent is then read by
-    sum alone (`scored`), and when it has folds each new entry links to the
-    parent entry, whose own links `extract_witness` works out when it walks
-    there.
+    by its partner's, and the fold is recorded. Otherwise the guard runs
+    once per parent slot tuple that joins, and once at the end; a matrix
+    parent is then read by sum alone (`scored`), and when it has folds each
+    new entry links to the parent entry, whose own links `extract_witness`
+    works out when it walks there.
     """
     shared = parent.variables & child.variables
     proj_c = child.projection(shared)
@@ -531,19 +532,12 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     pentries, centries = parent.entries, child.entries
     if isinstance(pentries, _MatrixEntries) and isinstance(centries, _MatrixEntries) \
             and None not in single:
-        keep = [i for i, v in enumerate(centries.columns) if v not in shared]
-        crows = [tuple([row[i] for i in keep]) for row in centries.rows]
         merged = replace(parent, entries=_MatrixEntries(
-            [prow + crows[s] for prow, s in zip(pentries.rows, single)],
-            pentries.columns + tuple([centries.columns[i] for i in keep]),
+            [prow + centries.rows[s] for prow, s in zip(pentries.rows, single)],
+            pentries.columns + centries.columns,
             parent.k, parent.stateless, pentries.folds + ((child, single),)))
         merged.guard(table_cap)
         return merged
-    pairs = pair_order(parent.k)
-    # Distances on the shared free variables, which both sides count: the
-    # lower triangle, built only when an entry has a pair to correct.
-    corr = list(distance_rows(parent.projection(shared.intersection(free_vars)))) \
-        if pairs else None
     if isinstance(pentries, _MatrixEntries):
         identity, folds = tuple(range(parent.k)), pentries.folds
         parent_items = ((key, (total, ((parent, key, identity),) if folds else ()))
@@ -568,16 +562,9 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
                 aligned = cache[partners] = _aligned(child_keys, partners, child.stateless)
             if aligned:
                 merged.guard(table_cap)
-                corrvec = [corr[ptuple[j]][ptuple[i]] for i, j in pairs]
-                corr_sum = sum(corrvec)
-        if not aligned:
-            continue
-        base = value - corr_sum
-        if corr_sum and state:
-            state = [a - c for a, c in zip(state, corrvec)]
         for ckey, sigma, cstate, cvalue in aligned:
             new_key = (ptuple, tuple(map(add, state, cstate)) if state else ())
-            total = base + cvalue
+            total = value + cvalue
             prior = out.get(new_key)
             if prior is None or total > prior[0]:
                 out[new_key] = (total, refs + ((child, ckey, sigma),))
@@ -838,8 +825,22 @@ class TreeSolver:
 
     # -- node rules ----------------------------------------------------------
 
+    @functools.cached_property
+    def counted(self) -> dict[int, list[str]]:
+        """Per node, the free variables its table counts: those of its bag
+        that no bag earlier in postorder holds. Each free variable is
+        counted by one node, so merged states just add. A forget node's bag
+        lies in its child's, which comes first, so it counts none."""
+        seen: set[str] = set()
+        counted = {}
+        for node in self.td.postorder():
+            bag = self.td.bags[node]
+            counted[node] = [v for v in self.free_vars if v in bag and v not in seen]
+            seen |= bag
+        return counted
+
     def leaf(self, node: int) -> DPTable:
-        return dp_init(node, self.td.bags[node], self.sols[node], self.k, self.free_vars,
+        return dp_init(node, self.td.bags[node], self.sols[node], self.k, self.counted[node],
                        stateless=self.stateless, table_cap=self.table_cap)
 
     def forget(self, node: int, child: int) -> DPTable:

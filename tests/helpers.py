@@ -11,9 +11,9 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from diverseq.model import Assignment, Database, hamming_distance, pair_order
+from diverseq.model import Assignment, Database, pair_order
 from diverseq.queries import Atom, Conjunct, Literal, Query, Variable, parse_query
 from diverseq.structure import gyo_join_tree, tree_decompose
 
@@ -373,12 +373,13 @@ def reference_project(child, variables):
     return replace(child, variables=frozenset(variables), sols=sols, entries=out, _projections={})
 
 
-def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
+def reference_merge(parent, child) -> dict:
     """The entries `acq.dp_merge(parent, child, ...)` must produce, built
     naively: a child whose sols share a projection onto the shared
     variables is first projected onto them (`reference_project`); then
-    every (parent entry, child entry, slot map) triple is tried, and per new
-    key the first candidate with the highest sum is kept.
+    every (parent entry, child entry, slot map) triple is tried, its states
+    and sums added, since the two tables count disjoint free variables, and
+    per new key the first candidate with the highest sum is kept.
 
     Candidates come per parent entry, then per child slot tuple in order of
     first appearance, then per slot map, then per child entry of that
@@ -388,19 +389,16 @@ def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
     tried, in ascending order of the rearranged tuple.
     """
     k = parent.k
-    pairs = pair_order(k)
     shared = sorted(parent.variables & child.variables)
     proj = _projections(child, shared)
     if len(set(proj)) < len(proj):
         child = reference_project(child, shared)
-    shared_free = [v for v in shared if v in free_vars]
     by_tuple: dict[tuple, list[tuple]] = {}
     for ckey in child.entries:
         by_tuple.setdefault(ckey[0], []).append(ckey)
     out: dict = {}
     for (ptuple, state), (value, refs) in parent.entries.items():
         psols = [sol_bindings(parent, p) for p in ptuple]
-        overlap = [hamming_distance(psols[i], psols[j], shared_free) for i, j in pairs]
         for ctuple, ckeys in by_tuple.items():
             csols = [sol_bindings(child, c) for c in ctuple]
             maps: dict[tuple, tuple] = {}
@@ -411,29 +409,37 @@ def reference_merge(parent, child, free_vars: Sequence[str]) -> dict:
                 for ckey in ckeys:
                     read = _read_state(ckey[1], sigma)
                     new_state = () if parent.stateless else \
-                        tuple(p - o + c for p, o, c in zip(state, overlap, read))
-                    total = value - sum(overlap) + child.entries[ckey][0]
+                        tuple(p + c for p, c in zip(state, read))
+                    total = value + child.entries[ckey][0]
                     prior = out.get((ptuple, new_state))
                     if prior is None or total > prior[0]:
                         out[(ptuple, new_state)] = (total, refs + ((child, ckey, sigma),))
     return out
 
 
-def reference_matrix(table, free_vars: Sequence[str]) -> list[list[int]]:
+def counted_free_vars(td, free_vars: Sequence[str]) -> dict[int, list[str]]:
+    """Per node of a join tree or tree decomposition, the free variables its
+    own DP table counts: each free variable is counted at the first node in
+    postorder whose bag holds it, so at exactly one."""
+    first: dict[str, int] = {}
+    for node in td.postorder():
+        for v in td.bags[node]:
+            first.setdefault(v, node)
+    return {node: [v for v in free_vars if first.get(v) == node] for node in td.postorder()}
+
+
+def reference_matrix(table, counted: Mapping[int, Sequence[str]]) -> list[list[int]]:
     """The n x n distance matrix a matrix table stood for when its tables
-    stored matrices: its sols' distances on the free variables among its
-    own, then, per fold (child, partner of each sol) in order, plus the
-    child's matrix read at the partners, less the two sols' distance on
-    the free variables the child shares."""
+    stored matrices: its sols' distances on `counted[table.node]`, the free
+    variables its own sols count, then, per fold (child, partner of each
+    sol) in order, plus the child's matrix read at the partners."""
     n = len(table.sols)
     sols = [sol_bindings(table, p) for p in range(n)]
-    own = [v for v in free_vars if v in table.variables]
+    own = counted[table.node]
     matrix = [[hamming_index(sols[a], sols[b], own) for b in range(n)] for a in range(n)]
     for child, partners in table.entries.folds:
-        child_matrix = reference_matrix(child, free_vars)
-        shared = [v for v in own if v in child.variables]
-        matrix = [[matrix[a][b] + child_matrix[partners[a]][partners[b]]
-                   - hamming_index(sols[a], sols[b], shared) for b in range(n)]
+        child_matrix = reference_matrix(child, counted)
+        matrix = [[matrix[a][b] + child_matrix[partners[a]][partners[b]] for b in range(n)]
                   for a in range(n)]
     return matrix
 
@@ -443,15 +449,15 @@ def hamming_index(a: dict, b: dict, names: Sequence[str]) -> int:
     return sum(a[v] != b[v] for v in names)
 
 
-def reference_matrix_entries(table, free_vars: Sequence[str]) -> list:
+def reference_matrix_entries(table, counted: Mapping[int, Sequence[str]]) -> list:
     """The entries, in order, of a matrix table read off `reference_matrix`:
     one per sorted slot tuple, its state the tuple's pair distances (() when
     stateless), its sum theirs, and one link per fold: the child key at the
     partners sorted, read off the child's reference matrix, and the slot
     map that sends each slot to where the stable sort moved its partner."""
     k = table.k
-    matrix = reference_matrix(table, free_vars)
-    folds = [(child, partners, reference_matrix(child, free_vars))
+    matrix = reference_matrix(table, counted)
+    folds = [(child, partners, reference_matrix(child, counted))
              for child, partners in table.entries.folds]
     entries = []
     for ptuple in itertools.combinations_with_replacement(range(len(table.sols)), k):

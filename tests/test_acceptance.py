@@ -40,7 +40,7 @@ from diverseq.oracle import (
 from diverseq.queries import sols_atom
 from diverseq.structure import gyo_join_tree, make_nice, tree_decompose, validate_decomposition
 from golden_fixtures import golden_cases
-from helpers import all_graphs, random_cqneg_query, small_answer_instances
+from helpers import all_graphs, counted_free_vars, random_cqneg_query, small_answer_instances
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -60,10 +60,11 @@ class AcqRecord:
         self.k = k
         self.jt = gyo_join_tree(query)
         atoms = query.conjuncts[0].positive_atoms
+        counted = counted_free_vars(self.jt, query.free_vars)
         self.tables = {}
         for node in self.jt.postorder():
             table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)),
-                            k, query.free_vars)
+                            k, counted[node])
             for child in self.jt.children.get(node, ()):
                 table = dp_merge(table, self.tables[child], query.free_vars)
             self.tables[node] = table

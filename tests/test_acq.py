@@ -37,6 +37,7 @@ from diverseq.queries import parse_query, sols_atom
 from diverseq.structure import gyo_join_tree, tree_decompose
 from helpers import (
     conjunction_solutions,
+    counted_free_vars,
     is_permutation_closed,
     random_acyclic_query,
     random_cqneg_query,
@@ -179,12 +180,14 @@ def test_dp_merge_disjoint_free_vars_adds_distances():
     root_atom = atoms[jt.root]
     child_node = jt.children[jt.root][0]
     child_atom = atoms[child_node]
+    counted = counted_free_vars(jt, q.free_vars)
     parent = dp_init(jt.root, root_atom.variables, sorted(sols_atom(root_atom, db)), 2,
-                     q.free_vars)
+                     counted[jt.root])
     child = dp_init(child_node, child_atom.variables, sorted(sols_atom(child_atom, db)), 2,
-                    q.free_vars)
+                    counted[child_node])
     merged = dp_merge(parent, child, q.free_vars)
-    # x = 1 for both S rows; distances on x (0) and y add with no overlap
+    # x = 1 for both S rows; the child R counts x and the root S counts y,
+    # and the merge adds their distances
     for (ptuple, dvec) in merged.entries:
         a, b = (sol_bindings(merged, p, db.domain) for p in ptuple)
         x_equal = a["x"] == b["x"]
@@ -270,6 +273,68 @@ def test_table_guard_triggers():
         solve_acq(fx.query, fx.db, 3, 1, SUM, table_cap=8)
 
 
+def merge_guard_instance():
+    """A join tree whose merges store tables of up to 80 entries at k = 3:
+    R0(v0, v1, v2) with R1, R2 and R3 below it, under the root R4."""
+    query = parse_query("Q(v2, v3, v5, v4, v0, v1) :- R0(v0, v1, v2), R1(v2, v0), "
+                        "R2(v2, v3), R3(v4, v1), R4(v2, v5).")
+    square = list(itertools.product((1, 2), repeat=2))
+    db = Database.from_rows({"R0": list(itertools.product((1, 2), repeat=3)),
+                             "R1": [(1, 1), (1, 2)], "R2": square,
+                             "R3": [(1, 2), (2, 2)], "R4": square})
+    return query, db
+
+
+@pytest.mark.parametrize("aggregator, diversity", [(SUM, 8), (MIN, 2)])
+def test_merge_guard_refuses_the_first_table_past_the_cap(tmp_path, aggregator, diversity):
+    # At k = 3 a merge into node 0 stores more than 8 entries and the merge
+    # at the root, node 4, more than 79; a cap of 80 answers, its largest
+    # table holding 80. The library and the CLI (exit 2) refuse alike.
+    query, db = merge_guard_instance()
+    facts, rule = str(tmp_path / "guard.facts"), str(tmp_path / "guard.dq")
+    dump_database(db, facts)
+    dump_query(query, rule)
+    name = "sum" if aggregator is SUM else "min"
+    for cap, refused_at in ((8, 0), (79, 4), (80, None)):
+        config = RunConfig(db_path=facts, query_path=rule, k=3, d=None, aggregator=name,
+                           table_cap=cap, output="json")
+        code, report = run(config)
+        if refused_at is None:
+            out = solve_acq(query, db, 3, None, aggregator, table_cap=cap)
+            assert (out.decision, out.diversity, out.stats["max_table"]) == (True, diversity, 80)
+            assert (code, report["diversity"], report["stats"]["max_table"]) == \
+                (0, diversity, 80)
+            continue
+        message = f"table at node {refused_at} exceeded {cap} entries"
+        with pytest.raises(TableGuardExceeded) as refusal:
+            solve_acq(query, db, 3, None, aggregator, table_cap=cap)
+        assert str(refusal.value) == message
+        assert (code, report) == (2, {"error": {"code": "TableGuardExceeded",
+                                                "message": message}})
+
+
+@pytest.mark.parametrize("stateless", [False, True])
+def test_dp_project_refuses_as_its_table_grows(monkeypatch, stateless):
+    # A projection checks its table against the cap each time the child
+    # slot tuple changes, so one past the cap is refused, under the child's
+    # node id, before it has read every child entry.
+    sols = [(x, y) for x in range(6) for y in range(6)]
+    child = dp_init(7, frozenset({"x", "y"}), sols, 2, ["x", "y"], stateless=stateless)
+    read = []
+    scored = acq._scored
+
+    def counting(entries):
+        for item in scored(entries):
+            read.append(item)
+            yield item
+
+    monkeypatch.setattr(acq, "_scored", counting)
+    with pytest.raises(TableGuardExceeded) as refusal:
+        dp_project(child, frozenset({"x"}), table_cap=5)
+    assert str(refusal.value) == "table at node 7 exceeded 5 entries"
+    assert 5 < len(read) < len(child.entries) // 2, (len(read), len(child.entries))
+
+
 def test_extract_witness_single_node_tree():
     db = Database.from_rows({"R": [(1, 2), (3, 4)]})
     q = parse_query("Q(x, y) :- R(x, y).")
@@ -306,27 +371,28 @@ def test_table_semantics_against_subtree_enumeration():
         atoms = query.conjuncts[0].positive_atoms
         k = 2 if checked % 2 == 0 else 3
         free = query.free_vars
+        counted = counted_free_vars(jt, free)
 
         tables = {}
         for node in jt.postorder():
             table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)), k,
-                            free)
+                            counted[node])
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], free)
             tables[node] = table
 
-            subtree_atoms = []
+            # distances over the free variables the subtree's nodes count
+            subtree_atoms, local_free = [], []
             stack = [node]
             while stack:
                 current = stack.pop()
                 subtree_atoms.append(atoms[current])
+                local_free += counted[current]
                 stack.extend(jt.children.get(current, ()))
             subsols = conjunction_solutions(subtree_atoms, db)
             expected = set()
             index_of = {sol: i for i, sol in enumerate(table.sols)}
             node_order = sorted(atoms[node].variables)
-            subtree_vars = {v for a in subtree_atoms for v in a.variables}
-            local_free = [x for x in free if x in subtree_vars]
             for combo in itertools.product(subsols, repeat=k):
                 ptuple = tuple(index_of[tuple(g[v].index for v in node_order)] for g in combo)
                 dvec = tuple(
@@ -352,10 +418,11 @@ def test_permutation_closure():
         k = 2 if trial % 2 == 0 else 3
         jt = gyo_join_tree(query)
         atoms = query.conjuncts[0].positive_atoms
+        counted = counted_free_vars(jt, query.free_vars)
         tables = {}
         for node in jt.postorder():
             table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)),
-                            k, query.free_vars)
+                            k, counted[node])
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], query.free_vars)
             tables[node] = table
@@ -367,8 +434,8 @@ def test_permutation_closure():
 
 
 def test_dp_merge_shared_existential_adds_distances_exactly():
-    # the shared variable x is existential, so the correction term is zero
-    # and subtree distances add up
+    # the shared variable x is existential, so no table counts it, and
+    # subtree distances add up
     db = Database.from_rows({"R": [(1, 5), (2, 6)], "S": [(1, 7), (2, 8)]})
     q = parse_query("Q(y, z) :- R(x, y), S(x, z).")
     out = solve_acq(q, db, 2, None, SUM, witness=True)
@@ -377,8 +444,9 @@ def test_dp_merge_shared_existential_adds_distances_exactly():
     assert diversity_of_set(SUM, out.witness, q.free_vars) == 2
 
 
-def test_dp_merge_shared_free_variable_subtracts_overlap():
-    # the shared variable x is free: its contribution must be counted once
+def test_dp_merge_counts_a_shared_free_variable_once():
+    # the shared variable x is free: only the first table in postorder that
+    # holds it counts it, so the merge adds its distance once
     db = Database.from_rows({"R": [(1, 5), (2, 6)], "S": [(1, 7), (2, 8)]})
     q = parse_query("Q(x, y, z) :- R(x, y), S(x, z).")
     out = solve_acq(q, db, 2, None, SUM)
@@ -454,27 +522,28 @@ def test_dup_table_semantics_against_subtree_enumeration():
         jt = gyo_join_tree(query)
         atoms = query.conjuncts[0].positive_atoms
         free = query.free_vars
+        counted = counted_free_vars(jt, free)
         pairs = pair_order(k)
 
         tables = {}
         for node in jt.postorder():
             table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)),
-                            k, free, stateless=True)
+                            k, counted[node], stateless=True)
             for child in jt.children.get(node, ()):
                 table = dp_merge(table, tables[child], free)
             tables[node] = table
 
-            subtree_atoms = []
+            # distances over the free variables the subtree's nodes count
+            subtree_atoms, local_free = [], []
             stack = [node]
             while stack:
                 current = stack.pop()
                 subtree_atoms.append(atoms[current])
+                local_free += counted[current]
                 stack.extend(jt.children.get(current, ()))
             subsols = conjunction_solutions(subtree_atoms, db)
             index_of = {sol: i for i, sol in enumerate(table.sols)}
             node_order = sorted(atoms[node].variables)
-            subtree_vars = {v for a in subtree_atoms for v in a.variables}
-            local_free = [x for x in free if x in subtree_vars]
             expected: dict = {}
             for combo in itertools.product(subsols, repeat=k):
                 ptuple = tuple(
@@ -719,13 +788,14 @@ def test_dp_merge_matches_reference_merge():
         free = query.free_vars
         jt = gyo_join_tree(query)
         atoms = query.conjuncts[0].positive_atoms
+        counted = counted_free_vars(jt, free)
         for stateless in (False, True):
             tables = {}
             for node in jt.postorder():
                 table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)),
-                                k, free, stateless=stateless)
+                                k, counted[node], stateless=stateless)
                 for child in jt.children.get(node, ()):
-                    expected = reference_merge(table, tables[child], free)
+                    expected = reference_merge(table, tables[child])
                     kind = _partner_map_kind(table, tables[child])
                     partner_maps.add((stateless, kind))
                     # A functional join of two matrix tables adds matrices;
@@ -792,12 +862,13 @@ def test_dp_project_matches_reference_project():
         free = query.free_vars
         jt = gyo_join_tree(query)
         atoms = query.conjuncts[0].positive_atoms
+        counted = counted_free_vars(jt, free)
         k = (2, 3, 4)[trial % 3]
         for stateless in (False, True):
             tables = {}
             for node in jt.postorder():
                 init = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)),
-                               k, free, stateless=stateless)
+                               k, counted[node], stateless=stateless)
                 table = init
                 for child in jt.children.get(node, ()):
                     table = dp_merge(table, tables[child], free)
@@ -889,8 +960,8 @@ SQUARES = custom_aggregator(lambda ds: sum(x * x for x in ds), monotone=True, na
 def test_answer_rows_read_as_the_matrices_they_replace(monkeypatch):
     # Every matrix table either engine builds (an atom's or a bag's init,
     # and each merge that adds answer rows) reads as the distance matrix
-    # that tables once stored: its sols' own distances, plus each added
-    # child's matrix at the partners, less the shared distance
+    # that tables once stored: its sols' distances on the free variables its
+    # node counts, plus each added child's matrix at the partners
     # (`helpers.reference_matrix`). Keys, their order, states, sums and
     # fold links all agree, on random acyclic and bounded-width negation
     # instances with dangling rows, and on one-to-one chains, whose every
@@ -924,11 +995,17 @@ def test_answer_rows_read_as_the_matrices_they_replace(monkeypatch):
                                tree_decompose(query), 10 ** 7, stateless)
         built.clear()
         solver.run()
+        td = solver.td
+        counted = counted_free_vars(td, query.free_vars)
+        for node in td.postorder():  # a forget node takes its child's table
+            kids = td.children.get(node, ())
+            if len(kids) == 1 and td.bags[node] <= td.bags[kids[0]]:
+                counted[node] = counted[kids[0]]
         for table in built:
             if table.answer_rows is None:
                 continue
             assert list(table.entries.items()) == \
-                reference_matrix_entries(table, query.free_vars), (trial, table.node)
+                reference_matrix_entries(table, counted), (trial, table.node)
             checked += 1
             stateless_checked += table.stateless
             folds = table.entries.folds

@@ -24,6 +24,7 @@ from diverseq.queries import parse_query
 from diverseq.structure import TreeDecomposition, gyo_join_tree, make_nice, tree_decompose
 from helpers import (
     column_candidates,
+    counted_free_vars,
     literal_solutions,
     random_acyclic_query,
     random_cqneg_query,
@@ -177,6 +178,29 @@ def test_invalid_decomposition_rejected():
     td = tree_decompose(other)
     with pytest.raises(ValueError):
         solve_cqneg(q, db, 2, 2, MIN, decomposition=td)
+
+
+@pytest.mark.parametrize("root, children, violation", [
+    (5, {0: (1,), 1: ()}, "root 5 is not a node"),
+    (0, {0: (1,), 1: (0,)}, "node 0 reached twice (not a tree)"),
+    (0, {0: (2,), 1: ()}, "edge to unknown node 2"),
+    (0, {0: (), 1: ()}, "nodes [1] unreachable from the root"),
+])
+def test_supplied_decomposition_that_is_no_tree_is_refused(root, children, violation):
+    # Both bags cover every literal, so the shape alone is at fault.
+    q, db = grid_instance()
+    bags = {0: frozenset({"x", "y"}), 1: frozenset({"x", "y"})}
+    with pytest.raises(ValueError) as refusal:
+        solve_cqneg(q, db, 2, 2, MIN, decomposition=TreeDecomposition(root, children, bags))
+    assert str(refusal.value) == f"invalid decomposition: {violation}"
+
+
+def test_union_is_refused_by_the_bag_solver():
+    q = parse_query("Q(x) :- R(x).\nQ(x) :- T(x).")
+    db = Database.from_rows({"R": [(1,)], "T": [(2,)]})
+    with pytest.raises(ValueError) as refusal:
+        solve_cqneg(q, db, 2, 1, SUM)
+    assert str(refusal.value) == "the bag solver handles single-disjunct queries"
 
 
 def test_supplied_nice_decomposition_gives_the_same_outcome():
@@ -356,6 +380,7 @@ def test_node_tables_match_witness_semantics():
         solver.run()
         literals = query.conjuncts[0].literals
         free = query.free_vars
+        counted = counted_free_vars(td, free)
         every_var = sorted(frozenset().union(*td.bags.values()))
         answers = [
             g for g in literal_solutions(literals, every_var, db)
@@ -374,7 +399,7 @@ def test_node_tables_match_witness_semantics():
             else:
                 assert (table.node, table.variables, table.sols) == \
                     (node, bag, solver.sols[node])
-                reference = dp_init(node, bag, solver.sols[node], k, free)
+                reference = dp_init(node, bag, solver.sols[node], k, counted[node])
             order = sorted(table.variables)
             sols = table.sols
             assert sorted(set(_project(sols, table.variables, bag))) == solver.sols[node]
@@ -392,15 +417,17 @@ def test_node_tables_match_witness_semantics():
                     continue
                 introduces += n == 0
                 reference = replace(reference, entries=reference_merge(
-                    reference, solver.tables[child], free))
+                    reference, solver.tables[child]))
             joins[k] += max(len(kids) - 1, 0)  # join rules applied
             assert spelled_links(table.entries, node) == \
                 spelled_links(reference.entries, node)
-            subtree_bags = [bag]
+            # distances over the free variables the subtree's nodes count
+            subtree_bags, local_free = [bag], list(counted[node])
             stack = list(td.children.get(node, ()))
             while stack:
                 current = stack.pop()
                 subtree_bags.append(td.bags[current])
+                local_free += counted[current]
                 stack.extend(td.children.get(current, ()))
             cone = frozenset().union(*subtree_bags)
             covered = [lit for lit in literals if lit.variables <= cone]
@@ -409,7 +436,6 @@ def test_node_tables_match_witness_semantics():
                 g for g in literal_solutions(covered, cone_vars, db)
                 if all(g[v] in candidates[v] for v in cone_vars)
             ]
-            local_free = [x for x in free if x in cone]
             kept = set(sols)
             expected = set()
             for combo in itertools.product(witnesses, repeat=k):

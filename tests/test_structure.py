@@ -32,6 +32,19 @@ def test_star_query_is_acyclic():
     assert validate_decomposition(jt, q) == []
 
 
+@pytest.mark.parametrize("text", ["Q(x) :- R(x).\nQ(x) :- T(x).", "Q(x) :- R(x), !T(x)."])
+def test_join_trees_are_for_positive_single_disjunct_queries(text):
+    with pytest.raises(ValueError) as refusal:
+        gyo_join_tree(parse_query(text))
+    assert str(refusal.value) == "join trees are defined for positive single-disjunct queries"
+
+
+def test_tree_decompositions_are_built_per_disjunct():
+    with pytest.raises(ValueError) as refusal:
+        tree_decompose(parse_query("Q(x) :- R(x).\nQ(x) :- T(x)."))
+    assert str(refusal.value) == "tree decompositions are built per disjunct"
+
+
 def test_triangle_is_cyclic():
     q = parse_query("Q(x, y, z) :- R(x, y), S(y, z), T(z, x).")
     assert gyo_join_tree(q) is None
