@@ -13,9 +13,9 @@ sum
     combined = d_parent + d_child
 
 and the root, whose subtree counts every free variable, holds the whole
-distance. Each entry keeps the best sum of those distances and provenance
-links, which let a concrete witness be rebuilt afterwards. A table is one of
-two kinds:
+distance. Every table carries those variables as its `columns`. Each entry
+keeps the best sum of those distances and provenance, which lets a concrete
+witness be rebuilt afterwards. A table is one of two kinds:
 
     exact      the state is the pair-distance vector, merged by the sum
                above; the root aggregates it, so any aggregator works
@@ -67,13 +67,15 @@ come from one distance matrix over its sols (an atom's initial table, and
 what merging such tables makes) keeps one answer row per sol instead: the
 sol's values on the free variables the table's subtree counts, which the
 sol's extension to the subtree fixes. It holds one entry per sorted slot
-tuple, whose state is the Hamming distances of its slots' rows, and works
-out an entry's links only when the entry is read. A reader of every entry (a row
-merge, a projection, or a root read entry by entry) reads the lower
-triangle of the rows' distances (`model.distance_rows`), built once and
-only when an entry has a pair, so k = 1 builds none. Every other table
-stores its entries as rows, a dict. Both read alike: a read-only mapping
-in `combinations_with_replacement` order.
+tuple, whose state is the Hamming distances of its slots' rows. A matrix
+entry's answers are its rows, so it keeps no links: the witness walk reads
+a slot's answer row where it follows links in a table stored as rows. A
+reader of every entry (a row merge, a projection, or a root read entry by
+entry) reads the lower triangle of the rows' distances
+(`model.distance_rows`), built once and only when an entry has a pair, so
+k = 1 builds none. Every other table stores its entries as rows, a dict.
+Both read alike: a read-only mapping in `combinations_with_replacement`
+order.
 
 A merge first makes its join functional: the shared variables of a parent
 sol pick at most one child sol, its partner. The merge alone decides whether
@@ -88,11 +90,11 @@ each parent sol's row is extended by its partner's, whose columns are
 variables the parent does not count, so P[a][b] + C[single[a]][single[b]]
 is the Hamming distance of the extended rows. Otherwise each sorted parent
 tuple reads its partners sorted, under the inverse of their stable argsort,
-which is the identity when they are already sorted. A matrix parent
-is read by sum alone; over one with folds, each new entry links to the
-parent's entry rather than copying its links. A node merges its
-children in `merge_order`, those it adds as answer rows first, so a matrix
-table stays one as long as it can. Each projection of a table's sols onto a
+which is the identity when they are already sorted. A matrix parent is
+read by sum alone, and each new entry links to the parent's entry, whose
+answer rows the witness walk reads. A node merges its children in
+`merge_order`, those it adds as answer rows first, so a matrix table stays
+one as long as it can. Each projection of a table's sols onto a
 variable set is made once (`DPTable.projection`), and the merge order and
 the merges share it.
 
@@ -224,15 +226,12 @@ def _sorting_map(partners: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
 class _MatrixEntries(Mapping):
     """A table's entries read off one answer row per sol.
 
-    A sol's row holds its values on `columns`, the free variables the
-    table counts: those the nodes of its subtree count, on which the sol's
-    extension to the subtree is fixed. There is one entry per sorted slot
-    tuple: its state is the Hamming distances of its slots' rows in pair
-    order (() when stateless) and its sum is theirs. Each fold, a (child table, partner of each sol)
-    pair recorded by a merge that added the child's rows, gives every entry
-    one provenance link, worked out when the entry is read: the child key at
-    the partners sorted, and sigma, the inverse of their stable argsort.
-    Nothing per entry is stored.
+    A sol's row holds its values on the table's `columns`, the free
+    variables its subtree counts, on which the sol's extension to the
+    subtree is fixed. There is one entry per sorted slot tuple: its state is
+    the Hamming distances of its slots' rows in pair order (() when
+    stateless) and its sum is theirs. Its answers are its rows, so it has
+    no provenance links. Nothing per entry is stored.
 
     A single entry's distances are read off its rows. A reader of every
     entry (`scored`) reads the lower triangle of the rows' distances
@@ -240,13 +239,10 @@ class _MatrixEntries(Mapping):
     so k = 1 builds none.
     """
 
-    def __init__(self, rows: list[tuple[int, ...]], columns: tuple[str, ...], k: int,
-                 stateless: bool, folds: tuple[tuple[DPTable, list[int]], ...] = ()) -> None:
+    def __init__(self, rows: list[tuple[int, ...]], k: int, stateless: bool) -> None:
         self.rows = rows
-        self.columns = columns
         self.k = k
         self.stateless = stateless
-        self.folds = folds
         self._pairs = pair_order(k)
         self._matrix: list[list[int]] | None = None
 
@@ -260,7 +256,7 @@ class _MatrixEntries(Mapping):
         total = self._sum(key)
         if total is None:
             raise KeyError(key)
-        return total, self._links(key[0])
+        return total, ()
 
     def state(self, ptuple: tuple[int, ...]) -> tuple[int, ...]:
         """The state of the entry at a sorted slot tuple."""
@@ -299,13 +295,6 @@ class _MatrixEntries(Mapping):
         rows, ne = self.rows, operator.ne
         return tuple([sum(map(ne, rows[ptuple[i]], rows[ptuple[j]])) for i, j in self._pairs])
 
-    def _links(self, ptuple: tuple[int, ...]) -> tuple:
-        links = []
-        for child, single in self.folds:
-            ctuple, sigma = _sorting_map(tuple([single[p] for p in ptuple]))
-            links.append((child, (ctuple, child.entries.state(ctuple)), sigma))
-        return tuple(links)
-
 
 def _scored(entries: Mapping) -> Iterator[tuple[tuple, int]]:
     """(key, sum) per entry of a table, in order, without the links."""
@@ -319,11 +308,14 @@ class DPTable:
     """DP table at one tree node: a join-tree atom or a decomposition bag.
 
     sols are the node's partial solutions over `variables`: value-index
-    tuples over the sorted variables, sorted. entries maps (sorted tuple of
-    sol positions, state) to (best sum, provenance): one (child table, child
-    entry key, sigma) link per child merged in, or for a projection
-    (`dp_project`) one link to the entry it projects. The state is the
-    entry's pair-distance vector, or () when the table is stateless. A link
+    tuples over the sorted variables, sorted. `columns` are the free
+    variables the table counts, those the nodes of its subtree count, in
+    the order a matrix table's answer rows hold them. entries maps (sorted
+    tuple of sol positions, state) to (best sum, provenance): one (child
+    table, child entry key, sigma) link per table merged in, or for a
+    projection (`dp_project`) one link to the entry it projects, and none
+    in a matrix table, whose answers are its rows. The state is the entry's
+    pair-distance vector, or () when the table is stateless. A link
     holds the table itself, so it can reach a projection that is no tree
     node's table; so tables compare by identity, lest `==` or repr walk
     every table below.
@@ -344,6 +336,7 @@ class DPTable:
     sols: list[tuple[int, ...]]
     k: int
     stateless: bool = False
+    columns: tuple[str, ...] = ()
     entries: Mapping[tuple, tuple] = field(default_factory=dict)
     _projections: dict[frozenset[str], list[tuple]] = field(default_factory=dict, repr=False)
 
@@ -366,14 +359,17 @@ class DPTable:
         if len(self.entries) > table_cap:
             raise TableGuardExceeded(f"table at node {self.node} exceeded {table_cap} entries")
 
-    def check_bound(self, free_count: int) -> None:
+    def check_bound(self) -> None:
+        """Assert the entries fit the table: its sorted slot tuples when
+        stateless, else its n^k slot tuples times the pair-distance vectors,
+        each distance 0 to len(columns)."""
         k, n = self.k, len(self.sols)
         if self.stateless:
             bound = _sorted_tuples(n, k)
             assert all(tuple(sorted(key[0])) == key[0] for key in self.entries), \
                 "unsorted entry key"
         else:
-            bound = n ** k * (free_count + 1) ** len(pair_order(k))
+            bound = n ** k * (len(self.columns) + 1) ** len(pair_order(k))
         assert len(self.entries) <= bound, \
             f"table at node {self.node} holds {len(self.entries)} entries, bound is {bound}"
 
@@ -397,8 +393,8 @@ def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
     """Initial table: every sorted k-tuple of the node's sols, index tuples
     over its sorted variables, with its pair-distance vector (or () in a
     stateless table) and the sum of its distances. It is a matrix table:
-    only each sol's answer row, its projection onto `free_vars`, the free
-    variables the node counts, is stored.
+    only each sol's answer row, its projection onto its columns, the free
+    variables the node counts (`free_vars`), is stored.
 
     The guard counts the n^k slot tuples an exact table stands for, and
     the C(n + k - 1, k) sorted ones a stateless table stores. It also
@@ -418,8 +414,8 @@ def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
             f"{math.comb(k, 2)} pairs")
     columns = tuple(sorted(variables.intersection(free_vars)))
     return DPTable(node=node, variables=variables, sols=sols, k=k, stateless=stateless,
-                   entries=_MatrixEntries(_project(sols, variables, columns), columns, k,
-                                          stateless))
+                   columns=columns,
+                   entries=_MatrixEntries(_project(sols, variables, columns), k, stateless))
 
 
 def dp_project(child: DPTable, variables: frozenset[str], *,
@@ -435,8 +431,9 @@ def dp_project(child: DPTable, variables: frozenset[str], *,
     one key under every arrangement, so it takes only the first, the stable
     argsort of its projections, and builds no other map. Only `dp_merge`
     projects a table, a child whose sols share a projection onto the shared
-    variables, and the projection keeps the child's node id. The guard runs
-    each time the child slot tuple changes, and once at the end.
+    variables, and the projection keeps the child's node id and columns.
+    The guard runs each time the child slot tuple changes, and once at the
+    end.
     """
     proj_sols = child.projection(variables)
     sols = sorted(set(proj_sols))
@@ -444,7 +441,7 @@ def dp_project(child: DPTable, variables: frozenset[str], *,
     proj = [index[p] for p in proj_sols]  # child sol -> projected sol
     stateless = child.stateless
     table = DPTable(node=child.node, variables=variables, sols=sols, k=child.k,
-                    stateless=stateless)
+                    stateless=stateless, columns=child.columns)
     out = table.entries
     identity = tuple(range(child.k))
     # Where a slot tuple's entries land, keyed by its slots' projections
@@ -501,13 +498,14 @@ def _aligned(child_keys: dict[tuple, list[tuple[tuple, int]]], partners: tuple,
     return [(ckey, sigma, tuple([ckey[1][m] for m in pmap]), value) for ckey, value in keys]
 
 
-def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
+def dp_merge(parent: DPTable, child: DPTable, *,
              table_cap: int = DEFAULT_TABLE_CAP) -> DPTable:
     """Merge a completed child table into its parent's table.
 
     Compatible entry pairs add their states and their sums: the two tables
-    count disjoint free variables (`TreeSolver.counted`). Per new key, the
-    first candidate with the highest sum donates provenance.
+    count disjoint free variables (`TreeSolver.counted`), and the merged
+    table counts both, the parent's columns then the child's. Per new key,
+    the first candidate with the highest sum donates provenance.
 
     This is the one place that decides whether a child is projected: a
     child whose sols share a projection onto the shared variables is merged
@@ -515,32 +513,31 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     and any other child is merged as it is. When both tables are matrix
     tables and every parent sol has a partner, each parent tuple meets one
     child entry, so the merge adds answer rows: each sol's row is extended
-    by its partner's, and the fold is recorded. Otherwise the guard runs
-    once per parent slot tuple that joins, and once at the end; a matrix
-    parent is then read by sum alone (`scored`), and when it has folds each
-    new entry links to the parent entry, whose own links `extract_witness`
-    works out when it walks there.
+    by its partner's. Otherwise the guard runs once per parent slot tuple
+    that joins, and once at the end; a matrix parent is then read by sum
+    alone (`scored`), and each new entry links to the parent entry, whose
+    answer rows `extract_witness` reads.
     """
     shared = parent.variables & child.variables
     proj_c = child.projection(shared)
     if len(set(proj_c)) < len(proj_c):
         child = dp_project(child, shared, table_cap=table_cap)
-        child.check_bound(len(free_vars))
+        child.check_bound()
         proj_c = child.sols
     partner = {proj: c for c, proj in enumerate(proj_c)}
     single = [partner.get(proj) for proj in parent.projection(shared)]
     pentries, centries = parent.entries, child.entries
+    columns = parent.columns + child.columns
     if isinstance(pentries, _MatrixEntries) and isinstance(centries, _MatrixEntries) \
             and None not in single:
-        merged = replace(parent, entries=_MatrixEntries(
+        merged = replace(parent, columns=columns, entries=_MatrixEntries(
             [prow + centries.rows[s] for prow, s in zip(pentries.rows, single)],
-            pentries.columns + centries.columns,
-            parent.k, parent.stateless, pentries.folds + ((child, single),)))
+            parent.k, parent.stateless))
         merged.guard(table_cap)
         return merged
     if isinstance(pentries, _MatrixEntries):
-        identity, folds = tuple(range(parent.k)), pentries.folds
-        parent_items = ((key, (total, ((parent, key, identity),) if folds else ()))
+        identity = tuple(range(parent.k))
+        parent_items = ((key, (total, ((parent, key, identity),)))
                         for key, total in pentries.scored())
     else:
         parent_items = pentries.items()
@@ -549,7 +546,7 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
     for ckey, value in _scored(centries):
         child_keys.setdefault(ckey[0], []).append((ckey, value))
     cache: dict[tuple, Sequence] = {}  # partners -> `_aligned` of them
-    merged = replace(parent, entries={})
+    merged = replace(parent, columns=columns, entries={})
     out = merged.entries
     add = operator.add
     last = None  # entries of one slot tuple are adjacent
@@ -569,7 +566,7 @@ def dp_merge(parent: DPTable, child: DPTable, free_vars: Sequence[str], *,
             if prior is None or total > prior[0]:
                 out[new_key] = (total, refs + ((child, ckey, sigma),))
     merged.guard(table_cap)
-    merged.check_bound(len(free_vars))
+    merged.check_bound()
     return merged
 
 
@@ -617,7 +614,7 @@ def dp_finalize(root: DPTable, aggregator: Aggregator, threshold: float | None,
     if isinstance(entries, _MatrixEntries) and (stateless or aggregator.monotone):
         rows = entries.rows
         found = best_tuple(distance_rows(rows), len(rows), root.k,
-                           SUM if stateless else aggregator, len(entries.columns),
+                           SUM if stateless else aggregator, len(root.columns),
                            distinct=not (allow_duplicates or stateless))
         if found is None:
             return False, None, None
@@ -642,23 +639,32 @@ def extract_witness(root: DPTable, root_key: tuple, free_vars: Sequence[str],
     """Rebuild k full answers realizing a kept root entry, via provenance.
 
     The walk is iterative. Each visit carries `slots`: slots[i] is the
-    position of the table's tuple that feeds witness slot i; a link's sigma
-    maps it into the linked table's tuple. The walk collects value indices,
-    which `domain`, the database's value table, turns into the answers'
-    values. The answers' pair distances must give back the entry's state
-    and sum.
+    position of the table's tuple that feeds witness slot i, and binds the
+    sol there over the table's variables. In a table stored as rows the
+    walk follows the entry's links, a link's sigma mapping `slots` into the
+    linked table's tuple; in a matrix table it binds the answer row there
+    over the table's columns instead, and goes no further. The walk
+    collects value indices, which `domain`, the database's value table,
+    turns into the answers' values. The answers' pair distances must give
+    back the entry's state and sum.
     """
     k = root.k
     collected: list[dict[str, int]] = [{} for _ in range(k)]
     stack = [(root, root_key, tuple(range(k)))]
     while stack:
         table, key, slots = stack.pop()
+        names, rows = sorted(table.variables), table.answer_rows
+        if rows is not None:
+            names += table.columns
         for bound, s in zip(collected, slots):
-            for v, index in zip(sorted(table.variables), table.sols[key[0][s]]):
+            p = key[0][s]
+            values = table.sols[p] if rows is None else table.sols[p] + rows[p]
+            for v, index in zip(names, values):
                 if bound.setdefault(v, index) != index:
                     raise CorruptProvenance(f"conflicting bindings for {v} while extending entry")
-        for child, child_key, sigma in table.entries[key][1]:
-            stack.append((child, child_key, tuple([sigma[s] for s in slots])))
+        if rows is None:
+            for child, child_key, sigma in table.entries[key][1]:
+                stack.append((child, child_key, tuple([sigma[s] for s in slots])))
     xs = list(free_vars)
     witness = tuple(Assignment([(x, domain[b[x]]) for x in xs if x in b]) for b in collected)
     vec = pairwise_distances(witness, xs)
@@ -848,7 +854,7 @@ class TreeSolver:
         return replace(self.tables[child], node=node)
 
     def join(self, table: DPTable, child: int) -> DPTable:
-        return dp_merge(table, self.tables[child], self.free_vars, table_cap=self.table_cap)
+        return dp_merge(table, self.tables[child], table_cap=self.table_cap)
 
     # The first merge into a node's own table; a rule apart only so that
     # the traced benchmark run times it apart.

@@ -379,7 +379,10 @@ def reference_merge(parent, child) -> dict:
     variables is first projected onto them (`reference_project`); then
     every (parent entry, child entry, slot map) triple is tried, its states
     and sums added, since the two tables count disjoint free variables, and
-    per new key the first candidate with the highest sum is kept.
+    per new key the first candidate with the highest sum is kept. Each
+    keeps the parent entry's links, or, when the parent is a matrix table,
+    whose entries hold none, one link to the parent entry under the
+    identity, and then the child's.
 
     Candidates come per parent entry, then per child slot tuple in order of
     first appearance, then per slot map, then per child entry of that
@@ -396,8 +399,11 @@ def reference_merge(parent, child) -> dict:
     by_tuple: dict[tuple, list[tuple]] = {}
     for ckey in child.entries:
         by_tuple.setdefault(ckey[0], []).append(ckey)
+    identity = tuple(range(k))
     out: dict = {}
     for (ptuple, state), (value, refs) in parent.entries.items():
+        if parent.answer_rows is not None:
+            refs = ((parent, (ptuple, state), identity),)
         psols = [sol_bindings(parent, p) for p in ptuple]
         for ctuple, ckeys in by_tuple.items():
             csols = [sol_bindings(child, c) for c in ctuple]
@@ -428,20 +434,30 @@ def counted_free_vars(td, free_vars: Sequence[str]) -> dict[int, list[str]]:
     return {node: [v for v in free_vars if first.get(v) == node] for node in td.postorder()}
 
 
-def reference_matrix(table, counted: Mapping[int, Sequence[str]]) -> list[list[int]]:
-    """The n x n distance matrix a matrix table stood for when its tables
-    stored matrices: its sols' distances on `counted[table.node]`, the free
-    variables its own sols count, then, per fold (child, partner of each
-    sol) in order, plus the child's matrix read at the partners."""
+def reference_matrix(table, counted: Mapping[int, Sequence[str]],
+                     adds: Mapping[int, tuple]) -> list[list[int]]:
+    """The n x n distance matrix a matrix table stands for, by how it was
+    made. `adds` maps the entries of each table that a merge made by adding
+    a child's answer rows, by id, to that merge's (parent, child). Any other
+    matrix table is an init: its sols' distances on `counted[table.node]`,
+    the free variables its own sols count. A table a merge made reads the
+    parent's matrix plus the child's at the partners: each sol's partner is
+    the one child sol that agrees with it on the shared variables."""
     n = len(table.sols)
     sols = [sol_bindings(table, p) for p in range(n)]
-    own = counted[table.node]
-    matrix = [[hamming_index(sols[a], sols[b], own) for b in range(n)] for a in range(n)]
-    for child, partners in table.entries.folds:
-        child_matrix = reference_matrix(child, counted)
-        matrix = [[matrix[a][b] + child_matrix[partners[a]][partners[b]] for b in range(n)]
-                  for a in range(n)]
-    return matrix
+    made = adds.get(id(table.entries))
+    if made is None:
+        own = counted[table.node]
+        return [[hamming_index(sols[a], sols[b], own) for b in range(n)] for a in range(n)]
+    parent, child = made
+    shared = sorted(parent.variables & child.variables)
+    keys = _projections(child, shared)
+    partners = [keys.index(tuple(sol[v] for v in shared)) for sol in sols]
+    assert all(keys.count(keys[c]) == 1 for c in partners), "the add's join is not functional"
+    matrix = reference_matrix(parent, counted, adds)
+    child_matrix = reference_matrix(child, counted, adds)
+    return [[matrix[a][b] + child_matrix[partners[a]][partners[b]] for b in range(n)]
+            for a in range(n)]
 
 
 def hamming_index(a: dict, b: dict, names: Sequence[str]) -> int:
@@ -449,41 +465,25 @@ def hamming_index(a: dict, b: dict, names: Sequence[str]) -> int:
     return sum(a[v] != b[v] for v in names)
 
 
-def reference_matrix_entries(table, counted: Mapping[int, Sequence[str]]) -> list:
+def reference_matrix_entries(table, counted: Mapping[int, Sequence[str]],
+                             adds: Mapping[int, tuple]) -> list:
     """The entries, in order, of a matrix table read off `reference_matrix`:
     one per sorted slot tuple, its state the tuple's pair distances (() when
-    stateless), its sum theirs, and one link per fold: the child key at the
-    partners sorted, read off the child's reference matrix, and the slot
-    map that sends each slot to where the stable sort moved its partner."""
-    k = table.k
-    matrix = reference_matrix(table, counted)
-    folds = [(child, partners, reference_matrix(child, counted))
-             for child, partners in table.entries.folds]
+    stateless), its sum theirs, and no links, since its answers are its
+    rows."""
+    matrix = reference_matrix(table, counted, adds)
     entries = []
-    for ptuple in itertools.combinations_with_replacement(range(len(table.sols)), k):
-        vec = tuple(matrix[ptuple[i]][ptuple[j]] for i, j in pair_order(k))
-        links = []
-        for child, partners, child_matrix in folds:
-            picked = [partners[p] for p in ptuple]
-            order = sorted(range(k), key=picked.__getitem__)
-            ctuple = tuple(picked[i] for i in order)
-            cvec = tuple(child_matrix[ctuple[i]][ctuple[j]] for i, j in pair_order(k))
-            links.append((child, (ctuple, () if child.stateless else cvec),
-                          tuple(order.index(i) for i in range(k))))
-        entries.append(((ptuple, () if table.stateless else vec), (sum(vec), tuple(links))))
+    for ptuple in itertools.combinations_with_replacement(range(len(table.sols)), table.k):
+        vec = tuple(matrix[ptuple[i]][ptuple[j]] for i, j in pair_order(table.k))
+        entries.append(((ptuple, () if table.stateless else vec), (sum(vec), ())))
     return entries
 
 
-def spelled_links(entries: dict, node: int | None = None) -> list:
+def spelled_links(entries: dict) -> list:
     """A DP table's entries in order, each link's table spelled by its node,
     variables, sols and entries. Tables compare by identity, so this lets a
     projection built by a merge equal one built by `reference_merge`; the
-    spelled entries' own links keep their tables, which both sides share.
-
-    A link into a table of `node` itself, the matrix table a row merge
-    started from, is followed to that entry's own links, the ones its folds
-    give it, composing the slot maps: `reference_merge` carries those links
-    over as they are."""
+    spelled entries' own links keep their tables, which both sides share."""
     spelled: dict[int, tuple] = {}
 
     def spell(table):
@@ -492,14 +492,36 @@ def spelled_links(entries: dict, node: int | None = None) -> list:
                                   tuple(table.entries.items()))
         return spelled[id(table)]
 
-    def links(table, ckey, sigma):
-        if table.node != node:
-            return [(spell(table), ckey, sigma)]
-        return [link for inner_table, inner_key, inner in table.entries[ckey][1]
-                for link in links(inner_table, inner_key, tuple(inner[s] for s in sigma))]
-
-    return [(key, value, tuple(link for ref in refs for link in links(*ref)))
+    return [(key, value, tuple((spell(table), ckey, sigma) for table, ckey, sigma in refs))
             for key, (value, refs) in entries.items()]
+
+
+def provenance_bindings(table, key, names: Sequence[str]) -> tuple:
+    """Per slot of a DP table entry, the sorted (variable, value index)
+    pairs on `names` that its provenance gives, as the witness walk reads
+    it: each entry visited, which its table must hold, binds the slot's sol
+    over the table's variables, and in a matrix table also the slot's
+    answer row over its columns; a table stored as rows passes each slot on
+    through every link's slot map. Asserts that no variable is bound to two
+    values."""
+    bound: list[dict] = [{} for _ in range(table.k)]
+    stack = [(table, key, tuple(range(table.k)))]
+    while stack:
+        table, key, slots = stack.pop()
+        assert key in table.entries
+        rows = table.answer_rows
+        for b, s in zip(bound, slots):
+            p = key[0][s]
+            pairs = list(zip(sorted(table.variables), table.sols[p]))
+            if rows is not None:
+                assert len(rows[p]) == len(table.columns)
+                pairs += zip(table.columns, rows[p])
+            for v, index in pairs:
+                assert b.setdefault(v, index) == index, f"{v} bound twice"
+        if rows is None:
+            stack.extend((child, ckey, tuple(sigma[s] for s in slots))
+                         for child, ckey, sigma in table.entries[key][1])
+    return tuple(tuple(sorted((v, i) for v, i in b.items() if v in names)) for b in bound)
 
 
 # --- reference kernel: the capping rules and the search as plain loops ----------

@@ -66,7 +66,7 @@ class AcqRecord:
             table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)),
                             k, counted[node])
             for child in self.jt.children.get(node, ()):
-                table = dp_merge(table, self.tables[child], query.free_vars)
+                table = dp_merge(table, self.tables[child])
             self.tables[node] = table
         root = self.tables[self.jt.root]
         self.best = {}

@@ -25,7 +25,7 @@ from diverseq.acq import (
     solve_acq_sum,
     solve_acq_sum_dup,
 )
-from diverseq.errors import NotAcyclic, TableGuardExceeded
+from diverseq.errors import CorruptProvenance, NotAcyclic, TableGuardExceeded
 from diverseq.model import MIN, SUM, Database, custom_aggregator, diversity_of_set, pair_order
 from diverseq.oracle import (
     Graph,
@@ -185,7 +185,7 @@ def test_dp_merge_disjoint_free_vars_adds_distances():
                      counted[jt.root])
     child = dp_init(child_node, child_atom.variables, sorted(sols_atom(child_atom, db)), 2,
                     counted[child_node])
-    merged = dp_merge(parent, child, q.free_vars)
+    merged = dp_merge(parent, child)
     # x = 1 for both S rows; the child R counts x and the root S counts y,
     # and the merge adds their distances
     for (ptuple, dvec) in merged.entries:
@@ -204,7 +204,7 @@ def test_dp_merge_drops_incompatible_pairs():
                      1, q.free_vars)
     child = dp_init(child_node, atoms[child_node].variables,
                     sorted(sols_atom(atoms[child_node], db)), 1, q.free_vars)
-    merged = dp_merge(parent, child, q.free_vars)
+    merged = dp_merge(parent, child)
     assert merged.entries == {}
 
 
@@ -344,6 +344,66 @@ def test_extract_witness_single_node_tree():
     assert diversity_of_set(SUM, out.witness, q.free_vars) == 2
 
 
+def _row_root_over_an_added_matrix():
+    """(root, its best key under sum, the matrix parent, the database,
+    the query) for Q(x, y, z, w) :- R(x, y), T(y, z), U(y, w), built by
+    hand at k = 2: the init of T(y, z) adds the answer rows of R(x, y), a
+    one-to-one join, which makes a matrix table with columns (z, x, y);
+    U(y, w), two w per y, is then projected onto {y} and merged as rows
+    into it, so each root entry links to the matrix entry, whose x lies
+    only in its answer rows. Untouched, the walk reads x there and the
+    witness is two answers that differ on all four variables."""
+    db = Database.from_rows({"T": [(1, 5), (2, 6), (3, 7)], "R": [(11, 1), (12, 2), (13, 3)],
+                             "U": [(1, 21), (1, 22), (2, 23), (2, 24), (3, 25), (3, 26)]})
+    query = parse_query("Q(x, y, z, w) :- R(x, y), T(y, z), U(y, w).")
+    atoms = {atom.relation: atom for atom in query.conjuncts[0].positive_atoms}
+
+    def init(node, name, counted):
+        atom = atoms[name]
+        return dp_init(node, atom.variables, sorted(sols_atom(atom, db)), 2, counted)
+
+    matrix = dp_merge(init(0, "T", ["z"]), init(1, "R", ["x", "y"]))
+    assert matrix.answer_rows is not None and matrix.columns == ("z", "x", "y")
+    root = dp_merge(matrix, init(2, "U", ["w"]))
+    assert root.answer_rows is None
+    _, best_key, _ = dp_finalize(root, SUM, None, False)
+    witness = extract_witness(root, best_key, query.free_vars, db.domain)
+    assert all(a in enumerate_answers(query, db) for a in witness)
+    assert diversity_of_set(SUM, witness, query.free_vars) == 4
+    return root, best_key, matrix, db, query
+
+
+def test_altered_answer_row_fails_the_witness_distance_check():
+    # The walk trusts a matrix table's answer rows, so the final check,
+    # the witness's distances against the root entry's, is what catches a
+    # wrong row: here the first slot's x is set to the second slot's. x is
+    # in no sol the walk visits, so no binding conflicts.
+    root, key, matrix, db, query = _row_root_over_an_added_matrix()
+    first, second = key[0]
+    assert first != second
+    x = matrix.columns.index("x")
+    rows = matrix.answer_rows
+    row = list(rows[first])
+    row[x] = rows[second][x]
+    rows[first] = tuple(row)
+    with pytest.raises(CorruptProvenance, match="witness distances disagree with the kept entry"):
+        extract_witness(root, key, query.free_vars, db.domain)
+
+
+def test_swapped_link_sigma_raises_conflicting_bindings():
+    # The root entry's link to its matrix parent, read under the swapped
+    # slot map, binds each slot's y and z to the other slot's sol, which
+    # the root's own sols have bound already.
+    root, key, matrix, db, query = _row_root_over_an_added_matrix()
+    assert key[0][0] != key[0][1]
+    value, links = root.entries[key]
+    (table, parent_key, sigma), *rest = links
+    assert table is matrix and sigma == (0, 1)
+    root.entries[key] = (value, ((table, parent_key, (1, 0)), *rest))
+    with pytest.raises(CorruptProvenance, match="conflicting bindings for [yz] while extending"):
+        extract_witness(root, key, query.free_vars, db.domain)
+
+
 def test_witness_contract_random():
     rng = random.Random(29)
     for query, db in small_answer_instances(rng, 30):
@@ -378,7 +438,7 @@ def test_table_semantics_against_subtree_enumeration():
             table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)), k,
                             counted[node])
             for child in jt.children.get(node, ()):
-                table = dp_merge(table, tables[child], free)
+                table = dp_merge(table, tables[child])
             tables[node] = table
 
             # distances over the free variables the subtree's nodes count
@@ -424,7 +484,7 @@ def test_permutation_closure():
             table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)),
                             k, counted[node])
             for child in jt.children.get(node, ()):
-                table = dp_merge(table, tables[child], query.free_vars)
+                table = dp_merge(table, tables[child])
             tables[node] = table
             stored = set(table.entries)
             assert all(list(key[0]) == sorted(key[0]) for key in stored)
@@ -530,7 +590,7 @@ def test_dup_table_semantics_against_subtree_enumeration():
             table = dp_init(node, atoms[node].variables, sorted(sols_atom(atoms[node], db)),
                             k, counted[node], stateless=True)
             for child in jt.children.get(node, ()):
-                table = dp_merge(table, tables[child], free)
+                table = dp_merge(table, tables[child])
             tables[node] = table
 
             # distances over the free variables the subtree's nodes count
@@ -735,9 +795,12 @@ def test_one_child_forget_takes_the_ear_table(mode):
 
 def test_dp_merge_matches_reference_merge():
     # Every merge equals the naive one (every parent entry, child entry and
-    # slot map; first candidate with the highest sum) in keys, order, sums
-    # and provenance links, in exact and stateless tables, dangling rows
-    # included.
+    # slot map; first candidate with the highest sum) in keys, order and
+    # sums, in exact and stateless tables, dangling rows included, and
+    # counts the parent's columns, then the child's. A merge stored as rows
+    # has the naive one's provenance links. A merge that adds answer rows
+    # has no links, and each slot's row is its parent row extended by the
+    # row of the child slot that the naive link reads.
     rng = random.Random(73)
     cases = [
         (query, _with_dangling(db, rng), 2 if trial % 2 == 0 else 3)
@@ -800,19 +863,22 @@ def test_dp_merge_matches_reference_merge():
                     partner_maps.add((stateless, kind))
                     # A functional join of two matrix tables adds matrices;
                     # a projected or unjoined one stores rows.
-                    fold = kind in ("identity", "increasing", "permuted") \
+                    adds_rows = kind in ("identity", "increasing", "permuted") \
                         and table.answer_rows is not None \
                         and tables[child].answer_rows is not None
-                    table = dp_merge(table, tables[child], free)
-                    assert (table.answer_rows is not None) == fold
-                    if fold:
+                    parent = table
+                    table = dp_merge(parent, tables[child])
+                    assert (table.answer_rows is not None) == adds_rows
+                    assert table.columns == parent.columns + tables[child].columns
+                    if adds_rows:
                         added.add((stateless, kind))
-                    assert spelled_links(table.entries, node) == \
-                        spelled_links(expected, node)
+                        _assert_rows_follow_links(table, parent, tables[child], expected)
+                    else:
+                        assert spelled_links(table.entries) == spelled_links(expected)
                     merges += 1
                     cycles.update(
                         (stateless, sigma)
-                        for _, refs in table.entries.values() for _, _, sigma in refs
+                        for _, refs in expected.values() for _, _, sigma in refs
                         if any(sigma[sigma[i]] != i for i in range(k)))
                 tables[node] = table
     assert merges > 0
@@ -822,6 +888,21 @@ def test_dp_merge_matches_reference_merge():
             assert (stateless, kind) in partner_maps
         for kind in ("identity", "increasing", "permuted"):
             assert (stateless, kind) in added
+
+
+def _assert_rows_follow_links(merged, parent, child, expected):
+    """A merge that added the child's answer rows has the naive merge's
+    keys, order and sums and no links, and each of its slots' rows is the
+    parent's row extended by the row of the child slot the naive merge's
+    link to the child reads through its slot map."""
+    assert [(key, value, ()) for key, (value, _) in expected.items()] == \
+        [(key, value, links) for key, (value, links) in merged.entries.items()]
+    for (ptuple, _), (_, refs) in expected.items():
+        linked, ckey, sigma = refs[-1]
+        assert linked is child
+        for p, s in zip(ptuple, sigma):
+            assert merged.answer_rows[p] == \
+                parent.answer_rows[p] + child.answer_rows[ckey[0][s]]
 
 
 def _partner_map_kind(parent, child):
@@ -871,7 +952,7 @@ def test_dp_project_matches_reference_project():
                                k, counted[node], stateless=stateless)
                 table = init
                 for child in jt.children.get(node, ()):
-                    table = dp_merge(table, tables[child], free)
+                    table = dp_merge(table, tables[child])
                 tables[node] = table
                 names = sorted(table.variables)
                 for source in (init, table):
@@ -883,7 +964,7 @@ def test_dp_project_matches_reference_project():
                             assert (got.node, got.variables) == (node, kept)
                             assert got.sols == expected.sols
                             assert list(got.entries.items()) == list(expected.entries.items())
-                            got.check_bound(len(free))
+                            got.check_bound()
                             projections += 1
                             repeated += len(got.sols) < len(source.sols)
                             links = [ckey for _, refs in got.entries.values()
@@ -962,20 +1043,27 @@ def test_answer_rows_read_as_the_matrices_they_replace(monkeypatch):
     # and each merge that adds answer rows) reads as the distance matrix
     # that tables once stored: its sols' distances on the free variables its
     # node counts, plus each added child's matrix at the partners
-    # (`helpers.reference_matrix`). Keys, their order, states, sums and
-    # fold links all agree, on random acyclic and bounded-width negation
-    # instances with dangling rows, and on one-to-one chains, whose every
-    # merge adds rows that hold free variables of their own; k = 2..4,
-    # exact and stateless.
+    # (`helpers.reference_matrix`), the adds read off the recorded merges.
+    # Keys, their order, states and sums agree, and no entry has links, on
+    # random acyclic and bounded-width negation instances with dangling
+    # rows, and on one-to-one chains, whose every merge adds rows that hold
+    # free variables of their own; k = 2..4, exact and stateless.
     built = []
-    for name in ("dp_init", "dp_merge"):
-        original = getattr(acq, name)
+    adds = {}  # id of the entries a merge made by adding rows -> (parent, child)
+    init, merge = acq.dp_init, acq.dp_merge
 
-        def recording(*args, original=original, **kwargs):
-            built.append(original(*args, **kwargs))
-            return built[-1]
+    def initial(*args, **kwargs):
+        built.append(init(*args, **kwargs))
+        return built[-1]
 
-        monkeypatch.setattr(acq, name, recording)
+    def merging(parent, child, **kwargs):
+        built.append(merge(parent, child, **kwargs))
+        if built[-1].answer_rows is not None:
+            adds[id(built[-1].entries)] = (parent, child)
+        return built[-1]
+
+    monkeypatch.setattr(acq, "dp_init", initial)
+    monkeypatch.setattr(acq, "dp_merge", merging)
     rng = random.Random(139)
     checked = folded = nested = stateless_checked = 0
     for trial in range(120):
@@ -994,6 +1082,7 @@ def test_answer_rows_read_as_the_matrices_they_replace(monkeypatch):
             solver = BagSolver(query, _with_dangling(plain_db, rng), k,
                                tree_decompose(query), 10 ** 7, stateless)
         built.clear()
+        adds.clear()
         solver.run()
         td = solver.td
         counted = counted_free_vars(td, query.free_vars)
@@ -1005,12 +1094,16 @@ def test_answer_rows_read_as_the_matrices_they_replace(monkeypatch):
             if table.answer_rows is None:
                 continue
             assert list(table.entries.items()) == \
-                reference_matrix_entries(table, counted), (trial, table.node)
+                reference_matrix_entries(table, counted, adds), (trial, table.node)
             checked += 1
             stateless_checked += table.stateless
-            folds = table.entries.folds
-            folded += bool(folds)
-            nested += any(child.entries.folds for child, _ in folds)
+            children = []  # the children added into this table, latest first
+            made = adds.get(id(table.entries))
+            while made is not None:
+                children.append(made[1])
+                made = adds.get(id(made[0].entries))
+            folded += bool(children)
+            nested += any(id(child.entries) in adds for child in children)
     assert checked > 200 and folded > 30 and nested > 5 and stateless_checked > 50, \
         (checked, folded, nested, stateless_checked)
 
@@ -1038,7 +1131,8 @@ def random_matrix_root(rng, n, k, stateless):
     values = rng.choice((2, 3))
     rows = [tuple(rng.randrange(values) for _ in columns) for _ in range(n)]
     return DPTable(node=0, variables=frozenset({"s"}), sols=[(i,) for i in range(n)], k=k,
-                   stateless=stateless, entries=_MatrixEntries(rows, columns, k, stateless))
+                   stateless=stateless, columns=columns,
+                   entries=_MatrixEntries(rows, k, stateless))
 
 
 def test_matrix_root_search_matches_enumeration(monkeypatch):
@@ -1112,8 +1206,8 @@ def test_oracle_equivalence_small():
 def _functional_chain(rng: random.Random, atoms: int):
     """A path query C0(x0, x1), ..., whose relations are one-to-one, with
     some free variables dropped: every join along the path is functional in
-    both directions, so the join tree folds each child, whose own children
-    are folded first."""
+    both directions, so each table adds its child's answer rows, after the
+    child has added its own children's."""
     names = [f"x{i}" for i in range(atoms + 1)]
     free = [v for v in names if rng.random() < 0.7] or names[:1]
     body = ", ".join(f"C{i}(x{i}, x{i + 1})" for i in range(atoms))
@@ -1127,11 +1221,22 @@ def _functional_chain(rng: random.Random, atoms: int):
     return query, db
 
 
-def test_folded_chains_and_stars_match_bruteforce():
-    # Merges that add matrices, in chains of three or more atoms (folds of
-    # folds) and in independent-set stars, agree with the brute force on
-    # decision and diversity, under sum and min, with and without
-    # duplicates, and every witness re-verifies.
+def test_folded_chains_and_stars_match_bruteforce(monkeypatch):
+    # Merges that add matrices, in chains of three or more atoms (a child
+    # added that itself added one) and in independent-set stars, agree with
+    # the brute force on decision and diversity, under sum and min, with
+    # and without duplicates, and every witness, read off nested answer
+    # rows, re-verifies. The adds are read off the recorded merges.
+    adds = {}  # id of the entries a merge made by adding rows -> (parent, child)
+    merge = acq.dp_merge
+
+    def recording(parent, child, **kwargs):
+        merged = merge(parent, child, **kwargs)
+        if merged.answer_rows is not None:
+            adds[id(merged.entries)] = (parent, child)
+        return merged
+
+    monkeypatch.setattr(acq, "dp_merge", recording)
     rng = random.Random(2024)
     cases = [_functional_chain(rng, rng.randint(3, 5)) for _ in range(16)]
     for n in (4, 5):
@@ -1144,11 +1249,16 @@ def test_folded_chains_and_stars_match_bruteforce():
         free = query.free_vars
         for k in (2, 3):
             for dup in (False, True):
+                adds.clear()
                 solver = acq.TreeSolver(query, db, k, gyo_join_tree(query), 10 ** 7, dup)
                 solver.run()
-                root = solver.tables[solver.td.root].entries
-                assert root.folds
-                nested += any(child.entries.folds for child, _ in root.folds)
+                children = []  # the children added into the root, latest first
+                made = adds.get(id(solver.tables[solver.td.root].entries))
+                while made is not None:
+                    children.append(made[1])
+                    made = adds.get(id(made[0].entries))
+                assert children
+                nested += any(id(child.entries) in adds for child in children)
                 for aggregator in (SUM, MIN):
                     expected, _ = bruteforce_diversity(answers, k, aggregator,
                                                        allow_duplicates=dup)
@@ -1199,7 +1309,7 @@ def test_deep_path_query_needs_no_recursion():
 # --- k = 1 ----------------------------------------------------------------------
 
 
-def test_k1_builds_no_distance_triangle(tmp_path):
+def test_k1_builds_no_distance_triangle(tmp_path, monkeypatch):
     # `Q(x, z) :- R(x, y), S(y, z), T(z).` with R = {(i, 1)} and S = {(1, j)}
     # for i, j < 3300, and T = {(0,)}, has one answer, {x: 0, z: 0}. At
     # k = 1 no entry has a pair, so no route builds a distance table: each
@@ -1221,17 +1331,23 @@ def test_k1_builds_no_distance_triangle(tmp_path):
         assert code == 0, report
         assert (report["decision"], report["diversity"], report["witness"]) == \
             ("yes", diversity, [{"x": 0, "z": 0}]), options
+    built = []  # every table an init or a merge builds
+    for name in ("dp_init", "dp_merge"):
+        original = getattr(acq, name)
+
+        def recording(*args, original=original, **kwargs):
+            built.append(original(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(acq, name, recording)
     for solver_class, td in ((acq.TreeSolver, gyo_join_tree(query)),
                              (BagSolver, tree_decompose(query))):
         for aggregator, stateless in ((SUM, False), (MIN, False), (SUM, True)):
+            built.clear()
             solver = solver_class(query, db, 1, td, 10 ** 7, stateless)
             out = solver.solve(aggregator, None, stateless, True)
             assert out.decision and out.diversity == (0 if aggregator is SUM else math.inf)
             assert [a.as_payload_dict() for a in out.witness] == [{"x": 0, "z": 0}]
-            matrices, tables = [], list(solver.tables.values())
-            while tables:
-                entries = tables.pop().entries
-                if isinstance(entries, _MatrixEntries):
-                    matrices.append(entries)
-                    tables.extend(child for child, _ in entries.folds)
+            matrices = [table.entries for table in built
+                        if isinstance(table.entries, _MatrixEntries)]
             assert matrices and all(entries._matrix is None for entries in matrices)

@@ -28,11 +28,11 @@ from helpers import (
     literal_solutions,
     random_acyclic_query,
     random_cqneg_query,
+    provenance_bindings,
     reference_merge,
     reference_project,
     small_answer_instances,
     sol_bindings,
-    spelled_links,
 )
 
 
@@ -360,8 +360,10 @@ def test_node_tables_match_witness_semantics():
     # node's id. Any other node with children starts from its init over its
     # sols, and its table is the reference merge of each child's table into
     # that, child by child in the solver's merge order (`merge_sequence`),
-    # entry for entry; the first merge is the introduce rule, each further
-    # one the join rule.
+    # entry for entry: keys, order and sums, and the answers each entry's
+    # provenance gives on the free variables (`provenance_bindings`), which
+    # a matrix table reads off its answer rows. The first merge is the
+    # introduce rule, each further one the join rule.
     # The merge projects a child only where its join is not functional, and
     # the projection of every child onto the variables it shares with its
     # parent is the reference projection.
@@ -419,8 +421,10 @@ def test_node_tables_match_witness_semantics():
                 reference = replace(reference, entries=reference_merge(
                     reference, solver.tables[child]))
             joins[k] += max(len(kids) - 1, 0)  # join rules applied
-            assert spelled_links(table.entries, node) == \
-                spelled_links(reference.entries, node)
+            assert [(key, value) for key, (value, _) in table.entries.items()] == \
+                [(key, value) for key, (value, _) in reference.entries.items()]
+            assert [provenance_bindings(table, key, free) for key in table.entries] == \
+                [provenance_bindings(reference, key, free) for key in reference.entries]
             # distances over the free variables the subtree's nodes count
             subtree_bags, local_free = [bag], list(counted[node])
             stack = list(td.children.get(node, ()))
@@ -582,14 +586,14 @@ def test_functional_child_merges_first_as_a_matrix(monkeypatch):
 
 def test_row_merge_links_to_its_folded_matrix_parent(monkeypatch):
     # The neg-w1 shape with a third successor for each even y: at the bag
-    # {y, z} the functional child {x, y} is added as answer rows (a fold),
-    # and the projected child {w, y} is then merged as rows into that
-    # matrix table. Each new entry links to its parent entry, as (parent
-    # table, parent key, identity), rather than spelling out the fold's
-    # link, which the witness walk works out when it gets there. Under sum,
-    # min and sum with duplicates the witness re-verifies, reaches the
-    # brute force's diversity, and is the one the row merge gave when it
-    # copied each parent entry's links (pinned).
+    # {y, z} the functional child {x, y} is added as answer rows, and the
+    # projected child {w, y} is then merged as rows into that matrix table.
+    # Each new entry links to its parent entry, as (parent table, parent
+    # key, identity); the parent's entries have no links of their own, and
+    # the witness walk reads x off its answer rows. Under sum, min and sum
+    # with duplicates the witness re-verifies, reaches the brute force's
+    # diversity, and is the one the row merge gave when it copied each
+    # parent entry's links to the added child (pinned).
     merges = []
     merge = acq.dp_merge
 
@@ -611,7 +615,9 @@ def test_row_merge_links_to_its_folded_matrix_parent(monkeypatch):
         merges.clear()
         out = solve_cqneg(query, db, 3, None, aggregator, witness=True, allow_duplicates=dup)
         ((parent, merged),) = [(p, m) for p, m in merges if m.answer_rows is None]
-        assert parent.answer_rows is not None and parent.entries.folds
+        assert any(m is parent for _, m in merges)  # a merge added rows to make it
+        assert parent.answer_rows is not None and "x" in parent.columns
+        assert all(links == () for _, links in parent.entries.values())
         assert merged.entries
         for key, (_, links) in merged.entries.items():
             table, parent_key, sigma = links[0]
@@ -622,6 +628,47 @@ def test_row_merge_links_to_its_folded_matrix_parent(monkeypatch):
         assert diversity_of_set(aggregator, out.witness, query.free_vars) == best
         assert [tuple(a[v].payload for v in "xyzw") for a in out.witness] == \
             [(6, 1, 2, 2), (5, 2, 6, 6), (4, 3, 4, 4)]
+
+
+def test_row_merge_over_a_matrix_parent_that_added_no_child(monkeypatch):
+    # R pairs each y with two x, so at the bag {y, z} of the join tree and
+    # of the min-fill decomposition the only child, {x, y}, is projected
+    # onto {y} and merged as rows into the bag's init: a matrix table that
+    # no merge added rows to. Each new entry links to that parent entry
+    # under the identity, and the witness walk reads the parent's sols and
+    # answer rows there. Through solve_acq and solve_cqneg, under sum, min
+    # and sum with duplicates, the witness re-verifies, reaches the brute
+    # force's diversity, and is the one the merge gave when it linked such
+    # a parent not at all (pinned).
+    merges = []
+    merge = acq.dp_merge
+
+    def recording(parent, child, **kwargs):
+        merges.append((parent, merge(parent, child, **kwargs)))
+        return merges[-1][1]
+
+    monkeypatch.setattr(acq, "dp_merge", recording)
+    db = Database.from_rows({"R": [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3)],
+                             "S": [(1, 5), (2, 6), (3, 5)]})
+    query = parse_query("Q(x, y, z) :- R(x, y), S(y, z).")
+    answers = enumerate_answers(query, db)
+    for solve in (solve_acq, solve_cqneg):
+        for aggregator, dup in ((SUM, False), (MIN, False), (SUM, True)):
+            merges.clear()
+            out = solve(query, db, 3, None, aggregator, witness=True, allow_duplicates=dup)
+            ((parent, merged),) = merges  # the one merge; no merge made the parent
+            assert parent.variables == {"y", "z"} and parent.answer_rows is not None
+            assert merged.answer_rows is None and merged.entries
+            identity = (0, 1, 2)
+            for key, (_, links) in merged.entries.items():
+                table, parent_key, sigma = links[0]
+                assert table is parent and parent_key[0] == key[0] and sigma == identity
+                assert parent_key in parent.entries
+            best, _ = bruteforce_diversity(answers, 3, aggregator, allow_duplicates=dup)
+            assert out.diversity == best == (2 if aggregator is MIN else 8)
+            assert diversity_of_set(aggregator, out.witness, query.free_vars) == best
+            assert [tuple(a[v].payload for v in "xyz") for a in out.witness] == \
+                [(1, 1, 5), (3, 2, 6), (5, 3, 5)]
 
 
 def test_some_solver_merges_add_matrices(monkeypatch):
@@ -662,27 +709,16 @@ def _unreduced_solver(query, db, k, td, table_cap):
 
 def _spelled_entries(solver, node):
     """A node's entries in order, slots spelled as their sols, each with its
-    sum and its provenance links, each spelled as the linked table's node
-    and the child key spelled the same way. A link into a table that is no
-    node's is followed to that entry's own links, composing the slot maps:
-    a projection a merge made to the entry it projects, and the matrix
-    table a row merge started from to the links its folds give the entry.
-    Whether a merge projects a child, or adds it as answer rows, depends
-    on the sols, which the k = 1 pass may have cut."""
-
-    def spell(table, key):
-        return tuple(table.sols[p] for p in key[0]), key[1]
-
-    def links(child, ckey, sigma):
-        if solver.tables.get(child.node) is child:
-            return [(child.node, spell(child, ckey), sigma)]
-        return [link for inner_child, inner_key, inner in child.entries[ckey][1]
-                for link in links(inner_child, inner_key, tuple(inner[s] for s in sigma))]
-
+    state, its sum and the answers its provenance gives on the free
+    variables (`provenance_bindings`). Links or answer rows may give them:
+    whether a merge projects a child, adds it as answer rows or merges it
+    as rows depends on the sols, which the k = 1 pass may have cut."""
     table = solver.tables[node]
+    free = solver.query.free_vars
     return [
-        (spell(table, key), value, tuple(link for ref in refs for link in links(*ref)))
-        for key, (value, refs) in table.entries.items()
+        ((tuple(table.sols[p] for p in key[0]), key[1]), value,
+         provenance_bindings(table, key, free))
+        for key, (value, _) in table.entries.items()
     ]
 
 
@@ -704,7 +740,8 @@ def test_full_reducer_keeps_root_entries(monkeypatch):
     # The same rules over the bottom-up sols alone, merging each node's
     # children in the order the reduced solver chose from its own tables,
     # build tables that, each cut to the reduced table's own sols, are the
-    # reduced tables: entries, order, sums and provenance. At the root
+    # reduced tables: entries, order, sums and the answers their provenance
+    # gives. At the root
     # nothing is cut, so the root entries and every witness are equal; the
     # reduced tables are no larger.
     orders = {}
