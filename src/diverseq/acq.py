@@ -62,20 +62,22 @@ tuple up with a sorted parent tuple through a slot map sigma (parent slot i
 reads child slot sigma[i]), reads the child's per-pair values through it, and
 records sigma in the provenance link.
 
-A table is stored as rows or as a matrix table. A table whose entries all
-come from one distance matrix over its sols (an atom's initial table, and
-what merging such tables makes) keeps one answer row per sol instead: the
-sol's values on the free variables the table's subtree counts, which the
-sol's extension to the subtree fixes. It holds one entry per sorted slot
-tuple, whose state is the Hamming distances of its slots' rows. A matrix
-entry's answers are its rows, so it keeps no links: the witness walk reads
-a slot's answer row where it follows links in a table stored as rows. A
-reader of every entry (a row merge, a projection, or a root read entry by
-entry) reads the lower triangle of the rows' distances
-(`model.distance_rows`), built once and only when an entry has a pair, so
-k = 1 builds none. Every other table stores its entries as rows, a dict.
-Both read alike: a read-only mapping in `combinations_with_replacement`
-order.
+Every table keeps its sols' answer rows (`DPTable.rows`): a sol's values on
+its table's leading columns, which the sol's extension to the subtree
+fixes, and on none of them in a projection. A table is stored as rows or as
+a matrix table. A table whose entries all come from one distance matrix
+over its sols (an atom's initial table, and what merging such tables makes)
+has rows over all its columns and stores nothing else: one entry per sorted
+slot tuple, whose state is the Hamming distances of its slots' rows. A
+matrix entry's answers are its rows, so it keeps no links. A reader of every entry (a row merge, a
+projection, or a root read entry by entry) reads the lower triangle of the
+rows' distances (`model.distance_rows`), built once and only when an entry
+has a pair, so k = 1 builds none. Every other table stores its entries as
+rows, a dict. Both read alike: a read-only mapping in
+`combinations_with_replacement` order. A link crosses one tree edge, to a
+child's table or, in a projection, to the table it projects, so the witness
+walk has one rule: bind each slot's sol and answer row, then follow the
+entry's links.
 
 A merge first makes its join functional: the shared variables of a parent
 sol pick at most one child sol, its partner. The merge alone decides whether
@@ -90,9 +92,9 @@ each parent sol's row is extended by its partner's, whose columns are
 variables the parent does not count, so P[a][b] + C[single[a]][single[b]]
 is the Hamming distance of the extended rows. Otherwise each sorted parent
 tuple reads its partners sorted, under the inverse of their stable argsort,
-which is the identity when they are already sorted. A matrix parent is
-read by sum alone, and each new entry links to the parent's entry, whose
-answer rows the witness walk reads. A node merges its children in
+which is the identity when they are already sorted. The merged table keeps
+the parent's rows, and each new entry keeps the parent entry's links and
+adds one to the child entry it joined. A node merges its children in
 `merge_order`, those it adds as answer rows first, so a matrix table stays
 one as long as it can. Each projection of a table's sols onto a
 variable set is made once (`DPTable.projection`), and the merge order and
@@ -234,7 +236,7 @@ class _MatrixEntries(Mapping):
     no provenance links. Nothing per entry is stored.
 
     A single entry's distances are read off its rows. A reader of every
-    entry (`scored`) reads the lower triangle of the rows' distances
+    entry (`items`) reads the lower triangle of the rows' distances
     (`model.distance_rows`), built once and only when an entry has a pair,
     so k = 1 builds none.
     """
@@ -250,7 +252,7 @@ class _MatrixEntries(Mapping):
         return _sorted_tuples(len(self.rows), self.k)
 
     def __iter__(self) -> Iterator[tuple]:
-        return (key for key, _ in self.scored())
+        return (key for key, _ in self.items())
 
     def __getitem__(self, key: tuple) -> tuple[int, tuple]:
         total = self._sum(key)
@@ -262,20 +264,20 @@ class _MatrixEntries(Mapping):
         """The state of the entry at a sorted slot tuple."""
         return () if self.stateless else self._distances(ptuple)
 
-    def scored(self) -> Iterator[tuple[tuple, int]]:
-        """(key, sum) per entry, in order, without the links. The triangle
-        is built only when an entry has a pair to read."""
+    def items(self) -> Iterator[tuple[tuple, tuple[int, tuple]]]:
+        """(key, (sum, ())) per entry, in order. The triangle is built only
+        when an entry has a pair to read."""
         pairs, stateless = self._pairs, self.stateless
         slots = itertools.combinations_with_replacement(range(len(self.rows)), self.k)
         if not pairs:
-            yield from (((ptuple, ()), 0) for ptuple in slots)
+            yield from (((ptuple, ()), (0, ())) for ptuple in slots)
             return
         m = self._matrix
         if m is None:
             m = self._matrix = list(distance_rows(self.rows))
         for ptuple in slots:
             vec = tuple([m[ptuple[j]][ptuple[i]] for i, j in pairs])
-            yield (ptuple, () if stateless else vec), sum(vec)
+            yield (ptuple, () if stateless else vec), (sum(vec), ())
 
     def _sum(self, key: object) -> int | None:
         """The sum of the entry at key, or None when the table holds none."""
@@ -296,34 +298,29 @@ class _MatrixEntries(Mapping):
         return tuple([sum(map(ne, rows[ptuple[i]], rows[ptuple[j]])) for i, j in self._pairs])
 
 
-def _scored(entries: Mapping) -> Iterator[tuple[tuple, int]]:
-    """(key, sum) per entry of a table, in order, without the links."""
-    if isinstance(entries, _MatrixEntries):
-        return entries.scored()
-    return zip(entries, map(operator.itemgetter(0), entries.values()))
-
-
 @dataclass(eq=False, repr=False)
 class DPTable:
     """DP table at one tree node: a join-tree atom or a decomposition bag.
 
     sols are the node's partial solutions over `variables`: value-index
     tuples over the sorted variables, sorted. `columns` are the free
-    variables the table counts, those the nodes of its subtree count, in
-    the order a matrix table's answer rows hold them. entries maps (sorted
-    tuple of sol positions, state) to (best sum, provenance): one (child
-    table, child entry key, sigma) link per table merged in, or for a
-    projection (`dp_project`) one link to the entry it projects, and none
-    in a matrix table, whose answers are its rows. The state is the entry's
-    pair-distance vector, or () when the table is stateless. A link
-    holds the table itself, so it can reach a projection that is no tree
-    node's table; so tables compare by identity, lest `==` or repr walk
-    every table below.
+    variables the table counts, those the nodes of its subtree count.
+    `rows` holds each sol's answer row: its values on the leading columns,
+    all of them in a matrix table, the parent's in a row merge, none in a
+    projection. entries maps (sorted tuple of sol positions, state) to
+    (best sum, provenance): one (child table, child entry key, sigma) link
+    per child merged in as rows, or for a projection (`dp_project`) one
+    link to the entry it projects, and none in a matrix table, whose
+    answers are its rows. So a link crosses one tree edge. The state is
+    the entry's pair-distance vector, or () when the table is stateless. A
+    link holds the table itself, so it can reach a projection that is no
+    tree node's table; so tables compare by identity, lest `==` or repr
+    walk every table below.
 
-    entries are stored as rows, a dict, or as a matrix table, one answer
-    row per sol (`_MatrixEntries`): `dp_init` makes a matrix table, and
-    `dp_merge` makes one when it adds the answer rows of a functional join.
-    Both are read-only mappings with the same keys, order and values.
+    entries are stored as rows, a dict, or as a matrix table read off the
+    rows (`_MatrixEntries`): `dp_init` makes a matrix table, and `dp_merge`
+    makes one when it adds the answer rows of a functional join. Both are
+    read-only mappings with the same keys, order and values.
 
     A projection of the sols onto a variable set is made once per table
     (`projection`). A table that `replace` makes from this one shares the
@@ -337,6 +334,7 @@ class DPTable:
     k: int
     stateless: bool = False
     columns: tuple[str, ...] = ()
+    rows: list[tuple[int, ...]] = field(default_factory=list)
     entries: Mapping[tuple, tuple] = field(default_factory=dict)
     _projections: dict[frozenset[str], list[tuple]] = field(default_factory=dict, repr=False)
 
@@ -413,9 +411,9 @@ def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
             f"initial table at node {node}: each entry's {k} slots make "
             f"{math.comb(k, 2)} pairs")
     columns = tuple(sorted(variables.intersection(free_vars)))
+    rows = _project(sols, variables, columns)
     return DPTable(node=node, variables=variables, sols=sols, k=k, stateless=stateless,
-                   columns=columns,
-                   entries=_MatrixEntries(_project(sols, variables, columns), k, stateless))
+                   columns=columns, rows=rows, entries=_MatrixEntries(rows, k, stateless))
 
 
 def dp_project(child: DPTable, variables: frozenset[str], *,
@@ -432,6 +430,7 @@ def dp_project(child: DPTable, variables: frozenset[str], *,
     argsort of its projections, and builds no other map. Only `dp_merge`
     projects a table, a child whose sols share a projection onto the shared
     variables, and the projection keeps the child's node id and columns.
+    Its answer rows are empty: its links reach the child's.
     The guard runs each time the child slot tuple changes, and once at the
     end.
     """
@@ -441,7 +440,7 @@ def dp_project(child: DPTable, variables: frozenset[str], *,
     proj = [index[p] for p in proj_sols]  # child sol -> projected sol
     stateless = child.stateless
     table = DPTable(node=child.node, variables=variables, sols=sols, k=child.k,
-                    stateless=stateless, columns=child.columns)
+                    stateless=stateless, columns=child.columns, rows=[()] * len(sols))
     out = table.entries
     identity = tuple(range(child.k))
     # Where a slot tuple's entries land, keyed by its slots' projections
@@ -450,7 +449,7 @@ def dp_project(child: DPTable, variables: frozenset[str], *,
     # projections alone, so they key its moves.
     cache: dict[tuple, list] = {}
     last = None
-    for ckey, value in _scored(child.entries):
+    for ckey, (value, _) in child.entries.items():
         ctuple, cstate = ckey
         if ctuple != last:
             table.guard(table_cap)
@@ -514,9 +513,10 @@ def dp_merge(parent: DPTable, child: DPTable, *,
     tables and every parent sol has a partner, each parent tuple meets one
     child entry, so the merge adds answer rows: each sol's row is extended
     by its partner's. Otherwise the guard runs once per parent slot tuple
-    that joins, and once at the end; a matrix parent is then read by sum
-    alone (`scored`), and each new entry links to the parent entry, whose
-    answer rows `extract_witness` reads.
+    that joins, and once at the end. The merged table then keeps the
+    parent's answer rows, and each new entry the parent entry's links (none
+    from a matrix parent) and one more, to the child entry it joined: every
+    table keeps its sols' answer rows, so a link crosses one tree edge.
     """
     shared = parent.variables & child.variables
     proj_c = child.projection(shared)
@@ -526,31 +526,23 @@ def dp_merge(parent: DPTable, child: DPTable, *,
         proj_c = child.sols
     partner = {proj: c for c, proj in enumerate(proj_c)}
     single = [partner.get(proj) for proj in parent.projection(shared)]
-    pentries, centries = parent.entries, child.entries
     columns = parent.columns + child.columns
-    if isinstance(pentries, _MatrixEntries) and isinstance(centries, _MatrixEntries) \
-            and None not in single:
-        merged = replace(parent, columns=columns, entries=_MatrixEntries(
-            [prow + centries.rows[s] for prow, s in zip(pentries.rows, single)],
-            parent.k, parent.stateless))
+    if parent.answer_rows is not None and child.answer_rows is not None and None not in single:
+        rows = [prow + child.rows[s] for prow, s in zip(parent.rows, single)]
+        merged = replace(parent, columns=columns, rows=rows,
+                         entries=_MatrixEntries(rows, parent.k, parent.stateless))
         merged.guard(table_cap)
         return merged
-    if isinstance(pentries, _MatrixEntries):
-        identity = tuple(range(parent.k))
-        parent_items = ((key, (total, ((parent, key, identity),)))
-                        for key, total in pentries.scored())
-    else:
-        parent_items = pentries.items()
     # sorted child tuple -> (key, sum) of its entries
     child_keys: dict[tuple, list[tuple[tuple, int]]] = {}
-    for ckey, value in _scored(centries):
+    for ckey, (value, _) in child.entries.items():
         child_keys.setdefault(ckey[0], []).append((ckey, value))
     cache: dict[tuple, Sequence] = {}  # partners -> `_aligned` of them
     merged = replace(parent, columns=columns, entries={})
     out = merged.entries
     add = operator.add
     last = None  # entries of one slot tuple are adjacent
-    for (ptuple, state), (value, refs) in parent_items:
+    for (ptuple, state), (value, refs) in parent.entries.items():
         if ptuple != last:
             last = ptuple
             partners = tuple([single[p] for p in ptuple])
@@ -623,7 +615,7 @@ def dp_finalize(root: DPTable, aggregator: Aggregator, threshold: float | None,
             (ptuple, entries.state(ptuple)), best_val
     best_key = None
     best_val = None
-    for key, total in _scored(entries):
+    for key, (total, _) in entries.items():
         state = key[1]
         if not allow_duplicates and not all(state):
             continue
@@ -638,33 +630,30 @@ def extract_witness(root: DPTable, root_key: tuple, free_vars: Sequence[str],
                     domain: Sequence[Value]) -> tuple[Assignment, ...]:
     """Rebuild k full answers realizing a kept root entry, via provenance.
 
-    The walk is iterative. Each visit carries `slots`: slots[i] is the
-    position of the table's tuple that feeds witness slot i, and binds the
-    sol there over the table's variables. In a table stored as rows the
-    walk follows the entry's links, a link's sigma mapping `slots` into the
-    linked table's tuple; in a matrix table it binds the answer row there
-    over the table's columns instead, and goes no further. The walk
-    collects value indices, which `domain`, the database's value table,
-    turns into the answers' values. The answers' pair distances must give
-    back the entry's state and sum.
+    The walk is iterative and has one rule for every table. Each visit
+    carries `slots`: slots[i] is the position of the table's tuple that
+    feeds witness slot i, and binds the sol there over the table's
+    variables and its answer row over the table's leading columns. Every
+    table keeps its sols' answer rows, so the walk then follows the
+    entry's links, each across one tree edge, a link's sigma mapping
+    `slots` into the linked table's tuple; a matrix entry has none. The
+    walk collects value indices, which `domain`, the database's value
+    table, turns into the answers' values. The answers' pair distances
+    must give back the entry's state and sum.
     """
     k = root.k
     collected: list[dict[str, int]] = [{} for _ in range(k)]
     stack = [(root, root_key, tuple(range(k)))]
     while stack:
         table, key, slots = stack.pop()
-        names, rows = sorted(table.variables), table.answer_rows
-        if rows is not None:
-            names += table.columns
+        names = sorted(table.variables) + list(table.columns)
         for bound, s in zip(collected, slots):
             p = key[0][s]
-            values = table.sols[p] if rows is None else table.sols[p] + rows[p]
-            for v, index in zip(names, values):
+            for v, index in zip(names, table.sols[p] + table.rows[p]):
                 if bound.setdefault(v, index) != index:
                     raise CorruptProvenance(f"conflicting bindings for {v} while extending entry")
-        if rows is None:
-            for child, child_key, sigma in table.entries[key][1]:
-                stack.append((child, child_key, tuple([sigma[s] for s in slots])))
+        for child, child_key, sigma in table.entries[key][1]:
+            stack.append((child, child_key, tuple([sigma[s] for s in slots])))
     xs = list(free_vars)
     witness = tuple(Assignment([(x, domain[b[x]]) for x in xs if x in b]) for b in collected)
     vec = pairwise_distances(witness, xs)

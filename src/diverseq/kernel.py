@@ -330,8 +330,9 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
     decision = d is None or best >= d
     solution = None
     if decision and witness:
-        pool = kernel.assignments()
-        solution = tuple(pool[i] for i in best_combo)
+        values = kernel.values
+        solution = tuple(Assignment(zip(kernel.columns, [values[i] for i in rows[c]]))
+                         for c in best_combo)
     return Outcome(decision, best, solution, stats=stats)
 
 

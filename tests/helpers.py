@@ -370,19 +370,20 @@ def reference_project(child, variables):
             prior = out.get(key)
             if prior is None or value > prior[0]:
                 out[key] = (value, ((child, ckey, sigma),))
-    return replace(child, variables=frozenset(variables), sols=sols, entries=out, _projections={})
+    return replace(child, variables=frozenset(variables), sols=sols, rows=[()] * len(sols),
+                   entries=out, _projections={})
 
 
-def reference_merge(parent, child) -> dict:
-    """The entries `acq.dp_merge(parent, child, ...)` must produce, built
-    naively: a child whose sols share a projection onto the shared
-    variables is first projected onto them (`reference_project`); then
-    every (parent entry, child entry, slot map) triple is tried, its states
-    and sums added, since the two tables count disjoint free variables, and
-    per new key the first candidate with the highest sum is kept. Each
-    keeps the parent entry's links, or, when the parent is a matrix table,
-    whose entries hold none, one link to the parent entry under the
-    identity, and then the child's.
+def reference_merge(parent, child):
+    """The table `acq.dp_merge(parent, child, ...)` must produce when it
+    merges as rows, built naively: a child whose sols share a projection
+    onto the shared variables is first projected onto them
+    (`reference_project`); then every (parent entry, child entry, slot map)
+    triple is tried, its states and sums added, since the two tables count
+    disjoint free variables, and per new key the first candidate with the
+    highest sum is kept. Each keeps the parent entry's links (none in a
+    matrix table) and then one to the child entry. The table keeps the
+    parent's answer rows and counts the parent's columns, then the child's.
 
     Candidates come per parent entry, then per child slot tuple in order of
     first appearance, then per slot map, then per child entry of that
@@ -399,11 +400,8 @@ def reference_merge(parent, child) -> dict:
     by_tuple: dict[tuple, list[tuple]] = {}
     for ckey in child.entries:
         by_tuple.setdefault(ckey[0], []).append(ckey)
-    identity = tuple(range(k))
     out: dict = {}
     for (ptuple, state), (value, refs) in parent.entries.items():
-        if parent.answer_rows is not None:
-            refs = ((parent, (ptuple, state), identity),)
         psols = [sol_bindings(parent, p) for p in ptuple]
         for ctuple, ckeys in by_tuple.items():
             csols = [sol_bindings(child, c) for c in ctuple]
@@ -420,7 +418,7 @@ def reference_merge(parent, child) -> dict:
                     prior = out.get((ptuple, new_state))
                     if prior is None or total > prior[0]:
                         out[(ptuple, new_state)] = (total, refs + ((child, ckey, sigma),))
-    return out
+    return replace(parent, columns=parent.columns + child.columns, entries=out)
 
 
 def counted_free_vars(td, free_vars: Sequence[str]) -> dict[int, list[str]]:
@@ -500,8 +498,8 @@ def provenance_bindings(table, key, names: Sequence[str]) -> tuple:
     """Per slot of a DP table entry, the sorted (variable, value index)
     pairs on `names` that its provenance gives, as the witness walk reads
     it: each entry visited, which its table must hold, binds the slot's sol
-    over the table's variables, and in a matrix table also the slot's
-    answer row over its columns; a table stored as rows passes each slot on
+    over the table's variables and its answer row over the table's leading
+    columns, all of them in a matrix table, then passes each slot on
     through every link's slot map. Asserts that no variable is bound to two
     values."""
     bound: list[dict] = [{} for _ in range(table.k)]
@@ -509,18 +507,17 @@ def provenance_bindings(table, key, names: Sequence[str]) -> tuple:
     while stack:
         table, key, slots = stack.pop()
         assert key in table.entries
-        rows = table.answer_rows
+        assert len(table.rows) == len(table.sols)
         for b, s in zip(bound, slots):
             p = key[0][s]
-            pairs = list(zip(sorted(table.variables), table.sols[p]))
-            if rows is not None:
-                assert len(rows[p]) == len(table.columns)
-                pairs += zip(table.columns, rows[p])
+            row = table.rows[p]
+            assert len(row) == len(table.columns) if table.answer_rows is not None \
+                else len(row) <= len(table.columns)
+            pairs = [*zip(sorted(table.variables), table.sols[p]), *zip(table.columns, row)]
             for v, index in pairs:
                 assert b.setdefault(v, index) == index, f"{v} bound twice"
-        if rows is None:
-            stack.extend((child, ckey, tuple(sigma[s] for s in slots))
-                         for child, ckey, sigma in table.entries[key][1])
+        stack.extend((child, ckey, tuple(sigma[s] for s in slots))
+                     for child, ckey, sigma in table.entries[key][1])
     return tuple(tuple(sorted((v, i) for v, i in b.items() if v in names)) for b in bound)
 
 

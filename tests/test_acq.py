@@ -321,14 +321,14 @@ def test_dp_project_refuses_as_its_table_grows(monkeypatch, stateless):
     sols = [(x, y) for x in range(6) for y in range(6)]
     child = dp_init(7, frozenset({"x", "y"}), sols, 2, ["x", "y"], stateless=stateless)
     read = []
-    scored = acq._scored
+    items = _MatrixEntries.items
 
     def counting(entries):
-        for item in scored(entries):
+        for item in items(entries):
             read.append(item)
             yield item
 
-    monkeypatch.setattr(acq, "_scored", counting)
+    monkeypatch.setattr(_MatrixEntries, "items", counting)
     with pytest.raises(TableGuardExceeded) as refusal:
         dp_project(child, frozenset({"x"}), table_cap=5)
     assert str(refusal.value) == "table at node 7 exceeded 5 entries"
@@ -350,9 +350,10 @@ def _row_root_over_an_added_matrix():
     hand at k = 2: the init of T(y, z) adds the answer rows of R(x, y), a
     one-to-one join, which makes a matrix table with columns (z, x, y);
     U(y, w), two w per y, is then projected onto {y} and merged as rows
-    into it, so each root entry links to the matrix entry, whose x lies
-    only in its answer rows. Untouched, the walk reads x there and the
-    witness is two answers that differ on all four variables."""
+    into it, so the root keeps the matrix table's answer rows, where alone
+    x lies, and each root entry links only to U's projection. Untouched,
+    the walk reads x there and the witness is two answers that differ on
+    all four variables."""
     db = Database.from_rows({"T": [(1, 5), (2, 6), (3, 7)], "R": [(11, 1), (12, 2), (13, 3)],
                              "U": [(1, 21), (1, 22), (2, 23), (2, 24), (3, 25), (3, 26)]})
     query = parse_query("Q(x, y, z, w) :- R(x, y), T(y, z), U(y, w).")
@@ -365,7 +366,7 @@ def _row_root_over_an_added_matrix():
     matrix = dp_merge(init(0, "T", ["z"]), init(1, "R", ["x", "y"]))
     assert matrix.answer_rows is not None and matrix.columns == ("z", "x", "y")
     root = dp_merge(matrix, init(2, "U", ["w"]))
-    assert root.answer_rows is None
+    assert root.answer_rows is None and root.rows is matrix.rows
     _, best_key, _ = dp_finalize(root, SUM, None, False)
     witness = extract_witness(root, best_key, query.free_vars, db.domain)
     assert all(a in enumerate_answers(query, db) for a in witness)
@@ -374,10 +375,11 @@ def _row_root_over_an_added_matrix():
 
 
 def test_altered_answer_row_fails_the_witness_distance_check():
-    # The walk trusts a matrix table's answer rows, so the final check,
-    # the witness's distances against the root entry's, is what catches a
-    # wrong row: here the first slot's x is set to the second slot's. x is
-    # in no sol the walk visits, so no binding conflicts.
+    # The walk trusts a table's answer rows, here the ones the root keeps
+    # from its matrix parent, so the final check, the witness's distances
+    # against the root entry's, is what catches a wrong row: here the first
+    # slot's x is set to the second slot's. x is in no sol the walk visits,
+    # so no binding conflicts.
     root, key, matrix, db, query = _row_root_over_an_added_matrix()
     first, second = key[0]
     assert first != second
@@ -391,16 +393,16 @@ def test_altered_answer_row_fails_the_witness_distance_check():
 
 
 def test_swapped_link_sigma_raises_conflicting_bindings():
-    # The root entry's link to its matrix parent, read under the swapped
-    # slot map, binds each slot's y and z to the other slot's sol, which
-    # the root's own sols have bound already.
+    # The root entry's one link, to U's projection onto {y}, read under the
+    # swapped slot map, binds each slot's y to the other slot's, which the
+    # root's own sols have bound already.
     root, key, matrix, db, query = _row_root_over_an_added_matrix()
     assert key[0][0] != key[0][1]
     value, links = root.entries[key]
-    (table, parent_key, sigma), *rest = links
-    assert table is matrix and sigma == (0, 1)
-    root.entries[key] = (value, ((table, parent_key, (1, 0)), *rest))
-    with pytest.raises(CorruptProvenance, match="conflicting bindings for [yz] while extending"):
+    ((table, child_key, sigma),) = links
+    assert table.node == 2 and table.variables == {"y"} and sigma == (0, 1)
+    root.entries[key] = (value, ((table, child_key, (1, 0)),))
+    with pytest.raises(CorruptProvenance, match="conflicting bindings for y while extending"):
         extract_witness(root, key, query.free_vars, db.domain)
 
 
@@ -798,9 +800,10 @@ def test_dp_merge_matches_reference_merge():
     # slot map; first candidate with the highest sum) in keys, order and
     # sums, in exact and stateless tables, dangling rows included, and
     # counts the parent's columns, then the child's. A merge stored as rows
-    # has the naive one's provenance links. A merge that adds answer rows
-    # has no links, and each slot's row is its parent row extended by the
-    # row of the child slot that the naive link reads.
+    # has the naive one's provenance links, the parent entry's and one to
+    # the child entry, and keeps the parent's answer rows. A merge that adds answer rows has no links, and
+    # each slot's row is its parent row extended by the row of the child
+    # slot that the naive link reads.
     rng = random.Random(73)
     cases = [
         (query, _with_dangling(db, rng), 2 if trial % 2 == 0 else 3)
@@ -869,16 +872,18 @@ def test_dp_merge_matches_reference_merge():
                     parent = table
                     table = dp_merge(parent, tables[child])
                     assert (table.answer_rows is not None) == adds_rows
-                    assert table.columns == parent.columns + tables[child].columns
+                    assert table.columns == expected.columns == \
+                        parent.columns + tables[child].columns
                     if adds_rows:
                         added.add((stateless, kind))
-                        _assert_rows_follow_links(table, parent, tables[child], expected)
+                        _assert_rows_follow_links(table, parent, tables[child], expected.entries)
                     else:
-                        assert spelled_links(table.entries) == spelled_links(expected)
+                        assert spelled_links(table.entries) == spelled_links(expected.entries)
+                        assert table.rows is expected.rows is parent.rows
                     merges += 1
                     cycles.update(
                         (stateless, sigma)
-                        for _, refs in expected.values() for _, _, sigma in refs
+                        for _, refs in expected.entries.values() for _, _, sigma in refs
                         if any(sigma[sigma[i]] != i for i in range(k)))
                 tables[node] = table
     assert merges > 0

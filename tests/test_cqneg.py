@@ -1,13 +1,13 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
 from diverseq import acq
 from diverseq.acq import (
     _project,
+    dp_finalize,
     dp_init,
     dp_project,
     merge_order,
@@ -362,8 +362,8 @@ def test_node_tables_match_witness_semantics():
     # that, child by child in the solver's merge order (`merge_sequence`),
     # entry for entry: keys, order and sums, and the answers each entry's
     # provenance gives on the free variables (`provenance_bindings`), which
-    # a matrix table reads off its answer rows. The first merge is the
-    # introduce rule, each further one the join rule.
+    # every table reads off its answer rows and its links to its children.
+    # The first merge is the introduce rule, each further one the join rule.
     # The merge projects a child only where its join is not functional, and
     # the projection of every child onto the variables it shares with its
     # parent is the reference projection.
@@ -418,8 +418,7 @@ def test_node_tables_match_witness_semantics():
                 if n == 0 and forget:
                     continue
                 introduces += n == 0
-                reference = replace(reference, entries=reference_merge(
-                    reference, solver.tables[child]))
+                reference = reference_merge(reference, solver.tables[child])
             joins[k] += max(len(kids) - 1, 0)  # join rules applied
             assert [(key, value) for key, (value, _) in table.entries.items()] == \
                 [(key, value) for key, (value, _) in reference.entries.items()]
@@ -584,16 +583,18 @@ def test_functional_child_merges_first_as_a_matrix(monkeypatch):
         assert diversity_of_set(SUM, out.witness, query.free_vars) == best
 
 
-def test_row_merge_links_to_its_folded_matrix_parent(monkeypatch):
+def test_row_merge_keeps_its_folded_matrix_parents_rows(monkeypatch):
     # The neg-w1 shape with a third successor for each even y: at the bag
     # {y, z} the functional child {x, y} is added as answer rows, and the
     # projected child {w, y} is then merged as rows into that matrix table.
-    # Each new entry links to its parent entry, as (parent table, parent
-    # key, identity); the parent's entries have no links of their own, and
-    # the witness walk reads x off its answer rows. Under sum, min and sum
-    # with duplicates the witness re-verifies, reaches the brute force's
-    # diversity, and is the one the row merge gave when it copied each
-    # parent entry's links to the added child (pinned).
+    # The merged table keeps the parent's answer rows, where the witness
+    # walk reads x, and each new entry has one link, to the entry of the
+    # child's projection onto {y} it joined; the parent's entries have no
+    # links of their own. Under sum, min and sum with duplicates the
+    # witness re-verifies, reaches the brute force's diversity, and is the
+    # one the row merge gave when it copied each parent entry's links to
+    # the added child, and when it linked each new entry to its parent
+    # entry (pinned).
     merges = []
     merge = acq.dp_merge
 
@@ -618,11 +619,12 @@ def test_row_merge_links_to_its_folded_matrix_parent(monkeypatch):
         assert any(m is parent for _, m in merges)  # a merge added rows to make it
         assert parent.answer_rows is not None and "x" in parent.columns
         assert all(links == () for _, links in parent.entries.values())
-        assert merged.entries
-        for key, (_, links) in merged.entries.items():
-            table, parent_key, sigma = links[0]
-            assert table is parent and parent_key[0] == key[0] and sigma == (0, 1, 2)
-            assert parent_key in parent.entries
+        assert merged.entries and merged.rows is parent.rows
+        for _, links in merged.entries.values():
+            ((table, child_key, _),) = links
+            assert table.variables == {"y"} and child_key in table.entries
+            ((projected, _, _),) = table.entries[child_key][1]
+            assert projected.variables == {"w", "y"}
         best, _ = bruteforce_diversity(answers, 3, aggregator, allow_duplicates=dup)
         assert out.diversity == best == (4 if aggregator is MIN else 12)
         assert diversity_of_set(aggregator, out.witness, query.free_vars) == best
@@ -634,12 +636,13 @@ def test_row_merge_over_a_matrix_parent_that_added_no_child(monkeypatch):
     # R pairs each y with two x, so at the bag {y, z} of the join tree and
     # of the min-fill decomposition the only child, {x, y}, is projected
     # onto {y} and merged as rows into the bag's init: a matrix table that
-    # no merge added rows to. Each new entry links to that parent entry
-    # under the identity, and the witness walk reads the parent's sols and
-    # answer rows there. Through solve_acq and solve_cqneg, under sum, min
-    # and sum with duplicates, the witness re-verifies, reaches the brute
-    # force's diversity, and is the one the merge gave when it linked such
-    # a parent not at all (pinned).
+    # no merge added rows to. The merged table keeps that parent's answer
+    # rows, which the witness walk reads z off, and each new entry has one
+    # link, to the entry of the child's projection it joined. Through
+    # solve_acq and solve_cqneg, under sum, min and sum with duplicates, the
+    # witness re-verifies, reaches the brute force's diversity, and is the
+    # one the merge gave when it linked such a parent not at all, and when
+    # it linked each new entry to its parent entry (pinned).
     merges = []
     merge = acq.dp_merge
 
@@ -659,16 +662,69 @@ def test_row_merge_over_a_matrix_parent_that_added_no_child(monkeypatch):
             ((parent, merged),) = merges  # the one merge; no merge made the parent
             assert parent.variables == {"y", "z"} and parent.answer_rows is not None
             assert merged.answer_rows is None and merged.entries
-            identity = (0, 1, 2)
-            for key, (_, links) in merged.entries.items():
-                table, parent_key, sigma = links[0]
-                assert table is parent and parent_key[0] == key[0] and sigma == identity
-                assert parent_key in parent.entries
+            assert merged.rows is parent.rows and parent.columns == ("z",)
+            for _, links in merged.entries.values():
+                ((table, child_key, _),) = links
+                assert table.variables == {"y"} and table.node != parent.node
+                assert child_key in table.entries
             best, _ = bruteforce_diversity(answers, 3, aggregator, allow_duplicates=dup)
             assert out.diversity == best == (2 if aggregator is MIN else 8)
             assert diversity_of_set(aggregator, out.witness, query.free_vars) == best
             assert [tuple(a[v].payload for v in "xyz") for a in out.witness] == \
                 [(1, 1, 5), (3, 2, 6), (5, 3, 5)]
+
+
+def test_every_link_crosses_one_tree_edge():
+    # Every table keeps its sols' answer rows, so a merge links each new
+    # entry only to the child entry it joined, never to a table of its own
+    # node. On random acyclic instances over their GYO join tree, min-fill's
+    # decomposition and its nice form, and on random negation instances
+    # over the latter two, at k = 2 and 3, under sum, min and sum with
+    # duplicates, every link that the witness walk of the kept root entry
+    # follows points to the table of a child of the linking table's node,
+    # a forget node's table being its child's. A projection keeps its
+    # child's id, has empty answer rows, and links only to that child's
+    # table. The witness re-verifies.
+    rng = random.Random(151)
+    links = projected = stateless = 0
+    for trial in range(36):
+        if trial % 2:
+            query, db = random_cqneg_query(rng, max_vars=5, dom_size=2)
+            trees = [tree_decompose(query)]
+        else:
+            query, db = random_acyclic_query(rng, max_rows=6)
+            trees = [gyo_join_tree(query), tree_decompose(query)]
+        trees.append(make_nice(trees[-1]))
+        for td in trees:
+            for k in (2, 3):
+                for aggregator, dup in ((SUM, False), (MIN, False), (SUM, True)):
+                    solver = BagSolver(query, db, k, td, table_cap=10 ** 7,
+                                       stateless=dup and aggregator is SUM)
+                    solver.run()
+                    built = {}  # the node whose rule built each node's table
+                    for node in td.postorder():
+                        forget = is_checked_forget(solver, node)
+                        built[node] = built[td.children[node][0]] if forget else node
+                    root = solver.tables[td.root]
+                    decision, root_key, _ = dp_finalize(root, aggregator, None, dup)
+                    if not decision:
+                        continue
+                    solver.witness(root_key)
+                    stateless += root.stateless
+                    stack = [(root, root_key)]
+                    while stack:
+                        table, key = stack.pop()
+                        assert len(table.rows) == len(table.sols)
+                        for linked, child_key, _ in table.entries[key][1]:
+                            if linked.node == table.node:
+                                assert linked is solver.tables[table.node]
+                                assert not any(table.rows)
+                                projected += 1
+                            else:
+                                assert linked.node in td.children[built[table.node]]
+                            links += 1
+                            stack.append((linked, child_key))
+    assert links > 500 and projected > 200 and stateless > 100, (links, projected, stateless)
 
 
 def test_some_solver_merges_add_matrices(monkeypatch):

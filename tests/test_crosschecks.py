@@ -27,19 +27,27 @@ def oracle_max(query, db, k, aggregator, **kw):
     return best
 
 
+def assert_witness_reverifies(out, query, db, k, aggregator, allow_duplicates=False):
+    """A report asked for its witness at k: when the answer is yes, k
+    answers of the query, pairwise distinct unless duplicates are allowed,
+    whose diversity is the report's."""
+    assert (out.witness is None) == (not out.decision)
+    if out.decision:
+        answers = enumerate_answers(query, db)
+        assert len(out.witness) == k and all(a in answers for a in out.witness)
+        assert allow_duplicates or len(set(out.witness)) == k
+        assert diversity_of_set(aggregator, out.witness, query.free_vars) == out.diversity
+
+
 def assert_k1_is_the_oracles(out, query, db, aggregator, allow_duplicates=False):
     """A k = 1 report with its witness: the oracle's decision and
     diversity, and when the answer is yes one answer of the query that
     re-verifies."""
-    answers = enumerate_answers(query, db)
-    expected, _ = bruteforce_diversity(answers, 1, aggregator,
+    expected, _ = bruteforce_diversity(enumerate_answers(query, db), 1, aggregator,
                                        allow_duplicates=allow_duplicates)
     assert (out.decision, out.diversity if out.decision else None) == \
         (expected is not None, expected)
-    assert (out.witness is None) == (not out.decision)
-    if out.decision:
-        assert len(out.witness) == 1 and out.witness[0] in answers
-        assert diversity_of_set(aggregator, out.witness, query.free_vars) == out.diversity
+    assert_witness_reverifies(out, query, db, 1, aggregator, allow_duplicates)
 
 
 def test_generic_engine_multiset_mode_matches_bruteforce():
@@ -48,9 +56,11 @@ def test_generic_engine_multiset_mode_matches_bruteforce():
         k = rng.choice([2, 3])
         for aggregator in (SUM, MIN):
             expected = oracle_max(query, db, k, aggregator, allow_duplicates=True)
-            got = solve_acq(query, db, k, None, aggregator, allow_duplicates=True)
+            got = solve_acq(query, db, k, None, aggregator, allow_duplicates=True,
+                            witness=True)
             achieved = got.diversity if got.decision else None
             assert achieved == expected
+            assert_witness_reverifies(got, query, db, k, aggregator, allow_duplicates=True)
             got = solve_acq(query, db, 1, None, aggregator, allow_duplicates=True,
                             witness=True)
             assert_k1_is_the_oracles(got, query, db, aggregator, allow_duplicates=True)
@@ -73,9 +83,10 @@ def test_bag_engine_multiset_mode_matches_bruteforce():
         query, db = random_cqneg_query(rng)
         k = rng.choice([2, 3])
         expected = oracle_max(query, db, k, SUM, allow_duplicates=True)
-        got = solve_cqneg(query, db, k, None, SUM, allow_duplicates=True)
+        got = solve_cqneg(query, db, k, None, SUM, allow_duplicates=True, witness=True)
         achieved = got.diversity if got.decision else None
         assert achieved == expected
+        assert_witness_reverifies(got, query, db, k, SUM, allow_duplicates=True)
 
 
 def weighted_sorted_sum(weights):
@@ -94,9 +105,10 @@ def test_custom_monotone_aggregator_through_generic_engine():
         n_pairs = k * (k - 1) // 2
         agg = weighted_sorted_sum([rng.randint(0, 3) for _ in range(n_pairs)])
         expected = oracle_max(query, db, k, agg)
-        got = solve_acq(query, db, k, None, agg)
+        got = solve_acq(query, db, k, None, agg, witness=True)
         achieved = got.diversity if got.decision else None
         assert achieved == expected
+        assert_witness_reverifies(got, query, db, k, agg)
 
 
 def test_custom_monotone_aggregator_through_kernel():
@@ -265,9 +277,11 @@ def test_bag_engine_is_decomposition_independent():
         k = rng.choice([2, 3])
         for aggregator in (SUM, MIN):
             expected = oracle_max(query, db, k, aggregator)
-            got = solve_cqneg(query, db, k, None, aggregator, decomposition=fat)
+            got = solve_cqneg(query, db, k, None, aggregator, decomposition=fat,
+                              witness=True)
             achieved = got.diversity if got.decision else None
             assert achieved == expected
+            assert_witness_reverifies(got, query, db, k, aggregator)
             got = solve_cqneg(query, db, 1, None, aggregator, decomposition=fat,
                               witness=True)
             assert_k1_is_the_oracles(got, query, db, aggregator)
