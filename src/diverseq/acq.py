@@ -53,7 +53,8 @@ its bag, so the parent's merge projects the child's table if it must. A
 node with more children starts from its own sols, since its siblings,
 merged into the child's table, would multiply entries that differ only
 where no one else reads them. The root is decided by `dp_finalize` and the
-witness rebuilt by `extract_witness`.
+witness rebuilt by `extract_witness`, which checks each answer against the
+query's literals.
 
 Every table is closed under permuting the k slots, so each one stores only
 its entries at sorted (non-decreasing) slot tuples: the full table is the
@@ -124,14 +125,13 @@ from .model import (
     Assignment,
     Database,
     Outcome,
-    Value,
     best_tuple,
     distance_rows,
     pair_order,
     pairwise_distances,
 )
 from .queries import (Atom, Literal, Query, Variable, _tuple_of, join, relation_of,
-                      satisfies_literal, sols_atom)
+                      render_term, satisfies_literal, sols_atom)
 from .structure import TreeDecomposition, gyo_join_tree
 
 
@@ -626,8 +626,8 @@ def dp_finalize(root: DPTable, aggregator: Aggregator, threshold: float | None,
     return decision, best_key, best_val
 
 
-def extract_witness(root: DPTable, root_key: tuple, free_vars: Sequence[str],
-                    domain: Sequence[Value]) -> tuple[Assignment, ...]:
+def extract_witness(root: DPTable, root_key: tuple, query: Query,
+                    db: Database) -> tuple[Assignment, ...]:
     """Rebuild k full answers realizing a kept root entry, via provenance.
 
     The walk is iterative and has one rule for every table. Each visit
@@ -637,9 +637,15 @@ def extract_witness(root: DPTable, root_key: tuple, free_vars: Sequence[str],
     table keeps its sols' answer rows, so the walk then follows the
     entry's links, each across one tree edge, a link's sigma mapping
     `slots` into the linked table's tuple; a matrix entry has none. The
-    walk collects value indices, which `domain`, the database's value
-    table, turns into the answers' values. The answers' pair distances
-    must give back the entry's state and sum.
+    walk collects value indices, which the database's value table turns
+    into the answers' values.
+
+    Each answer is then checked against the query's literals: one whose
+    variables the walk bound must hold, a positive literal's row in the
+    database and a negative one's not, and the answer must extend to the
+    variables the walk left unbound so that the others hold too
+    (`_extends`). The answers' pair distances must give back the entry's
+    state and sum.
     """
     k = root.k
     collected: list[dict[str, int]] = [{} for _ in range(k)]
@@ -654,13 +660,53 @@ def extract_witness(root: DPTable, root_key: tuple, free_vars: Sequence[str],
                     raise CorruptProvenance(f"conflicting bindings for {v} while extending entry")
         for child, child_key, sigma in table.entries[key][1]:
             stack.append((child, child_key, tuple([sigma[s] for s in slots])))
-    xs = list(free_vars)
+    literals = query.conjuncts[0].literals
+    for i, bound in enumerate(collected, 1):
+        unbound = []
+        for lit in literals:
+            if not lit.variables <= bound.keys():
+                unbound.append(lit)
+            elif not satisfies_literal(lit, bound, db):
+                terms = ", ".join(map(render_term, lit.atom.terms))
+                raise CorruptProvenance(f"witness answer {i} fails "
+                                        f"{'' if lit.positive else '!'}{lit.atom.relation}({terms})")
+        if not _extends(bound, unbound, db):
+            raise CorruptProvenance(f"witness answer {i} has no values for the variables "
+                                    f"the walk left unbound that satisfy their literals")
+    xs = list(query.free_vars)
+    domain = db.values
     witness = tuple(Assignment([(x, domain[b[x]]) for x in xs if x in b]) for b in collected)
     vec = pairwise_distances(witness, xs)
     state = () if root.stateless else tuple(vec)
     if state != root_key[1] or sum(vec) != root.entries[root_key][0]:
         raise CorruptProvenance("witness distances disagree with the kept entry")
     return witness
+
+
+def _extends(bound: dict[str, int], literals: Sequence[Literal], db: Database) -> bool:
+    """Whether `bound` extends to the variables of `literals` it leaves
+    unbound so that every one of them holds. Such a variable is no free
+    variable and lies only in a subtree whose answer rows a merge added:
+    the merged table keeps the rows and not the subtree's sols, so the
+    witness walk binds it nowhere. The query is safe, so the positive
+    literals among `literals` bind each of them; their rows that agree
+    with `bound` are joined, and the first extension the negative ones
+    let through answers."""
+    if not literals:
+        return True
+    inputs = []
+    for lit in literals:
+        if lit.positive:
+            names = sorted(lit.variables)
+            inputs.append((names, [row for row in sols_atom(lit.atom, db)
+                                   if all(bound.get(v, x) == x for v, x in zip(names, row))]))
+    order = sorted(set().union(*(lit.variables for lit in literals)).difference(bound))
+    negative = [lit for lit in literals if not lit.positive]
+    for part in join(inputs, order, math.inf, CorruptProvenance("never raised: no limit")):
+        extended = {**bound, **dict(zip(order, part))}
+        if all(satisfies_literal(lit, extended, db) for lit in negative):
+            return True
+    return False
 
 
 # The traced benchmark run (bench/tracing.py) wraps these names, which the
@@ -687,7 +733,6 @@ class TreeSolver:
         self.td = td
         self.k = k
         self.free_vars = query.free_vars
-        self.values = db.values
         self.table_cap = table_cap
         self.stateless = stateless
         self.sols: dict[int, list[tuple[int, ...]]] = {}
@@ -873,8 +918,7 @@ class TreeSolver:
         return max(len(table.entries) for table in self.tables.values())
 
     def witness(self, root_key: tuple) -> tuple[Assignment, ...]:
-        return extract_witness(self.tables[self.td.root], root_key, self.free_vars,
-                               self.values)
+        return extract_witness(self.tables[self.td.root], root_key, self.query, self.db)
 
     def solve(self, aggregator: Aggregator, d: float | None, allow_duplicates: bool,
               witness: bool, **stats) -> Outcome:

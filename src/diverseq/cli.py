@@ -1,13 +1,24 @@
 """Command-line frontend: parse the query, load data, route to a solver.
 
 The query is parsed first, and only the relations it names are loaded (the
-loader still checks every fact). Routing in auto mode mirrors the solvers'
-applicability: an acyclic positive single-disjunct query goes to the
-join-tree engine (the sum fast path when the aggregator is sum), on the
+loader still checks every fact). Routing in auto mode starts from the
+solvers' applicability: an acyclic positive single-disjunct query goes to
+the join-tree engine (the sum fast path when the aggregator is sum), on the
 GYO join tree built to route it, negation goes to the bag engine, and
 unions or cyclic queries go through materialize + kernelize + exhaustive
 search. Each of these jobs is done once per run; nothing is kept from one
 run to the next.
+
+Both kinds of engine are exact, and where the answers are few the answer
+route is often far cheaper than a tree DP. So a run that auto sends to a
+tree DP, with no `--decomposition`, first tries the answer route under
+two budgets read off the loaded relations: the join may build k partial
+answers per row of the positive atoms, and the search may visit as many
+nodes as the DP's initial tables hold sorted slot tuples, C(|rows| + k - 1,
+k) per positive atom, at C(k, 2) pair distances (at least 1) each.
+`--budget` caps both. If either budget runs out, the run goes on to the
+tree DP as it would have without the attempt; the report names the engine
+that answered. `--table-cap` bounds only the DP's tables.
 
 Exit codes: 0 = yes, 1 = no, 2 = error.
 
@@ -27,8 +38,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .dbio import load_database, load_query
-from .errors import DEFAULT_BUDGET, DEFAULT_TABLE_CAP, DiverseQError
+from .errors import (DEFAULT_BUDGET, DEFAULT_TABLE_CAP, CombinatorialBudgetExceeded,
+                     DiverseQError)
 from .model import MIN, SUM, Outcome, diversity_of_set
+from .queries import relation_of
 from .structure import TreeDecomposition, gyo_join_tree, parse_decomposition
 
 if TYPE_CHECKING:
@@ -82,6 +95,46 @@ def _pick_mode(cfg: RunConfig, query) -> tuple[str, TreeDecomposition | None]:
     return ("acq-sum" if cfg.aggregator == "sum" else "acq"), join_tree
 
 
+def _answers_first(cfg: RunConfig, query, db) -> Outcome | None:
+    """The answer route's outcome for a run auto sends to a tree DP, under
+    the two budgets the module docstring states, or None when either runs
+    out. Every literal's relation is looked up first, in the order the DP
+    looks them up, so a bad one fails as it would there."""
+    k = cfg.k
+    literals = query.conjuncts[0].literals
+    relations = [relation_of(lit.atom, db) for lit in literals]
+    sizes = [len(rel.rows) for lit, rel in zip(literals, relations) if lit.positive]
+    nodes = sum(_sorted_tuples(n, k, cfg.budget) for n in sizes)
+    try:
+        return _fo_kernel(cfg, query, db, min(k * sum(sizes), cfg.budget),
+                          min(nodes * max(1, math.comb(k, 2)), cfg.budget))
+    except CombinatorialBudgetExceeded:
+        return None
+
+
+def _sorted_tuples(n: int, k: int, cap: int) -> int:
+    """C(n + k - 1, k), the sorted k-tuples over n rows, or cap + 1 once it
+    is known to pass cap: a count far past the cap could take long to
+    compute. It is built as C(n + k - 1, i) for i up to min(k, n - 1),
+    which grows with i."""
+    count = 1 if n else 0
+    for i in range(1, min(k, n - 1) + 1):
+        count = count * (n + k - i) // i
+        if count > cap:
+            return cap + 1
+    return count
+
+
+def _fo_kernel(cfg: RunConfig, query, db, join_budget: int, search_budget: int) -> Outcome:
+    from . import kernel
+    answers = kernel.materialize_answers(query, db, budget=join_budget)
+    return kernel.solve_fo_diverse(
+        answers, cfg.k, cfg.d, SUM if cfg.aggregator == "sum" else MIN,
+        allow_duplicates=cfg.allow_duplicates, witness=cfg.witness,
+        budget=search_budget,
+    )
+
+
 def _solve(cfg: RunConfig, mode: str, query, db,
            join_tree: TreeDecomposition | None) -> Outcome:
     aggregator = SUM if cfg.aggregator == "sum" else MIN
@@ -116,13 +169,7 @@ def _solve(cfg: RunConfig, mode: str, query, db,
             decomposition=decomposition, table_cap=cfg.table_cap,
         )
     if mode == "fo-kernel":
-        from . import kernel
-        answers = kernel.materialize_answers(query, db, budget=cfg.budget)
-        return kernel.solve_fo_diverse(
-            answers, cfg.k, cfg.d, aggregator,
-            allow_duplicates=cfg.allow_duplicates, witness=cfg.witness,
-            budget=cfg.budget,
-        )
+        return _fo_kernel(cfg, query, db, cfg.budget, cfg.budget)
     # bruteforce
     from .oracle import bruteforce_diversity, enumerate_answers
     answers = enumerate_answers(query, db, budget=cfg.budget)
@@ -177,7 +224,13 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         db = load_database(cfg.db_path, query.relations)
         mode, join_tree = _pick_mode(cfg, query)
         started = time.perf_counter()
-        outcome = _solve(cfg, mode, query, db, join_tree)
+        outcome = None
+        if cfg.mode == "auto" and mode != "fo-kernel" and not cfg.decomposition_path:
+            outcome = _answers_first(cfg, query, db)
+        if outcome is None:
+            outcome = _solve(cfg, mode, query, db, join_tree)
+        else:
+            mode = "fo-kernel"
         wall_ms = (time.perf_counter() - started) * 1000.0
         if outcome.witness is not None:
             aggregator = SUM if cfg.aggregator == "sum" else MIN
@@ -241,14 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--decomposition",
                         help="tree decomposition file for the cqneg engine")
     parser.add_argument("--table-cap", type=int, default=None,
-                        help=f"DP table guard (default {DEFAULT_TABLE_CAP}, "
-                             f"env {TABLE_CAP_ENV})")
+                        help=f"guard on the tree DP's tables only (default "
+                             f"{DEFAULT_TABLE_CAP}, env {TABLE_CAP_ENV}); auto's first "
+                             f"try of the answer route has budgets of its own")
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="search guard in pair distances: each node the fo-kernel "
                              "search visits and each candidate set bruteforce tries costs "
                              "C(k, 2), and at least 1; apart, the most partial answers the "
                              "fo-kernel answer join may build, and the most rows bruteforce "
-                             "may try per disjunct as it enumerates answers")
+                             "may try per disjunct as it enumerates answers. It also caps "
+                             "both budgets of auto's first try of the answer route before "
+                             "a tree DP")
     parser.add_argument("--output", choices=("text", "json"), default="text")
     return parser
 

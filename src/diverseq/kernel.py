@@ -32,7 +32,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .dbio import csv_rows
 from .errors import (
@@ -229,7 +229,7 @@ def _check_level_below(rows: list[tuple[int, ...]], m: int, t: int, k: int) -> N
             )
 
 
-def _capped(answers: AnswerRelation, rows: list[tuple[int, ...]], t: int,
+def _capped(answers: AnswerRelation, rows: Collection[tuple[int, ...]], t: int,
             k: int) -> AnswerRelation:
     """`answers` cut down to `rows`, a subset of its rows, as level t's
     output for k. Only k >= 1 is recorded: at k = 0 level 1 keeps every
@@ -249,12 +249,13 @@ def kernelize(answers: AnswerRelation, k: int) -> AnswerRelation:
 
     One pass reaches each level's fixpoint: a capped group keeps t*k rows
     that pairwise differ on its free columns, which a second pass would keep
-    whole. A level is skipped when neither its capping (no group reaches
-    t!^2 * k^t rows) nor its precondition scan (no group exceeds
-    (t-1)!^2 * k^(t-1) rows) can fire on the rows left. No level entered
-    scans: it gets the level below's output, or the level below was
-    skipped, which leaves no more rows than the scan's bound. k must be at
-    least 1: at k = 0 the bound is 0, which no non-empty relation meets.
+    whole. A level is entered only when its capping can fire: when the rows
+    left reach t!^2 * k^t, the size of a group it caps. A level skipped
+    with more rows left than its precondition scan allows a group,
+    (t-1)!^2 * k^(t-1), still records them as its output, as entering it
+    would have. So no level entered scans: the level below recorded its
+    output, or left no more rows than the scan's bound. k must be at least
+    1: at k = 0 the bound is 0, which no non-empty relation meets.
     """
     if k < 1:
         raise ValueError(f"kernelize needs k >= 1, got {k}")
@@ -262,9 +263,10 @@ def kernelize(answers: AnswerRelation, k: int) -> AnswerRelation:
     m = len(answers.columns)
     for t in range(1, m + 1):
         n = len(current.rows)
-        if n < _group_threshold(t, k) and n <= _group_threshold(t - 1, k):
-            continue
-        current = apply_capping_rule(current, t, k)
+        if n >= _group_threshold(t, k):
+            current = apply_capping_rule(current, t, k)
+        elif n > _group_threshold(t - 1, k):
+            current = _capped(current, current.rows, t, k)
     if m:
         assert len(current.rows) <= _group_threshold(m, k), "kernel size bound violated"
     return current

@@ -124,8 +124,7 @@ def test_criterion_2_witnesses_valid(acq_corpus):
             if achieved is None:
                 continue
             witness = extract_witness(
-                record.tables[record.jt.root], best_key, record.query.free_vars,
-                record.db.domain
+                record.tables[record.jt.root], best_key, record.query, record.db
             )
             assert len(witness) == record.k
             assert len(set(witness)) == record.k

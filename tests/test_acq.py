@@ -368,18 +368,18 @@ def _row_root_over_an_added_matrix():
     root = dp_merge(matrix, init(2, "U", ["w"]))
     assert root.answer_rows is None and root.rows is matrix.rows
     _, best_key, _ = dp_finalize(root, SUM, None, False)
-    witness = extract_witness(root, best_key, query.free_vars, db.domain)
+    witness = extract_witness(root, best_key, query, db)
     assert all(a in enumerate_answers(query, db) for a in witness)
     assert diversity_of_set(SUM, witness, query.free_vars) == 4
     return root, best_key, matrix, db, query
 
 
-def test_altered_answer_row_fails_the_witness_distance_check():
+def test_altered_answer_row_fails_the_literal_check():
     # The walk trusts a table's answer rows, here the ones the root keeps
-    # from its matrix parent, so the final check, the witness's distances
-    # against the root entry's, is what catches a wrong row: here the first
-    # slot's x is set to the second slot's. x is in no sol the walk visits,
-    # so no binding conflicts.
+    # from its matrix parent, so each rebuilt answer is checked against the
+    # query's literals: here the first slot's x is set to the second slot's.
+    # x is in no sol the walk visits, so no binding conflicts, and R(x, y)
+    # then holds no row for the first answer.
     root, key, matrix, db, query = _row_root_over_an_added_matrix()
     first, second = key[0]
     assert first != second
@@ -388,8 +388,70 @@ def test_altered_answer_row_fails_the_witness_distance_check():
     row = list(rows[first])
     row[x] = rows[second][x]
     rows[first] = tuple(row)
+    with pytest.raises(CorruptProvenance, match=r"witness answer 1 fails R\(x, y\)"):
+        extract_witness(root, key, query, db)
+
+
+def test_answer_row_that_keeps_every_distance_fails_the_literal_check():
+    # The first slot's x is set to the x of the sol no slot holds: the three
+    # x values stay distinct, so the answers keep every pair distance and
+    # the distance check alone would pass a witness, {x: 13, y: 1, z: 5,
+    # w: 21} or the like, that is no answer of the query.
+    root, key, matrix, db, query = _row_root_over_an_added_matrix()
+    first, second = key[0]
+    (third,) = set(range(len(matrix.sols))) - {first, second}
+    x = matrix.columns.index("x")
+    rows = matrix.answer_rows
+    assert rows[third][x] not in (rows[first][x], rows[second][x])
+    row = list(rows[first])
+    row[x] = rows[third][x]
+    rows[first] = tuple(row)
+    with pytest.raises(CorruptProvenance, match=r"witness answer 1 fails R\(x, y\)"):
+        extract_witness(root, key, query, db)
+
+
+def test_answer_row_with_no_unbound_extension_fails_the_literal_check():
+    # Q(x, y, z) :- T(y, z), R(x, y, u), P(u), built by hand at k = 2: P(u)
+    # is added to R(x, y, u) as answer rows and R to T(y, z), so the root is
+    # a matrix table whose rows hold z, x and y, and no sol the walk visits
+    # binds u. Each rebuilt answer must then extend to a u that R and P
+    # hold: with the first slot's x set to the x of the sol no slot holds,
+    # the distances stay and T(y, z) holds, but no u does.
+    db = Database.from_rows({"T": [(1, 5), (2, 6), (3, 7)],
+                             "R": [(11, 1, 100), (12, 2, 101), (13, 3, 102)],
+                             "P": [(100,), (101,), (102,)]})
+    query = parse_query("Q(x, y, z) :- T(y, z), R(x, y, u), P(u).")
+    atoms = {atom.relation: atom for atom in query.conjuncts[0].positive_atoms}
+
+    def init(node, name, counted):
+        atom = atoms[name]
+        return dp_init(node, atom.variables, sorted(sols_atom(atom, db)), 2, counted)
+
+    root = dp_merge(init(0, "T", ["z"]), dp_merge(init(1, "R", ["x", "y"]), init(2, "P", [])))
+    assert root.answer_rows is not None and root.columns == ("z", "x", "y")
+    _, key, _ = dp_finalize(root, SUM, None, False)
+    witness = extract_witness(root, key, query, db)
+    assert all(a in enumerate_answers(query, db) for a in witness)
+    first, second = key[0]
+    (third,) = set(range(len(root.sols))) - {first, second}
+    x = root.columns.index("x")
+    rows = root.answer_rows
+    row = list(rows[first])
+    row[x] = rows[third][x]
+    rows[first] = tuple(row)
+    with pytest.raises(CorruptProvenance, match="witness answer 1 has no values for the "
+                                                "variables the walk left unbound"):
+        extract_witness(root, key, query, db)
+
+
+def test_kept_sum_the_answers_miss_fails_the_witness_distance_check():
+    # The answers are right but the root entry claims one more than their
+    # pair distances sum to: the final check compares the two.
+    root, key, matrix, db, query = _row_root_over_an_added_matrix()
+    value, links = root.entries[key]
+    root.entries[key] = (value + 1, links)
     with pytest.raises(CorruptProvenance, match="witness distances disagree with the kept entry"):
-        extract_witness(root, key, query.free_vars, db.domain)
+        extract_witness(root, key, query, db)
 
 
 def test_swapped_link_sigma_raises_conflicting_bindings():
@@ -403,7 +465,7 @@ def test_swapped_link_sigma_raises_conflicting_bindings():
     assert table.node == 2 and table.variables == {"y"} and sigma == (0, 1)
     root.entries[key] = (value, ((table, child_key, (1, 0)),))
     with pytest.raises(CorruptProvenance, match="conflicting bindings for y while extending"):
-        extract_witness(root, key, query.free_vars, db.domain)
+        extract_witness(root, key, query, db)
 
 
 def test_witness_contract_random():
@@ -678,15 +740,21 @@ def _with_dangling(db, rng):
     return out
 
 
-def _root_entries(tables, jt, free, db):
+def _root_entries(tables, jt, query, db, kept=None):
     """The root's entries in order, each spelled as its slots' solutions,
-    its state, its sum and the answers its provenance gives."""
+    its state, its sum and the answers its provenance gives. Given `kept`,
+    an entry with a slot's solution outside it is spelled with None for
+    answers: an unreduced forget root holds entries that are no answers,
+    which the witness walk refuses."""
     table = tables[jt.root]
-    return [
-        (tuple(table.sols[p] for p in key[0]), key[1], entry[0],
-         extract_witness(table, key, free, db.domain))
-        for key, entry in table.entries.items()
-    ]
+    spelled = []
+    for key, entry in table.entries.items():
+        sols = tuple(table.sols[p] for p in key[0])
+        answers = None
+        if kept is None or kept.issuperset(sols):
+            answers = extract_witness(table, key, query, db)
+        spelled.append((sols, key[1], entry[0], answers))
+    return spelled
 
 
 def _pairwise_consistent(jt, atoms, sols):
@@ -751,9 +819,9 @@ def test_full_reducer_keeps_root_entries(monkeypatch):
             consistent = _pairwise_consistent(jt, atoms, full.sols)
             assert all(reduced.sols[node] == consistent[node] for node in jt.bags)
             kept = set(reduced.tables[jt.root].sols)
-            expected = _root_entries(full.tables, jt, free, db)
+            expected = _root_entries(full.tables, jt, query, db, kept)
             cut = [e for e in expected if kept.issuperset(e[0])]
-            assert _root_entries(reduced.tables, jt, free, db) == cut
+            assert _root_entries(reduced.tables, jt, query, db) == cut
             kids = jt.children[jt.root]
             forget = len(kids) == 1 and jt.bags[jt.root] <= jt.bags[kids[0]]
             assert forget or cut == expected

@@ -8,7 +8,9 @@ import diverseq
 import make_goldens
 from diverseq.cli import MODES, RunConfig, canonical_json, main, run
 from diverseq.dbio import dump_database, dump_query, load_database
+from diverseq.errors import DEFAULT_BUDGET
 from diverseq.model import SUM, Database, diversity_of_set
+from diverseq.oracle import enumerate_answers
 from diverseq.queries import parse_query
 from diverseq.structure import format_decomposition, tree_decompose
 from golden_fixtures import golden_cases
@@ -57,7 +59,7 @@ def test_error_reports_are_machine_readable(tmp_path):
 
 
 def test_internal_error_exits_2(tmp_path, monkeypatch):
-    from diverseq import acq
+    from diverseq import acq, kernel
 
     db_path, query_path = write_fixture(
         tmp_path, {"R": [(1,), (2,)]}, "Q(v) :- R(v)."
@@ -67,11 +69,19 @@ def test_internal_error_exits_2(tmp_path, monkeypatch):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr(acq, "solve_acq_sum", broken)
-    code, report = run(base_config(db_path, query_path))
+    code, report = run(base_config(db_path, query_path, mode="acq-sum"))
     assert code == 2
     error = report["error"]
     assert error["code"] == "InternalError"
     assert error["message"] == "RecursionError: maximum recursion depth exceeded"
+    assert "in broken" in error["traceback"]
+    # Auto answers this run on the answer route first. A defect there is
+    # no budget running out: the run does not go on to the tree DP.
+    monkeypatch.setattr(kernel, "solve_fo_diverse", broken)
+    code, report = run(base_config(db_path, query_path))
+    assert code == 2
+    error = report["error"]
+    assert error["code"] == "InternalError"
     assert "in broken" in error["traceback"]
 
 
@@ -108,8 +118,11 @@ def test_table_cap_guard_surfaces(tmp_path):
     db_path, query_path = write_fixture(
         tmp_path, {"R": [(i,) for i in range(1, 9)]}, "Q(v) :- R(v)."
     )
-    code, report = run(base_config(db_path, query_path, k=3, table_cap=4))
+    code, report = run(base_config(db_path, query_path, k=3, table_cap=4, mode="acq-sum"))
     assert code == 2 and report["error"]["code"] == "TableGuardExceeded"
+    # The cap bounds only the DP's tables: auto answers on the answer route.
+    code, report = run(base_config(db_path, query_path, k=3, table_cap=4))
+    assert (code, report["routing"]) == (0, "fo-kernel")
 
     # cqneg refuses a six-variable bag above a one-variable leaf the same way.
     variables = [f"x{i}" for i in range(1, 7)]
@@ -241,10 +254,27 @@ def test_negative_guard_values_are_rejected(tmp_path, monkeypatch, capsys):
 
 
 def test_routing_auto(tmp_path):
+    # Auto tries the answer route first on a query it would send to a tree
+    # DP, and these few answers fit its budgets. A product of ten by ten
+    # rows builds 100 partial answers, past the join's budget of k = 2 per
+    # row, so that run goes on to the tree DP that the query's shape picks.
+    product = {"R": [(i, 1) for i in range(10)], "S": [(1, j) for j in range(10)],
+               "T": [(0,)]}
+    guard = {"R0": [(a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)],
+             "R1": [(1, 1), (1, 2)], "R2": [(1, 1), (1, 2), (2, 1), (2, 2)],
+             "R3": [(1, 2), (2, 2)], "R4": [(1, 1), (1, 2), (2, 1), (2, 2)]}
     cases = [
-        ({"R": [(1,), (2,)]}, "Q(v) :- R(v).", "sum", "acq-sum"),
-        ({"R": [(1,), (2,)]}, "Q(v) :- R(v).", "min", "acq"),
-        ({"R": [(1, 2)], "S": [(1,)]}, "Q(x) :- R(x, y), !S(x).", "sum", "cqneg"),
+        ({"R": [(1,), (2,)]}, "Q(v) :- R(v).", "sum", "fo-kernel"),
+        ({"R": [(1,), (2,)]}, "Q(v) :- R(v).", "min", "fo-kernel"),
+        ({"R": [(1, 2)], "S": [(1,)]}, "Q(x) :- R(x, y), !S(x).", "sum", "fo-kernel"),
+        (product, "Q(x, z) :- R(x, y), S(y, z).", "sum", "acq-sum"),
+        (product, "Q(x, z) :- R(x, y), S(y, z).", "min", "acq"),
+        (product, "Q(x, z) :- R(x, y), S(y, z), !T(x).", "sum", "cqneg"),
+        # 16 answers join within budget at k = 3, but the search visits
+        # more nodes than the atoms' initial tables hold sorted slot
+        # tuples, 168, before it has the best three.
+        (guard, "Q(v2, v3, v5, v4, v0, v1) :- R0(v0, v1, v2), R1(v2, v0), R2(v2, v3), "
+                "R3(v4, v1), R4(v2, v5).", "sum", "acq-sum"),
         ({"R": [(1,)], "S": [(2,)]}, "Q(x) :- R(x).\nQ(x) :- S(x).", "sum", "fo-kernel"),
         (
             {"R": [(1, 2)], "S": [(2, 1)], "T": [(1, 1)]},
@@ -255,25 +285,36 @@ def test_routing_auto(tmp_path):
     ]
     for rows, text, aggregator, expected in cases:
         db_path, query_path = write_fixture(tmp_path, rows, text)
-        _, report = run(base_config(db_path, query_path, d=0,
-                                    aggregator=aggregator))
+        _, report = run(base_config(db_path, query_path, d=0, aggregator=aggregator,
+                                    k=3 if rows is guard else 2))
         assert report["routing"] == expected
         for item in (db_path, query_path):
             os.unlink(item)
 
 
-@pytest.mark.parametrize("mode, aggregator, duplicates, route", [
-    ("auto", "sum", False, "acq-sum"),
-    ("auto", "sum", True, "acq-sum"),
-    ("auto", "min", False, "acq"),
-    ("acq", "min", False, "acq"),
-    ("acq-sum", "sum", False, "acq-sum"),
-])
+ONE_TREE_CASES = [
+    ("auto", "sum", False, 1, "acq-sum"),
+    ("auto", "sum", True, 1, "acq-sum"),
+    ("auto", "min", False, 1, "acq"),
+    ("auto", "sum", False, DEFAULT_BUDGET, "fo-kernel"),
+    ("acq", "min", False, DEFAULT_BUDGET, "acq"),
+    ("acq-sum", "sum", False, DEFAULT_BUDGET, "acq-sum"),
+]
+
+
+# A case is named by its mode, aggregator, duplicates and route: the
+# budget only picks which route an auto run ends on.
+@pytest.mark.parametrize("mode, aggregator, duplicates, budget, route", ONE_TREE_CASES,
+                         ids=["-".join(str(v) for v in (mode, aggregator, duplicates, route))
+                              for mode, aggregator, duplicates, _, route in ONE_TREE_CASES])
 def test_an_acq_run_builds_one_join_tree(tmp_path, monkeypatch, mode, aggregator,
-                                          duplicates, route):
+                                          duplicates, budget, route):
     # The tree auto routing builds to choose acq is the one the solver
     # runs on; a run told its mode builds it in the solver. Either way one
-    # GYO join tree per run, and the same answer.
+    # GYO join tree per run, and the same answer. A budget of 1 caps auto's
+    # first try of the answer route, whose join then runs out, so the run
+    # goes on to acq; under the default budget the answer route answers,
+    # after the one tree that decided the query is acyclic.
     from diverseq import acq, cli
 
     calls = []
@@ -291,7 +332,7 @@ def test_an_acq_run_builds_one_join_tree(tmp_path, monkeypatch, mode, aggregator
         "Q(x, y) :- L(y), E(x, y).")
     code, report = run(base_config(db_path, query_path, k=3, d=None, mode=mode,
                                    aggregator=aggregator, allow_duplicates=duplicates,
-                                   witness=True))
+                                   witness=True, budget=budget))
     assert len(calls) == 1
     assert (code, report["routing"]) == (0, route)
     assert report["diversity"] == {"sum": 5, "min": 1}[aggregator]
@@ -428,7 +469,9 @@ def test_bad_decomposition_file_is_a_typed_error(tmp_path, text, code):
 ])
 def test_decomposition_is_refused_off_the_cqneg_route(tmp_path, mode, text, code):
     # The file is read and parsed whenever it is given, and a route that
-    # would ignore it is an error, not a silent "yes".
+    # would ignore it is an error, not a silent "yes". With a decomposition
+    # auto makes no first try of the answer route, so its route is
+    # acq-sum; without one, the answer route answers first.
     db_path, query_path = write_fixture(tmp_path, {"R": [(1, 2), (2, 3)]}, "Q(x) :- R(x, y).")
     route = "acq-sum" if mode == "auto" else mode
     td_path = tmp_path / "dec.txt"
@@ -444,7 +487,7 @@ def test_decomposition_is_refused_off_the_cqneg_route(tmp_path, mode, text, code
     if code == "ValueError":
         assert f"routes to {route}" in report["error"]["message"]
     exit_code, report = run(base_config(db_path, query_path, k=1, d=0, mode=mode))
-    assert exit_code == 0 and report["routing"] == route
+    assert exit_code == 0 and report["routing"] == ("fo-kernel" if mode == "auto" else route)
 
 
 def test_csv_directory_matches_fact_file(tmp_path):
@@ -474,9 +517,12 @@ def test_cli_entrypoint_and_env_cap(tmp_path, monkeypatch, capsys):
     assert report["decision"] == "yes"
 
     monkeypatch.setenv("DIVERSEQ_TABLE_CAP", "1")
-    assert main(argv) == 2
+    assert main(argv + ["--mode", "acq-sum"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["error"]["code"] == "TableGuardExceeded"
+    # The cap bounds only the DP's tables: auto answers on the answer route.
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["routing"] == "fo-kernel"
 
     # A cap that is no integer is refused like a bad --d, not with a traceback.
     monkeypatch.setenv("DIVERSEQ_TABLE_CAP", "abc")
@@ -546,3 +592,101 @@ def test_every_export_resolves():
     missing = [name for name in diverseq.__all__ if not hasattr(diverseq, name)]
     assert missing == []
     assert len(set(diverseq.__all__)) == len(diverseq.__all__)
+
+
+# --- auto's first try of the answer route ---------------------------------------
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def bench_instance(tmp_path, monkeypatch, family, *args, k):
+    """Files of the benchmark generator `family(*args)` at k, seed 5."""
+    import random
+
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import workloads
+
+    source = getattr(workloads, family)(*args)(random.Random(5), k)
+    db_path, query_path = str(tmp_path / "bench.facts"), str(tmp_path / "bench.dq")
+    dump_database(source.db, db_path)
+    dump_query(source.query, query_path)
+    return db_path, query_path, source
+
+
+def timed_run(config):
+    started = time.perf_counter()
+    code, report = run(config)
+    return code, report, time.perf_counter() - started
+
+
+@pytest.mark.parametrize("aggregator, diversity", [("sum", 12), ("min", 4)])
+def test_auto_answers_the_padded_negation_on_the_answer_route(tmp_path, monkeypatch,
+                                                              aggregator, diversity):
+    # padded_negation(1, 60, 1) at k = 3: `--mode cqneg` takes seconds and
+    # prints 12 under sum and 4 under min, the most four columns allow.
+    # Its 232 answers fit the attempt's budgets, so auto answers them.
+    db_path, query_path, source = bench_instance(tmp_path, monkeypatch, "padded_negation",
+                                                 1, 60, 1, k=3)
+    assert source.thresholds[aggregator] == diversity
+    code, report, seconds = timed_run(base_config(db_path, query_path, k=3, d=None,
+                                                  aggregator=aggregator, witness=True))
+    assert seconds < 1.0
+    assert (code, report["routing"], report["diversity"]) == (0, "fo-kernel", diversity)
+    answers = [a.as_payload_dict() for a in enumerate_answers(source.query, source.db)]
+    assert report["stats"]["answers"] == len(answers) == 232
+    assert all(a in answers for a in report["witness"])
+
+
+@pytest.mark.parametrize("aggregator, route, diversity", [("sum", "acq-sum", 18),
+                                                          ("min", "acq", 6)])
+def test_auto_keeps_the_binary_path_on_the_join_tree(tmp_path, aggregator, route, diversity):
+    # The 8-atom path over E = {0, 1}^2 has 512 answers, past the join's
+    # budget of k = 3 per row of its atoms, 96; `--mode fo-kernel` takes
+    # seconds to search them. Auto goes on to the join-tree DP at once.
+    variables = [f"x{i}" for i in range(9)]
+    body = ", ".join(f"E({a}, {b})" for a, b in zip(variables, variables[1:]))
+    db_path, query_path = write_fixture(tmp_path, {"E": [(0, 0), (0, 1), (1, 0), (1, 1)]},
+                                        f"Q({', '.join(variables)}) :- {body}.")
+    code, report, seconds = timed_run(base_config(db_path, query_path, k=3, d=None,
+                                                  aggregator=aggregator, witness=True))
+    assert seconds < 1.0
+    assert (code, report["routing"], report["diversity"]) == (0, route, diversity)
+
+
+def test_auto_falls_back_on_a_join_that_blows_up_before_it_filters(tmp_path):
+    # `Q(x, z) :- R(x, y), S(y, z), T(z).` with R = {(i, 1)} and S = {(1, j)}
+    # for i, j < 3300, and T = {(0,)}: the answer join builds R x S before T
+    # filters it, and is cut off after k per row of the atoms. The DP then
+    # answers at k = 1 and refuses at k = 2, as it did with no attempt,
+    # each well under a second.
+    db_path, query_path = write_fixture(
+        tmp_path, {"R": [(i, 1) for i in range(3300)], "S": [(1, j) for j in range(3300)],
+                   "T": [(0,)]}, "Q(x, z) :- R(x, y), S(y, z), T(z).")
+    code, report, seconds = timed_run(base_config(db_path, query_path, k=1, d=None,
+                                                  witness=True))
+    assert seconds < 1.0
+    assert (code, report["routing"], report["witness"]) == (0, "acq-sum", [{"x": 0, "z": 0}])
+    code, report, seconds = timed_run(base_config(db_path, query_path, k=2, d=None))
+    assert seconds < 1.0
+    assert (code, report["error"]["code"]) == (2, "TableGuardExceeded")
+
+
+@pytest.mark.parametrize("aggregator", ["sum", "min"])
+def test_auto_answers_a_wide_n12_k7_op_that_acq_refuses(tmp_path, monkeypatch, aggregator):
+    # The benchmark's wide-n12-k7 shape: one five-column relation of 12
+    # rows at k = 7. acq's initial table would hold 12^7 slot tuples, past
+    # the table cap; the answer route searches the 12 answers.
+    db_path, query_path, source = bench_instance(tmp_path, monkeypatch, "wide_reduction",
+                                                 12, 12, k=7)
+    config = base_config(db_path, query_path, k=7, d=source.thresholds[aggregator],
+                         aggregator=aggregator, witness=True)
+    code, report, seconds = timed_run(config)
+    assert seconds < 1.0 and report["routing"] == "fo-kernel"
+    _, expected = run(base_config(db_path, query_path, k=7, d=config.d,
+                                  aggregator=aggregator, mode="bruteforce"))
+    assert (report["decision"], report["diversity"]) == \
+        (expected["decision"], expected["diversity"])
+    assert code == (0 if source.feasible else 1)
+    _, refused = run(base_config(db_path, query_path, k=7, d=config.d, aggregator=aggregator,
+                                 mode="acq-sum" if aggregator == "sum" else "acq"))
+    assert refused["error"]["code"] == "TableGuardExceeded"

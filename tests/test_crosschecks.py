@@ -6,12 +6,15 @@ constants and repeated variables inside atoms, and agreement of all engines
 on shared fragments.
 """
 
+import collections
 import random
 
 import pytest
 
 from diverseq.acq import solve_acq, solve_acq_sum_dup
+from diverseq.cli import RunConfig, run
 from diverseq.cqneg import solve_cqneg
+from diverseq.dbio import dump_database, dump_query
 from diverseq.errors import DiverseQError
 from diverseq.kernel import materialize_answers, solve_fo_diverse
 from diverseq.model import MIN, SUM, Database, custom_aggregator, diversity_of_set
@@ -300,3 +303,48 @@ def test_k_beyond_acceptance_range():
             achieved = got.diversity if got.decision else None
             assert achieved == expected
         checked += 1
+
+
+def test_auto_agrees_with_every_mode_on_both_of_its_branches(tmp_path):
+    # Auto first tries the answer route under budgets read off the input
+    # and goes on to the tree DP when one runs out. Either way, on random
+    # acyclic and negation queries, its decision and diversity are
+    # bruteforce's and every explicit mode's, its witness is k answers of
+    # the query that re-verify, and both branches are taken.
+    rng = random.Random(1129)
+    corpora = [(small_answer_instances(rng, 40), ("acq", "acq-sum", "cqneg", "fo-kernel")),
+               ([random_cqneg_query(rng) for _ in range(40)], ("cqneg", "fo-kernel"))]
+    branches = collections.Counter()
+    for c, (instances, modes) in enumerate(corpora):
+        for n, (query, db) in enumerate(instances):
+            db_path, query_path = str(tmp_path / f"{c}-{n}.facts"), str(tmp_path / f"{c}-{n}.dq")
+            dump_database(db, db_path)
+            dump_query(query, query_path)
+            k = rng.choice([1, 2, 3])
+            duplicates = rng.random() < 0.25
+            answers = [a.as_payload_dict() for a in enumerate_answers(query, db)]
+            for aggregator in ("sum", "min"):
+                def outcome(mode, witness=False):
+                    code, report = run(RunConfig(db_path, query_path, k, None, aggregator,
+                                                 mode=mode, allow_duplicates=duplicates,
+                                                 witness=witness))
+                    if "error" in report:
+                        return (code, report["error"]["code"]), report
+                    return (code, report["decision"], report["diversity"]), report
+
+                got, report = outcome("auto", witness=True)
+                expected, _ = outcome("bruteforce")
+                assert got == expected, (query, aggregator, report)
+                for mode in modes:
+                    if mode != "acq-sum" or aggregator == "sum":
+                        assert outcome(mode)[0] == expected, (query, mode, aggregator)
+                if "error" in report:
+                    continue
+                branches[report["routing"] == "fo-kernel"] += 1
+                witness = report["witness"]
+                assert (witness is None) == (report["decision"] == "no")
+                if witness is not None:
+                    assert len(witness) == k and all(a in answers for a in witness)
+                    assert duplicates or len({tuple(a.items()) for a in witness}) == k
+    assert branches[True] >= 20 and branches[False] >= 20, branches
+

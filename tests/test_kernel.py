@@ -448,11 +448,44 @@ def test_kernelize_enters_only_levels_that_can_fire(monkeypatch):
     m = len(answers.columns)
     assert m == 10 and len(answers.rows) == 16
     for t, rows in entered:
-        idle = (rows < math.factorial(t) ** 2 * k ** t
-                and rows <= math.factorial(t - 1) ** 2 * k ** (t - 1))
-        assert not idle, f"level {t} entered with {rows} rows"
+        assert rows >= math.factorial(t) ** 2 * k ** t, f"level {t} entered with {rows} rows"
     assert [t for t, _ in entered] == [1, 2]
     assert kernel.rows == reference_kernelize(answers, k).rows
+
+
+@pytest.mark.parametrize("instance", [k33_lists_union, lambda: dense_union_answers(3),
+                                      lambda: dense_union_answers(4)],
+                         ids=["k33-lists", "dense-union-3", "dense-union-4"])
+def test_kernelize_skips_levels_as_if_it_ran_them(monkeypatch, instance):
+    # Entering every level whose capping or precondition scan could fire,
+    # in order, keeps the same rows and records the same last level. On a
+    # k = 2 three-column union, level 3 caps groups of 3!^2 * 2^3 = 288
+    # rows, which the rows left never reach, so kernelize does not enter
+    # it, though they are more than the 16 its scan allows a group.
+    answers, k = instance()
+
+    def threshold(t):
+        return math.factorial(t) ** 2 * k ** t
+
+    current = AnswerRelation(answers.columns, answers.rows, answers.values)
+    for t in range(1, len(answers.columns) + 1):
+        n = len(current.rows)
+        if n >= threshold(t) or n > threshold(t - 1):
+            current = apply_capping_rule(current, t, k)
+    entered = []
+    capping = kernel_module.apply_capping_rule
+
+    def counting(relation, t, k):
+        entered.append(t)
+        return capping(relation, t, k)
+
+    monkeypatch.setattr(kernel_module, "apply_capping_rule", counting)
+    kernel = kernelize(answers, k)
+    assert kernel.rows == current.rows
+    assert kernel._capped_at == current._capped_at
+    if len(answers.columns) == 3:
+        assert threshold(2) < len(kernel.rows) < threshold(3) and entered == [1, 2]
+        assert kernel._capped_at == (3, k)
 
 
 def dense_union_answers(seed, values=8, pairs=32, triples=70):

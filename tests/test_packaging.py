@@ -158,8 +158,14 @@ def test_traced_run_feeds_every_layer_metric(tmp_path, monkeypatch):
 def test_tracer_labels_each_op_with_the_engine_that_ran(tmp_path, monkeypatch):
     # The tracer labels an op with the last solver entry point it wrapped,
     # so a solver that called another wrapped one would take its label.
+    # Under the default budget auto answers these runs on the answer route.
+    # A budget of 3 lets auto's first try join the three rows but stops
+    # its search, which visits five nodes to find the one pair at distance
+    # 2; the tracer has labelled that search, and the tree DP that then
+    # answers takes the label.
     from diverseq import cli
     from diverseq.dbio import dump_database, dump_query
+    from diverseq.errors import DEFAULT_BUDGET
     from diverseq.model import Database
     from diverseq.queries import parse_query
 
@@ -167,18 +173,20 @@ def test_tracer_labels_each_op_with_the_engine_that_ran(tmp_path, monkeypatch):
     from tracing import Tracer
 
     db_path = str(tmp_path / "db.facts")
-    dump_database(Database.from_rows({"R": [(1, 2), (3, 4), (5, 6)], "S": [(2,)]}), db_path)
+    dump_database(Database.from_rows({"R": [(1, 2), (1, 4), (5, 2)], "S": [(9,)]}), db_path)
     paths = {}
     for name, text in (("plain", "Q(x, y) :- R(x, y)."), ("neg", "Q(x, y) :- R(x, y), !S(y).")):
         paths[name] = str(tmp_path / f"{name}.dq")
         dump_query(parse_query(text), paths[name])
-    ops = [("plain", "min", False, "acq"), ("plain", "sum", False, "acq-sum"),
-           ("plain", "sum", True, "acq-sum-dup"), ("neg", "sum", False, "cqneg")]
+    ops = [("plain", "min", False, 3, "acq"), ("plain", "sum", False, 3, "acq-sum"),
+           ("plain", "sum", True, 3, "acq-sum-dup"), ("neg", "sum", False, 3, "cqneg"),
+           ("plain", "sum", False, DEFAULT_BUDGET, "fo-kernel"),
+           ("neg", "min", False, DEFAULT_BUDGET, "fo-kernel")]
     tracer = Tracer()
-    for i, (query, aggregator, allow_duplicates, engine) in enumerate(ops):
+    for i, (query, aggregator, allow_duplicates, budget, engine) in enumerate(ops):
         config = cli.RunConfig(db_path=db_path, query_path=paths[query], k=2, d=1,
                                aggregator=aggregator, allow_duplicates=allow_duplicates,
-                               witness=True)
+                               witness=True, budget=budget)
         (code, report), record = tracer.run_op(i, lambda: cli.run(config))
         assert code == 0 and record["engine"] == engine, (engine, report, record["engine"])
 
@@ -210,12 +218,16 @@ def test_cli_imports_only_the_engine_a_run_routes_to(tmp_path):
     (tmp_path / "union.dq").write_text("Q(x) :- R(x).\nQ(x) :- S(x).\n")
     (tmp_path / "acyclic.dq").write_text("Q(x) :- R(x).\n")
 
-    def run(query: str) -> str:
+    def run(query: str, options: str = "") -> str:
         return ("from diverseq import cli\n"
                 f"config = cli.RunConfig(db_path={str(tmp_path / 'db.facts')!r}, "
-                f"query_path={str(tmp_path / query)!r}, k=2, d=1)\n"
+                f"query_path={str(tmp_path / query)!r}, k=2, d=1{options})\n"
                 "print(cli.run(config)[1]['routing'])")
 
     assert loaded_after("from diverseq import cli") == ([], set())
     assert loaded_after(run("union.dq")) == (["fo-kernel"], {"kernel"})
-    assert loaded_after(run("acyclic.dq")) == (["acq-sum"], {"acq"})
+    assert loaded_after(run("acyclic.dq", ", mode='acq-sum'")) == (["acq-sum"], {"acq"})
+    # Auto tries the answer route first; under a budget of 1 its join runs
+    # out, and the run goes on to acq.
+    assert loaded_after(run("acyclic.dq")) == (["fo-kernel"], {"kernel"})
+    assert loaded_after(run("acyclic.dq", ", budget=1")) == (["acq-sum"], {"acq", "kernel"})
