@@ -103,9 +103,9 @@ the merges share it.
 
 A matrix root asks what the fo-kernel search asks: which k of its rows
 aggregate highest. `dp_finalize` answers it with the same branch and bound
-(`model.best_tuple`) over the same lazily made distance rows
-(`model.distance_rows`) under a monotone aggregator, and reads any other
-root entry by entry.
+(`model.best_tuple`) over its answer rows, each pair's distance counted
+when the search reaches it, under a monotone aggregator, and reads any
+other root entry by entry.
 """
 
 from __future__ import annotations
@@ -595,18 +595,17 @@ def dp_finalize(root: DPTable, aggregator: Aggregator, threshold: float | None,
     A matrix root under a monotone aggregator (a stateless one scores by
     sum) is searched, not read whole: `model.best_tuple`, the branch and
     bound the fo-kernel search runs too, walks its sorted slot tuples in
-    table order over the answer rows' distance rows, each made when the
-    search reaches it (`model.distance_rows`), so it finds the same first
-    best entry. Its bound is the rows' width, the count of free variables
-    the root counts, which no distance exceeds. Any other root is read
-    entry by entry.
+    table order over the answer rows, each pair's distance counted when the
+    search reaches it, so it finds the same first best entry. Its prefix
+    bound is the rows' width, the count of free variables the root counts,
+    which no distance exceeds, and it stops at the rows' column ceiling.
+    Any other root is read entry by entry.
     """
     stateless = root.stateless
     entries = root.entries
     if isinstance(entries, _MatrixEntries) and (stateless or aggregator.monotone):
         rows = entries.rows
-        found = best_tuple(distance_rows(rows), len(rows), root.k,
-                           SUM if stateless else aggregator, len(root.columns),
+        found = best_tuple(rows, root.k, SUM if stateless else aggregator,
                            distinct=not (allow_duplicates or stateless))
         if found is None:
             return False, None, None

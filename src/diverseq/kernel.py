@@ -8,20 +8,23 @@ parameter-bounded) remainder is searched exactly. Unions and cyclic queries,
 whose structure the join-tree solver cannot exploit, take this path.
 
 Rows are tuples of value indices from the database load to the search:
-`queries.join` joins each conjunct's atom sols, capping and the distance
-matrix compare integers, and `Value` objects are built only for the
-witness and for output. Capping skips the levels that cannot act and works
-in linear passes over the rows, sorted once per level: level 1 counts each
-group's rows and keeps its first k, and a higher level groups the rows in
-one dict per fixed column set. A level does not re-check its precondition
-on the relation the level below has just returned, which meets it by
+`queries.join` joins each conjunct's atom sols, capping and the search
+compare integers, and `Value` objects are built only for the witness and
+for output. A relation's rows are sorted once (`AnswerRelation.index_rows`),
+and each capping level filters that list in order and hands it on, so the
+search reads the answers in the order they were first sorted. Capping skips
+the levels that cannot act and works in linear passes over the rows: level
+1 counts each group's rows and keeps its first k, and a higher level groups
+the rows in one dict per fixed column set, skipping the column sets that no
+capped group can fill. A level does not re-check its precondition on the
+relation the level below has just returned, which meets it by
 construction, so kernelization makes no precondition scan; a relation from
 anywhere else is scanned. The search is `model.best_tuple`, the
-depth-first branch and bound over pairwise distances that the join-tree
-engine shares; both searches read the distance rows from one generator,
-`model.distance_rows`, which makes each row when the search first reaches
-it. Its budget counts pair distances, C(k, 2) (at least one) per search
-node it visits, and on its own count the join's partial answers.
+depth-first branch and bound that the join-tree engine shares, which counts
+each pair's distance when it first reaches the pair and stops at a ceiling
+read off the columns' distinct values. Its budget counts pair distances,
+C(k, 2) (at least one) per search node it visits, and on its own count the
+join's partial answers.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .dbio import csv_rows
 from .errors import (
@@ -51,7 +54,6 @@ from .model import (
     _IndexRows,
     _Interner,
     best_tuple,
-    distance_rows,
 )
 from .queries import Query, _key_of, _tuple_of, join, sols_atom
 
@@ -79,6 +81,17 @@ class AnswerRelation(_IndexRows):
         interner = _Interner()
         indexed = frozenset(tuple([interner.intern(p) for p in row]) for row in rows)
         return cls(tuple(columns), indexed, tuple(interner.values))
+
+    def index_rows(self) -> list[tuple[int, ...]]:
+        """The rows in sorted order, sorted once per relation. A capping
+        level hands its output on in this order, so from materialization to
+        the search the answers are sorted once. Readers do not change the
+        list."""
+        ordered = getattr(self, "_sorted", None)
+        if ordered is None:
+            ordered = sorted(self.rows)
+            object.__setattr__(self, "_sorted", ordered)
+        return ordered
 
     def assignments(self) -> list[Assignment]:
         return [Assignment(zip(self.columns, row)) for row in self.sorted_rows()]
@@ -144,20 +157,24 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
     or returned at another level, is scanned. So `kernelize`, which feeds
     each level the one below's output, never scans.
 
-    The index rows are sorted once; within a group, sorted order is the
-    order of its free columns. At level 1 a group's rows differ on its one
-    free column, since the rows are distinct, so for k >= 1 the greedy keeps
-    the group's first k rows: one pass per fixed column set counts the rows
-    kept per group. At a higher level one dict pass per fixed column set
-    groups the rows, and the groups of one column set are disjoint, so
-    their deletions are applied together. Capping stops once fewer than
-    t!^2 * k^t rows are left.
+    The index rows come sorted (`AnswerRelation.index_rows`) and the
+    returned relation keeps them in that order; within a group, sorted
+    order is the order of its free columns. At level 1 a group's rows
+    differ on its one free column, since the rows are distinct, so for
+    k >= 1 the greedy keeps the group's first k rows: one pass per fixed
+    column set counts the rows kept per group. At a higher level one dict
+    pass per fixed column set groups the rows, and the groups of one column
+    set are disjoint, so their deletions are applied together. A capped
+    group holds one value in every fixed column, so a column set is skipped
+    when one of its columns has no value that t!^2 * k^t of the level's
+    rows hold; rows only leave later, so the skip is exact. Capping stops
+    once fewer than t!^2 * k^t rows are left.
     """
     m = len(answers.columns)
     if not 1 <= t <= m:
         raise ValueError(f"level {t} out of range for {m} columns")
 
-    rows = sorted(answers.rows)
+    rows = answers.index_rows()
     if t == 1:
         # No precondition scan: a group fixing all m columns holds one row,
         # since the rows are distinct (`rows` is a set). For the same reason
@@ -184,7 +201,11 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
 
     threshold = _group_threshold(t, k)
     keep = t * k
-    for fixed in itertools.combinations(range(m), m - t):
+    # A capped group holds one value in each fixed column, so a column
+    # where no value reaches the threshold is fixed by no capped group.
+    filled = [c for c, column in enumerate(zip(*rows))
+              if max(collections.Counter(column).values()) >= threshold]
+    for fixed in itertools.combinations(filled, m - t):
         if len(rows) < threshold:
             break
         free = [i for i in range(m) if i not in fixed]
@@ -229,13 +250,14 @@ def _check_level_below(rows: list[tuple[int, ...]], m: int, t: int, k: int) -> N
             )
 
 
-def _capped(answers: AnswerRelation, rows: Collection[tuple[int, ...]], t: int,
+def _capped(answers: AnswerRelation, rows: list[tuple[int, ...]], t: int,
             k: int) -> AnswerRelation:
-    """`answers` cut down to `rows`, a subset of its rows, as level t's
-    output for k. Only k >= 1 is recorded: at k = 0 level 1 keeps every
-    row, which leaves level 2's precondition unmet."""
+    """`answers` cut down to `rows`, a subset of its rows in sorted order,
+    as level t's output for k. Only k >= 1 is recorded: at k = 0 level 1
+    keeps every row, which leaves level 2's precondition unmet."""
     if len(rows) != len(answers.rows):
         answers = AnswerRelation(answers.columns, frozenset(rows), answers.values)
+        object.__setattr__(answers, "_sorted", rows)
     if k:
         object.__setattr__(answers, "_capped_at", (t, k))
     return answers
@@ -266,7 +288,7 @@ def kernelize(answers: AnswerRelation, k: int) -> AnswerRelation:
         if n >= _group_threshold(t, k):
             current = apply_capping_rule(current, t, k)
         elif n > _group_threshold(t - 1, k):
-            current = _capped(current, current.rows, t, k)
+            current = _capped(current, current.index_rows(), t, k)
     if m:
         assert len(current.rows) <= _group_threshold(m, k), "kernel size bound violated"
     return current
@@ -285,17 +307,17 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
     a deleted answer for a kept one that is at least as far from every other.
 
     The search is `model.best_tuple`, the depth-first branch and bound that
-    the join-tree engine decides a matrix root with, over the kernel rows'
-    distance rows (`model.distance_rows`), each made when the search first
-    reaches it. Its
-    bound is m, the column count, the largest distance two answers can
-    have; so it stops at the ceiling, every pair at distance m, and the
-    witness is the lexicographically first optimum. The budget caps the
-    search nodes visited (every prefix the search extends or scores,
-    complete sets included) at C(k, 2) pair distances (at least 1) each, so
-    a k whose one node costs more is refused before the search starts. At
-    k = 0 the empty set is the only candidate, so nothing is kernelized or
-    searched.
+    the join-tree engine decides a matrix root with, over the kernel's
+    sorted rows, each pair's distance counted when the search first
+    reaches it. Its prefix bound is m, the column count, the largest
+    distance two answers can have; it stops at a ceiling no k answers
+    exceed (`model.column_ceiling` once a complete set falls short of every
+    pair at m), and the witness is the lexicographically first optimum.
+    The budget caps the search nodes visited (every prefix the search
+    extends or scores, complete sets included) at C(k, 2) pair distances
+    (at least 1) each, so a k whose one node costs more is refused before
+    the search starts. At k = 0 the empty set is the only candidate, so
+    nothing is kernelized or searched.
     """
     if not aggregator.monotone:
         raise NotMonotone(f"aggregator {aggregator.label} is not flagged monotone")
@@ -305,7 +327,7 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
         stats = {"answers": len(answers.rows), "kernel": 0, "candidates": 1, "k": 0}
         return Outcome(decision, best, () if decision and witness else None, stats=stats)
     kernel = kernelize(answers, k)
-    rows = sorted(kernel.rows)
+    rows = kernel.index_rows()
     n = len(rows)
     count = math.comb(n + k - 1, k) if allow_duplicates else math.comb(n, k)
     found = None
@@ -315,8 +337,8 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
             raise CombinatorialBudgetExceeded(
                 f"one search node costs {cost} pair distances, over the budget of {budget}"
             )
-        found = best_tuple(distance_rows(rows), n, k, aggregator, len(answers.columns),
-                           distinct=not allow_duplicates, limit=budget // cost,
+        found = best_tuple(rows, k, aggregator, distinct=not allow_duplicates,
+                           limit=budget // cost,
                            refusal=CombinatorialBudgetExceeded(
                                f"the search over {n} kernel answers spent more than the "
                                f"budget of {budget} at {cost} pair distances per node"))

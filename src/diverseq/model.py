@@ -305,8 +305,8 @@ def pair_order(k: int) -> tuple[tuple[int, int], ...]:
 
 def distance_rows(rows: Sequence[Sequence[int]]) -> Iterator[list[int]]:
     """The Hamming distances of row i to rows 0..i, for i = 0, 1, ...: the
-    lower triangle of the rows' distance matrix, a row at a time, as
-    `best_tuple` reads it. The rows are value-index tuples of one width
+    lower triangle of the rows' distance matrix, a row at a time, for a
+    reader of every pair. The rows are value-index tuples of one width
     over one value table, so a distance counts the columns whose indices
     differ; a row's distance to itself is 0 without a count."""
     ne = operator.ne
@@ -316,36 +316,85 @@ def distance_rows(rows: Sequence[Sequence[int]]) -> Iterator[list[int]]:
         yield row
 
 
-def best_tuple(rows: Iterator[Sequence[int]], n: int, k: int, aggregator: Aggregator,
-               top: int, *, distinct: bool, limit: float = math.inf,
-               refusal: Exception | None = None) -> tuple[float, tuple[int, ...]] | None:
-    """The sorted k-tuple of n rows whose pair distances aggregate highest,
-    as (value, tuple), or None when there is no tuple. The aggregator must
-    be monotone.
+def column_ceiling(rows: Sequence[Sequence[int]], k: int, aggregator: Aggregator) -> float:
+    """A bound on the aggregate of any k of `rows`, value-index tuples of
+    one width, repeats allowed, under a monotone aggregator.
 
-    `rows` yields row i of the distance matrix, at least its distances to
-    rows 0..i, when the search first reaches row i; the search only ever
-    moves one row past the rows made so far. The tuples are non-decreasing,
-    or when `distinct` strictly increasing with no zero distance, since two
+    Under sum and min the bound is per column (Plotkin, IRE Trans.
+    Information Theory 6(4), 1960): k rows over a column holding v distinct
+    values agree on it in at least as many pairs as the most even split of
+    k over min(v, k) values makes, so the column adds at most C(k, 2) less
+    those pairs to the sum. The sum over the columns bounds the sum, and
+    that divided by C(k, 2), rounded down, bounds the min. Any other
+    aggregator is bounded by every pair at the rows' width.
+    """
+    pairs = k * (k - 1) // 2
+    width = len(rows[0]) if rows else 0
+    if aggregator.kind not in ("sum", "min") or not pairs:
+        return aggregator.aggregate([width] * pairs)
+    total = pairs * width
+    for v in map(len, map(set, zip(*rows))):
+        if v < k:
+            q, r = divmod(k, v)
+            total -= r * (q + 1) * q // 2 + (v - r) * q * (q - 1) // 2
+    return total if aggregator.kind == "sum" else total // pairs
+
+
+# The distances `best_tuple` counts for a row when a prefix first ends in
+# it: to itself and the next seven rows.
+_FIRST_RUN = 8
+
+
+def best_tuple(rows: Sequence[Sequence[int]], k: int, aggregator: Aggregator, *,
+               distinct: bool, limit: float = math.inf,
+               refusal: Exception | None = None) -> tuple[float, tuple[int, ...]] | None:
+    """The sorted k-tuple of `rows` whose pair distances aggregate highest,
+    as (value, tuple of row positions), or None when there is no tuple. The
+    aggregator must be monotone.
+
+    The rows are value-index tuples of one width over one value table, so
+    a pair's distance counts the columns whose indices differ. Distances
+    are counted as the search reaches them and kept: row j holds its
+    distances to rows j, j+1, ..., counted in runs, the first when a
+    prefix first ends in row j and the next whenever the search reads past
+    them, each as long as what the row holds. The search reads a row's
+    later partners in order, so a row holds at most twice the distances
+    the search has read from it, or the first run, and no cut waits for
+    the whole triangle. The tuples are non-decreasing, or when
+    `distinct` strictly increasing with no zero distance, since two
     distinct rows may agree on every column.
 
     A depth-first branch and bound in `itertools` order: a prefix is cut
-    when even `top`, the largest distance, on every pair still open cannot
-    beat the best value found, and the search stops at the ceiling, every
-    pair at `top`. The best is replaced only by a greater value, so the
-    result is the first optimum in that order, as plain enumeration finds.
-    The distances of a prefix are collected column by column, not in
-    `pair_order`. Every node visited (each prefix extended or scored) counts
-    one, and a visit past `limit` raises `refusal`. At k = 0 the empty tuple
-    is the one candidate.
+    when even the rows' width, the largest distance, on every pair still
+    open cannot beat the best value found. The search stops at a ceiling no
+    tuple exceeds: first every pair at the width, and once a complete tuple
+    has scored below that, `column_ceiling`, which is computed only then.
+    The best is replaced only by a greater value, so the result is the
+    first optimum in that order, as plain enumeration finds. The distances
+    of a prefix are collected column by column, not in `pair_order`. Every
+    node visited (each prefix extended or scored) counts one, and a visit
+    past `limit` raises `refusal`. At k = 0 the empty tuple is the one
+    candidate.
     """
     aggregate = aggregator.aggregate
     if k == 0:
         return aggregate(()), ()
+    n = len(rows)
+    top = len(rows[0]) if rows else 0
     pairs = k * (k - 1) // 2
     ceiling = aggregate([top] * pairs)
+    tightened = False
     step = 1 if distinct else 0
-    matrix: list[Sequence[int]] = []
+    ne = operator.ne
+    # near[j][i - j] is the distance of rows j and i, for i from j on.
+    near: dict[int, list[int]] = {}
+
+    def count(j: int, stop: int) -> None:
+        # Row j's distances to the rows before `stop` that it lacks.
+        known = near.setdefault(j, [0])
+        a = rows[j]
+        known.extend([sum(map(ne, a, b)) for b in rows[j + len(known):stop]])
+
     best = best_picked = None
     # One frame per chosen prefix: the rows that may extend it, the prefix,
     # and the distances among its rows.
@@ -360,10 +409,13 @@ def best_tuple(rows: Iterator[Sequence[int]], n: int, k: int, aggregator: Aggreg
         visits += 1
         if visits > limit:
             raise refusal
-        if i == len(matrix):
-            matrix.append(next(rows))
-        row = matrix[i]
-        added = [row[j] for j in chosen]
+        try:
+            added = [near[j][i - j] for j in chosen]
+        except IndexError:
+            for j in chosen:
+                if i - j == len(near[j]):
+                    count(j, j + 2 * len(near[j]))
+            added = [near[j][i - j] for j in chosen]
         if distinct and 0 in added:
             continue
         grown = dists + added
@@ -372,11 +424,15 @@ def best_tuple(rows: Iterator[Sequence[int]], n: int, k: int, aggregator: Aggreg
             value = aggregate(grown)
             if best is None or value > best:
                 best, best_picked = value, picked
-                if best == ceiling:
+                if best < ceiling and not tightened:
+                    ceiling, tightened = column_ceiling(rows, k, aggregator), True
+                if best >= ceiling:
                     break
         elif best is None or aggregate(grown + [top] * (pairs - len(grown))) > best:
             depth = len(picked)
             frames.append((iter(range(i + step, n - (k - 1 - depth) * step)), picked, grown))
+            if i not in near:
+                count(i, i + _FIRST_RUN)
     return None if best is None else (best, best_picked)
 
 

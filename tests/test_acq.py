@@ -289,15 +289,17 @@ def merge_guard_instance():
 def test_merge_guard_refuses_the_first_table_past_the_cap(tmp_path, aggregator, diversity):
     # At k = 3 a merge into node 0 stores more than 8 entries and the merge
     # at the root, node 4, more than 79; a cap of 80 answers, its largest
-    # table holding 80. The library and the CLI (exit 2) refuse alike.
+    # table holding 80. The library and the CLI (exit 2) refuse alike. The
+    # CLI runs pin the DP's mode: auto would answer on the answer route,
+    # whose search meets the column ceiling within its budget here.
     query, db = merge_guard_instance()
     facts, rule = str(tmp_path / "guard.facts"), str(tmp_path / "guard.dq")
     dump_database(db, facts)
     dump_query(query, rule)
-    name = "sum" if aggregator is SUM else "min"
+    name, mode = ("sum", "acq-sum") if aggregator is SUM else ("min", "acq")
     for cap, refused_at in ((8, 0), (79, 4), (80, None)):
         config = RunConfig(db_path=facts, query_path=rule, k=3, d=None, aggregator=name,
-                           table_cap=cap, output="json")
+                           mode=mode, table_cap=cap, output="json")
         code, report = run(config)
         if refused_at is None:
             out = solve_acq(query, db, 3, None, aggregator, table_cap=cap)

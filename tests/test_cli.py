@@ -260,9 +260,8 @@ def test_routing_auto(tmp_path):
     # row, so that run goes on to the tree DP that the query's shape picks.
     product = {"R": [(i, 1) for i in range(10)], "S": [(1, j) for j in range(10)],
                "T": [(0,)]}
-    guard = {"R0": [(a, b, c) for a in (1, 2) for b in (1, 2) for c in (1, 2)],
-             "R1": [(1, 1), (1, 2)], "R2": [(1, 1), (1, 2), (2, 1), (2, 2)],
-             "R3": [(1, 2), (2, 2)], "R4": [(1, 1), (1, 2), (2, 1), (2, 2)]}
+    guard = {"R": [(0, 2), (1, 0), (1, 1), (1, 2), (2, 2)],
+             "S": [(y, z) for y in range(3) for z in range(3)]}
     cases = [
         ({"R": [(1,), (2,)]}, "Q(v) :- R(v).", "sum", "fo-kernel"),
         ({"R": [(1,), (2,)]}, "Q(v) :- R(v).", "min", "fo-kernel"),
@@ -270,11 +269,13 @@ def test_routing_auto(tmp_path):
         (product, "Q(x, z) :- R(x, y), S(y, z).", "sum", "acq-sum"),
         (product, "Q(x, z) :- R(x, y), S(y, z).", "min", "acq"),
         (product, "Q(x, z) :- R(x, y), S(y, z), !T(x).", "sum", "cqneg"),
-        # 16 answers join within budget at k = 3, but the search visits
+        # 15 answers join within budget at k = 3, but the search visits
         # more nodes than the atoms' initial tables hold sorted slot
-        # tuples, 168, before it has the best three.
-        (guard, "Q(v2, v3, v5, v4, v0, v1) :- R0(v0, v1, v2), R1(v2, v0), R2(v2, v3), "
-                "R3(v4, v1), R4(v2, v5).", "sum", "acq-sum"),
+        # tuples, 200, before it has the best three: every column holds
+        # three values, yet no three answers differ in every column, so
+        # the best (8 under sum, 2 under min) stays below the ceiling.
+        (guard, "Q(x, y, z) :- R(x, y), S(y, z).", "sum", "acq-sum"),
+        (guard, "Q(x, y, z) :- R(x, y), S(y, z).", "min", "acq"),
         ({"R": [(1,)], "S": [(2,)]}, "Q(x) :- R(x).\nQ(x) :- S(x).", "sum", "fo-kernel"),
         (
             {"R": [(1, 2)], "S": [(2, 1)], "T": [(1, 1)]},
@@ -637,12 +638,57 @@ def test_auto_answers_the_padded_negation_on_the_answer_route(tmp_path, monkeypa
     assert all(a in answers for a in report["witness"])
 
 
+@pytest.mark.parametrize("aggregator, diversity", [("sum", 12), ("min", 4)])
+def test_auto_answers_the_2000_value_padded_negation_within_two_seconds(
+        tmp_path, monkeypatch, aggregator, diversity):
+    # padded_negation(1, 2000, 1) at k = 3 keeps all 7992 answers as its
+    # kernel. Its optimum is the kernel's rows 0, 4 and 8, so a search
+    # that counts pair distances only as it reaches them stops after a few
+    # rows' worth, where the whole triangle holds 32 million. The witness
+    # is the first optimum in sorted order, as a search over every pair
+    # finds it.
+    db_path, query_path, source = bench_instance(tmp_path, monkeypatch, "padded_negation",
+                                                 1, 2000, 1, k=3)
+    assert source.thresholds[aggregator] == diversity
+    code, report, seconds = timed_run(base_config(db_path, query_path, k=3, d=None,
+                                                  aggregator=aggregator, witness=True))
+    assert seconds < 2.0
+    assert (code, report["routing"], report["diversity"]) == (0, "fo-kernel", diversity)
+    assert report["stats"]["kernel"] == report["stats"]["answers"] == 7992
+    assert report["witness"] == [{"x": 1, "y": 1276, "z": 65, "w": 65},
+                                 {"x": 1276, "y": 224, "z": 22, "w": 22},
+                                 {"x": 224, "y": 347, "z": 716, "w": 716}]
+
+
+@pytest.mark.parametrize("aggregator, diversity", [("sum", 18), ("min", 6)])
+def test_fo_kernel_answers_the_binary_path_within_two_seconds(tmp_path, aggregator,
+                                                              diversity):
+    # The 8-atom path over E = {0, 1}^2 has 512 answers, every 9-bit row,
+    # and each column holds two values, so no three rows differ in every
+    # column: the column ceiling, 18 under sum and 6 under min, is what
+    # the search can stop at, where every pair at 9 columns (27, 9) is out
+    # of reach.
+    variables = [f"x{i}" for i in range(9)]
+    body = ", ".join(f"E({a}, {b})" for a, b in zip(variables, variables[1:]))
+    db_path, query_path = write_fixture(tmp_path, {"E": [(0, 0), (0, 1), (1, 0), (1, 1)]},
+                                        f"Q({', '.join(variables)}) :- {body}.")
+    code, report, seconds = timed_run(base_config(db_path, query_path, k=3, d=None,
+                                                  aggregator=aggregator, witness=True,
+                                                  mode="fo-kernel"))
+    assert seconds < 2.0
+    assert (code, report["routing"], report["diversity"]) == (0, "fo-kernel", diversity)
+    rows = [tuple(answer[x] for x in variables) for answer in report["witness"]]
+    distances = [sum(a != b for a, b in zip(rows[i], rows[j]))
+                 for i in range(3) for j in range(i + 1, 3)]
+    assert (sum if aggregator == "sum" else min)(distances) == diversity
+
+
 @pytest.mark.parametrize("aggregator, route, diversity", [("sum", "acq-sum", 18),
                                                           ("min", "acq", 6)])
 def test_auto_keeps_the_binary_path_on_the_join_tree(tmp_path, aggregator, route, diversity):
     # The 8-atom path over E = {0, 1}^2 has 512 answers, past the join's
-    # budget of k = 3 per row of its atoms, 96; `--mode fo-kernel` takes
-    # seconds to search them. Auto goes on to the join-tree DP at once.
+    # budget of k = 3 per row of its atoms, 96. Auto goes on to the
+    # join-tree DP at once.
     variables = [f"x{i}" for i in range(9)]
     body = ", ".join(f"E({a}, {b})" for a, b in zip(variables, variables[1:]))
     db_path, query_path = write_fixture(tmp_path, {"E": [(0, 0), (0, 1), (1, 0), (1, 1)]},

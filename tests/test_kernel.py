@@ -330,13 +330,16 @@ def test_solve_fo_diverse_budget():
     # The budget counts pair distances, C(k, 2) per search node: 3 at k = 3,
     # so a budget of 10 is spent on the fourth node. The rows survive
     # kernelization (every group stays below threshold), and no three of
-    # them reach the ceiling (z never differs), so the search gets there.
-    answers = relation(("x", "y", "z"), [(i, i, 0) for i in range(30)])
+    # them reach the ceiling, so the search gets there: x differs
+    # everywhere, and y and z each hold three values, which would allow 9,
+    # but no three rows differ in both y and z.
+    yz = [(0, 0), (0, 1), (1, 2), (2, 2)] * 2
+    answers = relation(("x", "y", "z"), [(i, y, z) for i, (y, z) in enumerate(yz)])
     with pytest.raises(CombinatorialBudgetExceeded):
         solve_fo_diverse(answers, 3, 0, SUM, budget=10)
     out = solve_fo_diverse(answers, 3, 0, SUM)
-    assert out.stats["kernel"] == 30 and out.stats["candidates"] == math.comb(30, 3)
-    assert out.diversity == 6
+    assert out.stats["kernel"] == 8 and out.stats["candidates"] == math.comb(8, 3)
+    assert out.diversity == 8
 
 
 def test_csv_round_trip(tmp_path):
@@ -427,6 +430,38 @@ def test_level_two_capping_matches_reference():
         assert kernel.rows == reference_kernelize(answers, 2).rows
 
 
+def grouped_column_sets(monkeypatch, t, k, answers):
+    """Level t's output on `answers` and the fixed column sets it grouped
+    rows by, in order."""
+    m = len(answers.columns)
+    grouped = []
+    key_of = kernel_module._key_of
+
+    def recording(fixed):
+        if len(fixed) == m - t:  # not the precondition scan's m - t + 1
+            grouped.append(tuple(fixed))
+        return key_of(fixed)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel_module, "_key_of", recording)
+        return apply_capping_rule(answers, t, k), grouped
+
+
+def test_level_two_skips_column_sets_no_capped_group_fills(monkeypatch):
+    # At k = 2 level 2 caps groups of 16 rows. u and v hold value 0 in 20
+    # rows, a diagonal over x and y, and value 1 in 4 more; x and y hold no
+    # value more than twice. A capped group fixes two of the four columns,
+    # each at a value 16 rows hold, so of the six column sets only the
+    # last, {u, v}, is grouped, and its group of 20 is capped to 4 rows.
+    rows = [(i, (7 * i) % 20, 0, 0) for i in range(20)] + \
+        [(i, (3 * i + 1) % 20, 1, 1) for i in range(4)]
+    answers = relation(("x", "y", "u", "v"), rows)
+    capped, grouped = grouped_column_sets(monkeypatch, 2, 2, answers)
+    assert grouped == [(2, 3)]
+    assert capped.rows == reference_capping_rule(answers, 2, 2).rows
+    assert len(capped.rows) == 8
+
+
 def k33_lists_union():
     k33 = Graph.from_edges(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
     lists = {1: {1, 2}, 2: {2, 3}, 3: {1, 3}, 4: {1, 2}, 5: {2, 3}, 6: {1, 3}}
@@ -451,6 +486,18 @@ def test_kernelize_enters_only_levels_that_can_fire(monkeypatch):
         assert rows >= math.factorial(t) ** 2 * k ** t, f"level {t} entered with {rows} rows"
     assert [t for t, _ in entered] == [1, 2]
     assert kernel.rows == reference_kernelize(answers, k).rows
+
+
+def test_level_two_groups_no_column_set_of_the_k33_union(monkeypatch):
+    # After level 1 the k33 union keeps its 16 rows over 10 columns, as
+    # many as a capped group at k = 2 holds, but no column holds one value
+    # in all of them, so level 2 groups no column set and keeps every row.
+    answers, k = k33_lists_union()
+    level_one = apply_capping_rule(answers, 1, k)
+    assert len(level_one.rows) == 16 == math.factorial(2) ** 2 * k ** 2
+    capped, grouped = grouped_column_sets(monkeypatch, 2, k, level_one)
+    assert grouped == []
+    assert capped.rows == reference_capping_rule(level_one, 2, k).rows == level_one.rows
 
 
 @pytest.mark.parametrize("instance", [k33_lists_union, lambda: dense_union_answers(3),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diverseq import model
 from diverseq.errors import UnboundVariable
 from diverseq.model import (
     MIN,
@@ -14,6 +15,7 @@ from diverseq.model import (
     Assignment,
     Database,
     best_tuple,
+    column_ceiling,
     custom_aggregator,
     distance_rows,
     diversity_of_set,
@@ -263,11 +265,12 @@ def test_sum_strictly_monotone_min_monotone(ds, data):
 SQUARES = custom_aggregator(lambda ds: sum(x * x for x in ds), monotone=True, name="squares")
 
 
-def enumerated_best(matrix, k, aggregator, distinct):
-    """`best_tuple` by plain enumeration: every sorted k-tuple of rows in
-    `itertools` order, strictly increasing with no zero distance when
-    `distinct`, the first with the highest aggregate kept."""
-    n = len(matrix)
+def enumerated_best(rows, k, aggregator, distinct):
+    """`best_tuple` by plain enumeration: every sorted k-tuple of row
+    positions in `itertools` order, strictly increasing with no zero
+    distance when `distinct`, the first with the highest aggregate kept."""
+    n = len(rows)
+    matrix = [[sum(x != y for x, y in zip(a, b)) for b in rows] for a in rows]
     tuples = itertools.combinations(range(n), k) if distinct else \
         itertools.combinations_with_replacement(range(n), k)
     best = None
@@ -281,35 +284,54 @@ def enumerated_best(matrix, k, aggregator, distinct):
     return best
 
 
-def test_best_tuple_matches_enumeration_on_any_symmetric_matrix():
-    # The search must not lean on what distances between answer rows obey,
-    # such as the triangle inequality. Over random symmetric matrices with
-    # a zero diagonal and zeros off it, each row handed over only up to the
-    # diagonal when the search first asks for it, `best_tuple` finds the
-    # first best tuple that enumeration finds, with and without distinct
-    # rows, under sum, min and a custom monotone aggregator, given the
-    # largest entry as its bound or a looser one.
+def test_best_tuple_matches_enumeration_on_random_row_sets():
+    # Over random rows of up to 5 columns, each over one to four values, so
+    # that rows often repeat or agree on most columns, and up to 40 rows
+    # (fewer at k = 3 and 4, where enumeration grows), `best_tuple` finds
+    # the first best tuple that enumeration finds, as sets and as
+    # multisets, under sum, min and a custom monotone aggregator. The
+    # column ceiling is never below the optimum, and it often meets it
+    # where every pair at the rows' width does not, so the search stops
+    # there.
     rng = random.Random(131)
-    found = zero_rows = 0
-    for _ in range(150):
-        n = rng.randint(0, 7)
-        matrix = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                matrix[i][j] = matrix[j][i] = rng.choice((0, 1, 1, 2, 3))
-        zero_rows += any(0 in row[:i] + row[i + 1:] for i, row in enumerate(matrix))
-        top = max(map(max, matrix), default=0)
-        for k in (0, 1, 2, 4):
+    found = repeats = tight = 0
+    for _ in range(100):
+        domains = [rng.randint(1, 4) for _ in range(rng.randint(0, 5))]
+        for k, most in ((0, 6), (1, 40), (2, 40), (3, 24), (4, 14)):
+            rows = [tuple(rng.randrange(v) for v in domains) for _ in range(rng.randint(0, most))]
+            repeats += len(set(rows)) < len(rows)
             for aggregator in (SUM, MIN, SQUARES):
                 for distinct in (False, True):
-                    expected = enumerated_best(matrix, k, aggregator, distinct)
-                    found += expected is not None
-                    for bound in (top, top + 2):
-                        lower = (row[:i + 1] for i, row in enumerate(matrix))
-                        assert best_tuple(lower, n, k, aggregator, bound,
-                                          distinct=distinct) == expected, \
-                            (matrix, k, aggregator.label, distinct, bound)
-    assert zero_rows > 50 and found > 1000, (zero_rows, found)
+                    expected = enumerated_best(rows, k, aggregator, distinct)
+                    assert best_tuple(rows, k, aggregator, distinct=distinct) == expected, \
+                        (rows, k, aggregator.label, distinct)
+                    if expected is None:
+                        continue
+                    found += 1
+                    ceiling = column_ceiling(rows, k, aggregator)
+                    assert ceiling >= expected[0], (rows, k, aggregator.label, distinct)
+                    tight += ceiling == expected[0] < \
+                        aggregator.aggregate([len(domains)] * math.comb(k, 2))
+    assert found > 2000 and repeats > 300 and tight > 500, (found, repeats, tight)
+
+
+def test_best_tuple_reads_the_columns_only_below_the_top_ceiling(monkeypatch):
+    # The column ceiling takes a pass over every row, so the search
+    # computes it only once a complete tuple has scored below every pair at
+    # the rows' width: never where the first tuple differs everywhere, and
+    # once where no tuple does.
+    calls = []
+    ceiling = model.column_ceiling
+
+    def counting(*args):
+        calls.append(args[1])
+        return ceiling(*args)
+
+    monkeypatch.setattr(model, "column_ceiling", counting)
+    spread = [(i, i, i) for i in range(50)]
+    assert best_tuple(spread, 3, SUM, distinct=True) == (9, (0, 1, 2)) and calls == []
+    halves = [(i % 2, i, i) for i in range(50)]
+    assert best_tuple(halves, 3, SUM, distinct=True) == (8, (0, 1, 2)) and calls == [3]
 
 
 def test_distance_rows_are_the_lower_triangle():
