@@ -777,7 +777,8 @@ class TreeSolver:
         A bag whose variables are a positive atom's starts from the sols of
         the first such atom and keeps those that meet each child's sols and
         every other positive atom it covers (a semi-join). Any other bag is
-        a lazy hash join (`queries.join`) of the children's sols, the
+        `queries.join`, which extends a block of partial assignments per
+        step and hands them out lazily, of the children's sols, the
         positive atoms it covers and its variables' candidate values,
         refused once it builds more partial assignments than the cap. Both
         then check the negative literals the bag covers, and the root's are

@@ -167,8 +167,11 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
     set are disjoint, so their deletions are applied together. A capped
     group holds one value in every fixed column, so a column set is skipped
     when one of its columns has no value that t!^2 * k^t of the level's
-    rows hold; rows only leave later, so the skip is exact. Capping stops
-    once fewer than t!^2 * k^t rows are left.
+    rows hold; rows only leave later, so the skip is exact. Counts only
+    fall and thresholds only rise, so a level counts only the columns that
+    the level it was returned from found filled, which each returned
+    relation records beside its level. Capping stops once fewer than
+    t!^2 * k^t rows are left.
     """
     m = len(answers.columns)
     if not 1 <= t <= m:
@@ -195,16 +198,20 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
             rows = kept
         return _capped(answers, rows, t, k)
 
-    if len(rows) > _group_threshold(t - 1, k) and \
-            getattr(answers, "_capped_at", None) != (t - 1, k):
+    below = getattr(answers, "_capped_at", None) == (t - 1, k)
+    if len(rows) > _group_threshold(t - 1, k) and not below:
         _check_level_below(rows, m, t, k)
 
     threshold = _group_threshold(t, k)
     keep = t * k
     # A capped group holds one value in each fixed column, so a column
     # where no value reaches the threshold is fixed by no capped group.
-    filled = [c for c, column in enumerate(zip(*rows))
-              if max(collections.Counter(column).values()) >= threshold]
+    # Level t - 1 found its unfilled columns on a superset of these rows
+    # and under a lower threshold: they stay unfilled and are not counted.
+    fillable = getattr(answers, "_fillable", None) if below else None
+    filled = [c for c in (range(m) if fillable is None else fillable)
+              if max(collections.Counter(map(operator.itemgetter(c), rows)).values(),
+                     default=0) >= threshold]
     for fixed in itertools.combinations(filled, m - t):
         if len(rows) < threshold:
             break
@@ -234,7 +241,7 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
             dropped.difference_update(chosen)
         if dropped:
             rows = [row for row in rows if row not in dropped]
-    return _capped(answers, rows, t, k)
+    return _capped(answers, rows, t, k, filled)
 
 
 def _check_level_below(rows: list[tuple[int, ...]], m: int, t: int, k: int) -> None:
@@ -251,15 +258,18 @@ def _check_level_below(rows: list[tuple[int, ...]], m: int, t: int, k: int) -> N
 
 
 def _capped(answers: AnswerRelation, rows: list[tuple[int, ...]], t: int,
-            k: int) -> AnswerRelation:
+            k: int, filled: list[int] | None = None) -> AnswerRelation:
     """`answers` cut down to `rows`, a subset of its rows in sorted order,
-    as level t's output for k. Only k >= 1 is recorded: at k = 0 level 1
-    keeps every row, which leaves level 2's precondition unmet."""
+    as level t's output for k, with `filled`, the columns that level found
+    a value of t!^2 * k^t rows in, or None where it did not count them.
+    Only k >= 1 is recorded: at k = 0 level 1 keeps every row, which leaves
+    level 2's precondition unmet."""
     if len(rows) != len(answers.rows):
         answers = AnswerRelation(answers.columns, frozenset(rows), answers.values)
         object.__setattr__(answers, "_sorted", rows)
     if k:
         object.__setattr__(answers, "_capped_at", (t, k))
+        object.__setattr__(answers, "_fillable", filled)
     return answers
 
 

@@ -1,6 +1,17 @@
 """Query ASTs (conjunctive, unions, negation), a rule-text parser,
 single-atom evaluation, and the one hash join of atoms' solutions.
 
+The join (`join`) is depth first over blocks: it extends up to `_BLOCK`
+partial assignments of one step together, each by its bucket, and spreads
+the interpreter's cost per step over the block (vectorized execution, as in
+Boncz, Zukowski and Nes, "MonetDB/X100", CIDR 2005). Its outputs, their
+order and its refusal past a limit are those of the tuple-at-a-time search
+it stands for. A block counts its members' buckets ahead of that search, so
+when its count passes the limit the join walks again, a partial assignment
+at a time at each step that counts, and skips the outputs it has handed
+out: a refused join costs at most twice its work up to the refusal. A
+caller that stops early has paid for at most one block per step.
+
 Rule syntax, one rule per line, `#` starts a comment:
 
     Q(x, y) :- R(x, y), !S(x, 5), T("a", y).
@@ -12,6 +23,8 @@ order is semantic: it fixes the column order of every answer.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import operator
 import re
 import sys
@@ -431,6 +444,15 @@ def satisfies_literal(literal: Literal, bindings: Mapping[str, int],
     return present if literal.positive else not present
 
 
+# The most partial assignments the join extends at one step together.
+_BLOCK = 64
+
+
+class _PastLimit(Exception):
+    """A block walk counted past the join's limit, ahead of the depth-first
+    search it stands for."""
+
+
 def join(inputs: Sequence[tuple[Sequence[str], Sequence[tuple[int, ...]]]], order: Sequence[str],
          limit: int, refusal: Exception) -> Iterator[tuple[int, ...]]:
     """Lazily hash-join relations given as (variables, index rows), each
@@ -439,58 +461,99 @@ def join(inputs: Sequence[tuple[Sequence[str], Sequence[tuple[int, ...]]]], orde
     leaves a variable out or an input repeats a row. The inputs are taken
     in connected order: each next one is the first that shares a bound
     variable, or else the first left. Its rows are bucketed on the shared
-    variables, and a partial assignment extends by its bucket, depth first.
-    An empty input ends the join at once. `refusal` is raised as soon as
-    more than `limit` partial assignments are built; an input whose
-    variables are all bound only filters, and builds none."""
+    variables: an input that shares none is one bucket, and one whose
+    variables are all bound only filters, so its buckets hold a count of
+    empty extensions. An empty input ends the join at once.
+
+    The outputs, and `refusal` once more than `limit` partial assignments
+    are built, come as from a depth-first search that extends one partial
+    assignment at a time by its bucket, counting the bucket when the step
+    binds a variable. The walk extends a block of up to `_BLOCK` partial
+    assignments of one step at a time instead, in that search's order, and
+    so counts a block's siblings ahead of it. Its outputs so far are the
+    search's first outputs, which the search reaches at a count no higher.
+    So when a block passes the limit, the join walks again, one partial
+    assignment at a time at each binding step (a filter step counts
+    nothing, and keeps its blocks), skips the outputs it has handed out,
+    and raises `refusal` where the search does: a refused join costs at
+    most twice the work up to its refusal. A caller that stops early has
+    paid for at most one block per step beyond its last output."""
     slot: dict[str, int] = {}
-    # Every join starts from the empty assignment, as if from a ground input.
-    steps = [(_key_of(()), {(): [()]}, False)]
+    steps = []
     pending = list(inputs)
     while pending:
         n = next((n for n, (vs, _) in enumerate(pending) if not slot.keys().isdisjoint(vs)), 0)
         variables, rows = pending.pop(n)
         shared = [j for j, v in enumerate(variables) if v in slot]
         new = [j for j, v in enumerate(variables) if v not in slot]
-        key, extension = _key_of(shared), _tuple_of(new)
-        buckets: dict[object, list[tuple[int, ...]]] = {}
-        for row in rows:
-            buckets.setdefault(key(row), []).append(extension(row))
+        extension = _tuple_of(new)
+        if not shared:
+            bucket = list(map(extension, rows))
+            buckets = {(): bucket} if bucket else {}
+        elif not new:
+            buckets = {key: [()] * count
+                       for key, count in collections.Counter(map(_key_of(shared), rows)).items()}
+        else:
+            key = _key_of(shared)
+            buckets = {}
+            for row in rows:
+                buckets.setdefault(key(row), []).append(extension(row))
         if not buckets:
             return
         steps.append((_key_of([slot[variables[j]] for j in shared]), buckets, bool(new)))
         for j in new:
             slot[variables[j]] = len(slot)
-    get = _tuple_of([slot[v] for v in order])
-    last = len(steps) - 1
-    if not last:
-        yield get(())
+    positions = [slot[v] for v in order]
+    # None when `order` is every variable in the order bound: a partial
+    # assignment of the last step is its own output.
+    get = None if positions == list(range(len(slot))) else _tuple_of(positions)
+    if not steps:
+        yield ()
         return
-    # The partials of step last - 1 are not stacked: each extension is
-    # probed on the last step at once, in the order the stack would pop it.
-    last_probe, last_buckets, last_binds = steps[last]
+    handed = 0
+    try:
+        for outputs in _walk(steps, get, limit, [_BLOCK] * len(steps), _PastLimit()):
+            handed += len(outputs)
+            yield from outputs
+    except _PastLimit:
+        sizes = [1 if binds else _BLOCK for _, _, binds in steps]
+        outputs = itertools.chain.from_iterable(_walk(steps, get, limit, sizes, refusal))
+        yield from itertools.islice(outputs, handed, None)
+
+
+def _walk(steps, get, limit: int, sizes: list[int],
+          refusal: Exception) -> Iterator[list[tuple[int, ...]]]:
+    """The join's outputs over its planned `steps`, as lists: a depth-first
+    walk over blocks of up to `sizes[i]` partial assignments at step i. A
+    block probes each assignment's bucket, counts the buckets on a binding
+    step (raising `refusal` past `limit`), and extends each assignment by
+    its bucket in order. The extensions go on the stack as one list, whose
+    blocks are taken in order, each walked to the end before the next. At
+    the last step a block's outputs are handed out in order."""
+    last = len(steps) - 1
     built = 0
-    stack = [((), 0)]
+    # (a step's partial assignments, where its next block starts, the step)
+    stack = [([()], 0, 0)]
     while stack:
-        part, step = stack.pop()
+        parts, start, step = stack[-1]
+        end = start + sizes[step]
+        if end < len(parts):
+            stack[-1] = (parts, end, step)
+        else:
+            stack.pop()
+        block = parts[start:end]
         probe, buckets, binds = steps[step]
-        found = buckets.get(probe(part), ())
+        found = list(map(buckets.get, map(probe, block), itertools.repeat(())))
         if binds:
-            built += len(found)
+            built += sum(map(len, found))
             if built > limit:
                 raise refusal
-        step += 1
+        extended = [part + b for part, bucket in zip(block, found) for b in bucket]
         if step < last:
-            stack += [(part + b, step) for b in reversed(found)]
-            continue
-        for b in found:
-            extended = part + b
-            tails = last_buckets.get(last_probe(extended), ())
-            if last_binds:
-                built += len(tails)
-                if built > limit:
-                    raise refusal
-            yield from [get(extended + c) for c in tails]
+            if extended:
+                stack.append((extended, 0, step + 1))
+        elif extended:
+            yield extended if get is None else list(map(get, extended))
 
 
 def _key_of(positions: Sequence[int]):

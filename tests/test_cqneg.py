@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -869,6 +870,36 @@ def test_reducer_refuses_a_wide_bag_before_building_it():
     with pytest.raises(TableGuardExceeded, match="over 99 bag assignments"):
         BagSolver(query, db, 2, td, table_cap=5049)
 
+
+
+@pytest.mark.parametrize("k, most", [(2, 4471), (3, 390)])
+def test_reducer_refuses_a_wide_root_at_the_default_cap_as_its_join_yields(monkeypatch, k, most):
+    # The six-variable root above at the default cap of 10,000,000 entries:
+    # a table under it pairs 4471 assignments at k = 2 (C(4472, 2) sorted
+    # pairs) and 390 at k = 3 (C(392, 3) sorted triples). The root's join
+    # of a million assignments is within the cap, so it is the root's own
+    # bound that refuses, after the join has yielded one assignment more.
+    variables = [f"x{i}" for i in range(1, 7)]
+    query = parse_query(f"Q({', '.join(variables)}) :- "
+                        + ", ".join(f"R({v})" for v in variables) + ".")
+    db = Database()
+    db.add_relation("R", 1, [(v,) for v in range(10)])
+    td = TreeDecomposition(root=0, children={0: (1,), 1: ()},
+                           bags={0: frozenset(variables), 1: frozenset({"x1"})})
+    yielded = []
+    join = acq.join
+
+    def counting(*args):
+        for part in join(*args):
+            yielded.append(part)
+            yield part
+
+    monkeypatch.setattr(acq, "join", counting)
+    started = time.perf_counter()
+    with pytest.raises(TableGuardExceeded, match=f"^node 0 has over {most} bag assignments"):
+        BagSolver(query, db, k, td, table_cap=DEFAULT_TABLE_CAP)
+    assert time.perf_counter() - started < 1.0
+    assert len(yielded) == most + 1
 
 def test_wide_bag_below_the_root_is_refused_by_its_join():
     # The same six-variable bag as a child of the root {x1}: the down sweep

@@ -1,5 +1,8 @@
+import collections
+import itertools
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -461,6 +464,33 @@ def test_level_two_skips_column_sets_no_capped_group_fills(monkeypatch):
     assert capped.rows == reference_capping_rule(answers, 2, 2).rows
     assert len(capped.rows) == 8
 
+
+
+def test_level_three_counts_only_the_columns_level_two_found_filled(monkeypatch):
+    # At k = 2, 432 rows (i, a, b, c): i differs in every row, and each
+    # (a, b, c) over 6 values holds two rows. Level 1 keeps them all. Level
+    # 2 (groups of 16) finds no value of i in 16 rows and every value of a,
+    # b and c in 72, and caps no group: those fixing two of a, b and c hold
+    # 12 rows. Level 3 (groups of 288) counts a, b and c again, 6 values
+    # each, but not i's 432, which can only have fallen further short.
+    rows = [(i, a, b, c) for i, (a, b, c, _) in
+            enumerate(itertools.product(range(6), range(6), range(6), range(2)))]
+    answers = relation(("i", "a", "b", "c"), rows)
+    level_two = apply_capping_rule(apply_capping_rule(answers, 1, 2), 2, 2)
+    assert len(level_two.rows) == 432
+    counted = []
+
+    class Recording(collections.Counter):
+        def __init__(self, values):
+            super().__init__(values)
+            counted.append(len(self))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel_module, "collections", types.SimpleNamespace(Counter=Recording))
+        level_three = apply_capping_rule(level_two, 3, 2)
+    assert counted == [6, 6, 6]
+    assert level_three.rows == reference_capping_rule(relation(answers.columns, rows), 3, 2).rows
+    assert len(level_three.rows) == 432
 
 def k33_lists_union():
     k33 = Graph.from_edges(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])

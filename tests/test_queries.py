@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diverseq import queries
 from diverseq.errors import (
     ArityMismatch,
     MismatchedHeads,
@@ -438,3 +441,86 @@ def test_join_takes_inputs_in_connected_order():
     assert sorted(join(inputs, ("x", "w"), 9, ValueError())) == [(0, 0), (1, 1), (2, 2)]
     with pytest.raises(ValueError):
         list(join(inputs, ("x", "w"), 8, ValueError()))
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_join_in_blocks_of_any_size_is_the_depth_first_search(monkeypatch, block):
+    # The properties of test_join_yields_lazily_in_depth_first_order, with
+    # blocks of `block` partial assignments: the search's outputs in order,
+    # the refusal after exactly as many, and every prefix without a refusal
+    # the search would only meet later.
+    monkeypatch.setattr(queries, "_BLOCK", block)
+    refusal = ValueError("over the limit")
+    rng = random.Random(41 + block)
+    cut_short = 0
+    for _ in range(300):
+        inputs, order = random_join_inputs(rng)
+        _, built = reference_join(inputs, order)
+        for limit in sorted({built, rng.randrange(built + 1), rng.randrange(built + 1)}):
+            want, refused = drain(dfs_join(inputs, order, limit, refusal))
+            assert drain(join(inputs, order, limit, refusal)) == (want, refused)
+            for n in range(len(want) + 1):
+                assert list(itertools.islice(join(inputs, order, limit, refusal), n)) \
+                    == want[:n]
+            cut_short += refused and bool(want)
+    assert cut_short > 25
+
+
+def test_join_walks_again_one_at_a_time_when_a_block_passes_the_limit(monkeypatch):
+    # 4b values of x for a block of b, three y per x. The depth-first
+    # search counts the 4b x, then three y per x, so under this limit it
+    # refuses at x = 3b/2 after the 9b/2 outputs of the x before it. The
+    # block walk hands out the 3b outputs of its first block of x, then
+    # counts its second block past the limit: the join walks again one
+    # partial assignment at a time, skips those 3b and yields the rest.
+    block = queries._BLOCK
+    sizes = []
+    walk = queries._walk
+
+    def recording(steps, get, limit, step_sizes, refusal):
+        sizes.append(step_sizes)
+        return walk(steps, get, limit, step_sizes, refusal)
+
+    monkeypatch.setattr(queries, "_walk", recording)
+    xs, half = 4 * block, block + block // 2
+    inputs = [(("x",), [(x,) for x in range(xs)]),
+              (("x", "y"), [(x, y) for x in range(xs) for y in range(3)])]
+    refusal = ValueError("over the limit")
+    limit = xs + 3 * half + 1
+    got = drain(join(inputs, ("x", "y"), limit, refusal))
+    assert got == ([(x, y) for x in range(half) for y in range(3)], True)
+    assert got == drain(dfs_join(inputs, ("x", "y"), limit, refusal))
+    assert sizes == [[block, block], [1, 1]]
+    # Under a limit no block passes, one walk hands out every output.
+    sizes.clear()
+    assert list(join(inputs, ("x", "y"), 4 * xs, refusal)) == \
+        [(x, y) for x in range(xs) for y in range(3)]
+    assert sizes == [[block, block]]
+
+
+def test_join_works_at_most_one_block_per_step_ahead(monkeypatch):
+    # 100^3 outputs from three inputs that share no variable, so every key
+    # function the join makes probes partial assignments. The first output
+    # comes at once, after one probe at the first step and at most one
+    # block of them at each later step.
+    probes = 0
+    key_of = queries._key_of
+
+    def counting(positions):
+        key = key_of(positions)
+
+        def probe(row):
+            nonlocal probes
+            probes += 1
+            return key(row)
+        return probe
+
+    monkeypatch.setattr(queries, "_key_of", counting)
+    rows = [(v,) for v in range(100)]
+    inputs = [(("x",), rows), (("y",), rows), (("z",), rows)]
+    started = time.perf_counter()
+    first = next(join(inputs, ("x", "y", "z"), math.inf, ValueError()))
+    elapsed = time.perf_counter() - started
+    assert first == (0, 0, 0)
+    assert 1 < probes <= 1 + 2 * queries._BLOCK
+    assert elapsed < 0.25
