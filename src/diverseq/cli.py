@@ -24,7 +24,13 @@ Exit codes: 0 = yes, 1 = no, 2 = error.
 
 A run imports only the engine module its route needs, when it gets there:
 one call spends far longer starting the interpreter and loading code than
-solving at small sizes.
+solving at small sizes. For the same reason the classes a run builds are
+plain classes on `model._Record`, not dataclasses, and CSV files are read
+by the `csv` module only where a CSV directory is loaded. So neither
+`from diverseq import cli` nor a run that answers on the answer route
+from a fact file imports `dataclasses` (with the `inspect`, `ast`, `dis`
+and `tokenize` it loads) or `csv`; `acq`, which both tree DPs load, and
+`oracle` still do.
 """
 
 from __future__ import annotations
@@ -34,13 +40,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .dbio import load_database, load_query
 from .errors import (DEFAULT_BUDGET, DEFAULT_TABLE_CAP, CombinatorialBudgetExceeded,
                      DiverseQError)
-from .model import MIN, SUM, Outcome, diversity_of_set
+from .model import MIN, SUM, Outcome, _Record, diversity_of_set
 from .queries import relation_of
 from .structure import TreeDecomposition, gyo_join_tree, parse_decomposition
 
@@ -51,22 +56,29 @@ TABLE_CAP_ENV = "DIVERSEQ_TABLE_CAP"
 MODES = ("auto", "acq", "acq-sum", "cqneg", "fo-kernel", "bruteforce")
 
 
-@dataclass
-class RunConfig:
-    db_path: str
-    query_path: str
-    k: int
-    d: int | None  # None means "max" mode
-    aggregator: str = "sum"
-    mode: str = "auto"
-    allow_duplicates: bool = False
-    witness: bool = False
-    decomposition_path: str | None = None
-    table_cap: int = DEFAULT_TABLE_CAP
-    budget: int = DEFAULT_BUDGET
-    output: str = "text"
+class RunConfig(_Record):
+    """One run's options; `d` None means "max" mode."""
 
-    def __post_init__(self) -> None:
+    _fields = ("db_path", "query_path", "k", "d", "aggregator", "mode", "allow_duplicates",
+               "witness", "decomposition_path", "table_cap", "budget", "output")
+
+    def __init__(self, db_path: str, query_path: str, k: int, d: int | None,
+                 aggregator: str = "sum", mode: str = "auto", allow_duplicates: bool = False,
+                 witness: bool = False, decomposition_path: str | None = None,
+                 table_cap: int = DEFAULT_TABLE_CAP, budget: int = DEFAULT_BUDGET,
+                 output: str = "text") -> None:
+        self.db_path = db_path
+        self.query_path = query_path
+        self.k = k
+        self.d = d
+        self.aggregator = aggregator
+        self.mode = mode
+        self.allow_duplicates = allow_duplicates
+        self.witness = witness
+        self.decomposition_path = decomposition_path
+        self.table_cap = table_cap
+        self.budget = budget
+        self.output = output
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.d is not None and self.d < 0:

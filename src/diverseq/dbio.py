@@ -29,7 +29,6 @@ interned and stored.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import operator
@@ -226,6 +225,8 @@ def _parse_fact_line(line: str, lineno: int) -> tuple[str, list[Payload]] | None
 
 
 def _load_csv_dir(path: str, names: Collection[str] | None) -> Database:
+    import csv
+
     db = Database()
     for filename in sorted(os.listdir(path)):
         if not filename.endswith(".csv"):

@@ -30,11 +30,9 @@ join's partial answers.
 from __future__ import annotations
 
 import collections
-import csv
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .dbio import csv_rows
@@ -53,13 +51,13 @@ from .model import (
     Value,
     _IndexRows,
     _Interner,
+    _Record,
     best_tuple,
 )
 from .queries import Query, _key_of, _tuple_of, join, sols_atom
 
 
-@dataclass(frozen=True)
-class AnswerRelation(_IndexRows):
+class AnswerRelation(_IndexRows, _Record, frozen=True):
     """A deduplicated relation of answer tuples over a fixed column order.
 
     Each row is a tuple of indices into `values`: the value table of the
@@ -67,11 +65,12 @@ class AnswerRelation(_IndexRows):
     from payloads.
     """
 
-    columns: tuple[str, ...]
-    rows: frozenset[tuple[int, ...]]
-    values: Sequence[Value] = field(repr=False, hash=False)  # a list: not hashable
+    _fields = ("columns", "rows", "values")
+    _hidden = ("values",)  # a list: not hashable
 
-    def __post_init__(self) -> None:
+    def __init__(self, columns: tuple[str, ...], rows: frozenset[tuple[int, ...]],
+                 values: Sequence[Value]) -> None:
+        self.__dict__.update(columns=columns, rows=rows, values=values)
         if not set(map(len, self.rows)) <= {len(self.columns)}:
             raise ValueError("row width does not match the column count")
 
@@ -262,15 +261,18 @@ def _capped(answers: AnswerRelation, rows: list[tuple[int, ...]], t: int,
     """`answers` cut down to `rows`, a subset of its rows in sorted order,
     as level t's output for k, with `filled`, the columns that level found
     a value of t!^2 * k^t rows in, or None where it did not count them.
-    Only k >= 1 is recorded: at k = 0 level 1 keeps every row, which leaves
-    level 2's precondition unmet."""
-    if len(rows) != len(answers.rows):
-        answers = AnswerRelation(answers.columns, frozenset(rows), answers.values)
-        object.__setattr__(answers, "_sorted", rows)
+    The output is a relation of its own even when it keeps every row, so
+    `answers` keeps its own record; it shares the row set then, and its
+    rows, a subset of checked ones, are not checked again. Only k >= 1 is
+    recorded: at k = 0 level 1 keeps every row, which leaves level 2's
+    precondition unmet."""
+    capped = object.__new__(AnswerRelation)
+    capped.__dict__.update(
+        columns=answers.columns, values=answers.values, _sorted=rows,
+        rows=answers.rows if len(rows) == len(answers.rows) else frozenset(rows))
     if k:
-        object.__setattr__(answers, "_capped_at", (t, k))
-        object.__setattr__(answers, "_fillable", filled)
-    return answers
+        capped.__dict__.update(_capped_at=(t, k), _fillable=filled)
+    return capped
 
 
 def kernelize(answers: AnswerRelation, k: int) -> AnswerRelation:
@@ -380,6 +382,8 @@ def read_answer_csv(path: str) -> AnswerRelation:
     int, every other field the string as written, and canonical integer
     text too long for `int` is a QuerySyntaxError at its line.
     """
+    import csv
+
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -391,6 +395,8 @@ def read_answer_csv(path: str) -> AnswerRelation:
 
 
 def write_answer_csv(answers: AnswerRelation, path: str) -> None:
+    import csv
+
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(answers.columns)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import UnboundVariable
@@ -47,6 +46,54 @@ class Value:
 
     def __repr__(self) -> str:
         return f"Value({self.payload!r})"
+
+
+class _Record:
+    """Named fields with the value semantics `dataclasses` would generate,
+    without its import or the `exec` of each generated method at import.
+
+    A subclass names its fields in `_fields` and stores them in its
+    `__init__`; a frozen one writes them into `self.__dict__`, which its
+    refusal of assignment does not guard. Two records are equal when they
+    are of one class and their fields are equal. The repr shows the fields,
+    and the hash is that of their tuple, but for those in `_hidden`, which
+    only equality reads. A class declared with `frozen=True` is hashable and
+    refuses assignment with an AttributeError; any other is unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, *, frozen: bool = False, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
+        cls._compared = staticmethod(_fields_of(cls._fields))
+        if frozen:
+            cls._hashed = staticmethod(_fields_of(cls._shown))
+            cls.__setattr__ = cls.__delattr__ = _Record._refuse
+        else:
+            cls.__hash__ = None
+
+    def _refuse(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._compared(self) == self._compared(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._hashed(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _fields_of(names: tuple[str, ...]) -> Callable[[object], tuple]:
+    """The function from an object to the tuple of its attributes `names`."""
+    get = operator.attrgetter(*names)
+    return get if len(names) > 1 else lambda record: (get(record),)
 
 
 class _Interner:
@@ -101,16 +148,17 @@ class _IndexRows:
         return {tuple([values[i].payload for i in row]) for row in self.rows}
 
 
-@dataclass(frozen=True)
-class Relation(_IndexRows):
+class Relation(_IndexRows, _Record, frozen=True):
     """A named relation: a duplicate-free set of rows, each a tuple of
     `arity` indices into `values`, the value table of its database, which
     the database's relations share."""
 
-    name: str
-    arity: int
-    rows: frozenset[tuple[int, ...]]
-    values: Sequence[Value] = field(repr=False, hash=False)  # a list: not hashable
+    _fields = ("name", "arity", "rows", "values")
+    _hidden = ("values",)  # a list: not hashable
+
+    def __init__(self, name: str, arity: int, rows: frozenset[tuple[int, ...]],
+                 values: Sequence[Value]) -> None:
+        self.__dict__.update(name=name, arity=arity, rows=rows, values=values)
 
 
 def check_arity(name: str, arity: int, rows: Iterable[Sequence[Payload]]) -> None:
@@ -260,8 +308,7 @@ def hamming_distance(a: Assignment, b: Assignment, variables: Iterable[str]) -> 
     return count
 
 
-@dataclass(frozen=True)
-class Aggregator:
+class Aggregator(_Record, frozen=True):
     """Combines the multiset of pairwise distances into a diversity score.
 
     Custom aggregators receive the distances as a sorted tuple, which makes
@@ -269,10 +316,11 @@ class Aggregator:
     min of an empty multiset (a single answer) is +infinity.
     """
 
-    kind: str  # "sum" | "min" | "custom"
-    fn: Callable[[tuple[int, ...]], float] | None = None
-    monotone: bool = True
-    name: str = ""
+    _fields = ("kind", "fn", "monotone", "name")  # kind: "sum" | "min" | "custom"
+
+    def __init__(self, kind: str, fn: Callable[[tuple[int, ...]], float] | None = None,
+                 monotone: bool = True, name: str = "") -> None:
+        self.__dict__.update(kind=kind, fn=fn, monotone=monotone, name=name)
 
     def aggregate(self, distances: Iterable[int]) -> float:
         ds = tuple(distances)
@@ -448,11 +496,14 @@ def diversity_of_set(aggregator: Aggregator, answers: Sequence[Assignment],
     return aggregator.aggregate(pairwise_distances(answers, variables))
 
 
-@dataclass
-class Outcome:
+class Outcome(_Record):
     """Result of a diversity solve: decision, best achievable score, witness."""
 
-    decision: bool
-    diversity: float | None
-    witness: tuple[Assignment, ...] | None = None
-    stats: dict = field(default_factory=dict)
+    _fields = ("decision", "diversity", "witness", "stats")
+
+    def __init__(self, decision: bool, diversity: float | None,
+                 witness: tuple[Assignment, ...] | None = None, stats: dict | None = None) -> None:
+        self.decision = decision
+        self.diversity = diversity
+        self.witness = witness
+        self.stats = {} if stats is None else stats

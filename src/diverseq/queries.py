@@ -28,7 +28,6 @@ import itertools
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -39,17 +38,21 @@ from .errors import (
     UnknownRelation,
     UnsafeQuery,
 )
-from .model import Database, Payload, Relation
+from .model import Database, Payload, Relation, _Record
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
+class Variable(_Record, frozen=True):
+    _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.__dict__.update(name=name)
 
 
-@dataclass(frozen=True)
-class Constant:
-    payload: Payload
+class Constant(_Record, frozen=True):
+    _fields = ("payload",)
+
+    def __init__(self, payload: Payload) -> None:
+        self.__dict__.update(payload=payload)
 
 
 Term = Union[Variable, Constant]
@@ -57,10 +60,10 @@ Term = Union[Variable, Constant]
 
 class _once:
     """A property computed on first access and stored in the instance's
-    dictionary, which then answers every later access. A frozen dataclass
-    leaves that dictionary writable, and its equality, hash and repr read
-    only the fields. Unlike `functools.cached_property` on Python 3.11, it
-    takes no lock."""
+    dictionary, which then answers every later access. A frozen record
+    (`model._Record`) leaves that dictionary writable, and its equality,
+    hash and repr read only the fields. Unlike `functools.cached_property`
+    on Python 3.11, it takes no lock."""
 
     def __init__(self, compute):
         self.compute = compute
@@ -76,31 +79,35 @@ class _once:
         return value
 
 
-@dataclass(frozen=True)
-class Atom:
-    relation: str
-    terms: tuple[Term, ...]
+class Atom(_Record, frozen=True):
+    _fields = ("relation", "terms")
+
+    def __init__(self, relation: str, terms: tuple[Term, ...]) -> None:
+        self.__dict__.update(relation=relation, terms=terms)
 
     @_once
     def variables(self) -> frozenset[str]:
         return frozenset(t.name for t in self.terms if isinstance(t, Variable))
 
 
-@dataclass(frozen=True)
-class Literal:
-    atom: Atom
-    positive: bool = True
+class Literal(_Record, frozen=True):
+    _fields = ("atom", "positive")
+
+    def __init__(self, atom: Atom, positive: bool = True) -> None:
+        self.__dict__.update(atom=atom, positive=positive)
 
     @_once
     def variables(self) -> frozenset[str]:
         return self.atom.variables
 
 
-@dataclass(frozen=True)
-class Conjunct:
+class Conjunct(_Record, frozen=True):
     """One disjunct: a sequence of literals sharing the query's free variables."""
 
-    literals: tuple[Literal, ...]
+    _fields = ("literals",)
+
+    def __init__(self, literals: tuple[Literal, ...]) -> None:
+        self.__dict__.update(literals=literals)
 
     @_once
     def variables(self) -> frozenset[str]:
@@ -122,13 +129,12 @@ class Conjunct:
         return bool(self.negative_literals)
 
 
-@dataclass(frozen=True)
-class Query:
-    head: str
-    free_vars: tuple[str, ...]
-    conjuncts: tuple[Conjunct, ...]
+class Query(_Record, frozen=True):
+    _fields = ("head", "free_vars", "conjuncts")
 
-    def __post_init__(self) -> None:
+    def __init__(self, head: str, free_vars: tuple[str, ...],
+                 conjuncts: tuple[Conjunct, ...]) -> None:
+        self.__dict__.update(head=head, free_vars=free_vars, conjuncts=conjuncts)
         if not self.conjuncts:
             raise ValueError("a query needs at least one disjunct")
         if len(set(self.free_vars)) != len(self.free_vars):

@@ -17,10 +17,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import QuerySyntaxError
+from .model import _Record
 from .queries import Conjunct, Query
 
 
@@ -37,13 +37,16 @@ def _postorder(root: int, children: dict[int, tuple[int, ...]]) -> list[int]:
     return order
 
 
-@dataclass
-class TreeDecomposition:
+class TreeDecomposition(_Record):
     """A rooted tree of variable bags covering every literal."""
 
-    root: int
-    children: dict[int, tuple[int, ...]]
-    bags: dict[int, frozenset[str]]
+    _fields = ("root", "children", "bags")
+
+    def __init__(self, root: int, children: dict[int, tuple[int, ...]],
+                 bags: dict[int, frozenset[str]]) -> None:
+        self.root = root
+        self.children = children
+        self.bags = bags
 
     @property
     def width(self) -> int:

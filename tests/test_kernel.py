@@ -643,6 +643,34 @@ def test_capping_rule_scans_all_but_the_level_below_output(tmp_path):
         apply_capping_rule(relation(("x", "y", "z"), ring), 3, k)
 
 
+def test_a_level_that_drops_no_row_leaves_its_input_unlabelled(monkeypatch):
+    # Ten rows of which a group fixing two columns holds at most two: at
+    # k = 2 level 1 and level 2 drop no row. Each still returns a relation
+    # of its own, so the output of level 1 stays level 1's however often
+    # level 2 runs on it, and no run of level 2 scans. A relation that a
+    # level relabelled in place would be scanned on the second run.
+    k = 2
+    rows = [(x, y, (x + y) % 5) for x in range(5) for y in (x, (x + 1) % 5)]
+    given = relation(("x", "y", "z"), rows)
+    scans = []
+    check = kernel_module._check_level_below
+
+    def counting_check(rows, m, t, k):
+        scans.append(t)
+        return check(rows, m, t, k)
+
+    monkeypatch.setattr(kernel_module, "_check_level_below", counting_check)
+    level_1 = apply_capping_rule(given, 1, k)
+    outputs = [apply_capping_rule(level_1, 2, k) for _ in range(2)]
+    assert scans == []
+    assert level_1 is not given and not hasattr(given, "_capped_at")
+    assert level_1._capped_at == (1, k)
+    assert [out._capped_at for out in outputs] == [(2, k), (2, k)]
+    assert all(out.rows == level_1.rows == given.rows for out in outputs)
+    assert apply_capping_rule(outputs[0], 1, k).rows == given.rows
+    assert outputs[0]._capped_at == (2, k)
+
+
 # --- the search against brute force ---------------------------------------------
 
 

@@ -95,6 +95,20 @@ def test_values_are_interned_row_by_row_across_types():
     assert db.relations["T"].rows == {(3, 1, 6), (6, 7, 8)}
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(["0", "1", "a", ""])),
+                         max_size=12), min_size=1, max_size=3))
+def test_interning_a_mixed_list_at_once_is_interning_it_a_value_at_a_time(lists):
+    # Lists of ints and strs, some holding both, interned in turn into one
+    # table: the indices and the value table are those of `intern` called
+    # once per value.
+    together, one_by_one = model._Interner(), model._Interner()
+    for payloads in lists:
+        assert together.intern_all(payloads) == [one_by_one.intern(p) for p in payloads]
+    assert [(type(v.payload), v.payload, v.index) for v in together.values] == [
+        (type(v.payload), v.payload, v.index) for v in one_by_one.values]
+
+
 def test_active_domain_is_union_of_rows():
     db = Database.from_rows({"R": [(1, 2)], "S": [(2, 3)]})
     assert sorted(v.payload for v in db.domain) == [1, 2, 3]
@@ -342,3 +356,122 @@ def test_distance_rows_are_the_lower_triangle():
         assert list(distance_rows(rows)) == [
             [sum(x != y for x, y in zip(a, b)) for b in rows[:i + 1]]
             for i, a in enumerate(rows)]
+
+
+def record_cases():
+    """For each class built on `model._Record`: an instance, an equal one
+    built apart, one that differs in a field, its repr as `dataclasses`
+    wrote it, the fields its hash reads (None when unhashable) and one of
+    its fields."""
+    from diverseq.cli import RunConfig
+    from diverseq.kernel import AnswerRelation
+    from diverseq.model import Aggregator, Outcome, Relation, Value
+    from diverseq.queries import Atom, Conjunct, Constant, Literal, Query, Variable
+    from diverseq.structure import TreeDecomposition
+
+    def atom(last):
+        return Atom("R", (Variable("x"), Constant(last)))
+
+    def query(head):
+        return Query(head, ("x",), (Conjunct((Literal(Atom("R", (Variable("x"),))),)),))
+
+    def table():
+        return [Value(1, 0), Value("a", 1)]
+
+    def tree(root):
+        return TreeDecomposition(root, {0: (1,), 1: ()}, {0: frozenset({"x"}), 1: frozenset()})
+
+    atom_repr = "Atom(relation='R', terms=(Variable(name='x'), Constant(payload=5)))"
+    query_repr = ("Query(head='Q', free_vars=('x',), conjuncts=(Conjunct(literals=("
+                  "Literal(atom=Atom(relation='R', terms=(Variable(name='x'),)), "
+                  "positive=True),)),))")
+    return [
+        (Variable("x"), Variable("x"), Variable("y"), "Variable(name='x')", ("x",), "name"),
+        (Constant(5), Constant(5), Constant("5"), "Constant(payload=5)", (5,), "payload"),
+        (atom(5), atom(5), atom(6), atom_repr, ("R", atom(5).terms), "terms"),
+        (Literal(atom(5), False), Literal(atom(5), positive=False), Literal(atom(5)),
+         f"Literal(atom={atom_repr}, positive=False)", (atom(5), False), "positive"),
+        (Conjunct((Literal(atom(5)),)), Conjunct((Literal(atom(5)),)),
+         Conjunct((Literal(atom(6)),)), f"Conjunct(literals=(Literal(atom={atom_repr}, "
+         "positive=True),))", ((Literal(atom(5)),),), "literals"),
+        (query("Q"), query("Q"), query("P"), query_repr,
+         ("Q", ("x",), query("Q").conjuncts), "head"),
+        (Relation("R", 2, frozenset({(0, 1)}), table()),
+         Relation("R", 2, frozenset({(0, 1)}), table()),
+         Relation("R", 2, frozenset({(0, 1)}), table()[::-1]),
+         "Relation(name='R', arity=2, rows=frozenset({(0, 1)}))",
+         ("R", 2, frozenset({(0, 1)})), "rows"),
+        (SUM, Aggregator("sum", name="sum"), Aggregator("sum"),
+         "Aggregator(kind='sum', fn=None, monotone=True, name='sum')",
+         ("sum", None, True, "sum"), "kind"),
+        (Outcome(True, 3), Outcome(True, 3, None, {}), Outcome(True, 3, stats={"k": 2}),
+         "Outcome(decision=True, diversity=3, witness=None, stats={})", None, "stats"),
+        (RunConfig("db.facts", "q.dq", 2, None),
+         RunConfig(db_path="db.facts", query_path="q.dq", k=2, d=None, budget=10 ** 7),
+         RunConfig("db.facts", "q.dq", 2, None, "min"),
+         "RunConfig(db_path='db.facts', query_path='q.dq', k=2, d=None, aggregator='sum', "
+         "mode='auto', allow_duplicates=False, witness=False, decomposition_path=None, "
+         "table_cap=10000000, budget=10000000, output='text')", None, "aggregator"),
+        (AnswerRelation(("x", "y"), frozenset({(0, 1)}), table()),
+         AnswerRelation(("x", "y"), frozenset({(0, 1)}), table()),
+         AnswerRelation(("x", "y"), frozenset({(0, 1)}), table()[::-1]),
+         "AnswerRelation(columns=('x', 'y'), rows=frozenset({(0, 1)}))",
+         (("x", "y"), frozenset({(0, 1)})), "columns"),
+        (tree(0), tree(0), tree(1), "TreeDecomposition(root=0, children={0: (1,), 1: ()}, "
+         "bags={0: frozenset({'x'}), 1: frozenset()})", None, "root"),
+    ]
+
+
+def test_records_keep_the_value_semantics_dataclasses_gave_them():
+    cases = record_cases()
+    assert len({type(case[0]) for case in cases}) == 12
+    for record, twin, other, text, hashed, field in cases:
+        name = type(record).__name__
+        assert record == twin and not record != twin and record != other, name
+        assert record != tuple(vars(record).values()) and record != object(), name
+        assert repr(record) == text, name
+        if hashed is None:
+            with pytest.raises(TypeError):
+                hash(record)
+            setattr(record, field, getattr(other, field))
+            assert record == other, name
+        else:
+            assert hash(record) == hash(twin) == hash(hashed), name
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(other, field))
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            assert record == twin, name
+    # Equality needs one class, whatever the fields hold.
+    from diverseq.queries import Constant, Variable
+    assert Variable("x") != Constant("x") and Constant("x") != Variable("x")
+    assert len({Variable("x"), Constant("x"), Variable("x")}) == 2
+
+
+def test_records_keep_their_defaults_and_checks():
+    from diverseq.cli import RunConfig
+    from diverseq.kernel import AnswerRelation
+    from diverseq.model import Aggregator, Outcome
+    from diverseq.queries import Query
+    from diverseq.errors import DEFAULT_BUDGET, DEFAULT_TABLE_CAP
+
+    first, second = Outcome(True, 1), Outcome(True, 1)
+    first.stats["k"] = 2
+    assert second.stats == {} and first.witness is None
+    assert Aggregator("custom").monotone is True and Aggregator("min").name == ""
+    config = RunConfig("db", "q", 1, 0)
+    assert (config.aggregator, config.mode, config.allow_duplicates, config.witness,
+            config.decomposition_path, config.table_cap, config.budget, config.output) == (
+        "sum", "auto", False, False, None, DEFAULT_TABLE_CAP, DEFAULT_BUDGET, "text")
+    assert RunConfig("db", "q", 2, None, "min", "acq", True, True, "t.td", 5, 6, "json") == \
+        RunConfig(db_path="db", query_path="q", k=2, d=None, aggregator="min", mode="acq",
+                  allow_duplicates=True, witness=True, decomposition_path="t.td",
+                  table_cap=5, budget=6, output="json")
+    for bad in ({"k": 0}, {"d": -1}, {"mode": "dp"}, {"aggregator": "max"},
+                {"table_cap": -1}, {"budget": -1}):
+        with pytest.raises(ValueError):
+            RunConfig(**{"db_path": "db", "query_path": "q", "k": 1, "d": 0, **bad})
+    with pytest.raises(ValueError):
+        AnswerRelation(("x", "y"), frozenset({(0,)}), [])
+    with pytest.raises(ValueError):
+        Query("Q", ("x",), ())

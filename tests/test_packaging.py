@@ -231,3 +231,38 @@ def test_cli_imports_only_the_engine_a_run_routes_to(tmp_path):
     # out, and the run goes on to acq.
     assert loaded_after(run("acyclic.dq")) == (["fo-kernel"], {"kernel"})
     assert loaded_after(run("acyclic.dq", ", budget=1")) == (["acq-sum"], {"acq", "kernel"})
+
+
+def loaded_by(code: str) -> set[str]:
+    """The modules `code` loads in a new interpreter, less those that
+    were loaded before it ran (by `site`, for one)."""
+    lines = fresh_python("import sys\nbefore = set(sys.modules)\n" + code +
+                         "\nprint(*sorted(set(sys.modules) - before))\n")
+    return set(lines[-1].split())
+
+
+def test_cli_runs_load_neither_dataclasses_nor_csv(tmp_path):
+    # Importing `dataclasses` costs its own imports (inspect, ast, dis,
+    # tokenize, copy) and each decorated class an `exec` at every import;
+    # `csv` is read only from CSV directories. The CLI module and a run on
+    # the answer route load none of them, and a run on a CSV directory
+    # loads `csv` when it reads one.
+    (tmp_path / "db.facts").write_text("R(1).\nR(2).\nS(3).\n")
+    (tmp_path / "csv").mkdir()
+    (tmp_path / "csv" / "R.csv").write_text("1\n2\n")
+    (tmp_path / "csv" / "S.csv").write_text("3\n")
+    (tmp_path / "union.dq").write_text("Q(x) :- R(x).\nQ(x) :- S(x).\n")
+    (tmp_path / "acyclic.dq").write_text("Q(x) :- R(x).\n")
+
+    def run(db: str, query: str) -> str:
+        return ("from diverseq import cli\n"
+                f"config = cli.RunConfig(db_path={str(tmp_path / db)!r}, "
+                f"query_path={str(tmp_path / query)!r}, k=2, d=1)\n"
+                "assert cli.run(config)[1]['routing'] == 'fo-kernel'")
+
+    slow = {"dataclasses", "inspect", "csv"}
+    assert loaded_by("from diverseq import cli") & slow == set()
+    for query in ("union.dq", "acyclic.dq"):
+        loaded = loaded_by(run("db.facts", query))
+        assert "diverseq.kernel" in loaded and loaded & slow == set(), query
+    assert loaded_by(run("csv", "union.dq")) & slow == {"csv"}
