@@ -130,7 +130,7 @@ from .model import (
     pair_order,
     pairwise_distances,
 )
-from .queries import (Atom, Literal, Query, Variable, _tuple_of, join, relation_of,
+from .queries import (Atom, Literal, Query, Variable, _once, _tuple_of, join, relation_of,
                       render_term, satisfies_literal, sols_atom)
 from .structure import TreeDecomposition, gyo_join_tree
 
@@ -751,7 +751,7 @@ class TreeSolver:
 
     # -- the k = 1 pass ----------------------------------------------------------
 
-    @functools.cached_property
+    @_once
     def candidates(self) -> dict[str, list[int]]:
         """Per variable, the sorted domain indices found in its column of
         every positive atom that mentions it. Only a bag that no atom
@@ -780,9 +780,10 @@ class TreeSolver:
         `queries.join`, which extends a block of partial assignments per
         step and hands them out lazily, of the children's sols, the
         positive atoms it covers and its variables' candidate values,
-        refused once it builds more partial assignments than the cap. Both
-        then check the negative literals the bag covers, and the root's are
-        refused as they arrive (`_bounded`)."""
+        refused once the partial assignments it counts, a block at a time,
+        pass the cap. Both then check the negative literals the bag covers,
+        and the root's are refused as they arrive (`_bounded`), unless the
+        join's count passes the cap first."""
         bags = self.td.bags
         bag, order = bags[node], tuple(sorted(bags[node]))
         covered = [lit for v in (None, *order) for lit in self.literals.get(v, ())
@@ -865,7 +866,7 @@ class TreeSolver:
 
     # -- node rules ----------------------------------------------------------
 
-    @functools.cached_property
+    @_once
     def counted(self) -> dict[int, list[str]]:
         """Per node, the free variables its table counts: those of its bag
         that no bag earlier in postorder holds. Each free variable is

@@ -4,13 +4,15 @@ single-atom evaluation, and the one hash join of atoms' solutions.
 The join (`join`) is depth first over blocks: it extends up to `_BLOCK`
 partial assignments of one step together, each by its bucket, and spreads
 the interpreter's cost per step over the block (vectorized execution, as in
-Boncz, Zukowski and Nes, "MonetDB/X100", CIDR 2005). Its outputs, their
-order and its refusal past a limit are those of the tuple-at-a-time search
-it stands for. A block counts its members' buckets ahead of that search, so
-when its count passes the limit the join walks again, a partial assignment
-at a time at each step that counts, and skips the outputs it has handed
-out: a refused join costs at most twice its work up to the refusal. A
-caller that stops early has paid for at most one block per step.
+Boncz, Zukowski and Nes, "MonetDB/X100", CIDR 2005). Its outputs and their
+order are those of the tuple-at-a-time search it stands for, and it counts
+every partial assignment's bucket once, as that search does, so a drained
+join refuses past a limit exactly when the search would. A block counts its
+members' buckets ahead of the search, so the refusal comes once a block's
+count passes the limit, perhaps before outputs the search would still hand
+out. A refused join costs the search's work up to its refusal plus at most
+one block per step, and a caller that stops early has paid for at most one
+block per step beyond its last output.
 
 Rule syntax, one rule per line, `#` starts a comment:
 
@@ -454,11 +456,6 @@ def satisfies_literal(literal: Literal, bindings: Mapping[str, int],
 _BLOCK = 64
 
 
-class _PastLimit(Exception):
-    """A block walk counted past the join's limit, ahead of the depth-first
-    search it stands for."""
-
-
 def join(inputs: Sequence[tuple[Sequence[str], Sequence[tuple[int, ...]]]], order: Sequence[str],
          limit: int, refusal: Exception) -> Iterator[tuple[int, ...]]:
     """Lazily hash-join relations given as (variables, index rows), each
@@ -471,19 +468,21 @@ def join(inputs: Sequence[tuple[Sequence[str], Sequence[tuple[int, ...]]]], orde
     variables are all bound only filters, so its buckets hold a count of
     empty extensions. An empty input ends the join at once.
 
-    The outputs, and `refusal` once more than `limit` partial assignments
-    are built, come as from a depth-first search that extends one partial
-    assignment at a time by its bucket, counting the bucket when the step
-    binds a variable. The walk extends a block of up to `_BLOCK` partial
-    assignments of one step at a time instead, in that search's order, and
-    so counts a block's siblings ahead of it. Its outputs so far are the
-    search's first outputs, which the search reaches at a count no higher.
-    So when a block passes the limit, the join walks again, one partial
-    assignment at a time at each binding step (a filter step counts
-    nothing, and keeps its blocks), skips the outputs it has handed out,
-    and raises `refusal` where the search does: a refused join costs at
-    most twice the work up to its refusal. A caller that stops early has
-    paid for at most one block per step beyond its last output."""
+    The walk is depth first over blocks of up to `_BLOCK` partial
+    assignments of one step. A block probes each assignment's bucket,
+    counts the buckets on a step that binds a variable, and extends each
+    assignment by its bucket in order; the extensions go on the stack as
+    one list, whose blocks are taken in order, each walked to the end
+    before the next, and the last step hands out a block's outputs in
+    order. So the outputs come in the order of a depth-first search that
+    extends one partial assignment at a time, and the join raises
+    `refusal` once the counted buckets pass `limit`: on a drained join,
+    exactly when that search would, as both count every partial
+    assignment's bucket once. A block counts its siblings ahead of the
+    search, so the outputs before a refusal are a prefix of the search's,
+    and a refused join costs the search's work up to its refusal plus at
+    most one block per step. A caller that stops early has paid for at
+    most one block per step beyond its last output."""
     slot: dict[str, int] = {}
     steps = []
     pending = list(inputs)
@@ -516,33 +515,12 @@ def join(inputs: Sequence[tuple[Sequence[str], Sequence[tuple[int, ...]]]], orde
     if not steps:
         yield ()
         return
-    handed = 0
-    try:
-        for outputs in _walk(steps, get, limit, [_BLOCK] * len(steps), _PastLimit()):
-            handed += len(outputs)
-            yield from outputs
-    except _PastLimit:
-        sizes = [1 if binds else _BLOCK for _, _, binds in steps]
-        outputs = itertools.chain.from_iterable(_walk(steps, get, limit, sizes, refusal))
-        yield from itertools.islice(outputs, handed, None)
-
-
-def _walk(steps, get, limit: int, sizes: list[int],
-          refusal: Exception) -> Iterator[list[tuple[int, ...]]]:
-    """The join's outputs over its planned `steps`, as lists: a depth-first
-    walk over blocks of up to `sizes[i]` partial assignments at step i. A
-    block probes each assignment's bucket, counts the buckets on a binding
-    step (raising `refusal` past `limit`), and extends each assignment by
-    its bucket in order. The extensions go on the stack as one list, whose
-    blocks are taken in order, each walked to the end before the next. At
-    the last step a block's outputs are handed out in order."""
-    last = len(steps) - 1
-    built = 0
+    last, built = len(steps) - 1, 0
     # (a step's partial assignments, where its next block starts, the step)
     stack = [([()], 0, 0)]
     while stack:
         parts, start, step = stack[-1]
-        end = start + sizes[step]
+        end = start + _BLOCK
         if end < len(parts):
             stack[-1] = (parts, end, step)
         else:
@@ -555,11 +533,12 @@ def _walk(steps, get, limit: int, sizes: list[int],
             if built > limit:
                 raise refusal
         extended = [part + b for part, bucket in zip(block, found) for b in bucket]
+        if not extended:
+            continue
         if step < last:
-            if extended:
-                stack.append((extended, 0, step + 1))
-        elif extended:
-            yield extended if get is None else list(map(get, extended))
+            stack.append((extended, 0, step + 1))
+        else:
+            yield from extended if get is None else map(get, extended)
 
 
 def _key_of(positions: Sequence[int]):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from diverseq import acq
+from diverseq import acq, queries
 from diverseq.acq import (
     _project,
     dp_finalize,
@@ -846,12 +846,13 @@ def test_full_reducer_keeps_root_entries(monkeypatch):
     assert dangling > 0 and shrunk > 0 and forgets > 0, (dangling, shrunk, forgets)
 
 
-def test_reducer_refuses_a_wide_bag_before_building_it():
+def test_reducer_refuses_a_wide_bag_before_building_it(monkeypatch):
     # A root bag over six variables above a leaf over one: the root's join
     # has a million assignments. With k = 2 and a cap of 1000 entries a
-    # node may hold 44 assignments (45 * 44 / 2 sorted pairs is 990), so
-    # the k = 1 pass refuses the root's join after its 45th assignment; the
-    # million-assignment root is never built.
+    # node may hold 44 assignments (45 * 44 / 2 sorted pairs is 990). The
+    # k = 1 pass refuses the root long before the million are built:
+    # either the root's own bound refuses its join's outputs, or the join
+    # counts a block of partial assignments past the cap first.
     variables = [f"x{i}" for i in range(1, 7)]
     query = parse_query(f"Q({', '.join(variables)}) :- "
                         + ", ".join(f"R({v})" for v in variables) + ".")
@@ -859,17 +860,44 @@ def test_reducer_refuses_a_wide_bag_before_building_it():
     db.add_relation("R", 1, [(v,) for v in range(10)])
     td = TreeDecomposition(root=0, children={0: (1,), 1: ()},
                            bags={0: frozenset(variables), 1: frozenset({"x1"})})
-    with pytest.raises(TableGuardExceeded, match="over 44 bag assignments"):
-        BagSolver(query, db, 2, td, table_cap=1000)
+    probes = 0
+    key_of = queries._key_of
+
+    def counting(positions):
+        key = key_of(positions)
+
+        def probe(row):
+            nonlocal probes
+            probes += 1
+            return key(row)
+        return probe
+
+    monkeypatch.setattr(queries, "_key_of", counting)
+    for cap in (1000, 5050, 5049):
+        probes = 0
+        with pytest.raises(TableGuardExceeded):
+            BagSolver(query, db, 2, td, table_cap=cap)
+        assert probes < 2 * cap
     with pytest.raises(TableGuardExceeded):
         solve_cqneg(query, db, 2, None, SUM, decomposition=td, table_cap=1000)
-    # 100 assignments make 5050 sorted pairs: that cap refuses the root's
-    # join after its 101st assignment, one less after its 100th.
-    with pytest.raises(TableGuardExceeded, match="over 100 bag assignments"):
-        BagSolver(query, db, 2, td, table_cap=5050)
-    with pytest.raises(TableGuardExceeded, match="over 99 bag assignments"):
-        BagSolver(query, db, 2, td, table_cap=5049)
 
+
+@pytest.mark.parametrize("k, most", [(2, 44), (3, 17)])
+def test_reducer_refuses_a_root_its_join_cannot_count_past_the_cap(k, most):
+    # The root bag {x, y, z} of R(x, y) and S(y, z) is no atom's, so it is
+    # hash-joined. S is functional in y, so the join counts 100 + 100
+    # partial assignments in all, never past a cap of 1000; it is the
+    # root's own bound that refuses, once C(n + k - 1, k) sorted k-tuples
+    # pass the cap: after 44 assignments at k = 2 and 17 at k = 3.
+    query = parse_query("Q(x, y, z) :- R(x, y), S(y, z).")
+    db = Database()
+    db.add_relation("R", 2, [(v, v) for v in range(100)])
+    db.add_relation("S", 2, [(v, v + 1) for v in range(100)])
+    td = TreeDecomposition(root=0, children={0: ()}, bags={0: frozenset({"x", "y", "z"})})
+    with pytest.raises(TableGuardExceeded, match=f"^node 0 has over {most} bag assignments, "
+                                                 f"whose sorted {k}-tuples exceed 1000 entries$"):
+        BagSolver(query, db, k, td, table_cap=1000)
+    assert len(BagSolver(query, db, k, td, table_cap=10 ** 6).sols[0]) == 100
 
 
 @pytest.mark.parametrize("k, most", [(2, 4471), (3, 390)])
@@ -1260,5 +1288,5 @@ def test_join_that_builds_past_the_cap_is_refused(monkeypatch):
     with pytest.raises(TableGuardExceeded,
                        match="^join at node 0 builds over 5000 partial bag assignments$"):
         BagSolver(query, db, 2, td, table_cap=5000)
-    assert 0 < len(checked) < 5000
+    assert len(checked) < 5000
     assert not BagSolver(query, db, 2, td, table_cap=10 ** 5).sols[0]

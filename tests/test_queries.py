@@ -392,27 +392,6 @@ def drain(outputs):
     return got, False
 
 
-def test_join_yields_lazily_in_depth_first_order():
-    # The join yields what a depth-first search yields, in the same order,
-    # and does no work ahead: every prefix of its outputs comes without a
-    # refusal that the search would only meet later, and a refusal comes
-    # after exactly as many outputs.
-    refusal = ValueError("over the limit")
-    rng = random.Random(31)
-    cut_short = 0
-    for _ in range(600):
-        inputs, order = random_join_inputs(rng)
-        _, built = reference_join(inputs, order)
-        for limit in sorted({built, rng.randrange(built + 1), rng.randrange(built + 1)}):
-            want, refused = drain(dfs_join(inputs, order, limit, refusal))
-            assert drain(join(inputs, order, limit, refusal)) == (want, refused)
-            for n in range(len(want) + 1):
-                assert list(itertools.islice(join(inputs, order, limit, refusal), n)) \
-                    == want[:n]
-            cut_short += refused and bool(want)
-    assert cut_short > 50
-
-
 def test_join_edge_cases():
     refusal = ValueError("over the limit")
     # No inputs: the one empty assignment, which builds nothing.
@@ -443,12 +422,14 @@ def test_join_takes_inputs_in_connected_order():
         list(join(inputs, ("x", "w"), 8, ValueError()))
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 7])
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
 def test_join_in_blocks_of_any_size_is_the_depth_first_search(monkeypatch, block):
-    # The properties of test_join_yields_lazily_in_depth_first_order, with
-    # blocks of `block` partial assignments: the search's outputs in order,
-    # the refusal after exactly as many, and every prefix without a refusal
-    # the search would only meet later.
+    # With blocks of `block` partial assignments the join yields the
+    # search's outputs in order, and each prefix of them, when no limit
+    # refuses it. A drained join refuses exactly when the search does, and
+    # what it yields before its refusal is a prefix of the search's
+    # outputs; a block counts its siblings ahead of the search, so only
+    # blocks of one refuse after exactly as many outputs.
     monkeypatch.setattr(queries, "_BLOCK", block)
     refusal = ValueError("over the limit")
     rng = random.Random(41 + block)
@@ -456,46 +437,50 @@ def test_join_in_blocks_of_any_size_is_the_depth_first_search(monkeypatch, block
     for _ in range(300):
         inputs, order = random_join_inputs(rng)
         _, built = reference_join(inputs, order)
-        for limit in sorted({built, rng.randrange(built + 1), rng.randrange(built + 1)}):
-            want, refused = drain(dfs_join(inputs, order, limit, refusal))
-            assert drain(join(inputs, order, limit, refusal)) == (want, refused)
-            for n in range(len(want) + 1):
-                assert list(itertools.islice(join(inputs, order, limit, refusal), n)) \
-                    == want[:n]
-            cut_short += refused and bool(want)
+        want, _ = drain(dfs_join(inputs, order, built, refusal))
+        assert drain(join(inputs, order, built, refusal)) == (want, False)
+        for n in range(len(want) + 1):
+            assert list(itertools.islice(join(inputs, order, built, refusal), n)) == want[:n]
+        for limit in {rng.randrange(built + 1), rng.randrange(built + 1)} - {built}:
+            searched, refused = drain(dfs_join(inputs, order, limit, refusal))
+            got, stopped = drain(join(inputs, order, limit, refusal))
+            assert stopped == refused
+            assert got == want[:len(got)]
+            assert len(got) <= len(searched)
+            if block == 1:
+                assert got == searched
+            cut_short += refused and bool(searched)
     assert cut_short > 25
 
 
-def test_join_walks_again_one_at_a_time_when_a_block_passes_the_limit(monkeypatch):
-    # 4b values of x for a block of b, three y per x. The depth-first
-    # search counts the 4b x, then three y per x, so under this limit it
-    # refuses at x = 3b/2 after the 9b/2 outputs of the x before it. The
-    # block walk hands out the 3b outputs of its first block of x, then
-    # counts its second block past the limit: the join walks again one
-    # partial assignment at a time, skips those 3b and yields the rest.
-    block = queries._BLOCK
-    sizes = []
-    walk = queries._walk
+def test_refused_join_probes_each_partial_assignment_once(monkeypatch):
+    # Three inputs that share no variable, so every key function the join
+    # makes probes partial assignments: 100 x, then 100 y per x, then 100 z
+    # per (x, y). The limit lets every (x, y) be built, and refuses among
+    # the z, in the sixth block of (x, y): the join stops there, without
+    # walking again from the start.
+    probed = Counter()
+    key_of = queries._key_of
 
-    def recording(steps, get, limit, step_sizes, refusal):
-        sizes.append(step_sizes)
-        return walk(steps, get, limit, step_sizes, refusal)
+    def recording(positions):
+        key = key_of(positions)
 
-    monkeypatch.setattr(queries, "_walk", recording)
-    xs, half = 4 * block, block + block // 2
-    inputs = [(("x",), [(x,) for x in range(xs)]),
-              (("x", "y"), [(x, y) for x in range(xs) for y in range(3)])]
+        def probe(row):
+            probed[row] += 1
+            return key(row)
+        return probe
+
+    monkeypatch.setattr(queries, "_key_of", recording)
+    rows = [(v,) for v in range(100)]
+    inputs = [(("x",), rows), (("y",), rows), (("z",), rows)]
     refusal = ValueError("over the limit")
-    limit = xs + 3 * half + 1
-    got = drain(join(inputs, ("x", "y"), limit, refusal))
-    assert got == ([(x, y) for x in range(half) for y in range(3)], True)
-    assert got == drain(dfs_join(inputs, ("x", "y"), limit, refusal))
-    assert sizes == [[block, block], [1, 1]]
-    # Under a limit no block passes, one walk hands out every output.
-    sizes.clear()
-    assert list(join(inputs, ("x", "y"), 4 * xs, refusal)) == \
-        [(x, y) for x in range(xs) for y in range(3)]
-    assert sizes == [[block, block]]
+    limit = 100 + 100 ** 2 + (5 * queries._BLOCK + 50) * 100
+    got, refused = drain(join(inputs, ("x", "y", "z"), limit, refusal))
+    assert refused
+    assert got == [(x, y, z) for x in range(100) for y in range(100)
+                   for z in range(100)][:len(got)]
+    assert set(probed.values()) == {1}
+    assert len(probed) <= 1 + 100 + len(got) // 100 + queries._BLOCK
 
 
 def test_join_works_at_most_one_block_per_step_ahead(monkeypatch):
