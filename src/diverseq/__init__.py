@@ -36,8 +36,7 @@ from .structure import (
 _LAZY = {
     "acq": ("solve_acq", "solve_acq_sum", "solve_acq_sum_dup"),
     "cqneg": ("solve_cqneg",),
-    "kernel": ("AnswerRelation", "kernelize", "materialize_answers", "read_answer_csv",
-               "solve_fo_diverse", "write_answer_csv"),
+    "kernel": ("AnswerRelation", "kernelize", "materialize_answers", "solve_fo_diverse"),
     "oracle": ("DiverseInstance", "Graph", "bruteforce_diversity", "enumerate_answers",
                "independent_set_to_diverse_query", "independent_set_to_wide_relation",
                "list_coloring_to_union_query"),
@@ -86,7 +85,6 @@ __all__ = [
     "make_nice",
     "materialize_answers",
     "parse_query",
-    "read_answer_csv",
     "render_query",
     "sols_atom",
     "solve_acq",
@@ -96,5 +94,4 @@ __all__ = [
     "solve_fo_diverse",
     "tree_decompose",
     "validate_decomposition",
-    "write_answer_csv",
 ]

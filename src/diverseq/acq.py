@@ -115,7 +115,6 @@ import itertools
 import math
 import operator
 from collections.abc import Callable, Collection, Iterator, Mapping
-from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .errors import DEFAULT_TABLE_CAP, CorruptProvenance, NotAcyclic, TableGuardExceeded
@@ -298,7 +297,6 @@ class _MatrixEntries(Mapping):
         return tuple([sum(map(ne, rows[ptuple[i]], rows[ptuple[j]])) for i, j in self._pairs])
 
 
-@dataclass(eq=False, repr=False)
 class DPTable:
     """DP table at one tree node: a join-tree atom or a decomposition bag.
 
@@ -323,20 +321,31 @@ class DPTable:
     read-only mappings with the same keys, order and values.
 
     A projection of the sols onto a variable set is made once per table
-    (`projection`). A table that `replace` makes from this one shares the
-    projections, so it must keep the variables and sols; `dp_project`,
-    which changes them, builds its table afresh.
+    (`projection`). A table that `copy` makes from this one shares the
+    projections unless it changes the variables or sols.
     """
 
-    node: int
-    variables: frozenset[str]
-    sols: list[tuple[int, ...]]
-    k: int
-    stateless: bool = False
-    columns: tuple[str, ...] = ()
-    rows: list[tuple[int, ...]] = field(default_factory=list)
-    entries: Mapping[tuple, tuple] = field(default_factory=dict)
-    _projections: dict[frozenset[str], list[tuple]] = field(default_factory=dict, repr=False)
+    def __init__(self, node: int, variables: frozenset[str], sols: list[tuple[int, ...]],
+                 k: int, stateless: bool = False, columns: tuple[str, ...] = (),
+                 rows: list[tuple[int, ...]] | None = None,
+                 entries: Mapping[tuple, tuple] | None = None) -> None:
+        self.node = node
+        self.variables = variables
+        self.sols = sols
+        self.k = k
+        self.stateless = stateless
+        self.columns = columns
+        self.rows = [] if rows is None else rows
+        self.entries = {} if entries is None else entries
+        self._projections: dict[frozenset[str], list[tuple]] = {}
+
+    def copy(self, **changes) -> DPTable:
+        """This table with the fields in `changes` replaced."""
+        table = object.__new__(DPTable)
+        table.__dict__.update(self.__dict__, **changes)
+        if "variables" in changes or "sols" in changes:
+            table._projections = {}
+        return table
 
     @property
     def answer_rows(self) -> list[tuple[int, ...]] | None:
@@ -529,8 +538,8 @@ def dp_merge(parent: DPTable, child: DPTable, *,
     columns = parent.columns + child.columns
     if parent.answer_rows is not None and child.answer_rows is not None and None not in single:
         rows = [prow + child.rows[s] for prow, s in zip(parent.rows, single)]
-        merged = replace(parent, columns=columns, rows=rows,
-                         entries=_MatrixEntries(rows, parent.k, parent.stateless))
+        merged = parent.copy(columns=columns, rows=rows,
+                             entries=_MatrixEntries(rows, parent.k, parent.stateless))
         merged.guard(table_cap)
         return merged
     # sorted child tuple -> (key, sum) of its entries
@@ -538,7 +547,7 @@ def dp_merge(parent: DPTable, child: DPTable, *,
     for ckey, (value, _) in child.entries.items():
         child_keys.setdefault(ckey[0], []).append((ckey, value))
     cache: dict[tuple, Sequence] = {}  # partners -> `_aligned` of them
-    merged = replace(parent, columns=columns, entries={})
+    merged = parent.copy(columns=columns, entries={})
     out = merged.entries
     add = operator.add
     last = None  # entries of one slot tuple are adjacent
@@ -886,7 +895,7 @@ class TreeSolver:
 
     def forget(self, node: int, child: int) -> DPTable:
         # the parent's merge projects it onto what they share, if it must
-        return replace(self.tables[child], node=node)
+        return self.tables[child].copy(node=node)
 
     def join(self, table: DPTable, child: int) -> DPTable:
         return dp_merge(table, self.tables[child], table_cap=self.table_cap)

@@ -24,13 +24,12 @@ Exit codes: 0 = yes, 1 = no, 2 = error.
 
 A run imports only the engine module its route needs, when it gets there:
 one call spends far longer starting the interpreter and loading code than
-solving at small sizes. For the same reason the classes a run builds are
-plain classes on `model._Record`, not dataclasses, and CSV files are read
-by the `csv` module only where a CSV directory is loaded. So neither
-`from diverseq import cli` nor a run that answers on the answer route
-from a fact file imports `dataclasses` (with the `inspect`, `ast`, `dis`
-and `tokenize` it loads) or `csv`; `acq`, which both tree DPs load, and
-`oracle` still do.
+solving at small sizes. For the same reason the package's classes are
+plain classes (its records on `model._Record`), not dataclasses, and CSV
+files are read by the `csv` module only where a CSV directory is loaded.
+So neither `from diverseq import cli` nor a run on any route imports
+`dataclasses` (with the `inspect`, `ast`, `dis` and `tokenize` it loads),
+and only a run on a CSV directory imports `csv`.
 """
 
 from __future__ import annotations

@@ -259,7 +259,11 @@ def csv_rows(reader) -> Iterator[tuple[Payload, ...]]:
 
 
 def dump_database(db: Database, path: str) -> None:
-    """Write a database as a fact file, sorted for stable output."""
+    """Write a database as a fact file, sorted for stable output.
+
+    A relation without rows gets no line, and no fact file can declare
+    one: after a load it is gone, and a query that names it is refused
+    with UnknownRelation."""
     lines = []
     for name in sorted(db.relations):
         for row in db.relations[name].sorted_rows():

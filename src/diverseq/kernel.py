@@ -35,7 +35,6 @@ import math
 import operator
 from typing import Iterable, Sequence
 
-from .dbio import csv_rows
 from .errors import (
     DEFAULT_BUDGET,
     CombinatorialBudgetExceeded,
@@ -370,35 +369,3 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
         solution = tuple(Assignment(zip(kernel.columns, [values[i] for i in rows[c]]))
                          for c in best_combo)
     return Outcome(decision, best, solution, stats=stats)
-
-
-# --- CSV import/export ------------------------------------------------------------
-
-
-def read_answer_csv(path: str) -> AnswerRelation:
-    """Read an answer relation; the header row names the columns in order.
-
-    Fields are read by `dbio.csv_rows`: canonical integer text becomes an
-    int, every other field the string as written, and canonical integer
-    text too long for `int` is a QuerySyntaxError at its line.
-    """
-    import csv
-
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            columns = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty answer file") from None
-        rows = list(csv_rows(reader))
-    return AnswerRelation.from_payload_rows(tuple(columns), rows)
-
-
-def write_answer_csv(answers: AnswerRelation, path: str) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(answers.columns)
-        for row in answers.sorted_rows():
-            writer.writerow([v.payload for v in row])

@@ -11,10 +11,8 @@ it tries, the diversity search its candidate sets' pair distances.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -23,7 +21,7 @@ from .errors import (
     DegreeTooHigh,
     NotBipartiteOrNot3Regular,
 )
-from .model import Aggregator, Assignment, Database, Value
+from .model import Aggregator, Assignment, Database, Value, _Record
 from .queries import (
     Atom,
     Conjunct,
@@ -36,17 +34,16 @@ from .queries import (
 )
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record, frozen=True):
     """A simple undirected graph on vertices 1..n."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    _fields = ("n", "edges")
 
-    def __post_init__(self) -> None:
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
+    def __init__(self, n: int, edges: frozenset[tuple[int, int]]) -> None:
+        for u, v in edges:
+            if not (1 <= u < v <= n):
+                raise ValueError(f"bad edge ({u}, {v}) for n={n}")
+        self.__dict__.update(n=n, edges=edges)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -227,15 +224,13 @@ def bruteforce_diversity(answers: Iterable[Assignment], k: int,
 # --- reduction generators --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiverseInstance:
+class DiverseInstance(_Record, frozen=True):
     """A generated problem instance with its intended thresholds."""
 
-    db: Database
-    query: Query
-    k: int
-    d_sum: int
-    d_min: int
+    _fields = ("db", "query", "k", "d_sum", "d_min")
+
+    def __init__(self, db: Database, query: Query, k: int, d_sum: int, d_min: int) -> None:
+        self.__dict__.update(db=db, query=query, k=k, d_sum=d_sum, d_min=d_min)
 
 
 def independent_set_to_diverse_query(g: Graph, s: int) -> DiverseInstance:
@@ -383,49 +378,3 @@ def list_coloring_to_union_query(g: Graph,
     return DiverseInstance(
         db=list_coloring_database(), query=query, k=2, d_sum=d, d_min=d
     )
-
-
-# --- exhaustive join-tree search (oracle for the GYO construction) ----------------
-
-
-def exhaustive_join_tree(query: Query):
-    """A valid join tree found by trying every labeled tree, or None.
-
-    Trees are generated from Prüfer sequences; validity does not depend on
-    the choice of root. Intended for small queries only.
-    """
-    from .structure import _orient, _tree, validate_decomposition
-
-    atoms = query.conjuncts[0].positive_atoms
-    n = len(atoms)
-    bags = {i: atom.variables for i, atom in enumerate(atoms)}
-    if n == 1:
-        return _tree(0, {}, bags)
-    for seq in itertools.product(range(n), repeat=max(0, n - 2)):
-        adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
-        for a, b in _pruefer_to_edges(list(seq), n):
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        candidate = _tree(0, _orient(0, adjacency), bags)
-        if not validate_decomposition(candidate, query):
-            return candidate
-    return None
-
-
-def _pruefer_to_edges(seq: list[int], n: int) -> list[tuple[int, int]]:
-    degree = [1] * n
-    for node in seq:
-        degree[node] += 1
-    heap = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(heap)
-    edges = []
-    for node in seq:
-        leaf = heapq.heappop(heap)
-        edges.append((min(leaf, node), max(leaf, node)))
-        degree[node] -= 1
-        if degree[node] == 1:
-            heapq.heappush(heap, node)
-    u = heapq.heappop(heap)
-    v = heapq.heappop(heap)
-    edges.append((min(u, v), max(u, v)))
-    return edges

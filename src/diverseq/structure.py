@@ -4,8 +4,8 @@ one tree type, `TreeDecomposition`, serves them all.
 
 Each tree is built in one pass: GYO counts, for each variable, the remaining
 atoms that hold it, and min-fill records each bag as it eliminates its vertex.
-GYO, min-fill, the text parser and the oracle's exhaustive search all make
-their trees from parent links through one constructor, `_tree`.
+GYO, min-fill and the text parser all make their trees from parent links
+through one constructor, `_tree`.
 
 All constructions are deterministic: ears are removed in ascending atom-index
 order, elimination orders break ties by variable name, and node ids are

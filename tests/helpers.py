@@ -5,17 +5,17 @@ dynamic-programming tables, and a runner for code in a new interpreter.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from typing import Mapping, Sequence
 
 from diverseq.model import Assignment, Database, pair_order
 from diverseq.queries import Atom, Conjunct, Literal, Query, Variable, parse_query
-from diverseq.structure import gyo_join_tree, tree_decompose
+from diverseq.structure import _orient, _tree, gyo_join_tree, tree_decompose, validate_decomposition
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -197,6 +197,48 @@ def random_general_query(rng: random.Random, *, max_atoms: int = 5,
     return query, db
 
 
+def exhaustive_join_tree(query: Query):
+    """A valid join tree found by trying every labeled tree, or None: the
+    oracle for the GYO construction.
+
+    Trees are generated from Prüfer sequences; validity does not depend on
+    the choice of root. Intended for small queries only.
+    """
+    atoms = query.conjuncts[0].positive_atoms
+    n = len(atoms)
+    bags = {i: atom.variables for i, atom in enumerate(atoms)}
+    if n == 1:
+        return _tree(0, {}, bags)
+    for seq in itertools.product(range(n), repeat=max(0, n - 2)):
+        adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
+        for a, b in _pruefer_to_edges(list(seq), n):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        candidate = _tree(0, _orient(0, adjacency), bags)
+        if not validate_decomposition(candidate, query):
+            return candidate
+    return None
+
+
+def _pruefer_to_edges(seq: list[int], n: int) -> list[tuple[int, int]]:
+    degree = [1] * n
+    for node in seq:
+        degree[node] += 1
+    heap = [i for i in range(n) if degree[i] == 1]
+    heapq.heapify(heap)
+    edges = []
+    for node in seq:
+        leaf = heapq.heappop(heap)
+        edges.append((min(leaf, node), max(leaf, node)))
+        degree[node] -= 1
+        if degree[node] == 1:
+            heapq.heappush(heap, node)
+    u = heapq.heappop(heap)
+    v = heapq.heappop(heap)
+    edges.append((min(u, v), max(u, v)))
+    return edges
+
+
 def random_assignment(rng: random.Random, db: Database,
                       variables: Sequence[str]) -> Assignment:
     domain = list(db.domain)
@@ -370,8 +412,8 @@ def reference_project(child, variables):
             prior = out.get(key)
             if prior is None or value > prior[0]:
                 out[key] = (value, ((child, ckey, sigma),))
-    return replace(child, variables=frozenset(variables), sols=sols, rows=[()] * len(sols),
-                   entries=out, _projections={})
+    return child.copy(variables=frozenset(variables), sols=sols, rows=[()] * len(sols),
+                      entries=out)
 
 
 def reference_merge(parent, child):
@@ -418,7 +460,7 @@ def reference_merge(parent, child):
                     prior = out.get((ptuple, new_state))
                     if prior is None or total > prior[0]:
                         out[(ptuple, new_state)] = (total, refs + ((child, ckey, sigma),))
-    return replace(parent, columns=parent.columns + child.columns, entries=out)
+    return parent.copy(columns=parent.columns + child.columns, entries=out)
 
 
 def counted_free_vars(td, free_vars: Sequence[str]) -> dict[int, list[str]]:

@@ -30,7 +30,6 @@ from diverseq.oracle import (
     Graph,
     bruteforce_diversity,
     enumerate_answers,
-    exhaustive_join_tree,
     has_admissible_coloring,
     has_independent_set,
     independent_set_to_diverse_query,
@@ -40,7 +39,8 @@ from diverseq.oracle import (
 from diverseq.queries import sols_atom
 from diverseq.structure import gyo_join_tree, make_nice, tree_decompose, validate_decomposition
 from golden_fixtures import golden_cases
-from helpers import all_graphs, counted_free_vars, random_cqneg_query, small_answer_instances
+from helpers import (all_graphs, counted_free_vars, exhaustive_join_tree, random_cqneg_query,
+                     small_answer_instances)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 

@@ -20,9 +20,7 @@ from diverseq.kernel import (
     apply_capping_rule,
     kernelize,
     materialize_answers,
-    read_answer_csv,
     solve_fo_diverse,
-    write_answer_csv,
 )
 from diverseq.model import MIN, SUM, Database, custom_aggregator, diversity_of_set
 from diverseq.oracle import (
@@ -345,15 +343,6 @@ def test_solve_fo_diverse_budget():
     assert out.diversity == 8
 
 
-def test_csv_round_trip(tmp_path):
-    answers = relation(("x", "name"), [(1, "free_1"), (2, "taken_1")])
-    path = tmp_path / "answers.csv"
-    write_answer_csv(answers, str(path))
-    again = read_answer_csv(str(path))
-    assert again.columns == answers.columns
-    assert again.payload_rows() == answers.payload_rows()
-
-
 # --- the kernel against its plain-loop reference --------------------------------
 
 MAX = custom_aggregator(lambda ds: max(ds) if ds else 0, monotone=True, name="max")
@@ -611,19 +600,19 @@ def test_kernelize_makes_no_precondition_scan(monkeypatch, instance):
     assert scans == [t]
 
 
-def test_capping_rule_scans_all_but_the_level_below_output(tmp_path):
+def test_capping_rule_scans_all_but_the_level_below_output():
     # Only the relation that level t - 1 returned for the same k skips
-    # level t's precondition scan: one built directly, one read from CSV,
-    # one from a lower level or from another k is scanned, and refused
-    # when a lower level was not exhausted.
+    # level t's precondition scan: one built directly, one built from
+    # payload rows as precomputed answers enter, one from a lower level or
+    # from another k is scanned, and refused when a lower level was not
+    # exhausted.
     k = 2
     stacked = [("a", "b", z) for z in range(5)]  # a group fixing x, y holds 5 > k rows
+    loaded = AnswerRelation.from_payload_rows(("x", "y", "z"), stacked)
     with pytest.raises(PreconditionViolated):
-        apply_capping_rule(relation(("x", "y", "z"), stacked), 2, k)
-    path = tmp_path / "answers.csv"
-    write_answer_csv(relation(("x", "y", "z"), stacked), str(path))
+        apply_capping_rule(AnswerRelation(loaded.columns, loaded.rows, loaded.values), 2, k)
     with pytest.raises(PreconditionViolated):
-        apply_capping_rule(read_answer_csv(str(path)), 2, k)
+        apply_capping_rule(loaded, 2, k)
     wide_k = apply_capping_rule(relation(("x", "y", "z"), stacked), 1, 5)
     assert len(wide_k.rows) == 5
     with pytest.raises(PreconditionViolated):

@@ -366,6 +366,7 @@ def record_cases():
     from diverseq.cli import RunConfig
     from diverseq.kernel import AnswerRelation
     from diverseq.model import Aggregator, Outcome, Relation, Value
+    from diverseq.oracle import Graph
     from diverseq.queries import Atom, Conjunct, Constant, Literal, Query, Variable
     from diverseq.structure import TreeDecomposition
 
@@ -419,12 +420,15 @@ def record_cases():
          (("x", "y"), frozenset({(0, 1)})), "columns"),
         (tree(0), tree(0), tree(1), "TreeDecomposition(root=0, children={0: (1,), 1: ()}, "
          "bags={0: frozenset({'x'}), 1: frozenset()})", None, "root"),
+        (Graph(3, frozenset({(1, 2)})), Graph.from_edges(3, [(2, 1)]),
+         Graph(3, frozenset({(2, 3)})), "Graph(n=3, edges=frozenset({(1, 2)}))",
+         (3, frozenset({(1, 2)})), "edges"),
     ]
 
 
 def test_records_keep_the_value_semantics_dataclasses_gave_them():
     cases = record_cases()
-    assert len({type(case[0]) for case in cases}) == 12
+    assert len({type(case[0]) for case in cases}) == 13
     for record, twin, other, text, hashed, field in cases:
         name = type(record).__name__
         assert record == twin and not record != twin and record != other, name
@@ -446,12 +450,32 @@ def test_records_keep_the_value_semantics_dataclasses_gave_them():
     from diverseq.queries import Constant, Variable
     assert Variable("x") != Constant("x") and Constant("x") != Variable("x")
     assert len({Variable("x"), Constant("x"), Variable("x")}) == 2
+    # A generated instance compares its database by value, so it is
+    # unhashable, and it refuses assignment.
+    from diverseq.model import Database
+    from diverseq.oracle import DiverseInstance
+    from diverseq.queries import parse_query
+
+    def instance(d_min):
+        db = Database.from_rows({"R": [(1,)]})
+        return DiverseInstance(db, parse_query("Q(x) :- R(x)."), 2, 1, d_min)
+
+    assert instance(1) == instance(1) and instance(1) != instance(0)
+    assert repr(instance(1)) == (
+        "DiverseInstance(db=Database(R/1:1), query=Query(head='Q', free_vars=('x',), "
+        "conjuncts=(Conjunct(literals=(Literal(atom=Atom(relation='R', terms=("
+        "Variable(name='x'),)), positive=True),)),)), k=2, d_sum=1, d_min=1)")
+    with pytest.raises(TypeError):
+        hash(instance(1))
+    with pytest.raises(AttributeError):
+        instance(1).k = 3
 
 
 def test_records_keep_their_defaults_and_checks():
     from diverseq.cli import RunConfig
     from diverseq.kernel import AnswerRelation
     from diverseq.model import Aggregator, Outcome
+    from diverseq.oracle import Graph
     from diverseq.queries import Query
     from diverseq.errors import DEFAULT_BUDGET, DEFAULT_TABLE_CAP
 
@@ -473,5 +497,9 @@ def test_records_keep_their_defaults_and_checks():
             RunConfig(**{"db_path": "db", "query_path": "q", "k": 1, "d": 0, **bad})
     with pytest.raises(ValueError):
         AnswerRelation(("x", "y"), frozenset({(0,)}), [])
+    for edge in ((0, 1), (2, 2), (2, 1), (1, 4)):
+        with pytest.raises(ValueError, match="bad edge"):
+            Graph(3, frozenset({edge}))
+    assert Graph.from_edges(3, [(2, 1), (1, 2), (3, 3)]) == Graph(3, frozenset({(1, 2)}))
     with pytest.raises(ValueError):
         Query("Q", ("x",), ())

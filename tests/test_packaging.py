@@ -67,18 +67,28 @@ def test_package_has_no_unreferenced_private_code():
     # A top-level function, class or name with one leading underscore is
     # private: nothing outside the package should need it. It must be named
     # somewhere in the package, or in the bench tracer that wraps it,
-    # outside its own definition; a deletion that leaves it without a
-    # caller fails here.
-    texts = {}
-    for name in sorted(os.listdir(SRC_DIR)):
-        if name.endswith(".py"):
-            with open(os.path.join(SRC_DIR, name), encoding="utf-8") as handle:
-                texts[name] = handle.read().splitlines()
-    with open(os.path.join(BENCH_DIR, "tracing.py"), encoding="utf-8") as handle:
-        texts["bench/tracing.py"] = handle.read().splitlines()
+    # outside its own definition. A public top-level function or class must
+    # be named, outside its own definition, by a package module other than
+    # `__init__.py` (an export alone is no caller), by the benchmark, by a
+    # demo or by the CI workflow: code that only tests call belongs in the
+    # tests. A deletion that leaves code without a caller fails here.
+    def lines_of(path: str) -> list[str]:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read().splitlines()
+
+    package = {name: lines_of(os.path.join(SRC_DIR, name))
+               for name in sorted(os.listdir(SRC_DIR)) if name.endswith(".py")}
+    private_users = {**package,
+                     "bench/tracing.py": lines_of(os.path.join(BENCH_DIR, "tracing.py"))}
+    public_users = {name: lines for name, lines in package.items() if name != "__init__.py"}
+    for folder in ("bench", "demos"):
+        for name in sorted(os.listdir(os.path.join(ROOT, folder))):
+            if name.endswith(".py"):
+                public_users[f"{folder}/{name}"] = lines_of(os.path.join(ROOT, folder, name))
+    public_users["tier1.yml"] = lines_of(os.path.join(ROOT, ".github", "workflows", "tier1.yml"))
     unreferenced = []
-    for name in sorted(n for n in texts if not n.startswith("bench/")):
-        tree = ast.parse("\n".join(texts[name]), filename=name)
+    for name, lines in package.items():
+        tree = ast.parse("\n".join(lines), filename=name)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 bound = [node.name]
@@ -88,15 +98,21 @@ def test_package_has_no_unreferenced_private_code():
             else:
                 continue
             own = range(node.lineno - 1, node.end_lineno)
-            for private in bound:
-                if not private.startswith("_") or private.startswith("__"):
+            for defined in bound:
+                if defined.startswith("__"):
                     continue
-                word = re.compile(rf"\b{re.escape(private)}\b")
+                if defined.startswith("_"):
+                    texts = private_users
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    continue
+                else:
+                    texts = public_users
+                word = re.compile(rf"\b{re.escape(defined)}\b")
                 if not any(word.search(line)
-                           for other, lines in texts.items()
-                           for i, line in enumerate(lines)
+                           for other, other_lines in texts.items()
+                           for i, line in enumerate(other_lines)
                            if other != name or i not in own):
-                    unreferenced.append(f"{name}:{node.lineno}: {private}")
+                    unreferenced.append(f"{name}:{node.lineno}: {defined}")
     assert unreferenced == []
 
 
@@ -245,24 +261,39 @@ def test_cli_runs_load_neither_dataclasses_nor_csv(tmp_path):
     # Importing `dataclasses` costs its own imports (inspect, ast, dis,
     # tokenize, copy) and each decorated class an `exec` at every import;
     # `csv` is read only from CSV directories. The CLI module and a run on
-    # the answer route load none of them, and a run on a CSV directory
-    # loads `csv` when it reads one.
+    # any route load none of them, and a run on a CSV directory loads `csv`
+    # when it reads one.
     (tmp_path / "db.facts").write_text("R(1).\nR(2).\nS(3).\n")
     (tmp_path / "csv").mkdir()
     (tmp_path / "csv" / "R.csv").write_text("1\n2\n")
     (tmp_path / "csv" / "S.csv").write_text("3\n")
     (tmp_path / "union.dq").write_text("Q(x) :- R(x).\nQ(x) :- S(x).\n")
     (tmp_path / "acyclic.dq").write_text("Q(x) :- R(x).\n")
+    (tmp_path / "negation.dq").write_text("Q(x) :- R(x), !S(x).\n")
+    (tmp_path / "negation.td").write_text("node 0 bag x\nroot 0\n")
 
-    def run(db: str, query: str) -> str:
+    def run(db: str, query: str, routing: str = "fo-kernel", options: str = "") -> str:
         return ("from diverseq import cli\n"
                 f"config = cli.RunConfig(db_path={str(tmp_path / db)!r}, "
-                f"query_path={str(tmp_path / query)!r}, k=2, d=1)\n"
-                "assert cli.run(config)[1]['routing'] == 'fo-kernel'")
+                f"query_path={str(tmp_path / query)!r}, k=2, d=1, witness=True{options})\n"
+                "code, report = cli.run(config)\n"
+                f"assert (code, report['routing']) == (0, {routing!r}), report")
 
+    td = str(tmp_path / "negation.td")
+    routes = [
+        ("union.dq", "fo-kernel", "", "kernel"),
+        ("acyclic.dq", "fo-kernel", "", "kernel"),
+        ("acyclic.dq", "acq", ", mode='acq'", "acq"),
+        ("acyclic.dq", "acq-sum", ", mode='acq-sum', allow_duplicates=True", "acq"),
+        ("negation.dq", "cqneg", ", mode='cqneg'", "cqneg"),
+        ("negation.dq", "cqneg", f", mode='cqneg', decomposition_path={td!r}", "cqneg"),
+        ("acyclic.dq", "bruteforce", ", mode='bruteforce'", "oracle"),
+        # Auto's answer route runs out of budget, and the run goes on to acq.
+        ("acyclic.dq", "acq-sum", ", budget=1", "acq"),
+    ]
     slow = {"dataclasses", "inspect", "csv"}
     assert loaded_by("from diverseq import cli") & slow == set()
-    for query in ("union.dq", "acyclic.dq"):
-        loaded = loaded_by(run("db.facts", query))
-        assert "diverseq.kernel" in loaded and loaded & slow == set(), query
+    for query, routing, options, engine in routes:
+        loaded = loaded_by(run("db.facts", query, routing, options))
+        assert f"diverseq.{engine}" in loaded and loaded & slow == set(), (routing, options)
     assert loaded_by(run("csv", "union.dq")) & slow == {"csv"}

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from diverseq.errors import QuerySyntaxError
-from diverseq.oracle import exhaustive_join_tree
 from diverseq.queries import parse_query, render_query
 from diverseq.structure import (
     TreeDecomposition,
@@ -17,6 +16,7 @@ from diverseq.structure import (
     validate_decomposition,
 )
 from helpers import (
+    exhaustive_join_tree,
     fresh_python,
     not_nice,
     random_cqneg_query,
