@@ -124,6 +124,8 @@ from .model import (
     Assignment,
     Database,
     Outcome,
+    _slot_tuples,
+    _sorted_tuples,
     best_tuple,
     distance_rows,
     pair_order,
@@ -204,12 +206,6 @@ def _project(sols: Sequence[tuple], variables: frozenset[str],
     (hashable): `sols` itself when that keeps every column."""
     cut = _cut(variables, names)
     return sols if cut is None else list(map(cut, sols))
-
-
-def _sorted_tuples(n: int, k: int) -> int:
-    """How many sorted k-tuples n sols make: C(n + k - 1, k), and 1, the
-    empty tuple, when k = 0, even over no sols."""
-    return math.comb(n + k - 1, k) if k else 1
 
 
 def _sorting_map(partners: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -379,19 +375,6 @@ class DPTable:
             bound = n ** k * (len(self.columns) + 1) ** len(pair_order(k))
         assert len(self.entries) <= bound, \
             f"table at node {self.node} holds {len(self.entries)} entries, bound is {bound}"
-
-
-def _slot_tuples(n: int, k: int, stateless: bool, table_cap: int) -> int | None:
-    """The slot tuples a table over n sols counts: all n^k of them, or for a
-    stateless table the sorted ones it stores. None when the count has 64
-    bits more than table_cap, so surely exceeds it: a count far past the cap
-    could take minutes to compute and be too long to print."""
-    if n > 1:
-        bits = (math.lgamma(n + k) - math.lgamma(k + 1) - math.lgamma(n)) / math.log(2) \
-            if stateless else k * math.log2(n)
-        if bits > max(table_cap, 1).bit_length() + 64:
-            return None
-    return _sorted_tuples(n, k) if stateless else n ** k
 
 
 def dp_init(node: int, variables: frozenset[str], sols: list[tuple[int, ...]],

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 from .dbio import load_database, load_query
 from .errors import (DEFAULT_BUDGET, DEFAULT_TABLE_CAP, CombinatorialBudgetExceeded,
                      DiverseQError)
-from .model import MIN, SUM, Outcome, _Record, diversity_of_set
+from .model import MIN, SUM, Outcome, _Record, _slot_tuples, diversity_of_set
 from .queries import relation_of
 from .structure import TreeDecomposition, gyo_join_tree, parse_decomposition
 
@@ -115,25 +115,16 @@ def _answers_first(cfg: RunConfig, query, db) -> Outcome | None:
     literals = query.conjuncts[0].literals
     relations = [relation_of(lit.atom, db) for lit in literals]
     sizes = [len(rel.rows) for lit, rel in zip(literals, relations) if lit.positive]
-    nodes = sum(_sorted_tuples(n, k, cfg.budget) for n in sizes)
+    # The sorted k-tuples of each atom's rows, each capped at budget + 1: a
+    # count past the budget is refused anyway (None: far past it).
+    over = cfg.budget + 1
+    counts = (_slot_tuples(n, k, True, cfg.budget) for n in sizes)
+    nodes = sum(over if size is None else min(size, over) for size in counts)
     try:
         return _fo_kernel(cfg, query, db, min(k * sum(sizes), cfg.budget),
                           min(nodes * max(1, math.comb(k, 2)), cfg.budget))
     except CombinatorialBudgetExceeded:
         return None
-
-
-def _sorted_tuples(n: int, k: int, cap: int) -> int:
-    """C(n + k - 1, k), the sorted k-tuples over n rows, or cap + 1 once it
-    is known to pass cap: a count far past the cap could take long to
-    compute. It is built as C(n + k - 1, i) for i up to min(k, n - 1),
-    which grows with i."""
-    count = 1 if n else 0
-    for i in range(1, min(k, n - 1) + 1):
-        count = count * (n + k - i) // i
-        if count > cap:
-            return cap + 1
-    return count
 
 
 def _fo_kernel(cfg: RunConfig, query, db, join_budget: int, search_budget: int) -> Outcome:

@@ -14,12 +14,13 @@ text, string operations split it into each relation's value lists, and
 each relation's values are converted in one call and interned together.
 Any other file (comments, quoted strings, other whitespace, or an error
 anywhere) is parsed line by line: a well-formed line by one pattern match
-and one `findall` over its values, and any other line token by token, which
-gives every error its message, line and column. Both paths give each
-relation as its arity and its values end to end, and intern relations and
-values in the same order: relations by first fact, values row by row
-within a relation, in file order. In both formats an integer too long for
-`int` is a QuerySyntaxError at its line.
+and one `findall` over its values, and any other line by
+`queries.parse_fact`, the atom rule of query text, which gives every error
+the message, line and column that query text gives the same atom. Both
+paths give each relation as its arity and its values end to end, and
+intern relations and values in the same order: relations by first fact,
+values row by row within a relation, in file order. In both formats an
+integer too long for `int` is a QuerySyntaxError at its line.
 
 `load_database` may be told which relations to keep, as the CLI keeps
 those its query names. Every fact and CSV row is still checked (syntax,
@@ -39,22 +40,17 @@ from typing import Collection, Iterable, Iterator
 
 from .errors import QuerySyntaxError
 from .model import Database, Payload, check_arity
-from .queries import (INT_LITERAL, STRING_LITERAL, Constant, Query, parse_int_literal,
-                      parse_query, render_query, render_term, unescape)
+from .queries import (INT_LITERAL, STRING_LITERAL, Constant, Query, parse_fact,
+                      parse_int_literal, parse_query, render_query, render_term, unescape)
 
 _CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
-_FACT_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((.*)\)\s*\.\s*$")
-_VALUE_RE = re.compile(rf"\s*(?:({INT_LITERAL})|({STRING_LITERAL}))\s*(?:,|$)")
 # A whole well-formed fact line, its comment included: the relation name and
 # the values' text. Its values are then read by one `findall`. A line it
-# refuses (blank, comment-only or malformed) goes to `_parse_fact_line`.
+# refuses (blank, comment-only or malformed) goes to `queries.parse_fact`.
 _VALUE = rf"(?:{INT_LITERAL}|{STRING_LITERAL})"
 _FACT_LINE_RE = re.compile(
     rf"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*({_VALUE}(?:\s*,\s*{_VALUE})*)?\s*\)\s*\.\s*(?:#.*)?")
 _VALUES_RE = re.compile(_VALUE)
-# Longest prefix made of whole quoted strings and characters other than `"`
-# and `#`: what precedes a comment.
-_BEFORE_COMMENT_RE = re.compile(rf'(?:[^"#]|{STRING_LITERAL})*')
 # One line of a file of integer facts: a fact or nothing, then the line
 # break or the end of the text. Only spaces and tabs count as whitespace
 # here: `\s` also matches characters such as `\x1c`, which `int` refuses.
@@ -68,37 +64,6 @@ _INT_LINE_RE = re.compile(
     rf"\)[ \t]*\.[ \t]*)?(?:\n|\Z)")
 _BLANKS = str.maketrans("", "", " \t\n")
 _NAME, _BODY = operator.itemgetter(0), operator.itemgetter(1)
-
-
-def _strip_quoted_comment(line: str) -> str:
-    """A line holding a quoted string and a `#` without its comment; a `#`
-    inside a string stays."""
-    end = _BEFORE_COMMENT_RE.match(line).end()
-    if line.startswith('"', end):
-        return line  # unterminated string: the fact parser reports it whole
-    return line[:end]
-
-
-def _parse_fact_values(body: str, lineno: int, line: str) -> list[Payload]:
-    values: list[Payload] = []
-    trimmed = body.rstrip()
-    if not trimmed:
-        return values
-    if trimmed.endswith(","):  # as in query text, a value follows every comma
-        raise QuerySyntaxError(f"value list {body!r} ends in a comma", lineno,
-                               line.index("(") + len(trimmed) + 1)
-    pos = 0
-    while pos < len(body):
-        m = _VALUE_RE.match(body, pos)
-        if m is None:
-            raise QuerySyntaxError(f"bad value list {body!r}", lineno, line.index("(") + pos + 2)
-        if m.group(1) is not None:
-            column = line.index("(") + m.start(1) + 2
-            values.append(parse_int_literal(m.group(1), lineno, column))
-        else:
-            values.append(unescape(m.group(2)[1:-1]))
-        pos = m.end()
-    return values
 
 
 def load_database(path: str, names: Collection[str] | None = None) -> Database:
@@ -182,7 +147,7 @@ def _facts_by_line(lines: Iterable[str], names: Collection[str] | None = None
     for lineno, line in enumerate(lines, start=1):
         m = _FACT_LINE_RE.fullmatch(line)
         if m is None:
-            parsed = _parse_fact_line(line, lineno)
+            parsed = parse_fact(line, lineno)
             if parsed is None:
                 continue
             name, values = parsed
@@ -194,7 +159,7 @@ def _facts_by_line(lines: Iterable[str], names: Collection[str] | None = None
                 try:
                     values = [unescape(v[1:-1]) if v[0] == '"' else int(v) for v in values]
                 except ValueError:  # more digits than `int` converts
-                    _parse_fact_line(line, lineno)  # raises at the literal
+                    parse_fact(line, lineno)  # raises at the literal
         arity = arities.setdefault(name, len(values))
         if arity != len(values):
             raise QuerySyntaxError(
@@ -205,23 +170,6 @@ def _facts_by_line(lines: Iterable[str], names: Collection[str] | None = None
         if names is None or name in names:
             facts.setdefault(name, (arity, []))[1].extend(values)
     return facts
-
-
-def _parse_fact_line(line: str, lineno: int) -> tuple[str, list[Payload]] | None:
-    """A line's fact as (relation name, values) read token by token, None
-    for a blank or comment-only line; an error is a QuerySyntaxError at its
-    column. `_facts_by_line` calls it for the lines its one-pass pattern
-    refuses."""
-    if '"' in line and "#" in line:
-        stripped = _strip_quoted_comment(line).strip()
-    else:
-        stripped = line.split("#", 1)[0].strip()
-    if not stripped:
-        return None
-    m = _FACT_RE.match(stripped)
-    if m is None:
-        raise QuerySyntaxError(f"bad fact {stripped!r}", lineno, 1)
-    return m.group(1), _parse_fact_values(m.group(2), lineno, line)
 
 
 def _load_csv_dir(path: str, names: Collection[str] | None) -> Database:

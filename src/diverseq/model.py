@@ -351,6 +351,25 @@ def pair_order(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(k) for j in range(i + 1, k))
 
 
+def _sorted_tuples(n: int, k: int) -> int:
+    """How many sorted k-tuples n rows make: C(n + k - 1, k), and 1, the
+    empty tuple, when k = 0, even over no rows."""
+    return math.comb(n + k - 1, k) if k else 1
+
+
+def _slot_tuples(n: int, k: int, stateless: bool, table_cap: int) -> int | None:
+    """The slot tuples a table over n rows counts: all n^k of them, or for a
+    stateless table the sorted ones it stores. None when the count has 64
+    bits more than table_cap, so surely exceeds it: a count far past the cap
+    could take minutes to compute and be too long to print."""
+    if n > 1:
+        bits = (math.lgamma(n + k) - math.lgamma(k + 1) - math.lgamma(n)) / math.log(2) \
+            if stateless else k * math.log2(n)
+        if bits > max(table_cap, 1).bit_length() + 64:
+            return None
+    return _sorted_tuples(n, k) if stateless else n ** k
+
+
 def distance_rows(rows: Sequence[Sequence[int]]) -> Iterator[list[int]]:
     """The Hamming distances of row i to rows 0..i, for i = 0, 1, ...: the
     lower triangle of the rows' distance matrix, a row at a time, for a

@@ -21,6 +21,9 @@ Rule syntax, one rule per line, `#` starts a comment:
 Lowercase-initial identifiers are variables; integers and quoted strings are
 constants. Several rules with the same head form a union. The head's variable
 order is semantic: it fixes the column order of every answer.
+
+A fact line (`parse_fact`, for the lines `dbio`'s patterns refuse) is read
+by the same atom rule as a rule's literals: one atom of constants, then `.`.
 """
 
 from __future__ import annotations
@@ -266,41 +269,8 @@ def _parse_rule(tokens: list[str], line: str,
         positive = tokens[i] != "!"
         if not positive:
             i += 1
-        name = tokens[i]
-        if name[:1] not in _IDENT_START:
-            raise fail("expected 'ident'", i)
-        if tokens[i + 1] != "(":
-            raise fail("expected '('", i + 1)
-        i += 2
-        terms: list[Term] = []
-        if tokens[i] and tokens[i] != ")":
-            while True:
-                token = tokens[i]
-                first = token[:1]
-                if not token:
-                    raise fail("expected a term", i)
-                if first in _INT_START and token != "-":
-                    try:
-                        terms.append(Constant(int(token)))
-                    except ValueError:  # more digits than `int` converts
-                        raise fail(_int_limit_message(token), i) from None
-                elif first == '"' and len(token) > 1:
-                    terms.append(Constant(unescape(token[1:-1])))
-                elif first in _IDENT_START:
-                    if not first.islower():
-                        raise fail(f"term {token!r} is neither a variable "
-                                   f"(lowercase-initial) nor a constant", i)
-                    terms.append(Variable(token))
-                else:
-                    raise fail(f"unexpected token {token!r} in term position", i)
-                i += 1
-                if tokens[i] != ",":
-                    break
-                i += 1
-        if tokens[i] != ")":
-            raise fail("expected ')'", i)
-        literals.append(Literal(Atom(name, tuple(terms)), positive))
-        i += 1
+        atom, i = _parse_atom(tokens, i, fail)
+        literals.append(Literal(atom, positive))
         if tokens[i] != ",":
             break
         i += 1
@@ -309,6 +279,69 @@ def _parse_rule(tokens: list[str], line: str,
     if tokens[i + 1]:
         raise fail("trailing input after rule", i + 1)
     return head, tuple(head_vars), Conjunct(tuple(literals))
+
+
+def _parse_atom(tokens: list[str], i: int, fail) -> tuple[Atom, int]:
+    """The atom whose relation name is token i: the name, `(`, the terms
+    and `)`. Returns it and the index of the token after its `)`; an error
+    is `fail(message, token index)`."""
+    name = tokens[i]
+    if name[:1] not in _IDENT_START:
+        raise fail("expected 'ident'", i)
+    if tokens[i + 1] != "(":
+        raise fail("expected '('", i + 1)
+    i += 2
+    terms: list[Term] = []
+    if tokens[i] and tokens[i] != ")":
+        while True:
+            token = tokens[i]
+            first = token[:1]
+            if not token:
+                raise fail("expected a term", i)
+            if first in _INT_START and token != "-":
+                try:
+                    terms.append(Constant(int(token)))
+                except ValueError:  # more digits than `int` converts
+                    raise fail(_int_limit_message(token), i) from None
+            elif first == '"' and len(token) > 1:
+                terms.append(Constant(unescape(token[1:-1])))
+            elif first in _IDENT_START:
+                if not first.islower():
+                    raise fail(f"term {token!r} is neither a variable "
+                               f"(lowercase-initial) nor a constant", i)
+                terms.append(Variable(token))
+            else:
+                raise fail(f"unexpected token {token!r} in term position", i)
+            i += 1
+            if tokens[i] != ",":
+                break
+            i += 1
+    if tokens[i] != ")":
+        raise fail("expected ')'", i)
+    return Atom(name, tuple(terms)), i + 1
+
+
+def parse_fact(line: str, lineno: int) -> tuple[str, list[Payload]] | None:
+    """A fact file's line as (relation name, values), or None for a blank or
+    comment-only line. A fact is one atom of constants, read by the atom
+    rule of query text, then `.` and the end of the line; an error is a
+    QuerySyntaxError at its line and column, as query text reports it."""
+    tokens = _tokens(line)
+    if not tokens[0]:
+        return None
+
+    def fail(message: str, at: int) -> QuerySyntaxError:
+        return _syntax_error(message, line, lineno, at)
+
+    atom, i = _parse_atom(tokens, 0, fail)
+    for n, term in enumerate(atom.terms):
+        if isinstance(term, Variable):  # term n is token 2 + 2n
+            raise fail(f"fact term {term.name!r} is not a constant", 2 + 2 * n)
+    if tokens[i] != ".":
+        raise fail("expected '.'", i)
+    if tokens[i + 1]:
+        raise fail("trailing input after fact", i + 1)
+    return atom.relation, [term.payload for term in atom.terms]
 
 
 # In a quoted literal a backslash escapes the next character: `\n` and `\r`

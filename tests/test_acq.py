@@ -14,7 +14,6 @@ from diverseq.acq import (
     DPTable,
     _MatrixEntries,
     _slot_maps,
-    _slot_tuples,
     dp_finalize,
     dp_init,
     dp_merge,
@@ -26,7 +25,8 @@ from diverseq.acq import (
     solve_acq_sum_dup,
 )
 from diverseq.errors import CorruptProvenance, NotAcyclic, TableGuardExceeded
-from diverseq.model import MIN, SUM, Database, custom_aggregator, diversity_of_set, pair_order
+from diverseq.model import (MIN, SUM, Database, _slot_tuples, custom_aggregator, diversity_of_set,
+                            pair_order)
 from diverseq.oracle import (
     Graph,
     bruteforce_diversity,

@@ -19,7 +19,7 @@ from diverseq.acq import (
 from diverseq.cqneg import BagSolver, solve_cqneg
 from diverseq.errors import DEFAULT_TABLE_CAP, ArityMismatch, TableGuardExceeded, UnknownRelation
 from diverseq.kernel import materialize_answers, solve_fo_diverse
-from diverseq.model import MIN, SUM, Database, diversity_of_set
+from diverseq.model import MIN, SUM, Database, _slot_tuples, diversity_of_set
 from diverseq.oracle import bruteforce_diversity, enumerate_answers
 from diverseq.queries import parse_query
 from diverseq.structure import TreeDecomposition, gyo_join_tree, make_nice, tree_decompose
@@ -955,7 +955,7 @@ def _most_sols_by_search(k, cap):
     lo, hi = 0, cap
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        size = acq._slot_tuples(mid, k, True, cap)
+        size = _slot_tuples(mid, k, True, cap)
         lo, hi = (mid, hi) if size is not None and size <= cap else (lo, mid - 1)
     return lo
 

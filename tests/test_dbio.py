@@ -12,7 +12,7 @@ from diverseq.cli import RunConfig, run
 from diverseq.dbio import dump_database, dump_query, load_database, load_query
 from diverseq.errors import QuerySyntaxError
 from diverseq.model import Database
-from diverseq.queries import Constant, parse_query, render_query
+from diverseq.queries import Constant, parse_fact, parse_query, render_query
 
 
 def test_fact_file_round_trip(tmp_path):
@@ -43,8 +43,9 @@ def test_fact_file_hash_inside_strings(tmp_path):
 def test_fact_file_unterminated_string_rejected(tmp_path):
     path = tmp_path / "db.facts"
     path.write_text('R("a#b, 1).\n')
-    with pytest.raises(QuerySyntaxError, match="a#b"):
+    with pytest.raises(QuerySyntaxError) as err:
         load_database(str(path))
+    assert str(err.value) == "line 1, column 3: unexpected character '\"'"
 
 
 # Adversarial payloads: comment and quote characters, backslashes, line
@@ -174,26 +175,28 @@ def test_fact_file_non_ascii_digit_is_not_an_integer(tmp_path):
 ])
 def test_fact_and_query_constants_share_one_grammar(tmp_path, text):
     # A constant reads the same in a fact file and in query text: both
-    # reject it, or both give the same payload.
+    # give the same payload, or both reject it with the same message, at
+    # columns 7 apart, the length of the query's `Q() :- `.
     path = tmp_path / "db.facts"
     path.write_text(f"R({text}).\n", encoding="utf-8")
     try:
         [[from_facts]] = load_database(str(path)).relations["R"].payload_rows()
-    except QuerySyntaxError:
-        from_facts = QuerySyntaxError
+    except QuerySyntaxError as err:
+        from_facts = (str(err).partition(": ")[2], err.line, err.column + 7)
     try:
         [term] = parse_query(f"Q() :- R({text}).").conjuncts[0].literals[0].atom.terms
         from_query = term.payload
-    except QuerySyntaxError:
-        from_query = QuerySyntaxError
+    except QuerySyntaxError as err:
+        from_query = (str(err).partition(": ")[2], err.line, err.column)
     assert from_facts == from_query
     assert type(from_facts) is type(from_query)
 
 
-def test_fact_trailing_comma_is_a_syntax_error_at_the_comma(tmp_path):
-    # Query text rejects `R(x,)`; a fact file must not read `R(1,)` as R(1).
+def test_fact_trailing_comma_is_a_syntax_error_at_the_closing_paren(tmp_path):
+    # Query text rejects `R(x,)` at its `)`; a fact file must not read
+    # `R(1,)` as R(1), and reports it where query text does.
     path = tmp_path / "db.facts"
-    for text, column in (("R(1,).", 4), ("  S(1, 2,).", 9), ('T("a,",).', 7)):
+    for text, column in (("R(1,).", 5), ("  S(1, 2,).", 10), ('T("a,",).', 8)):
         path.write_text(text + "\n", encoding="utf-8")
         with pytest.raises(QuerySyntaxError) as err:
             load_database(str(path))
@@ -338,10 +341,10 @@ _GOOD_FACTS = "".join(f"G({i}, {-i}).\n" for i in range(1000))
                          ids=["first", "after-1000-facts", "after-a-comment"])
 @pytest.mark.parametrize("bad, line, column, message", [
     ("R(1, 2).\nR(3).\n", 2, 1, "relation R used with arities 2 and 1"),
-    ("R(1,).\n", 1, 4, "value list '1,' ends in a comma"),
-    ("R(1). S(2).\n", 1, 3, "bad value list '1). S(2'"),
-    ("R(1, 2)\n", 1, 1, "bad fact 'R(1, 2)'"),
-    ("R(1 2).", 1, 3, "bad value list '1 2'"),
+    ("R(1,).\n", 1, 5, "unexpected token ')' in term position"),
+    ("R(1). S(2).\n", 1, 7, "trailing input after fact"),
+    ("R(1, 2)\n", 1, 8, "expected '.'"),
+    ("R(1 2).", 1, 5, "expected ')'"),
 ])
 def test_fact_file_errors_keep_their_position(tmp_path, prefix, bad, line, column, message):
     # The same message, line and column whether the file is read by the
@@ -409,8 +412,8 @@ _LONG = "7" * (sys.get_int_max_str_digits() + 1)
 
 @pytest.mark.parametrize("path", ["integer", "line"])
 @pytest.mark.parametrize("bad, line, column, message", [
-    ("U(1 2).\n", 3, 3, "bad value list '1 2'"),
-    ("U(1,).\n", 3, 4, "value list '1,' ends in a comma"),
+    ("U(1 2).\n", 3, 5, "expected ')'"),
+    ("U(1,).\n", 3, 5, "unexpected token ')' in term position"),
     ("U(1).\nU(1, 2).\n", 4, 1, "relation U used with arities 1 and 2"),
     ("U(1, 2).\nR(3).\n", 4, 1, "relation R used with arities 2 and 1"),
     pytest.param(f"U(1, {_LONG}).\n", 3, 6,
@@ -493,9 +496,9 @@ _FACT_PIECES = st.sampled_from([
 @given(st.lists(_FACT_PIECES, max_size=12).map("".join))
 def test_one_pass_fact_lines_read_as_the_token_parser_does(line):
     # The one-pass reading of a fact line gives the relation, values and
-    # error that reading it token by token gives.
+    # error that reading it token by token, by the atom rule, gives.
     try:
-        expected = dbio._parse_fact_line(line, 1)
+        expected = parse_fact(line, 1)
     except QuerySyntaxError as err:
         with pytest.raises(QuerySyntaxError) as got:
             dbio._facts_by_line([line])

@@ -14,6 +14,7 @@ from diverseq.model import (
     SUM,
     Assignment,
     Database,
+    _slot_tuples,
     best_tuple,
     column_ceiling,
     custom_aggregator,
@@ -357,6 +358,23 @@ def test_distance_rows_are_the_lower_triangle():
             [sum(x != y for x, y in zip(a, b)) for b in rows[:i + 1]]
             for i, a in enumerate(rows)]
 
+
+
+def test_capped_sorted_tuple_count_is_the_capped_binomial():
+    # The count auto's answer-route attempt budgets by: the sorted k-tuples
+    # of n rows, C(n + k - 1, k), capped at cap + 1, where a count that
+    # `_slot_tuples` finds far past the cap (None) is cap + 1 as well.
+    def capped(n, k, cap):
+        size = _slot_tuples(n, k, True, cap)
+        return cap + 1 if size is None else min(size, cap + 1)
+
+    for cap in (0, 1, 2, 7, 100, 10 ** 4, 10 ** 7, 10 ** 12):
+        for n in range(61):
+            for k in range(1, 9):
+                assert capped(n, k, cap) == min(math.comb(n + k - 1, k), cap + 1), (n, k, cap)
+        # Far past the cap, where the count is not computed.
+        assert _slot_tuples(10 ** 6, 8, True, cap) is None
+        assert capped(10 ** 6, 8, cap) == cap + 1 == min(math.comb(10 ** 6 + 7, 8), cap + 1)
 
 def record_cases():
     """For each class built on `model._Record`: an instance, an equal one

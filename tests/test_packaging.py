@@ -3,6 +3,7 @@ import json
 import os
 import re
 import sys
+import tokenize
 
 from helpers import fresh_python
 
@@ -10,6 +11,8 @@ ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "diverseq")
 BENCH_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 BENCHMARK_JSON = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
+# A word of text: what `\b` bounds in a regular expression.
+WORD = re.compile(r"\w+")
 
 
 def test_package_imports_only_the_standard_library():
@@ -72,23 +75,44 @@ def test_package_has_no_unreferenced_private_code():
     # `__init__.py` (an export alone is no caller), by the benchmark, by a
     # demo or by the CI workflow: code that only tests call belongs in the
     # tests. A deletion that leaves code without a caller fails here.
-    def lines_of(path: str) -> list[str]:
+    #
+    # In Python code a name counts where it is an identifier token, so a
+    # mention in a comment or a docstring is no caller. The tracer patches
+    # attributes by name, so the words of its string constants count too;
+    # the workflow is read as text.
+    def names_of(path: str, strings: bool = False) -> list[tuple[int, str]]:
+        """(line index, name) for each identifier token of a Python file,
+        and for each word of its string constants when `strings`."""
+        string_types = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
         with open(path, encoding="utf-8") as handle:
-            return handle.read().splitlines()
+            tokens = list(tokenize.generate_tokens(handle.readline))
+        found = []
+        for token in tokens:
+            if token.type == tokenize.NAME:
+                found.append((token.start[0] - 1, token.string))
+            elif strings and token.type in string_types:
+                found.extend((token.start[0] - 1, word) for word in WORD.findall(token.string))
+        return found
 
-    package = {name: lines_of(os.path.join(SRC_DIR, name))
+    def words_of(path: str) -> list[tuple[int, str]]:
+        with open(path, encoding="utf-8") as handle:
+            return [(i, word) for i, line in enumerate(handle) for word in WORD.findall(line)]
+
+    package = {name: names_of(os.path.join(SRC_DIR, name))
                for name in sorted(os.listdir(SRC_DIR)) if name.endswith(".py")}
-    private_users = {**package,
-                     "bench/tracing.py": lines_of(os.path.join(BENCH_DIR, "tracing.py"))}
-    public_users = {name: lines for name, lines in package.items() if name != "__init__.py"}
+    tracer = names_of(os.path.join(BENCH_DIR, "tracing.py"), strings=True)
+    private_users = {**package, "bench/tracing.py": tracer}
+    public_users = {name: names for name, names in package.items() if name != "__init__.py"}
     for folder in ("bench", "demos"):
         for name in sorted(os.listdir(os.path.join(ROOT, folder))):
             if name.endswith(".py"):
-                public_users[f"{folder}/{name}"] = lines_of(os.path.join(ROOT, folder, name))
-    public_users["tier1.yml"] = lines_of(os.path.join(ROOT, ".github", "workflows", "tier1.yml"))
+                public_users[f"{folder}/{name}"] = names_of(os.path.join(ROOT, folder, name))
+    public_users["bench/tracing.py"] = tracer
+    public_users["tier1.yml"] = words_of(os.path.join(ROOT, ".github", "workflows", "tier1.yml"))
     unreferenced = []
-    for name, lines in package.items():
-        tree = ast.parse("\n".join(lines), filename=name)
+    for name in package:
+        with open(os.path.join(SRC_DIR, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=name)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 bound = [node.name]
@@ -102,15 +126,14 @@ def test_package_has_no_unreferenced_private_code():
                 if defined.startswith("__"):
                     continue
                 if defined.startswith("_"):
-                    texts = private_users
+                    users = private_users
                 elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                     continue
                 else:
-                    texts = public_users
-                word = re.compile(rf"\b{re.escape(defined)}\b")
-                if not any(word.search(line)
-                           for other, other_lines in texts.items()
-                           for i, line in enumerate(other_lines)
+                    users = public_users
+                if not any(word == defined
+                           for other, names in users.items()
+                           for i, word in names
                            if other != name or i not in own):
                     unreferenced.append(f"{name}:{node.lineno}: {defined}")
     assert unreferenced == []
