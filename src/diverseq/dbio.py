@@ -94,8 +94,10 @@ def _integer_facts(text: str, names: Collection[str] | None = None
     """Each relation of a file of integer facts as (arity, its values end to
     end), read relation by relation, and only those in `names` when given;
     None when the text is anything else (see the module docstring), or when
-    a relation has rows of two arities or a literal `int` refuses, so that
-    the line parser reports it."""
+    a relation has rows of two arities or a fact body longer than the
+    digits `int` converts, so that the line parser checks every line and
+    reports the error at its column. No literal is longer than the body
+    that holds it, so every other literal converts."""
     if '"' in text or "#" in text or _INT_LINE_RE.sub("", text):
         return None
     # Without blanks, which no literal holds, the text is facts `R(1,2).`
@@ -110,26 +112,17 @@ def _integer_facts(text: str, names: Collection[str] | None = None
     for name in list(bodies_of):
         bodies = bodies_of.pop(name)  # freed once converted
         commas = set(map(str.count, bodies, itertools.repeat(",")))
-        if len(commas) > 1:
+        if len(commas) > 1 or (limit and max(map(len, bodies)) > limit):
             return None
-        wanted = names is None or name in names
-        # A relation not wanted is converted only when a literal in it may
-        # be too long for `int`, to find out.
-        if not wanted and not (limit and max(map(len, bodies)) > limit):
-            continue
-        try:
-            values = _integers(bodies)
-        except ValueError:  # more digits than `int` converts
-            return None
-        if wanted:
-            facts[name] = (commas.pop() + 1, values)
+        if names is None or name in names:
+            facts[name] = (commas.pop() + 1, _integers(bodies))
     return facts
 
 
 def _integers(bodies: list[str]) -> list[int]:
     """The integers of lists of comma-separated literals, in order: one JSON
     array read, unless a literal has a leading zero, which JSON refuses.
-    ValueError when a literal has more digits than `int` converts."""
+    Each literal has no more digits than `int` converts."""
     try:
         return json.loads(f"[{','.join(bodies)}]")
     except ValueError:

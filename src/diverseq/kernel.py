@@ -10,21 +10,21 @@ whose structure the join-tree solver cannot exploit, take this path.
 Rows are tuples of value indices from the database load to the search:
 `queries.join` joins each conjunct's atom sols, capping and the search
 compare integers, and `Value` objects are built only for the witness and
-for output. A relation's rows are sorted once (`AnswerRelation.index_rows`),
-and each capping level filters that list in order and hands it on, so the
-search reads the answers in the order they were first sorted. Capping skips
-the levels that cannot act and works in linear passes over the rows: level
-1 counts each group's rows and keeps its first k, and a higher level groups
-the rows in one dict per fixed column set, skipping the column sets that no
-capped group can fill. A level does not re-check its precondition on the
-relation the level below has just returned, which meets it by
-construction, so kernelization makes no precondition scan; a relation from
-anywhere else is scanned. The search is `model.best_tuple`, the
-depth-first branch and bound that the join-tree engine shares, which counts
-each pair's distance when it first reaches the pair and stops at a ceiling
-read off the columns' distinct values. Its budget counts pair distances,
-C(k, 2) (at least one) per search node it visits, and on its own count the
-join's partial answers.
+for output. A relation holds its rows once, as a tuple of the distinct rows
+in sorted order, and each capping level filters that tuple in order and
+hands it on, so the search reads the answers in sorted order. Kernelization
+stops at the first level that cannot act, and capping works in linear
+passes over the rows: level 1 counts each group's rows and keeps its first
+k, and a higher level groups the rows in one dict per fixed column set,
+skipping the column sets that no capped group can fill. A level does not
+re-check its precondition on the relation the level below has just
+returned, which meets it by construction, so kernelization makes no
+precondition scan; a relation from anywhere else is scanned. The search is
+`model.best_tuple`, the depth-first branch and bound that the join-tree
+engine shares, which counts each pair's distance when it first reaches the
+pair and stops at a ceiling read off the columns' distinct values. Its
+budget counts pair distances, C(k, 2) (at least one) per search node it
+visits, and on its own count the join's partial answers.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ from .queries import Query, _key_of, _tuple_of, join, sols_atom
 
 
 class AnswerRelation(_IndexRows, _Record, frozen=True):
-    """A deduplicated relation of answer tuples over a fixed column order.
+    """A relation of answer tuples over a fixed column order. `rows` holds
+    each distinct row once, in sorted order, however the rows were given.
 
     Each row is a tuple of indices into `values`: the value table of the
     database the answers come from, or the relation's own when it is read
@@ -66,30 +67,21 @@ class AnswerRelation(_IndexRows, _Record, frozen=True):
 
     _fields = ("columns", "rows", "values")
     _hidden = ("values",)  # a list: not hashable
+    rows: tuple[tuple[int, ...], ...]
 
-    def __init__(self, columns: tuple[str, ...], rows: frozenset[tuple[int, ...]],
+    def __init__(self, columns: tuple[str, ...], rows: Iterable[tuple[int, ...]],
                  values: Sequence[Value]) -> None:
-        self.__dict__.update(columns=columns, rows=rows, values=values)
-        if not set(map(len, self.rows)) <= {len(self.columns)}:
+        rows = tuple(sorted(set(rows)))
+        if not set(map(len, rows)) <= {len(columns)}:
             raise ValueError("row width does not match the column count")
+        self.__dict__.update(columns=columns, rows=rows, values=values)
 
     @classmethod
     def from_payload_rows(cls, columns: Sequence[str],
                           rows: Iterable[Sequence[Payload]]) -> "AnswerRelation":
         interner = _Interner()
-        indexed = frozenset(tuple([interner.intern(p) for p in row]) for row in rows)
+        indexed = [tuple([interner.intern(p) for p in row]) for row in rows]
         return cls(tuple(columns), indexed, tuple(interner.values))
-
-    def index_rows(self) -> list[tuple[int, ...]]:
-        """The rows in sorted order, sorted once per relation. A capping
-        level hands its output on in this order, so from materialization to
-        the search the answers are sorted once. Readers do not change the
-        list."""
-        ordered = getattr(self, "_sorted", None)
-        if ordered is None:
-            ordered = sorted(self.rows)
-            object.__setattr__(self, "_sorted", ordered)
-        return ordered
 
     def assignments(self) -> list[Assignment]:
         return [Assignment(zip(self.columns, row)) for row in self.sorted_rows()]
@@ -125,7 +117,7 @@ def materialize_answers(query: Query, db: Database, *,
         if len(order) > len(head):
             found = map(operator.itemgetter(slice(len(head))), found)
         rows.update(found)
-    return AnswerRelation(head, frozenset(rows), db.values)
+    return AnswerRelation(head, rows, db.values)
 
 
 # --- capping rules -------------------------------------------------------------
@@ -155,7 +147,7 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
     or returned at another level, is scanned. So `kernelize`, which feeds
     each level the one below's output, never scans.
 
-    The index rows come sorted (`AnswerRelation.index_rows`) and the
+    The rows come sorted (`AnswerRelation.rows`) and the
     returned relation keeps them in that order; within a group, sorted
     order is the order of its free columns. At level 1 a group's rows
     differ on its one free column, since the rows are distinct, so for
@@ -175,12 +167,12 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
     if not 1 <= t <= m:
         raise ValueError(f"level {t} out of range for {m} columns")
 
-    rows = answers.index_rows()
+    rows = answers.rows
     if t == 1:
         # No precondition scan: a group fixing all m columns holds one row,
-        # since the rows are distinct (`rows` is a set). For the same reason
-        # a group fixing m-1 columns holds rows that differ on the free one,
-        # so the greedy keeps its first k rows. With k = 0 it keeps them all.
+        # since the rows are distinct. For the same reason a group fixing
+        # m-1 columns holds rows that differ on the free one, so the greedy
+        # keeps its first k rows. With k = 0 it keeps them all.
         for fixed in itertools.combinations(range(m), m - 1):
             if not k or len(rows) < k:
                 break
@@ -242,7 +234,7 @@ def apply_capping_rule(answers: AnswerRelation, t: int, k: int) -> AnswerRelatio
     return _capped(answers, rows, t, k, filled)
 
 
-def _check_level_below(rows: list[tuple[int, ...]], m: int, t: int, k: int) -> None:
+def _check_level_below(rows: Sequence[tuple[int, ...]], m: int, t: int, k: int) -> None:
     """Raise PreconditionViolated unless every group fixing m-(t-1) columns
     holds at most (t-1)!^2 * k^(t-1) rows."""
     prior_threshold = _group_threshold(t - 1, k)
@@ -255,20 +247,17 @@ def _check_level_below(rows: list[tuple[int, ...]], m: int, t: int, k: int) -> N
             )
 
 
-def _capped(answers: AnswerRelation, rows: list[tuple[int, ...]], t: int,
+def _capped(answers: AnswerRelation, rows: Sequence[tuple[int, ...]], t: int,
             k: int, filled: list[int] | None = None) -> AnswerRelation:
     """`answers` cut down to `rows`, a subset of its rows in sorted order,
     as level t's output for k, with `filled`, the columns that level found
     a value of t!^2 * k^t rows in, or None where it did not count them.
     The output is a relation of its own even when it keeps every row, so
-    `answers` keeps its own record; it shares the row set then, and its
-    rows, a subset of checked ones, are not checked again. Only k >= 1 is
-    recorded: at k = 0 level 1 keeps every row, which leaves level 2's
-    precondition unmet."""
+    `answers` keeps its own record; its rows, a subset of checked ones,
+    are not checked again. Only k >= 1 is recorded: at k = 0 level 1 keeps
+    every row, which leaves level 2's precondition unmet."""
     capped = object.__new__(AnswerRelation)
-    capped.__dict__.update(
-        columns=answers.columns, values=answers.values, _sorted=rows,
-        rows=answers.rows if len(rows) == len(answers.rows) else frozenset(rows))
+    capped.__dict__.update(columns=answers.columns, rows=tuple(rows), values=answers.values)
     if k:
         capped.__dict__.update(_capped_at=(t, k), _fillable=filled)
     return capped
@@ -283,23 +272,21 @@ def kernelize(answers: AnswerRelation, k: int) -> AnswerRelation:
     One pass reaches each level's fixpoint: a capped group keeps t*k rows
     that pairwise differ on its free columns, which a second pass would keep
     whole. A level is entered only when its capping can fire: when the rows
-    left reach t!^2 * k^t, the size of a group it caps. A level skipped
-    with more rows left than its precondition scan allows a group,
-    (t-1)!^2 * k^(t-1), still records them as its output, as entering it
-    would have. So no level entered scans: the level below recorded its
-    output, or left no more rows than the scan's bound. k must be at least
-    1: at k = 0 the bound is 0, which no non-empty relation meets.
+    left reach t!^2 * k^t, the size of a group it caps. That size rises
+    with t and capping only deletes rows, so no level after the first one
+    the rows do not reach can be entered, and kernelization stops there.
+    Each level entered after the first gets the output of the level below,
+    so none makes a precondition scan. k must be at least 1: at k = 0 the
+    bound is 0, which no non-empty relation meets.
     """
     if k < 1:
         raise ValueError(f"kernelize needs k >= 1, got {k}")
     current = answers
     m = len(answers.columns)
     for t in range(1, m + 1):
-        n = len(current.rows)
-        if n >= _group_threshold(t, k):
-            current = apply_capping_rule(current, t, k)
-        elif n > _group_threshold(t - 1, k):
-            current = _capped(current, current.index_rows(), t, k)
+        if len(current.rows) < _group_threshold(t, k):
+            break
+        current = apply_capping_rule(current, t, k)
     if m:
         assert len(current.rows) <= _group_threshold(m, k), "kernel size bound violated"
     return current
@@ -338,7 +325,7 @@ def solve_fo_diverse(answers: AnswerRelation, k: int, d: float | None,
         stats = {"answers": len(answers.rows), "kernel": 0, "candidates": 1, "k": 0}
         return Outcome(decision, best, () if decision and witness else None, stats=stats)
     kernel = kernelize(answers, k)
-    rows = kernel.index_rows()
+    rows = kernel.rows
     n = len(rows)
     count = math.comb(n + k - 1, k) if allow_duplicates else math.comb(n, k)
     found = None

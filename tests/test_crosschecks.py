@@ -7,9 +7,14 @@ on shared fragments.
 """
 
 import collections
+import itertools
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverseq.acq import solve_acq, solve_acq_sum_dup
 from diverseq.cli import RunConfig, run
@@ -348,3 +353,53 @@ def test_auto_agrees_with_every_mode_on_both_of_its_branches(tmp_path):
                     assert duplicates or len({tuple(a.items()) for a in witness}) == k
     assert branches[True] >= 20 and branches[False] >= 20, branches
 
+
+# Values that mix ints and strings, among them a string holding the comment
+# sign, a digit `int` would read, and the text of an int.
+_MIXED_VALUES = [0, 1, 7, "7", "a#b", "٣"]
+# Each query shape, with the modes besides auto and bruteforce that take it.
+_SHAPES = {
+    "Q(x, z) :- R(x, y), S(y, z).\n": ("acq", "acq-sum", "cqneg", "fo-kernel"),
+    "Q(x, z, w) :- R(x, y), S(y, z), U(w).\n": ("acq", "acq-sum", "cqneg", "fo-kernel"),
+    "Q(x, y, z) :- R(x, y), S(y, z), R(z, x).\n": ("cqneg", "fo-kernel"),
+    "Q(x, y) :- R(x, y), !S(y, x).\n": ("cqneg", "fo-kernel"),
+    "Q(x, y) :- R(x, y).\nQ(x, y) :- S(y, x), U(x).\n": ("fo-kernel",),
+}
+
+
+@st.composite
+def _mixed_databases(draw):
+    values = draw(st.lists(st.sampled_from(_MIXED_VALUES), min_size=1, max_size=3, unique=True))
+    value = st.sampled_from(values)
+    relations = {name: draw(st.lists(st.tuples(*[value] * arity), max_size=6, unique=True))
+                 for name, arity in (("R", 2), ("S", 2), ("U", 1))}
+    # A relation without rows has no fact, and a query naming it is refused.
+    return Database.from_rows({name: rows for name, rows in relations.items() if rows})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_databases())
+def test_every_mode_agrees_with_bruteforce_through_the_cli(db):
+    # Written to files and run through `cli.run` with its witness at d =
+    # max, every mode that takes a shape exits with bruteforce's code and
+    # prints its diversity, or refuses with the same typed error.
+    with tempfile.TemporaryDirectory() as tmp:
+        db_path, query_path = os.path.join(tmp, "db.facts"), os.path.join(tmp, "q.dq")
+        dump_database(db, db_path)
+        for text, modes in _SHAPES.items():
+            dump_query(parse_query(text), query_path)
+            for k, aggregator, duplicates in itertools.product((1, 2, 3), ("sum", "min"),
+                                                               (False, True)):
+                def outcome(mode):
+                    code, report = run(RunConfig(db_path, query_path, k, None, aggregator,
+                                                 mode=mode, allow_duplicates=duplicates,
+                                                 witness=True))
+                    if code == 2:
+                        assert report["error"]["code"] != "InternalError", report
+                        return code, report["error"]["code"]
+                    return code, report["diversity"]
+
+                expected = outcome("bruteforce")
+                for mode in ("auto",) + modes:
+                    if mode != "acq-sum" or aggregator == "sum":
+                        assert outcome(mode) == expected, (text, mode, k, aggregator, duplicates)

@@ -22,7 +22,7 @@ from diverseq.kernel import (
     materialize_answers,
     solve_fo_diverse,
 )
-from diverseq.model import MIN, SUM, Database, custom_aggregator, diversity_of_set
+from diverseq.model import MIN, SUM, Database, Value, custom_aggregator, diversity_of_set
 from diverseq.oracle import (
     Graph,
     bruteforce_diversity,
@@ -62,7 +62,7 @@ def test_materialize_k3_fixture():
 def test_materialize_unsatisfiable_body():
     db = Database.from_rows({"R": [(1,)], "S": [(2,)]})
     q = parse_query("Q(x) :- R(x), S(x).")
-    assert materialize_answers(q, db).rows == frozenset()
+    assert materialize_answers(q, db).rows == ()
 
 
 def test_materialize_agrees_with_enumeration():
@@ -155,7 +155,7 @@ def test_negated_constant_outside_the_domain_keeps_every_answer():
 def test_positive_constant_outside_the_domain_gives_no_answers():
     db = Database.from_rows({"R": [(1, 2), (2, 3)], "S": [(1, 2)]})
     q = parse_query('Q(x) :- R(x, y), S(x, "2").')
-    assert materialize_answers(q, db).rows == frozenset()
+    assert materialize_answers(q, db).rows == ()
     q = parse_query("Q(x) :- R(x, y), S(x, 2).")
     assert materialize_answers(q, db).payload_rows() == {(1,)}
 
@@ -273,7 +273,7 @@ def test_kernel_bound_and_safety_random():
         k = rng.choice([2, 3])
         kernel = kernelize(answers, k)
         assert len(kernel.rows) <= math.factorial(m) ** 2 * k ** m
-        assert kernel.rows <= answers.rows
+        assert set(kernel.rows) <= set(answers.rows)
         for aggregator in (SUM, MIN):
             before, _ = bruteforce_diversity_on(answers, k, aggregator)
             after, _ = bruteforce_diversity_on(kernel, k, aggregator)
@@ -524,20 +524,23 @@ def test_level_two_groups_no_column_set_of_the_k33_union(monkeypatch):
                          ids=["k33-lists", "dense-union-3", "dense-union-4"])
 def test_kernelize_skips_levels_as_if_it_ran_them(monkeypatch, instance):
     # Entering every level whose capping or precondition scan could fire,
-    # in order, keeps the same rows and records the same last level. On a
-    # k = 2 three-column union, level 3 caps groups of 3!^2 * 2^3 = 288
-    # rows, which the rows left never reach, so kernelize does not enter
-    # it, though they are more than the 16 its scan allows a group.
+    # in order, keeps the same rows, and kernelize records the last level
+    # whose capping could fire. On a k = 2 three-column union, level 3 caps
+    # groups of 3!^2 * 2^3 = 288 rows, which the rows left never reach, so
+    # kernelize stops before it, though they are more than the 16 its scan
+    # allows a group.
     answers, k = instance()
 
     def threshold(t):
         return math.factorial(t) ** 2 * k ** t
 
-    current = AnswerRelation(answers.columns, answers.rows, answers.values)
+    current, last = AnswerRelation(answers.columns, answers.rows, answers.values), None
     for t in range(1, len(answers.columns) + 1):
         n = len(current.rows)
         if n >= threshold(t) or n > threshold(t - 1):
             current = apply_capping_rule(current, t, k)
+        if n >= threshold(t):
+            last = (t, k)
     entered = []
     capping = kernel_module.apply_capping_rule
 
@@ -548,10 +551,10 @@ def test_kernelize_skips_levels_as_if_it_ran_them(monkeypatch, instance):
     monkeypatch.setattr(kernel_module, "apply_capping_rule", counting)
     kernel = kernelize(answers, k)
     assert kernel.rows == current.rows
-    assert kernel._capped_at == current._capped_at
+    assert kernel._capped_at == last
     if len(answers.columns) == 3:
         assert threshold(2) < len(kernel.rows) < threshold(3) and entered == [1, 2]
-        assert kernel._capped_at == (3, k)
+        assert kernel._capped_at == (2, k)
 
 
 def dense_union_answers(seed, values=8, pairs=32, triples=70):
@@ -658,6 +661,30 @@ def test_a_level_that_drops_no_row_leaves_its_input_unlabelled(monkeypatch):
     assert all(out.rows == level_1.rows == given.rows for out in outputs)
     assert apply_capping_rule(outputs[0], 1, k).rows == given.rows
     assert outputs[0]._capped_at == (2, k)
+
+
+def test_answer_rows_are_one_sorted_tuple_whoever_builds_the_relation():
+    # However a relation is built, its rows are one tuple of the distinct
+    # rows in sorted order, which capping filters and the search reads.
+    def check(answers):
+        assert type(answers.rows) is tuple
+        assert list(answers.rows) == sorted(set(answers.rows))
+        return answers
+
+    given = [(2, 1), (0, 3), (2, 1), (1, 1), (0, 3)]
+    values = [Value(v, v) for v in range(4)]
+    for rows in (set(given), frozenset(given), given):
+        assert check(AnswerRelation(("x", "y"), rows, values)).rows == ((0, 3), (1, 1), (2, 1))
+    check(AnswerRelation.from_payload_rows(("x", "y"), [(3, "a"), (1, 2), (3, "a"), (0, 1)]))
+    db = Database.from_rows({"R": [(3,), (1,), (2,)], "S": [(2,), (3,), (0,)]})
+    union = parse_query("Q(x) :- R(x).\nQ(x) :- S(x).")
+    assert len(check(materialize_answers(union, db)).rows) == 4
+    answers, k = dense_union_answers(3)
+    current = check(answers)
+    for t in range(1, len(answers.columns) + 1):
+        current = check(apply_capping_rule(current, t, k))
+    assert len(current.rows) < len(answers.rows)
+    check(kernelize(answers, k))
 
 
 # --- the search against brute force ---------------------------------------------

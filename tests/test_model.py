@@ -434,8 +434,8 @@ def record_cases():
         (AnswerRelation(("x", "y"), frozenset({(0, 1)}), table()),
          AnswerRelation(("x", "y"), frozenset({(0, 1)}), table()),
          AnswerRelation(("x", "y"), frozenset({(0, 1)}), table()[::-1]),
-         "AnswerRelation(columns=('x', 'y'), rows=frozenset({(0, 1)}))",
-         (("x", "y"), frozenset({(0, 1)})), "columns"),
+         "AnswerRelation(columns=('x', 'y'), rows=((0, 1),))",
+         (("x", "y"), ((0, 1),)), "columns"),
         (tree(0), tree(0), tree(1), "TreeDecomposition(root=0, children={0: (1,), 1: ()}, "
          "bags={0: frozenset({'x'}), 1: frozenset()})", None, "root"),
         (Graph(3, frozenset({(1, 2)})), Graph.from_edges(3, [(2, 1)]),
