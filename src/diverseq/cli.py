@@ -41,7 +41,7 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from .dbio import load_database, load_query
+from .dbio import load_database, load_query, read_text
 from .errors import (DEFAULT_BUDGET, DEFAULT_TABLE_CAP, CombinatorialBudgetExceeded,
                      DiverseQError)
 from .model import MIN, SUM, Outcome, _Record, _slot_tuples, diversity_of_set
@@ -142,8 +142,7 @@ def _solve(cfg: RunConfig, mode: str, query, db,
     aggregator = SUM if cfg.aggregator == "sum" else MIN
     decomposition = None
     if cfg.decomposition_path:
-        with open(cfg.decomposition_path, encoding="utf-8") as handle:
-            decomposition = parse_decomposition(handle.read())
+        decomposition = parse_decomposition(read_text(cfg.decomposition_path))
         if mode != "cqneg":
             raise ValueError(f"--decomposition is read only by the cqneg route, "
                              f"and this run routes to {mode}")

@@ -7,20 +7,26 @@ Two database formats produce identical instances:
   * a directory of per-relation CSV files (`R.csv`, no header, arity
     inferred from the first record).
 
-A fact file is read whole. When it holds only integer facts and blank
-lines, with spaces and tabs as its only whitespace inside a line, it is
-read relation by relation: one regular-expression pass checks the whole
-text, string operations split it into each relation's value lists, and
-each relation's values are converted in one call and interned together.
+Every input file (a fact file, a query file, a decomposition file) is read
+by `read_text`: its bytes at once, decoded from UTF-8 once, a byte-order
+mark at its start dropped, and `\\r\\n` and `\\r` read as `\\n`, as text
+mode reads them. A CSV file is opened with the `utf-8-sig` codec, which
+drops the same mark.
+
+A file of only integer facts and blank lines, with spaces and tabs as its
+only whitespace inside a line, is read in bulk: one regular-expression
+`fullmatch` checks the whole text, string operations split it into each
+relation's value lists, the kept relations' values are converted by one
+JSON array read, and `Database.add_relations` interns them all in one pass.
 Any other file (comments, quoted strings, other whitespace, or an error
 anywhere) is parsed line by line: a well-formed line by one pattern match
 and one `findall` over its values, and any other line by
 `queries.parse_fact`, the atom rule of query text, which gives every error
 the message, line and column that query text gives the same atom. Both
-paths give each relation as its arity and its values end to end, and
-intern relations and values in the same order: relations by first fact,
-values row by row within a relation, in file order. In both formats an
-integer too long for `int` is a QuerySyntaxError at its line.
+paths give the relations as (name, arity, number of rows) and their values
+end to end, and intern relations and values in the same order: relations by
+first fact, values row by row within a relation, in file order. In both
+formats an integer too long for `int` is a QuerySyntaxError at its line.
 
 `load_database` may be told which relations to keep, as the CLI keeps
 those its query names. Every fact and CSV row is still checked (syntax,
@@ -40,7 +46,7 @@ from typing import Collection, Iterable, Iterator
 
 from .errors import QuerySyntaxError
 from .model import Database, Payload, check_arity
-from .queries import (INT_LITERAL, STRING_LITERAL, Constant, Query, parse_fact,
+from .queries import (INT_LITERAL, STRING_LITERAL, Constant, Query, _possessive, parse_fact,
                       parse_int_literal, parse_query, render_query, render_term, unescape)
 
 _CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
@@ -51,19 +57,33 @@ _VALUE = rf"(?:{INT_LITERAL}|{STRING_LITERAL})"
 _FACT_LINE_RE = re.compile(
     rf"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*({_VALUE}(?:\s*,\s*{_VALUE})*)?\s*\)\s*\.\s*(?:#.*)?")
 _VALUES_RE = re.compile(_VALUE)
-# One line of a file of integer facts: a fact or nothing, then the line
-# break or the end of the text. Only spaces and tabs count as whitespace
-# here: `\s` also matches characters such as `\x1c`, which `int` refuses.
-# Deleting its matches leaves nothing of a file of such lines, and `sub`
-# with a plain replacement builds no match object per line. It runs to the
-# end of the text, so a file with a quoted string or a comment is left to
-# the line parser before it.
-_INT_LINE_RE = re.compile(
-    rf"[ \t]*(?:[A-Za-z_][A-Za-z0-9_]*[ \t]*\("
-    rf"[ \t]*{INT_LITERAL}[ \t]*(?:,[ \t]*{INT_LITERAL}[ \t]*)*"
-    rf"\)[ \t]*\.[ \t]*)?(?:\n|\Z)")
+# A whole file of integer facts: lines of a fact (`_INT_FACT`) or nothing,
+# each ended by a line break but the last; `~` stands for blanks. Only
+# spaces and tabs count as blanks here: `\s` also matches characters such
+# as `\x1c`, which `int` refuses. No character can both end one token and
+# start the next, so every quantifier keeps what it takes (see
+# `queries.STRING_LITERAL`), and a match over a long file holds no state per
+# line.
+_INT_FACT = r"(?:[A-Za-z_][A-Za-z0-9_]*+~\(~-?+[0-9]++~(?:,~-?+[0-9]++~)*+\)~\.~)?+"
+_INT_FILE_RE = re.compile(_possessive(
+    ("(?:~" + _INT_FACT + r"\n)*+~" + _INT_FACT).replace("~", r"[ \t]*+")))
 _BLANKS = str.maketrans("", "", " \t\n")
 _NAME, _BODY = operator.itemgetter(0), operator.itemgetter(1)
+# Relations as (name, arity, number of rows), the rows with their repeats
+# (one for arity 0), and all their values end to end, relation after
+# relation: what `Database.add_relations` takes.
+_Facts = tuple[list[tuple[str, int, int]], list[Payload]]
+
+
+def read_text(path: str) -> str:
+    """A file's text, its bytes decoded from UTF-8 at once: a byte-order
+    mark at the start is dropped, and `\\r\\n` and `\\r` read as `\\n`, as in
+    text mode. A decoding error gives the byte's offset in the file."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    if text[:1] == "\ufeff":
+        text = text[1:]
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def load_database(path: str, names: Collection[str] | None = None) -> Database:
@@ -74,31 +94,25 @@ def load_database(path: str, names: Collection[str] | None = None) -> Database:
     and stored, in the order they would be without it."""
     if os.path.isdir(path):
         return _load_csv_dir(path, names)
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    text = read_text(path)
     facts = _integer_facts(text, names)
     if facts is None:
         facts = _facts_by_line(text.split("\n"), names)
     del text  # released before the relations are built
     db = Database()
-    for name, (arity, values) in facts.items():
-        if arity:
-            db.add_flat(name, arity, values)
-        else:
-            db.add_relation(name, 0, [()])
+    db.add_relations(*facts)
     return db
 
 
-def _integer_facts(text: str, names: Collection[str] | None = None
-                   ) -> dict[str, tuple[int, list[int]]] | None:
-    """Each relation of a file of integer facts as (arity, its values end to
-    end), read relation by relation, and only those in `names` when given;
-    None when the text is anything else (see the module docstring), or when
-    a relation has rows of two arities or a fact body longer than the
-    digits `int` converts, so that the line parser checks every line and
-    reports the error at its column. No literal is longer than the body
-    that holds it, so every other literal converts."""
-    if '"' in text or "#" in text or _INT_LINE_RE.sub("", text):
+def _integer_facts(text: str, names: Collection[str] | None = None) -> _Facts | None:
+    """The relations of a file of integer facts (see `_Facts`), read in bulk,
+    and only those in `names` when given; None when the text is anything
+    else (see the module docstring), or when a relation has rows of two
+    arities or a fact body longer than the digits `int` converts, so that
+    the line parser checks every line and reports the error at its column.
+    No literal is longer than the body that holds it, nor a body than the
+    text, so every other literal converts."""
+    if _INT_FILE_RE.fullmatch(text) is None:
         return None
     # Without blanks, which no literal holds, the text is facts `R(1,2).`
     # end to end: it splits at `(` and `).` into names and value lists.
@@ -108,15 +122,16 @@ def _integer_facts(text: str, names: Collection[str] | None = None
         bodies_of.setdefault(name, []).extend(map(_BODY, run))
     del parts
     limit = sys.get_int_max_str_digits()
-    facts: dict[str, tuple[int, list[int]]] = {}
-    for name in list(bodies_of):
-        bodies = bodies_of.pop(name)  # freed once converted
+    long = limit and len(text) > limit
+    shapes, kept = [], []
+    for name, bodies in bodies_of.items():
         commas = set(map(str.count, bodies, itertools.repeat(",")))
-        if len(commas) > 1 or (limit and max(map(len, bodies)) > limit):
+        if len(commas) > 1 or (long and max(map(len, bodies)) > limit):
             return None
         if names is None or name in names:
-            facts[name] = (commas.pop() + 1, _integers(bodies))
-    return facts
+            shapes.append((name, commas.pop() + 1, len(bodies)))
+            kept.append(bodies)
+    return shapes, _integers(list(itertools.chain.from_iterable(kept)))
 
 
 def _integers(bodies: list[str]) -> list[int]:
@@ -129,11 +144,10 @@ def _integers(bodies: list[str]) -> list[int]:
         return [int(literal) for body in bodies for literal in body.split(",")]
 
 
-def _facts_by_line(lines: Iterable[str], names: Collection[str] | None = None
-                   ) -> dict[str, tuple[int, list[Payload]]]:
-    """Each relation as (arity, its values end to end), parsed line by line
-    (line 1 first), and only those in `names` when given; every line is
-    checked, and every error is a QuerySyntaxError at its line and column."""
+def _facts_by_line(lines: Iterable[str], names: Collection[str] | None = None) -> _Facts:
+    """The relations of the lines (see `_Facts`), parsed line by line (line
+    1 first), and only those in `names` when given; every line is checked,
+    and every error is a QuerySyntaxError at its line and column."""
     facts: dict[str, tuple[int, list[Payload]]] = {}
     arities: dict[str, int] = {}
     limit = sys.get_int_max_str_digits()
@@ -162,7 +176,10 @@ def _facts_by_line(lines: Iterable[str], names: Collection[str] | None = None
             )
         if names is None or name in names:
             facts.setdefault(name, (arity, []))[1].extend(values)
-    return facts
+    # A relation of arity 0 holds one row, however many facts state it.
+    shapes = [(name, arity, len(values) // arity if arity else 1)
+              for name, (arity, values) in facts.items()]
+    return shapes, list(itertools.chain.from_iterable(values for _, values in facts.values()))
 
 
 def _load_csv_dir(path: str, names: Collection[str] | None) -> Database:
@@ -173,7 +190,7 @@ def _load_csv_dir(path: str, names: Collection[str] | None) -> Database:
         if not filename.endswith(".csv"):
             continue
         name = filename[: -len(".csv")]
-        with open(os.path.join(path, filename), newline="", encoding="utf-8") as handle:
+        with open(os.path.join(path, filename), newline="", encoding="utf-8-sig") as handle:
             rows = list(csv_rows(csv.reader(handle)))
         if not rows:
             continue
@@ -215,8 +232,7 @@ def dump_database(db: Database, path: str) -> None:
 
 
 def load_query(path: str) -> Query:
-    with open(path, encoding="utf-8") as handle:
-        return parse_query(handle.read())
+    return parse_query(read_text(path))
 
 
 def dump_query(query: Query, path: str) -> None:

@@ -206,24 +206,30 @@ class Database:
             raise ValueError(f"relation {name} already defined")
         rows = list(rows)
         check_arity(name, arity, rows)
-        if arity:
-            return self.add_flat(name, arity, list(itertools.chain.from_iterable(rows)))
-        return self._store(name, 0, frozenset(map(tuple, rows)))
+        self.add_relations([(name, arity, len(rows))], list(itertools.chain.from_iterable(rows)))
+        return self.relations[name]
 
-    def add_flat(self, name: str, arity: int, payloads: Sequence[Payload]) -> Relation:
-        """Add a relation of arity >= 1 given as its rows' payloads end to
-        end, interning them in that order."""
-        if name in self.relations:
-            raise ValueError(f"relation {name} already defined")
-        if arity < 1 or len(payloads) % arity:
-            raise ValueError(f"relation {name}: {len(payloads)} values do not make rows "
-                             f"of arity {arity}")
-        indices = self._interner.intern_all(payloads)
-        return self._store(name, arity, frozenset(zip(*[iter(indices)] * arity)))
-
-    def _store(self, name: str, arity: int, rows: frozenset[tuple[int, ...]]) -> Relation:
-        relation = self.relations[name] = Relation(name, arity, rows, self.values)
-        return relation
+    def add_relations(self, shapes: Sequence[tuple[str, int, int]],
+                      payloads: Sequence[Payload]) -> None:
+        """Add relations given as (name, arity, number of rows) each, and
+        all their rows' payloads end to end, relation after relation. The
+        payloads are interned in that order in one pass, and each relation's
+        rows are cut from the one list of their indices. A relation of
+        arity 0 and at least one row holds the empty row."""
+        defined = set(self.relations)
+        for name, arity, count in shapes:
+            if name in defined:
+                raise ValueError(f"relation {name} already defined")
+            defined.add(name)
+            if arity < 0 or count < 0:
+                raise ValueError(f"relation {name}: {count} rows of arity {arity}")
+        if sum(arity * count for _, arity, count in shapes) != len(payloads):
+            raise ValueError(f"{len(payloads)} values do not make the rows of {shapes!r}")
+        indices = iter(self._interner.intern_all(payloads))
+        for name, arity, count in shapes:
+            run = [itertools.islice(indices, arity * count)] * arity
+            rows = frozenset(zip(*run)) if arity else frozenset(itertools.repeat((), count))
+            self.relations[name] = Relation(name, arity, rows, self.values)
 
     @property
     def domain(self) -> tuple[Value, ...]:

@@ -170,11 +170,25 @@ class Query(_Record, frozen=True):
 
 # --- parsing ---------------------------------------------------------------
 
+
+def _possessive(pattern: str) -> str:
+    """`pattern`, written with possessive quantifiers (`*+`, `++`, `?+`)
+    that never need to give back what they take. Python 3.10's `re` has
+    none: there they are written greedy, and match the same text."""
+    if sys.version_info >= (3, 11):
+        return pattern
+    return re.sub(r"([*+?])\+", r"\1", pattern)
+
+
 # The constant literals of query text and of fact files (dbio): an integer
 # is ASCII digits after an optional minus sign, a string is double-quoted
-# with backslash escapes.
+# with backslash escapes. A string's body is runs of plain characters
+# between escapes ("unrolled"), each run taken whole and kept: no character
+# can both end a run and start what follows it, so a possessive quantifier,
+# which keeps no state to give back what it took, matches what a greedy one
+# does, with less work.
 INT_LITERAL = r"-?[0-9]+"
-STRING_LITERAL = r'"(?:[^"\\]|\\.)*"'
+STRING_LITERAL = _possessive(r'"[^"\\]*+(?:\\.[^"\\]*+)*+"')
 
 
 def parse_int_literal(text: str, line: int, column: int) -> int:

@@ -7,6 +7,7 @@ on shared fragments.
 """
 
 import collections
+import csv
 import itertools
 import os
 import random
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diverseq.acq import solve_acq, solve_acq_sum_dup
-from diverseq.cli import RunConfig, run
+from diverseq.cli import RunConfig, canonical_json, run
 from diverseq.cqneg import solve_cqneg
 from diverseq.dbio import dump_database, dump_query
 from diverseq.errors import DiverseQError
@@ -403,3 +404,47 @@ def test_every_mode_agrees_with_bruteforce_through_the_cli(db):
                 for mode in ("auto",) + modes:
                     if mode != "acq-sum" or aggregator == "sum":
                         assert outcome(mode) == expected, (text, mode, k, aggregator, duplicates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_databases())
+def test_every_database_format_gives_auto_the_same_report(db):
+    # One database written as a fact file, as a fact file with CRLF breaks
+    # and a byte-order mark, and as a CSV directory gives auto the same
+    # canonical report, witness included, or the same typed refusal (a
+    # relation without rows is in no format), for every shape at k = 1 to
+    # 3; every witness holds k distinct answers of the query. CSV reads the
+    # canonical integer text "7" back as the int 7, so a database holding
+    # the string "7" has no CSV leg.
+    with tempfile.TemporaryDirectory() as tmp:
+        plain, marked = os.path.join(tmp, "db.facts"), os.path.join(tmp, "crlf.facts")
+        csv_dir, query_path = os.path.join(tmp, "csv"), os.path.join(tmp, "q.dq")
+        dump_database(db, plain)
+        with open(plain, encoding="utf-8") as handle:
+            text = handle.read()
+        with open(marked, "w", encoding="utf-8-sig", newline="\r\n") as handle:
+            handle.write(text)
+        paths = [plain, marked]
+        if db.value("7") is None:
+            os.mkdir(csv_dir)
+            for name, relation in db.relations.items():
+                with open(os.path.join(csv_dir, name + ".csv"), "w", newline="",
+                          encoding="utf-8") as handle:
+                    csv.writer(handle).writerows(
+                        [v.payload for v in row] for row in relation.sorted_rows())
+            paths.append(csv_dir)
+        for text in _SHAPES:
+            query = parse_query(text)
+            dump_query(query, query_path)
+            for k in (1, 2, 3):
+                reports = []
+                for path in paths:
+                    code, report = run(RunConfig(path, query_path, k, None, witness=True))
+                    assert report.get("error", {}).get("code") != "InternalError", report
+                    reports.append(canonical_json(report, drop_volatile=True))
+                assert reports == [reports[0]] * len(paths), (text, k)
+                witness = report.get("witness")
+                if witness is not None:
+                    answers = [a.as_payload_dict() for a in enumerate_answers(query, db)]
+                    assert len(witness) == k and all(a in answers for a in witness)
+                    assert len({tuple(a.items()) for a in witness}) == k

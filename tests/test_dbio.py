@@ -1,18 +1,22 @@
 import csv
 import os
+import re
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diverseq import dbio
-from diverseq.cli import RunConfig, run
+from diverseq import dbio, queries
+from diverseq.cli import RunConfig, canonical_json, run
 from diverseq.dbio import dump_database, dump_query, load_database, load_query
 from diverseq.errors import QuerySyntaxError
 from diverseq.model import Database
-from diverseq.queries import Constant, parse_fact, parse_query, render_query
+from diverseq.queries import (INT_LITERAL, STRING_LITERAL, Constant, parse_fact, parse_query,
+                              render_query)
+from diverseq.structure import format_decomposition, tree_decompose
 
 
 def test_fact_file_round_trip(tmp_path):
@@ -248,21 +252,37 @@ def integer_fact_files(draw, odd_space: bool):
     return text.rstrip("\r\n") if draw(st.booleans()) else text
 
 
-def _database_of(facts):
-    db = Database()
-    for name, (arity, values) in facts.items():
-        rows = [tuple(values[i:i + arity]) for i in range(0, len(values), arity)] \
-            if arity else [()]
-        db.add_relation(name, arity, rows)
-    return db
+def _relations_of(facts):
+    """What a reader's (shapes, values) stand for, built without `Database`:
+    each relation's payload rows, in relation order, and the payloads in
+    the order they are first met, one index per type and payload."""
+    shapes, values = facts
+    relations, start = {}, 0
+    for name, arity, count in shapes:
+        run = values[start:start + arity * count]
+        start += arity * count
+        relations[name] = {tuple(run[i:i + arity]) for i in range(0, len(run), arity)} \
+            if arity else {()}
+    assert start == len(values)
+    return relations, [p for _, p in dict.fromkeys(zip(map(type, values), values))]
+
+
+def _assert_loads_as(db, facts):
+    relations, payloads = _relations_of(facts)
+    assert [(name, r.payload_rows()) for name, r in db.relations.items()] == \
+        list(relations.items())
+    assert [(type(v.payload), v.payload) for v in db.values] == \
+        [(type(p), p) for p in payloads]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.booleans().flatmap(lambda odd: st.tuples(st.just(odd), integer_fact_files(odd))))
-def test_fact_file_reader_paths_agree(case):
+@given(st.booleans().flatmap(lambda odd: st.tuples(st.just(odd), integer_fact_files(odd))),
+       st.sets(st.sampled_from(["R", "S_1", "t", "U"])))
+def test_fact_file_reader_paths_agree(case, names):
     # The whole-text scan takes every plain file of integer facts and no file
     # with other whitespace, and gives what the line parser gives: the same
-    # relations, rows and values, in the same order.
+    # relations, rows and values, in the same order, with every relation or
+    # only the drawn names kept.
     odd_space, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "db.facts")
@@ -271,17 +291,17 @@ def test_fact_file_reader_paths_agree(case):
         with open(path, encoding="utf-8") as handle:
             read = handle.read()
         db = load_database(path)
-    by_line = dbio._facts_by_line(read.split("\n"))
+        named = load_database(path, names)
     whole = dbio._integer_facts(read)
     if not odd_space:
         assert whole is not None
     elif any(c not in " \t\n" and c.isspace() for c in read):
         assert whole is None
-    if whole is not None:
-        assert list(whole.items()) == list(by_line.items())
-    reference = _database_of(by_line)
-    assert db == reference
-    assert [v.payload for v in db.domain] == [v.payload for v in reference.domain]
+    for kept, loaded in ((None, db), (names, named)):
+        by_line = dbio._facts_by_line(read.split("\n"), kept)
+        if whole is not None:
+            assert dbio._integer_facts(read, kept) == by_line
+        _assert_loads_as(loaded, by_line)
 
 
 @pytest.mark.parametrize("text, scanned", [
@@ -315,7 +335,7 @@ def test_fact_file_reader_edge_cases(tmp_path, text, scanned):
     except QuerySyntaxError as err:
         by_line = err
     if whole is not None:
-        assert list(whole.items()) == list(by_line.items())
+        assert whole == by_line
     path = tmp_path / "db.facts"
     path.write_bytes(text.encode("utf-8"))
     read = path.read_text(encoding="utf-8")
@@ -327,11 +347,7 @@ def test_fact_file_reader_edge_cases(tmp_path, text, scanned):
         assert (str(got.value), got.value.line, got.value.column) == \
             (str(err), err.line, err.column)
         return
-    db = load_database(str(path))
-    expected = _database_of(reference)
-    assert db == expected
-    assert list(db.relations) == list(expected.relations)
-    assert [v.payload for v in db.domain] == [v.payload for v in expected.domain]
+    _assert_loads_as(load_database(str(path)), reference)
 
 
 _GOOD_FACTS = "".join(f"G({i}, {-i}).\n" for i in range(1000))
@@ -506,9 +522,122 @@ def test_one_pass_fact_lines_read_as_the_token_parser_does(line):
         return
     facts = dbio._facts_by_line([line])
     if expected is None:
-        assert facts == {}
+        assert facts == ([], [])
     else:
         name, values = expected
-        assert facts == {name: (len(values), values)}
-        assert [type(v) for v in facts[name][1]] == [type(v) for v in values]
-        assert dbio._facts_by_line([line], ()) == {}
+        assert facts == ([(name, len(values), 1)], values)
+        assert [type(v) for v in facts[1]] == [type(v) for v in values]
+        assert dbio._facts_by_line([line], ()) == ([], [])
+
+
+# The four inputs of a run: a fact file, a query file, a decomposition file
+# and a CSV directory's files, with line breaks as in a file saved on Unix.
+_INPUTS = {
+    "db.facts": "# R and S\n\nR(1, 2).\nR(3, 4).\nR(2, 3).\nS(3, 4).\n",
+    "q.dq": "# pairs of R not in S\n\nQ(x, y) :- R(x, y), !S(x, y).\n",
+    "dec.txt": format_decomposition(tree_decompose(parse_query("Q(x, y) :- R(x, y), !S(x, y)."))),
+    "csv/R.csv": "1,2\n3,4\n2,3\n",
+    "csv/S.csv": "3,4\n",
+}
+
+
+def _report(tmp_path, db, encodings=None, breaks="\n"):
+    """The canonical report, without wall_ms, of a cqneg run with its
+    witness on `_INPUTS` written under `tmp_path` with `breaks` for line
+    breaks, each file in its codec from `encodings` (default UTF-8)."""
+    (tmp_path / "csv").mkdir(parents=True, exist_ok=True)
+    for name, text in _INPUTS.items():
+        encoding = (encodings or {}).get(name, "utf-8")
+        (tmp_path / name).write_bytes(text.replace("\n", breaks).encode(encoding))
+    code, report = run(RunConfig(str(tmp_path / db), str(tmp_path / "q.dq"), 2, None,
+                                 mode="cqneg", witness=True,
+                                 decomposition_path=str(tmp_path / "dec.txt")))
+    assert code == 0, report
+    return canonical_json(report, drop_volatile=True)
+
+
+@pytest.mark.parametrize("marked", ["db.facts", "q.dq", "dec.txt", "csv/R.csv"])
+def test_inputs_with_a_byte_order_mark_read_as_without(tmp_path, marked):
+    # A file saved with a UTF-8 byte-order mark gives the report it gives
+    # without one: the mark is not a character of the fact, rule,
+    # decomposition item or CSV field it stands before. A CSV directory
+    # gives the fact file's report, its first field the int 1.
+    db = "csv" if marked.startswith("csv/") else "db.facts"
+    plain = _report(tmp_path / "plain", "db.facts")
+    assert _report(tmp_path / "marked", db, {marked: "utf-8-sig"}) == plain
+    assert '{"x":1,"y":2}' in plain
+
+
+def test_a_byte_order_mark_after_the_start_is_refused(tmp_path):
+    path = tmp_path / "db.facts"
+    path.write_bytes("R(1, 2).\n\ufeffR(3, 4).\n".encode("utf-8-sig"))
+    with pytest.raises(QuerySyntaxError) as err:
+        load_database(str(path))
+    assert str(err.value) == "line 2, column 1: unexpected character '\\ufeff'"
+
+
+@pytest.mark.parametrize("breaks", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_query_and_decomposition_line_breaks_read_as_lf(tmp_path, breaks):
+    # Text mode read `\r\n` and `\r` as `\n`, and the byte reader does the
+    # same: every input written with these breaks, comment and blank lines
+    # included, gives the report the LF files give.
+    plain = _report(tmp_path / "lf", "db.facts")
+    assert _report(tmp_path / "other", "db.facts", breaks=breaks) == plain
+    assert _report(tmp_path / "other", "csv", breaks=breaks) == plain
+    assert dbio.read_text(str(tmp_path / "other" / "dec.txt")) == _INPUTS["dec.txt"]
+    assert load_query(str(tmp_path / "other" / "q.dq")) == load_query(str(tmp_path / "lf" / "q.dq"))
+
+
+@pytest.mark.parametrize("name", ["db.facts", "q.dq"])
+def test_invalid_utf8_is_a_typed_error(tmp_path, name):
+    # A fact or query file that is not UTF-8 exits 2 with UnicodeDecodeError,
+    # not as a defect, and the message gives the byte's offset in the file.
+    query = tmp_path / "q.dq"
+    query.write_text("Q(x) :- R(x).\n", encoding="utf-8")
+    facts = tmp_path / "db.facts"
+    facts.write_text("R(1).\n", encoding="utf-8")
+    bad = "\ufeffR(1).\n".encode("utf-8") + b"\xff\n"
+    (tmp_path / name).write_bytes(bad)
+    code, report = run(RunConfig(str(facts), str(query), 1, 0))
+    with pytest.raises(UnicodeDecodeError) as err:
+        bad.decode("utf-8")
+    assert (code, report["error"]) == (2, {"code": "UnicodeDecodeError",
+                                           "message": str(err.value)})
+    assert "position 9" in str(err.value)
+
+
+_OLD_STRING_LITERAL = r'"(?:[^"\\]|\\.)*"'
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from(['"', "\\", "a", ",", "#", " ", "\r", "\n"]), max_size=16))
+def test_unrolled_string_literal_matches_what_the_alternation_matched(text):
+    # The runs-and-escapes form of a quoted literal accepts exactly the
+    # strings the one-character alternation accepted, whole or as the
+    # values a fact line's `findall` reads.
+    old, new = re.compile(_OLD_STRING_LITERAL), re.compile(STRING_LITERAL)
+    old_values = re.compile(rf"(?:{INT_LITERAL}|{_OLD_STRING_LITERAL})")
+    for candidate in (text, f'"{text}"'):
+        assert (old.fullmatch(candidate) is None) == (new.fullmatch(candidate) is None)
+        assert dbio._VALUES_RE.findall(candidate) == old_values.findall(candidate)
+
+
+def _greedy(pattern):
+    """A possessive pattern as `queries._possessive` writes it for Python
+    3.10, whose `re` has no possessive quantifiers."""
+    with mock.patch.object(sys, "version_info", (3, 10)):
+        return re.compile(queries._possessive(pattern))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(["R", "S_1", "(", ")", ",", ".", " ", "\t", "\n", "1", "-",
+                                 "07", '"', "\\", "a", "R(1, -2).\n", 'R("a\\"b").']),
+                max_size=16).map("".join))
+def test_possessive_patterns_match_what_their_greedy_forms_match(text):
+    # Every quantifier of the whole-file scan and of a quoted literal keeps
+    # what it takes without changing what the pattern matches, so Python
+    # 3.10 reads every file as a later Python does.
+    assert (dbio._INT_FILE_RE.fullmatch(text) is None) == \
+        (_greedy(dbio._INT_FILE_RE.pattern).fullmatch(text) is None)
+    assert dbio._VALUES_RE.findall(text) == _greedy(dbio._VALUES_RE.pattern).findall(text)
+    assert _greedy(STRING_LITERAL).pattern == r'"[^"\\]*(?:\\.[^"\\]*)*"'
