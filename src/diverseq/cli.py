@@ -3,8 +3,8 @@
 The query is parsed first, and only the relations it names are loaded (the
 loader still checks every fact). Routing in auto mode starts from the
 solvers' applicability: an acyclic positive single-disjunct query goes to
-the join-tree engine (the sum fast path when the aggregator is sum), on the
-GYO join tree built to route it, negation goes to the bag engine, and
+the join-tree engine (`acq-sum` when the aggregator is sum, which runs the
+same exact tables as `acq`), on the GYO join tree built to route it, negation goes to the bag engine, and
 unions or cyclic queries go through materialize + kernelize + exhaustive
 search. Each of these jobs is done once per run; nothing is kept from one
 run to the next.

@@ -7,11 +7,13 @@ Two database formats produce identical instances:
   * a directory of per-relation CSV files (`R.csv`, no header, arity
     inferred from the first record).
 
-Every input file (a fact file, a query file, a decomposition file) is read
-by `read_text`: its bytes at once, decoded from UTF-8 once, a byte-order
-mark at its start dropped, and `\\r\\n` and `\\r` read as `\\n`, as text
-mode reads them. A CSV file is opened with the `utf-8-sig` codec, which
-drops the same mark.
+Every input file (a fact file, a query file, a decomposition file, each
+CSV file) is decoded by `decode`: its bytes read at once, decoded from
+UTF-8 once, a byte-order mark at its start dropped; a decoding error names
+the file and the byte's offset in it. `read_text` then reads `\\r\\n` and
+`\\r` as `\\n`, as text mode reads them, for every file but a CSV file,
+whose text goes to `csv.reader` as it is, so that a line break inside a
+quoted field stays as written.
 
 A file of only integer facts and blank lines, with spaces and tabs as its
 only whitespace inside a line, is read in bulk: one regular-expression
@@ -25,8 +27,11 @@ and one `findall` over its values, and any other line by
 the message, line and column that query text gives the same atom. Both
 paths give the relations as (name, arity, number of rows) and their values
 end to end, and intern relations and values in the same order: relations by
-first fact, values row by row within a relation, in file order. In both
-formats an integer too long for `int` is a QuerySyntaxError at its line.
+first fact, values row by row within a relation, in file order. A CSV
+directory gives its relations the same way, in file name order, and
+`load_database` builds every database from them with one
+`Database.add_relations` call. In both formats an integer too long for
+`int` is a QuerySyntaxError at its line.
 
 `load_database` may be told which relations to keep, as the CLI keeps
 those its query names. Every fact and CSV row is still checked (syntax,
@@ -46,8 +51,9 @@ from typing import Collection, Iterable, Iterator
 
 from .errors import QuerySyntaxError
 from .model import Database, Payload, check_arity
-from .queries import (INT_LITERAL, STRING_LITERAL, Constant, Query, _possessive, parse_fact,
-                      parse_int_literal, parse_query, render_query, render_term, unescape)
+from .queries import (IDENT, INT_LITERAL, STRING_LITERAL, Constant, Query, _possessive,
+                      parse_fact, parse_int_literal, parse_query, render_query, render_term,
+                      unescape)
 
 _CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 # A whole well-formed fact line, its comment included: the relation name and
@@ -55,7 +61,7 @@ _CANONICAL_INT_RE = re.compile(r"0|-?[1-9][0-9]*")
 # refuses (blank, comment-only or malformed) goes to `queries.parse_fact`.
 _VALUE = rf"(?:{INT_LITERAL}|{STRING_LITERAL})"
 _FACT_LINE_RE = re.compile(
-    rf"\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*({_VALUE}(?:\s*,\s*{_VALUE})*)?\s*\)\s*\.\s*(?:#.*)?")
+    rf"\s*({IDENT})\s*\(\s*({_VALUE}(?:\s*,\s*{_VALUE})*)?\s*\)\s*\.\s*(?:#.*)?")
 _VALUES_RE = re.compile(_VALUE)
 # A whole file of integer facts: lines of a fact (`_INT_FACT`) or nothing,
 # each ended by a line break but the last; `~` stands for blanks. Only
@@ -64,7 +70,7 @@ _VALUES_RE = re.compile(_VALUE)
 # start the next, so every quantifier keeps what it takes (see
 # `queries.STRING_LITERAL`), and a match over a long file holds no state per
 # line.
-_INT_FACT = r"(?:[A-Za-z_][A-Za-z0-9_]*+~\(~-?+[0-9]++~(?:,~-?+[0-9]++~)*+\)~\.~)?+"
+_INT_FACT = rf"(?:{IDENT}+~\(~-?+[0-9]++~(?:,~-?+[0-9]++~)*+\)~\.~)?+"
 _INT_FILE_RE = re.compile(_possessive(
     ("(?:~" + _INT_FACT + r"\n)*+~" + _INT_FACT).replace("~", r"[ \t]*+")))
 _BLANKS = str.maketrans("", "", " \t\n")
@@ -75,14 +81,24 @@ _NAME, _BODY = operator.itemgetter(0), operator.itemgetter(1)
 _Facts = tuple[list[tuple[str, int, int]], list[Payload]]
 
 
-def read_text(path: str) -> str:
-    """A file's text, its bytes decoded from UTF-8 at once: a byte-order
-    mark at the start is dropped, and `\\r\\n` and `\\r` read as `\\n`, as in
-    text mode. A decoding error gives the byte's offset in the file."""
+def decode(path: str) -> str:
+    """A file's text: its bytes read at once and decoded from UTF-8 once, a
+    byte-order mark at the start dropped. A decoding error names the file
+    and gives the byte's offset in it."""
     with open(path, "rb") as handle:
-        text = handle.read().decode("utf-8")
-    if text[:1] == "\ufeff":
-        text = text[1:]
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        err.reason += f", in file {path}"
+        raise
+    return text[1:] if text[:1] == "\ufeff" else text
+
+
+def read_text(path: str) -> str:
+    """A file's text (see `decode`), with `\\r\\n` and `\\r` read as `\\n`,
+    as in text mode."""
+    text = decode(path)
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
@@ -92,16 +108,18 @@ def load_database(path: str, names: Collection[str] | None = None) -> Database:
     Every fact is checked, and a malformed one is an error at its line;
     given `names`, only the relations named there are converted, interned
     and stored, in the order they would be without it."""
-    if os.path.isdir(path):
-        return _load_csv_dir(path, names)
-    text = read_text(path)
-    facts = _integer_facts(text, names)
-    if facts is None:
-        facts = _facts_by_line(text.split("\n"), names)
-    del text  # released before the relations are built
+    facts = _csv_facts(path, names) if os.path.isdir(path) else _fact_file(path, names)
     db = Database()
     db.add_relations(*facts)
     return db
+
+
+def _fact_file(path: str, names: Collection[str] | None = None) -> _Facts:
+    """The relations of a fact file (see `_Facts`), read in bulk or line by
+    line (see the module docstring); its text is released on return, before
+    the relations are built."""
+    text = read_text(path)
+    return _integer_facts(text, names) or _facts_by_line(text.split("\n"), names)
 
 
 def _integer_facts(text: str, names: Collection[str] | None = None) -> _Facts | None:
@@ -182,23 +200,26 @@ def _facts_by_line(lines: Iterable[str], names: Collection[str] | None = None) -
     return shapes, list(itertools.chain.from_iterable(values for _, values in facts.values()))
 
 
-def _load_csv_dir(path: str, names: Collection[str] | None) -> Database:
+def _csv_facts(path: str, names: Collection[str] | None = None) -> _Facts:
+    """The relations of a directory's CSV files (see `_Facts`), one per
+    file `R.csv` with rows, in file name order, and only those in `names`
+    when given; every file is read and checked."""
     import csv
+    import io
 
-    db = Database()
+    shapes, kept = [], []
     for filename in sorted(os.listdir(path)):
         if not filename.endswith(".csv"):
             continue
         name = filename[: -len(".csv")]
-        with open(os.path.join(path, filename), newline="", encoding="utf-8-sig") as handle:
-            rows = list(csv_rows(csv.reader(handle)))
-        if not rows:
-            continue
-        if names is None or name in names:
-            db.add_relation(name, len(rows[0]), rows)
-        else:
+        text = decode(os.path.join(path, filename))
+        rows = list(csv_rows(csv.reader(io.StringIO(text, newline=""))))
+        if rows:
             check_arity(name, len(rows[0]), rows)
-    return db
+            if names is None or name in names:
+                shapes.append((name, len(rows[0]), len(rows)))
+                kept.extend(rows)
+    return shapes, list(itertools.chain.from_iterable(kept))
 
 
 def csv_rows(reader) -> Iterator[tuple[Payload, ...]]:

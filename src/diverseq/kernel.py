@@ -8,10 +8,11 @@ parameter-bounded) remainder is searched exactly. Unions and cyclic queries,
 whose structure the join-tree solver cannot exploit, take this path.
 
 Rows are tuples of value indices from the database load to the search:
-`queries.join` joins each conjunct's atom sols, capping and the search
-compare integers, and `Value` objects are built only for the witness and
-for output. A relation holds its rows once, as a tuple of the distinct rows
-in sorted order, and each capping level filters that tuple in order and
+`queries.join` joins each conjunct's atom sols, and capping and the search
+compare integers. The load builds one `Value` per distinct value, and
+`Assignment` objects are built only for the witness and for output. A
+relation holds its rows once, as a tuple of the distinct rows in sorted
+order, and each capping level filters that tuple in order and
 hands it on, so the search reads the answers in sorted order. Kernelization
 stops at the first level that cannot act, and capping works in linear
 passes over the rows: level 1 counts each group's rows and keeps its first
@@ -79,8 +80,11 @@ class AnswerRelation(_IndexRows, _Record, frozen=True):
     @classmethod
     def from_payload_rows(cls, columns: Sequence[str],
                           rows: Iterable[Sequence[Payload]]) -> "AnswerRelation":
-        interner = _Interner()
-        indexed = [tuple([interner.intern(p) for p in row]) for row in rows]
+        rows, width, interner = list(rows), len(columns), _Interner()
+        if not set(map(len, rows)) <= {width}:
+            raise ValueError("row width does not match the column count")
+        indices = iter(interner.intern_all(list(itertools.chain.from_iterable(rows))))
+        indexed = zip(*[indices] * width) if width else [()] * len(rows)
         return cls(tuple(columns), indexed, tuple(interner.values))
 
     def assignments(self) -> list[Assignment]:

@@ -105,26 +105,27 @@ class _Interner:
         self._index: dict[type, dict[Payload, int]] = {}
         self.values: list[Value] = []
 
-    def intern(self, payload: Payload) -> int:
-        index = self._index.setdefault(type(payload), {})
-        position = index.get(payload)
-        if position is None:
-            position = index[payload] = len(self.values)
-            self.values.append(Value(payload, position))
-        return position
-
     def intern_all(self, payloads: Sequence[Payload]) -> list[int]:
-        """The index of each payload in turn, interning as `intern` would:
-        when the payloads share one type, once per distinct payload."""
-        kinds = set(map(type, payloads))
-        if len(kinds) != 1:
-            return [self.intern(p) for p in payloads]
-        index, values = self._index.setdefault(kinds.pop(), {}), self.values
-        for payload in dict.fromkeys(payloads):
-            if payload not in index:
+        """The index of each payload in turn, interning each payload not
+        yet seen, in first-appearance order: when the payloads share one
+        type, once per distinct payload."""
+        values, kinds = self.values, set(map(type, payloads))
+        if len(kinds) == 1:
+            index = self._index.setdefault(kinds.pop(), {})
+            for payload in dict.fromkeys(payloads):
+                if payload not in index:
+                    position = index[payload] = len(values)
+                    values.append(Value(payload, position))
+            return list(map(index.__getitem__, payloads))
+        indexes, positions = {kind: self._index.setdefault(kind, {}) for kind in kinds}, []
+        for payload in payloads:
+            index = indexes[type(payload)]
+            position = index.get(payload)
+            if position is None:
                 position = index[payload] = len(values)
                 values.append(Value(payload, position))
-        return list(map(index.__getitem__, payloads))
+            positions.append(position)
+        return positions
 
     def lookup(self, payload: Payload) -> Value | None:
         position = self._index.get(type(payload), {}).get(payload)
@@ -177,8 +178,9 @@ class Database:
     relations; a value no loaded relation holds has no index, which to a
     query is the same as being in no row. Values are interned per database
     into one value table, `values`, that its relations share and that only
-    grows, and rows hold their indices, so the solvers join and compare
-    integers; `Value` objects are built only for answers handed out.
+    grows, one `Value` per distinct value, and rows hold their indices, so
+    the solvers join and compare integers; `Assignment` objects are built
+    only for answers handed out.
     """
 
     def __init__(self) -> None:
@@ -202,8 +204,6 @@ class Database:
 
     def add_relation(self, name: str, arity: int, rows: Iterable[Sequence[Payload]]) -> Relation:
         """Add a relation from its rows, interning their values row by row."""
-        if name in self.relations:
-            raise ValueError(f"relation {name} already defined")
         rows = list(rows)
         check_arity(name, arity, rows)
         self.add_relations([(name, arity, len(rows))], list(itertools.chain.from_iterable(rows)))

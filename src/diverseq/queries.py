@@ -180,14 +180,16 @@ def _possessive(pattern: str) -> str:
     return re.sub(r"([*+?])\+", r"\1", pattern)
 
 
-# The constant literals of query text and of fact files (dbio): an integer
-# is ASCII digits after an optional minus sign, a string is double-quoted
-# with backslash escapes. A string's body is runs of plain characters
+# The lexical rules of query text, fact files (dbio) and decomposition files
+# (structure): an identifier is an ASCII letter or `_`, then ASCII letters,
+# digits and `_`; an integer is ASCII digits after an optional minus sign; a
+# string is double-quoted with backslash escapes. A string's body is runs of plain characters
 # between escapes ("unrolled"), each run taken whole and kept: no character
 # can both end a run and start what follows it, so a possessive quantifier,
 # which keeps no state to give back what it took, matches what a greedy one
 # does, with less work.
 INT_LITERAL = r"-?[0-9]+"
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 STRING_LITERAL = _possessive(r'"[^"\\]*+(?:\\.[^"\\]*+)*+"')
 
 
@@ -213,7 +215,7 @@ def _int_limit_message(text: str) -> str:
 # any other character no token starts with fall to the one-character
 # alternative, and the parser tells them apart.
 _TOKEN_RE = re.compile(
-    rf"\s*(:-|{STRING_LITERAL}|{INT_LITERAL}|[A-Za-z_][A-Za-z0-9_]*|[^\s#]|\#.*|$)")
+    rf"\s*(:-|{STRING_LITERAL}|{INT_LITERAL}|{IDENT}|[^\s#]|\#.*|$)")
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _INT_START = frozenset("-0123456789")
 # The one-character tokens the grammar has; any other is a stray character.
@@ -379,8 +381,9 @@ def quote(payload: str) -> str:
     return '"' + payload.translate(_ESCAPED) + '"'
 
 
-# Rules end only at \r\n, \r or \n. str.splitlines would also break at
-# characters such as \x0b, \x85 or \u2028, which a string constant may hold.
+# Rules (and decomposition lines, in structure) end only at \r\n, \r or \n.
+# str.splitlines would also break at characters such as \x0b, \x85 or
+# \u2028, which a string constant may hold.
 _LINE_BREAK_RE = re.compile(r"\r\n|\r|\n")
 
 

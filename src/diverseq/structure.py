@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from collections import Counter
 from typing import Iterable
 
 from .errors import QuerySyntaxError
 from .model import _Record
-from .queries import Conjunct, Query
+from .queries import IDENT, INT_LITERAL, _LINE_BREAK_RE, Conjunct, Query, parse_int_literal
 
 
 def _postorder(root: int, children: dict[int, tuple[int, ...]]) -> list[int]:
@@ -305,49 +306,55 @@ def format_decomposition(td: TreeDecomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One decomposition item and the blanks around it, or only blanks:
+# `node N bag x,y` (`node N bag` is an empty bag), `node N x,y`, `edge A B`
+# or `root N`, with the identifiers and integers of rule text. Groups 1, 5
+# and 8 hold the keyword, 2, 6, 7 and 9 the ids, and 3 or 4 the variables.
+_ID, _VARIABLES = rf"\s+({INT_LITERAL})", rf"({IDENT}(?:\s*,\s*{IDENT})*)"
+_ITEM_RE = re.compile(rf"\s*(?:(node){_ID}(?:\s+bag(?:\s+{_VARIABLES})?|\s+{_VARIABLES})"
+                      rf"|(edge){_ID}{_ID}|(root){_ID})?\s*")
+
+
 def parse_decomposition(text: str) -> TreeDecomposition:
     """Parse the line format accepted by the CLI's --decomposition flag.
 
-    Items may be separated by newlines or semicolons. `node N bag` with no
-    variable list is an empty bag, as format_decomposition writes one.
-    Edges are undirected and oriented away from the declared root; a
-    repeated edge is harmless.
-    A malformed item, a node declared twice, an edge to an undeclared node,
-    a self-loop, an edge that closes a cycle, and a node the root cannot
-    reach are each a QuerySyntaxError at the line that holds them.
+    Items may be separated by line breaks (`\\r\\n`, `\\r` or `\\n`, as in
+    rule text) or semicolons, and `#` starts a comment that runs to the end
+    of its line. `node N bag` with no variable list is an empty bag, as
+    format_decomposition writes one. Edges are undirected and oriented away
+    from the declared root; a repeated edge is harmless.
+    A malformed item, a node declared twice, a second root, an edge to an
+    undeclared node, a self-loop, an edge that closes a cycle, and a node
+    the root cannot reach are each a QuerySyntaxError at the line that
+    holds them.
     """
     bags: dict[int, frozenset[str]] = {}
     node_line: dict[int, int] = {}
     edges: list[tuple[int, int, int]] = []  # (one end, other end, line)
     root: int | None = None
     root_line = lineno = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        for item in (piece.strip() for piece in line.split(";")):
-            if not item or item.startswith("#"):
-                continue
-            parts = item.split()
-            try:
-                if parts[0] == "node" and parts[2:3] == ["bag"] and len(parts) <= 4:
-                    node, bag_text = int(parts[1]), "".join(parts[3:])
-                elif parts[0] == "node" and len(parts) == 3:
-                    node, bag_text = int(parts[1]), parts[2]
-                elif parts[0] == "edge" and len(parts) == 3:
-                    edges.append((int(parts[1]), int(parts[2]), lineno))
-                    continue
-                elif parts[0] == "root" and len(parts) == 2:
-                    root, root_line = int(parts[1]), lineno
-                    continue
-                else:
-                    raise ValueError(item)
-            except ValueError:
-                raise QuerySyntaxError(f"bad decomposition item {item!r}", lineno, 1) from None
-            if node in bags:
-                raise QuerySyntaxError(
-                    f"node {node} is declared twice (first on line {node_line[node]})", lineno, 1)
-            bags[node] = frozenset(v for v in bag_text.split(",") if v)
-            node_line[node] = lineno
-    if root is None:
-        raise QuerySyntaxError("decomposition lacks a root line", max(lineno, 1), 1)
+    for lineno, line in enumerate(_LINE_BREAK_RE.split(text), start=1):
+        for item in line.partition("#")[0].split(";"):
+            m = _ITEM_RE.fullmatch(item)
+            if m is None:
+                raise QuerySyntaxError(f"bad decomposition item {item.strip()!r}", lineno, 1)
+            ids = [parse_int_literal(m[n], lineno, 1) for n in (2, 6, 7, 9) if m[n]]
+            if m[1]:
+                node = ids[0]
+                if node in bags:
+                    raise QuerySyntaxError(f"node {node} is declared twice "
+                                           f"(first on line {node_line[node]})", lineno, 1)
+                bags[node] = frozenset(re.findall(IDENT, m[3] or m[4] or ""))
+                node_line[node] = lineno
+            elif m[5]:
+                edges.append((ids[0], ids[1], lineno))
+            elif m[8]:
+                if root is not None:
+                    raise QuerySyntaxError(
+                        f"root is declared twice (first on line {root_line})", lineno, 1)
+                root, root_line = ids[0], lineno
+    if root is None:  # at the last line, which a final line break does not start
+        raise QuerySyntaxError("decomposition lacks a root line", max(lineno - (not line), 1), 1)
     if root not in bags:
         raise QuerySyntaxError(f"root {root} is not a declared node", root_line, 1)
     adj: dict[int, set[int]] = {n: set() for n in bags}

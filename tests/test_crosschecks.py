@@ -26,8 +26,9 @@ from diverseq.kernel import materialize_answers, solve_fo_diverse
 from diverseq.model import MIN, SUM, Database, custom_aggregator, diversity_of_set
 from diverseq.oracle import bruteforce_diversity, enumerate_answers
 from diverseq.queries import Atom, Conjunct, Constant, Literal, Query, Variable, parse_query
-from diverseq.structure import gyo_join_tree
-from helpers import random_cqneg_query, random_general_query, small_answer_instances
+from diverseq.structure import format_decomposition, gyo_join_tree, make_nice, tree_decompose
+from helpers import (random_acyclic_query, random_cqneg_query, random_general_query,
+                     small_answer_instances)
 
 
 def oracle_max(query, db, k, aggregator, **kw):
@@ -448,3 +449,72 @@ def test_every_database_format_gives_auto_the_same_report(db):
                     answers = [a.as_payload_dict() for a in enumerate_answers(query, db)]
                     assert len(witness) == k and all(a in answers for a in witness)
                     assert len({tuple(a.items()) for a in witness}) == k
+
+
+# A comment that holds what would be items, a node id and a digit no id
+# may hold, were it not a comment.
+_NOTE = "# note; root 9 \u0663"
+
+
+def _hand_written(text, rng, breaks):
+    """`format_decomposition`'s text as a person might write it: a comment
+    line, its items joined by `;` into lines of one to three, some with a
+    comment after them, `breaks` for line breaks and a byte-order mark."""
+    items, lines = text.splitlines(), [_NOTE]
+    while items:
+        take = rng.randint(1, 3)
+        lines.append(rng.choice([";", " ; ", "\t;"]).join(items[:take])
+                     + rng.choice(["", " " + _NOTE]))
+        del items[:take]
+    return "\ufeff" + breaks.join(lines) + breaks
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.integers(1, 3), st.sampled_from(["\r\n", "\r"]))
+def test_decomposition_files_read_through_the_cli_as_written(seed, negation, k, breaks):
+    # Each decomposition the package builds for a query (min-fill, its nice
+    # form and, for a positive query, GYO's join tree), written by
+    # `format_decomposition` and rewritten by hand, gives `--mode cqneg`
+    # the exit code, decision and diversity it gives without a file, and
+    # its witness holds answers of the query. Broken by an id `\u0663`, an
+    # edge to an unknown node, an edge that closes a cycle or a second
+    # root, it is refused with a QuerySyntaxError at the broken line.
+    rng = random.Random(seed)
+    query, db = (random_cqneg_query if negation else random_acyclic_query)(rng)
+    trees = [tree_decompose(query), make_nice(tree_decompose(query))]
+    trees += [] if negation else [gyo_join_tree(query)]
+    with tempfile.TemporaryDirectory() as tmp:
+        db_path, query_path, td_path = (os.path.join(tmp, name)
+                                        for name in ("db.facts", "q.dq", "dec.txt"))
+        dump_database(db, db_path)
+        dump_query(query, query_path)
+
+        def outcome(text=None):
+            if text is not None:
+                with open(td_path, "w", encoding="utf-8", newline="") as handle:
+                    handle.write(text)
+            code, report = run(RunConfig(db_path, query_path, k, None, mode="cqneg", witness=True,
+                                         decomposition_path=text and td_path))
+            assert report.get("error", {}).get("code") != "InternalError", report
+            return code, report
+
+        code, plain = outcome()
+        expected = (code, plain.get("decision"), plain.get("diversity"), plain.get("error"))
+        answers = [a.as_payload_dict() for a in enumerate_answers(query, db)]
+        texts = [_hand_written(format_decomposition(td), rng, breaks) for td in trees]
+        for text in texts:
+            code, report = outcome(text)
+            got = (code, report.get("decision"), report.get("diversity"), report.get("error"))
+            assert got == expected, (query, text)
+            assert all(a in answers for a in report.get("witness") or ())
+        root, nodes = trees[0].root, sorted(trees[0].bags)
+        adjacent = {(p, c) for p, kids in trees[0].children.items() for c in kids}
+        apart = [(a, b) for a, b in itertools.combinations(nodes, 2)
+                 if (a, b) not in adjacent and (b, a) not in adjacent]
+        broken = ["node \u0663 bag", f"edge {root} {nodes[-1] + 1}", f"root {root}"]
+        broken += [f"edge {a} {b}" for a, b in apart[:1]]
+        for item in broken:
+            lines = texts[0].split(breaks)[:-1] + [item]
+            code, report = outcome(breaks.join(lines) + breaks)
+            assert (code, report["error"]["code"]) == (2, "QuerySyntaxError"), (item, report)
+            assert report["error"]["message"].startswith(f"line {len(lines)},"), (item, report)

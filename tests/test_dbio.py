@@ -591,7 +591,8 @@ def test_query_and_decomposition_line_breaks_read_as_lf(tmp_path, breaks):
 @pytest.mark.parametrize("name", ["db.facts", "q.dq"])
 def test_invalid_utf8_is_a_typed_error(tmp_path, name):
     # A fact or query file that is not UTF-8 exits 2 with UnicodeDecodeError,
-    # not as a defect, and the message gives the byte's offset in the file.
+    # not as a defect, and the message gives the byte's offset in the file
+    # and names the file.
     query = tmp_path / "q.dq"
     query.write_text("Q(x) :- R(x).\n", encoding="utf-8")
     facts = tmp_path / "db.facts"
@@ -602,8 +603,40 @@ def test_invalid_utf8_is_a_typed_error(tmp_path, name):
     with pytest.raises(UnicodeDecodeError) as err:
         bad.decode("utf-8")
     assert (code, report["error"]) == (2, {"code": "UnicodeDecodeError",
-                                           "message": str(err.value)})
+                                           "message": f"{err.value}, in file {tmp_path / name}"})
     assert "position 9" in str(err.value)
+
+
+def test_csv_decoding_error_gives_the_offset_in_the_file(tmp_path):
+    # A bad byte after 27780 bytes of CSV rows: the message gives its offset
+    # from the start of the file, not from a chunk a text-mode reader
+    # decoded, and names the file.
+    d = tmp_path / "db"
+    d.mkdir()
+    rows = "".join(f"{i},{i}\n" for i in range(3000)).encode("utf-8")
+    assert len(rows) == 27780
+    (d / "R.csv").write_bytes(rows + b"\xff\n")
+    query = tmp_path / "q.dq"
+    query.write_text("Q(x) :- R(x, y).\n", encoding="utf-8")
+    code, report = run(RunConfig(str(d), str(query), 1, 0))
+    assert (code, report["error"]["code"]) == (2, "UnicodeDecodeError")
+    assert "position 27780" in report["error"]["message"]
+    assert report["error"]["message"].endswith(f", in file {d / 'R.csv'}")
+
+
+@pytest.mark.parametrize("name", ["dec.txt", "csv/S.csv"])
+def test_invalid_utf8_in_a_decomposition_or_csv_file_names_the_file(tmp_path, name):
+    # Every input is decoded one way: a bad byte in a decomposition file or
+    # in a file of a CSV directory, after a byte-order mark, exits 2 with
+    # UnicodeDecodeError, the byte's offset in the file and the file.
+    _report(tmp_path, "csv")
+    (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + _INPUTS[name].encode("utf-8") + b"\xc3(")
+    code, report = run(RunConfig(str(tmp_path / "csv"), str(tmp_path / "q.dq"), 1, 0,
+                                 mode="cqneg", decomposition_path=str(tmp_path / "dec.txt")))
+    offset = 3 + len(_INPUTS[name].encode("utf-8"))
+    assert (code, report["error"]["code"]) == (2, "UnicodeDecodeError")
+    assert f"position {offset}:" in report["error"]["message"]
+    assert report["error"]["message"].endswith(f", in file {tmp_path / name}")
 
 
 _OLD_STRING_LITERAL = r'"(?:[^"\\]|\\.)*"'

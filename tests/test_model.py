@@ -101,11 +101,11 @@ def test_values_are_interned_row_by_row_across_types():
                          max_size=12), min_size=1, max_size=3))
 def test_interning_a_mixed_list_at_once_is_interning_it_a_value_at_a_time(lists):
     # Lists of ints and strs, some holding both, interned in turn into one
-    # table: the indices and the value table are those of `intern` called
-    # once per value.
+    # table: the indices and the value table are those of `intern_all`
+    # called once per value.
     together, one_by_one = model._Interner(), model._Interner()
     for payloads in lists:
-        assert together.intern_all(payloads) == [one_by_one.intern(p) for p in payloads]
+        assert together.intern_all(payloads) == [one_by_one.intern_all([p])[0] for p in payloads]
     assert [(type(v.payload), v.payload, v.index) for v in together.values] == [
         (type(v.payload), v.payload, v.index) for v in one_by_one.values]
 

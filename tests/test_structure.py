@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -282,6 +283,56 @@ def test_decomposition_refuses_what_is_no_tree(text, line, message):
     with pytest.raises(QuerySyntaxError, match=message) as caught:
         parse_decomposition(text)
     assert caught.value.line == line
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # a second root is refused at its line, as a second node is
+    ("node 0 bag x\nnode 1 bag y\nedge 0 1\nroot 0\nroot 1", 5,
+     r"root is declared twice \(first on line 4\)"),
+    ("node 0 x; root 0; node 1 y; edge 0 1\n\nroot 0", 3, "root is declared twice"),
+    # ids are integer literals of rule text: ASCII digits, an optional minus
+    ("node \u0663 bag x\nroot 3", 1, "bad decomposition item 'node \u0663 bag x'"),
+    ("node 1_0 bag x\nroot 10", 1, "bad decomposition item"),
+    ("node 10 bag x\nroot +10", 2, "bad decomposition item 'root \\+10'"),
+    ("node 0 x\nroot 0\nedge 0 \u0663", 3, "bad decomposition item"),
+    # variables are identifiers of rule text, one between each two commas
+    ("node 0 x,,y\nroot 0", 1, "bad decomposition item"),
+    ("node 0 x,\nroot 0", 1, "bad decomposition item"),
+    ("node 0 x-1\nroot 0", 1, "bad decomposition item"),
+    ("node 0\nroot 0", 1, "bad decomposition item"),
+    # lines end only at \r\n, \r and \n, as rules do
+    ("node 0 x\x85root 0", 1, "bad decomposition item"),
+    ("node 0 x\u2028root 0", 1, "bad decomposition item"),
+    ("node 0 x\rnode 1 y\r\nroot 0\nnode 2 z", 2, "node 1 is not connected"),
+])
+def test_decomposition_items_follow_the_rule_grammar(text, line, message):
+    with pytest.raises(QuerySyntaxError, match=message) as caught:
+        parse_decomposition(text)
+    assert caught.value.line == line
+
+
+def test_decomposition_comments_run_to_the_end_of_the_line():
+    # `#` starts a comment wherever it stands: a `;` inside one starts no
+    # item, and an item before one is read.
+    td = parse_decomposition("node 0 bag x\nnode 1 bag y\nedge 0 1\nroot 0\n"
+                             "# tried: root 1; root 1\n")
+    assert td.root == 0
+    td = parse_decomposition("node 0 bag x # the root; node 2 z\nroot 0 # the root\n")
+    assert (td.root, td.bags) == (0, {0: frozenset({"x"})})
+
+
+def test_decomposition_items_read_blanks_around_commas():
+    td = parse_decomposition("node 0 bag x, y ,z\t;\tnode 1 y , w;edge 0 1;root 0")
+    assert td.bags == {0: frozenset({"x", "y", "z"}), 1: frozenset({"y", "w"})}
+
+
+def test_decomposition_id_past_the_int_limit_is_refused_at_its_line():
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("int converts any length")
+    with pytest.raises(QuerySyntaxError, match="exceeds the limit") as caught:
+        parse_decomposition(f"node 0 x; edge 0 {'7' * (limit + 1)}\nroot 0")
+    assert caught.value.line == 1
 
 
 def test_decomposition_repeated_edge_is_harmless():
